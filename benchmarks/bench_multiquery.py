@@ -11,7 +11,7 @@ The 8 benchmark queries are heterogeneous estimation queries (subset
 sums, quantiles, a group-by, a frequency, a mean) that all compile onto
 same-config weighted SWOR instances, which is exactly the fleet the
 driver's fused site-side pass amortizes: per batch it computes the
-grouping argsort, level indices, early/regular split, and shared EARLY
+per-site grouping, level indices, early/regular split, and shared EARLY
 message objects once, leaving only per-query RNG draws, threshold
 filters, and coordinator work.
 

@@ -18,7 +18,8 @@ the driver amortizes the batched engine's per-batch work across all of
 them:
 
 * the stream's structure-of-arrays view is sliced and the per-site
-  grouping (one stable argsort per batch) is computed **once**, and the
+  grouping (one counting sort per batch,
+  :func:`~repro.runtime.batched.window_order`) is computed **once**, and the
   resulting zero-copy :class:`~repro.runtime.batched.ItemBatch` views
   are handed to every query's sites;
 * queries backed by *same-config* weighted SWORs are **fused**: the
@@ -611,10 +612,9 @@ class MultiQueryDriver:
         columnar: bool = False,
         timings: Optional[List[float]] = None,
     ) -> None:
-        """One argsort groups the window for *every* query's sites."""
+        """One grouping of the window serves *every* query's sites."""
         assignment, weights, idents = arrays
-        for site_id, order_positions in site_runs(assignment[lo:hi]):
-            positions = order_positions + lo
+        for site_id, positions in site_runs(assignment, lo, hi):
             batch = ItemBatch(
                 items,
                 positions,

@@ -19,7 +19,8 @@ keys over released items.
 What the engine does per batch
 ------------------------------
 1. slice the stream's (site, weight) arrays for the batch window;
-2. group the window's items per site (one stable argsort — C speed);
+2. group the window's items per site (one O(n) counting sort, see
+   :func:`window_order`);
 3. hand each site its sub-batch through the bulk hook
    :meth:`~repro.runtime.interfaces.SiteAlgorithm.on_items` (protocol
    sites vectorize key generation; the default loops ``on_item``);
@@ -104,39 +105,48 @@ def batch_windows(n, batch_size, initial_batch_size, marks=()):
         size = min(size * 2, batch_size)
 
 
-def window_order(window):
-    """Stable per-site grouping of one window's site assignments.
+def window_order(sites, lo, hi):
+    """Group rows ``[lo, hi)`` of a site column per site, in O(n).
 
     The single source of truth for how every batching engine groups a
-    window: returns ``(order, sites_sorted, run_starts, run_ends)``
-    where ``order`` is the stable argsort of ``window`` (each site's
-    arrivals kept in global order), ``sites_sorted = window[order]``,
-    and ``[run_starts[i], run_ends[i])`` brackets site
-    ``sites_sorted[run_starts[i]]``'s run.  Both :func:`site_runs`
-    (batched engine, multi-query driver) and the columnar engine build
-    on this, which is what keeps their grouping — and hence their
-    run-for-run RNG parity — structural.  Requires numpy.
+    window — the batched and columnar engines, the sharded workers'
+    :meth:`~repro.stream.columns.ShardSliceView.window_order`, and the
+    multi-query driver — which is what keeps their grouping, and hence
+    their run-for-run RNG parity, structural.
+
+    Returns ``(positions, site_ids, run_starts, run_ends)``:
+    ``positions`` holds the window's row indices into ``sites`` by
+    ascending site, each site's rows in arrival order, and
+    ``positions[run_starts[j]:run_ends[j]]`` are the rows of site
+    ``site_ids[j]`` (three Python lists, one entry per site present).
+
+    A counting sort: ``np.bincount`` sizes every site's run, and a
+    stable argsort of the column narrowed to the smallest unsigned
+    dtype holding every site id scatters the rows — numpy sorts keys of
+    at most 16 bits stably by radix, one counting pass per byte.  Only
+    more than 65536 sites fall back to a comparison sort.  Either way
+    the result equals a stable sort's, so each site sees its arrivals
+    in arrival order.  Requires numpy and non-negative site ids.
     """
-    order = _np.argsort(window, kind="stable")
-    sites_sorted = window[order]
-    run_starts = _np.flatnonzero(
-        _np.r_[True, sites_sorted[1:] != sites_sorted[:-1]]
-    )
-    run_ends = _np.r_[run_starts[1:], len(sites_sorted)]
-    return order, sites_sorted, run_starts, run_ends
+    window = sites[lo:hi]
+    counts = _np.bincount(window)
+    narrow = window.astype(_np.min_scalar_type(len(counts) - 1))
+    positions = _np.argsort(narrow, kind="stable")
+    positions += lo
+    site_ids = _np.flatnonzero(counts)
+    run_ends = _np.cumsum(counts)[site_ids]
+    run_starts = run_ends - counts[site_ids]
+    return positions, site_ids.tolist(), run_starts.tolist(), run_ends.tolist()
 
 
-def site_runs(window):
-    """Yield ``(site_id, order_positions)`` runs for one window.
-
-    One stable argsort groups the window's arrivals per site;
-    ``order_positions`` indexes *into the window* (add the window's
-    ``lo`` for stream positions), with each site's arrivals kept in
-    global order.  Requires numpy.
-    """
-    order, sites_sorted, run_starts, run_ends = window_order(window)
-    for start, end in zip(run_starts, run_ends):
-        yield int(sites_sorted[start]), order[start:end]
+def site_runs(sites, lo, hi):
+    """Yield ``(site_id, positions)`` runs for window ``[lo, hi)`` of
+    ``sites``: ascending site ids, ``positions`` the site's row indices
+    into ``sites`` in arrival order (see :func:`window_order`).
+    Requires numpy."""
+    positions, site_ids, run_starts, run_ends = window_order(sites, lo, hi)
+    for site_id, start, end in zip(site_ids, run_starts, run_ends):
+        yield site_id, positions[start:end]
 
 
 def site_buckets(assignment, items, lo, hi):
@@ -285,13 +295,12 @@ class BatchedEngine(Engine):
     def _run_window_numpy(
         network: "Network", items: List["Item"], arrays, lo: int, hi: int
     ) -> None:
-        """Group the window per site with one stable argsort, then run
+        """Group the window per site (:func:`window_order`), then run
         each site's bulk hook on a zero-copy :class:`ItemBatch` view."""
         assignment, weights = arrays[0], arrays[1]
         deliver = network.deliver_upstream
         sites = network.sites
-        for site_id, order_positions in site_runs(assignment[lo:hi]):
-            positions = order_positions + lo
+        for site_id, positions in site_runs(assignment, lo, hi):
             batch = ItemBatch(items, positions, weights[positions])
             for message in sites[site_id].on_items(batch):
                 deliver(site_id, message)

@@ -13,11 +13,12 @@ end to end:
   :class:`~repro.stream.columns.ColumnarStream` natively, or a
   :class:`~repro.stream.item.DistributedStream` through its cached
   ``arrays()`` view;
-* per window, one stable argsort groups arrivals per site and **one
-  gather** builds the site-sorted weight/ident columns; level indices
-  are computed **once per window** (sites sharing a config expose
-  :meth:`~repro.core.site.SworSite.window_levels`) instead of once per
-  (site, window);
+* per window, one O(n) counting sort
+  (:func:`~repro.runtime.batched.window_order`) groups arrivals per
+  site and **one gather** builds the site-sorted weight/ident columns;
+  level indices are computed **once per window** (sites sharing a
+  config expose :meth:`~repro.core.site.SworSite.window_levels`)
+  instead of once per (site, window);
 * each site's bulk hook
   (:meth:`~repro.runtime.interfaces.SiteAlgorithm.on_columns`) returns
   a single :class:`~repro.net.messages.MessagePack` of parallel arrays
@@ -31,7 +32,7 @@ Why this is correct
 -------------------
 The window schedule, per-site grouping, and per-site RNG consumption
 are *identical* to the batched engine's (same
-:func:`~repro.runtime.batched.batch_windows`, same stable argsort, same
+:func:`~repro.runtime.batched.batch_windows`, same grouping, same
 ``BatchRandom`` draw counts in the same order), and the coordinator's
 pack path is bit-compatible with sequential delivery (it falls back to
 exact per-message replay for the rare packs that saturate a level or
@@ -178,19 +179,15 @@ class ColumnarEngine(BatchedEngine):
             n, self.batch_size, self.initial_batch_size, marks
         ):
             windows += 1
-            order, sites_sorted, run_starts, run_ends = window_order(
-                assignment[lo:hi]
+            positions, site_ids, run_starts, run_ends = window_order(
+                assignment, lo, hi
             )
-            positions = order + lo
             weights_sorted = weights[positions]
             idents_sorted = idents[positions]
             window_prep = (
                 site0.prepare_window(weights_sorted) if share_prep else None
             )
-            site_ids = sites_sorted[run_starts].tolist()
-            for site_id, start, end in zip(
-                site_ids, run_starts.tolist(), run_ends.tolist()
-            ):
+            for site_id, start, end in zip(site_ids, run_starts, run_ends):
                 result = sites[site_id].on_columns(
                     idents_sorted[start:end],
                     weights_sorted[start:end],

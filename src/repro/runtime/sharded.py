@@ -34,9 +34,10 @@ Why this is bit-identical to the columnar engine
 Per-site RNG streams are derived independently
 (:class:`~repro.common.rng.RandomSource` substreams plus per-site
 ``BatchRandom``), each site's per-window ident/weight slices are
-bitwise equal to the columnar engine's (stable argsort over a
-position-compacted shard — see ``ShardSliceView``), and the
-coordinator runs *in the parent*, consuming its own RNG in fold order.
+bitwise equal to the columnar engine's (the same order-preserving
+grouping over a position-compacted shard — see ``ShardSliceView``),
+and the coordinator runs *in the parent*, consuming its own RNG in
+fold order.
 The one genuinely new piece is control flow: the columnar engine
 delivers a mid-window broadcast to the *later* sites of the same
 window before they compute, while shard workers compute a whole window

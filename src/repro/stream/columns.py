@@ -110,13 +110,14 @@ class ShardSliceView:
     * :meth:`window_bounds` — which shard rows fall in the global
       window ``[lo, hi)`` (one ``searchsorted`` against ``positions``);
     * :meth:`window_order` — the window's shard rows grouped per site
-      with each site's arrivals in **global** order, via the same
-      stable argsort as :func:`repro.runtime.batched.window_order`.
+      with each site's arrivals in **global** order, via the engines'
+      shared grouping :func:`repro.runtime.batched.window_order`.
 
-    Because ``positions`` is increasing and the argsort is stable, each
-    site's per-window ident/weight slices are *bitwise identical* to
-    the slices :class:`~repro.runtime.columnar.ColumnarEngine` would
-    hand that site — which is what makes shard-parallel site passes
+    Because ``positions`` is increasing and the grouping keeps each
+    site's rows in order, each site's per-window ident/weight slices
+    are *bitwise identical* to the slices
+    :class:`~repro.runtime.columnar.ColumnarEngine` would hand that
+    site — which is what makes shard-parallel site passes
     reproducible down to the RNG draw.  Requires numpy.
     """
 
@@ -190,16 +191,15 @@ class ShardSliceView:
         """
         from ..runtime.batched import window_order
 
-        order, sites_sorted, run_starts, run_ends = window_order(
-            self.sites[i0:i1]
+        positions, site_ids, run_starts, run_ends = window_order(
+            self.sites, i0, i1
         )
-        gather = order + i0
         return (
-            sites_sorted[run_starts].tolist(),
-            run_starts.tolist(),
-            run_ends.tolist(),
-            self.idents[gather],
-            self.weights[gather],
+            site_ids,
+            run_starts,
+            run_ends,
+            self.idents[positions],
+            self.weights[positions],
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

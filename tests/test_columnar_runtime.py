@@ -1,6 +1,6 @@
 """Columnar runtime tests: zero-object streams, packs, and the engine.
 
-Five contracts pin the columnar refactor:
+Six contracts pin the columnar refactor:
 
 1. **Stream round-trip** — ``ColumnarStream`` <-> ``DistributedStream``
    converts exactly (idents and weights bit for bit), with a lazy
@@ -16,7 +16,10 @@ Five contracts pin the columnar refactor:
    to the reference engine exactly;
 5. **Bulk sample merge** — ``TopKeySample.merge_columns`` equals
    sequential ``add`` calls (including the tie fallback), and the
-   sorted query view is cached per mutation epoch.
+   sorted query view is cached per mutation epoch;
+6. **Window grouping** — the engines' counting-sort ``window_order``
+   equals a stable comparison sort of the window's rows by site, at
+   every key width, and engine runs are unchanged under that oracle.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from repro.stream import (
     columnar_zipf_stream,
     heavy_to_one_site,
     round_robin,
+    uniform_random,
     zipf_stream,
 )
 
@@ -706,3 +710,69 @@ class TestDriverColumnarMode:
             counters = proto.run(stream)
             assert proto.sample_with_keys() == sample
             assert counters.snapshot() == snapshot
+
+
+# ---------------------------------------------------------------------------
+# 9. Window grouping (counting sort vs a stable comparison sort)
+# ---------------------------------------------------------------------------
+
+
+def _stable_sort_grouping(sites, lo, hi):
+    """Reference grouping: Python's stable sort of the window's rows by
+    site — the result the counting sort must reproduce exactly."""
+    column = sites.tolist()
+    positions = sorted(range(lo, hi), key=column.__getitem__)
+    runs = {}
+    for j, row in enumerate(positions):
+        runs.setdefault(column[row], [j, j])[1] = j + 1
+    site_ids = sorted(runs)
+    return (
+        np.asarray(positions, dtype=np.intp),
+        site_ids,
+        [runs[s][0] for s in site_ids],
+        [runs[s][1] for s in site_ids],
+    )
+
+
+class TestWindowGrouping:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        # Largest site id: straddles the uint8 / uint16 / int64 key widths.
+        top=st.sampled_from([0, 1, 63, 255, 256, 65535, 65536, 70_000]),
+        n=st.integers(0, 700),
+        skewed=st.booleans(),
+    )
+    def test_equals_stable_sort(self, seed, top, n, skewed):
+        from repro.runtime.batched import window_order
+
+        rng = np.random.default_rng(seed)
+        if skewed:
+            sites = np.minimum(rng.zipf(1.3, n) - 1, top)
+        else:
+            sites = rng.integers(0, top + 1, n)
+        sites = sites.astype(np.int64)
+        lo = int(rng.integers(0, n + 1))
+        hi = int(rng.integers(lo, n + 1))
+        if hi > lo:
+            sites[rng.integers(lo, hi)] = top
+        positions, site_ids, starts, ends = window_order(sites, lo, hi)
+        expected = _stable_sort_grouping(sites, lo, hi)
+        assert positions.tolist() == expected[0].tolist()
+        assert (site_ids, starts, ends) == expected[1:]
+        assert all(type(s) is int for s in site_ids + starts + ends)
+
+    @pytest.mark.parametrize("engine", ["batched", "columnar"])
+    @pytest.mark.parametrize("k", [8, 300])
+    def test_engines_match_stable_sort_grouping(self, monkeypatch, engine, k):
+        """Samples and counters are those of the stable comparison sort
+        the counting sort replaced (k=300 takes the 16-bit key path)."""
+        import repro.runtime.batched as batched_mod
+        import repro.runtime.columnar as columnar_mod
+
+        items = zipf_stream(20_000, random.Random(k), alpha=1.2)
+        stream = uniform_random(items, k, random.Random(k + 1))
+        fast = _fingerprint(*_swor_run(stream, engine, sites=k))
+        for mod in (batched_mod, columnar_mod):
+            monkeypatch.setattr(mod, "window_order", _stable_sort_grouping)
+        assert _fingerprint(*_swor_run(stream, engine, sites=k)) == fast

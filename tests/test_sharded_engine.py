@@ -16,7 +16,7 @@ What is covered:
 4. **Wire form** — ``MessagePack.to_arrays``/``from_arrays`` round-trip
    (hypothesis property), with exact counter-accounting parity.
 5. **Shard slice views** — per-window grouping matches the columnar
-   engine's stable argsort slices.
+   engine's full-window grouping slices.
 """
 
 from __future__ import annotations
@@ -556,13 +556,11 @@ class TestShardSliceView:
             view.window_order(i0, i1)
         )
         # Reference: the full-window grouping the columnar engine does.
-        order, sites_sorted, run_starts, run_ends = window_order(
-            assignment[lo:hi]
+        positions, full_ids, run_starts, run_ends = window_order(
+            assignment, lo, hi
         )
-        positions = order + lo
         expected = {}
-        for start, end in zip(run_starts, run_ends):
-            sid = int(sites_sorted[start])
+        for sid, start, end in zip(full_ids, run_starts, run_ends):
             if 2 <= sid < 5:
                 expected[sid] = positions[start:end]
         assert site_ids == sorted(expected)
