@@ -1,11 +1,11 @@
-"""Engine benchmark: reference vs batched runtime on weighted SWOR.
+"""Engine benchmark: reference vs columnar runtime on weighted SWOR.
 
 The tentpole claim of the runtime refactor: the protocol does O(1) work
 per arrival, so the reference driver's ~6 Python calls of interpreter
-dispatch per item are pure overhead — the batched engine's vectorized
-bulk path must deliver **>= 3x** items/sec on a 200k-item / 32-site run
-while its bounded-staleness control propagation costs **<= 1.5x** the
-reference engine's messages on the same seeds.
+dispatch per item are pure overhead — the columnar engine's vectorized
+data plane must deliver **>= 3x** items/sec on a 200k-item / 32-site
+run while its bounded-staleness control propagation costs **<= 1.5x**
+the reference engine's messages on the same seeds.
 
 Run with::
 
@@ -30,7 +30,7 @@ import time
 
 from repro.analysis import format_table
 from repro.core import DistributedWeightedSWOR, SworConfig
-from repro.runtime import BatchedEngine
+from repro.runtime import ColumnarEngine
 from repro.stream import round_robin, zipf_stream
 
 ITEMS = int(os.environ.get("REPRO_BENCH_ENG_ITEMS", 200_000))
@@ -66,21 +66,21 @@ def _measure(stream, engine):
 
 
 def _metrics_snapshot(stream):
-    """One extra instrumented batched run, so the JSON artifact carries
+    """One extra instrumented columnar run, so the JSON artifact carries
     the run's full telemetry (the timed runs above stay pristine)."""
     from repro.obs import MetricsRegistry
 
     registry = MetricsRegistry()
-    _run_once(stream, 1, BatchedEngine().instrument(registry))
+    _run_once(stream, 1, ColumnarEngine().instrument(registry))
     return registry.snapshot()
 
 
 def _bench(report_fn):
     stream = _make_stream()
     ref_time, ref_msgs = _measure(stream, None)
-    bat_time, bat_msgs = _measure(stream, BatchedEngine())
-    speedup = ref_time / bat_time
-    msg_ratio = max(b / r for b, r in zip(bat_msgs, ref_msgs))
+    col_time, col_msgs = _measure(stream, ColumnarEngine())
+    speedup = ref_time / col_time
+    msg_ratio = max(c / r for c, r in zip(col_msgs, ref_msgs))
     rows = [
         {
             "engine": "reference",
@@ -89,10 +89,10 @@ def _bench(report_fn):
             "messages(seed1..3)": "/".join(map(str, ref_msgs)),
         },
         {
-            "engine": "batched",
-            "seconds": round(bat_time, 4),
-            "items_per_sec": round(ITEMS / bat_time),
-            "messages(seed1..3)": "/".join(map(str, bat_msgs)),
+            "engine": "columnar",
+            "seconds": round(col_time, 4),
+            "items_per_sec": round(ITEMS / col_time),
+            "messages(seed1..3)": "/".join(map(str, col_msgs)),
         },
     ]
     report_fn(
@@ -110,9 +110,9 @@ def _bench(report_fn):
             "sites": SITES,
             "sample_size": SAMPLE,
             "reference_seconds": round(ref_time, 4),
-            "batched_seconds": round(bat_time, 4),
+            "columnar_seconds": round(col_time, 4),
             "reference_items_per_sec": round(ITEMS / ref_time),
-            "batched_items_per_sec": round(ITEMS / bat_time),
+            "columnar_items_per_sec": round(ITEMS / col_time),
             "speedup": round(speedup, 3),
             "min_speedup": MIN_SPEEDUP,
             "worst_message_ratio": round(msg_ratio, 4),
@@ -123,12 +123,12 @@ def _bench(report_fn):
     return speedup, msg_ratio
 
 
-def test_batched_engine_speedup_and_message_overhead(benchmark, report):
+def test_columnar_engine_speedup_and_message_overhead(benchmark, report):
     speedup, msg_ratio = benchmark.pedantic(
         lambda: _bench(report), rounds=1, iterations=1
     )
-    assert speedup >= MIN_SPEEDUP, f"batched engine only {speedup:.2f}x faster"
-    assert msg_ratio <= 1.5, f"batched engine message overhead {msg_ratio:.2f}x"
+    assert speedup >= MIN_SPEEDUP, f"columnar engine only {speedup:.2f}x faster"
+    assert msg_ratio <= 1.5, f"columnar engine message overhead {msg_ratio:.2f}x"
 
 
 def test_batch_size_sweep(report):
@@ -136,7 +136,7 @@ def test_batch_size_sweep(report):
     stream = _make_stream()
     rows = []
     for batch_size in (1, 256, 2048, 8192, 16384, 65536):
-        engine = BatchedEngine(batch_size=batch_size)
+        engine = ColumnarEngine(batch_size=batch_size)
         elapsed, total = _run_once(stream, 1, engine)
         rows.append(
             {
@@ -148,7 +148,7 @@ def test_batch_size_sweep(report):
     report(
         format_table(
             rows,
-            title="batched engine: batch-size sweep (200k items, k=32, s=16)",
+            title="columnar engine: batch-size sweep (200k items, k=32, s=16)",
             caption="batch_size=1 degenerates to the reference engine exactly",
         )
     )

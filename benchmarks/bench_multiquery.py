@@ -1,18 +1,23 @@
 """Multi-query driver benchmark: one shared pass vs N sequential runs.
 
 The tentpole claim of the query subsystem: answering ``NQ`` concurrent
-queries through :class:`repro.query.MultiQueryDriver`'s shared batched
-pass must be **>= 2x** faster (items/sec) than running the same queries
-one at a time on the batched engine — while producing **identical**
+queries through :class:`repro.query.MultiQueryDriver`'s shared columnar
+pass must be **no slower** (items/sec) than running the same queries
+one at a time on the columnar engine — while producing **identical**
 per-query samples (same derived seeds) and message counts within
-**1.05x**.
+**1.05x**.  (The gate was 2x while the sequential comparator ran the
+slower per-message batched engine.  Against standalone columnar runs,
+which each draw their own exponentials and fold their own packs just
+like a fused member, the shared pass measured 1.12-1.64x over nine
+runs at 1M items / 64 sites on a busy 2-core container; the committed
+baseline and ``compare_baselines.py`` track the ratio itself.)
 
 The 8 benchmark queries are heterogeneous estimation queries (subset
 sums, quantiles, a group-by, a frequency, a mean) that all compile onto
 same-config weighted SWOR instances, which is exactly the fleet the
 driver's fused site-side pass amortizes: per batch it computes the
-per-site grouping, level indices, early/regular split, and shared EARLY
-message objects once, leaving only per-query RNG draws, threshold
+per-site grouping, level indices, early/regular split, and shared early
+``Item`` objects once, leaving only per-query RNG draws, threshold
 filters, and coordinator work.
 
 Run with::
@@ -23,7 +28,7 @@ Environment knobs (used by the CI smoke job):
 
 * ``REPRO_BENCH_MQ_ITEMS``       — stream length (default 200000)
 * ``REPRO_BENCH_MQ_SITES``       — number of sites (default 32)
-* ``REPRO_BENCH_MQ_MIN_SPEEDUP`` — speedup gate (default 2.0)
+* ``REPRO_BENCH_MQ_MIN_SPEEDUP`` — speedup gate (default 1.0)
 * ``REPRO_BENCH_MQ_JSON``        — path to write the result as JSON
 """
 
@@ -50,7 +55,7 @@ from repro.stream import round_robin, zipf_stream
 
 ITEMS = int(os.environ.get("REPRO_BENCH_MQ_ITEMS", 200_000))
 SITES = int(os.environ.get("REPRO_BENCH_MQ_SITES", 32))
-MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MQ_MIN_SPEEDUP", 2.0))
+MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MQ_MIN_SPEEDUP", 1.0))
 JSON_PATH = os.environ.get("REPRO_BENCH_MQ_JSON")
 SAMPLE = 64
 ROOT_SEED = 11
@@ -80,7 +85,7 @@ def _make_stream():
 
 
 def _run_sequential(stream, names):
-    """The same queries one at a time: one standalone batched-engine
+    """The same queries one at a time: one standalone columnar-engine
     protocol per query, with the driver's derived per-query seed."""
     protos = {}
     t0 = time.perf_counter()
@@ -88,7 +93,7 @@ def _run_sequential(stream, names):
         proto = DistributedWeightedSWOR(
             SworConfig(num_sites=SITES, sample_size=SAMPLE),
             seed=query_seed(ROOT_SEED, name),
-            engine="batched",
+            engine="columnar",
         )
         proto.run(stream)
         protos[name] = proto
@@ -96,7 +101,9 @@ def _run_sequential(stream, names):
 
 
 def _run_shared(stream, queries):
-    driver = MultiQueryDriver(QueryCatalog(queries), num_sites=SITES, seed=ROOT_SEED)
+    driver = MultiQueryDriver(
+        QueryCatalog(queries), num_sites=SITES, seed=ROOT_SEED, engine="columnar"
+    )
     t0 = time.perf_counter()
     driver.run(stream)
     return time.perf_counter() - t0, driver

@@ -49,7 +49,7 @@ BASELINES: Dict[str, Dict[str, List[str]]] = {
     "BENCH_engines.json": {
         "config": ["items", "sites", "sample_size"],
         "ratios": ["speedup"],
-        "absolute": ["batched_items_per_sec"],
+        "absolute": ["columnar_items_per_sec"],
     },
     "BENCH_multiquery.json": {
         "config": ["items", "sites", "sample_size", "num_queries"],
@@ -58,7 +58,7 @@ BASELINES: Dict[str, Dict[str, List[str]]] = {
     },
     "BENCH_columnar.json": {
         "config": ["items", "sites", "sample_size"],
-        "ratios": ["speedup", "memory_ratio"],
+        "ratios": ["memory_ratio"],
         "absolute": ["columnar_items_per_sec"],
     },
     # hh_speedup is recorded in the JSON but deliberately not gated
@@ -155,6 +155,13 @@ def compare_file(
         return failures
     metrics = list(spec["ratios"]) + (spec["absolute"] if absolute else [])
     for metric in metrics:
+        if metric not in baseline:
+            print(f"  {name}: {metric:24s} not in the baseline  [NEW]")
+            failures.append(
+                f"{name}: baseline has no {metric!r} — re-record it with "
+                "--update"
+            )
+            continue
         base = float(baseline[metric])
         new = float(fresh[metric])
         regression = (base - new) / base if base > 0 else 0.0

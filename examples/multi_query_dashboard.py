@@ -54,7 +54,7 @@ def main() -> None:
         ]
     )
 
-    driver = MultiQueryDriver(catalog, num_sites=k, seed=7, engine="batched")
+    driver = MultiQueryDriver(catalog, num_sites=k, seed=7, engine="columnar")
     checkpoints = [n // 4, n // 2, 3 * n // 4, n]
     result = driver.run(stream, checkpoints=checkpoints)
 

@@ -51,7 +51,6 @@ from .l1 import (
 from .net import MessageCounters, Network
 from .query import Estimate, MultiQueryDriver, QueryCatalog
 from .runtime import (
-    BatchedEngine,
     ColumnarEngine,
     Engine,
     ReferenceEngine,
@@ -78,7 +77,6 @@ __all__ = [
     # runtime engines
     "Engine",
     "ReferenceEngine",
-    "BatchedEngine",
     "ColumnarEngine",
     "get_engine",
     # core protocols

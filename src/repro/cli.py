@@ -15,17 +15,18 @@ against the relevant closed-form bound).  ``query`` runs a whole
 catalog of estimation queries concurrently over one shared stream pass
 (see :mod:`repro.query`).
 
-Every subcommand accepts ``--engine {reference,batched,columnar,sharded}``
-(``--batch-size N`` for the batching engines, ``--workers N``,
+Every subcommand accepts ``--engine {reference,columnar,sharded}``
+(``--batch-size N`` for the columnar-plane engines, ``--workers N``,
 ``--pipeline {auto,on,off}``, ``--worker-timeout SECONDS``,
 ``--max-worker-restarts N``, and the debug-only ``--fault-plan PLAN``
 for the sharded engine, ``--kernels {auto,numba,numpy}`` for the
 columnar-plane engines — see :mod:`repro.kernels`) to pick the
 execution runtime; see :mod:`repro.runtime`.
 Every protocol has a native columnar fast path, so ``--engine columnar``
-is bit-identical to ``batched`` on each subcommand, just faster —
-and ``--engine sharded`` runs the site passes across worker processes,
-bit-identical to ``columnar`` at any worker count.  ``--seed`` may be
+is the fast engine on each subcommand (at ``--batch-size 1``
+bit-identical to ``reference``), and ``--engine sharded`` runs the site
+passes across worker processes, bit-identical to ``columnar`` at any
+worker count.  ``--seed`` may be
 given either globally (``repro --seed 7 swor``) or per subcommand; the
 subcommand's value wins when both are present.
 
@@ -103,17 +104,17 @@ def build_parser() -> argparse.ArgumentParser:
             choices=sorted(ENGINES),
             default="reference",
             help="execution engine (reference = synchronous round model, "
-            "batched = vectorized chunked fast path, columnar = zero-object "
-            "pack fast path, bit-identical to batched, sharded = columnar "
-            "site passes across worker processes, bit-identical to "
-            "columnar; default: reference)",
+            "columnar = vectorized zero-object pack fast path, "
+            "bit-identical to reference at --batch-size 1, sharded = "
+            "columnar site passes across worker processes, bit-identical "
+            "to columnar; default: reference)",
         )
         p.add_argument(
             "--batch-size",
             type=int,
             default=None,
-            help="steady-state batch size for --engine batched/columnar/"
-            f"sharded (default: {DEFAULT_BATCH_SIZE}, ramping up from "
+            help="steady-state batch size for --engine columnar/sharded "
+            f"(default: {DEFAULT_BATCH_SIZE}, ramping up from "
             f"{DEFAULT_INITIAL_BATCH_SIZE})",
         )
         p.add_argument(
@@ -275,13 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_engine_flags(args: argparse.Namespace) -> None:
     """Shared flag validation for every subcommand."""
     if args.batch_size is not None and args.engine not in (
-        "batched",
         "columnar",
         "sharded",
     ):
-        raise SystemExit(
-            "--batch-size requires --engine batched, columnar, or sharded"
-        )
+        raise SystemExit("--batch-size requires --engine columnar or sharded")
     if args.workers is not None and args.engine != "sharded":
         raise SystemExit("--workers requires --engine sharded")
     if args.pipeline is not None and args.engine != "sharded":

@@ -8,7 +8,6 @@ from .errors import (
     ReproError,
 )
 from .rng import (
-    HAVE_NUMPY,
     BatchRandom,
     LazyExponential,
     RandomSource,
@@ -44,7 +43,6 @@ __all__ = [
     "ProtocolViolationError",
     "DrainedStreamError",
     "RandomSource",
-    "HAVE_NUMPY",
     "BatchRandom",
     "LazyExponential",
     "exponential",

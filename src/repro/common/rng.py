@@ -23,17 +23,13 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-try:  # optional: vectorized batch draws for the batched engine
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 from .errors import ConfigurationError
 
 __all__ = [
-    "HAVE_NUMPY",
     "MIN_EXPONENTIAL",
     "MIN_UNIFORM",
     "RandomSource",
@@ -46,10 +42,6 @@ __all__ = [
     "binomial",
     "truncated_exponential_below",
 ]
-
-#: Whether numpy-backed batch primitives are available in this install.
-HAVE_NUMPY = _np is not None
-
 
 class RandomSource:
     """A seedable root of independent random sub-streams.
@@ -124,28 +116,19 @@ class BatchRandom:
     """Vectorized companion to a :class:`random.Random` sub-stream.
 
     The scalar protocol paths draw from :class:`random.Random` one
-    variate at a time; the batched engine needs thousands per call.  A
-    ``BatchRandom`` derives an independent, reproducible numpy generator
-    (PCG64 keyed by 64 bits drawn from the parent stream) so the batch
-    fast path keeps the determinism contract — same root seed, same
-    run — without perturbing the parent stream beyond the one
-    derivation draw.
-
-    Falls back to scalar loops (returning lists) when numpy is absent,
-    so callers can gate vectorized *filtering* on
-    :data:`HAVE_NUMPY` but never need to gate *generation*.
+    variate at a time; the columnar data plane needs thousands per
+    call.  A ``BatchRandom`` derives an independent, reproducible numpy
+    generator (PCG64 keyed by 64 bits drawn from the parent stream) so
+    the batch fast path keeps the determinism contract — same root
+    seed, same run — without perturbing the parent stream beyond the
+    one derivation draw.
     """
 
     def __init__(self, rng: random.Random) -> None:
-        self._rng = rng
-        self._gen = (
-            _np.random.Generator(_np.random.PCG64(rng.getrandbits(64)))
-            if _np is not None
-            else None
-        )
+        self._gen = _np.random.Generator(_np.random.PCG64(rng.getrandbits(64)))
 
     def exponentials(self, n: int):
-        """``n`` i.i.d. rate-1 exponentials (ndarray, or list sans numpy).
+        """``n`` i.i.d. rate-1 exponentials (float64 ndarray).
 
         The zero guard *clamps* draws to :data:`MIN_EXPONENTIAL` (numpy
         ziggurat draws can round to exactly 0.0), where the scalar
@@ -156,26 +139,14 @@ class BatchRandom:
         """
         if n < 0:
             raise ConfigurationError(f"batch size must be >= 0, got {n}")
-        if self._gen is None:
-            return [exponential(self._rng) for _ in range(n)]
         draws = self._gen.standard_exponential(n)
         return _np.maximum(draws, MIN_EXPONENTIAL, out=draws)
 
     def uniforms(self, n: int):
-        """``n`` i.i.d. uniforms in ``(0, 1)`` (ndarray, or list).
-
-        Clamped to at least :data:`MIN_UNIFORM` (the numpy-free path
-        redraws, mirroring :func:`exponential`'s policy).
-        """
+        """``n`` i.i.d. uniforms in ``(0, 1)`` (float64 ndarray), clamped
+        to at least :data:`MIN_UNIFORM`."""
         if n < 0:
             raise ConfigurationError(f"batch size must be >= 0, got {n}")
-        if self._gen is None:
-            out: List[float] = []
-            while len(out) < n:
-                u = self._rng.random()
-                if u > 0.0:
-                    out.append(u)
-            return out
         draws = self._gen.random(n)
         return _np.maximum(draws, MIN_UNIFORM)
 
@@ -184,31 +155,24 @@ class BatchRandom:
 
         Paired with :meth:`restore`; used by the sharded engine's
         rollback path to rewind a site to a window boundary without
-        pickling.  ``None`` when numpy is absent (the scalar fallback
-        draws from the parent stream, whose state the caller snapshots
-        separately).
+        pickling.
         """
-        return None if self._gen is None else self._gen.bit_generator.state
+        return self._gen.bit_generator.state
 
     def restore(self, state) -> None:
         """Rewind to a :meth:`snapshot` taken on this instance."""
-        if state is not None:
-            self._gen.bit_generator.state = state
+        self._gen.bit_generator.state = state
 
     def binomials(self, n: int, ps):
         """One ``Binomial(n, p)`` draw per entry of ``ps`` (int64
-        ndarray, or list sans numpy).
+        ndarray).
 
         The bulk counterpart of :func:`binomial` for the duplication
         shortcuts (SWR's aggregate coins, the L1 tracker's per-update
-        copy counts): exact binomial sampling via numpy's generator,
-        falling back to per-entry scalar :func:`binomial` draws from
-        the parent stream when numpy is absent.
+        copy counts): exact binomial sampling via numpy's generator.
         """
         if n < 0:
             raise ConfigurationError(f"binomial n must be >= 0, got {n}")
-        if self._gen is None:
-            return [binomial(self._rng, n, p) for p in ps]
         return self._gen.binomial(n, _np.clip(ps, 0.0, 1.0))
 
 
@@ -224,9 +188,7 @@ def batch_exponentials(rng: random.Random, n: int, rate: float = 1.0):
     draws = BatchRandom(rng).exponentials(n)
     if rate == 1.0:
         return draws
-    if _np is not None:
-        return draws / rate
-    return [t / rate for t in draws]
+    return draws / rate
 
 
 def batch_uniforms(rng: random.Random, n: int):
@@ -272,7 +234,7 @@ def min_uniform_key_for_weight(rng: random.Random, weight: float) -> float:
 
 
 def binomial(rng: random.Random, n: int, p: float) -> int:
-    """Draw ``Binomial(n, p)`` without numpy (hot-path friendly).
+    """Draw ``Binomial(n, p)`` from a scalar stream (hot-path friendly).
 
     Uses direct Bernoulli summation for small ``n`` and a normal
     approximation with continuity correction, clamped and resampled

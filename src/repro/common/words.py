@@ -13,10 +13,7 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-try:  # optional: vectorized accounting for message packs
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 __all__ = [
     "word_size_bits",
@@ -60,8 +57,6 @@ def words_for_values_array(values):
     :class:`~repro.net.messages.MessagePack`'s word accounting match
     the sum over the individual messages it replaces, bit for bit.
     """
-    if _np is None:  # pragma: no cover - guarded by callers
-        raise ImportError("words_for_values_array requires numpy")
     v = _np.asarray(values, dtype=_np.float64)
     out = _np.ones(len(v), dtype=_np.int64)
     big = _np.flatnonzero(_np.abs(v) > _ONE_WORD_MAGNITUDE)

@@ -19,11 +19,6 @@ import math
 import random
 from typing import Any, Dict, List, Optional, Tuple
 
-try:  # optional: the bulk pack path (packs only exist with numpy)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None  # type: ignore[assignment]
-
 from ..common.errors import ProtocolViolationError
 from ..common.rng import exponential
 from ..kernels import active as _active_kernels
@@ -91,21 +86,11 @@ class SworCoordinator(CoordinatorAlgorithm):
             raise ProtocolViolationError(
                 "early message received but level sets are disabled"
             )
-        # Batch drivers attach the (item, level) this handler would
-        # otherwise rebuild from the payload — the level is equal by
-        # definition to level_of(weight, r), the item to Item(*payload);
-        # the memo is just cheaper, and shared across every query of a
-        # multi-query pass.  (The slot is unset outside batch paths.)
-        hint = getattr(message, "early_hint", None)
-        if hint is not None:
-            item, level = hint
-            weight = item.weight
-        else:
-            ident, weight = message.payload
-            item = Item(ident, weight)
-            level = level_of(weight, self._r)
+        ident, weight = message.payload
         key = weight / exponential(self._rng)
-        return self._early_core(item, level, key)
+        return self._early_core(
+            Item(ident, weight), level_of(weight, self._r), key
+        )
 
     def _early_core(
         self, item: Item, level: int, key: float
@@ -299,7 +284,7 @@ class SworCoordinator(CoordinatorAlgorithm):
         :meth:`on_message_pack`).  The caller accounts the pack iff
         this returns ``True``.
         """
-        if _np is None or pack.num_early:
+        if pack.num_early:
             return False
         nr = pack.num_regular
         if nr == 0:  # pragma: no cover - empty packs filtered at encode

@@ -20,10 +20,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Set, Tuple
 
-try:  # optional: vectorized level computation for the batched fast path
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 from ..common.errors import ConfigurationError, ProtocolViolationError
 from ..kernels import active as _active_kernels
@@ -64,11 +61,8 @@ def levels_of_array(weights: _np.ndarray, r: float) -> _np.ndarray:
     Applies the same float-edge corrections as the scalar version (the
     backends converge on the exact power-bracket comparisons, so the
     result is independent of how the initial ``log`` estimate rounded).
-    Dispatches to the active kernel backend (:mod:`repro.kernels`);
-    requires numpy.
+    Dispatches to the active kernel backend (:mod:`repro.kernels`).
     """
-    if _np is None:  # pragma: no cover - guarded by callers
-        raise ConfigurationError("levels_of_array requires numpy")
     if r < 2.0:
         raise ConfigurationError(f"level base r must be >= 2, got {r}")
     return _active_kernels().compute_levels(weights, r)

@@ -47,11 +47,12 @@ class DistributedWeightedSWOR:
         Root seed; sites and coordinator get independent sub-streams.
     engine:
         Execution engine — an :class:`~repro.runtime.Engine` instance,
-        a registry name (``"reference"`` / ``"batched"``), or ``None``
-        for the synchronous reference engine.
-    batch_size:
-        Steady-state batch size when ``engine`` names the batched
+        a registry name (``"reference"`` / ``"columnar"`` /
+        ``"sharded"``), or ``None`` for the synchronous reference
         engine.
+    batch_size:
+        Steady-state batch size when ``engine`` names a columnar-plane
+        engine (``"columnar"`` / ``"sharded"``).
     """
 
     def __init__(

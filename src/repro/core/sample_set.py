@@ -25,10 +25,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, List, Optional, Tuple
 
-try:  # optional: bulk top-s merge for the columnar runtime
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 from ..common.errors import ConfigurationError
 from ..kernels import active as _active_kernels

@@ -26,12 +26,9 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
-try:  # optional: the vectorized bulk path of the batched engine
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 from ..common.errors import ProtocolViolationError
 from ..common.rng import BatchRandom, LazyExponential, exponential
@@ -132,58 +129,6 @@ class SworSite(SiteAlgorithm):
             return self._regular_lazy(item)
         return self._regular_fast(item)
 
-    def on_items(self, items: Sequence[Item]) -> List[Message]:
-        """Vectorized Algorithm 1 over a batch of arrivals.
-
-        One numpy pass replaces the per-item interpreter dispatch: the
-        whole batch's levels are computed at once, the saturation
-        bitmask is applied as a table lookup, and all regular keys come
-        from a single batch exponential draw filtered against the epoch
-        threshold.  Item objects are touched only for arrivals that
-        actually produce a message.
-
-        Falls back to the scalar path for single-item batches (keeping
-        batch size 1 bit-identical to the reference engine), when numpy
-        is unavailable, and in ``count_bits`` mode (bit-by-bit
-        generation is inherently sequential).
-        """
-        n = len(items)
-        if n <= 1 or _np is None or self.config.count_bits:
-            return SiteAlgorithm.on_items(self, items)
-        weights = getattr(items, "weights", None)
-        if weights is None:
-            weights = _np.fromiter(
-                (item.weight for item in items), dtype=_np.float64, count=n
-            )
-        self.items_seen += n
-        out: List[Message] = []
-        regular_idx: Optional[Any] = None
-        if self.config.level_sets_enabled:
-            levels = levels_of_array(weights, self._r)
-            mask = self._saturated_mask
-            if mask:
-                early = ~self._saturation_table(int(levels.max()))[levels]
-            else:
-                early = _np.ones(n, dtype=_np.bool_)
-            for i in _np.flatnonzero(early):
-                item = items[int(i)]
-                out.append(Message(EARLY, (item.ident, item.weight)))
-            regular_idx = _np.flatnonzero(~early)
-            if len(regular_idx) == 0:
-                return out
-            weights = weights[regular_idx]
-        if self._batch_rng is None:
-            self._batch_rng = BatchRandom(self._rng)
-        draws = self._batch_rng.exponentials(len(weights))
-        self.exponentials_generated += len(weights)
-        keys = weights / draws
-        for j in _np.flatnonzero(keys > self._threshold):
-            j = int(j)
-            i = j if regular_idx is None else int(regular_idx[j])
-            item = items[i]
-            out.append(Message(REGULAR, (item.ident, item.weight, float(keys[j]))))
-        return out
-
     def prepare_window(self, weights: _np.ndarray) -> "Optional[_WindowPrep]":
         """Shared per-window precomputation for the columnar engine.
 
@@ -195,9 +140,9 @@ class SworSite(SiteAlgorithm):
         the context and recomputes locally in the rare mid-window
         divergence between a ``LEVEL_SATURATED`` broadcast and the
         sites processed before it).  Returns ``None`` when there is
-        nothing to share (level sets disabled, or numpy missing).
+        nothing to share (level sets disabled).
         """
-        if not self.config.level_sets_enabled or _np is None:
+        if not self.config.level_sets_enabled:
             return None
         mask = self._saturated_mask
         if mask == 0:
@@ -232,8 +177,8 @@ class SworSite(SiteAlgorithm):
     def _saturation_table(self, max_level: int) -> _np.ndarray:
         """Cached bool table ``table[j] = level j saturated``.
 
-        Shared by every bulk path (``on_items``, ``on_columns``,
-        ``prepare_window``, the fused multi-query pass) and rebuilt
+        Shared by every bulk path (``on_columns``, ``prepare_window``,
+        the fused multi-query pass) and rebuilt
         only when the mask changes — a ``LEVEL_SATURATED`` broadcast, a
         handful of times per run — or a deeper level appears.
         """
@@ -269,25 +214,26 @@ class SworSite(SiteAlgorithm):
         weights: _np.ndarray,
         prep: Optional[Tuple["_WindowPrep", int, int]] = None,
     ) -> Union[MessagePack, List[Message], tuple]:
-        """Fully columnar Algorithm 1 over a batch of arrivals.
+        """Vectorized Algorithm 1 over a batch of arrivals.
 
-        The zero-object counterpart of :meth:`on_items`: identical
-        decisions, identical RNG consumption (same batch exponentials
-        from the same :class:`~repro.common.rng.BatchRandom`, in the
-        same order), but the result is a single
+        One numpy pass replaces the per-item interpreter dispatch: the
+        whole batch's levels are computed at once, the saturation
+        bitmask is applied as a table lookup, and all regular keys come
+        from a single batch exponential draw (one
+        :class:`~repro.common.rng.BatchRandom`) filtered against the
+        epoch threshold.  The result is a single
         :class:`~repro.net.messages.MessagePack` of parallel arrays —
         no ``Item`` and no per-message ``Message`` objects (an empty
-        tuple when the batch sends nothing).  Falls back to the scalar
-        path (returning a plain message list) in exactly the cases
-        ``on_items`` does: single-item batches, numpy-free installs,
-        and ``count_bits`` mode.
+        tuple when the batch sends nothing).
+
+        Takes the scalar ``on_item`` path (returning plain messages)
+        for single-item batches, which keeps batch size 1 bit-identical
+        to the reference engine, and in ``count_bits`` mode, whose
+        bit-by-bit generation is inherently sequential.
         """
         n = len(weights)
-        if n <= 1 or _np is None or self.config.count_bits:
-            items = [Item(int(e), float(w)) for e, w in zip(idents, weights)]
-            if not items:
-                return ()
-            return SiteAlgorithm.on_items(self, items)
+        if n <= 1 or self.config.count_bits:
+            return SiteAlgorithm.on_columns(self, idents, weights)
         self.items_seen += n
         early_idents: Optional[Any] = None
         early_weights: Optional[Any] = None
@@ -301,7 +247,7 @@ class SworSite(SiteAlgorithm):
                 saturated: Any = None
                 if not mask:
                     # Warm-up: nothing saturated, the whole batch is
-                    # early (and, like on_items, no exponentials drawn).
+                    # early (and no exponentials are drawn).
                     return MessagePack(idents, weights, wctx.levels[start:end])
                 if not wctx.all_saturated:
                     # Bisect the window's early-position index: most

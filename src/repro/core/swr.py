@@ -25,12 +25,9 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
-try:  # optional: vectorized bulk paths for the batched/columnar engines
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 from ..common.errors import ConfigurationError, ProtocolViolationError
 from ..common.rng import BatchRandom, RandomSource, binomial
@@ -82,9 +79,7 @@ class _SwrSite(SiteAlgorithm):
         return messages
 
     def _draw_batch(self, weights: _np.ndarray) -> Tuple[Any, Optional[Any]]:
-        """The bulk draw shared by :meth:`on_items` and
-        :meth:`on_columns` — one source, so the two hooks are
-        draw-for-draw identical by construction.
+        """The bulk draw of :meth:`on_columns`.
 
         Draw order (all from this site's :class:`BatchRandom`): one
         binomial per arrival (the Corollary 1 aggregate coin, over the
@@ -92,7 +87,7 @@ class _SwrSite(SiteAlgorithm):
         per *forwarded* copy, transformed through the conditional
         min-of-``w``-uniforms law of :meth:`_conditional_min_key` with
         the same clamps.  Sampler subsets are drawn afterwards by the
-        callers, per sending arrival in arrival order, from the site's
+        caller, per sending arrival in arrival order, from the site's
         scalar stream.  Returns ``(hits, keys)``.
         """
         tau = self._threshold
@@ -113,58 +108,22 @@ class _SwrSite(SiteAlgorithm):
             _np.minimum(xs, tau * (1.0 - 1e-12), out=xs)
         return hits, _np.maximum(xs, 1e-300, out=xs)
 
-    def on_items(self, items: Sequence[Item]) -> List[Message]:
-        """Vectorized Corollary 1 over a batch of arrivals.
-
-        One :meth:`_draw_batch` replaces the per-item scalar coins;
-        ``Item`` objects are touched only for arrivals that actually
-        forward to a sampler.  Falls back to the scalar path for
-        single-item batches (batch size 1 stays bit-identical to the
-        reference engine) and on numpy-free installs.
-        """
-        n = len(items)
-        if n <= 1 or _np is None:
-            return SiteAlgorithm.on_items(self, items)
-        weights = getattr(items, "weights", None)
-        if weights is None:
-            weights = _np.fromiter(
-                (item.weight for item in items), dtype=_np.float64, count=n
-            )
-        self.items_seen += n
-        hits, keys = self._draw_batch(weights)
-        if keys is None:
-            return []
-        out: List[Message] = []
-        pos = 0
-        for i in _np.flatnonzero(hits).tolist():
-            item = items[i]
-            for sampler_id in self._rng.sample(
-                range(self.sample_size), int(hits[i])
-            ):
-                out.append(
-                    Message(
-                        SWR_SAMPLE,
-                        (sampler_id, item.ident, item.weight, float(keys[pos])),
-                    )
-                )
-                pos += 1
-        return out
-
     def on_columns(
         self, idents: _np.ndarray, weights: _np.ndarray, prep: Any = None
     ) -> Union[MessagePack, List[Message], tuple]:
-        """Zero-object counterpart of :meth:`on_items`: identical draws
-        (same :meth:`_draw_batch`, same per-sender scalar sampler
-        subsets, in the same order) packed into one
+        """Vectorized Corollary 1 over a batch of arrivals.
+
+        One :meth:`_draw_batch` replaces the per-item scalar coins, then
+        the per-sender scalar sampler subsets are drawn in arrival
+        order; the forwarded copies come back as one
         :class:`~repro.net.messages.MessagePack` with
         ``regular_kind=SWR_SAMPLE`` and the sampler index in the
-        ``regular_extra`` column."""
+        ``regular_extra`` column.  Single-item batches take the scalar
+        ``on_item`` path (batch size 1 stays bit-identical to the
+        reference engine)."""
         n = len(weights)
-        if n <= 1 or _np is None:
-            items = [Item(int(e), float(w)) for e, w in zip(idents, weights)]
-            if not items:
-                return ()
-            return SiteAlgorithm.on_items(self, items)
+        if n <= 1:
+            return SiteAlgorithm.on_columns(self, idents, weights)
         self.items_seen += n
         hits, keys = self._draw_batch(weights)
         if keys is None:
@@ -262,8 +221,7 @@ class _SwrCoordinator(CoordinatorAlgorithm):
         if nr == 0:
             return []
         if (
-            _np is None
-            or nr <= 16  # numpy fold overhead dwarfs tiny packs
+            nr <= 16  # numpy fold overhead dwarfs tiny packs
             or pack.num_early
             or pack.regular_kind != SWR_SAMPLE
         ):

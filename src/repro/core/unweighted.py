@@ -16,12 +16,9 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
-try:  # optional: vectorized bulk path for the batched engine
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 from ..common.errors import ConfigurationError, ProtocolViolationError
 from ..common.rng import BatchRandom, RandomSource
@@ -60,39 +57,19 @@ class _UnweightedSite(SiteAlgorithm):
             return [Message(REGULAR, (item.ident, item.weight, key))]
         return []
 
-    def on_items(self, items: Sequence[Item]) -> List[Message]:
-        """Bulk path: one uniform batch draw, filtered against the
-        (possibly one-batch-stale) round threshold; the coordinator's
-        top-``s`` heap discards any extra passes."""
-        n = len(items)
-        if n <= 1 or _np is None:
-            return SiteAlgorithm.on_items(self, items)
-        self.items_seen += n
-        if self._batch_rng is None:
-            self._batch_rng = BatchRandom(self._rng)
-        keys = self._batch_rng.uniforms(n)
-        out: List[Message] = []
-        for i in _np.flatnonzero(keys < self._threshold):
-            item = items[int(i)]
-            out.append(Message(REGULAR, (item.ident, item.weight, float(keys[i]))))
-        return out
-
     def on_columns(
         self, idents: _np.ndarray, weights: _np.ndarray, prep: Any = None
     ) -> Union[MessagePack, List[Message], tuple]:
-        """Zero-object counterpart of :meth:`on_items`: the identical
-        uniform batch draw (same ``BatchRandom``, same order) filtered
-        against the same stale-round threshold, but the passers come
-        back as one :class:`~repro.net.messages.MessagePack` of
-        parallel columns — no ``Item`` or ``Message`` objects.  Falls
-        back to the scalar list path exactly when ``on_items`` does
-        (single-item batches, numpy-free installs)."""
+        """Bulk path: one uniform batch draw, filtered against the
+        (possibly one-batch-stale) round threshold; the coordinator's
+        top-``s`` heap discards any extra passes.  The passers come back
+        as one :class:`~repro.net.messages.MessagePack` of parallel
+        columns — no ``Item`` or ``Message`` objects.  Single-item
+        batches take the scalar ``on_item`` path (batch size 1 stays
+        bit-identical to the reference engine)."""
         n = len(weights)
-        if n <= 1 or _np is None:
-            items = [Item(int(e), float(w)) for e, w in zip(idents, weights)]
-            if not items:
-                return ()
-            return SiteAlgorithm.on_items(self, items)
+        if n <= 1:
+            return SiteAlgorithm.on_columns(self, idents, weights)
         self.items_seen += n
         if self._batch_rng is None:
             self._batch_rng = BatchRandom(self._rng)
@@ -189,8 +166,7 @@ class _UnweightedCoordinator(CoordinatorAlgorithm):
         if nr == 0:
             return []
         if (
-            _np is None
-            or nr <= 16  # numpy fold overhead dwarfs tiny packs
+            nr <= 16  # numpy fold overhead dwarfs tiny packs
             or pack.num_early
             or pack.regular_kind != REGULAR
             or len(self._heap) < self.sample_size

@@ -55,10 +55,7 @@ import math
 import random
 from typing import List, Optional, Tuple
 
-try:  # optional: bulk dominance bookkeeping for insert_columns
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 from ..common.errors import ConfigurationError, InvalidWeightError
 from ..common.rng import exponential
@@ -197,18 +194,9 @@ class SlidingWindowWeightedSWOR:
         consumed zero-copy.  The whole column is validated up front —
         an invalid weight raises before *any* arrival is inserted
         (fail-fast, unlike the per-item path's partial progress).
-        Falls back to per-item insertion when numpy is unavailable
-        (identical result, by the bit-parity above).
         """
         n = len(weights)
         if n == 0:
-            return
-        if _np is None:
-            for i in range(n):
-                self.insert(
-                    Item(idents[i], weights[i]),
-                    None if timestamps is None else timestamps[i],
-                )
             return
         idents = _np.ascontiguousarray(idents, dtype=_np.int64)
         weights = _np.ascontiguousarray(weights, dtype=_np.float64)

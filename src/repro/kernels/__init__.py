@@ -28,8 +28,7 @@ Selection
 ``"auto"``.  Engines with a ``kernels=`` override scope it to the run
 via :func:`use_kernels`.  Requesting ``"numba"`` explicitly when numba
 is missing raises :class:`~repro.common.errors.ConfigurationError`;
-``"auto"`` (and an env-var request) falls back to numpy silently — the
-same graceful-degradation discipline as the numpy-free scalar paths.
+``"auto"`` (and an env-var request) falls back to numpy silently.
 
 Instrumentation
 ---------------

@@ -37,10 +37,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Tuple
 
-try:  # the kernel tier only exists on numpy installs; callers gate
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 try:
     from numba import njit as _njit
@@ -76,7 +73,7 @@ __all__ = [
 #: The registry only offers this backend when numba itself is present
 #: (the pure-Python fallback loops stay reachable through
 #: :func:`repro.kernels.python_mirror_backend` for parity testing).
-AVAILABLE = NUMBA_AVAILABLE and _np is not None
+AVAILABLE = NUMBA_AVAILABLE
 
 
 def _f64(a: _np.ndarray) -> _np.ndarray:

@@ -27,10 +27,7 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-try:  # the kernel tier only exists on numpy installs; callers gate
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 from ..common.errors import ConfigurationError
 
@@ -44,8 +41,8 @@ __all__ = [
     "window_split",
 ]
 
-#: Whether this backend can run at all (numpy importable).
-AVAILABLE = _np is not None
+#: Whether this backend can run at all (always: numpy is required).
+AVAILABLE = True
 
 #: Block width of the chunk-internal dominator count: within a block
 #: the later-larger counts come from one ``b x b`` comparison table,

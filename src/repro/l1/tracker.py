@@ -30,12 +30,9 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
-try:  # optional: vectorized bulk paths for the batched/columnar engines
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 from ..common.errors import ConfigurationError, ProtocolViolationError
 from ..common.rng import (
@@ -130,9 +127,7 @@ class _L1Site(SiteAlgorithm):
             yield Message(REGULAR, (item.ident, w, w / t))
 
     def _draw_batch(self, weights):
-        """The bulk draw shared by :meth:`on_items` and
-        :meth:`on_columns` — one source, so the two hooks are
-        draw-for-draw identical by construction.
+        """The bulk draw of :meth:`on_columns`.
 
         Against the fixed batch-entry threshold ``u``, the number of a
         weight's ``l`` duplicates that beat it is ``Binomial(l, p)``
@@ -169,52 +164,20 @@ class _L1Site(SiteAlgorithm):
         keys = _np.repeat(weights, counts) / ts
         return counts, keys
 
-    def on_items(self, items: Sequence["Item"]) -> List[Message]:
+    def on_columns(self, idents, weights, prep=None):
         """Vectorized duplication over a batch of arrivals.
 
         One :meth:`_draw_batch` replaces the per-update generator loop
         (whose batch-materialized semantics against the batch-stale
-        threshold this path reproduces distribution-for-distribution);
-        ``Item`` objects are touched only for updates that actually
-        send keys.  Falls back to the scalar generator for single-item
-        batches (batch size 1 stays bit-identical to the reference
-        engine) and on numpy-free installs.
-        """
-        n = len(items)
-        if n <= 1 or _np is None:
-            return SiteAlgorithm.on_items(self, items)
-        weights = getattr(items, "weights", None)
-        if weights is None:
-            weights = _np.fromiter(
-                (item.weight for item in items), dtype=_np.float64, count=n
-            )
-        self.items_seen += n
-        counts, keys = self._draw_batch(weights)
-        if keys is None:
-            return []
-        self.keys_sent += len(keys)
-        out: List[Message] = []
-        pos = 0
-        for i in _np.flatnonzero(counts).tolist():
-            item = items[i]
-            for _ in range(int(counts[i])):
-                out.append(
-                    Message(REGULAR, (item.ident, item.weight, float(keys[pos])))
-                )
-                pos += 1
-        return out
-
-    def on_columns(self, idents, weights, prep=None):
-        """Zero-object counterpart of :meth:`on_items`: identical draws
-        (same :meth:`_draw_batch`), packed into one
-        :class:`~repro.net.messages.MessagePack` of ``REGULAR``
-        columns — one entry per sending duplicate."""
+        threshold this path reproduces distribution-for-distribution),
+        packed into one :class:`~repro.net.messages.MessagePack` of
+        ``REGULAR`` columns — one entry per sending duplicate.  A
+        single-item batch returns the scalar generator itself, so its
+        messages interleave with the broadcasts they trigger and batch
+        size 1 stays bit-identical to the reference engine."""
         n = len(weights)
-        if n <= 1 or _np is None:
-            items = [Item(int(e), float(w)) for e, w in zip(idents, weights)]
-            if not items:
-                return ()
-            return SiteAlgorithm.on_items(self, items)
+        if n <= 1:
+            return SiteAlgorithm.on_columns(self, idents, weights)
         self.items_seen += n
         counts, keys = self._draw_batch(weights)
         if keys is None:
@@ -290,8 +253,7 @@ class _L1Coordinator(CoordinatorAlgorithm):
         if nr == 0:
             return []
         if (
-            _np is None
-            or nr <= 16  # numpy fold overhead dwarfs tiny packs
+            nr <= 16  # numpy fold overhead dwarfs tiny packs
             or pack.num_early
             or pack.regular_kind != REGULAR
         ):
@@ -360,7 +322,7 @@ class L1Tracker:
         Replace the Theorem 6 settings (used by scaled-down tests).
     engine / batch_size:
         Execution engine selection (name or instance; see
-        :func:`repro.runtime.get_engine`).  Under the batched engine
+        :func:`repro.runtime.get_engine`).  Under the columnar engines
         the site's duplicate generator materializes per batch against a
         batch-stale threshold, so early batches may forward more copies
         than the synchronous round model; the coordinator's top-``s``

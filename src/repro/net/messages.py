@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+import numpy as _np
+
 __all__ = [
     "Message",
     "MessagePack",
@@ -76,20 +78,11 @@ class Message:
     Deliberately minimal (``__slots__``) — protocol hot paths construct
     many of these.  ``_words`` caches the payload's word-accounting cost
     (filled lazily by :class:`~repro.net.counters.MessageCounters`): the
-    same object is counted once per broadcast copy, and the multi-query
-    driver delivers one shared ``EARLY`` object to every concurrent
-    query, so the cache amortizes the accounting across deliveries.
-
-    ``early_hint`` is an optional sender-attached memo for ``EARLY``
-    messages: the ``(Item, level)`` pair the receiving coordinator
-    would otherwise rebuild from the payload (the level is a pure
-    function of the weight and the protocol's ``r``; the item is the
-    payload as an :class:`~repro.stream.item.Item`).  Batch drivers
-    that already computed levels vectorized attach it; it carries no
-    information beyond the payload and is not counted as message words.
+    same object is counted once per broadcast copy, so the cache
+    amortizes the accounting across deliveries.
     """
 
-    __slots__ = ("kind", "payload", "_words", "early_hint")
+    __slots__ = ("kind", "payload", "_words")
 
     def __init__(self, kind: str, payload: Tuple = ()) -> None:
         self.kind = kind
@@ -115,7 +108,7 @@ class MessagePack:
     The columnar runtime's wire unit: instead of ``N`` separate
     :class:`Message` objects per (site, batch), a single pack carries
     the batch's ``EARLY`` and keyed entries as parallel arrays, in the
-    exact order the batched engine would have delivered the individual
+    exact order per-message delivery would have carried the individual
     messages (all earlies in arrival order, then all keyed entries in
     arrival order).  A pack is pure transport: it stands for its
     constituent messages, and its word accounting (see
@@ -134,8 +127,8 @@ class MessagePack:
 
     ``early_levels`` is the per-early level index (a pure function of
     the weight and the protocol's ``r``, computed vectorized at the
-    site); like ``Message.early_hint`` it carries no information beyond
-    the payloads and is not counted as words.  ``early_items`` is an
+    site); it carries no information beyond the payloads and is not
+    counted as words.  ``early_items`` is an
     optional memo of pre-built :class:`~repro.stream.item.Item` objects
     aligned with the early columns — multi-query drivers attach one
     shared list so every member coordinator parks the same objects.
@@ -260,8 +253,6 @@ class MessagePack:
         commits, so a writer never races the parent's zero-copy reads
         of the previous slot.
         """
-        import numpy as _np
-
         _, columns = self.to_arrays()
         total = sum(array.nbytes for array in columns.values())
         if offset + total > limit:
@@ -285,8 +276,6 @@ class MessagePack:
         (wire dtypes match, so :meth:`from_arrays` does not copy);
         callers must consume the pack before the slot is rewritten.
         """
-        import numpy as _np
-
         nbytes = len(buf) if isinstance(buf, (bytes, bytearray)) else buf.nbytes
         columns = {}
         for name, (offset, dtype, count) in spec.items():
@@ -312,16 +301,8 @@ class MessagePack:
         (no-copy for arrays already in wire dtype, e.g. zero-copy views
         over a shared-memory ring), so ``pack.messages()`` and the
         counter accounting of the round-tripped pack match the original
-        exactly.  Requires numpy.
+        exactly.
         """
-        try:
-            import numpy as _np
-        except ImportError:  # pragma: no cover - packs only exist with numpy
-            from ..common.errors import ConfigurationError
-
-            raise ConfigurationError(
-                "MessagePack.from_arrays requires numpy"
-            ) from None
         unknown = set(columns) - set(cls.WIRE_DTYPES)
         if unknown:
             raise PackWireError(

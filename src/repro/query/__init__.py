@@ -13,7 +13,7 @@ them into *answers*:
   instances (weighted/unweighted SWOR, SWR, L1, sliding window);
 * :mod:`repro.query.driver` — the :class:`MultiQueryDriver`, which runs
   every registered query concurrently over **one shared pass** of a
-  distributed stream, amortizing the batched engine's vectorized
+  distributed stream, amortizing the columnar engine's vectorized
   site-side work across queries while keeping each query's sample
   bit-identical to a standalone run.
 

@@ -28,7 +28,7 @@ golden parity tests pin down.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..common.errors import ConfigurationError
 from ..common.rng import RandomSource
@@ -101,8 +101,8 @@ class NetworkBackedQuery(CompiledQuery):
     """A compiled query driven through a coordinator/sites network.
 
     The driver replays stream batches straight into ``network.sites``
-    and routes messages through ``network.deliver_upstream``, exactly
-    like :class:`~repro.runtime.batched.BatchedEngine` does for a single
+    and delivers their packs and messages through the network, exactly
+    like :class:`~repro.runtime.ColumnarEngine` does for a single
     protocol.
     """
 
@@ -257,25 +257,10 @@ class CentralizedQuery(CompiledQuery):
     (no per-site state, no messages)."""
 
     @abstractmethod
-    def observe_items(self, items: Sequence[Item]) -> None:
-        """Consume a chunk of arrivals in global order."""
-
     def observe_columns(self, idents, weights, timestamps=None) -> None:
-        """Consume a chunk of arrivals given as parallel columns.
-
-        The columnar counterpart of :meth:`observe_items`, fed by the
-        driver when the stream exposes columns (always for a
-        :class:`~repro.stream.columns.ColumnarStream`, via the cached
-        SoA view for an ``Item``-backed stream).  The default wraps the
-        columns in a lazy
-        :class:`~repro.stream.columns.ItemColumnView` — value-identical
-        ``Item`` objects, materialized transiently — so every backend
-        stays correct; backends with a native bulk path (the
-        sliding-window sampler) override it.
-        """
-        from ..stream.columns import ItemColumnView
-
-        self.observe_items(ItemColumnView(idents, weights))
+        """Consume a chunk of arrivals in global order, given as the
+        stream's parallel ident/weight (and optional timestamp)
+        column slices."""
 
 
 class _SlidingWindowBackedQuery(CentralizedQuery):
@@ -289,14 +274,9 @@ class _SlidingWindowBackedQuery(CentralizedQuery):
         self.sampler = sampler
         self.confidence = confidence
 
-    def observe_items(self, items: Sequence[Item]) -> None:
-        insert = self.sampler.insert
-        for item in items:
-            insert(item)
-
     def observe_columns(self, idents, weights, timestamps=None) -> None:
-        """Native columnar path — bit-identical draws to
-        :meth:`observe_items` at any chunking (see
+        """Native columnar path — bit-identical draws to per-item
+        ``insert`` at any chunking (see
         :meth:`repro.extensions.SlidingWindowWeightedSWOR.insert_columns`),
         without materializing the chunk's ``Item`` objects."""
         self.sampler.insert_columns(idents, weights, timestamps)

@@ -3,64 +3,60 @@
 :class:`MultiQueryDriver` answers N heterogeneous registered queries
 over a *single shared pass* of a
 :class:`~repro.stream.item.DistributedStream` **or**
-:class:`~repro.stream.columns.ColumnarStream` — the pass needs only the
-engine-facing stream surface (``arrays()`` / a lazy ``items``
-sequence), so a columnar stream is consumed without ever
-materializing per-arrival objects: network-backed queries read the
-ident/weight columns through zero-copy
-:class:`~repro.runtime.batched.ItemBatch` views, and centralized
-backends take column slices through ``observe_columns``.
+:class:`~repro.stream.columns.ColumnarStream` — the pass reads only the
+stream's ``arrays()`` columns, so a columnar stream is consumed without
+ever materializing per-arrival objects: network-backed queries' sites
+get ident/weight column slices through their
+:meth:`~repro.runtime.interfaces.SiteAlgorithm.on_columns` hooks, and
+centralized backends take column slices through ``observe_columns``.
 Each query is backed by its own protocol instance (weighted/unweighted
 SWOR, SWR, L1 tracker, sliding-window sampler) with an independent,
 deterministically derived RNG substream — the same sample a standalone
 run with :func:`repro.query.backends.query_seed` would produce — while
-the driver amortizes the batched engine's per-batch work across all of
-them:
+the driver amortizes the columnar engine's per-batch work across all
+of them:
 
-* the stream's structure-of-arrays view is sliced and the per-site
-  grouping (one counting sort per batch,
-  :func:`~repro.runtime.batched.window_order`) is computed **once**, and the
-  resulting zero-copy :class:`~repro.runtime.batched.ItemBatch` views
-  are handed to every query's sites;
+* the per-site grouping of each window (one counting sort,
+  :func:`~repro.runtime.batched.window_order`) and the gather of the
+  site-sorted ident/weight columns are computed **once**, and every
+  query's site gets its slice of those columns, exactly as
+  :class:`~repro.runtime.ColumnarEngine` hands them out;
 * queries backed by *same-config* weighted SWORs are **fused**: the
-  batch's level indices, the early/regular split, and the shared
-  ``EARLY`` message objects (with precomputed level hints) are computed
-  once per (batch, site), leaving only the per-query exponential draws,
-  threshold filtering, and coordinator work;
-* control propagation follows the batched engine's bounded-staleness
+  batch's level indices, the early/regular split, and the shared early
+  ``Item`` objects are computed once per (batch, site), leaving only
+  the per-query exponential draws, threshold filtering, and coordinator
+  work;
+* control propagation follows the columnar engine's bounded-staleness
   contract exactly, so per-query message counts match a standalone
-  batched run message for message.
+  columnar run message for message.
 
-The batch schedule mirrors :class:`~repro.runtime.batched.BatchedEngine`
-(doubling ramp, checkpoint-exact splits), so a driver with a single
-query is bit-identical to a standalone run under the batched engine —
-and with ``engine="reference"`` (batch size 1) to the reference engine.
+The batch schedule is the columnar engine's
+(:func:`~repro.runtime.batched.batch_windows`: doubling ramp,
+checkpoint-exact splits), so a driver with a single query is
+bit-identical to a standalone run under
+:class:`~repro.runtime.ColumnarEngine` — and with ``engine="reference"``
+(batch size 1) to the reference engine.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-try:  # numpy unlocks the shared vectorized pass; gated, not required
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 from ..common.errors import ConfigurationError
 from ..common.rng import BatchRandom
 from ..core.config import SworConfig
 from ..core.levels import levels_of_array
 from ..net.counters import MessageCounters
-from ..net.messages import EARLY, Message, MessagePack, REGULAR
+from ..net.messages import MessagePack
 from ..obs import NULL_REGISTRY
 from ..runtime.batched import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_INITIAL_BATCH_SIZE,
-    ItemBatch,
     batch_windows,
-    site_buckets,
-    site_runs,
+    window_order,
 )
 from ..stream.item import DistributedStream, Item
 from .backends import (
@@ -73,6 +69,31 @@ from .backends import (
 from .model import Query, QueryCatalog
 
 __all__ = ["MultiQueryDriver", "MultiQueryResult"]
+
+
+def _site_pass(network, site_id: int, idents, weights) -> None:
+    """Run one site's share of a window and deliver the result — a
+    whole pack, or its messages one by one, as
+    :class:`~repro.runtime.ColumnarEngine` does.
+
+    Batches go through the bulk hook ``on_columns``.  A single arrival
+    goes straight to ``on_item`` (what ``on_columns`` would delegate
+    to), whose result may be a lazy generator — the L1 site's, whose
+    messages interleave with the broadcasts they trigger.  Keeping it
+    off ``on_columns`` keeps every ``on_columns`` result sized, which
+    the per-layer ledger in ``perfbench/`` relies on: it wraps
+    ``on_columns`` and counts the entries each call returns.
+    """
+    site = network.sites[site_id]
+    if len(weights) == 1:
+        result = site.on_item(Item(int(idents[0]), float(weights[0])))
+    else:
+        result = site.on_columns(idents, weights)
+    if isinstance(result, MessagePack):
+        network.deliver_pack(site_id, result)
+    else:
+        for message in result:
+            network.deliver_upstream(site_id, message)
 
 
 class MultiQueryResult:
@@ -120,75 +141,46 @@ class MultiQueryResult:
 
 class _GenericConsumer:
     """Drives one network-backed query through the shared batches the
-    same way the batched engine would: bulk hook, then flush.
+    way a standalone :class:`~repro.runtime.ColumnarEngine` run of the
+    same protocol would: the site's columnar hook, then delivery — so
+    per-query samples and counters stay bit-identical to it (SWR,
+    unweighted, and L1 queries all ride their native pack paths)."""
 
-    In columnar mode the site's
-    :meth:`~repro.runtime.interfaces.SiteAlgorithm.on_columns` hook is
-    fed the batch's ident/weight columns directly and any resulting
-    :class:`~repro.net.messages.MessagePack` is delivered whole —
-    exactly what a standalone
-    :class:`~repro.runtime.ColumnarEngine` run of the same protocol
-    does, so per-query samples and counters stay bit-identical to it
-    (SWR, unweighted, and L1 queries all ride their native pack paths).
-    """
+    __slots__ = ("instance", "network")
 
-    __slots__ = ("instance", "network", "columnar")
-
-    def __init__(
-        self, instance: NetworkBackedQuery, columnar: bool = False
-    ) -> None:
+    def __init__(self, instance: NetworkBackedQuery) -> None:
         self.instance = instance
         self.network = instance.network
-        self.columnar = columnar
 
-    def site_batch(self, site_id: int, batch: Sequence[Item]) -> None:
-        network = self.network
-        idents = getattr(batch, "idents", None)
-        if self.columnar and idents is not None and len(batch) > 1:
-            result = network.sites[site_id].on_columns(idents, batch.weights)
-            if isinstance(result, MessagePack):
-                network.deliver_pack(site_id, result)
-            else:
-                for message in result:
-                    network.deliver_upstream(site_id, message)
-            return
-        for message in network.sites[site_id].on_items(batch):
-            network.deliver_upstream(site_id, message)
+    def site_batch(self, site_id: int, idents, weights) -> None:
+        _site_pass(self.network, site_id, idents, weights)
 
 
 class _FusedSworGroup:
     """Shared site-side pass for same-config weighted-SWOR queries.
 
     For each (batch, site) the group computes once: the batch's level
-    indices, the saturation split into early/regular arrivals, the
-    shared ``EARLY`` :class:`~repro.net.messages.Message` objects (each
-    carrying a precomputed level hint the coordinators reuse), and the
-    regular arrivals' weight vector.  Each member query then only draws
-    its own batch exponentials, filters on its own epoch threshold, and
-    delivers through its own network — so the sample each member ends
-    with is bit-identical to a standalone batched run with the same
-    seed, at a fraction of the site-side cost.
+    indices, the saturation split into early/regular arrivals, and the
+    early arrivals' ``Item`` objects.  Each member query then only
+    draws its own batch exponentials, filters on its own epoch
+    threshold, and delivers a single
+    :class:`~repro.net.messages.MessagePack` per (site, batch) through
+    its own network's
+    :meth:`~repro.runtime.network.Network.deliver_pack` — all members'
+    packs aliasing the same early columns and the same early ``Item``
+    memo — so the sample each member ends with is bit-identical to a
+    standalone columnar run with the same seed, at a fraction of the
+    site-side cost.
 
-    Any state divergence between members' site views (impossible for
-    same-config members, but checked defensively) falls back to the
-    generic per-query path for that site batch.
-
-    In *columnar* mode (``MultiQueryDriver(engine="columnar")``) the
-    shared site pass additionally skips the per-message ``Message``
-    objects: the early/regular split is computed once, and each member
-    delivers a single :class:`~repro.net.messages.MessagePack` per
-    (site, batch) — all members' packs aliasing the same early columns
-    and the same pre-built early ``Item`` memo — through its own
-    network's :meth:`~repro.runtime.network.Network.deliver_pack`.
+    Single-arrival batches (and any state divergence between members'
+    site views — impossible for same-config members, but checked
+    defensively) run each member's own site hook instead.
     """
 
-    __slots__ = ("config", "members", "protocols", "_r", "columnar")
+    __slots__ = ("config", "members", "protocols", "_r")
 
     def __init__(
-        self,
-        config: SworConfig,
-        members: List[NetworkBackedQuery],
-        columnar: bool = False,
+        self, config: SworConfig, members: List[NetworkBackedQuery]
     ) -> None:
         self.config = config
         self.members = members
@@ -197,100 +189,32 @@ class _FusedSworGroup:
             for m in members
         ]
         self._r = config.r
-        self.columnar = columnar
 
-    def _fallback(self, site_id: int, batch: Sequence[Item]) -> None:
+    def _fallback(self, site_id: int, idents, weights) -> None:
         for protocol in self.protocols:
-            network = protocol.network
-            for message in network.sites[site_id].on_items(batch):
-                network.deliver_upstream(site_id, message)
+            _site_pass(protocol.network, site_id, idents, weights)
 
-    def site_batch(self, site_id: int, batch: "ItemBatch") -> None:
-        if self.columnar:
-            self._site_batch_columnar(site_id, batch)
-            return
-        n = len(batch)
-        if n <= 1 or _np is None:
-            self._fallback(site_id, batch)
-            return
-        weights = batch.weights
-        first = self.protocols[0].sites[site_id]
-        mask = first._saturated_mask
-        for protocol in self.protocols[1:]:
-            if protocol.sites[site_id]._saturated_mask != mask:
-                self._fallback(site_id, batch)  # pragma: no cover - defensive
-                return
-        levels = levels_of_array(weights, self._r)
-        if mask:
-            early = ~first._saturation_table(int(levels.max()))[levels]
-            early_idx = _np.flatnonzero(early)
-            regular_idx = _np.flatnonzero(~early)
-        else:
-            early_idx = _np.arange(n)
-            regular_idx = None
-        # Materialize through the view's backing list once — plain list
-        # indexing here beats per-access numpy scalar indexing, and the
-        # stream's own Item objects ride along as coordinator hints.
-        source, positions = batch._source, batch._positions.tolist()
-        levels_list = levels.tolist()
-        early_messages: List[Message] = []
-        for i in early_idx.tolist():
-            item = source[positions[i]]
-            message = Message(EARLY, (item.ident, item.weight))
-            message.early_hint = (item, levels_list[i])
-            early_messages.append(message)
-        if regular_idx is None or len(regular_idx) == 0:
-            regular_weights = None
-            num_regular = 0
-            regular_items: Sequence[Item] = ()
-        else:
-            regular_weights = weights[regular_idx]
-            num_regular = len(regular_idx)
-            regular_items = [source[positions[i]] for i in regular_idx.tolist()]
-        for protocol in self.protocols:
-            site = protocol.sites[site_id]
-            site.items_seen += n
-            threshold = site._threshold  # pre-flush view, like on_items
-            deliver = protocol.network.deliver_upstream
-            for message in early_messages:
-                deliver(site_id, message)
-            if num_regular:
-                if site._batch_rng is None:
-                    site._batch_rng = BatchRandom(site._rng)
-                draws = site._batch_rng.exponentials(num_regular)
-                site.exponentials_generated += num_regular
-                keys = regular_weights / draws
-                for j in _np.flatnonzero(keys > threshold).tolist():
-                    item = regular_items[j]
-                    deliver(
-                        site_id,
-                        Message(REGULAR, (item.ident, item.weight, float(keys[j]))),
-                    )
-
-    def _site_batch_columnar(self, site_id: int, batch: "ItemBatch") -> None:
+    def site_batch(self, site_id: int, idents, weights) -> None:
         """One shared early/regular split, one pack per member query.
 
         Decision-for-decision and draw-for-draw identical to a
-        standalone columnar run of each member (and hence to a batched
-        one): per member only the batch exponentials, the threshold
-        filter, and the pack delivery remain.
+        standalone columnar run of each member: per member only the
+        batch exponentials, the threshold filter, and the pack delivery
+        remain.
         """
-        n = len(batch)
-        idents = batch.idents
-        if n <= 1 or _np is None or idents is None:
-            self._fallback(site_id, batch)
+        n = len(weights)
+        if n <= 1:
+            self._fallback(site_id, idents, weights)
             return
-        weights = batch.weights
         first = self.protocols[0].sites[site_id]
         mask = first._saturated_mask
         for protocol in self.protocols[1:]:
             if protocol.sites[site_id]._saturated_mask != mask:
-                self._fallback(site_id, batch)  # pragma: no cover - defensive
+                self._fallback(site_id, idents, weights)  # pragma: no cover - defensive
                 return
         levels = levels_of_array(weights, self._r)
         early_idents = early_weights = early_levels = None
         regular_idents = regular_weights = None
-        early_idx = None
         if mask:
             saturated = first._saturation_table(int(levels.max()))[levels]
             num_saturated = int(_np.count_nonzero(saturated))
@@ -298,24 +222,24 @@ class _FusedSworGroup:
                 regular_idents, regular_weights = idents, weights
             elif num_saturated == 0:
                 early_idents, early_weights, early_levels = idents, weights, levels
-                early_idx = range(n)
             else:
                 early = ~saturated
                 early_idents = idents[early]
                 early_weights = weights[early]
                 early_levels = levels[early]
-                early_idx = _np.flatnonzero(early).tolist()
                 regular_idents = idents[saturated]
                 regular_weights = weights[saturated]
         else:
             early_idents, early_weights, early_levels = idents, weights, levels
-            early_idx = range(n)
         early_items = None
-        if early_idx is not None:
-            # One shared Item memo — the stream's own objects — parked
-            # by every member coordinator (like Message.early_hint).
-            source, positions = batch._source, batch._positions
-            early_items = [source[positions[i]] for i in early_idx]
+        if early_idents is not None:
+            # One shared Item memo, parked by every member coordinator.
+            early_items = [
+                Item(ident, weight)
+                for ident, weight in zip(
+                    early_idents.tolist(), early_weights.tolist()
+                )
+            ]
         for protocol in self.protocols:
             site = protocol.sites[site_id]
             site.items_seen += n
@@ -373,21 +297,21 @@ class MultiQueryDriver:
         Root seed; each query's protocol derives an independent seed
         via :func:`repro.query.backends.query_seed`.
     engine:
-        ``"batched"`` (the shared vectorized pass, default),
-        ``"columnar"`` (the batched schedule with the zero-object pack
-        data plane of :class:`~repro.runtime.ColumnarEngine` for fused
-        SWOR groups — per-query results stay bit-identical), or
-        ``"reference"`` (batch size 1 — the synchronous round model,
-        bit-identical to :class:`~repro.runtime.ReferenceEngine`).
-        ``"sharded"`` is accepted as a passthrough and selects the
-        columnar data plane: the driver's fused multi-query pass is
-        itself the execution engine and runs in-process (per-query
-        results are bit-identical either way); shard-parallel *site*
-        execution applies to single-protocol runs via
-        :class:`~repro.runtime.ShardedEngine`.
+        ``"columnar"`` (the default: the batch schedule and zero-object
+        pack data plane of :class:`~repro.runtime.ColumnarEngine`) or
+        ``"reference"`` (the same plane at batch size 1 — the
+        synchronous round model, bit-identical to
+        :class:`~repro.runtime.ReferenceEngine`).  ``"sharded"`` is
+        accepted as a passthrough and selects the columnar data plane:
+        the driver's fused multi-query pass is itself the execution
+        engine and runs in-process (per-query results are bit-identical
+        either way); shard-parallel *site* execution applies to
+        single-protocol runs via :class:`~repro.runtime.ShardedEngine`.
     batch_size / initial_batch_size:
-        Batch ramp for the batched engine, as in
-        :class:`~repro.runtime.batched.BatchedEngine`.
+        Batch ramp, as in :class:`~repro.runtime.ColumnarEngine`;
+        rejected under ``engine="reference"``, exactly as
+        :func:`~repro.runtime.get_engine` rejects a reference engine
+        with a batch size.
     confidence:
         Nominal CI level for all estimator-backed answers.
     fuse:
@@ -407,7 +331,7 @@ class MultiQueryDriver:
         queries: Union[QueryCatalog, Iterable[Query]],
         num_sites: int,
         seed: Optional[int] = None,
-        engine: str = "batched",
+        engine: str = "columnar",
         batch_size: Optional[int] = None,
         initial_batch_size: Optional[int] = None,
         confidence: float = 0.95,
@@ -416,11 +340,21 @@ class MultiQueryDriver:
     ) -> None:
         if num_sites <= 0:
             raise ConfigurationError(f"num_sites must be positive, got {num_sites}")
-        if engine not in ("batched", "columnar", "sharded", "reference"):
+        if engine not in ("columnar", "sharded", "reference"):
             raise ConfigurationError(
-                "engine must be 'batched', 'columnar', 'sharded', or "
-                f"'reference', got {engine!r}"
+                "engine must be 'columnar', 'sharded', or 'reference', "
+                f"got {engine!r}"
             )
+        if engine == "reference":
+            for name, value in (
+                ("batch_size", batch_size),
+                ("initial_batch_size", initial_batch_size),
+            ):
+                if value is not None:
+                    raise ConfigurationError(
+                        f"engine 'reference' does not take a {name}"
+                    )
+            batch_size = initial_batch_size = 1
         # None means "engine default", matching the protocol facades.
         if batch_size is None:
             batch_size = DEFAULT_BATCH_SIZE
@@ -437,15 +371,11 @@ class MultiQueryDriver:
         self.num_sites = num_sites
         self.seed = seed
         self.engine = engine
-        if engine == "reference":
-            batch_size = initial_batch_size = 1
         self.batch_size = batch_size
         self.initial_batch_size = min(initial_batch_size, batch_size)
         self.confidence = confidence
-        #: Whether the shared pass runs the zero-object pack data plane
-        #: (the single source for the three mode checks below).
-        self._columnar_plane = engine in ("columnar", "sharded")
-        self.fuse = fuse and (engine == "batched" or self._columnar_plane)
+        # Batch size 1 leaves a fused group nothing to share.
+        self.fuse = fuse and engine != "reference"
         self.compiled: List[CompiledQuery] = [
             compile_query(query, num_sites, seed, confidence) for query in catalog
         ]
@@ -487,7 +417,6 @@ class MultiQueryDriver:
             config = getattr(instance, "fuse_config", None)
             if (
                 self.fuse
-                and _np is not None
                 and config is not None
                 and config.level_sets_enabled
                 and not config.count_bits
@@ -497,18 +426,10 @@ class MultiQueryDriver:
                 generic.append(instance)
         for config, members in fusable.items():
             if len(members) >= 2:
-                consumers.append(
-                    _FusedSworGroup(
-                        config, members, columnar=self._columnar_plane
-                    )
-                )
+                consumers.append(_FusedSworGroup(config, members))
             else:
                 generic.extend(members)
-        columnar = self._columnar_plane
-        consumers.extend(
-            _GenericConsumer(instance, columnar=columnar)
-            for instance in generic
-        )
+        consumers.extend(_GenericConsumer(instance) for instance in generic)
         return consumers
 
     def run(
@@ -527,14 +448,20 @@ class MultiQueryDriver:
         ``checkpoints`` (1-indexed global item counts) snapshot every
         query's answer mid-stream; batches split so each snapshot is
         taken after exactly that many arrivals (see
-        :meth:`MultiQueryResult.answers_at`).  Like the batched
-        engine's, checkpoint counts are cumulative across ``run``
-        calls: a driver reused on a second stream keeps one clock.
+        :meth:`MultiQueryResult.answers_at`).  Like the engines',
+        checkpoint counts are cumulative across ``run`` calls: a driver
+        reused on a second stream keeps one clock.
+
+        Raises :class:`~repro.common.errors.ConfigurationError` before
+        any query runs when the stream's identifiers are not
+        int64-representable (see
+        :meth:`~repro.stream.item.DistributedStream.arrays`).
         """
         if stream.num_sites != self.num_sites:
             raise ConfigurationError(
                 f"stream has {stream.num_sites} sites, driver has {self.num_sites}"
             )
+        assignment, weights, idents = stream.arrays()
         n = len(stream)
         base = self.items_processed
         marks: List[int] = (
@@ -547,14 +474,6 @@ class MultiQueryDriver:
         consumers = self._consumers()
         centralized = self._centralized
         networks = [instance.network for instance in self._network_backed]
-        items = stream.items
-        arrays = stream.arrays()
-        # Centralized backends consume columns whenever the stream has
-        # them (ident column present) — bit-identical answers, no
-        # transient Item chunks; otherwise they get lazy item slices.
-        columns_for_centralized = (
-            arrays is not None and arrays[2] is not None and centralized
-        )
         ts_column = getattr(stream, "timestamps", None)
         registry = self.registry
         # Per-consumer fold clocks, allocated only when a live registry
@@ -562,32 +481,21 @@ class MultiQueryDriver:
         # null registry pays zero perf_counter calls).
         timings = [0.0] * len(consumers) if registry.enabled else None
         span = registry.span("driver_run")
-        # batch_windows is the same schedule BatchedEngine iterates —
+        # batch_windows is the same schedule ColumnarEngine iterates —
         # the source of the driver's run-for-run parity with it.
         with span:
             for lo, hi in batch_windows(
                 n, self.batch_size, self.initial_batch_size, marks
             ):
-                if arrays is not None:
-                    self._run_window_numpy(
-                        consumers, items, arrays, lo, hi,
-                        self._columnar_plane,
-                        timings,
-                    )
-                else:
-                    self._run_window_python(
-                        consumers, stream, lo, hi, timings
-                    )
-                if columns_for_centralized:
+                self._run_window(
+                    consumers, assignment, weights, idents, lo, hi, timings
+                )
+                if centralized:
                     ts = None if ts_column is None else ts_column[lo:hi]
                     for instance in centralized:
                         instance.observe_columns(
-                            arrays[2][lo:hi], arrays[1][lo:hi], ts
+                            idents[lo:hi], weights[lo:hi], ts
                         )
-                elif centralized:
-                    window_items = items[lo:hi]
-                    for instance in centralized:
-                        instance.observe_items(window_items)
                 for network in networks:
                     network.items_processed += hi - lo
                 self.items_processed += hi - lo
@@ -603,52 +511,34 @@ class MultiQueryDriver:
         )
 
     @staticmethod
-    def _run_window_numpy(
+    def _run_window(
         consumers: List[object],
-        items: List[Item],
-        arrays,
-        lo: int,
-        hi: int,
-        columnar: bool = False,
-        timings: Optional[List[float]] = None,
-    ) -> None:
-        """One grouping of the window serves *every* query's sites."""
-        assignment, weights, idents = arrays
-        for site_id, positions in site_runs(assignment, lo, hi):
-            batch = ItemBatch(
-                items,
-                positions,
-                weights[positions],
-                idents[positions] if columnar and idents is not None else None,
-            )
-            if timings is None:
-                for consumer in consumers:
-                    consumer.site_batch(site_id, batch)
-            else:
-                for index, consumer in enumerate(consumers):
-                    t0 = time.perf_counter()
-                    consumer.site_batch(site_id, batch)
-                    timings[index] += time.perf_counter() - t0
-
-    @staticmethod
-    def _run_window_python(
-        consumers: List[object],
-        stream: DistributedStream,
+        assignment,
+        weights,
+        idents,
         lo: int,
         hi: int,
         timings: Optional[List[float]] = None,
     ) -> None:
-        """Numpy-free fallback, sharing the engine's bucketing."""
-        for site_id, batch in site_buckets(
-            stream.assignment, stream.items, lo, hi
-        ):
+        """One grouping and one gather of the window serve *every*
+        query's sites: each site gets its slice of the window's
+        site-sorted columns, as :class:`~repro.runtime.ColumnarEngine`
+        hands them out."""
+        positions, site_ids, run_starts, run_ends = window_order(
+            assignment, lo, hi
+        )
+        weights_sorted = weights[positions]
+        idents_sorted = idents[positions]
+        for site_id, start, end in zip(site_ids, run_starts, run_ends):
+            site_idents = idents_sorted[start:end]
+            site_weights = weights_sorted[start:end]
             if timings is None:
                 for consumer in consumers:
-                    consumer.site_batch(site_id, batch)
+                    consumer.site_batch(site_id, site_idents, site_weights)
             else:
                 for index, consumer in enumerate(consumers):
                     t0 = time.perf_counter()
-                    consumer.site_batch(site_id, batch)
+                    consumer.site_batch(site_id, site_idents, site_weights)
                     timings[index] += time.perf_counter() - t0
 
     def _export_run(self, consumers, timings, items: int) -> None:

@@ -5,21 +5,21 @@ coordinator state machines of :mod:`repro.core`) from *how* a stream is
 driven through them:
 
 * :class:`ReferenceEngine` — the paper's strictly synchronous round
-  model, one arrival at a time (the historical ``Network.run``);
-* :class:`BatchedEngine` — processes arrivals in chunks with vectorized
-  site-side key generation and batch-boundary control propagation,
-  trading a bounded number of extra (coordinator-discarded) messages
-  for an order-of-magnitude drop in interpreter dispatch.
+  model, one arrival at a time: the scalar oracle every other engine
+  is checked against;
+* :class:`ColumnarEngine` — the vectorized data plane: arrivals in
+  batch windows, one columnar site pass and one message pack per
+  (site, batch), and batch-boundary control propagation, trading a
+  bounded number of extra (coordinator-discarded) messages for an
+  order-of-magnitude drop in interpreter dispatch;
+* :class:`ShardedEngine` — the columnar plane with its site passes
+  spread across worker processes, bit-identical to ``ColumnarEngine``.
 
 Select an engine by instance or by name::
 
     from repro.runtime import get_engine
-    engine = get_engine("batched", batch_size=4096)
+    engine = get_engine("columnar", batch_size=4096)
     counters = protocol.run(stream, engine=engine)
-
-``SiteAlgorithm`` / ``CoordinatorAlgorithm`` / ``Network`` /
-``BROADCAST`` live here now; :mod:`repro.net.simulator` re-exports them
-for backward compatibility (with a :class:`DeprecationWarning`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Dict, Optional, Type, Union
 from ..common.errors import ConfigurationError
 from ..faults import FaultPlan
 from .base import Engine
-from .batched import BatchedEngine, ItemBatch
 from .columnar import ColumnarEngine
 from .interfaces import BROADCAST, CoordinatorAlgorithm, SiteAlgorithm
 from .network import Network
@@ -43,11 +42,9 @@ __all__ = [
     "Network",
     "Engine",
     "ReferenceEngine",
-    "BatchedEngine",
     "ColumnarEngine",
     "ShardedEngine",
     "ShardedWorkerError",
-    "ItemBatch",
     "ENGINES",
     "get_engine",
 ]
@@ -55,7 +52,6 @@ __all__ = [
 #: Registry of engine names to classes (extend to plug in new engines).
 ENGINES: Dict[str, Type[Engine]] = {
     ReferenceEngine.name: ReferenceEngine,
-    BatchedEngine.name: BatchedEngine,
     ColumnarEngine.name: ColumnarEngine,
     ShardedEngine.name: ShardedEngine,
 }
@@ -77,7 +73,7 @@ def get_engine(
     ----------
     spec:
         ``None`` (reference), a registry name (``"reference"`` /
-        ``"batched"`` / ``"columnar"`` / ``"sharded"``), or an
+        ``"columnar"`` / ``"sharded"``), or an
         already-built :class:`Engine` instance (returned as-is).
     batch_size:
         Steady-state batch size for the batching engines; rejected for
@@ -144,7 +140,7 @@ def get_engine(
         raise ConfigurationError(f"unknown engine {name!r} (known: {known})")
     kwargs = {}
     if batch_size is not None:
-        if not issubclass(cls, BatchedEngine):
+        if not issubclass(cls, ColumnarEngine):
             raise ConfigurationError(
                 f"engine {name!r} does not take a batch_size"
             )

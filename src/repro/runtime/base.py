@@ -4,17 +4,18 @@ An :class:`Engine` decides *how* a :class:`~repro.runtime.network.Network`
 replays a :class:`~repro.stream.item.DistributedStream`: per-item or in
 batches, with synchronous or boundary-deferred control propagation.  The
 protocol state machines never see the engine — they only see their
-``on_item`` / ``on_items`` / ``on_control`` / ``on_message`` hooks fire
-in some order, and every engine routes messages through the network's
-delivery primitives so counters and traces stay comparable across
-engines.
+``on_item`` / ``on_columns`` / ``on_control`` / ``on_message`` hooks
+fire in some order, and every engine routes messages through the
+network's delivery primitives so counters and traces stay comparable
+across engines.
 
-Two engines ship with the package:
+The package ships one scalar oracle and one vectorized data plane:
 
 * :class:`~repro.runtime.reference.ReferenceEngine` — the paper's
   strictly synchronous round model (Section 2.1);
-* :class:`~repro.runtime.batched.BatchedEngine` — a vectorized fast
-  path with bounded-staleness control propagation.
+* :class:`~repro.runtime.columnar.ColumnarEngine` — batch windows of
+  columns with bounded-staleness control propagation, and its
+  multiprocess variant :class:`~repro.runtime.sharded.ShardedEngine`.
 
 Every engine carries a metrics registry (:mod:`repro.obs`) — the
 disabled :data:`~repro.obs.NULL_REGISTRY` by default, a live
@@ -44,7 +45,7 @@ __all__ = ["Engine"]
 class Engine(ABC):
     """An execution strategy for replaying a stream through a network."""
 
-    #: Registry name (``"reference"``, ``"batched"``, ...).
+    #: Registry name (``"reference"``, ``"columnar"``, ...).
     name: str = "abstract"
 
     #: The telemetry sink (class default: the shared no-op registry, so

@@ -1,12 +1,7 @@
-"""The columnar engine: a zero-object site -> coordinator fast path.
+"""The columnar engine: the zero-object site -> coordinator data plane.
 
-:class:`~repro.runtime.batched.BatchedEngine` vectorized site-side *key
-generation* but kept the object model at the message boundary: every
-arrival is still gathered through an ``Item``-backed view, every
-upstream candidate is its own :class:`~repro.net.messages.Message`, and
-the coordinator folds candidates one ``heapreplace`` at a time.
-:class:`ColumnarEngine` removes the remaining per-item Python objects
-end to end:
+:class:`ColumnarEngine` replays a stream in batch windows with no
+per-item Python objects on the hot path:
 
 * the stream is consumed as columns (``assignment`` / ``weights`` /
   ``idents`` int64/float64 arrays) — a
@@ -17,7 +12,7 @@ end to end:
   (:func:`~repro.runtime.batched.window_order`) groups arrivals per
   site and **one gather** builds the site-sorted weight/ident columns;
   level indices are computed **once per window** (sites sharing a
-  config expose :meth:`~repro.core.site.SworSite.window_levels`)
+  config expose :meth:`~repro.core.site.SworSite.prepare_window`)
   instead of once per (site, window);
 * each site's bulk hook
   (:meth:`~repro.runtime.interfaces.SiteAlgorithm.on_columns`) returns
@@ -30,23 +25,20 @@ end to end:
 
 Why this is correct
 -------------------
-The window schedule, per-site grouping, and per-site RNG consumption
-are *identical* to the batched engine's (same
-:func:`~repro.runtime.batched.batch_windows`, same grouping, same
-``BatchRandom`` draw counts in the same order), and the coordinator's
-pack path is bit-compatible with sequential delivery (it falls back to
-exact per-message replay for the rare packs that saturate a level or
-cross an epoch — see ``SworCoordinator.on_message_pack``).  Samples and
-message counters therefore match the batched engine **bit for bit**;
-``benchmarks/bench_columnar.py`` pins this at the million-item scale.
+Control propagation is deferred to batch boundaries, which only adds
+messages the coordinator discards (see :mod:`repro.runtime.batched`).
+The coordinator's pack path is bit-compatible with sequential delivery:
+it falls back to exact per-message replay for the rare packs that
+saturate a level or cross an epoch (see
+``SworCoordinator.on_message_pack``).  Samples and message counters
+therefore match a traced run — whose network folds every pack message
+by message — bit for bit, and at batch size 1 every site takes its
+scalar ``on_item`` path, so the engine reproduces
+:class:`~repro.runtime.reference.ReferenceEngine` exactly.
 
 ``Item`` objects are created lazily, only for arrivals that actually
 reach a level set, the sample, a trace, or a scalar fallback — a few
 thousand per million-item run.
-
-Falls back to :class:`BatchedEngine` behavior wholesale when numpy (or
-an int64 ident column) is unavailable, so the scalar path stays the
-single numpy-free source of truth.
 """
 
 from __future__ import annotations
@@ -54,17 +46,13 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
 
-try:  # the fast path is numpy-only; gated, not required
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None  # type: ignore[assignment]
-
+from ..common.errors import ConfigurationError
 from ..kernels import get_kernels, use_kernels
 from ..net.messages import MessagePack
+from .base import Engine
 from .batched import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_INITIAL_BATCH_SIZE,
-    BatchedEngine,
     batch_windows,
     window_order,
 )
@@ -76,16 +64,26 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 __all__ = ["ColumnarEngine"]
 
 
-class ColumnarEngine(BatchedEngine):
+class ColumnarEngine(Engine):
     """Batched schedule, columnar data plane.
 
     Accepts both :class:`~repro.stream.item.DistributedStream` and
     :class:`~repro.stream.columns.ColumnarStream` (anything exposing
-    the ``arrays() -> (assignment, weights, idents)`` triple plus the
-    ``items`` sequence for scalar fallbacks).  Construction parameters
-    are the batched engine's (``batch_size`` ramping up from
-    ``initial_batch_size``) — the schedules must coincide for the
-    bit-parity contract to be structural.
+    the ``arrays() -> (assignment, weights, idents)`` triple).
+
+    Parameters
+    ----------
+    batch_size:
+        Steady-state number of global arrivals per batch.  Larger
+        batches amortize more interpreter dispatch but let site views go
+        staler within a batch (more coordinator-discarded messages).
+    initial_batch_size:
+        First batch's size; batches double until reaching
+        ``batch_size``.  The ramp bounds warm-up staleness while the
+        coordinator's threshold is still near zero.
+    kernels:
+        Kernel-backend override for this engine's runs (see
+        :mod:`repro.kernels`).
     """
 
     name = "columnar"
@@ -96,13 +94,23 @@ class ColumnarEngine(BatchedEngine):
         initial_batch_size: int = DEFAULT_INITIAL_BATCH_SIZE,
         kernels=None,
     ) -> None:
-        super().__init__(
-            batch_size=batch_size, initial_batch_size=initial_batch_size
-        )
+        if batch_size <= 0:
+            raise ConfigurationError(
+                f"batch_size must be positive, got {batch_size}"
+            )
+        if initial_batch_size <= 0:
+            raise ConfigurationError(
+                f"initial_batch_size must be positive, got {initial_batch_size}"
+            )
+        self.batch_size = batch_size
+        self.initial_batch_size = min(initial_batch_size, batch_size)
         #: Kernel-backend override for this engine's runs (``None`` =
         #: the process default, i.e. ``REPRO_KERNELS`` / ``"auto"``).
         #: Resolved eagerly so a bad spec fails at construction.
         self._kernels = None if kernels is None else get_kernels(kernels)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}(batch_size={self.batch_size})"
 
     def run(
         self,
@@ -132,20 +140,11 @@ class ColumnarEngine(BatchedEngine):
         checkpoints: Optional[Iterable[int]] = None,
         on_checkpoint: Optional[Callable[[int], None]] = None,
     ) -> "MessageCounters":
-        arrays = stream.arrays() if hasattr(stream, "arrays") else None
-        if _np is None or arrays is None or arrays[2] is None:
-            # Numpy-free installs (or exotic ident types): the batched
-            # engine's object path is the fallback semantics.
-            return BatchedEngine.run(
-                self,
-                network,
-                stream,
-                on_step=on_step,
-                checkpoints=checkpoints,
-                on_checkpoint=on_checkpoint,
-            )
-        assignment, weights, idents = arrays
+        assignment, weights, idents = stream.arrays()
         n = len(stream)
+        # Checkpoints count cumulative items_processed (matching the
+        # reference engine), so a network reused across run() calls
+        # keeps one consistent clock; convert to stream offsets here.
         base = network.items_processed
         want_checkpoints = checkpoints is not None and on_checkpoint is not None
         marks: List[int] = (

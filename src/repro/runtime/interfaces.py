@@ -8,11 +8,12 @@ Engines (see :mod:`repro.runtime.base`) decide *when* each half runs and
 Sites expose two granularities:
 
 * :meth:`SiteAlgorithm.on_item` — one arrival, the paper's round model;
-* :meth:`SiteAlgorithm.on_items` — a *batch* of arrivals, used by the
-  batched engine.  The default implementation just loops ``on_item``;
-  protocol sites may override it with a vectorized bulk path (e.g.
-  :meth:`repro.core.site.SworSite.on_items` draws all of a batch's
-  exponentials in one numpy call).
+* :meth:`SiteAlgorithm.on_columns` — a *batch* of arrivals as parallel
+  ident/weight columns, used by the columnar data plane.  The default
+  implementation just loops ``on_item``; protocol sites override it
+  with a vectorized bulk path (e.g.
+  :meth:`repro.core.site.SworSite.on_columns` draws all of a batch's
+  exponentials in one numpy call and returns one message pack).
 
 This module deliberately imports nothing from :mod:`repro.net` so that
 ``repro.runtime`` and ``repro.net`` can re-export each other's names
@@ -22,11 +23,12 @@ without an import cycle (messages/counters only appear in annotations).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Tuple
+
+from ..stream.item import Item
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..net.messages import Message, MessagePack
-    from ..stream.item import Item
 
 __all__ = ["BROADCAST", "SiteAlgorithm", "CoordinatorAlgorithm"]
 
@@ -49,48 +51,35 @@ class SiteAlgorithm(ABC):
     shardable: bool = True
 
     @abstractmethod
-    def on_item(self, item: "Item") -> List["Message"]:
+    def on_item(self, item: Item) -> List["Message"]:
         """Observe one local arrival; return upstream messages (maybe [])."""
-
-    def on_items(self, items: Sequence["Item"]) -> List["Message"]:
-        """Observe a batch of local arrivals; return upstream messages.
-
-        Bulk hook used by the batched engine.  The default delegates to
-        :meth:`on_item` per item, preserving each item's message order.
-        A single-item batch returns ``on_item``'s result *unmaterialized*
-        (it may be a lazy iterator, as for the L1 site), so a batch size
-        of one reproduces the reference engine exactly.
-        """
-        if len(items) == 1:
-            return self.on_item(items[0])
-        out: List["Message"] = []
-        for item in items:
-            out.extend(self.on_item(item))
-        return out
 
     def on_columns(self, idents, weights, prep=None):
         """Observe a batch of local arrivals given as parallel columns.
 
-        Fully columnar hook used by the columnar engine: ``idents`` and
+        Bulk hook used by the columnar data plane: ``idents`` and
         ``weights`` are aligned numpy arrays for this site's share of a
         batch window, and ``prep`` optionally carries the engine's
         once-per-window precomputation as a ``(context, start, end)``
         triple (built by the optional site hook ``prepare_window``;
-        sites that don't share window state ignore it).  Returns either a
-        :class:`~repro.net.messages.MessagePack` (columnar sites) or a
-        plain list of :class:`~repro.net.messages.Message` (this
-        default, which materializes the Items and delegates to
-        :meth:`on_items` — RNG-identical to the batched engine, since
-        the wrapped batch carries the same ``weights`` array an
-        :class:`~repro.runtime.batched.ItemBatch` would).
-        """
-        from ..runtime.batched import ItemBatch
-        from ..stream.item import Item
+        sites that don't share window state ignore it).  Returns either
+        a :class:`~repro.net.messages.MessagePack` (vectorized sites) or
+        an iterable of :class:`~repro.net.messages.Message`.
 
-        source = [
-            Item(int(e), float(w)) for e, w in zip(idents.tolist(), weights.tolist())
-        ]
-        return self.on_items(ItemBatch(source, range(len(source)), weights))
+        This default delegates to :meth:`on_item` per arrival,
+        preserving each arrival's message order; it is also every
+        vectorized site's scalar path.  A single arrival returns
+        ``on_item``'s result *unmaterialized* (it may be a lazy
+        iterator, as for the L1 site, whose messages then interleave
+        with the broadcasts they trigger), so a batch size of one
+        reproduces the reference engine exactly.
+        """
+        if len(weights) == 1:
+            return self.on_item(Item(int(idents[0]), float(weights[0])))
+        out: List["Message"] = []
+        for ident, weight in zip(idents.tolist(), weights.tolist()):
+            out.extend(self.on_item(Item(ident, weight)))
+        return out
 
     @abstractmethod
     def on_control(self, message: "Message") -> None:
@@ -102,7 +91,7 @@ class SiteAlgorithm(ABC):
         The sharded engine snapshots every site at each window boundary
         so a mid-window coordinator broadcast can roll the suffix of
         the window back and replay it deterministically.  The snapshot
-        must capture *everything* ``on_items`` / ``on_columns`` can
+        must capture *everything* ``on_item`` / ``on_columns`` can
         mutate — RNG positions included — such that
         :meth:`restore_state` followed by the same inputs reproduces
         the same outputs bit for bit.  Returning ``None`` (the default)

@@ -137,13 +137,13 @@ class Network:
         on_step:
             Optional progress callback invoked with the number of items
             processed so far — after every item under the reference
-            engine, after every batch under the batched engine.
+            engine, after every batch under the columnar engines.
         checkpoints / on_checkpoint:
             When both given, ``on_checkpoint(t)`` fires after processing
             item ``t`` (1-indexed) for each ``t`` in ``checkpoints`` —
             used by the accuracy experiments to query the coordinator at
             fixed times.  Every engine honors checkpoints exactly (the
-            batched engine splits batches at checkpoint boundaries).
+            columnar engines split batches at checkpoint boundaries).
         engine:
             The :class:`~repro.runtime.base.Engine` to drive execution;
             ``None`` selects the strictly synchronous reference engine,

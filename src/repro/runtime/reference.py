@@ -8,9 +8,10 @@ the synchrony the paper's correctness arguments assume, and exactly the
 historical behavior of ``Network.run`` before engines existed, so golden
 seed fingerprints are preserved bit for bit.
 
-This engine is the semantic baseline the batched engine is validated
-against; it pays ~6 Python calls of interpreter dispatch per item, which
-is what :class:`~repro.runtime.batched.BatchedEngine` removes.
+This engine is the scalar oracle the columnar data plane is validated
+against (at batch size 1 :class:`~repro.runtime.columnar.ColumnarEngine`
+reproduces it bit for bit); it pays ~6 Python calls of interpreter
+dispatch per item, which is what the columnar plane removes.
 """
 
 from __future__ import annotations

@@ -145,17 +145,18 @@ deterministically; ``tests/test_chaos.py`` drives them across the
 whole grid and asserts bit-identity or explicit degradation — never a
 hang, leaked process, or leaked shared-memory segment.
 
-Fallbacks: numpy-free installs, non-int64 ident streams, ``workers=1``
-(or one site), instrumented networks (a
+Fallbacks: ``workers=1`` (or one site), instrumented networks (a
 :class:`~repro.net.tracing.MessageTrace` wrapping the delivery
 methods), sites that declare themselves non-shardable
 (:attr:`~repro.runtime.interfaces.SiteAlgorithm.shardable`), and any
 worker-setup failure (spawn unavailable, unpicklable sites, no shared
 memory) all run the in-process :class:`ColumnarEngine` path instead, so
 the engine is always safe to select; ``last_run_stats`` records which
-mode ran.  Sites whose bulk hooks return *lazy* message iterators are
-materialized at the worker before shipping (the batched engine streams
-them instead); all shipped protocols return materialized lists.
+mode ran.  A stream whose identifiers are not int64-representable
+raises :class:`~repro.common.errors.ConfigurationError` before any site
+runs, as under the columnar engine.  Sites whose bulk hooks return
+*lazy* message iterators are materialized at the worker before
+shipping.
 """
 
 from __future__ import annotations
@@ -167,10 +168,7 @@ import traceback
 import weakref
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
-try:  # the shard-parallel path is numpy-only; gated, not required
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 try:  # shared memory may be missing on exotic builds; pipes then carry all
     from multiprocessing import shared_memory as _shared_memory
@@ -1314,8 +1312,8 @@ class ShardedEngine(ColumnarEngine):
     Parameters
     ----------
     batch_size / initial_batch_size:
-        The batched schedule, exactly as in
-        :class:`~repro.runtime.batched.BatchedEngine` (the schedules
+        The batch schedule, exactly as in
+        :class:`~repro.runtime.columnar.ColumnarEngine` (the schedules
         must coincide for the bit-parity contract to be structural).
         Larger batches amortize the per-window worker round trip.
     workers:
@@ -1473,15 +1471,11 @@ class ShardedEngine(ColumnarEngine):
             # fallback engine iterates again — a one-shot iterator must
             # survive both.
             checkpoints = list(checkpoints)
-        arrays = stream.arrays() if hasattr(stream, "arrays") else None
+        arrays = stream.arrays()
         n = len(stream)
         workers = max(1, min(self.workers, network.num_sites))
         reason = None
-        if _np is None:
-            reason = "numpy unavailable"
-        elif arrays is None or arrays[2] is None:
-            reason = "stream has no int64 column view"
-        elif n == 0:
+        if n == 0:
             reason = "empty stream"
         elif workers < 2:
             reason = "single worker"

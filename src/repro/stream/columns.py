@@ -28,19 +28,15 @@ of ``DistributedStream`` (``len`` / ``num_sites`` / ``arrays()`` /
 ``items`` is a lazy sequence view, so every runtime engine — not just
 :class:`~repro.runtime.columnar.ColumnarEngine` — can replay one.
 
-This module requires numpy; on numpy-free installs it is importable but
-every constructor raises :class:`~repro.common.errors.ConfigurationError`
-(use ``DistributedStream``, whose engines have scalar fallbacks).
+Identifiers must be int64-representable (the same requirement as the
+columnar engines' view of a ``DistributedStream``).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-try:  # the whole point of this module is the numpy-backed layout
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 from ..common.errors import ConfigurationError
 from .item import DistributedStream, Item
@@ -56,21 +52,13 @@ __all__ = [
 DEFAULT_CHUNK_SIZE = 65536
 
 
-def _require_numpy() -> None:
-    if _np is None:
-        raise ConfigurationError(
-            "ColumnarStream requires numpy; use DistributedStream (and the "
-            "engines' scalar fallbacks) on numpy-free installs"
-        )
-
-
 class ItemColumnView(Sequence):
     """A lazy ``Sequence[Item]`` over a stream's columns.
 
     Supports integer indexing (negative included) and slices; an
     ``Item`` is constructed only at access time, never stored.  This is
-    what lets the batched engine's ``stream.items`` lookups work on a
-    :class:`ColumnarStream` without materializing the stream.
+    what lets ``stream.items`` lookups (the reference engine's replay)
+    work on a :class:`ColumnarStream` without materializing the stream.
     """
 
     __slots__ = ("_idents", "_weights")
@@ -118,13 +106,12 @@ class ShardSliceView:
     are *bitwise identical* to the slices
     :class:`~repro.runtime.columnar.ColumnarEngine` would hand that
     site — which is what makes shard-parallel site passes
-    reproducible down to the RNG draw.  Requires numpy.
+    reproducible down to the RNG draw.
     """
 
     __slots__ = ("positions", "sites", "weights", "idents", "site_lo", "site_hi")
 
     def __init__(self, positions, sites, weights, idents, site_lo, site_hi):
-        _require_numpy()
         if not site_lo <= site_hi:
             raise ConfigurationError(
                 f"invalid shard range [{site_lo}, {site_hi})"
@@ -159,7 +146,6 @@ class ShardSliceView:
         """Compact the rows of sites ``[site_lo, site_hi)`` out of full
         stream columns (``assignment`` / ``weights`` / ``idents`` in
         global arrival order, as from ``stream.arrays()``)."""
-        _require_numpy()
         assignment = _np.asarray(assignment)
         mask = (assignment >= site_lo) & (assignment < site_hi)
         positions = _np.flatnonzero(mask)
@@ -233,7 +219,6 @@ class ColumnarStream:
     def __init__(
         self, idents, weights, sites, num_sites: int, timestamps=None
     ) -> None:
-        _require_numpy()
         idents = _np.ascontiguousarray(idents, dtype=_np.int64)
         weights = _np.ascontiguousarray(weights, dtype=_np.float64)
         sites = _np.ascontiguousarray(sites, dtype=_np.int64)
@@ -270,14 +255,10 @@ class ColumnarStream:
 
     @classmethod
     def from_distributed(cls, stream: DistributedStream) -> "ColumnarStream":
-        """Convert an ``Item``-backed stream (values copied exactly)."""
-        _require_numpy()
+        """Convert an ``Item``-backed stream (values copied exactly;
+        raises :class:`~repro.common.errors.ConfigurationError` on
+        identifiers that are not int64-representable)."""
         assignment, weights, idents = stream.arrays()
-        if idents is None:
-            raise ConfigurationError(
-                "stream has non-integer identifiers; ColumnarStream requires "
-                "int64-representable idents"
-            )
         return cls(idents, weights, assignment, stream.num_sites)
 
     @classmethod
@@ -297,7 +278,6 @@ class ColumnarStream:
         memory is the final columns plus whatever the callback
         allocates per chunk.
         """
-        _require_numpy()
         if n < 0:
             raise ConfigurationError(f"stream length must be >= 0, got {n}")
         if chunk_size <= 0:
@@ -428,7 +408,6 @@ def columnar_zipf_stream(
     :meth:`ColumnarStream.from_distributed` when bit-parity with an
     Item-backed stream matters.)
     """
-    _require_numpy()
     if alpha <= 1.0:
         raise ConfigurationError(f"alpha must exceed 1, got {alpha}")
     gen = _np.random.Generator(_np.random.PCG64(seed))

@@ -13,10 +13,7 @@ import math
 from operator import index as _as_int_index
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-try:  # optional: backs the batched engine's vectorized fast path
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 from ..common.errors import ConfigurationError, InvalidWeightError
 
@@ -147,28 +144,36 @@ class DistributedStream:
             hi = lo + batch_size
             yield self._assignment[lo:hi], self._items[lo:hi]
 
-    def arrays(self) -> Optional[Tuple]:
+    def arrays(self) -> Tuple:
         """``(assignment, weights, idents)`` as numpy arrays, built once
-        and cached — the structure-of-arrays view the batched and
-        columnar engines slice per batch.  Returns ``None`` when numpy
-        is unavailable.  ``idents`` is ``None`` when identifiers are not
-        int64-representable (the columnar fast path then falls back to
-        the object-based one)."""
-        if _np is None:
-            return None
+        and cached — the structure-of-arrays view the columnar data
+        plane slices per batch.
+
+        Raises :class:`~repro.common.errors.ConfigurationError` when an
+        identifier is not int64-representable: the columnar plane
+        (``engine="columnar"`` / ``"sharded"`` and the multi-query
+        driver) needs an int64 ident column, while ``engine="reference"``
+        replays any identifiers.
+        """
         if self._arrays is None:
             n = len(self._items)
             try:
                 # operator.index rejects floats and other non-integral
                 # idents (np.fromiter alone would silently truncate
-                # 2.5 -> 2); any failure takes the object-path fallback.
+                # 2.5 -> 2).
                 idents = _np.fromiter(
                     (_as_int_index(item.ident) for item in self._items),
                     dtype=_np.int64,
                     count=n,
                 )
             except (TypeError, ValueError, OverflowError):
-                idents = None
+                raise ConfigurationError(
+                    "stream has identifiers that are not int64-"
+                    "representable integers; the columnar data plane "
+                    "(engine='columnar' or 'sharded', and the multi-query "
+                    "driver) requires an int64 ident column — use "
+                    "engine='reference'"
+                ) from None
             self._arrays = (
                 _np.asarray(self._assignment, dtype=_np.int64),
                 _np.fromiter(

@@ -132,17 +132,17 @@ class TestCommands:
                     "--sites",
                     "4",
                     "--engine",
-                    "batched",
+                    "columnar",
                     "--batch-size",
                     "0",
                 ]
             )
 
-    def test_query_batch_size_requires_batched_engine(self):
+    def test_query_batch_size_requires_columnar_engine(self):
         with pytest.raises(SystemExit):
             main(["query", "--items", "1000", "--batch-size", "64"])
 
-    def test_query_batched_engine(self, capsys):
+    def test_query_columnar_engine(self, capsys):
         code = main(
             [
                 "query",
@@ -153,14 +153,18 @@ class TestCommands:
                 "--sample",
                 "16",
                 "--engine",
-                "batched",
+                "columnar",
                 "--batch-size",
                 "512",
             ]
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "engine=batched" in out
+        assert "engine=columnar" in out
+
+    def test_batched_engine_name_rejected(self):
+        with pytest.raises(SystemExit):
+            main(["swor", "--items", "100", "--engine", "batched"])
 
 
 class TestObservability:

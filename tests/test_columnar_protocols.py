@@ -1,14 +1,15 @@
-"""Columnar paths for the generic protocols (SWR / unweighted / L1 / HH)
-and the driver's ColumnarStream support.
+"""Columnar paths for every protocol (SWOR / SWR / unweighted / L1 /
+HH) and the driver's ColumnarStream support.
 
-Extends the PR-3 contracts of ``test_columnar_runtime.py`` to every
+Extends the contracts of ``test_columnar_runtime.py`` to every
 protocol:
 
-1. **Engine bit-parity** — for each protocol, the columnar engine
-   reproduces the batched engine's samples, internal state, *and*
-   message counters bit for bit at every batch size, on both stream
-   representations, and batch size 1 degenerates to the reference
-   engine exactly;
+1. **Engine bit-parity** — for each protocol, the columnar engine's
+   pack folds reproduce per-message delivery (a traced run, whose
+   network folds every pack through ``on_message``) — samples,
+   internal state, *and* message counters — bit for bit, on both
+   stream representations, and batch size 1 degenerates to the
+   reference engine exactly;
 2. **Pack accounting** — kind-parametric packs (``SWR_SAMPLE`` with the
    sampler-index extra column) count exactly like the messages they
    stand for;
@@ -27,7 +28,7 @@ import random
 
 import pytest
 
-from repro.core import DistributedUnweightedSWOR
+from repro.core import DistributedUnweightedSWOR, DistributedWeightedSWOR, SworConfig
 from repro.core.swr import DistributedWeightedSWR, _SwrCoordinator
 from repro.core.unweighted import _UnweightedCoordinator
 from repro.heavy_hitters import ResidualHeavyHitterTracker, SwrHeavyHitterTracker
@@ -36,7 +37,6 @@ from repro.l1.tracker import _L1Coordinator
 from repro.net.counters import MessageCounters
 from repro.net.messages import Message, MessagePack, REGULAR, SWR_SAMPLE
 from repro.net.tracing import MessageTrace
-from repro.runtime import ColumnarEngine
 from repro.stream import (
     ColumnarStream,
     heavy_to_one_site,
@@ -46,11 +46,24 @@ from repro.stream import (
 
 np = pytest.importorskip("numpy")
 
-BATCH_SIZES = [1, 7, 64, 1024]
+#: Batch sizes whose site passes ship multi-entry packs (batch size 1
+#: never reaches a pack: every site takes its scalar ``on_item`` path).
+PACK_BATCH_SIZES = [64, 1024]
 
 
 def _stream(n=25_000, k=16, seed=3, alpha=1.2):
     return round_robin(zipf_stream(n, random.Random(seed), alpha=alpha), k)
+
+
+def _swor_state(proto, counters):
+    coord = proto.coordinator
+    return (
+        counters.snapshot(),
+        tuple((i.ident, i.weight, k) for i, k in proto.sample_with_keys()),
+        coord.early_received,
+        coord.regular_received,
+        coord.levels.saturated_levels,
+    )
 
 
 def _swr_state(proto, counters):
@@ -95,6 +108,15 @@ def _hh_state(tracker, counters):
 
 
 PROTOCOLS = {
+    "swor": (
+        lambda engine, bs: DistributedWeightedSWOR(
+            SworConfig(num_sites=16, sample_size=12),
+            seed=11,
+            engine=engine,
+            batch_size=bs,
+        ),
+        _swor_state,
+    ),
     "swr": (
         lambda engine, bs: DistributedWeightedSWR(
             16, 12, seed=11, engine=engine, batch_size=bs
@@ -138,33 +160,45 @@ PROTOCOLS = {
 }
 
 
-def _run(name, engine, bs=None, stream=None):
+def _run(name, engine, bs=None, stream=None, traced=False):
+    """One run's fingerprint.  ``traced`` attaches a
+    :class:`MessageTrace`, which makes the network fold every pack
+    message by message through ``on_message``; the trace must then
+    account for every upstream message."""
     build, fingerprint = PROTOCOLS[name]
     instance = build(engine, bs)
+    trace = None
+    if traced:
+        protocol = getattr(instance, "protocol", instance)
+        trace = MessageTrace.attach(protocol.network)
     counters = instance.run(stream if stream is not None else _stream())
+    if trace is not None:
+        up = sum(1 for e in trace.events if e.direction == "up")
+        assert up == counters.upstream
     return fingerprint(instance, counters)
 
 
 # ---------------------------------------------------------------------------
-# 1. Engine bit-parity, every protocol, every batch size
+# 1. Engine bit-parity, every protocol
 # ---------------------------------------------------------------------------
 
 
 class TestProtocolEngineParity:
-    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
-    @pytest.mark.parametrize("bs", BATCH_SIZES)
-    def test_columnar_bit_identical_to_batched(self, name, bs):
+    @pytest.mark.parametrize("name", ["swor", "swr", "unweighted", "l1", "hh"])
+    @pytest.mark.parametrize("bs", PACK_BATCH_SIZES)
+    def test_untraced_equals_traced(self, name, bs):
+        """The pack path (``on_message_pack`` with its bulk commits and
+        replay fallbacks) equals per-message folding at batch sizes
+        that build multi-entry packs."""
         stream = _stream()
-        batched = _run(name, "batched", bs, stream)
-        columnar = _run(name, "columnar", bs, stream)
-        assert columnar == batched
+        traced = _run(name, "columnar", bs, stream, traced=True)
+        assert _run(name, "columnar", bs, stream) == traced
 
     @pytest.mark.parametrize("name", sorted(PROTOCOLS))
     def test_batch_size_one_is_reference(self, name):
         stream = _stream(n=6_000)
         reference = _run(name, "reference", stream=stream)
         assert _run(name, "columnar", 1, stream) == reference
-        assert _run(name, "batched", 1, stream) == reference
 
     @pytest.mark.parametrize("name", sorted(PROTOCOLS))
     def test_columnar_stream_input_identical(self, name):
@@ -177,78 +211,10 @@ class TestProtocolEngineParity:
     def test_skewed_partition_parity(self):
         items = zipf_stream(20_000, random.Random(8), alpha=1.3)
         stream = heavy_to_one_site(items, 16)
-        assert _run("swr", "columnar", stream=stream) == _run(
-            "swr", "batched", stream=stream
-        )
-        assert _run("l1", "columnar", stream=stream) == _run(
-            "l1", "batched", stream=stream
-        )
-
-    def test_tracing_expands_packs_per_message(self):
-        stream = _stream(n=6_000)
-
-        def traced(engine):
-            proto = DistributedWeightedSWR(16, 8, seed=7, engine=engine)
-            trace = MessageTrace.attach(proto.network)
-            counters = proto.run(stream)
-            return (
-                trace.events,
-                counters.snapshot(),
-                tuple((i.ident, i.weight) if i else None
-                      for i in proto.coordinator._slots),
-            )
-
-        assert traced("columnar") == traced("batched")
-
-    def test_numpy_free_fallback_matches_batched(self, monkeypatch):
-        import repro.core.swr as swr_mod
-        import repro.core.unweighted as unweighted_mod
-        import repro.l1.tracker as l1_mod
-        import repro.query.driver as driver_mod
-        import repro.runtime.batched as batched_mod
-        import repro.runtime.columnar as columnar_mod
-        import repro.stream.item as item_mod
-
-        stream = _stream(n=4_000)
-        for mod in (
-            swr_mod,
-            unweighted_mod,
-            l1_mod,
-            driver_mod,
-            batched_mod,
-            columnar_mod,
-            item_mod,
-        ):
-            monkeypatch.setattr(mod, "_np", None)
-        for name in ("swr", "unweighted", "l1"):
+        for name in ("swr", "l1"):
             assert _run(name, "columnar", stream=stream) == _run(
-                name, "batched", stream=stream
+                name, "columnar", stream=stream, traced=True
             )
-
-    def test_numpy_free_bs1_matches_reference(self, monkeypatch):
-        import repro.core.swr as swr_mod
-        import repro.core.unweighted as unweighted_mod
-        import repro.l1.tracker as l1_mod
-        import repro.runtime.batched as batched_mod
-        import repro.runtime.columnar as columnar_mod
-        import repro.stream.item as item_mod
-
-        stream = _stream(n=3_000)
-        reference = {
-            name: _run(name, "reference", stream=stream)
-            for name in ("swr", "unweighted", "l1")
-        }
-        for mod in (
-            swr_mod,
-            unweighted_mod,
-            l1_mod,
-            batched_mod,
-            columnar_mod,
-            item_mod,
-        ):
-            monkeypatch.setattr(mod, "_np", None)
-        for name, want in reference.items():
-            assert _run(name, ColumnarEngine(batch_size=1), stream=stream) == want
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +460,7 @@ class TestDriverOnColumnarStream:
             )
         return out
 
-    @pytest.mark.parametrize("engine", ["batched", "columnar"])
+    @pytest.mark.parametrize("engine", ["columnar", "reference"])
     def test_columnar_stream_answers_bit_identical(self, engine):
         from repro.query import MultiQueryDriver, QueryCatalog
 

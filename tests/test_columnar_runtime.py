@@ -1,23 +1,27 @@
 """Columnar runtime tests: zero-object streams, packs, and the engine.
 
-Six contracts pin the columnar refactor:
+Eight contracts pin the columnar data plane:
 
 1. **Stream round-trip** — ``ColumnarStream`` <-> ``DistributedStream``
    converts exactly (idents and weights bit for bit), with a lazy
    ``items`` view that never materializes the stream;
 2. **Pack accounting** — a ``MessagePack``'s word/count accounting
    equals the sum over the individual messages it replaces, exactly;
-3. **Engine bit-parity** — the columnar engine reproduces the batched
-   engine's samples *and* counters bit for bit (same RNG draw order),
-   on both stream representations, under tracing, and across the
-   coordinator's bulk/replay paths;
-4. **Scalar fallback** — with numpy simulated away the columnar engine
-   degrades to the batched engine's object path, and at batch size 1
-   to the reference engine exactly;
-5. **Bulk sample merge** — ``TopKeySample.merge_columns`` equals
+3. **Engine bit-parity** — the columnar engine's pack folds reproduce
+   per-message delivery (a traced run) bit for bit — samples *and*
+   counters — on both stream representations and across the
+   coordinator's bulk/replay paths, and at batch size 1 it is the
+   reference engine exactly;
+4. **Ingest domain** — identifiers that are not int64-representable
+   are rejected by the columnar plane before any site runs;
+5. **Coordinator pack paths** — each bulk commit equals sequential
+   delivery, including the replay fallbacks;
+6. **Bulk sample merge** — ``TopKeySample.merge_columns`` equals
    sequential ``add`` calls (including the tie fallback), and the
    sorted query view is cached per mutation epoch;
-6. **Window grouping** — the engines' counting-sort ``window_order``
+7. **Multi-query driver** — fused columnar members match standalone
+   runs;
+8. **Window grouping** — the engines' counting-sort ``window_order``
    equals a stable comparison sort of the window's rows by site, at
    every key width, and engine runs are unchanged under that oracle.
 """
@@ -41,7 +45,7 @@ from repro.core.sample_set import TopKeySample
 from repro.net.counters import MessageCounters
 from repro.net.messages import EARLY, Message, MessagePack, REGULAR
 from repro.net.tracing import MessageTrace
-from repro.runtime import BatchedEngine, ColumnarEngine, get_engine
+from repro.runtime import ColumnarEngine, get_engine
 from repro.stream import (
     ColumnarStream,
     DistributedStream,
@@ -74,6 +78,19 @@ def _fingerprint(proto, counters):
             for item, key in proto.sample_with_keys()
         ),
     )
+
+
+def _traced_swor_run(stream, engine, seed=7, sites=8, sample=8):
+    """A run whose network folds every pack message by message (a
+    traced network expands packs through ``on_message``)."""
+    proto = DistributedWeightedSWOR(
+        SworConfig(num_sites=sites, sample_size=sample),
+        seed=seed,
+        engine=engine,
+    )
+    trace = MessageTrace.attach(proto.network)
+    counters = proto.run(stream)
+    return proto, counters, trace
 
 
 # ---------------------------------------------------------------------------
@@ -188,17 +205,19 @@ class TestColumnarStream:
         want = [(sites, items) for sites, items in stream.iter_batches(7)]
         assert got == want
 
-    def test_non_integer_idents_fall_back(self):
+    def test_non_integer_idents_rejected(self):
         stream = DistributedStream([Item("a", 2.0)], [0], 1)  # type: ignore[arg-type]
-        assert stream.arrays()[2] is None
+        with pytest.raises(ConfigurationError, match="engine='reference'"):
+            stream.arrays()
         with pytest.raises(ConfigurationError):
             ColumnarStream.from_distributed(stream)
 
-    def test_float_idents_fall_back_not_truncate(self):
+    def test_float_idents_rejected_not_truncated(self):
         # np.fromiter would silently truncate 2.5 -> 2; arrays() must
-        # instead take the object-path fallback for non-integral idents.
+        # reject non-integral idents instead.
         stream = DistributedStream([Item(2.5, 2.0)], [0], 1)  # type: ignore[arg-type]
-        assert stream.arrays()[2] is None
+        with pytest.raises(ConfigurationError):
+            stream.arrays()
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +283,7 @@ class TestPackAccounting:
 
 
 # ---------------------------------------------------------------------------
-# 3. Engine bit-parity with the batched engine
+# 3. Engine bit-parity: pack folds vs per-message delivery
 # ---------------------------------------------------------------------------
 
 
@@ -274,12 +293,12 @@ class TestColumnarEngineParity:
         (2019, 32, 16, round_robin),
         (3, 5, 4, heavy_to_one_site),
     ])
-    def test_bit_identical_to_batched(self, seed, k, s, partition):
+    def test_untraced_equals_traced(self, seed, k, s, partition):
         items = zipf_stream(40_000, random.Random(seed), alpha=1.25)
         stream = partition(items, k)
-        batched = _fingerprint(*_swor_run(stream, "batched", seed, k, s))
+        proto, counters, _ = _traced_swor_run(stream, "columnar", seed, k, s)
         columnar = _fingerprint(*_swor_run(stream, "columnar", seed, k, s))
-        assert columnar == batched
+        assert columnar == _fingerprint(proto, counters)
 
     def test_columnar_stream_input_identical(self):
         stream = round_robin(zipf_stream(25_000, random.Random(1), alpha=1.2), 8)
@@ -288,59 +307,73 @@ class TestColumnarEngineParity:
         b = _fingerprint(*_swor_run(columnar, "columnar"))
         assert a == b
 
-    def test_generic_site_default_on_columns(self):
-        """Protocols without a columnar hook run through the default
-        wrapper — still bit-identical to the batched engine."""
+    def test_generic_site_default_on_columns(self, monkeypatch):
+        """A site without a columnar hook runs through the default
+        per-item ``on_columns``: at batch size 1 bit-identical to the
+        reference engine, and at the default batch size it still sees
+        every arrival."""
+        from repro.core.unweighted import _UnweightedSite
+        from repro.runtime import SiteAlgorithm
+
         items = [Item(i, 1.0) for i in range(8000)]
         stream = round_robin(items, 8)
 
         def run(engine):
             proto = DistributedUnweightedSWOR(8, 8, seed=11, engine=engine)
             counters = proto.run(stream)
+            seen = sum(site.items_seen for site in proto.sites)
             return (
                 counters.snapshot(),
                 tuple(item.ident for item in proto.sample()),
+                seen,
             )
 
-        assert run("columnar") == run("batched")
+        reference = run(None)
+        monkeypatch.setattr(
+            _UnweightedSite, "on_columns", SiteAlgorithm.on_columns
+        )
+        assert run(ColumnarEngine(batch_size=1)) == reference
+        counters, sample, seen = run("columnar")
+        assert seen == 8000 and len(sample) == 8
+        assert counters["total"] > 0
 
     def test_checkpoints_fire_exactly_and_accumulate(self):
         stream = round_robin(zipf_stream(9000, random.Random(4), alpha=1.3), 8)
-        seen_b, seen_c = [], []
-        proto_b, _ = _swor_run(
-            stream, "batched",
-            checkpoints=[1, 300, 8191, 9000],
-            on_checkpoint=seen_b.append,
-        )
+        seen_c = []
         proto_c, _ = _swor_run(
             stream, "columnar",
             checkpoints=[1, 300, 8191, 9000],
             on_checkpoint=seen_c.append,
         )
-        assert seen_b == seen_c == [1, 300, 8191, 9000]
-        assert proto_b.sample_with_keys() == proto_c.sample_with_keys()
+        assert seen_c == [1, 300, 8191, 9000]
         # cumulative clock across run() calls on a reused network
         more = round_robin(zipf_stream(1000, random.Random(5), alpha=1.3), 8)
         seen2 = []
         proto_c.run(more, checkpoints=[9500], on_checkpoint=seen2.append)
         assert seen2 == [9500]
 
-    def test_tracing_preserves_per_message_causal_order(self):
+    def test_tracing_sees_every_message_in_causal_order(self):
+        """A traced columnar run records each message a pack stands
+        for, in delivery order, and changes neither sample nor counters."""
         stream = round_robin(zipf_stream(6000, random.Random(9), alpha=1.3), 8)
-
-        def traced(engine):
-            proto = DistributedWeightedSWOR(
-                SworConfig(num_sites=8, sample_size=8), seed=7, engine=engine
-            )
-            trace = MessageTrace.attach(proto.network)
-            proto.run(stream)
-            return trace.events, proto.sample_with_keys(), proto.counters.snapshot()
-
-        events_b, sample_b, counters_b = traced("batched")
-        events_c, sample_c, counters_c = traced("columnar")
-        assert events_c == events_b
-        assert sample_c == sample_b
-        assert counters_c == counters_b
+        proto, counters, trace = _traced_swor_run(stream, "columnar")
+        up = [e for e in trace.events if e.direction == "up"]
+        down = [e for e in trace.events if e.direction == "down"]
+        assert len(up) == counters.upstream
+        assert len(down) * 8 == counters.downstream
+        assert [e.seq for e in trace.events] == list(range(len(trace.events)))
+        # Idents are arrival indices: each site's earlies, and each
+        # site's regulars, reach the coordinator in arrival order.
+        for site in range(8):
+            for kind in ("early", "regular"):
+                idents = [
+                    e.payload[0] for e in up
+                    if e.endpoint == site and e.kind == kind
+                ]
+                assert idents == sorted(set(idents))
+        assert _fingerprint(proto, counters) == _fingerprint(
+            *_swor_run(stream, "columnar")
+        )
 
     def test_class_level_wrapper_sees_every_upstream_message(self, monkeypatch):
         """Instrumentation installed on the class (not the instance)
@@ -362,7 +395,6 @@ class TestColumnarEngineParity:
     def test_engine_registry_and_batch_size(self):
         engine = get_engine("columnar", batch_size=512)
         assert isinstance(engine, ColumnarEngine)
-        assert isinstance(engine, BatchedEngine)
         assert engine.batch_size == 512
         with pytest.raises(ConfigurationError):
             get_engine("reference", batch_size=512)
@@ -403,16 +435,16 @@ class TestColumnarEngineParity:
             for i in range(20_000)
         ]
         stream = round_robin(items, 8)
-        batched = _fingerprint(*_swor_run(stream, "batched", seed=5, sample=4))
+        proto, counters, _ = _traced_swor_run(stream, "columnar", seed=5, sample=4)
         columnar = _fingerprint(*_swor_run(stream, "columnar", seed=5, sample=4))
-        assert columnar == batched
+        assert columnar == _fingerprint(proto, counters)
 
     def test_coordinator_stats_match_on_replay_paths(self):
         """early_received / regular_received / levels state agree with
-        batched (accepted-counts may differ only on the bulk fast path,
-        which is documented)."""
+        per-message delivery (accepted-counts may differ only on the
+        bulk fast path, which is documented)."""
         stream = round_robin(zipf_stream(30_000, random.Random(6), alpha=1.2), 8)
-        proto_b, _ = _swor_run(stream, "batched", seed=6)
+        proto_b, _, _ = _traced_swor_run(stream, "columnar", seed=6)
         proto_c, _ = _swor_run(stream, "columnar", seed=6)
         cb, cc = proto_b.coordinator, proto_c.coordinator
         assert cc.early_received == cb.early_received
@@ -425,7 +457,68 @@ class TestColumnarEngineParity:
 
 
 # ---------------------------------------------------------------------------
-# 4. Coordinator pack paths (bulk commit vs sequential replay)
+# 4. Ingest domain: the columnar plane needs int64 idents
+# ---------------------------------------------------------------------------
+
+
+class TestNonIntegerIdents:
+    """Identifiers that are not int64-representable fail the same way
+    on every columnar-plane entry point — before any site runs — and
+    still replay under the reference engine."""
+
+    STREAMS = {
+        "str": lambda: DistributedStream(
+            [Item("a", 2.0), Item("b", 3.0)], [0, 1], 2  # type: ignore[arg-type]
+        ),
+        "float": lambda: DistributedStream(
+            [Item(2.5, 2.0), Item(3, 3.0)], [0, 1], 2  # type: ignore[arg-type]
+        ),
+    }
+
+    @pytest.mark.parametrize("idents", sorted(STREAMS))
+    @pytest.mark.parametrize("engine", ["columnar", "sharded"])
+    def test_engines_reject_before_any_site_runs(self, idents, engine):
+        proto = DistributedWeightedSWOR(
+            SworConfig(num_sites=2, sample_size=2),
+            seed=1,
+            engine=get_engine(engine, workers=2)
+            if engine == "sharded"
+            else engine,
+        )
+        with pytest.raises(ConfigurationError, match="engine='reference'"):
+            proto.run(self.STREAMS[idents]())
+        assert [site.items_seen for site in proto.sites] == [0, 0]
+        assert proto.counters.total == 0
+        assert proto.network.items_processed == 0
+
+    @pytest.mark.parametrize("idents", sorted(STREAMS))
+    def test_driver_rejects_before_any_site_runs(self, idents):
+        from repro.query import MultiQueryDriver, QueryCatalog, SubsetSumQuery
+
+        driver = MultiQueryDriver(
+            QueryCatalog([SubsetSumQuery("q", sample_size=2)]),
+            num_sites=2,
+            seed=1,
+        )
+        with pytest.raises(ConfigurationError, match="engine='reference'"):
+            driver.run(self.STREAMS[idents]())
+        assert driver.items_processed == 0
+        assert driver["q"].counters.total == 0
+
+    @pytest.mark.parametrize("idents", sorted(STREAMS))
+    def test_reference_still_runs(self, idents):
+        stream = self.STREAMS[idents]()
+        proto = DistributedWeightedSWOR(
+            SworConfig(num_sites=2, sample_size=2), seed=1
+        )
+        proto.run(stream)
+        assert sorted(item.ident for item in proto.sample()) == sorted(
+            item.ident for item in stream.items
+        )
+
+
+# ---------------------------------------------------------------------------
+# 5. Coordinator pack paths (bulk commit vs sequential replay)
 # ---------------------------------------------------------------------------
 
 
@@ -510,7 +603,7 @@ class TestCoordinatorPackPaths:
 
 
 # ---------------------------------------------------------------------------
-# 5. TopKeySample bulk merge + cached sorted view
+# 6. TopKeySample bulk merge + cached sorted view
 # ---------------------------------------------------------------------------
 
 
@@ -580,85 +673,7 @@ class TestTopKeySampleMerge:
 
 
 # ---------------------------------------------------------------------------
-# 6. ItemBatch sequence protocol (slices, negative indices)
-# ---------------------------------------------------------------------------
-
-
-class TestItemBatchSequence:
-    def _batch(self):
-        from repro.runtime.batched import ItemBatch
-
-        source = [Item(i, float(i + 1)) for i in range(10)]
-        positions = np.array([2, 4, 6, 8])
-        weights = np.array([3.0, 5.0, 7.0, 9.0])
-        idents = np.array([2, 4, 6, 8])
-        return ItemBatch(source, positions, weights, idents)
-
-    def test_negative_indices(self):
-        batch = self._batch()
-        assert batch[-1] == Item(8, 9.0)
-        assert batch[-4] == batch[0] == Item(2, 3.0)
-
-    def test_out_of_range_raises(self):
-        batch = self._batch()
-        with pytest.raises(IndexError):
-            batch[4]
-        with pytest.raises(IndexError):
-            batch[-5]
-
-    def test_slicing_keeps_columns_aligned(self):
-        batch = self._batch()
-        view = batch[1:3]
-        assert list(view) == [Item(4, 5.0), Item(6, 7.0)]
-        assert view.weights.tolist() == [5.0, 7.0]
-        assert view.idents.tolist() == [4, 6]
-        assert list(batch[::-2]) == [Item(8, 9.0), Item(4, 5.0)]
-        assert list(batch[2:]) == [Item(6, 7.0), Item(8, 9.0)]
-
-    def test_sequence_mixin_methods(self):
-        batch = self._batch()
-        assert Item(6, 7.0) in batch
-        assert batch.index(Item(4, 5.0)) == 1
-        assert list(reversed(batch)) == list(batch)[::-1]
-
-
-# ---------------------------------------------------------------------------
-# 7. Numpy-free fallback (simulated)
-# ---------------------------------------------------------------------------
-
-
-class TestScalarFallback:
-    def _patch_numpy_away(self, monkeypatch):
-        import repro.core.site as site_mod
-        import repro.query.driver as driver_mod
-        import repro.runtime.batched as batched_mod
-        import repro.runtime.columnar as columnar_mod
-        import repro.stream.item as item_mod
-
-        for mod in (site_mod, driver_mod, batched_mod, columnar_mod, item_mod):
-            monkeypatch.setattr(mod, "_np", None)
-
-    def _fingerprint(self, stream, engine, seed=2019):
-        proto, counters = _swor_run(stream, engine, seed=seed)
-        return _fingerprint(proto, counters)
-
-    def test_columnar_scalar_fallback_bs1_matches_reference(self, monkeypatch):
-        stream = round_robin(zipf_stream(5000, random.Random(1234), alpha=1.3), 8)
-        reference = self._fingerprint(stream, None)
-        self._patch_numpy_away(monkeypatch)
-        fallback = self._fingerprint(stream, ColumnarEngine(batch_size=1))
-        assert fallback == reference
-
-    def test_columnar_fallback_matches_batched_fallback(self, monkeypatch):
-        stream = round_robin(zipf_stream(5000, random.Random(77), alpha=1.3), 8)
-        self._patch_numpy_away(monkeypatch)
-        assert self._fingerprint(stream, "columnar") == self._fingerprint(
-            stream, "batched"
-        )
-
-
-# ---------------------------------------------------------------------------
-# 8. Multi-query driver columnar mode
+# 7. Multi-query driver columnar mode
 # ---------------------------------------------------------------------------
 
 
@@ -697,10 +712,8 @@ class TestDriverColumnarMode:
                 for q in queries
             }
 
-        batched = run("batched")
         columnar = run("columnar")
-        assert columnar == batched
-        # ... and each matches its standalone columnar run.
+        # Each member of the fused group matches its standalone run.
         for name, (sample, snapshot) in columnar.items():
             proto = DistributedWeightedSWOR(
                 SworConfig(num_sites=16, sample_size=32),
@@ -713,7 +726,7 @@ class TestDriverColumnarMode:
 
 
 # ---------------------------------------------------------------------------
-# 9. Window grouping (counting sort vs a stable comparison sort)
+# 8. Window grouping (counting sort vs a stable comparison sort)
 # ---------------------------------------------------------------------------
 
 
@@ -762,17 +775,14 @@ class TestWindowGrouping:
         assert (site_ids, starts, ends) == expected[1:]
         assert all(type(s) is int for s in site_ids + starts + ends)
 
-    @pytest.mark.parametrize("engine", ["batched", "columnar"])
     @pytest.mark.parametrize("k", [8, 300])
-    def test_engines_match_stable_sort_grouping(self, monkeypatch, engine, k):
+    def test_engine_matches_stable_sort_grouping(self, monkeypatch, k):
         """Samples and counters are those of the stable comparison sort
         the counting sort replaced (k=300 takes the 16-bit key path)."""
-        import repro.runtime.batched as batched_mod
         import repro.runtime.columnar as columnar_mod
 
         items = zipf_stream(20_000, random.Random(k), alpha=1.2)
         stream = uniform_random(items, k, random.Random(k + 1))
-        fast = _fingerprint(*_swor_run(stream, engine, sites=k))
-        for mod in (batched_mod, columnar_mod):
-            monkeypatch.setattr(mod, "window_order", _stable_sort_grouping)
-        assert _fingerprint(*_swor_run(stream, engine, sites=k)) == fast
+        fast = _fingerprint(*_swor_run(stream, "columnar", sites=k))
+        monkeypatch.setattr(columnar_mod, "window_order", _stable_sort_grouping)
+        assert _fingerprint(*_swor_run(stream, "columnar", sites=k)) == fast

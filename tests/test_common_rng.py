@@ -251,10 +251,7 @@ class TestZeroGuardPolicy:
         draws = np.asarray(batch.binomials(8, ps))
         assert draws.min() >= 0 and draws.max() <= 8
         assert abs(float(draws.mean()) - 2.0) < 0.05
-        # numpy-free fallback draws from the parent stream
-        scalar = BatchRandom(random.Random(9))
-        scalar._gen = None
-        out = scalar.binomials(8, [0.0, 1.0, 0.5])
-        assert out[0] == 0 and out[1] == 8 and 0 <= out[2] <= 8
+        edges = batch.binomials(8, np.array([0.0, 1.0]))
+        assert edges.tolist() == [0, 8]
         with pytest.raises(ConfigurationError):
-            scalar.binomials(-1, [0.5])
+            batch.binomials(-1, np.array([0.5]))

@@ -204,6 +204,31 @@ class TestUpdate:
         assert "fallback" in capsys.readouterr().err
         assert not (base_dir / "BENCH_sharded.json").exists()
 
+    def test_update_over_baseline_missing_a_metric(self, tmp_path, capsys):
+        """A metric the outgoing baseline lacks (renamed or new) is shown
+        as NEW in the informational print — the update still lands —
+        while a plain comparison reports it as a failure."""
+        base_dir, fresh_dir = self._dirs(tmp_path)
+        stale = dict(self.FRESH)
+        del stale["sharded_items_per_sec"]
+        (base_dir / "BENCH_sharded.json").write_text(json.dumps(stale))
+        (fresh_dir / "BENCH_sharded.json").write_text(json.dumps(self.FRESH))
+        args = [
+            "--baseline-dir",
+            str(base_dir),
+            "--fresh-dir",
+            str(fresh_dir),
+            "--only",
+            "BENCH_sharded.json",
+            "--absolute",
+        ]
+        assert compare_baselines.main(args) == 1
+        assert "re-record it with --update" in capsys.readouterr().err
+        assert self._run_update(base_dir, fresh_dir) == 0
+        assert "[NEW]" in capsys.readouterr().out
+        written = json.loads((base_dir / "BENCH_sharded.json").read_text())
+        assert written == self.FRESH
+
     def test_update_requires_fresh_file(self, tmp_path, capsys):
         base_dir, fresh_dir = self._dirs(tmp_path)
         code = self._run_update(base_dir, fresh_dir)

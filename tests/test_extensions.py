@@ -273,18 +273,6 @@ class TestSlidingWindowColumnar:
         with pytest.raises(ConfigurationError):
             bounded.sample_since(0.0)
 
-    def test_numpy_free_fallback(self, monkeypatch):
-        import repro.extensions.sliding_window as mod
-
-        a = SlidingWindowWeightedSWOR(3, random.Random(11))
-        monkeypatch.setattr(mod, "_np", None)
-        b = SlidingWindowWeightedSWOR(3, random.Random(11))
-        weights = [float(i % 5 + 1) for i in range(60)]
-        for i, w in enumerate(weights):
-            a.insert(Item(i, w))
-        b.insert_columns(list(range(60)), weights)
-        assert a.sample_with_keys() == b.sample_with_keys()
-
 
 class TestCascadeSWOR:
     def test_matches_exact_law(self):

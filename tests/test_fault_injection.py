@@ -53,7 +53,7 @@ class TestCoordinatorFaults:
     def test_stale_early_for_saturated_level_folded_in(self):
         """A site may still send EARLY for a saturated level while the
         LEVEL_SATURATED broadcast is in flight (delayed control
-        delivery, e.g. under the batched engine).  The coordinator must
+        delivery, e.g. under the columnar engine).  The coordinator must
         not corrupt level-set state: it generates the key itself and
         folds the item straight into the sample."""
         cfg = SworConfig(num_sites=2, sample_size=1, level_set_factor=0.5)

@@ -469,8 +469,6 @@ class TestSelection:
         assert get_engine("sharded", workers=2, kernels="numpy")._kernels
         with pytest.raises(ConfigurationError, match="does not take"):
             get_engine("reference", kernels="numpy")
-        with pytest.raises(ConfigurationError, match="does not take"):
-            get_engine("batched", kernels="numpy")
         with pytest.raises(ConfigurationError, match="engine instance"):
             get_engine(ColumnarEngine(), kernels="numpy")
 

@@ -1,4 +1,4 @@
-"""Unit tests for repro.net: messages, counters, channels, simulator."""
+"""Unit tests for repro.net: messages, counters, channels."""
 
 from __future__ import annotations
 
@@ -62,9 +62,9 @@ class TestMessageCounters:
         assert "words" in snap
 
     def test_word_cache_matches_fresh_accounting(self):
-        # The same message object counted twice (e.g. shared across the
-        # multi-query driver's deliveries) must cost the same words as
-        # two identical fresh objects.
+        # The same message object counted twice (e.g. one broadcast
+        # object counted per copy) must cost the same words as two
+        # identical fresh objects.
         shared = Message("early", (1, 2.0))
         twice = MessageCounters()
         twice.record_upstream(shared)
@@ -74,23 +74,6 @@ class TestMessageCounters:
         fresh.record_upstream(Message("early", (1, 2.0)))
         assert twice.words == fresh.words
         assert twice.max_message_words == fresh.max_message_words
-
-
-class TestSimulatorShim:
-    def test_deprecated_attribute_access_warns(self):
-        import importlib
-
-        simulator = importlib.import_module("repro.net.simulator")
-        with pytest.warns(DeprecationWarning, match="repro.runtime"):
-            shim_network = simulator.Network
-        assert shim_network is Network
-
-    def test_unknown_attribute_raises(self):
-        import importlib
-
-        simulator = importlib.import_module("repro.net.simulator")
-        with pytest.raises(AttributeError):
-            simulator.NoSuchThing
 
 
 class TestFifoChannel:

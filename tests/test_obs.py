@@ -13,7 +13,7 @@ What is covered:
    deliberate, reviewed act (dashboards depend on these names).
 4. **Bit-parity** — samples AND message counters are identical with a
    live registry and with the null one, on every engine (reference,
-   batched, columnar, sharded in both pipeline modes) and on the
+   columnar, sharded in both pipeline modes) and on the
    multi-query driver.  Instrumentation is observational only.
 5. **Instrumentation facts** — engines export run/item/window
    counters and message gauges that agree with the ground truth;
@@ -414,7 +414,7 @@ class TestMetricNameStability:
         run to run) still surface every name deterministically.
         """
         registry = MetricsRegistry()
-        for spec in ("reference", "batched", "columnar"):
+        for spec in ("reference", "columnar"):
             _run(get_engine(spec).instrument(registry), n=6_000)
         driver = MultiQueryDriver(
             QueryCatalog([SubsetSumQuery("q", sample_size=8)]),
@@ -468,7 +468,7 @@ class TestMetricNameStability:
 
 
 class TestInstrumentationParity:
-    @pytest.mark.parametrize("spec", ["reference", "batched", "columnar"])
+    @pytest.mark.parametrize("spec", ["reference", "columnar"])
     def test_in_process_engines(self, spec):
         plain = _run(get_engine(spec))
         registry = MetricsRegistry()
@@ -526,7 +526,7 @@ class TestInstrumentationParity:
 
 class TestEngineInstrumentation:
     def test_format_stats_before_any_run(self):
-        for spec in ("reference", "batched", "columnar", "sharded"):
+        for spec in ("reference", "columnar", "sharded"):
             engine = get_engine(spec)
             assert engine.format_stats() == (
                 f"{engine.name} engine: no run recorded yet"
@@ -547,7 +547,7 @@ class TestEngineInstrumentation:
         engine.instrument(None)
         assert engine.registry is NULL_REGISTRY
 
-    @pytest.mark.parametrize("spec", ["reference", "batched", "columnar"])
+    @pytest.mark.parametrize("spec", ["reference", "columnar"])
     def test_run_export_matches_ground_truth(self, spec):
         registry = MetricsRegistry()
         engine = get_engine(spec).instrument(registry)

@@ -3,7 +3,7 @@
 The load-bearing property is *standalone parity*: every query the
 driver carries through its shared pass must end with exactly the
 sample (and message counters) a standalone run of the same protocol
-with the same derived seed would produce — under the batched engine for
+with the same derived seed would produce — under the columnar engine for
 the shared vectorized pass, and under the reference engine for
 ``engine="reference"``.
 """
@@ -50,9 +50,9 @@ def _swor_queries(count, s=32):
 
 
 class TestGoldenParity:
-    def test_single_query_matches_standalone_batched(self):
+    def test_single_query_matches_standalone_columnar(self):
         """The pinned golden property: a driver carrying one query is
-        bit-identical to a standalone batched-engine run."""
+        bit-identical to a standalone columnar-engine run."""
         stream = _stream()
         driver = MultiQueryDriver(
             QueryCatalog([SubsetSumQuery("only", sample_size=16)]),
@@ -63,7 +63,7 @@ class TestGoldenParity:
         standalone = DistributedWeightedSWOR(
             SworConfig(num_sites=8, sample_size=16),
             seed=query_seed(9, "only"),
-            engine="batched",
+            engine="columnar",
         )
         standalone.run(stream)
         instance = driver["only"]
@@ -84,7 +84,7 @@ class TestGoldenParity:
             standalone = DistributedWeightedSWOR(
                 SworConfig(num_sites=8, sample_size=32),
                 seed=query_seed(5, query.name),
-                engine="batched",
+                engine="columnar",
             )
             standalone.run(stream)
             instance = driver[query.name]
@@ -225,6 +225,26 @@ class TestValidation:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError):
             MultiQueryDriver([SubsetSumQuery("a")], num_sites=4, engine="warp")
+        with pytest.raises(ConfigurationError):
+            MultiQueryDriver([SubsetSumQuery("a")], num_sites=4, engine="batched")
+
+    @pytest.mark.parametrize("option", ["batch_size", "initial_batch_size"])
+    def test_reference_engine_rejects_batch_sizes(self, option):
+        """Like ``get_engine("reference", batch_size=...)``: a batch size
+        the reference engine would silently ignore is an error."""
+        with pytest.raises(
+            ConfigurationError, match=f"engine 'reference' does not take a {option}"
+        ):
+            MultiQueryDriver(
+                [SubsetSumQuery("a")],
+                num_sites=4,
+                engine="reference",
+                **{option: 512},
+            )
+        driver = MultiQueryDriver(
+            [SubsetSumQuery("a")], num_sites=4, engine="reference"
+        )
+        assert driver.batch_size == driver.initial_batch_size == 1
 
     def test_unknown_query_lookup(self):
         driver = MultiQueryDriver([SubsetSumQuery("a")], num_sites=4)
@@ -239,7 +259,7 @@ class TestValidation:
 
 class TestReusedDriver:
     def test_checkpoints_cumulative_across_runs(self):
-        """A reused driver keeps one clock, like the batched engine."""
+        """A reused driver keeps one clock, like the engines."""
         first = _stream(n=1_000)
         second = _stream(n=1_000, seed=8)
         driver = MultiQueryDriver(

@@ -804,7 +804,7 @@ class TestSweepRegressions:
         assert freq == {"b": 1 / 3, "a": 1.0, "c": 2 / 3}
 
     @pytest.mark.parametrize("engine_kwargs", [
-        {"engine": "batched", "batch_size": 128},
+        {"engine": "reference"},
         {"engine": "columnar", "batch_size": 128},
     ])
     def test_checkpoint_order_and_duplicates_are_irrelevant(self, engine_kwargs):

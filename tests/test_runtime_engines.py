@@ -1,11 +1,11 @@
-"""Engine parity tests: reference vs batched runtimes.
+"""Engine parity tests: reference vs columnar runtimes.
 
 Three contracts pin the `repro.runtime` refactor:
 
 1. the reference engine is *byte-identical* to the pre-refactor
    ``Network.run`` — golden fingerprints recorded before the refactor
    must keep reproducing exactly;
-2. the batched engine is *distributionally* identical — same inclusion
+2. the columnar engine is *distributionally* identical — same inclusion
    law (chi-square against the exact SWOR probabilities) — and pays at
    most a bounded message overhead for its staleness;
 3. a batch size of 1 degenerates to the reference engine exactly (same
@@ -41,7 +41,7 @@ from repro.core.levels import levels_of_array
 from repro.analysis import bounds
 from repro.common.errors import ConfigurationError
 from repro.net.messages import REGULAR
-from repro.runtime import BatchedEngine, ReferenceEngine, get_engine
+from repro.runtime import ColumnarEngine, ReferenceEngine, get_engine
 from repro.stream import (
     DistributedStream,
     Item,
@@ -97,7 +97,7 @@ class TestBatchSizeOneIsReference:
     and interleave delivery identically — not just the same law."""
 
     def test_swor_identical(self):
-        one = BatchedEngine(batch_size=1)
+        one = ColumnarEngine(batch_size=1)
         assert _swor_fingerprint(7, engine=one) == GOLDEN[7]
 
     def test_unweighted_identical(self):
@@ -113,11 +113,11 @@ class TestBatchSizeOneIsReference:
                 tuple(item.ident for item in proto.sample()),
             )
 
-        assert run(BatchedEngine(batch_size=1)) == run(None)
+        assert run(ColumnarEngine(batch_size=1)) == run(None)
 
 
-class TestBatchedDistribution:
-    """E4-style check: the batched engine obeys the exact SWOR law even
+class TestColumnarDistribution:
+    """E4-style check: the columnar engine obeys the exact SWOR law even
     with the whole (tiny) stream covered by two stale batches."""
 
     WEIGHTS = [1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 1.0, 512.0]
@@ -126,7 +126,7 @@ class TestBatchedDistribution:
     def test_inclusion_law_chi_square(self):
         items = [Item(i, w) for i, w in enumerate(self.WEIGHTS)]
         stream = heavy_to_one_site(items, self.K)
-        engine = BatchedEngine(batch_size=4, initial_batch_size=4)
+        engine = ColumnarEngine(batch_size=4, initial_batch_size=4)
         counts = Counter()
         for trial in range(self.TRIALS):
             proto = DistributedWeightedSWOR(
@@ -142,7 +142,7 @@ class TestBatchedDistribution:
         stat, df = chi_square_statistic(counts, expected)
         pvalue = chi_square_pvalue(stat, df)
         assert pvalue > 1e-4, (
-            "batched sample deviates from the exact SWOR law "
+            "columnar sample deviates from the exact SWOR law "
             f"(chi2={stat:.2f}, p={pvalue:.2e})"
         )
 
@@ -160,12 +160,12 @@ class TestBatchedDistribution:
             return proto.run(stream).total
 
         reference = total(None)
-        batched = total(BatchedEngine())
-        assert batched <= 1.5 * reference
+        columnar = total(ColumnarEngine())
+        assert columnar <= 1.5 * reference
         # Sanity against the closed form itself: same order of
         # magnitude as the reference engine's bound ratio.
         bound = bounds.swor_message_bound(16, 16, stream.total_weight())
-        assert batched / bound <= 1.5 * max(1.0, reference / bound)
+        assert columnar / bound <= 1.5 * max(1.0, reference / bound)
 
     def test_sample_size_and_validity(self):
         rng = random.Random(9)
@@ -174,7 +174,7 @@ class TestBatchedDistribution:
         proto = DistributedWeightedSWOR(
             SworConfig(num_sites=8, sample_size=8),
             seed=1,
-            engine="batched",
+            engine="columnar",
             batch_size=512,
         )
         proto.run(stream)
@@ -185,14 +185,14 @@ class TestBatchedDistribution:
         assert all(math.isfinite(k) and k > 0 for k in keys)
 
 
-class TestBatchedMechanics:
+class TestColumnarMechanics:
     def test_checkpoints_fire_exactly_mid_batch(self):
         items = [Item(i, 1.0 + (i % 7)) for i in range(1000)]
         stream = round_robin(items, 4)
         proto = DistributedWeightedSWOR(
             SworConfig(num_sites=4, sample_size=4),
             seed=2,
-            engine=BatchedEngine(batch_size=256, initial_batch_size=256),
+            engine=ColumnarEngine(batch_size=256, initial_batch_size=256),
         )
         seen = []
         marks = [1, 100, 300, 999, 1000]
@@ -218,7 +218,7 @@ class TestBatchedMechanics:
 
         reference = fired(None)
         assert reference == [150, 500]
-        assert fired(BatchedEngine(batch_size=64, initial_batch_size=64)) == reference
+        assert fired(ColumnarEngine(batch_size=64, initial_batch_size=64)) == reference
 
     def test_on_step_monotone_and_complete(self):
         items = [Item(i, 1.0) for i in range(500)]
@@ -226,7 +226,7 @@ class TestBatchedMechanics:
         proto = DistributedWeightedSWOR(
             SworConfig(num_sites=4, sample_size=4),
             seed=2,
-            engine="batched",
+            engine="columnar",
             batch_size=128,
         )
         ticks = []
@@ -234,25 +234,29 @@ class TestBatchedMechanics:
         assert ticks == sorted(ticks)
         assert ticks[-1] == 500
 
-    def test_batched_deterministic_given_seed(self):
-        fp1 = _swor_fingerprint(7, engine="batched", batch_size=512)
-        fp2 = _swor_fingerprint(7, engine="batched", batch_size=512)
+    def test_columnar_deterministic_given_seed(self):
+        fp1 = _swor_fingerprint(7, engine="columnar", batch_size=512)
+        fp2 = _swor_fingerprint(7, engine="columnar", batch_size=512)
         assert fp1 == fp2
-        assert fp1 != _swor_fingerprint(8, engine="batched", batch_size=512)
+        assert fp1 != _swor_fingerprint(8, engine="columnar", batch_size=512)
 
     def test_engine_registry(self):
         assert isinstance(get_engine(None), ReferenceEngine)
-        assert isinstance(get_engine("batched", batch_size=64), BatchedEngine)
-        inst = BatchedEngine(batch_size=32)
+        assert isinstance(get_engine("columnar", batch_size=64), ColumnarEngine)
+        inst = ColumnarEngine(batch_size=32)
         assert get_engine(inst) is inst
         with pytest.raises(ConfigurationError):
             get_engine("warp-drive")
+        with pytest.raises(
+            ConfigurationError, match=r"known: columnar, reference, sharded\)"
+        ):
+            get_engine("batched")
         with pytest.raises(ConfigurationError):
             get_engine("reference", batch_size=4)
         with pytest.raises(ConfigurationError):
             get_engine(inst, batch_size=4)
         with pytest.raises(ConfigurationError):
-            BatchedEngine(batch_size=0)
+            ColumnarEngine(batch_size=0)
 
     def test_stream_iter_batches(self):
         items = [Item(i, 1.0) for i in range(10)]
@@ -302,16 +306,19 @@ class TestVectorizedPrimitives:
         assert ((u > 0) & (u < 1)).all()
 
     def test_site_bulk_hook_matches_scalar_law(self):
-        """The vectorized on_items path must emit REGULAR keys above
+        """The vectorized on_columns path must emit REGULAR keys above
         the threshold only, tagged with the right idents."""
         config = SworConfig(num_sites=2, sample_size=2, level_sets_enabled=False)
         site = SworSite(0, config, random.Random(3))
         site._threshold = 5.0
         items = [Item(i, float(1 + i % 4)) for i in range(256)]
-        messages = site.on_items(items)
+        pack = site.on_columns(
+            np.arange(256, dtype=np.int64),
+            np.array([item.weight for item in items]),
+        )
         assert site.items_seen == 256
         assert site.exponentials_generated == 256
-        for message in messages:
+        for message in pack.messages():
             assert message.kind == REGULAR
             ident, weight, key = message.payload
             assert key > 5.0
@@ -379,7 +386,7 @@ class TestLazyExponentialOverflow:
         proto = DistributedWeightedSWOR(
             SworConfig(num_sites=4, sample_size=4, count_bits=True),
             seed=5,
-            engine="batched",
+            engine="columnar",
             batch_size=256,
         )
         proto.run(stream)

@@ -7,7 +7,7 @@ What is covered:
    combinations, including batch size 1 (pure scalar-message
    transport), rollback-heavy runs, checkpoints, and reused networks
    (two consecutive ``run`` calls continue the RNG streams exactly).
-2. **Fallbacks** — workers=1, numpy-free installs, instrumented
+2. **Fallbacks** — workers=1, instrumented
    (traced) networks, and non-shardable sites all take the in-process
    columnar path; the engine is always safe to select.
 3. **Worker failure** — a site raising mid-run surfaces the original
@@ -267,22 +267,6 @@ class TestShardedFallbacks:
         assert _fingerprint(proto) == _fingerprint(
             _run(stream, ColumnarEngine(batch_size=512))
         )
-
-    def test_numpy_free_fallback_matches_batched_fallback(self, monkeypatch):
-        import repro.core.site as site_mod
-        import repro.runtime.batched as batched_mod
-        import repro.runtime.columnar as columnar_mod
-        import repro.runtime.sharded as sharded_mod
-        import repro.stream.item as item_mod
-
-        stream = _stream(n=3000, seed=5)
-        for mod in (site_mod, batched_mod, columnar_mod, sharded_mod, item_mod):
-            monkeypatch.setattr(mod, "_np", None)
-        batched = _fingerprint(_run(stream, "batched"))
-        engine = ShardedEngine(workers=4)
-        proto = _run(stream, engine)
-        assert engine.last_run_stats["reason"] == "numpy unavailable"
-        assert _fingerprint(proto) == batched
 
     def test_traced_network_falls_back_and_traces_identically(self):
         stream = _stream(n=3000, seed=9)
