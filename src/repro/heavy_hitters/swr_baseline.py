@@ -97,5 +97,10 @@ class SwrHeavyHitterTracker:
         return report[: self.report_size()]
 
     @property
+    def protocol(self) -> DistributedWeightedSWR:
+        """The underlying weighted SWR protocol."""
+        return self._swr
+
+    @property
     def counters(self) -> MessageCounters:
         return self._swr.counters

@@ -184,7 +184,7 @@ def _run(name, engine, bs=None, stream=None, traced=False):
 
 
 class TestProtocolEngineParity:
-    @pytest.mark.parametrize("name", ["swor", "swr", "unweighted", "l1", "hh"])
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
     @pytest.mark.parametrize("bs", PACK_BATCH_SIZES)
     def test_untraced_equals_traced(self, name, bs):
         """The pack path (``on_message_pack`` with its bulk commits and
@@ -208,13 +208,17 @@ class TestProtocolEngineParity:
             name, "columnar", stream=stream
         )
 
-    def test_skewed_partition_parity(self):
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    @pytest.mark.parametrize("bs", [7, None])
+    def test_skewed_partition_parity(self, name, bs):
+        """Site 0 sees every above-median weight, so even 7-item
+        windows hand it multi-entry packs; those small packs fold like
+        per-message delivery, as do the default windows' packs."""
         items = zipf_stream(20_000, random.Random(8), alpha=1.3)
         stream = heavy_to_one_site(items, 16)
-        for name in ("swr", "l1"):
-            assert _run(name, "columnar", stream=stream) == _run(
-                name, "columnar", stream=stream, traced=True
-            )
+        assert _run(name, "columnar", bs, stream) == _run(
+            name, "columnar", bs, stream, traced=True
+        )
 
 
 # ---------------------------------------------------------------------------

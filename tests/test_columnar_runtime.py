@@ -23,7 +23,8 @@ Eight contracts pin the columnar data plane:
    runs;
 8. **Window grouping** — the engines' counting-sort ``window_order``
    equals a stable comparison sort of the window's rows by site, at
-   every key width, and engine runs are unchanged under that oracle.
+   every key width, and engine and driver runs are unchanged under
+   that oracle.
 """
 
 from __future__ import annotations
@@ -473,6 +474,10 @@ class TestNonIntegerIdents:
         "float": lambda: DistributedStream(
             [Item(2.5, 2.0), Item(3, 3.0)], [0, 1], 2  # type: ignore[arg-type]
         ),
+        # Integral, but one past int64's range.
+        "int-overflow": lambda: DistributedStream(
+            [Item(2**63, 2.0), Item(3, 3.0)], [0, 1], 2
+        ),
     }
 
     @pytest.mark.parametrize("idents", sorted(STREAMS))
@@ -786,3 +791,41 @@ class TestWindowGrouping:
         fast = _fingerprint(*_swor_run(stream, "columnar", sites=k))
         monkeypatch.setattr(columnar_mod, "window_order", _stable_sort_grouping)
         assert _fingerprint(*_swor_run(stream, "columnar", sites=k)) == fast
+
+    @pytest.mark.parametrize("k", [8, 300])
+    def test_driver_matches_stable_sort_grouping(self, monkeypatch, k):
+        """The multi-query driver groups each window through the same
+        ``window_order``; its answers and counters are those of the
+        stable comparison sort too."""
+        import repro.query.driver as driver_mod
+        from repro.query import (
+            CountQuery,
+            MultiQueryDriver,
+            QueryCatalog,
+            SubsetSumQuery,
+            WeightedMeanQuery,
+        )
+
+        items = zipf_stream(20_000, random.Random(k), alpha=1.2)
+        stream = uniform_random(items, k, random.Random(k + 1))
+
+        def run():
+            driver = MultiQueryDriver(
+                QueryCatalog([
+                    SubsetSumQuery("total", sample_size=8),
+                    CountQuery("count", sample_size=8),
+                    WeightedMeanQuery("mean", sample_size=8),
+                ]),
+                num_sites=k,
+                seed=3,
+            )
+            result = driver.run(stream)
+            return (
+                driver["total"].protocol.sample_with_keys(),
+                result.answers,
+                {name: c.snapshot() for name, c in result.counters.items()},
+            )
+
+        fast = run()
+        monkeypatch.setattr(driver_mod, "window_order", _stable_sort_grouping)
+        assert run() == fast
