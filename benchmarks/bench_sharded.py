@@ -240,8 +240,6 @@ def _finish(
         "windows": pipe_stats.get("windows"),
         "speculation_hits": speculation.get("hits"),
         "speculation_misses": speculation.get("misses"),
-        "unordered_folds": pipe_stats.get("unordered_folds"),
-        "ordered_refolds": pipe_stats.get("ordered_refolds"),
     }
     gate_note = (
         f"pipelined {speedup:.2f}x (target >= {MIN_SPEEDUP_PIPELINED}x), "

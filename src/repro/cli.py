@@ -129,8 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("auto", "on", "off"),
             default=None,
             help="pipelined window protocol for --engine sharded: "
-            "speculative windows + double-buffered rings + arrival-order "
-            "folds (auto/on) or strict lockstep (off); default: auto",
+            "speculative windows + double-buffered rings (auto/on) or "
+            "strict lockstep (off); both fold in exact site order; "
+            "default: auto",
         )
         p.add_argument(
             "--kernels",

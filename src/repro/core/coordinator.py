@@ -253,91 +253,14 @@ class SworCoordinator(CoordinatorAlgorithm):
                     return [(BROADCAST, Message(EPOCH_UPDATE, (announce,)))]
         return []
 
-    def on_message_pack_unordered(self, site_id: int, pack: Any) -> bool:
-        """Commit a pack out of (batch, site) order when that is
-        provably order-invariant; return whether it was committed.
-
-        The pipelined sharded engine folds each window's packs in
-        arrival order where it can.  A commit here is safe exactly when
-        the pack's effect is a *pure top-``s`` merge* whose outcome
-        does not depend on its position within the window's fold order:
-
-        * **regular-only** — early items draw coordinator RNG and park
-          in level sets in fold order, so any pack carrying earlies is
-          declined (it folds at the exact ordered position);
-        * **no epoch crossing** — the merged threshold stays inside the
-          current bracket (``would_announce`` is ``False``), so no
-          broadcast fires.  The threshold ``u`` is monotone along every
-          fold order, so a crossing can never be *silently skipped*: the
-          first fold that would push ``u`` over the bracket is declined
-          here and caught by the engine's ordered fallback;
-        * **no ambiguous tie** — the merge would not hit
-          ``merge_columns``' order-dependent sequential tie fallback.
-
-        Under those guards the surviving candidate set (every key above
-        the *final* window threshold survives; every rejected key is
-        below some intermediate, hence the final, threshold) and the
-        counter accounting (sums plus a max watermark) are identical to
-        the ordered fold's.  ``regular_accepted`` may differ from a
-        sequential scalar replay by the same intermediate-threshold
-        slack the ordered fast path already has (see
-        :meth:`on_message_pack`).  The caller accounts the pack iff
-        this returns ``True``.
-        """
-        if pack.num_early:
-            return False
-        nr = pack.num_regular
-        if nr == 0:  # pragma: no cover - empty packs filtered at encode
-            return True
-        threshold = self.sample_set.threshold
-        keys = pack.regular_keys
-        if nr <= 32:  # scalar path: numpy call overhead dwarfs tiny packs
-            keys_list = keys.tolist()
-            idx = [i for i, k in enumerate(keys_list) if k > threshold]
-            accepted = len(idx)
-            if accepted:
-                ids = pack.regular_idents.tolist()
-                ws = pack.regular_weights.tolist()
-                surv_ids = [ids[i] for i in idx]
-                surv_ws = [ws[i] for i in idx]
-                surv_keys = [keys_list[i] for i in idx]
-                merged_u, ambiguous = self.sample_set.merge_preview(surv_keys)
-                if ambiguous or self.epochs.would_announce(merged_u):
-                    return False
-            self.regular_received += nr
-            if accepted:
-                self.regular_accepted += accepted
-                self.sample_set.merge_columns(surv_ids, surv_ws, surv_keys)
-            return True
-        fold = _active_kernels().swor_fold_regulars(
-            keys,
-            threshold,
-            self.sample_set.heap_keys(),
-            self.sample_set.sample_size,
-        )
-        accepted = len(fold[0])
-        if accepted:
-            ambiguous = (
-                accepted > self.sample_set.sample_size - len(self.sample_set)
-                and fold[3] != 1
-            )
-            if ambiguous or self.epochs.would_announce(fold[2]):
-                return False
-        self.regular_received += nr
-        if accepted:
-            self.regular_accepted += accepted
-            self.sample_set.fold_selected(
-                pack.regular_idents, pack.regular_weights, keys, *fold
-            )
-        return True
-
     def snapshot_state(self) -> tuple:
-        """Window-boundary snapshot for the pipelined sharded engine.
+        """Window-boundary snapshot for the sharded engine.
 
         Captures everything the message handlers can mutate — the
         coordinator RNG position, sample set, level sets, epoch
-        tracker, and receipt counters — so an out-of-order window fold
-        can be rewound and replayed in exact order.
+        tracker, and receipt counters — so supervised lockstep can
+        rewind a faulted window and retry it, and the degradation
+        ladder can restart a run from its checkpoint.
         """
         return (
             self._rng.getstate(),

@@ -54,7 +54,8 @@ class EpochTracker:
         return new_epoch is not None and new_epoch != self._epoch
 
     def snapshot_state(self) -> Tuple[Optional[int], int]:
-        """Rewind point for the pipelined sharded engine."""
+        """Rewind point for sharded lockstep recovery and the
+        degradation ladder's checkpoint."""
         return (self._epoch, self.broadcasts)
 
     def restore_state(self, state: Tuple[Optional[int], int]) -> None:

@@ -55,9 +55,9 @@ class TopKeySample:
         self._heap: List[Tuple[float, int, Item]] = []
         self._counter = 0  # tiebreak so equal keys stay heap-comparable
         self._sorted: Optional[List[Tuple[Item, float]]] = None
-        #: How often :meth:`merge_columns` hit an ambiguous selection
-        #: tie and replayed sequentially (observability for the
-        #: order-invariance guards of the pipelined sharded engine).
+        #: How often a bulk fold hit an ambiguous selection tie and
+        #: replayed sequentially (measure-zero for continuous keys;
+        #: observability only).
         self.tie_fallbacks = 0
 
     def add(self, item: Item, key: float) -> Optional[Item]:
@@ -97,29 +97,14 @@ class TopKeySample:
         mutating, so callers (the coordinator's pack path) can decide
         whether the merge crosses an epoch boundary before committing.
         """
-        return self.merge_preview(keys)[0]
-
-    def merge_preview(self, keys: Any) -> Tuple[float, bool]:
-        """``(threshold, ambiguous)``: what :meth:`merge_columns` with
-        these candidate ``keys`` would leave behind, and whether it
-        would land on the ambiguous-tie sequential fallback (whose
-        result depends on candidate *order*).  Pure — the pipelined
-        sharded engine uses the ``ambiguous`` bit to decline an
-        out-of-order fold that would not be order-invariant.
-        """
-        n = len(keys)
-        total = len(self._heap) + n
-        if total < self.sample_size:
-            return 0.0, False
-        cut, at_cut = _active_kernels().merge_cut(
+        if len(self._heap) + len(keys) < self.sample_size:
+            return 0.0
+        cut, _ = _active_kernels().merge_cut(
             self.heap_keys(),
             _np.asarray(keys, dtype=_np.float64),
             self.sample_size,
         )
-        # The n <= free insertion path never selects a boundary, so a
-        # tie is only ambiguous when merge_columns would partition.
-        ambiguous = n > self.sample_size - len(self._heap) and at_cut != 1
-        return cut, ambiguous
+        return float(cut)
 
     def merge_columns(self, idents: Any, weights: Any, keys: Any) -> int:
         """Fold a batch of candidate columns into ``S`` in one rebuild.
@@ -248,7 +233,7 @@ class TopKeySample:
         self._sorted = None
         return len(kept_idx)
 
-    # -- snapshots (pipelined sharded engine) --------------------------
+    # -- snapshots (sharded lockstep recovery, degradation ladder) ----
 
     def snapshot_state(self) -> SampleSnapshot:
         """Cheap rewind point: heap entries are immutable tuples, so a

@@ -162,12 +162,12 @@ class MessageCounters:
         return self.upstream + self.downstream
 
     def snapshot_state(self):
-        """An opaque rewind point for the pipelined sharded engine.
+        """An opaque rewind point for the sharded engine.
 
-        The engine counts packs as it folds them out of order; when a
-        mid-window response forces an exact ordered refold, the
-        counters rewind with the coordinator so the replay re-records
-        everything exactly once.
+        Supervised lockstep counts packs as it folds a window; when a
+        worker faults mid-window, the counters rewind with the
+        coordinator so the retry re-records everything exactly once.
+        The degradation ladder's run-start checkpoint uses it too.
         """
         return (
             self.upstream,

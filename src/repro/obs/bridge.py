@@ -10,9 +10,9 @@ metrics **without changing their public shapes**:
   counts as gauges (counters are cumulative per network, so last-write
   gauges re-export safely after every run);
 * :func:`observe_sharded_stats` — the sharded engine's
-  ``last_run_stats`` (windows, rollbacks, speculation verdicts,
-  unordered folds, phase timings) as counters, so the dict and the
-  registry can never drift: one is computed from the other's inputs.
+  ``last_run_stats`` (windows, rollbacks, speculation verdicts, phase
+  timings) as counters, so the dict and the registry can never drift:
+  one is computed from the other's inputs.
 
 The name mapping is documented in the README's "Observability" section
 and pinned by the golden metric-name test in ``tests/test_obs.py``.
@@ -101,8 +101,6 @@ def observe_sharded_stats(registry, stats: Dict[str, object]) -> None:
     ``controls``                     ``repro_shard_controls_total``
     ``speculation.hits``             ``repro_shard_speculation_total{verdict="hit"}``
     ``speculation.misses``           ``repro_shard_speculation_total{verdict="miss"}``
-    ``unordered_folds``              ``repro_shard_unordered_folds_total``
-    ``ordered_refolds``              ``repro_shard_ordered_refolds_total``
     ``timing.<phase>_seconds``       ``repro_shard_phase_seconds_total{phase=...}``
     ==============================  =====================================
     """
@@ -128,15 +126,6 @@ def observe_sharded_stats(registry, stats: Dict[str, object]) -> None:
         )
         verdicts.labels(verdict="hit").inc(speculation["hits"])
         verdicts.labels(verdict="miss").inc(speculation["misses"])
-    if "unordered_folds" in stats:
-        registry.counter(
-            "repro_shard_unordered_folds_total",
-            "packs committed in arrival order (proved order-invariant)",
-        ).inc(stats["unordered_folds"])
-        registry.counter(
-            "repro_shard_ordered_refolds_total",
-            "windows rewound and refolded in exact site order",
-        ).inc(stats["ordered_refolds"])
     timing = stats.get("timing") or {}
     phases = registry.counter(
         "repro_shard_phase_seconds_total",

@@ -71,8 +71,8 @@ Beyond lockstep: the pipelined mode
 -----------------------------------
 Strict lockstep leaves every worker idle while the parent folds and
 the parent idle while workers compute.  With ``pipeline="on"`` (the
-``"auto"`` default) the same window protocol runs *pipelined*, three
-mechanisms deep, all bit-parity-preserving:
+``"auto"`` default) the same window protocol runs *pipelined*, two
+mechanisms deep, both bit-parity-preserving:
 
 1. **Speculative windows** — after shipping window ``t``'s packs a
    worker immediately snapshots and computes window ``t + 1`` under the
@@ -94,25 +94,16 @@ mechanisms deep, all bit-parity-preserving:
    parent still holds zero-copy views into ``t``'s slot.  A slot is
    rewritten only for data the parent has already consumed (folded
    prefixes) or discarded (rolled/missed speculation).
-3. **Async coordinator folds** — within a window the parent folds
-   packs in *arrival* order when the coordinator proves the fold
-   order-invariant
-   (:meth:`~repro.runtime.interfaces.CoordinatorAlgorithm.on_message_pack_unordered`:
-   regular-only packs, no epoch crossing, no selection tie), so fold
-   work overlaps the still-computing workers.  The coordinator and
-   counters are snapshotted at the window start; if an ordered fold of
-   the window's remainder then emits a response (whose broadcast point
-   depends on fold order), the parent rewinds and refolds the whole
-   window in exact ascending-site order — nothing was delivered
-   downstream before the rewind, so the replay is exact.  The
-   threshold ``u`` is monotone along every fold order, hence an epoch
-   crossing can never be silently skipped: the fold that would cross
-   either declines the unordered path or triggers the rewind.
 
-``last_run_stats`` records speculation hits/misses, rollback and
-refold counts, and a per-window timing breakdown (worker compute,
-transport wait, parent fold); ``repro ... --profile --engine sharded``
-prints it.
+Both modes fold every window through one method
+(:meth:`ShardedEngine._fold_window`), in exact ascending-site order:
+the parent makes the columnar engine's coordinator calls, in the
+columnar engine's order.  Only the roll wire differs by protocol.
+
+``last_run_stats`` records rollback counts, speculation hits/misses
+(pipelined), and a per-window timing breakdown with the same keys in
+both modes (worker compute, transport wait, parent fold);
+``repro ... --profile --engine sharded`` prints it.
 
 Fault tolerance: supervision, recovery, and the degradation ladder
 ------------------------------------------------------------------
@@ -166,6 +157,7 @@ import pickle
 import time
 import traceback
 import weakref
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
 import numpy as _np
@@ -731,11 +723,12 @@ def _replay_history(shard: _WorkerShard) -> None:
                         site.on_control(ctrl)
 
 
-def _send_results(shard: _WorkerShard, conn, t: int, results) -> None:
-    """Ship one lockstep window's descriptors, through the chaos seams:
-    a planned wire fault mangles the descriptors; a planned process
-    fault kills/hangs/drops instead of sending.  With no plan (every
-    production run) this is exactly the plain send."""
+def _send_results(shard: _WorkerShard, conn, t: int, results, seconds) -> None:
+    """Ship one lockstep window's descriptors and the compute seconds
+    that produced them, through the chaos seams: a planned wire fault
+    mangles the descriptors; a planned process fault kills/hangs/drops
+    instead of sending.  With no plan (every production run) this is
+    exactly the plain send."""
     if shard.faults:
         wire = fault_action(shard.faults, t, ("corrupt", "truncate"))
         if wire is not None:
@@ -748,16 +741,17 @@ def _send_results(shard: _WorkerShard, conn, t: int, results) -> None:
         elif action == "drop":
             return
     if shard.metrics is None:
-        conn.send(("res", results))
+        conn.send(("res", results, seconds))
     else:
-        conn.send(("res", results, shard.drain_metrics()))
+        conn.send(("res", results, seconds, shard.drain_metrics()))
 
 
 def _worker_run(shard: _WorkerShard, conn) -> None:
     """The lockstep window protocol, worker side, for one run.
 
     Per window: compute speculatively against last-committed control
-    state, send, then serve ``roll`` (restore the pre-window snapshot,
+    state, send the descriptors with the compute's seconds, then serve
+    ``roll`` (restore the pre-window snapshot,
     re-apply each control message to exactly the sites after its
     trigger, recompute, resend the suffix) until the parent ``com``mits
     — at which point every site applies the control messages it has not
@@ -784,12 +778,14 @@ def _worker_run(shard: _WorkerShard, conn) -> None:
         )
         if snapshot is not None and shard.metrics is not None:
             shard.metrics["snapshots"] += 1
+        t0 = time.perf_counter()
         results = shard.compute_window(lo, hi)
         applied = [0] * len(shard.sites)
-        _send_results(shard, conn, t, results)
+        _send_results(shard, conn, t, results, time.perf_counter() - t0)
         while True:
             message = conn.recv()
             tag = message[0]
+            t0 = time.perf_counter()
             if tag == "com":
                 _apply_commit(shard, applied, message[1])
                 break
@@ -798,7 +794,9 @@ def _worker_run(shard: _WorkerShard, conn) -> None:
                 replacements = _apply_roll(
                     shard, lo, hi, snapshot, applied, from_site, controls
                 )
-                _send_results(shard, conn, t, replacements)
+                _send_results(
+                    shard, conn, t, replacements, time.perf_counter() - t0
+                )
                 continue
             if tag == "rwd":
                 if message[1] != t:
@@ -809,8 +807,9 @@ def _worker_run(shard: _WorkerShard, conn) -> None:
                     _restore_sites(shard, snapshot)
                 applied = [0] * len(shard.sites)
                 results = shard.compute_window(lo, hi)
+                seconds = time.perf_counter() - t0
                 conn.send(("rwdok",))
-                _send_results(shard, conn, t, results)
+                _send_results(shard, conn, t, results, seconds)
                 continue
             raise ProtocolViolationError(
                 f"shard worker got unexpected command {tag!r}"
@@ -1219,6 +1218,56 @@ class _WindowAttempt:
         self.seen = 0  # deliveries seen so far in the current attempt
 
 
+class _RunTally:
+    """Per-run fold accounting shared by both window protocols: one
+    timing row per committed window, with the same keys in both."""
+
+    __slots__ = ("rollbacks", "controls", "timing", "per_window")
+
+    def __init__(self) -> None:
+        self.rollbacks = 0
+        self.controls = 0
+        self.timing = {
+            "worker_compute_seconds": 0.0,
+            "transport_wait_seconds": 0.0,
+            "parent_fold_seconds": 0.0,
+        }
+        self.per_window: List[dict] = []
+
+    def commit(self, rollbacks, controls, compute, wait, fold) -> None:
+        """Account one committed window: the slowest worker's compute,
+        the parent's wait for the window's results, and its fold."""
+        self.rollbacks += rollbacks
+        self.controls += len(controls)
+        row = {
+            "window": len(self.per_window),
+            "worker_compute_seconds": compute,
+            "transport_wait_seconds": wait,
+            "parent_fold_seconds": fold,
+        }
+        for key in self.timing:
+            self.timing[key] += row[key]
+        row["controls"] = len(controls)
+        self.per_window.append(row)
+
+    def stats(self, pool, pipeline, windows) -> dict:
+        """The run's ``last_run_stats``."""
+        return {
+            "mode": "sharded",
+            "workers": pool["workers"],
+            "transport": pool["transport"],
+            "pipeline": pipeline,
+            "windows": windows,
+            "rollbacks": self.rollbacks,
+            "controls": self.controls,
+            "timing": self.timing,
+            "per_window": self.per_window,
+            "shm_segments": [
+                shm.name for shm in pool["rings"] + pool["stream"]["shms"]
+            ],
+        }
+
+
 def _deliver_guarded(network, attempt, dest, response) -> None:
     """Deliver one coordinator response downstream, skipping the
     site-mirror re-application for deliveries a pre-fault fold of the
@@ -1327,9 +1376,9 @@ class ShardedEngine(ColumnarEngine):
     pipeline:
         ``"auto"`` (pipelined — the default), ``"on"``, or ``"off"``
         (strict lockstep).  Pipelined runs overlap worker compute with
-        parent folds via speculative windows, double-buffered rings,
-        and arrival-order coordinator folds (see the module docstring);
-        both modes are bit-identical to the columnar engine.
+        parent folds via speculative windows and double-buffered rings
+        (see the module docstring); both modes fold in exact site order
+        and are bit-identical to the columnar engine.
     worker_timeout:
         Supervision deadline in seconds: how long a worker may stay
         silent while the parent waits on it before the supervisor
@@ -1840,7 +1889,106 @@ class ShardedEngine(ColumnarEngine):
             self._send(handle, ("run", payload))
 
 
-    # -- the lockstep fold ---------------------------------------------
+    # -- the ordered fold, shared by both window protocols -------------
+
+    def _fold_window(
+        self, window, network, handles, pending, roll, attempt=None
+    ):
+        """Fold one window's descriptors in exact ascending-site order —
+        the columnar engine's order, in both window protocols.
+
+        ``pending`` maps site id -> ``(handle, descriptor)`` and is
+        consumed.  When a fold emits a control that can reach a later
+        site of the window (a broadcast, or a message to a higher site
+        id), the workers owning such sites roll back:
+        ``roll(affected, site_id, controls)`` sends the roll in the
+        protocol's wire form and returns ``[(handle, descriptors), ...]``
+        — the replacement suffix, which supersedes the stale one.
+        ``attempt`` (supervised lockstep only) guards downstream
+        deliveries across window-recovery retries.  Returns
+        ``(controls, rollbacks)``: the window's control list (what the
+        commit carries) and the number of rolls it took.
+        """
+        controls: List[Tuple[int, int, object]] = []
+        rollbacks = 0
+        order = sorted(pending)
+        i = 0
+        while i < len(order):
+            site_id = order[i]
+            handle, descriptor = pending.pop(site_id)
+            if attempt is not None:
+                attempt.folded = True
+            responses = self._fold(
+                network,
+                site_id,
+                self._decode(handle, descriptor, window),
+                attempt,
+            )
+            if responses:
+                controls.extend(
+                    (site_id, dest, message) for dest, message in responses
+                )
+                needs_roll = any(
+                    dest == BROADCAST or dest > site_id
+                    for dest, _ in responses
+                )
+                affected = [h for h in handles if h.site_hi - 1 > site_id]
+                if needs_roll and affected:
+                    rollbacks += 1
+                    for stale in [s for s in pending if s > site_id]:
+                        del pending[stale]
+                    for h, descriptors in roll(affected, site_id, controls):
+                        for descriptor in descriptors:
+                            pending[descriptor[0]] = (h, descriptor)
+                    order = order[: i + 1] + sorted(
+                        s for s in pending if s > site_id
+                    )
+            i += 1
+        return controls, rollbacks
+
+    def _finish_run(self, network, handles, supervisor=None) -> None:
+        """End-of-run barrier: ``fin`` every worker, then adopt each
+        shard's final site states into the parent's mirrors.  A
+        pipelined worker's last ack may still precede its state."""
+        for handle in handles:
+            self._send(handle, ("fin",))
+        for handle in handles:
+            message = self._recv(handle, supervisor)
+            while message[0] == "ack":
+                message = self._recv(handle, supervisor)
+            if message[0] != "sta":  # pragma: no cover - protocol bug guard
+                raise ShardedWorkerError(
+                    f"shard worker {handle.index} sent {message[0]!r} "
+                    "instead of final state"
+                )
+            if len(message) > 3 and message[3]:
+                merge_worker_deltas(self.registry, handle.index, message[3])
+            for offset, final in enumerate(pickle.loads(message[2])):
+                _adopt_site_state(network.sites[message[1] + offset], final)
+
+    # -- the lockstep window protocol -----------------------------------
+
+    def _recv_results(self, handle, supervisor, window, worker_deltas):
+        """Read one lockstep ``res``: returns ``(descriptors,
+        compute_seconds)``, filing its telemetry column for commit."""
+        message = self._recv(handle, supervisor, window)
+        if len(message) > 3 and message[3]:
+            worker_deltas.append((handle.index, message[3]))
+        return message[1], message[2]
+
+    def _roll_lockstep(
+        self, window, supervisor, worker_deltas, affected, site_id, controls
+    ):
+        """The lockstep roll: ``("roll", site_id, controls)`` to every
+        affected worker, then each one's replacements via ``_recv``.
+        Their compute seconds go uncounted, as in pipelined mode: a
+        window's worker compute is the whole-window pass behind it."""
+        for h in affected:
+            self._send(h, ("roll", site_id, controls), window)
+        return [
+            (h, self._recv_results(h, supervisor, window, worker_deltas)[0])
+            for h in affected
+        ]
 
     def _run_windows(
         self,
@@ -1857,11 +2005,7 @@ class ShardedEngine(ColumnarEngine):
         windows = list(
             batch_windows(n, self.batch_size, self.initial_batch_size, marks)
         )
-        rollbacks = 0
-        controls_total = 0
-        wait_total = 0.0
-        fold_total = 0.0
-        per_window = []
+        tally = _RunTally()
         history: List[list] = []
         coordinator = network.coordinator
         counters = network.counters
@@ -1881,65 +2025,30 @@ class ShardedEngine(ColumnarEngine):
                     attempt = _WindowAttempt(t_idx)
                 attempt.seen = 0
                 attempt.folded = False
-            guard = attempt if supervisor is not None else None
-            attempt_rollbacks = 0
+            worker_deltas: list = []
             try:
                 t0 = time.perf_counter()
                 pending = {}
-                worker_deltas = []
+                compute = 0.0
                 for handle in handles:
-                    message = self._recv(handle, supervisor, t_idx)
-                    for descriptor in message[1]:
-                        pending[descriptor[0]] = (handle, descriptor)
-                    if len(message) > 2 and message[2]:
-                        worker_deltas.append((handle.index, message[2]))
-                t1 = time.perf_counter()
-                controls: List[Tuple[int, int, object]] = []
-                order = sorted(pending)
-                i = 0
-                while i < len(order):
-                    site_id = order[i]
-                    handle, descriptor = pending.pop(site_id)
-                    if guard is not None:
-                        attempt.folded = True
-                    responses = self._fold(
-                        network,
-                        site_id,
-                        self._decode(handle, descriptor, t_idx),
-                        guard,
+                    descriptors, seconds = self._recv_results(
+                        handle, supervisor, t_idx, worker_deltas
                     )
-                    if responses:
-                        controls.extend(
-                            (site_id, dest, message)
-                            for dest, message in responses
-                        )
-                        needs_roll = any(
-                            dest == BROADCAST or dest > site_id
-                            for dest, _ in responses
-                        )
-                        affected = [
-                            h for h in handles if h.site_hi - 1 > site_id
-                        ]
-                        if needs_roll and affected:
-                            attempt_rollbacks += 1
-                            for h in affected:
-                                self._send(
-                                    h, ("roll", site_id, controls), t_idx
-                                )
-                            for stale in [s for s in pending if s > site_id]:
-                                del pending[stale]
-                            for h in affected:
-                                message = self._recv(h, supervisor, t_idx)
-                                for descriptor in message[1]:
-                                    pending[descriptor[0]] = (h, descriptor)
-                                if len(message) > 2 and message[2]:
-                                    worker_deltas.append(
-                                        (h.index, message[2])
-                                    )
-                            order = order[: i + 1] + sorted(
-                                s for s in pending if s > site_id
-                            )
-                    i += 1
+                    compute = max(compute, seconds)
+                    for descriptor in descriptors:
+                        pending[descriptor[0]] = (handle, descriptor)
+                t1 = time.perf_counter()
+                controls, rollbacks = self._fold_window(
+                    t_idx,
+                    network,
+                    handles,
+                    pending,
+                    partial(
+                        self._roll_lockstep, t_idx, supervisor, worker_deltas
+                    ),
+                    attempt if supervisor is not None else None,
+                )
+                t2 = time.perf_counter()
             except _WorkerFault as fault:
                 if supervisor is None:
                     raise
@@ -1961,20 +2070,8 @@ class ShardedEngine(ColumnarEngine):
                 raise _LadderFault(fault) from None
             for worker, deltas in worker_deltas:
                 merge_worker_deltas(self.registry, worker, deltas)
-            t2 = time.perf_counter()
-            rollbacks += attempt_rollbacks
-            controls_total += len(controls)
+            tally.commit(rollbacks, controls, compute, t1 - t0, t2 - t1)
             history.append(controls)
-            wait_total += t1 - t0
-            fold_total += t2 - t1
-            per_window.append(
-                {
-                    "window": len(per_window),
-                    "transport_wait_seconds": t1 - t0,
-                    "parent_fold_seconds": t2 - t1,
-                    "controls": len(controls),
-                }
-            )
             if supervisor is not None:
                 supervisor.export_heartbeats()
             network.items_processed += hi - lo
@@ -1984,37 +2081,8 @@ class ShardedEngine(ColumnarEngine):
             if hi in mark_set:
                 on_checkpoint(t)
             t_idx += 1
-        for handle in handles:
-            self._send(handle, ("fin",))
-        for handle in handles:
-            message = self._recv(handle, supervisor)
-            if message[0] != "sta":  # pragma: no cover - protocol bug guard
-                raise ShardedWorkerError(
-                    f"shard worker {handle.index} sent {message[0]!r} "
-                    "instead of final state"
-                )
-            if len(message) > 3 and message[3]:
-                merge_worker_deltas(self.registry, handle.index, message[3])
-            for offset, final in enumerate(pickle.loads(message[2])):
-                _adopt_site_state(network.sites[message[1] + offset], final)
-        self.last_run_stats = {
-            "mode": "sharded",
-            "workers": pool["workers"],
-            "transport": pool["transport"],
-            "pipeline": "off",
-            "windows": len(windows),
-            "rollbacks": rollbacks,
-            "controls": controls_total,
-            "timing": {
-                "transport_wait_seconds": wait_total,
-                "parent_fold_seconds": fold_total,
-            },
-            "per_window": per_window,
-            "shm_segments": [
-                shm.name
-                for shm in pool["rings"] + pool["stream"]["shms"]
-            ],
-        }
+        self._finish_run(network, handles, supervisor)
+        self.last_run_stats = tally.stats(pool, "off", len(windows))
         return network.counters
 
     # -- window-boundary recovery (lockstep, supervised) ---------------
@@ -2191,7 +2259,7 @@ class ShardedEngine(ColumnarEngine):
         }
         self._send(handle, ("run", payload))
 
-    # -- the pipelined fold --------------------------------------------
+    # -- the pipelined window protocol ----------------------------------
 
     def _pump(self, inbox: _Inbox, supervisor=None, window=None) -> None:
         """Read and file exactly one worker message."""
@@ -2220,6 +2288,22 @@ class ShardedEngine(ColumnarEngine):
                 f"shard worker {inbox.handle.index} sent unexpected {tag!r}"
             )
 
+    def _roll_pipelined(
+        self, window, inboxes, supervisor, affected, site_id, controls
+    ):
+        """The pipelined roll: ``("roll", window, site_id, controls)``
+        to every affected worker, then each one's replacements from its
+        inbox (speculative traffic may precede them in the pipe)."""
+        for h in affected:
+            self._send(h, ("roll", window, site_id, controls), window)
+        replies = []
+        for h in affected:
+            inbox = inboxes[h.index]
+            while window not in inbox.reps:
+                self._pump(inbox, supervisor, window)
+            replies.append((h, inbox.reps.pop(window)))
+        return replies
+
     def _run_windows_pipelined(
         self,
         network,
@@ -2236,27 +2320,12 @@ class ShardedEngine(ColumnarEngine):
         windows = list(
             batch_windows(n, self.batch_size, self.initial_batch_size, marks)
         )
-        # Arrival-order folds need a coordinator that can rewind; one
-        # that cannot (snapshot_state() is None) still pipelines via
-        # speculation and double buffering, with ordered folds only.
-        async_folds = network.coordinator.snapshot_state() is not None
-        st = {
-            "rollbacks": 0,
-            "controls": 0,
-            "spec_hits": 0,
-            "spec_misses": 0,
-            "unordered_folds": 0,
-            "ordered_refolds": 0,
-            "worker_compute_seconds": 0.0,
-            "transport_wait_seconds": 0.0,
-            "parent_fold_seconds": 0.0,
-            "per_window": [],
-        }
+        tally = _RunTally()
+        speculation = {"hits": 0, "misses": 0}
         for u, (lo, hi) in enumerate(windows):
             controls = self._fold_window_pipelined(
-                u, network, handles, inboxes, async_folds, st, supervisor
+                u, network, handles, inboxes, tally, speculation, supervisor
             )
-            st["controls"] += len(controls)
             for inbox in inboxes:
                 if inbox.deltas:
                     for deltas in inbox.deltas:
@@ -2274,274 +2343,43 @@ class ShardedEngine(ColumnarEngine):
                 on_step(t)
             if hi in mark_set:
                 on_checkpoint(t)
-        for handle in handles:
-            self._send(handle, ("fin",))
-        for inbox in inboxes:
-            while True:
-                message = self._recv(inbox.handle, supervisor)
-                if message[0] == "ack":
-                    # The final window's ack: no speculation existed
-                    # behind it (there is no next window to compute).
-                    continue
-                if message[0] != "sta":  # pragma: no cover - bug guard
-                    raise ShardedWorkerError(
-                        f"shard worker {inbox.handle.index} sent "
-                        f"{message[0]!r} instead of final state"
-                    )
-                break
-            for deltas in inbox.deltas:
-                merge_worker_deltas(self.registry, inbox.handle.index, deltas)
-            inbox.deltas.clear()
-            if len(message) > 3 and message[3]:
-                merge_worker_deltas(
-                    self.registry, inbox.handle.index, message[3]
-                )
-            for offset, final in enumerate(pickle.loads(message[2])):
-                _adopt_site_state(network.sites[message[1] + offset], final)
-        self.last_run_stats = {
-            "mode": "sharded",
-            "workers": pool["workers"],
-            "transport": pool["transport"],
-            "pipeline": "on",
-            "async_folds": async_folds,
-            "windows": len(windows),
-            "rollbacks": st["rollbacks"],
-            "controls": st["controls"],
-            "speculation": {
-                "hits": st["spec_hits"],
-                "misses": st["spec_misses"],
-            },
-            "unordered_folds": st["unordered_folds"],
-            "ordered_refolds": st["ordered_refolds"],
-            "timing": {
-                "worker_compute_seconds": st["worker_compute_seconds"],
-                "transport_wait_seconds": st["transport_wait_seconds"],
-                "parent_fold_seconds": st["parent_fold_seconds"],
-            },
-            "per_window": st["per_window"],
-            "shm_segments": [
-                shm.name
-                for shm in pool["rings"] + pool["stream"]["shms"]
-            ],
-        }
+        self._finish_run(network, handles, supervisor)
+        self.last_run_stats = tally.stats(pool, "on", len(windows))
+        self.last_run_stats["speculation"] = speculation
         return network.counters
 
     def _fold_window_pipelined(
-        self, u, network, handles, inboxes, async_folds, st, supervisor=None
+        self, u, network, handles, inboxes, tally, speculation, supervisor=None
     ):
-        """Fold window ``u``: collect each worker's final descriptors,
-        folding arrival-order-safe packs as they land, then finish the
-        remainder in exact ascending-site order.  Returns the window's
-        control list (what ``com`` broadcasts to the workers).
-
-        Correctness of the overlap: unordered commits touch only
-        coordinator-internal state and are order-invariant by the
-        coordinator's own guards; the moment any ordered fold of the
-        remainder emits a response after such a commit, the whole
-        window rewinds to its start snapshot and refolds in exact
-        order — nothing was delivered downstream before the rewind
-        (the parent's site mirrors reject out-of-order epoch
-        thresholds), so the replay is indistinguishable from lockstep.
-        Rolls (clean path) and rewinds (dirty path) are mutually
-        exclusive within a window.
-        """
-        from multiprocessing.connection import wait as _connection_wait
-
-        coordinator = network.coordinator
-        counters = network.counters
-        coordinator_snapshot = counters_snapshot = None
-        if async_folds:
-            coordinator_snapshot = coordinator.snapshot_state()
-            counters_snapshot = counters.snapshot_state()
-        pending: dict = {}
-        alldesc: dict = {}
-        declined: set = set()
-        dirty = False
-        wait_seconds = 0.0
-        fold_seconds = 0.0
-        compute_seconds = 0.0
-        unordered_before = st["unordered_folds"]
-        remaining = set(range(len(handles)))
-        while remaining:
-            t0 = time.perf_counter()
-            if supervisor is None:
-                _connection_wait(
-                    [inboxes[i].handle.conn for i in remaining]
-                )
-            else:
-                deadline = max(
-                    supervisor.deadline(inboxes[i].handle)
-                    for i in remaining
-                )
-                ready = _connection_wait(
-                    [inboxes[i].handle.conn for i in remaining],
-                    timeout=deadline,
-                )
-                if not ready:
-                    silent = sorted(remaining)
-                    raise _WorkerFault(
-                        inboxes[silent[0]].handle,
-                        "hang",
-                        f"no pipelined progress within {deadline:.1f}s "
-                        f"(workers {silent} silent)",
-                        window=u,
-                    )
-            wait_seconds += time.perf_counter() - t0
-            for i in list(remaining):
-                inbox = inboxes[i]
-                while inbox.handle.conn.poll(0):
-                    self._pump(inbox, supervisor, u)
-                if u in inbox.res and (u == 0 or (u - 1) in inbox.acks):
-                    if u > 0:
-                        if inbox.acks.pop(u - 1):
-                            st["spec_hits"] += 1
-                        else:
-                            st["spec_misses"] += 1
-                    secs = inbox.secs.pop(u, 0.0)
-                    if secs > compute_seconds:
-                        compute_seconds = secs
-                    for descriptor in inbox.res.pop(u):
-                        pending[descriptor[0]] = (inbox.handle, descriptor)
-                        alldesc[descriptor[0]] = (inbox.handle, descriptor)
-                    remaining.discard(i)
-            if async_folds and pending and remaining:
-                # Overlap: fold order-invariant packs now, while the
-                # remaining workers are still computing/shipping.
-                t0 = time.perf_counter()
-                for site_id in sorted(pending):
-                    if site_id in declined:
-                        continue
-                    handle, descriptor = pending[site_id]
-                    if descriptor[1] == "m":  # scalar lists fold ordered
-                        declined.add(site_id)
-                        continue
-                    if self._fold_unordered(
-                        network, site_id, handle, descriptor, u
-                    ):
-                        del pending[site_id]
-                        dirty = True
-                        st["unordered_folds"] += 1
-                    else:
-                        declined.add(site_id)
-                fold_seconds += time.perf_counter() - t0
+        """Fold window ``u`` over the pipelined wire: pump each worker's
+        inbox until ``u``'s final result and ``u - 1``'s ack verdict are
+        in (an ack miss discards the stale speculative result; the
+        recompute follows it in the pipe), then fold through
+        :meth:`_fold_window`.  Returns the window's control list (what
+        ``com`` broadcasts to the workers)."""
         t0 = time.perf_counter()
-        if not dirty:
-            controls = self._fold_ordered(
-                u, network, handles, inboxes, pending, st, supervisor
-            )
-        else:
-            # Out-of-order commits happened: finish the remainder with
-            # *silent* ordered folds (count + fold, deliver nothing)
-            # and rewind the whole window the moment one responds.
-            controls = None
-            for site_id in sorted(pending):
-                handle, descriptor = pending[site_id]
-                if self._fold_silent(
-                    network, site_id, handle, descriptor, u
-                ):
-                    st["ordered_refolds"] += 1
-                    coordinator.restore_state(coordinator_snapshot)
-                    counters.restore_state(counters_snapshot)
-                    controls = self._fold_ordered(
-                        u, network, handles, inboxes, alldesc, st, supervisor
-                    )
-                    break
-            if controls is None:
-                controls = []
-        fold_seconds += time.perf_counter() - t0
-        st["worker_compute_seconds"] += compute_seconds
-        st["transport_wait_seconds"] += wait_seconds
-        st["parent_fold_seconds"] += fold_seconds
-        st["per_window"].append(
-            {
-                "window": u,
-                "worker_compute_seconds": compute_seconds,
-                "transport_wait_seconds": wait_seconds,
-                "parent_fold_seconds": fold_seconds,
-                "unordered_folds": st["unordered_folds"] - unordered_before,
-                "controls": len(controls),
-            }
+        pending: dict = {}
+        compute = 0.0
+        for inbox in inboxes:
+            while u not in inbox.res or (u > 0 and u - 1 not in inbox.acks):
+                self._pump(inbox, supervisor, u)
+            if u > 0:
+                speculation["hits" if inbox.acks.pop(u - 1) else "misses"] += 1
+            compute = max(compute, inbox.secs.pop(u))
+            for descriptor in inbox.res.pop(u):
+                pending[descriptor[0]] = (inbox.handle, descriptor)
+        t1 = time.perf_counter()
+        controls, rollbacks = self._fold_window(
+            u,
+            network,
+            handles,
+            pending,
+            partial(self._roll_pipelined, u, inboxes, supervisor),
+        )
+        tally.commit(
+            rollbacks, controls, compute, t1 - t0, time.perf_counter() - t1
         )
         return controls
-
-    def _fold_ordered(
-        self, u, network, handles, inboxes, descriptors, st, supervisor=None
-    ):
-        """The lockstep fold body over the pipelined wire: ascending
-        site order with the roll/replacement protocol (see
-        :meth:`_run_windows`), reading replacements through the
-        inboxes (speculative traffic may precede them in the pipe)."""
-        pending = dict(descriptors)
-        controls: List[Tuple[int, int, object]] = []
-        order = sorted(pending)
-        i = 0
-        while i < len(order):
-            site_id = order[i]
-            handle, descriptor = pending.pop(site_id)
-            responses = self._fold(
-                network, site_id, self._decode(handle, descriptor, u)
-            )
-            if responses:
-                controls.extend(
-                    (site_id, dest, message) for dest, message in responses
-                )
-                needs_roll = any(
-                    dest == BROADCAST or dest > site_id
-                    for dest, _ in responses
-                )
-                affected = [h for h in handles if h.site_hi - 1 > site_id]
-                if needs_roll and affected:
-                    st["rollbacks"] += 1
-                    for h in affected:
-                        self._send(h, ("roll", u, site_id, controls), u)
-                    for stale in [s for s in pending if s > site_id]:
-                        del pending[stale]
-                    for h in affected:
-                        inbox = inboxes[h.index]
-                        while u not in inbox.reps:
-                            self._pump(inbox, supervisor, u)
-                        for descriptor in inbox.reps.pop(u):
-                            pending[descriptor[0]] = (h, descriptor)
-                    order = order[: i + 1] + sorted(
-                        s for s in pending if s > site_id
-                    )
-            i += 1
-        return controls
-
-    def _fold_unordered(
-        self, network, site_id, handle, descriptor, window=None
-    ) -> bool:
-        """Attempt one arrival-order fold; True iff it committed.
-
-        A method (not inline) so the decoded zero-copy ring view dies
-        with this frame — a view bound in a frame captured by an error
-        traceback would outlive the pool and block ring teardown.
-        """
-        payload = self._decode(handle, descriptor, window)
-        if network.coordinator.on_message_pack_unordered(site_id, payload):
-            network.counters.record_upstream_pack(payload)
-            return True
-        return False
-
-    def _fold_silent(
-        self, network, site_id, handle, descriptor, window=None
-    ) -> bool:
-        """Ordered fold that delivers nothing downstream; True iff the
-        coordinator responded (the dirty window must then rewind).
-        Frame-scoped for the same ring-view-lifetime reason as
-        :meth:`_fold_unordered`.
-        """
-        coordinator = network.coordinator
-        counters = network.counters
-        payload = self._decode(handle, descriptor, window)
-        if isinstance(payload, MessagePack):
-            counters.record_upstream_pack(payload)
-            return bool(coordinator.on_message_pack(site_id, payload))
-        for message in payload:
-            counters.record_upstream(message)
-            if coordinator.on_message(site_id, message):
-                return True
-        return False
 
     def format_stats(self) -> str:
         """A human-readable breakdown of :attr:`last_run_stats` (used
@@ -2576,11 +2414,6 @@ class ShardedEngine(ColumnarEngine):
         if spec is not None:
             lines.append(
                 f"  speculation: {spec['hits']} hits, {spec['misses']} misses"
-            )
-        if "unordered_folds" in stats:
-            lines.append(
-                f"  async folds: {stats['unordered_folds']} packs out of "
-                f"order, {stats['ordered_refolds']} window refolds"
             )
         timing = stats.get("timing")
         if timing is not None:

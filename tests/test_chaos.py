@@ -288,7 +288,8 @@ class TestLockstepRecovery:
 
 class TestPipelinedDegradation:
     @pytest.mark.parametrize(
-        "plan", ["kill:1:2", "drop:0:1", "corrupt:1:3", "stall_ack:1:1"]
+        "plan",
+        ["kill:1:2", "hang:1:2", "drop:0:1", "corrupt:1:3", "stall_ack:1:1"],
     )
     def test_fault_degrades_to_lockstep_bit_identical(self, plan):
         before = set(glob.glob("/dev/shm/psm_*"))

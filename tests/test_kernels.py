@@ -389,30 +389,6 @@ class TestCoordinatorFusedFold:
             ref.on_message_pack(0, pack)
         assert self._fingerprint(bulk) == self._fingerprint(ref)
 
-    @other_backend
-    def test_unordered_pack_fold_matches_ordered(self, backend):
-        rng = np.random.default_rng(23)
-        warm = MessagePack(
-            regular_idents=np.arange(80, dtype=np.int64),
-            regular_weights=rng.uniform(1.0, 9.0, 80),
-            regular_keys=rng.uniform(0.1, 50.0, 80),
-        )
-        # Same epoch bracket as the warm threshold: the fold neither
-        # announces nor lands on a tie, so the unordered path accepts.
-        pack = MessagePack(
-            regular_idents=np.arange(80, 160, dtype=np.int64),
-            regular_weights=rng.uniform(1.0, 9.0, 80),
-            regular_keys=rng.uniform(0.1, 50.0, 80),
-        )
-        with use_kernels(backend):
-            unordered = self._coordinator(8)
-            unordered.on_message_pack(0, warm)
-            assert unordered.on_message_pack_unordered(0, pack)
-        ordered = self._coordinator(8)
-        ordered.on_message_pack(0, warm)
-        ordered.on_message_pack(0, pack)
-        assert self._fingerprint(unordered) == self._fingerprint(ordered)
-
 
 # ---------------------------------------------------------------------------
 # 3. Selection semantics: registry, env, engines, CLI

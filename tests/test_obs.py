@@ -380,12 +380,10 @@ GOLDEN_METRIC_NAMES = [
     "repro_shard_degradations_total",
     "repro_shard_fallbacks_total",
     "repro_shard_faults_total",
-    "repro_shard_ordered_refolds_total",
     "repro_shard_phase_seconds_total",
     "repro_shard_recovery_seconds",
     "repro_shard_rollbacks_total",
     "repro_shard_speculation_total",
-    "repro_shard_unordered_folds_total",
     "repro_shard_window_seconds",
     "repro_shard_windows_total",
     "repro_shard_worker_compute_seconds_total",
@@ -433,8 +431,6 @@ class TestMetricNameStability:
                 "rollbacks": 1,
                 "controls": 2,
                 "speculation": {"hits": 3, "misses": 1},
-                "unordered_folds": 3,
-                "ordered_refolds": 1,
                 "timing": {"compute_seconds": 0.5, "fold_seconds": 0.25},
                 "per_window": [{"compute_seconds": 0.1, "packs": 2}],
             },

@@ -11,12 +11,11 @@ the samples AND the message counters against the single-process
 columnar engine must survive all of it, in both pipeline modes, across
 transports, batch sizes, reused networks, and checkpoints.
 
-The second half pins the coordinator-level contracts the pipelined
-fold relies on — ``on_message_pack_unordered`` declining exactly the
-unsafe packs, and ``snapshot_state``/``restore_state`` round-tripping —
-because the engine-level overlap that exercises them end-to-end is
-timing-dependent (a pack must *arrive* while another worker is still
-computing) and so cannot be asserted deterministically from outside.
+Both modes fold every window in exact ascending-site order, so the
+parent's coordinator calls are pinned call for call against the
+columnar engine's.  The last part pins the ``snapshot_state`` /
+``restore_state`` round trips that lockstep window recovery and the
+degradation ladder rely on.
 """
 
 from __future__ import annotations
@@ -91,11 +90,12 @@ def _fingerprint(proto):
 # ---------------------------------------------------------------------------
 
 
-class TestBroadcastStormParity:
-    @pytest.fixture(scope="class")
-    def storm_stream(self):
-        return _storm()
+@pytest.fixture(scope="module")
+def storm_stream():
+    return _storm()
 
+
+class TestBroadcastStormParity:
     @pytest.fixture(scope="class")
     def columnar_256(self, storm_stream):
         return _fingerprint(_run(storm_stream, ColumnarEngine(batch_size=256)))
@@ -198,8 +198,6 @@ class TestBroadcastStormParity:
         }
         assert all(v >= 0.0 for v in st["timing"].values())
         assert len(st["per_window"]) == st["windows"]
-        assert st["unordered_folds"] >= 0
-        assert st["ordered_refolds"] >= 0
         # format_stats renders without raising and names the mode.
         text = engine.format_stats()
         assert "pipeline on" in text
@@ -216,9 +214,76 @@ class TestBroadcastStormParity:
         assert stats["engine"] == "sharded"
         assert _fingerprint(proto) == columnar_256
 
+    @pytest.mark.parametrize("pipeline", ["on", "off"])
+    def test_timing_keys_match_across_modes(self, storm_stream, pipeline):
+        # Both protocols time the same phases, per run and per window,
+        # and both measure the workers' window computes.
+        engine = ShardedEngine(batch_size=256, workers=2, pipeline=pipeline)
+        _run(storm_stream, engine)
+        st = engine.last_run_stats
+        assert st["timing"].keys() == {
+            "worker_compute_seconds",
+            "transport_wait_seconds",
+            "parent_fold_seconds",
+        }
+        assert st["timing"]["worker_compute_seconds"] > 0.0
+        row_keys = {"window", "controls", *st["timing"]}
+        assert all(row.keys() == row_keys for row in st["per_window"])
+        assert "worker compute" in engine.format_stats()
+
 
 # ---------------------------------------------------------------------------
-# 2. Coordinator contracts behind the arrival-order fold
+# 2. The parent folds exactly the columnar engine's sequence
+# ---------------------------------------------------------------------------
+
+
+def _fold_sequence(stream, engine):
+    """Run the storm under ``engine`` and record every coordinator
+    call: ``(site_id, len(pack))`` per pack, ``(site_id, kind)`` per
+    message."""
+    proto = DistributedWeightedSWOR(_config(), seed=SEED, engine=engine)
+    coordinator = proto.coordinator
+    calls = []
+    fold_pack = coordinator.on_message_pack
+    fold_message = coordinator.on_message
+
+    def on_message_pack(site_id, pack):
+        calls.append((site_id, len(pack)))
+        return fold_pack(site_id, pack)
+
+    def on_message(site_id, message):
+        calls.append((site_id, message.kind))
+        return fold_message(site_id, message)
+
+    coordinator.on_message_pack = on_message_pack
+    coordinator.on_message = on_message
+    proto.run(stream)
+    return calls, _fingerprint(proto)
+
+
+class TestFoldSequence:
+    @pytest.mark.parametrize("batch_size", [256, 1024])
+    @pytest.mark.parametrize("pipeline", ["off", "on"])
+    def test_parent_folds_columnar_sequence(
+        self, storm_stream, batch_size, pipeline
+    ):
+        expected = _fold_sequence(
+            storm_stream, ColumnarEngine(batch_size=batch_size)
+        )
+        engine = ShardedEngine(
+            batch_size=batch_size, workers=2, pipeline=pipeline
+        )
+        try:
+            got = _fold_sequence(storm_stream, engine)
+            assert engine.last_run_stats["mode"] == "sharded"
+        finally:
+            engine.close()
+        assert got[0] == expected[0]
+        assert got[1] == expected[1]
+
+
+# ---------------------------------------------------------------------------
+# 3. Coordinator and counter snapshots
 # ---------------------------------------------------------------------------
 
 
@@ -243,64 +308,17 @@ def _regular_pack(keys, idents=None):
 
 
 class TestUnorderedFoldContract:
-    def test_safe_regular_pack_commits(self):
-        coord, _ = _warm_coordinator()
-        thr = coord.sample_set.threshold
-        pack = _regular_pack([thr * 1.001, thr * 1.002])
-        before = coord.regular_received
-        assert coord.on_message_pack_unordered(0, pack) is True
-        assert coord.regular_received == before + 2
-        assert coord.sample_set.threshold > thr
-
-    def test_unordered_commit_matches_ordered_fold(self):
-        # The whole point of the arrival-order fold: for a pack it
-        # accepts, the resulting coordinator state is bit-identical to
-        # folding the same pack at its ordered position.
-        coord, _ = _warm_coordinator()
-        thr = coord.sample_set.threshold
-        pack = _regular_pack([thr * 1.001, thr * 1.002, thr * 0.5])
-        start = coord.snapshot_state()
-        assert coord.on_message_pack_unordered(0, pack) is True
-        unordered_end = coord.snapshot_state()
-        coord.restore_state(start)
-        assert coord.on_message_pack(0, pack) == []  # no broadcast
-        assert coord.snapshot_state() == unordered_end
-
-    def test_early_bearing_pack_declined(self):
-        coord, _ = _warm_coordinator()
-        # Early items draw coordinator RNG in fold order — never safe
-        # to commit out of order.
-        pack = MessagePack(
-            early_idents=np.array([7], dtype="int64"),
-            early_weights=np.array([2.0], dtype="float64"),
-            early_levels=np.array([1], dtype="int64"),
-        )
-        before = coord.snapshot_state()
-        assert coord.on_message_pack_unordered(0, pack) is False
-        assert coord.snapshot_state() == before
-
-    def test_epoch_crossing_pack_declined_untouched(self):
-        coord, _ = _warm_coordinator()
-        big = coord.epochs.r ** (coord.epochs.epoch + 3)
-        pack = _regular_pack([big, big * 2, big * 3, big * 4])
-        before = coord.snapshot_state()
-        # Committing this would fire an EPOCH_UPDATE broadcast whose
-        # position in the window matters — must decline, and must leave
-        # every piece of state (incl. receipt counters) untouched.
-        assert coord.on_message_pack_unordered(0, pack) is False
-        assert coord.snapshot_state() == before
-        assert coord.epochs.would_announce(
-            coord.sample_set.merge_preview(pack.regular_keys)[0]
-        )
+    """Coordinator and counter snapshot round trips: supervised
+    lockstep rewinds a faulted window with them, and the degradation
+    ladder's run-start checkpoint takes one.  (Named for the fold these
+    round trips first served; the name keeps the test ids stable.)"""
 
     def test_snapshot_restore_roundtrip(self):
         coord, _ = _warm_coordinator()
         saved = coord.snapshot_state()
         thr = coord.sample_set.threshold
-        # Multipliers stay tiny so the merged threshold does not cross
-        # an epoch bracket (which would make the commit decline).
         mutating = _regular_pack([thr * 1.001, thr * 1.002, thr * 1.003])
-        assert coord.on_message_pack_unordered(0, mutating) is True
+        coord.on_message_pack(0, mutating)
         assert coord.snapshot_state() != saved
         coord.restore_state(saved)
         assert coord.snapshot_state() == saved
