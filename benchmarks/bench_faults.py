@@ -3,7 +3,7 @@
 The tentpole claim of the sharded supervisor (see
 ``repro.runtime.sharded``): fault detection is piggybacked on the
 transport the engine already uses — deadline-based waits instead of
-blocking receives, per-window snapshots the lockstep protocol mostly
+blocking receives, per-window snapshots the window protocol mostly
 takes anyway, wire validation the pack decoder already performs — so
 
 1. **Overhead** — a fault-free sharded weighted-SWOR run with
@@ -76,14 +76,14 @@ def _fingerprint(proto):
 
 def _bench(report_fn):
     stream = _make_stream()
-    # Lockstep isolates the supervision delta (always-snapshot +
-    # deadline waits + heartbeats) from speculation noise; both engines
-    # keep their worker pools warm across the interleaved repetitions.
+    # The only difference is the supervision delta (always-snapshot +
+    # deadline waits + heartbeats); both engines keep their worker
+    # pools warm across the interleaved repetitions.
     supervised = ShardedEngine(
-        batch_size=BATCH, workers=WORKERS, pipeline="off", supervision="on"
+        batch_size=BATCH, workers=WORKERS, supervision="on"
     )
     unsupervised = ShardedEngine(
-        batch_size=BATCH, workers=WORKERS, pipeline="off", supervision="off"
+        batch_size=BATCH, workers=WORKERS, supervision="off"
     )
     base_best = live_best = None
     base_proto = live_proto = None
@@ -112,7 +112,6 @@ def _bench(report_fn):
     chaos = ShardedEngine(
         batch_size=BATCH,
         workers=WORKERS,
-        pipeline="off",
         fault_plan="kill:1:2",
         worker_timeout=30.0,
     )
@@ -139,7 +138,7 @@ def _bench(report_fn):
     report_fn(
         format_table(
             rows,
-            title=f"supervision overhead: sharded lockstep weighted SWOR, "
+            title=f"supervision overhead: sharded weighted SWOR, "
             f"{ITEMS} items, k={SITES}, s={SAMPLE}, {WORKERS} workers",
             caption=f"overhead {overhead * 100:+.2f}% (gate <= "
             f"{MAX_OVERHEAD * 100:.0f}%), samples identical: "

@@ -12,8 +12,8 @@ they matter:
    wherever numba is absent — but still assert **bit parity** of every
    runnable backend (numpy, the numba logic as plain Python, and numba
    itself when present) on the bench columns.
-2. **End to end** — ``parent_fold_seconds`` (the pipelined sharded
-   engine's serial fraction) on the 1M/64-style config, measured with
+2. **End to end** — ``parent_fold_seconds`` (the sharded engine's
+   serial fraction) on the 1M/64-style config, measured with
    ``kernels="numpy"`` and — when numba is importable — with
    ``kernels="numba"``, which must reduce it.  Samples and counters
    must be identical between the two, whatever the backend.
@@ -113,9 +113,7 @@ def _parity(threshold, old_keys, packs):
 
 
 def _run_sharded(stream, kernels):
-    engine = ShardedEngine(
-        batch_size=BATCH, workers=WORKERS, pipeline="on", kernels=kernels
-    )
+    engine = ShardedEngine(batch_size=BATCH, workers=WORKERS, kernels=kernels)
     try:
         proto = DistributedWeightedSWOR(
             SworConfig(num_sites=SITES, sample_size=SAMPLE),

@@ -76,20 +76,19 @@ BASELINES: Dict[str, Dict[str, List[str]]] = {
         ],
         "absolute": ["swr_columnar_items_per_sec"],
     },
-    # The speedups here are the multiprocess gain over the single-
-    # process columnar engine at the SAME batch size — "speedup" is the
-    # pipelined mode, "lockstep_speedup" the strict-lockstep floor —
-    # meaningful only when the recording machine had >= workers cores
-    # (the JSON's "cpu_count" says; the in-bench
-    # REPRO_BENCH_SHARD_MIN_SPEEDUP / _PIPELINED gates enforce the real
-    # 2.5x / 3.2x floors on multicore runners).
+    # The speedup here is the multiprocess gain over the single-
+    # process columnar engine at the SAME batch size — meaningful only
+    # when the recording process could run on >= workers CPUs (the
+    # JSON's "cpu_count" says; the in-bench
+    # REPRO_BENCH_SHARD_MIN_SPEEDUP gate enforces the real 3.2x floor
+    # on multicore runners).
     "BENCH_sharded.json": {
         "config": ["items", "sites", "sample_size", "workers", "batch_size"],
-        "ratios": ["speedup", "lockstep_speedup"],
+        "ratios": ["speedup"],
         "absolute": ["sharded_items_per_sec"],
     },
     # supervision_ratio is unsupervised/supervised wall time on the
-    # SAME lockstep sharded run (~1.0 when supervision is free, the
+    # SAME sharded run (~1.0 when supervision is free, the
     # in-bench REPRO_BENCH_FAULTS_MAX_OVERHEAD gate enforces the real
     # 2% ceiling); recovery_identical rides along as a parity check.
     "BENCH_faults.json": {

@@ -17,9 +17,8 @@ catalog of estimation queries concurrently over one shared stream pass
 
 Every subcommand accepts ``--engine {reference,columnar,sharded}``
 (``--batch-size N`` for the columnar-plane engines, ``--workers N``,
-``--pipeline {auto,on,off}``, ``--worker-timeout SECONDS``,
-``--max-worker-restarts N``, and the debug-only ``--fault-plan PLAN``
-for the sharded engine, ``--kernels {auto,numba,numpy}`` for the
+``--worker-timeout SECONDS``, ``--max-worker-restarts N``, and the
+debug-only ``--fault-plan PLAN`` for the sharded engine, ``--kernels {auto,numba,numpy}`` for the
 columnar-plane engines — see :mod:`repro.kernels`) to pick the
 execution runtime; see :mod:`repro.runtime`.
 Every protocol has a native columnar fast path, so ``--engine columnar``
@@ -122,16 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="worker process count for --engine sharded "
-            "(default: all CPU cores)",
-        )
-        p.add_argument(
-            "--pipeline",
-            choices=("auto", "on", "off"),
-            default=None,
-            help="pipelined window protocol for --engine sharded: "
-            "speculative windows + double-buffered rings (auto/on) or "
-            "strict lockstep (off); both fold in exact site order; "
-            "default: auto",
+            "(default: the CPUs this process may run on)",
         )
         p.add_argument(
             "--kernels",
@@ -155,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="worker respawns the sharded supervisor may perform "
-            "per run before degrading to a slower engine rung "
+            "per run before degrading to the in-process columnar engine "
             "(--engine sharded only; default: 2)",
         )
         p.add_argument(
@@ -283,8 +273,6 @@ def _check_engine_flags(args: argparse.Namespace) -> None:
         raise SystemExit("--batch-size requires --engine columnar or sharded")
     if args.workers is not None and args.engine != "sharded":
         raise SystemExit("--workers requires --engine sharded")
-    if args.pipeline is not None and args.engine != "sharded":
-        raise SystemExit("--pipeline requires --engine sharded")
     if args.kernels is not None and args.engine not in (
         "columnar",
         "sharded",
@@ -308,7 +296,6 @@ def _engine_of(args: argparse.Namespace):
         args.engine,
         batch_size=args.batch_size,
         workers=args.workers,
-        pipeline=args.pipeline,
         kernels=args.kernels,
         worker_timeout=args.worker_timeout,
         max_worker_restarts=args.max_worker_restarts,
@@ -457,14 +444,13 @@ def _cmd_query(args: argparse.Namespace) -> str:
     _check_engine_flags(args)
     if (
         args.workers is not None
-        or args.pipeline is not None
         or args.worker_timeout is not None
         or args.max_worker_restarts is not None
         or args.fault_plan is not None
     ):
         raise SystemExit(
             "repro query runs its fused multi-query pass in-process; "
-            "--workers/--pipeline/--worker-timeout/--max-worker-restarts/"
+            "--workers/--worker-timeout/--max-worker-restarts/"
             "--fault-plan do not apply (engine 'sharded' selects "
             "the columnar data plane)"
         )

@@ -164,8 +164,8 @@ class MessageCounters:
     def snapshot_state(self):
         """An opaque rewind point for the sharded engine.
 
-        Supervised lockstep counts packs as it folds a window; when a
-        worker faults mid-window, the counters rewind with the
+        A supervised sharded run counts packs as it folds a window;
+        when a worker faults mid-window, the counters rewind with the
         coordinator so the retry re-records everything exactly once.
         The degradation ladder's run-start checkpoint uses it too.
         """

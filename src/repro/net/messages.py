@@ -247,11 +247,11 @@ class MessagePack:
         the descriptor :meth:`read_from` rebuilds from.  Returns
         ``None`` when the columns do not fit before ``limit`` (the
         caller then falls back to inline transport).  This is the
-        sharded engine's shared-memory ring format: with the
-        double-buffered pipelined transport each (worker, window) owns
-        the ``[offset, limit)`` slot exclusively until the window
-        commits, so a writer never races the parent's zero-copy reads
-        of the previous slot.
+        sharded engine's shared-memory ring format: each worker's ring
+        has two slots and window ``t`` owns slot ``t % 2`` (the
+        ``[offset, limit)`` range) until it commits, so a worker
+        writing its speculative next window never races the parent's
+        zero-copy reads of the current one.
         """
         _, columns = self.to_arrays()
         total = sum(array.nbytes for array in columns.values())

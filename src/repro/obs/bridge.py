@@ -129,7 +129,7 @@ def observe_sharded_stats(registry, stats: Dict[str, object]) -> None:
     timing = stats.get("timing") or {}
     phases = registry.counter(
         "repro_shard_phase_seconds_total",
-        "cumulative seconds per sharded pipeline phase",
+        "cumulative seconds per sharded window phase",
         labels=("phase",),
     )
     for key, seconds in timing.items():
@@ -176,8 +176,8 @@ def observe_recovery(registry, worker: int, seconds: float) -> None:
 
 
 def observe_degradation(registry, rung: str) -> None:
-    """Count one rung taken on the graceful-degradation ladder
-    (``lockstep`` or ``columnar``) after recovery was exhausted or
+    """Count one rung taken on the graceful-degradation ladder (the
+    in-process ``columnar`` engine) after recovery was exhausted or
     unavailable."""
     if not registry.enabled:
         return

@@ -61,7 +61,6 @@ def get_engine(
     spec: Union[str, Engine, None] = None,
     batch_size: Optional[int] = None,
     workers: Optional[int] = None,
-    pipeline: Optional[str] = None,
     kernels: Optional[str] = None,
     worker_timeout: Optional[float] = None,
     max_worker_restarts: Optional[int] = None,
@@ -79,11 +78,8 @@ def get_engine(
         Steady-state batch size for the batching engines; rejected for
         engines that do not batch.
     workers:
-        Worker process count for the sharded engine (defaults to all
-        CPU cores); rejected for engines that do not shard.
-    pipeline:
-        ``"auto"`` / ``"on"`` / ``"off"`` — the sharded engine's
-        pipelined window protocol; rejected for engines that do not
+        Worker process count for the sharded engine (defaults to the
+        CPUs this process may run on); rejected for engines that do not
         shard.
     kernels:
         ``"auto"`` / ``"numba"`` / ``"numpy"`` — the kernel backend for
@@ -95,8 +91,8 @@ def get_engine(
         that do not shard.
     max_worker_restarts:
         Worker respawns the sharded supervisor may perform per run
-        before degrading down the engine ladder; rejected for engines
-        that do not shard.
+        before degrading to the in-process columnar engine; rejected
+        for engines that do not shard.
     fault_plan:
         A :class:`~repro.faults.FaultPlan` (or its ``kind:worker:window``
         string form) injected through the sharded engine's chaos seams
@@ -110,10 +106,6 @@ def get_engine(
         if workers is not None:
             raise ConfigurationError(
                 "workers cannot be combined with an engine instance"
-            )
-        if pipeline is not None:
-            raise ConfigurationError(
-                "pipeline cannot be combined with an engine instance"
             )
         if kernels is not None:
             raise ConfigurationError(
@@ -151,12 +143,6 @@ def get_engine(
                 f"engine {name!r} does not take workers"
             )
         kwargs["workers"] = workers
-    if pipeline is not None:
-        if not issubclass(cls, ShardedEngine):
-            raise ConfigurationError(
-                f"engine {name!r} does not take a pipeline mode"
-            )
-        kwargs["pipeline"] = pipeline
     if kernels is not None:
         if not issubclass(cls, ColumnarEngine):
             raise ConfigurationError(

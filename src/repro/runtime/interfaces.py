@@ -151,7 +151,7 @@ class CoordinatorAlgorithm(ABC):
         """Return a cheap opaque snapshot of ALL mutable coordinator
         state, or ``None`` (the default) for "unsupported".
 
-        The sharded engine's supervised lockstep mode snapshots the
+        The sharded engine's supervised runs snapshot the
         coordinator at each window start, so a window whose worker
         faults mid-fold can be rewound and retried in place; the
         degradation ladder's run-start checkpoint uses it too.

@@ -67,42 +67,42 @@ bit for bit at every batch size and worker count —
 ``benchmarks/bench_sharded.py`` pins this at the multi-million-item
 scale.
 
-Beyond lockstep: the pipelined mode
------------------------------------
-Strict lockstep leaves every worker idle while the parent folds and
-the parent idle while workers compute.  With ``pipeline="on"`` (the
-``"auto"`` default) the same window protocol runs *pipelined*, two
-mechanisms deep, both bit-parity-preserving:
+Speculative windows
+-------------------
+Lockstep would leave every worker idle while the parent folds.  The
+coordinator broadcasts only when the threshold crosses an epoch or a
+level saturates, which is logarithmically rare, so a worker does not
+wait: after shipping window ``t`` it snapshots its sites and computes
+window ``t + 1`` into the other half of its shared-memory ring (window
+``t`` encodes into slot ``t % 2`` via
+:meth:`~repro.net.messages.MessagePack.write_into`, so the parent's
+zero-copy views into ``t``'s slot stay intact).  The speculation is
+worker-local; the wire stays lockstep's::
 
-1. **Speculative windows** — after shipping window ``t``'s packs a
-   worker immediately snapshots and computes window ``t + 1`` under the
-   assumption that window ``t`` folds without a broadcast.  The commit
-   message carries the window's control list; the worker answers with
-   an explicit ``ack`` verdict: *hit* (no control touched this shard —
-   the speculative packs already sitting in the parent's inbox are
-   final) or *miss* (the speculation is discarded by restoring its
-   pre-window snapshot, controls are applied, and ``t + 1`` is
-   recomputed).  Rolls discard the speculation the same way and block
-   re-speculation until commit, preserving the fast-roll invariant
-   that prefix sites keep their state.  Pipe FIFO ordering makes the
-   verdict unambiguous: on a hit the final ``res(t+1)`` preceded the
-   ack; on a miss it follows it.
-2. **Double-buffered rings** — each per-worker shared-memory ring is
-   split into two slots; window ``t`` encodes into slot ``t % 2``
-   (:meth:`~repro.net.messages.MessagePack.write_into`), so a worker
-   writes ``t + 1`` (and, after commit of ``t``, ``t + 2``) while the
-   parent still holds zero-copy views into ``t``'s slot.  A slot is
-   rewritten only for data the parent has already consumed (folded
-   prefixes) or discarded (rolled/missed speculation).
+    worker                                 parent
+      res(t) ----------------------------->  fold t
+      [computes t+1 into slot (t+1) % 2]       |
+      <----------------------------- com(t, controls)
+      hit:  ship the held t+1 ------------>  fold t+1
+      miss: restore, apply, recompute t+1 -> fold t+1
 
-Both modes fold every window through one method
-(:meth:`ShardedEngine._fold_window`), in exact ascending-site order:
-the parent makes the columnar engine's coordinator calls, in the
-columnar engine's order.  Only the roll wire differs by protocol.
+The worker decides the verdict itself: a *hit* iff no control in the
+commit targets one of its sites (neither a broadcast nor a message to
+a site in its range), so applying the commit is a no-op and the held
+packs are final.  On a *miss* it restores the speculation's snapshot,
+applies the commit and recomputes ``t + 1``.  A ``roll`` of window
+``t`` discards the speculation the same way and blocks re-speculation
+until ``com(t)``, preserving the fast-roll invariant that prefix sites
+keep their state; ``rwd`` drops it (restoring ``t``'s snapshot undoes
+it).
 
-``last_run_stats`` records rollback counts, speculation hits/misses
-(pipelined), and a per-window timing breakdown with the same keys in
-both modes (worker compute, transport wait, parent fold);
+Every window folds through one method (:meth:`ShardedEngine._fold_window`),
+in exact ascending-site order: the parent makes the columnar engine's
+coordinator calls, in the columnar engine's order.
+
+``last_run_stats`` records rollback counts, the workers' summed
+speculation hits/misses, and a per-window timing breakdown (worker
+compute, transport wait, parent fold);
 ``repro ... --profile --engine sharded`` prints it.
 
 Fault tolerance: supervision, recovery, and the degradation ladder
@@ -113,8 +113,8 @@ dead pipe or process exit as a **crash**, and a descriptor rejected by
 the wire validation in :mod:`repro.net.messages` as **poison** — while
 a worker that ships its own traceback stays fail-stop
 (:class:`ShardedWorkerError`, ``fault_class="error"``), since replaying
-a deterministic user-code exception would just raise it again.  In
-lockstep mode a classified fault triggers **deterministic
+a deterministic user-code exception would just raise it again.  A
+classified fault triggers **deterministic
 window-boundary recovery**: the dead shard's worker is reaped and
 respawned on the same pool slot (bounded retries, capped backoff), its
 run-start site states are re-shipped and fast-forwarded through the
@@ -123,18 +123,17 @@ survivors rewind the in-flight window to their pre-window snapshots,
 the parent's coordinator/counters rewind to the window-start snapshot,
 and the window retries.  A recovered run's samples **and** message
 counters are bit-identical to a fault-free one.  When recovery is
-exhausted (``max_worker_restarts``) or structurally unavailable
-(pipelined speculation in flight, a mid-commit fault, a coordinator
-that cannot rewind), the run takes the **degradation ladder** —
-pipelined -> lockstep -> in-process columnar — restoring the run-start
-network checkpoint between rungs; ``last_run_stats`` records the
+exhausted (``max_worker_restarts``) or structurally unavailable (a
+mid-commit fault, a coordinator that cannot rewind), the run takes the
+**degradation ladder** — sharded -> in-process columnar — restoring
+the run-start network checkpoint first; ``last_run_stats`` records the
 fault log, restart count, recovery seconds, and the rung taken
-(``mode="degraded"`` at the bottom).  The chaos seams threaded through
-the worker loops (:mod:`repro.faults`) inject crashes, hangs, drops,
-corrupt/truncated packs, stalled acks, and respawn failures
-deterministically; ``tests/test_chaos.py`` drives them across the
-whole grid and asserts bit-identity or explicit degradation — never a
-hang, leaked process, or leaked shared-memory segment.
+(``mode="degraded"``).  The chaos seams threaded through the worker
+loop (:mod:`repro.faults`) inject crashes, hangs, drops,
+corrupt/truncated packs, and respawn failures deterministically;
+``tests/test_chaos.py`` drives them across the whole grid and asserts
+bit-identity or explicit degradation — never a hang, leaked process,
+or leaked shared-memory segment.
 
 Fallbacks: ``workers=1`` (or one site), instrumented networks (a
 :class:`~repro.net.tracing.MessageTrace` wrapping the delivery
@@ -157,7 +156,6 @@ import pickle
 import time
 import traceback
 import weakref
-from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
 import numpy as _np
@@ -200,7 +198,12 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..net.counters import MessageCounters
     from .network import Network
 
-__all__ = ["ShardedEngine", "ShardedWorkerError", "WorkerSupervisor"]
+__all__ = [
+    "ShardedEngine",
+    "ShardedWorkerError",
+    "WorkerSupervisor",
+    "available_cpus",
+]
 
 #: Floor for the per-worker result ring (one window's packs always fit
 #: unless the batch is enormous; oversized windows fall back to inline
@@ -223,6 +226,16 @@ _RESPAWN_BACKOFF_CAP = 1.0
 
 #: Seconds to wait for a politely-asked worker to exit before force.
 _JOIN_TIMEOUT = 5.0
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the
+    platform exposes one (a ``taskset``-pinned or cgroup-limited
+    process sees fewer than ``os.cpu_count()``), else the machine's."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platform-dependent
+        return os.cpu_count() or 1
 
 
 class ShardedWorkerError(RuntimeError):
@@ -396,10 +409,9 @@ def _view_from_full_shm(name, spec, site_lo, site_hi):
 class _WorkerShard:
     """Worker-side state for one run: sites, stream view, ring cursor.
 
-    The ring is divided into equal slots (two in pipelined mode, one
-    in lockstep); each window encodes into slot ``t % 2`` so writes
-    for a speculative window never touch the slot the parent is still
-    reading.
+    The ring is divided into two equal slots; window ``t`` encodes into
+    slot ``t % 2``, so the speculative window ``t + 1`` never touches
+    the slot the parent is still reading.
     """
 
     def __init__(self, payload, ring, slot_bytes, stream_cache) -> None:
@@ -460,6 +472,9 @@ class _WorkerShard:
         #: without shipping anything, then rejoin the live protocol.
         self.resume: int = payload.get("resume", 0)
         self.history: List[list] = payload.get("history") or []
+        #: Speculation verdicts, shipped with the final state.
+        self.hits = 0
+        self.misses = 0
 
     def drain_metrics(self):
         """Return-and-reset the accumulated telemetry as the flat
@@ -495,7 +510,7 @@ class _WorkerShard:
         the rollback suffix.  Pack contents are also invariant to the
         shared-prep shortcut, so the suffix pass simply skips it.
         ``slot`` selects which ring slot the window's packs encode
-        into (always 0 in lockstep mode).  ``encode=False`` runs the
+        into (``t % 2`` for window ``t``).  ``encode=False`` runs the
         pass purely for its state effects (RNG advances, per-site
         accounting) without serializing anything — the recovery replay
         of already-committed windows.
@@ -629,14 +644,15 @@ def _apply_commit(shard: _WorkerShard, applied, controls) -> None:
 
 
 def _apply_roll(
-    shard: _WorkerShard, lo, hi, snapshot, applied, from_site, controls, slot=0
+    shard: _WorkerShard, lo, hi, snapshot, applied, from_site, controls, slot
 ):
     """Serve one rollback for window ``[lo, hi)``; return replacement
-    descriptors for the invalidated suffix (sites after ``from_site``).
+    descriptors for the invalidated suffix (sites after ``from_site``),
+    encoded into ring ``slot``.
 
-    Shared by the lockstep and pipelined worker loops; ``snapshot`` and
-    ``applied`` are the window's pre-compute state and per-site control
-    cursor, mutated in place across repeated rolls of the same window.
+    ``snapshot`` and ``applied`` are the window's pre-compute state and
+    per-site control cursor, mutated in place across repeated rolls of
+    the same window.
     """
     if shard.metrics is not None:
         shard.metrics["rolls_served"] += 1
@@ -684,13 +700,18 @@ def _apply_roll(
 
 
 def _send_state(shard: _WorkerShard, conn) -> None:
-    pickled = pickle.dumps(shard.sites, protocol=pickle.HIGHEST_PROTOCOL)
-    if shard.metrics is None:
-        conn.send(("sta", shard.site_lo, pickled))
-    else:
+    """Ship the shard's final site states and speculation verdicts."""
+    message = (
+        "sta",
+        shard.site_lo,
+        pickle.dumps(shard.sites, protocol=pickle.HIGHEST_PROTOCOL),
+        (shard.hits, shard.misses),
+    )
+    if shard.metrics is not None:
         # Leftover telemetry (post-commit work since the last result
         # send) rides with the final state message.
-        conn.send(("sta", shard.site_lo, pickled, shard.drain_metrics()))
+        message += (shard.drain_metrics(),)
+    conn.send(message)
 
 
 def _replay_history(shard: _WorkerShard) -> None:
@@ -724,8 +745,8 @@ def _replay_history(shard: _WorkerShard) -> None:
 
 
 def _send_results(shard: _WorkerShard, conn, t: int, results, seconds) -> None:
-    """Ship one lockstep window's descriptors and the compute seconds
-    that produced them, through the chaos seams: a planned wire fault
+    """Ship one window's descriptors and the compute seconds that
+    produced them, through the chaos seams: a planned wire fault
     mangles the descriptors; a planned process fault kills/hangs/drops
     instead of sending.  With no plan (every production run) this is
     exactly the plain send."""
@@ -746,53 +767,98 @@ def _send_results(shard: _WorkerShard, conn, t: int, results, seconds) -> None:
         conn.send(("res", results, seconds, shard.drain_metrics()))
 
 
-def _worker_run(shard: _WorkerShard, conn) -> None:
-    """The lockstep window protocol, worker side, for one run.
+def _compute(shard: _WorkerShard, t: int):
+    """Snapshot the shard's sites, then compute window ``t`` into ring
+    slot ``t % 2``.  Returns ``(snapshot, descriptors, seconds, busy)``,
+    ``busy`` telling whether the shard had arrivals in the window."""
+    lo, hi = shard.windows[t]
+    i0, i1 = shard.view.window_bounds(lo, hi)
+    busy = i0 != i1
+    # Pre-window state, captured BEFORE the compute so rollback
+    # replays from exactly this point (same RNG positions).  Skipped
+    # when the shard has no arrivals (nothing mutates) — except under
+    # supervision, where a post-fault ``rwd`` must be able to undo
+    # controls a roll applied mid-window.
+    snapshot = (
+        _snapshot_sites(shard.sites) if busy or shard.supervised else None
+    )
+    if snapshot is not None and shard.metrics is not None:
+        shard.metrics["snapshots"] += 1
+    t0 = time.perf_counter()
+    results = shard.compute_window(lo, hi, slot=t % 2)
+    return snapshot, results, time.perf_counter() - t0, busy
 
-    Per window: compute speculatively against last-committed control
-    state, send the descriptors with the compute's seconds, then serve
-    ``roll`` (restore the pre-window snapshot,
-    re-apply each control message to exactly the sites after its
-    trigger, recompute, resend the suffix) until the parent ``com``mits
-    — at which point every site applies the control messages it has not
-    seen yet and the next window starts.  Under supervision two more
-    commands exist: a respawned worker starts with a
+
+def _discard(shard: _WorkerShard, spec) -> None:
+    """Throw a speculative window away (a miss): rewind the sites to
+    its snapshot.  Its pass books as a recompute, not a window."""
+    snapshot, _, _, busy = spec
+    if snapshot is not None:
+        _restore_sites(shard, snapshot)
+    shard.misses += 1
+    if busy and shard.metrics is not None:
+        shard.metrics["windows"] -= 1
+        shard.metrics["spec_recomputes"] += 1
+
+
+def _worker_run(shard: _WorkerShard, conn) -> None:
+    """The window protocol, worker side, for one run.
+
+    Per window: send the descriptors computed against the
+    last-committed control state, with the compute's seconds, then
+    speculate — compute window ``t + 1`` into the other ring slot —
+    and serve ``roll`` (restore the pre-window snapshot, re-apply each
+    control message to exactly the sites after its trigger, recompute,
+    resend the suffix) until the parent ``com``mits.  At commit every
+    site applies the control messages it has not seen yet.  The
+    speculation is a *hit* when none of them reaches this shard (its
+    packs then ship as they are) and a *miss* otherwise (restored, and
+    recomputed as the next window).  A roll discards the speculation
+    and none is made again before the commit.  Under supervision two
+    more commands exist: a respawned worker starts with a
     :func:`_replay_history` fast-forward, and ``rwd`` rewinds the
     current (uncommitted) window to its pre-window snapshot so the
     parent can retry it after another worker's fault.
     """
     if shard.resume:
         _replay_history(shard)
-    for t in range(shard.resume, len(shard.windows)):
+    total = len(shard.windows)
+    spec = None
+    for t in range(shard.resume, total):
         lo, hi = shard.windows[t]
-        i0, i1 = shard.view.window_bounds(lo, hi)
-        # Pre-window state, captured BEFORE the compute so rollback
-        # replays from exactly this point (same RNG positions).
-        # Skipped when the shard has no arrivals (nothing mutates) —
-        # except under supervision, where a post-fault ``rwd`` must be
-        # able to undo controls a roll applied mid-window.
-        snapshot = (
-            _snapshot_sites(shard.sites)
-            if i0 != i1 or shard.supervised
-            else None
-        )
-        if snapshot is not None and shard.metrics is not None:
-            shard.metrics["snapshots"] += 1
-        t0 = time.perf_counter()
-        results = shard.compute_window(lo, hi)
+        if spec is None:
+            spec = _compute(shard, t)
+        snapshot, results, seconds, _ = spec
+        _send_results(shard, conn, t, results, seconds)
+        spec = _compute(shard, t + 1) if t + 1 < total else None
         applied = [0] * len(shard.sites)
-        _send_results(shard, conn, t, results, time.perf_counter() - t0)
         while True:
             message = conn.recv()
             tag = message[0]
             t0 = time.perf_counter()
             if tag == "com":
-                _apply_commit(shard, applied, message[1])
+                controls = message[1]
+                if spec is not None:
+                    if any(
+                        dest == BROADCAST
+                        or shard.site_lo <= dest < shard.site_hi
+                        for _, dest, _ in controls
+                    ):
+                        _discard(shard, spec)
+                        spec = None
+                    else:
+                        shard.hits += 1
+                _apply_commit(shard, applied, controls)
                 break
+            if spec is not None:
+                # A roll or rewind invalidates the speculation.
+                _discard(shard, spec)
+                spec = None
             if tag == "roll":
                 from_site, controls = message[1], message[2]
                 replacements = _apply_roll(
-                    shard, lo, hi, snapshot, applied, from_site, controls
+                    shard, lo, hi, snapshot, applied, from_site, controls,
+                    t % 2,
                 )
                 _send_results(
                     shard, conn, t, replacements, time.perf_counter() - t0
@@ -806,171 +872,11 @@ def _worker_run(shard: _WorkerShard, conn) -> None:
                 if snapshot is not None:
                     _restore_sites(shard, snapshot)
                 applied = [0] * len(shard.sites)
-                results = shard.compute_window(lo, hi)
+                results = shard.compute_window(lo, hi, slot=t % 2)
                 seconds = time.perf_counter() - t0
                 conn.send(("rwdok",))
                 _send_results(shard, conn, t, results, seconds)
                 continue
-            raise ProtocolViolationError(
-                f"shard worker got unexpected command {tag!r}"
-            )
-    message = conn.recv()
-    if message[0] != "fin":
-        raise ProtocolViolationError(
-            f"shard worker got unexpected command {message[0]!r} at run end"
-        )
-    _send_state(shard, conn)
-
-
-class _SpecWindow:
-    """Worker-side record of one in-flight (sent, uncommitted) window."""
-
-    __slots__ = ("t", "lo", "hi", "snapshot", "applied", "rolled")
-
-    def __init__(self, t, lo, hi, snapshot, num_sites) -> None:
-        self.t = t
-        self.lo = lo
-        self.hi = hi
-        self.snapshot = snapshot
-        self.applied = [0] * num_sites
-        self.rolled = False
-
-
-def _worker_run_pipelined(shard: _WorkerShard, conn) -> None:
-    """The pipelined window protocol, worker side, for one run.
-
-    Up to two windows are in flight: the *head* (oldest, awaiting the
-    parent's verdict) and one *speculative* window computed under the
-    assumption that the head commits without controls touching this
-    shard.  Message grammar (worker side):
-
-    * send ``("res", t, descriptors, compute_seconds)`` after each
-      window compute (first sends and speculative recomputes alike);
-    * on ``("roll", t, from_site, controls)``: discard the speculation
-      (restore its pre-window snapshot — it was computed from a now
-      invalid state), mark the head rolled (re-speculation would break
-      the fast roll's prefix-keeps-state invariant), replay/recompute
-      via :func:`_apply_roll`, send ``("rep", t, replacements)``;
-    * on ``("com", t, controls)``: pop the head and answer
-      ``("ack", t, hit)`` — *hit* iff the head was never rolled and no
-      unseen control targets this shard, i.e. the speculation is
-      valid.  On a miss the speculation is discarded, the controls are
-      applied, and the fill loop recomputes the next window fresh.
-
-    The pipe is FIFO both ways, so the parent can order the ack
-    against the speculative ``res``: on a hit the buffered ``res`` is
-    final; on a miss the fresh one follows the ack.
-    """
-    windows = shard.windows
-    total = len(windows)
-    num_sites = len(shard.sites)
-    entries: List[_SpecWindow] = []
-    nxt = 0
-    while entries or nxt < total:
-        while (
-            nxt < total
-            and len(entries) < 2
-            and not (entries and entries[0].rolled)
-        ):
-            lo, hi = windows[nxt]
-            i0, i1 = shard.view.window_bounds(lo, hi)
-            snapshot = _snapshot_sites(shard.sites) if i0 != i1 else None
-            if snapshot is not None and shard.metrics is not None:
-                shard.metrics["snapshots"] += 1
-            t0 = time.perf_counter()
-            results = shard.compute_window(lo, hi, slot=nxt % 2)
-            elapsed = time.perf_counter() - t0
-            dropped = False
-            if shard.faults:
-                wire = fault_action(shard.faults, nxt, ("corrupt", "truncate"))
-                if wire is not None:
-                    results = corrupt_descriptors(list(results), wire)
-                action = fault_action(
-                    shard.faults, nxt, ("kill", "hang", "drop")
-                )
-                if action == "kill":
-                    chaos_exit()
-                elif action == "hang":
-                    block_forever()
-                elif action == "drop":
-                    dropped = True
-            if not dropped:
-                if shard.metrics is None:
-                    conn.send(("res", nxt, results, elapsed))
-                else:
-                    conn.send(
-                        ("res", nxt, results, elapsed, shard.drain_metrics())
-                    )
-            entries.append(_SpecWindow(nxt, lo, hi, snapshot, num_sites))
-            nxt += 1
-        message = conn.recv()
-        tag = message[0]
-        if tag == "com":
-            controls = message[2]
-            head = entries.pop(0)
-            miss = head.rolled
-            if not miss and controls:
-                for idx in range(num_sites):
-                    site_id = shard.site_lo + idx
-                    for _, dest, _ctrl in controls[head.applied[idx] :]:
-                        if dest == BROADCAST or dest == site_id:
-                            miss = True
-                            break
-                    if miss:
-                        break
-            if shard.faults and fault_action(
-                shard.faults, head.t, ("stall_ack",)
-            ):
-                block_forever()
-            conn.send(("ack", head.t, not miss))
-            if miss:
-                if entries:
-                    # The speculation ran from pre-control state:
-                    # rewind to its own pre-window snapshot (= the
-                    # committed window's end state) and recompute.
-                    spec = entries.pop(0)
-                    if spec.snapshot is not None:
-                        _restore_sites(shard, spec.snapshot)
-                    nxt = spec.t
-                    if shard.metrics is not None:
-                        shard.metrics["spec_recomputes"] += 1
-                _apply_commit(shard, head.applied, controls)
-        elif tag == "roll":
-            from_site, controls = message[2], message[3]
-            head = entries[0]
-            if len(entries) > 1:
-                spec = entries.pop()
-                if spec.snapshot is not None:
-                    _restore_sites(shard, spec.snapshot)
-                nxt = spec.t
-                if shard.metrics is not None:
-                    shard.metrics["spec_recomputes"] += 1
-            head.rolled = True
-            replacements = _apply_roll(
-                shard,
-                head.lo,
-                head.hi,
-                head.snapshot,
-                head.applied,
-                from_site,
-                controls,
-                slot=head.t % 2,
-            )
-            if shard.faults:
-                wire = fault_action(
-                    shard.faults, head.t, ("corrupt", "truncate")
-                )
-                if wire is not None:
-                    replacements = corrupt_descriptors(
-                        list(replacements), wire
-                    )
-            if shard.metrics is None:
-                conn.send(("rep", head.t, replacements))
-            else:
-                conn.send(
-                    ("rep", head.t, replacements, shard.drain_metrics())
-                )
-        else:
             raise ProtocolViolationError(
                 f"shard worker got unexpected command {tag!r}"
             )
@@ -1008,10 +914,7 @@ def _worker_main(boot, conn) -> None:
                 )
             shard = _WorkerShard(command[1], ring, slot_bytes, stream_cache)
             try:
-                if command[1].get("pipeline"):
-                    _worker_run_pipelined(shard, conn)
-                else:
-                    _worker_run(shard, conn)
+                _worker_run(shard, conn)
             finally:
                 shard.close()
     except (EOFError, OSError, KeyboardInterrupt):
@@ -1050,27 +953,6 @@ class _WorkerHandle:
         self.site_lo = 0  # set per run
         self.site_hi = 0
         self.ring = ring
-
-
-class _Inbox:
-    """Parent-side message cursor for one worker in pipelined mode.
-
-    The pipe is FIFO, so filing each message by tag is enough to
-    resolve speculation: window ``u``'s descriptors are *final* once
-    ``res[u]`` is present AND the previous window's ack verdict has
-    been seen — an ack miss discards the stale speculative ``res``
-    (the worker's recompute follows the ack in the pipe).
-    """
-
-    __slots__ = ("handle", "res", "secs", "acks", "reps", "deltas")
-
-    def __init__(self, handle: _WorkerHandle) -> None:
-        self.handle = handle
-        self.res: dict = {}  # window -> descriptors (latest send)
-        self.secs: dict = {}  # window -> worker compute seconds
-        self.acks: dict = {}  # window -> speculation hit?
-        self.reps: dict = {}  # window -> rollback replacements
-        self.deltas: list = []  # telemetry columns, merged at commit
 
 
 def _unlink_segments(shms) -> None:
@@ -1197,7 +1079,7 @@ def _restore_network(network, checkpoint) -> None:
 
 
 class _WindowAttempt:
-    """Parent-side fold progress for one supervised lockstep window.
+    """Parent-side fold progress for one supervised window.
 
     A post-fault retry refolds the window from its start; the refold is
     bit-identical to the faulted attempt (same restored coordinator,
@@ -1219,8 +1101,7 @@ class _WindowAttempt:
 
 
 class _RunTally:
-    """Per-run fold accounting shared by both window protocols: one
-    timing row per committed window, with the same keys in both."""
+    """Per-run fold accounting: one timing row per committed window."""
 
     __slots__ = ("rollbacks", "controls", "timing", "per_window")
 
@@ -1250,16 +1131,16 @@ class _RunTally:
         row["controls"] = len(controls)
         self.per_window.append(row)
 
-    def stats(self, pool, pipeline, windows) -> dict:
+    def stats(self, pool, windows, speculation) -> dict:
         """The run's ``last_run_stats``."""
         return {
             "mode": "sharded",
             "workers": pool["workers"],
             "transport": pool["transport"],
-            "pipeline": pipeline,
             "windows": windows,
             "rollbacks": self.rollbacks,
             "controls": self.controls,
+            "speculation": speculation,
             "timing": self.timing,
             "per_window": self.per_window,
             "shm_segments": [
@@ -1329,7 +1210,7 @@ class WorkerSupervisor:
                 self.registry, worker, now - self.last_seen[worker]
             )
 
-    def record_fault(self, fault, window, retire_all=False) -> None:
+    def record_fault(self, fault, window) -> None:
         self.fault_log.append(
             {
                 "worker": fault.handle.index,
@@ -1339,9 +1220,7 @@ class WorkerSupervisor:
             }
         )
         if self.plan is not None:
-            self.plan.mark_fired(
-                fault.handle.index, None if retire_all else window
-            )
+            self.plan.mark_fired(fault.handle.index, window)
         observe_fault(self.registry, fault.fault_class)
 
     def wire_faults(self, worker: int):
@@ -1366,19 +1245,14 @@ class ShardedEngine(ColumnarEngine):
         must coincide for the bit-parity contract to be structural).
         Larger batches amortize the per-window worker round trip.
     workers:
-        Worker process count; defaults to ``os.cpu_count()``.  Clamped
-        to the site count; ``1`` runs the in-process columnar path.
+        Worker process count; defaults to the CPUs this process may run
+        on (:func:`available_cpus`).  Clamped to the site count; ``1``
+        runs the in-process columnar path.
     transport:
         ``"auto"`` (shared memory when available, else pipes),
         ``"shm"``, or ``"pipe"`` — how stream shards and result columns
         move between processes.  Pipes are the portable fallback;
         shared memory gives the parent zero-copy column views.
-    pipeline:
-        ``"auto"`` (pipelined — the default), ``"on"``, or ``"off"``
-        (strict lockstep).  Pipelined runs overlap worker compute with
-        parent folds via speculative windows and double-buffered rings
-        (see the module docstring); both modes fold in exact site order
-        and are bit-identical to the columnar engine.
     worker_timeout:
         Supervision deadline in seconds: how long a worker may stay
         silent while the parent waits on it before the supervisor
@@ -1386,7 +1260,7 @@ class ShardedEngine(ColumnarEngine):
     max_worker_restarts:
         In-place window-boundary recoveries allowed per run before the
         supervisor stops respawning and takes the degradation ladder
-        instead (pipelined -> lockstep -> in-process columnar).
+        instead (sharded -> in-process columnar).
     fault_plan:
         Chaos injection (testing only): a :class:`~repro.faults.FaultPlan`
         or its ``"kind:worker:window,..."`` string form.  Cloned per
@@ -1405,7 +1279,6 @@ class ShardedEngine(ColumnarEngine):
         initial_batch_size: int = DEFAULT_INITIAL_BATCH_SIZE,
         workers: Optional[int] = None,
         transport: str = "auto",
-        pipeline: str = "auto",
         kernels=None,
         worker_timeout: Optional[float] = None,
         max_worker_restarts: int = 2,
@@ -1418,16 +1291,12 @@ class ShardedEngine(ColumnarEngine):
             kernels=kernels,
         )
         if workers is None:
-            workers = os.cpu_count() or 1
+            workers = available_cpus()
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         if transport not in ("auto", "shm", "pipe"):
             raise ConfigurationError(
                 f"transport must be 'auto', 'shm', or 'pipe', got {transport!r}"
-            )
-        if pipeline not in ("auto", "on", "off"):
-            raise ConfigurationError(
-                f"pipeline must be 'auto', 'on', or 'off', got {pipeline!r}"
             )
         if worker_timeout is None:
             worker_timeout = _DEFAULT_WORKER_TIMEOUT
@@ -1452,12 +1321,10 @@ class ShardedEngine(ColumnarEngine):
             )
         self.workers = int(workers)
         self.transport = transport
-        self.pipeline = pipeline
         self.worker_timeout = float(worker_timeout)
         self.max_worker_restarts = int(max_worker_restarts)
         self.fault_plan = fault_plan
         self.supervision = supervision
-        self._pipelined = pipeline != "off"
         #: Observability: how the last ``run`` executed (mode, effective
         #: transport, window/rollback/speculation counts, per-window
         #: timing, warm-pool reuse).
@@ -1468,8 +1335,7 @@ class ShardedEngine(ColumnarEngine):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShardedEngine(batch_size={self.batch_size}, "
-            f"workers={self.workers}, transport={self.transport!r}, "
-            f"pipeline={self.pipeline!r})"
+            f"workers={self.workers}, transport={self.transport!r})"
         )
 
     def close(self) -> None:
@@ -1581,92 +1447,49 @@ class ShardedEngine(ColumnarEngine):
                 checkpoints=checkpoints,
                 on_checkpoint=on_checkpoint,
             )
-        pipelined = self._pipelined
-        degraded: List[str] = []
         try:
-            while True:
-                try:
-                    run_windows = (
-                        self._run_windows_pipelined
-                        if pipelined
-                        else self._run_windows
-                    )
-                    counters = run_windows(
-                        network,
-                        pool,
-                        n,
-                        marks,
-                        set(marks),
-                        on_step,
-                        on_checkpoint,
-                        supervisor,
-                    )
-                    break
-                except (_WorkerFault, _LadderFault) as exc:
-                    fault = exc.fault if isinstance(exc, _LadderFault) else exc
-                    if supervisor is not None and isinstance(
-                        exc, _WorkerFault
-                    ):
-                        # Ladder faults were logged where they were
-                        # classified; bare faults get logged here.  In
-                        # pipelined mode the worker speculates one
-                        # window ahead of the fold the fault surfaced
-                        # in, so the whole plan entry set for this
-                        # worker is retired, not just a window prefix.
-                        supervisor.record_fault(
-                            fault, fault.window, retire_all=True
-                        )
-                    if supervisor is None or supervisor.checkpoint is None:
-                        _reap_handle(fault.handle)
-                        self.close()
-                        raise fault.to_error() from None
-                    # Degradation ladder: reap + tear down, restore the
-                    # run-start checkpoint, rerun on the next rung.
-                    _reap_handle(fault.handle)
-                    self.close()
-                    pool = None
-                    _restore_network(network, supervisor.checkpoint)
-                    rung = "lockstep" if pipelined else "columnar"
-                    pipelined = False
-                    degraded.append(rung)
-                    observe_degradation(self.registry, rung)
-                    if rung == "lockstep":
-                        try:
-                            pool, warm = self._get_pool(workers)
-                            self._dispatch_run(
-                                pool,
-                                network,
-                                arrays,
-                                n,
-                                marks,
-                                pipelined=False,
-                                supervisor=supervisor,
-                            )
-                            continue
-                        except Exception:
-                            self.close()
-                            pool = None
-                            rung = "columnar"
-                            degraded.append(rung)
-                            observe_degradation(self.registry, rung)
-                    # Bottom rung: the in-process columnar engine.
-                    self.last_run_stats = {
-                        "mode": "degraded",
-                        "reason": (
-                            f"fault recovery exhausted "
-                            f"({fault.fault_class}: {fault.detail})"
-                        ),
-                        "rung": "columnar",
-                    }
-                    counters = ColumnarEngine.run(
-                        self,
-                        network,
-                        stream,
-                        on_step=on_step,
-                        checkpoints=checkpoints,
-                        on_checkpoint=on_checkpoint,
-                    )
-                    break
+            try:
+                counters = self._run_windows(
+                    network,
+                    pool,
+                    n,
+                    marks,
+                    set(marks),
+                    on_step,
+                    on_checkpoint,
+                    supervisor,
+                )
+            except (_WorkerFault, _LadderFault) as exc:
+                fault = exc.fault if isinstance(exc, _LadderFault) else exc
+                if supervisor is not None and isinstance(exc, _WorkerFault):
+                    # Ladder faults were logged where they were
+                    # classified; bare faults get logged here.
+                    supervisor.record_fault(fault, fault.window)
+                _reap_handle(fault.handle)
+                self.close()
+                if supervisor is None or supervisor.checkpoint is None:
+                    raise fault.to_error() from None
+                # Degradation ladder: restore the run-start checkpoint
+                # and rerun on the in-process columnar engine.
+                _restore_network(network, supervisor.checkpoint)
+                observe_degradation(self.registry, "columnar")
+                self.last_run_stats = {
+                    "mode": "degraded",
+                    "reason": (
+                        f"fault recovery exhausted "
+                        f"({fault.fault_class}: {fault.detail})"
+                    ),
+                    "rung": "columnar",
+                    "degraded_to": "columnar",
+                }
+                counters = ColumnarEngine.run(
+                    self,
+                    network,
+                    stream,
+                    on_step=on_step,
+                    checkpoints=checkpoints,
+                    on_checkpoint=on_checkpoint,
+                )
             stats = self.last_run_stats
             if stats.get("mode") == "sharded":
                 stats["warm_pool"] = warm
@@ -1683,11 +1506,6 @@ class ShardedEngine(ColumnarEngine):
                     stats["faults"] = supervisor.fault_log
                     stats["worker_restarts"] = supervisor.restarts
                     stats["recovery_seconds"] = supervisor.recovery_seconds
-                if degraded:
-                    stats["degraded_to"] = degraded[-1]
-                    stats["degraded_from"] = (
-                        "pipelined" if self._pipelined else "lockstep"
-                    )
             if self.registry.enabled and stats.get("mode") == "sharded":
                 self._export_run(
                     network, n, seconds, windows=stats.get("windows")
@@ -1728,16 +1546,12 @@ class ShardedEngine(ColumnarEngine):
             raise ConfigurationError("shared memory is unavailable")
         ctx = get_context("spawn")
         slot_bytes = max(_MIN_RING_BYTES, 48 * self.batch_size + 4096)
-        # Pipelined transport double-buffers: two slots per ring so a
-        # worker writes window t+1 while the parent still reads t.
-        slots = 2 if self._pipelined else 1
         pool = {
             "workers": workers,
             "handles": [],
             "rings": [],
             "transport": "shm" if use_shm else "pipe",
             "use_shm": use_shm,
-            "slots": slots,
             "slot_bytes": slot_bytes,
             "closed": False,
         }
@@ -1746,8 +1560,10 @@ class ShardedEngine(ColumnarEngine):
                 ring = None
                 ring_spec = None
                 if use_shm:
+                    # Two slots: a worker writes its speculative window
+                    # t+1 while the parent still reads window t.
                     ring = _shared_memory.SharedMemory(
-                        create=True, size=slot_bytes * slots
+                        create=True, size=slot_bytes * 2
                     )
                     pool["rings"].append(ring)
                     ring_spec = (ring.name, slot_bytes)
@@ -1781,7 +1597,7 @@ class ShardedEngine(ColumnarEngine):
         return pool
 
     def _dispatch_run(
-        self, pool, network, arrays, n, marks, pipelined=None, supervisor=None
+        self, pool, network, arrays, n, marks, supervisor=None
     ) -> None:
         """Ship each worker its shard for this run: site states, the
         stream columns, and the window schedule.
@@ -1797,8 +1613,6 @@ class ShardedEngine(ColumnarEngine):
         """
         from ..stream.columns import ShardSliceView
 
-        if pipelined is None:
-            pipelined = self._pipelined
         assignment, weights, idents = arrays
         num_sites = network.num_sites
         workers = pool["workers"]
@@ -1838,7 +1652,6 @@ class ShardedEngine(ColumnarEngine):
             "n": n,
             "marks": marks,
             "metrics": bool(self.registry.enabled),
-            "pipelined": pipelined,
         }
         for handle in pool["handles"]:
             handle.site_lo, handle.site_hi = ShardSliceView.shard_range(
@@ -1868,7 +1681,6 @@ class ShardedEngine(ColumnarEngine):
                 "initial_batch_size": self.initial_batch_size,
                 "marks": marks,
                 "stream": stream_spec,
-                "pipeline": pipelined,
                 # The parent's resolved kernel backend by name; workers
                 # re-resolve with strict=False so a backend the worker
                 # interpreter cannot import degrades to auto, not a
@@ -1889,25 +1701,35 @@ class ShardedEngine(ColumnarEngine):
             self._send(handle, ("run", payload))
 
 
-    # -- the ordered fold, shared by both window protocols -------------
+    # -- the window protocol ------------------------------------------
+
+    def _recv_results(self, handle, supervisor, window, worker_deltas):
+        """Read one ``res``: returns ``(descriptors, compute_seconds)``,
+        filing its telemetry column for commit."""
+        message = self._recv(handle, supervisor, window)
+        if len(message) > 3 and message[3]:
+            worker_deltas.append((handle.index, message[3]))
+        return message[1], message[2]
 
     def _fold_window(
-        self, window, network, handles, pending, roll, attempt=None
+        self, window, network, handles, pending, supervisor, worker_deltas,
+        attempt,
     ):
         """Fold one window's descriptors in exact ascending-site order —
-        the columnar engine's order, in both window protocols.
+        the columnar engine's order.
 
         ``pending`` maps site id -> ``(handle, descriptor)`` and is
         consumed.  When a fold emits a control that can reach a later
         site of the window (a broadcast, or a message to a higher site
-        id), the workers owning such sites roll back:
-        ``roll(affected, site_id, controls)`` sends the roll in the
-        protocol's wire form and returns ``[(handle, descriptors), ...]``
-        — the replacement suffix, which supersedes the stale one.
-        ``attempt`` (supervised lockstep only) guards downstream
-        deliveries across window-recovery retries.  Returns
-        ``(controls, rollbacks)``: the window's control list (what the
-        commit carries) and the number of rolls it took.
+        id), every worker owning such sites rolls back: it gets
+        ``("roll", site_id, controls)`` and answers with the replacement
+        suffix, which supersedes the stale one.  The replacements'
+        compute seconds go uncounted: a window's worker compute is the
+        whole-window pass behind it.  ``attempt`` (supervised runs
+        only) guards downstream deliveries across window-recovery
+        retries.  Returns ``(controls, rollbacks)``: the window's
+        control list (what the commit carries) and the number of rolls
+        it took.
         """
         controls: List[Tuple[int, int, object]] = []
         rollbacks = 0
@@ -1937,7 +1759,12 @@ class ShardedEngine(ColumnarEngine):
                     rollbacks += 1
                     for stale in [s for s in pending if s > site_id]:
                         del pending[stale]
-                    for h, descriptors in roll(affected, site_id, controls):
+                    for h in affected:
+                        self._send(h, ("roll", site_id, controls), window)
+                    for h in affected:
+                        descriptors, _ = self._recv_results(
+                            h, supervisor, window, worker_deltas
+                        )
                         for descriptor in descriptors:
                             pending[descriptor[0]] = (h, descriptor)
                     order = order[: i + 1] + sorted(
@@ -1946,49 +1773,28 @@ class ShardedEngine(ColumnarEngine):
             i += 1
         return controls, rollbacks
 
-    def _finish_run(self, network, handles, supervisor=None) -> None:
+    def _finish_run(self, network, handles, supervisor=None) -> dict:
         """End-of-run barrier: ``fin`` every worker, then adopt each
-        shard's final site states into the parent's mirrors.  A
-        pipelined worker's last ack may still precede its state."""
+        shard's final site states into the parent's mirrors.  Returns
+        the workers' summed speculation verdicts."""
         for handle in handles:
             self._send(handle, ("fin",))
+        speculation = {"hits": 0, "misses": 0}
         for handle in handles:
             message = self._recv(handle, supervisor)
-            while message[0] == "ack":
-                message = self._recv(handle, supervisor)
             if message[0] != "sta":  # pragma: no cover - protocol bug guard
                 raise ShardedWorkerError(
                     f"shard worker {handle.index} sent {message[0]!r} "
                     "instead of final state"
                 )
-            if len(message) > 3 and message[3]:
-                merge_worker_deltas(self.registry, handle.index, message[3])
+            hits, misses = message[3]
+            speculation["hits"] += hits
+            speculation["misses"] += misses
+            if len(message) > 4 and message[4]:
+                merge_worker_deltas(self.registry, handle.index, message[4])
             for offset, final in enumerate(pickle.loads(message[2])):
                 _adopt_site_state(network.sites[message[1] + offset], final)
-
-    # -- the lockstep window protocol -----------------------------------
-
-    def _recv_results(self, handle, supervisor, window, worker_deltas):
-        """Read one lockstep ``res``: returns ``(descriptors,
-        compute_seconds)``, filing its telemetry column for commit."""
-        message = self._recv(handle, supervisor, window)
-        if len(message) > 3 and message[3]:
-            worker_deltas.append((handle.index, message[3]))
-        return message[1], message[2]
-
-    def _roll_lockstep(
-        self, window, supervisor, worker_deltas, affected, site_id, controls
-    ):
-        """The lockstep roll: ``("roll", site_id, controls)`` to every
-        affected worker, then each one's replacements via ``_recv``.
-        Their compute seconds go uncounted, as in pipelined mode: a
-        window's worker compute is the whole-window pass behind it."""
-        for h in affected:
-            self._send(h, ("roll", site_id, controls), window)
-        return [
-            (h, self._recv_results(h, supervisor, window, worker_deltas)[0])
-            for h in affected
-        ]
+        return speculation
 
     def _run_windows(
         self,
@@ -2043,10 +1849,9 @@ class ShardedEngine(ColumnarEngine):
                     network,
                     handles,
                     pending,
-                    partial(
-                        self._roll_lockstep, t_idx, supervisor, worker_deltas
-                    ),
-                    attempt if supervisor is not None else None,
+                    supervisor,
+                    worker_deltas,
+                    attempt,
                 )
                 t2 = time.perf_counter()
             except _WorkerFault as fault:
@@ -2081,11 +1886,11 @@ class ShardedEngine(ColumnarEngine):
             if hi in mark_set:
                 on_checkpoint(t)
             t_idx += 1
-        self._finish_run(network, handles, supervisor)
-        self.last_run_stats = tally.stats(pool, "off", len(windows))
+        speculation = self._finish_run(network, handles, supervisor)
+        self.last_run_stats = tally.stats(pool, len(windows), speculation)
         return network.counters
 
-    # -- window-boundary recovery (lockstep, supervised) ---------------
+    # -- window-boundary recovery (supervised) ---------------------------
 
     def _recover_window(
         self, supervisor, network, pool, t_idx, history, fault, snap, attempt
@@ -2248,7 +2053,6 @@ class ShardedEngine(ColumnarEngine):
             "initial_batch_size": self.initial_batch_size,
             "marks": run["marks"],
             "stream": stream_spec,
-            "pipeline": False,
             "kernels": _active_kernels().name,
             "metrics": run["metrics"],
             "worker": handle.index,
@@ -2258,128 +2062,6 @@ class ShardedEngine(ColumnarEngine):
             "history": list(history),
         }
         self._send(handle, ("run", payload))
-
-    # -- the pipelined window protocol ----------------------------------
-
-    def _pump(self, inbox: _Inbox, supervisor=None, window=None) -> None:
-        """Read and file exactly one worker message."""
-        message = self._recv(inbox.handle, supervisor, window)
-        tag = message[0]
-        if tag == "res":
-            inbox.res[message[1]] = message[2]
-            inbox.secs[message[1]] = message[3]
-            if len(message) > 4 and message[4]:
-                # Telemetry from stale speculative sends is kept too:
-                # the discarded compute was real work.
-                inbox.deltas.append(message[4])
-        elif tag == "ack":
-            inbox.acks[message[1]] = message[2]
-            if not message[2]:
-                # Speculation missed: the buffered next-window result
-                # is stale; the worker's recompute follows in the pipe.
-                inbox.res.pop(message[1] + 1, None)
-                inbox.secs.pop(message[1] + 1, None)
-        elif tag == "rep":
-            inbox.reps[message[1]] = message[2]
-            if len(message) > 3 and message[3]:
-                inbox.deltas.append(message[3])
-        else:  # pragma: no cover - protocol bug guard
-            raise ShardedWorkerError(
-                f"shard worker {inbox.handle.index} sent unexpected {tag!r}"
-            )
-
-    def _roll_pipelined(
-        self, window, inboxes, supervisor, affected, site_id, controls
-    ):
-        """The pipelined roll: ``("roll", window, site_id, controls)``
-        to every affected worker, then each one's replacements from its
-        inbox (speculative traffic may precede them in the pipe)."""
-        for h in affected:
-            self._send(h, ("roll", window, site_id, controls), window)
-        replies = []
-        for h in affected:
-            inbox = inboxes[h.index]
-            while window not in inbox.reps:
-                self._pump(inbox, supervisor, window)
-            replies.append((h, inbox.reps.pop(window)))
-        return replies
-
-    def _run_windows_pipelined(
-        self,
-        network,
-        pool,
-        n,
-        marks,
-        mark_set,
-        on_step,
-        on_checkpoint,
-        supervisor=None,
-    ) -> "MessageCounters":
-        handles = pool["handles"]
-        inboxes = [_Inbox(handle) for handle in handles]
-        windows = list(
-            batch_windows(n, self.batch_size, self.initial_batch_size, marks)
-        )
-        tally = _RunTally()
-        speculation = {"hits": 0, "misses": 0}
-        for u, (lo, hi) in enumerate(windows):
-            controls = self._fold_window_pipelined(
-                u, network, handles, inboxes, tally, speculation, supervisor
-            )
-            for inbox in inboxes:
-                if inbox.deltas:
-                    for deltas in inbox.deltas:
-                        merge_worker_deltas(
-                            self.registry, inbox.handle.index, deltas
-                        )
-                    inbox.deltas.clear()
-            for handle in handles:
-                self._send(handle, ("com", u, controls), u)
-            if supervisor is not None:
-                supervisor.export_heartbeats()
-            network.items_processed += hi - lo
-            t = network.items_processed
-            if on_step is not None:
-                on_step(t)
-            if hi in mark_set:
-                on_checkpoint(t)
-        self._finish_run(network, handles, supervisor)
-        self.last_run_stats = tally.stats(pool, "on", len(windows))
-        self.last_run_stats["speculation"] = speculation
-        return network.counters
-
-    def _fold_window_pipelined(
-        self, u, network, handles, inboxes, tally, speculation, supervisor=None
-    ):
-        """Fold window ``u`` over the pipelined wire: pump each worker's
-        inbox until ``u``'s final result and ``u - 1``'s ack verdict are
-        in (an ack miss discards the stale speculative result; the
-        recompute follows it in the pipe), then fold through
-        :meth:`_fold_window`.  Returns the window's control list (what
-        ``com`` broadcasts to the workers)."""
-        t0 = time.perf_counter()
-        pending: dict = {}
-        compute = 0.0
-        for inbox in inboxes:
-            while u not in inbox.res or (u > 0 and u - 1 not in inbox.acks):
-                self._pump(inbox, supervisor, u)
-            if u > 0:
-                speculation["hits" if inbox.acks.pop(u - 1) else "misses"] += 1
-            compute = max(compute, inbox.secs.pop(u))
-            for descriptor in inbox.res.pop(u):
-                pending[descriptor[0]] = (inbox.handle, descriptor)
-        t1 = time.perf_counter()
-        controls, rollbacks = self._fold_window(
-            u,
-            network,
-            handles,
-            pending,
-            partial(self._roll_pipelined, u, inboxes, supervisor),
-        )
-        tally.commit(
-            rollbacks, controls, compute, t1 - t0, time.perf_counter() - t1
-        )
-        return controls
 
     def format_stats(self) -> str:
         """A human-readable breakdown of :attr:`last_run_stats` (used
@@ -2401,8 +2083,7 @@ class ShardedEngine(ColumnarEngine):
             )
         lines = [
             (
-                f"sharded engine breakdown (pipeline "
-                f"{stats.get('pipeline', '?')}, {stats['workers']} workers, "
+                f"sharded engine breakdown ({stats['workers']} workers, "
                 f"{stats['transport']} transport):"
             ),
             (
@@ -2431,11 +2112,6 @@ class ShardedEngine(ColumnarEngine):
                 f"  faults: {len(stats['faults'])} classified, "
                 f"{stats.get('worker_restarts', 0)} worker restarts, "
                 f"recovery {stats.get('recovery_seconds', 0.0):.3f}s"
-            )
-        if "degraded_to" in stats:
-            lines.append(
-                f"  degraded: {stats.get('degraded_from', '?')} -> "
-                f"{stats['degraded_to']}"
             )
         if "kernels" in stats:
             lines.append(f"  kernels: {stats['kernels']} backend")
@@ -2547,7 +2223,7 @@ class ShardedEngine(ColumnarEngine):
         coordinator's responses so the window loop can see broadcasts.
         Only called on uninstrumented networks (checked at ``run``
         start), where this *is* the delivery path, verbatim.
-        ``attempt`` (supervised lockstep only) guards downstream
+        ``attempt`` (supervised runs only) guards downstream
         deliveries across window-recovery refolds.
         """
         counters = network.counters

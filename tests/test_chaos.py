@@ -5,20 +5,18 @@ What is covered:
 1. **FaultPlan semantics** — parse/str round-trips, retirement on
    fire, the worker wire form, respawn-failure consumption, and the
    seeded single-fault generator.
-2. **Lockstep recovery** — every worker-side fault kind, across worker
-   and window positions: the run stays bit-identical to the columnar
-   engine (samples AND message counters), finishes in ``"sharded"``
-   mode with the expected fault class and restart count, and leaks no
-   processes or shared-memory segments.
-3. **Pipelined degradation** — the same kinds (plus ``stall_ack``)
-   under speculation: no in-place recovery exists there, so the run
-   must land on the lockstep rung, still bit-identical.
-4. **Exhaustion** — a zero restart budget or injected respawn failures
-   walk the ladder to the in-process columnar engine; the run is still
+2. **Recovery in place** — every worker-side fault kind, across worker
+   and window positions, on the default (speculating) engine: the run
+   stays bit-identical to the columnar engine (samples AND message
+   counters), finishes in ``"sharded"`` mode with the expected fault
+   class and restart count, and leaks no processes or shared-memory
+   segments.
+3. **Exhaustion** — a zero restart budget or injected respawn failures
+   take the ladder to the in-process columnar engine; the run is still
    bit-identical and never hangs.
-5. **Error surface** — ``ShardedWorkerError``'s structured context and
+4. **Error surface** — ``ShardedWorkerError``'s structured context and
    message format, pinned (dashboards and scripts parse it).
-6. **Property** — a seeded, uniformly drawn single fault (hypothesis)
+5. **Property** — a seeded, uniformly drawn single fault (hypothesis)
    always yields a bit-identical recovered run.
 
 Every fault here is declarative and seeded (see
@@ -89,11 +87,10 @@ def _reference(n=ITEMS):
     return _REFERENCE[n]
 
 
-def _chaos_run(fault_plan, pipeline="off", n=ITEMS, **kwargs):
+def _chaos_run(fault_plan, n=ITEMS, **kwargs):
     engine = ShardedEngine(
         batch_size=BATCH,
         workers=WORKERS,
-        pipeline=pipeline,
         fault_plan=fault_plan,
         worker_timeout=TIMEOUT,
         **kwargs,
@@ -206,7 +203,7 @@ class TestFaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# 2. Lockstep recovery: bit-identical across every fault kind
+# 2. Recovery in place: bit-identical across every fault kind
 # ---------------------------------------------------------------------------
 
 
@@ -235,7 +232,8 @@ class TestLockstepRecovery:
         _assert_no_orphans(before)
 
     @pytest.mark.parametrize(
-        "plan", ["kill:0:0", "kill:2:3", "hang:2:0", "corrupt:0:3"]
+        "plan",
+        ["kill:0:0", "kill:2:3", "hang:2:0", "corrupt:0:3", "drop:0:1", "corrupt:1:3"],
     )
     def test_worker_and_window_positions(self, plan):
         fingerprint, stats = _chaos_run(plan)
@@ -282,28 +280,7 @@ class TestLockstepRecovery:
 
 
 # ---------------------------------------------------------------------------
-# 3. Pipelined degradation: faults land on the lockstep rung
-# ---------------------------------------------------------------------------
-
-
-class TestPipelinedDegradation:
-    @pytest.mark.parametrize(
-        "plan",
-        ["kill:1:2", "hang:1:2", "drop:0:1", "corrupt:1:3", "stall_ack:1:1"],
-    )
-    def test_fault_degrades_to_lockstep_bit_identical(self, plan):
-        before = set(glob.glob("/dev/shm/psm_*"))
-        fingerprint, stats = _chaos_run(plan, pipeline="on")
-        assert fingerprint == _reference()
-        assert stats["mode"] == "sharded"
-        assert stats["degraded_to"] == "lockstep"
-        assert stats["degraded_from"] == "pipelined"
-        assert len(stats["faults"]) >= 1
-        _assert_no_orphans(before)
-
-
-# ---------------------------------------------------------------------------
-# 4. Exhaustion: the ladder bottoms out, never hangs
+# 3. Exhaustion: the ladder bottoms out, never hangs
 # ---------------------------------------------------------------------------
 
 
@@ -329,19 +306,9 @@ class TestExhaustion:
         assert stats["rung"] == "columnar"
         _assert_no_orphans(before)
 
-    def test_pipelined_exhaustion_walks_both_rungs(self):
-        # The pipelined rung degrades to lockstep; a second planned
-        # fault there with no restart budget bottoms out on columnar.
-        fingerprint, stats = _chaos_run(
-            "kill:1:1,hang:2:2", pipeline="on", max_worker_restarts=0
-        )
-        assert fingerprint == _reference()
-        assert stats["mode"] == "degraded"
-        assert stats["degraded_to"] == "columnar"
-
 
 # ---------------------------------------------------------------------------
-# 5. Error surface: structured context, pinned message format
+# 4. Error surface: structured context, pinned message format
 # ---------------------------------------------------------------------------
 
 
@@ -386,7 +353,7 @@ class TestShardedWorkerError:
 
 
 # ---------------------------------------------------------------------------
-# 6. Property: any seeded single fault recovers bit-identically
+# 5. Property: any seeded single fault recovers bit-identically
 # ---------------------------------------------------------------------------
 
 

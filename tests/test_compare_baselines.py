@@ -36,7 +36,6 @@ class TestOnlyGuard:
             "workers": 2,
             "batch_size": 64,
             "speedup": 1.0,
-            "lockstep_speedup": 1.0,
             "sharded_items_per_sec": 100,
         }
         fresh = dict(baseline, speedup=1.2)
@@ -69,7 +68,6 @@ class TestOnlyGuard:
             "workers": 2,
             "batch_size": 64,
             "speedup": 2.0,
-            "lockstep_speedup": 2.0,
             "sharded_items_per_sec": 100,
         }
         fresh = dict(baseline, speedup=1.0)  # 50% drop > 20% tolerance
@@ -100,7 +98,6 @@ class TestOnlyGuard:
             "workers": 2,
             "batch_size": 64,
             "speedup": 1.0,
-            "lockstep_speedup": 1.0,
             "sharded_items_per_sec": 100,
         }
         fresh = dict(baseline, workers=4)
@@ -145,7 +142,6 @@ class TestUpdate:
         "workers": 2,
         "batch_size": 64,
         "speedup": 3.4,
-        "lockstep_speedup": 2.7,
         "sharded_items_per_sec": 100,
         "samples_identical": True,
         "counters_identical": True,
@@ -197,7 +193,7 @@ class TestUpdate:
 
     def test_update_refuses_fallback_mode(self, tmp_path, capsys):
         base_dir, fresh_dir = self._dirs(tmp_path)
-        bad = dict(self.FRESH, lockstep_mode="fallback")
+        bad = dict(self.FRESH, mode="fallback")
         (fresh_dir / "BENCH_sharded.json").write_text(json.dumps(bad))
         code = self._run_update(base_dir, fresh_dir)
         assert code == 1

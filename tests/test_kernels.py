@@ -16,7 +16,7 @@ drawn.  Three layers pin it:
 2. **Engine-level parity** — the columnar and sharded engines produce
    identical samples (hence identical RNG consumption) and identical
    message counters under every backend, at batch size 1 and steady
-   state, in both pipeline modes.
+   state.
 3. **Selection semantics** — the ``REPRO_KERNELS`` env var, strict vs
    lenient resolution, ``use_kernels`` scoping, ``get_engine``
    plumbing, and the CLI flag.
@@ -310,15 +310,12 @@ class TestEngineParity:
 
         assert fingerprint(backend) == fingerprint("numpy")
 
-    @pytest.mark.parametrize("pipeline", ["on", "off"])
-    def test_sharded_parity_both_pipeline_modes(self, stream, pipeline):
+    def test_sharded_parity(self, stream):
         ref = _swor_fingerprint(
             stream,
             ColumnarEngine(batch_size=512, kernels=python_mirror_backend()),
         )
-        engine = ShardedEngine(
-            batch_size=512, workers=2, pipeline=pipeline, kernels="numpy"
-        )
+        engine = ShardedEngine(batch_size=512, workers=2, kernels="numpy")
         got = _swor_fingerprint(stream, engine)
         assert engine.last_run_stats["mode"] == "sharded"
         assert engine.last_run_stats["kernels"] == "numpy"

@@ -13,8 +13,8 @@ What is covered:
    deliberate, reviewed act (dashboards depend on these names).
 4. **Bit-parity** — samples AND message counters are identical with a
    live registry and with the null one, on every engine (reference,
-   columnar, sharded in both pipeline modes) and on the
-   multi-query driver.  Instrumentation is observational only.
+   columnar, sharded) and on the multi-query driver.  Instrumentation
+   is observational only.
 5. **Instrumentation facts** — engines export run/item/window
    counters and message gauges that agree with the ground truth;
    worker shards ship metric columns that merge into per-worker
@@ -438,7 +438,7 @@ class TestMetricNameStability:
         merge_worker_deltas(registry, 0, (1.0,) * len(WORKER_METRIC_NAMES))
         observe_fault(registry, "crash")
         observe_recovery(registry, 0, 0.01)
-        observe_degradation(registry, "lockstep")
+        observe_degradation(registry, "columnar")
         observe_heartbeat_age(registry, 0, 0.0)
         assert registry.metric_names() == GOLDEN_METRIC_NAMES
 
@@ -472,10 +472,9 @@ class TestInstrumentationParity:
         assert _fingerprint(plain) == _fingerprint(live)
         assert registry.metric_names()  # telemetry actually flowed
 
-    @pytest.mark.parametrize("pipeline", ["off", "on"])
-    def test_sharded_engine(self, pipeline):
+    def test_sharded_engine(self):
         pytest.importorskip("numpy")
-        engine = ShardedEngine(workers=2, batch_size=4096, pipeline=pipeline)
+        engine = ShardedEngine(workers=2, batch_size=4096)
         try:
             plain = _run(engine)
             assert engine.last_run_stats["mode"] == "sharded"
@@ -588,9 +587,7 @@ class TestEngineInstrumentation:
     def test_sharded_worker_columns_merge_at_commit(self):
         pytest.importorskip("numpy")
         registry = MetricsRegistry()
-        engine = ShardedEngine(
-            workers=2, batch_size=4096, pipeline="off"
-        ).instrument(registry)
+        engine = ShardedEngine(workers=2, batch_size=4096).instrument(registry)
         try:
             _run(engine)
             stats = engine.last_run_stats
@@ -598,7 +595,8 @@ class TestEngineInstrumentation:
         finally:
             engine.close()
         windows = stats["windows"]
-        # Lockstep: every worker computes every window exactly once.
+        # Every worker ships every window exactly once (a discarded
+        # speculative pass books as a recompute, not a window).
         per_worker = {
             worker: _value(
                 registry, "repro_shard_worker_windows_total", worker=worker

@@ -7,9 +7,10 @@ What is covered:
    combinations, including batch size 1 (pure scalar-message
    transport), rollback-heavy runs, checkpoints, and reused networks
    (two consecutive ``run`` calls continue the RNG streams exactly).
-2. **Fallbacks** — workers=1, instrumented
-   (traced) networks, and non-shardable sites all take the in-process
-   columnar path; the engine is always safe to select.
+2. **Fallbacks** — workers=1 (also the default on a process pinned to
+   one CPU), instrumented (traced) networks, and non-shardable sites
+   all take the in-process columnar path; the engine is always safe to
+   select.
 3. **Worker failure** — a site raising mid-run surfaces the original
    traceback in the parent and leaves no orphaned processes or
    shared-memory segments.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import glob
 import multiprocessing
+import os
 import random
 
 import pytest
@@ -267,6 +269,19 @@ class TestShardedFallbacks:
         assert _fingerprint(proto) == _fingerprint(
             _run(stream, ColumnarEngine(batch_size=512))
         )
+
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
+        # A process pinned to one CPU (``taskset -c 0``) defaults to one
+        # worker, whatever the machine's core count.
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        engine = ShardedEngine(batch_size=512)
+        assert engine.workers == 1
+        _run(_stream(n=3000), engine)
+        stats = engine.last_run_stats
+        assert stats["mode"] == "fallback"
+        assert stats["reason"] == "single worker"
 
     def test_traced_network_falls_back_and_traces_identically(self):
         stream = _stream(n=3000, seed=9)

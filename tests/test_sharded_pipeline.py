@@ -1,4 +1,4 @@
-"""Pipelined sharded engine under adversarial broadcast pressure.
+"""Speculating sharded engine under adversarial control traffic.
 
 The broadcast-storm stream below is built to make speculation *lose*
 constantly: a tiny ``level_set_factor`` shrinks the saturation size so
@@ -8,14 +8,17 @@ spine forces the threshold across epoch brackets again and again
 in-flight window (dozens of rollbacks per run) and invalidates the
 workers' speculative next window (speculation misses).  Bit-parity of
 the samples AND the message counters against the single-process
-columnar engine must survive all of it, in both pipeline modes, across
-transports, batch sizes, reused networks, and checkpoints.
+columnar engine must survive all of it, across transports, batch
+sizes, reused networks, and checkpoints.
 
-Both modes fold every window in exact ascending-site order, so the
-parent's coordinator calls are pinned call for call against the
-columnar engine's.  The last part pins the ``snapshot_state`` /
-``restore_state`` round trips that lockstep window recovery and the
-degradation ladder rely on.
+Every window folds in exact ascending-site order, so the parent's
+coordinator calls are pinned call for call against the columnar
+engine's.  No shipped coordinator sends a unicast, so a toy protocol
+drives both unicast branches: a control to a later site of the window
+(the engine must roll) and one to an earlier site (applied at commit,
+so the owning worker's speculation must miss).  The last part pins the
+``snapshot_state`` / ``restore_state`` round trips that window
+recovery and the degradation ladder rely on.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ import pytest
 
 from repro.core import DistributedWeightedSWOR, SworConfig
 from repro.net.counters import MessageCounters
-from repro.net.messages import EARLY, Message, MessagePack
-from repro.runtime import ColumnarEngine, ShardedEngine
+from repro.net.messages import EARLY, RAW_ITEM, ROUND_UPDATE, Message, MessagePack
+from repro.runtime import ColumnarEngine, Network, ShardedEngine
+from repro.runtime.interfaces import CoordinatorAlgorithm, SiteAlgorithm
 from repro.stream import round_robin, zipf_stream
 from repro.stream.item import Item
 
@@ -101,37 +105,27 @@ class TestBroadcastStormParity:
         return _fingerprint(_run(storm_stream, ColumnarEngine(batch_size=256)))
 
     @pytest.mark.parametrize(
-        "workers,transport,pipeline",
-        [
-            (2, "shm", "on"),
-            (3, "pipe", "on"),
-            (4, "auto", "on"),
-            (2, "shm", "off"),
-            (3, "pipe", "off"),
-        ],
+        "workers,transport", [(2, "shm"), (3, "pipe"), (4, "auto")]
     )
     def test_parity_and_speculation_accounting(
-        self, storm_stream, columnar_256, workers, transport, pipeline
+        self, storm_stream, columnar_256, workers, transport
     ):
         engine = ShardedEngine(
-            batch_size=256, workers=workers, transport=transport, pipeline=pipeline
+            batch_size=256, workers=workers, transport=transport
         )
         proto = _run(storm_stream, engine)
         st = engine.last_run_stats
         assert st["mode"] == "sharded"
-        assert st["pipeline"] == pipeline
         assert _fingerprint(proto) == columnar_256
         # The storm must actually storm: control broadcasts land
         # mid-window dozens of times (38 observed at this config).
         assert st["rollbacks"] >= 24
-        if pipeline == "on":
-            # Every window but the last is speculated by every worker,
-            # and each speculation is resolved as exactly one hit or
-            # miss at commit time.
-            spec = st["speculation"]
-            assert spec["misses"] > 0
-            expected = (st["windows"] - 1) * workers
-            assert spec["hits"] + spec["misses"] == expected
+        # Every window but the last is speculated by every worker, and
+        # each speculation is resolved as exactly one hit or miss.
+        spec = st["speculation"]
+        assert spec["misses"] > 0
+        expected = (st["windows"] - 1) * workers
+        assert spec["hits"] + spec["misses"] == expected
 
     @pytest.mark.parametrize("batch_size,n", [(1, 800), (64, 4000), (512, 6000)])
     def test_parity_across_batch_sizes(self, batch_size, n):
@@ -139,13 +133,12 @@ class TestBroadcastStormParity:
         columnar = _fingerprint(
             _run(stream, ColumnarEngine(batch_size=batch_size))
         )
-        engine = ShardedEngine(batch_size=batch_size, workers=2, pipeline="on")
+        engine = ShardedEngine(batch_size=batch_size, workers=2)
         proto = _run(stream, engine)
         assert engine.last_run_stats["mode"] == "sharded"
         assert _fingerprint(proto) == columnar
 
-    @pytest.mark.parametrize("pipeline", ["on", "off"])
-    def test_reused_network_continues_through_storm(self, pipeline):
+    def test_reused_network_continues_through_storm(self):
         # Two consecutive runs on one protocol: the worker finals from
         # run 1 (including speculative state discarded at the fin
         # barrier) must transplant back so run 2 continues the RNG
@@ -160,13 +153,12 @@ class TestBroadcastStormParity:
             return _fingerprint(proto)
 
         assert run_twice(ColumnarEngine(batch_size=256)) == run_twice(
-            ShardedEngine(batch_size=256, workers=3, pipeline=pipeline)
+            ShardedEngine(batch_size=256, workers=3)
         )
 
-    @pytest.mark.parametrize("pipeline", ["on", "off"])
-    def test_checkpoints_and_steps_match_columnar(self, pipeline):
+    def test_checkpoints_and_steps_match_columnar(self):
         # Checkpoints force window splits at arbitrary items; the
-        # pipelined commit/ack cycle must not disturb their timing.
+        # speculative next window must not disturb their timing.
         stream = _storm(n=6000, seed=11)
         checkpoints = [100, 2500, 2501, 6000]
 
@@ -184,11 +176,11 @@ class TestBroadcastStormParity:
             return hits, steps, _fingerprint(proto)
 
         assert run(ColumnarEngine(batch_size=512)) == run(
-            ShardedEngine(batch_size=512, workers=3, pipeline=pipeline)
+            ShardedEngine(batch_size=512, workers=3)
         )
 
-    def test_stats_shape_pipelined(self, storm_stream, columnar_256):
-        engine = ShardedEngine(batch_size=256, workers=2, pipeline="on")
+    def test_stats_shape(self, storm_stream, columnar_256):
+        engine = ShardedEngine(batch_size=256, workers=2)
         _run(storm_stream, engine)
         st = engine.last_run_stats
         assert st["timing"].keys() == {
@@ -198,13 +190,13 @@ class TestBroadcastStormParity:
         }
         assert all(v >= 0.0 for v in st["timing"].values())
         assert len(st["per_window"]) == st["windows"]
-        # format_stats renders without raising and names the mode.
+        # format_stats renders without raising and names the setup.
         text = engine.format_stats()
-        assert "pipeline on" in text
+        assert "2 workers" in text
         assert "speculation" in text
 
     def test_single_worker_fallback_dict(self, storm_stream, columnar_256):
-        engine = ShardedEngine(batch_size=256, workers=1, pipeline="on")
+        engine = ShardedEngine(batch_size=256, workers=1)
         proto = _run(storm_stream, engine)
         stats = engine.last_run_stats
         # The fallback marker survives the run-stats refresh (PR 7 adds
@@ -214,11 +206,10 @@ class TestBroadcastStormParity:
         assert stats["engine"] == "sharded"
         assert _fingerprint(proto) == columnar_256
 
-    @pytest.mark.parametrize("pipeline", ["on", "off"])
-    def test_timing_keys_match_across_modes(self, storm_stream, pipeline):
-        # Both protocols time the same phases, per run and per window,
-        # and both measure the workers' window computes.
-        engine = ShardedEngine(batch_size=256, workers=2, pipeline=pipeline)
+    def test_timing_keys(self, storm_stream):
+        # The same phases are timed per run and per window, and the
+        # workers' window computes are measured.
+        engine = ShardedEngine(batch_size=256, workers=2)
         _run(storm_stream, engine)
         st = engine.last_run_stats
         assert st["timing"].keys() == {
@@ -263,16 +254,11 @@ def _fold_sequence(stream, engine):
 
 class TestFoldSequence:
     @pytest.mark.parametrize("batch_size", [256, 1024])
-    @pytest.mark.parametrize("pipeline", ["off", "on"])
-    def test_parent_folds_columnar_sequence(
-        self, storm_stream, batch_size, pipeline
-    ):
+    def test_parent_folds_columnar_sequence(self, storm_stream, batch_size):
         expected = _fold_sequence(
             storm_stream, ColumnarEngine(batch_size=batch_size)
         )
-        engine = ShardedEngine(
-            batch_size=batch_size, workers=2, pipeline=pipeline
-        )
+        engine = ShardedEngine(batch_size=batch_size, workers=2)
         try:
             got = _fold_sequence(storm_stream, engine)
             assert engine.last_run_stats["mode"] == "sharded"
@@ -283,7 +269,90 @@ class TestFoldSequence:
 
 
 # ---------------------------------------------------------------------------
-# 3. Coordinator and counter snapshots
+# 3. Unicast controls
+# ---------------------------------------------------------------------------
+
+
+class MarkSite(SiteAlgorithm):
+    """Reports each arrival tagged with the last control payload it saw
+    (module-level so it pickles into spawn workers)."""
+
+    def __init__(self) -> None:
+        self.mark = -1
+        self.items = 0
+
+    def on_item(self, item):
+        self.items += 1
+        return [Message(RAW_ITEM, (item.ident, self.mark))]
+
+    def on_control(self, message):
+        self.mark = message.payload[0]
+
+
+class UnicastCoordinator(CoordinatorAlgorithm):
+    """Sends a unicast control on every 7th upstream message.
+
+    ``"next"`` targets the site after the sender: a later site of the
+    same window, so the engine must roll it back.  ``"back"`` targets
+    the sender or the site before it: applied at commit, so the owning
+    worker's speculative next window must be redone.
+    """
+
+    def __init__(self, target: str) -> None:
+        self.target = target
+        self.seen: list = []
+
+    def on_message(self, site_id, message):
+        self.seen.append((site_id, *message.payload))
+        n = len(self.seen)
+        if n % 7:
+            return []
+        if self.target == "next":
+            dest = (site_id + 1) % SITES
+        else:
+            dest = max(site_id - n // 7 % 2, 0)
+        return [(dest, Message(ROUND_UPDATE, (n,)))]
+
+
+@pytest.fixture(scope="module")
+def unicast_stream():
+    return round_robin(zipf_stream(2000, random.Random(4), alpha=1.2), SITES)
+
+
+def _unicast_run(stream, target, engine):
+    network = Network([MarkSite() for _ in range(SITES)], UnicastCoordinator(target))
+    network.run(stream, engine=engine)
+    return (
+        network.coordinator.seen,
+        [(site.mark, site.items) for site in network.sites],
+        network.counters.snapshot(),
+    )
+
+
+class TestUnicastControls:
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("batch_size", [64, 256])
+    @pytest.mark.parametrize("target", ["next", "back"])
+    def test_unicast_parity(self, unicast_stream, target, batch_size, workers):
+        expected = _unicast_run(
+            unicast_stream, target, ColumnarEngine(batch_size=batch_size)
+        )
+        engine = ShardedEngine(batch_size=batch_size, workers=workers)
+        try:
+            got = _unicast_run(unicast_stream, target, engine)
+            stats = engine.last_run_stats
+        finally:
+            engine.close()
+        assert stats["mode"] == "sharded"
+        assert got == expected
+        if target == "next":
+            assert stats["rollbacks"] > 0
+        else:
+            assert stats["speculation"]["misses"] > 0
+
+
+# ---------------------------------------------------------------------------
+# 4. Coordinator and counter snapshots
 # ---------------------------------------------------------------------------
 
 
@@ -308,8 +377,8 @@ def _regular_pack(keys, idents=None):
 
 
 class TestUnorderedFoldContract:
-    """Coordinator and counter snapshot round trips: supervised
-    lockstep rewinds a faulted window with them, and the degradation
+    """Coordinator and counter snapshot round trips: a supervised run
+    rewinds a faulted window with them, and the degradation
     ladder's run-start checkpoint takes one.  (Named for the fold these
     round trips first served; the name keeps the test ids stable.)"""
 

@@ -19,7 +19,7 @@ R002      kernel-purity           ``repro.kernels`` backends are pure column
 R003      snapshot-completeness   every ``snapshot_state``/``restore_state``
                                   pair covers every mutable attribute, or
                                   names it in ``_SNAPSHOT_EXCLUDE`` (rollback
-                                  parity for the sharded/pipelined engines)
+                                  parity for the sharded engine)
 R004      clock-discipline        wall clocks only in telemetry/driver layers
                                   (``obs/``, ``runtime/``, the CLI, the query
                                   driver) — never where a timestamp could leak
@@ -482,10 +482,9 @@ def _exclude_names(cls: ast.ClassDef) -> Set[str]:
 class SnapshotCompleteness(Rule):
     """R003: snapshot/restore pairs must cover every mutable attribute.
 
-    The sharded engine's rollback (PR 5) and the pipelined engine's
-    rewind-and-refold (PR 6) assume ``restore_state(snapshot_state())``
-    followed by the same inputs reproduces the same outputs **bit for
-    bit**.  An attribute that protocol methods mutate but the pair does
+    The sharded engine's rollbacks, speculation misses and window
+    recovery assume ``restore_state(snapshot_state())`` followed by the
+    same inputs reproduces the same outputs **bit for bit**.  An attribute that protocol methods mutate but the pair does
     not restore silently survives a rollback — parity then breaks only
     on the rare replay paths, the worst kind of bug to chase.  Derived
     caches that rebuild themselves must be listed in a class-level
