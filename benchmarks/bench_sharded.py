@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 
 from repro.analysis import format_table
@@ -59,7 +60,9 @@ SWEEP = os.environ.get("REPRO_BENCH_SHARD_SWEEP", "")
 JSON_PATH = os.environ.get("REPRO_BENCH_SHARD_JSON")
 SAMPLE = 16
 SEED = 1
-REPS = 2  # timing repetitions per engine (best-of)
+#: Timed repetitions per engine, interleaved columnar/sharded so host
+#: noise hits both sides alike; each engine records its median.
+REPS = 7
 
 #: The speedup gate only binds when this process can actually run the
 #: workers in parallel; the nightly full-scale job (4-core runners)
@@ -83,30 +86,28 @@ def _run_once(stream, engine):
     return time.perf_counter() - t0, proto
 
 
-def _measure(stream, engine):
-    """Best-of-REPS timing with one engine instance.
-
-    An explicit warmup run precedes the timed loop: for the sharded
-    engine it spawns the persistent worker pool, and when the compiled
-    kernel tier is active it pays the first-call JIT compilation — so
-    best-of measures steady-state (warm-pool, warm-kernel) throughput,
-    the regime a long-lived engine actually runs in.
-    """
-    _run_once(stream, engine)  # warmup: pool spawn + kernel JIT
-    best = None
-    for _ in range(REPS):
-        elapsed, proto = _run_once(stream, engine)
-        if best is None or elapsed < best[0]:
-            best = (elapsed, proto)
-    return best
-
-
 def _bench(report_fn):
+    """Median-of-REPS timing of both engines, repetitions interleaved.
+
+    An explicit warmup run per engine precedes the timed loop: for the
+    sharded engine it spawns the persistent worker pool, and when the
+    compiled kernel tier is active it pays the first-call JIT
+    compilation — so the medians measure steady-state (warm-pool,
+    warm-kernel) throughput, the regime a long-lived engine actually
+    runs in.
+    """
     stream = _make_stream()
-    col_time, col_proto = _measure(stream, ColumnarEngine(batch_size=BATCH))
+    columnar = ColumnarEngine(batch_size=BATCH)
     engine = ShardedEngine(batch_size=BATCH, workers=WORKERS)
     try:
-        shard_time, shard_proto = _measure(stream, engine)
+        _run_once(stream, columnar)  # warmup: kernel JIT
+        _run_once(stream, engine)  # warmup: pool spawn
+        col_times, shard_times = [], []
+        for _ in range(REPS):
+            elapsed, col_proto = _run_once(stream, columnar)
+            col_times.append(elapsed)
+            elapsed, shard_proto = _run_once(stream, engine)
+            shard_times.append(elapsed)
         stats = dict(engine.last_run_stats)
         metrics = None
         if JSON_PATH:
@@ -125,9 +126,9 @@ def _bench(report_fn):
         return _finish(
             report_fn,
             stream,
-            col_time,
+            statistics.median(col_times),
             col_proto,
-            (shard_time, shard_proto, stats),
+            (statistics.median(shard_times), shard_proto, stats),
             metrics,
         )
     finally:

@@ -140,10 +140,11 @@ class SworCoordinator(CoordinatorAlgorithm):
         scalar path's RNG consumption — so samples stay bit-identical
         to per-message processing.  The *fast path* then commits the
         pack in bulk: earlies are parked level-by-level with one list
-        extend each, and regulars are re-checked against the live
-        threshold with one boolean mask before a single
-        ``np.partition`` top-``s`` merge folds the survivors into the
-        sample.  The fast path is only taken when the pack provably
+        extend each, and every pack's regulars, however few, take one
+        fused ``swor_fold_regulars`` call (threshold re-check plus
+        top-``s`` selection over the sample's key column) and one
+        :meth:`~repro.core.sample_set.TopKeySample.fold_selected`
+        commit.  The fast path is only taken when the pack provably
         emits no broadcast — no early touches a saturated (or
         about-to-saturate) level, and the merged threshold stays inside
         the current epoch bracket; pack processing is then
@@ -194,42 +195,23 @@ class SworCoordinator(CoordinatorAlgorithm):
                     fast = False
                     break
         nr = pack.num_regular
-        surv_ids: Any = None
-        surv_ws: Any = None
-        surv_keys: Any = None
         keys: Any = None
         fold: Any = None
         accepted = 0
         if fast and nr:
-            threshold = self.sample_set.threshold
+            # The fused kernel computes the threshold mask, the merged
+            # cut (the threshold the fold leaves behind), the
+            # boundary-tie count and the kept-candidate set in one pass.
             keys = pack.regular_keys
-            if nr <= 32:  # scalar path: numpy call overhead dwarfs tiny packs
-                keys_list = keys.tolist()
-                idx = [i for i, k in enumerate(keys_list) if k > threshold]
-                accepted = len(idx)
-                if accepted:
-                    ids = pack.regular_idents.tolist()
-                    ws = pack.regular_weights.tolist()
-                    surv_ids = [ids[i] for i in idx]
-                    surv_ws = [ws[i] for i in idx]
-                    surv_keys = [keys_list[i] for i in idx]
-                    if self.epochs.would_announce(
-                        self.sample_set.merged_threshold(surv_keys)
-                    ):
-                        fast = False
-            else:
-                # The fused kernel computes the threshold mask, the
-                # merged cut (= merged_threshold), the boundary-tie
-                # count, and the kept-candidate set in one pass.
-                fold = _active_kernels().swor_fold_regulars(
-                    keys,
-                    threshold,
-                    self.sample_set.heap_keys(),
-                    self.sample_set.sample_size,
-                )
-                accepted = len(fold[0])
-                if accepted and self.epochs.would_announce(fold[2]):
-                    fast = False
+            fold = _active_kernels().swor_fold_regulars(
+                keys,
+                self.sample_set.threshold,
+                self.sample_set.keys,
+                self.sample_set.sample_size,
+            )
+            accepted = len(fold[0])
+            if accepted and self.epochs.would_announce(fold[2]):
+                fast = False
         if not fast:
             return self._replay_pack(pack, early_items, early_keys, levels_list)
         if ne:
@@ -242,12 +224,9 @@ class SworCoordinator(CoordinatorAlgorithm):
             self.regular_received += nr
             if accepted:
                 self.regular_accepted += accepted
-                if fold is not None:
-                    self.sample_set.fold_selected(
-                        pack.regular_idents, pack.regular_weights, keys, *fold
-                    )
-                else:
-                    self.sample_set.merge_columns(surv_ids, surv_ws, surv_keys)
+                self.sample_set.fold_selected(
+                    pack.regular_idents, pack.regular_weights, keys, *fold
+                )
                 announce = self.epochs.observe_threshold(self.sample_set.threshold)
                 if announce is not None:  # pragma: no cover - precluded above
                     return [(BROADCAST, Message(EPOCH_UPDATE, (announce,)))]

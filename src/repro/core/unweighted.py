@@ -13,7 +13,6 @@ this one's sample law and message shape.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from typing import Any, List, Optional, Tuple, Union
@@ -22,6 +21,7 @@ import numpy as _np
 
 from ..common.errors import ConfigurationError, ProtocolViolationError
 from ..common.rng import BatchRandom, RandomSource
+from ..kernels import active as _active_kernels
 from ..net.counters import MessageCounters
 from ..net.messages import Message, MessagePack, REGULAR, ROUND_UPDATE
 from ..runtime import (
@@ -33,6 +33,7 @@ from ..runtime import (
     get_engine,
 )
 from ..stream.item import DistributedStream, Item
+from .sample_set import TopKeySample
 
 __all__ = ["DistributedUnweightedSWOR"]
 
@@ -62,7 +63,7 @@ class _UnweightedSite(SiteAlgorithm):
     ) -> Union[MessagePack, List[Message], tuple]:
         """Bulk path: one uniform batch draw, filtered against the
         (possibly one-batch-stale) round threshold; the coordinator's
-        top-``s`` heap discards any extra passes.  The passers come back
+        top-``s`` sample discards any extra passes.  The passers come back
         as one :class:`~repro.net.messages.MessagePack` of parallel
         columns — no ``Item`` or ``Message`` objects.  Single-item
         batches take the scalar ``on_item`` path (batch size 1 stays
@@ -103,22 +104,24 @@ class _UnweightedSite(SiteAlgorithm):
 
 
 class _UnweightedCoordinator(CoordinatorAlgorithm):
-    """Coordinator half: keep the ``s`` smallest keys; bracket-broadcast."""
+    """Coordinator half: keep the ``s`` smallest keys; bracket-broadcast.
+
+    The ``s`` smallest keys are the ``s`` largest *negated* keys, so the
+    sample is a :class:`~repro.core.sample_set.TopKeySample` over
+    ``-key`` (negation is exact, and equal keys stay oldest first)."""
 
     def __init__(self, sample_size: int, r: float) -> None:
         self.sample_size = sample_size
         self.r = r
-        # Max-heap (negated keys) of the s smallest keys.
-        self._heap: List[Tuple[float, int, Item]] = []
-        self._counter = 0
+        self.sample_set = TopKeySample(sample_size)
         self._epoch = 0  # threshold bracket r^-epoch currently announced
 
     @property
     def threshold(self) -> float:
         """``s``-th smallest key (1.0 while underfull)."""
-        if len(self._heap) < self.sample_size:
+        if not self.sample_set.full:
             return 1.0
-        return -self._heap[0][0]
+        return -self.sample_set.threshold
 
     def on_message(self, site_id: int, message: Message) -> List[Tuple[int, Message]]:
         if message.kind != REGULAR:
@@ -126,14 +129,9 @@ class _UnweightedCoordinator(CoordinatorAlgorithm):
                 f"unweighted coordinator got {message.kind!r}"
             )
         ident, weight, key = message.payload
-        entry = (-key, self._counter, Item(ident, weight))
-        self._counter += 1
-        if len(self._heap) < self.sample_size:
-            heapq.heappush(self._heap, entry)
-        elif key < -self._heap[0][0]:
-            heapq.heapreplace(self._heap, entry)
-        else:
+        if self.sample_set.full and key >= self.threshold:
             return []
+        self.sample_set.add(Item(ident, weight), -key)
         u = self.threshold
         if u >= 1.0 or u <= 0.0:
             return []
@@ -147,20 +145,21 @@ class _UnweightedCoordinator(CoordinatorAlgorithm):
     # -- bulk path: one pack per (site, batch) --------------------------
 
     def on_message_pack(self, site_id: int, pack: Any) -> List[Tuple[int, Message]]:
-        """Columnar fold of a whole site batch into the top-``s`` heap.
+        """Columnar fold of a whole site batch into the sample.
 
-        Mirrors :meth:`repro.core.coordinator.SworCoordinator.on_message_pack`:
-        the fast path masks the pack's keys against the entry threshold
-        and rebuilds the heap with one ``np.partition`` selection —
-        taken only when it is provably indistinguishable from
-        sequential delivery (heap already full, unambiguous selection
-        boundary, and the merged threshold stays inside the current
-        epoch bracket so no ``ROUND_UPDATE`` broadcast fires mid-pack).
-        Otherwise the pack replays message by message, reproducing the
-        exact per-round semantics including broadcast count and timing.
-        ``Item`` objects are built only for candidates that enter the
-        heap; the tie-break counter advances exactly as sequential
-        processing would have advanced it.
+        Mirrors :meth:`repro.core.coordinator.SworCoordinator.on_message_pack`
+        over negated keys: one fused ``swor_fold_regulars`` call masks
+        the pack against the entry threshold and selects the merged
+        top ``s``, and one
+        :meth:`~repro.core.sample_set.TopKeySample.fold_selected`
+        commits it — taken only when it is provably indistinguishable
+        from sequential delivery (sample already full, unambiguous
+        selection boundary, and the merged threshold stays inside the
+        current epoch bracket so no ``ROUND_UPDATE`` broadcast fires
+        mid-pack).  Otherwise the pack replays message by message,
+        reproducing the exact per-round semantics including broadcast
+        count and timing.  ``Item`` objects are built only for
+        candidates that enter the sample.
         """
         nr = pack.num_regular
         if nr == 0:
@@ -169,32 +168,26 @@ class _UnweightedCoordinator(CoordinatorAlgorithm):
             nr <= 16  # numpy fold overhead dwarfs tiny packs
             or pack.num_early
             or pack.regular_kind != REGULAR
-            or len(self._heap) < self.sample_size
+            or not self.sample_set.full
         ):
             # Underfull warm-up (threshold still 1.0, epochs may fire
             # per message), a tiny pack, or a foreign shape: exact
             # replay — always bit-identical, and for tiny packs as
             # cheap as per-message delivery.
             return self._replay_pack(site_id, pack)
-        u0 = -self._heap[0][0]
-        keys = pack.regular_keys
-        base = self._counter
-        self._counter += nr
-        cand_idx = _np.flatnonzero(keys < u0)
-        if len(cand_idx) == 0:
-            return []
-        old = _np.fromiter(
-            (-e[0] for e in self._heap),
-            dtype=_np.float64,
-            count=len(self._heap),
+        neg_keys = -pack.regular_keys
+        fold = _active_kernels().swor_fold_regulars(
+            neg_keys,
+            self.sample_set.threshold,
+            self.sample_set.keys,
+            self.sample_size,
         )
-        merged = _np.concatenate([old, keys[cand_idx]])
-        cut = float(_np.partition(merged, self.sample_size - 1)[
-            self.sample_size - 1
-        ])
-        replay = int((merged == cut).sum()) != 1
+        if len(fold[0]) == 0:
+            return []
+        cut = -fold[2]
+        replay = fold[3] != 1
         if not replay and 0.0 < cut < 1.0:
-            # Would observe_threshold(cut) cross a bracket?  Epochs are
+            # Would the merged threshold cross a bracket?  Epochs are
             # monotone in the (only-decreasing) threshold, so the final
             # epoch decides whether any broadcast fires inside the pack.
             replay = (
@@ -202,16 +195,10 @@ class _UnweightedCoordinator(CoordinatorAlgorithm):
                 > self._epoch
             )
         if replay:
-            self._counter = base
             return self._replay_pack(site_id, pack)
-        new_heap = [e for e in self._heap if -e[0] <= cut]
-        ids, ws = pack.regular_idents, pack.regular_weights
-        for i in cand_idx[keys[cand_idx] <= cut].tolist():
-            new_heap.append(
-                (-float(keys[i]), base + i, Item(int(ids[i]), float(ws[i])))
-            )
-        heapq.heapify(new_heap)
-        self._heap = new_heap
+        self.sample_set.fold_selected(
+            pack.regular_idents, pack.regular_weights, neg_keys, *fold
+        )
         return []
 
     def _replay_pack(self, site_id: int, pack: Any) -> List[Tuple[int, Message]]:
@@ -221,16 +208,16 @@ class _UnweightedCoordinator(CoordinatorAlgorithm):
 
     def sample(self) -> List[Item]:
         """Current uniform SWOR (increasing key order)."""
-        return [e[2] for e in sorted(self._heap, key=lambda e: -e[0])]
+        return self.sample_set.items()
 
     def sample_with_keys(self) -> List[Tuple[Item, float]]:
         """``(item, key)`` pairs in increasing key order — the input
         shape :func:`repro.query.estimators.count_from_uniform_sample`
         expects."""
-        return [(e[2], -e[0]) for e in sorted(self._heap, key=lambda e: -e[0])]
+        return [(item, -key) for item, key in self.sample_set.entries()]
 
     def state_words(self) -> int:
-        return 3 * len(self._heap) + 2
+        return 3 * len(self.sample_set) + 2
 
 
 class DistributedUnweightedSWOR:

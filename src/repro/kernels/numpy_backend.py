@@ -1,11 +1,12 @@
 """The always-available numpy kernel backend.
 
 Each function here is the vectorized hot-path logic that used to live
-inline in the core structures (``TopKeySample.merge_columns``'s
-partition, the SWOR coordinator's regular fold, the SWR lexsort min
-fold, the sliding-window block-table dominator count, and the site-side
-level computation / early-regular split), extracted behind the kernel
-seam in :mod:`repro.kernels` so a compiled backend can replace it
+inline in the core structures (the top-``s`` merge cut, the fused
+regular fold that the SWOR, L1 and unweighted coordinators run over the
+sample set's key column, the SWR lexsort min fold, the sliding-window
+block-table dominator count, and the site-side level computation /
+early-regular split), extracted behind the kernel seam in
+:mod:`repro.kernels` so a compiled backend can replace it
 call-for-call.
 
 The contract shared with :mod:`repro.kernels.numba_backend` is *bit

@@ -43,6 +43,7 @@ from ..common.rng import (
 )
 from ..core.epochs import EpochTracker
 from ..core.sample_set import TopKeySample
+from ..kernels import active as _active_kernels
 from ..net.counters import MessageCounters
 from ..net.messages import EPOCH_UPDATE, Message, MessagePack, REGULAR
 from ..runtime import (
@@ -236,10 +237,11 @@ class _L1Coordinator(CoordinatorAlgorithm):
     def on_message_pack(self, site_id: int, pack) -> List[Tuple[int, Message]]:
         """Columnar fold of a whole site batch of duplicate keys.
 
-        Mirrors the SWOR coordinator's pack path: survivors of the
-        pack-entry threshold fold into the sample via one
-        :meth:`~repro.core.sample_set.TopKeySample.merge_columns`
-        rebuild, taken only when
+        Mirrors the SWOR coordinator's pack path: one fused
+        ``swor_fold_regulars`` call masks the pack against the entry
+        threshold and selects the merged top ``s``, and one
+        :meth:`~repro.core.sample_set.TopKeySample.fold_selected`
+        commits it — taken only when
         :meth:`~repro.core.epochs.EpochTracker.would_announce` proves
         the merged threshold stays inside the current epoch bracket (no
         ``EPOCH_UPDATE`` fires mid-pack); otherwise the pack replays
@@ -259,21 +261,22 @@ class _L1Coordinator(CoordinatorAlgorithm):
         ):
             return self._replay_pack(site_id, pack)
         keys = pack.regular_keys
-        send = keys > self.sample_set.threshold
-        accepted = int(_np.count_nonzero(send))
-        if accepted and self.epochs.would_announce(
-            self.sample_set.merged_threshold(keys[send])
-        ):
+        fold = _active_kernels().swor_fold_regulars(
+            keys,
+            self.sample_set.threshold,
+            self.sample_set.keys,
+            self.sample_size,
+        )
+        accepted = len(fold[0])
+        if accepted and self.epochs.would_announce(fold[2]):
             return self._replay_pack(site_id, pack)
         if not self._announced_any:
             # Same left-fold float order as per-message accumulation.
             for w in pack.regular_weights.tolist():
                 self._exact_duplicated_weight += w
         if accepted:
-            self.sample_set.merge_columns(
-                pack.regular_idents[send],
-                pack.regular_weights[send],
-                keys[send],
+            self.sample_set.fold_selected(
+                pack.regular_idents, pack.regular_weights, keys, *fold
             )
             announce = self.epochs.observe_threshold(self.sample_set.threshold)
             if announce is not None:  # pragma: no cover - precluded above

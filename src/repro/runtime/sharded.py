@@ -90,7 +90,10 @@ The worker decides the verdict itself: a *hit* iff no control in the
 commit targets one of its sites (neither a broadcast nor a message to
 a site in its range), so applying the commit is a no-op and the held
 packs are final.  On a *miss* it restores the speculation's snapshot,
-applies the commit and recomputes ``t + 1``.  A ``roll`` of window
+applies the commit and recomputes ``t + 1``.  A speculation that raises
+is held as a miss: a site may fail only on its stale pre-commit state,
+so the error ships, in place of ``res(t + 1)``, only if the recompute
+on the committed state raises too.  A ``roll`` of window
 ``t`` discards the speculation the same way and blocks re-speculation
 until ``com(t)``, preserving the fast-roll invariant that prefix sites
 keep their state; ``rwd`` drops it (restoring ``t``'s snapshot undoes
@@ -316,6 +319,30 @@ class _WorkerFault(Exception):
         return ShardedWorkerError.from_fault(
             self.handle, self.fault_class, self.detail, self.window
         )
+
+
+def _worker_error(handle, worker_traceback: str, window=None) -> ShardedWorkerError:
+    """The fail-stop error for a traceback a worker shipped (``err``)."""
+    return ShardedWorkerError.from_fault(
+        handle,
+        "error",
+        f"worker raised; original traceback:\n{worker_traceback}",
+        window=window,
+        worker_traceback=worker_traceback,
+    )
+
+
+def _queued_traceback(handle) -> Optional[str]:
+    """The traceback a worker queued (``err``) before its pipe closed,
+    if any — read after a failed send, before classifying a crash."""
+    try:
+        while handle.conn.poll(0):
+            message = handle.conn.recv()
+            if message[0] == "err":
+                return message[1]
+    except (EOFError, OSError):
+        pass
+    return None
 
 
 class _LadderFault(Exception):
@@ -767,10 +794,16 @@ def _send_results(shard: _WorkerShard, conn, t: int, results, seconds) -> None:
         conn.send(("res", results, seconds, shard.drain_metrics()))
 
 
-def _compute(shard: _WorkerShard, t: int):
+def _compute(shard: _WorkerShard, t: int, speculative: bool = False):
     """Snapshot the shard's sites, then compute window ``t`` into ring
     slot ``t % 2``.  Returns ``(snapshot, descriptors, seconds, busy)``,
-    ``busy`` telling whether the shard had arrivals in the window."""
+    ``busy`` telling whether the shard had arrivals in the window.
+
+    A *speculative* compute runs before the commit of window ``t - 1``
+    reaches the sites, so a site may raise only because its state is
+    stale.  Such a failure is held, as ``descriptors`` ``None``: the
+    commit counts it as a miss and recomputes the window on the
+    committed state, and only a raise there ships the error."""
     lo, hi = shard.windows[t]
     i0, i1 = shard.view.window_bounds(lo, hi)
     busy = i0 != i1
@@ -785,7 +818,12 @@ def _compute(shard: _WorkerShard, t: int):
     if snapshot is not None and shard.metrics is not None:
         shard.metrics["snapshots"] += 1
     t0 = time.perf_counter()
-    results = shard.compute_window(lo, hi, slot=t % 2)
+    try:
+        results = shard.compute_window(lo, hi, slot=t % 2)
+    except Exception:
+        if not speculative:
+            raise
+        results = None
     return snapshot, results, time.perf_counter() - t0, busy
 
 
@@ -813,12 +851,15 @@ def _worker_run(shard: _WorkerShard, conn) -> None:
     site applies the control messages it has not seen yet.  The
     speculation is a *hit* when none of them reaches this shard (its
     packs then ship as they are) and a *miss* otherwise (restored, and
-    recomputed as the next window).  A roll discards the speculation
-    and none is made again before the commit.  Under supervision two
-    more commands exist: a respawned worker starts with a
-    :func:`_replay_history` fast-forward, and ``rwd`` rewinds the
-    current (uncommitted) window to its pre-window snapshot so the
-    parent can retry it after another worker's fault.
+    recomputed as the next window).  A speculation that raised is a
+    miss too, so its error ships only if the recompute raises again,
+    in place of that window's results.  A roll discards the
+    speculation (a held error with it) and none is made again before
+    the commit.  Under supervision two more commands exist: a
+    respawned worker starts with a :func:`_replay_history`
+    fast-forward, and ``rwd`` rewinds the current (uncommitted) window
+    to its pre-window snapshot so the parent can retry it after another
+    worker's fault.
     """
     if shard.resume:
         _replay_history(shard)
@@ -830,7 +871,9 @@ def _worker_run(shard: _WorkerShard, conn) -> None:
             spec = _compute(shard, t)
         snapshot, results, seconds, _ = spec
         _send_results(shard, conn, t, results, seconds)
-        spec = _compute(shard, t + 1) if t + 1 < total else None
+        spec = None
+        if t + 1 < total:
+            spec = _compute(shard, t + 1, speculative=True)
         applied = [0] * len(shard.sites)
         while True:
             message = conn.recv()
@@ -839,7 +882,7 @@ def _worker_run(shard: _WorkerShard, conn) -> None:
             if tag == "com":
                 controls = message[1]
                 if spec is not None:
-                    if any(
+                    if spec[1] is None or any(
                         dest == BROADCAST
                         or shard.site_lo <= dest < shard.site_hi
                         for _, dest, _ in controls
@@ -2122,10 +2165,15 @@ class ShardedEngine(ColumnarEngine):
         """Send a command to a worker; a dead pipe raises a classified
         ``crash`` :class:`_WorkerFault` (the supervised paths recover
         or degrade; unsupervised boundaries convert it to
-        :class:`ShardedWorkerError` via ``to_error``)."""
+        :class:`ShardedWorkerError` via ``to_error``) — unless the
+        worker shipped its own traceback before the pipe closed, which
+        stays fail-stop (:class:`ShardedWorkerError`, ``"error"``)."""
         try:
             handle.conn.send(message)
         except (BrokenPipeError, OSError) as exc:
+            shipped = _queued_traceback(handle)
+            if shipped is not None:
+                raise _worker_error(handle, shipped, window) from None
             raise _WorkerFault(
                 handle,
                 "crash",
@@ -2165,13 +2213,7 @@ class ShardedEngine(ColumnarEngine):
                 window=window,
             ) from None
         if message[0] == "err":
-            raise ShardedWorkerError.from_fault(
-                handle,
-                "error",
-                f"worker raised; original traceback:\n{message[1]}",
-                window=window,
-                worker_traceback=message[1],
-            )
+            raise _worker_error(handle, message[1], window)
         if supervisor is not None:
             supervisor.heartbeat(handle)
         return message

@@ -82,8 +82,8 @@ def _unweighted_state(proto, counters):
     return (
         counters.snapshot(),
         tuple((i.ident, i.weight, k) for i, k in proto.sample_with_keys()),
+        coord.threshold,
         coord._epoch,
-        coord._counter,
     )
 
 
@@ -342,10 +342,9 @@ class TestUnweightedCoordinatorPack:
     @staticmethod
     def _state(coord):
         return (
-            sorted((-k, c, i.ident, i.weight) for k, c, i in coord._heap),
+            [(i.ident, i.weight, k) for i, k in coord.sample_with_keys()],
             coord.threshold,
             coord._epoch,
-            coord._counter,
         )
 
     def _pack(self, keys):
@@ -384,14 +383,22 @@ class TestUnweightedCoordinatorPack:
         _assert_pack_equivalent(bulk, seq, pack, self._state)
         assert bulk._epoch >= 1
 
-    def test_counter_advances_for_rejected_entries(self):
-        bulk = _UnweightedCoordinator(2, 2.0)
-        seq = _UnweightedCoordinator(2, 2.0)
+    def test_equal_keys_keep_arrival_order(self):
+        bulk = _UnweightedCoordinator(3, 2.0)
+        seq = _UnweightedCoordinator(3, 2.0)
         for coord in (bulk, seq):
-            self._warm(coord, [0.2, 0.3])
-        pack = self._pack([0.9, 0.95, 0.25])  # two rejects, one accept
+            self._warm(coord, [0.3, 0.35, 0.4])
+        # 14 rejects around an equal-key pair and one more survivor: the
+        # pack is big enough for the bulk fold, the merged threshold
+        # (0.28) stays in the announced bracket, and the pair sits
+        # strictly inside the kept set, so no tie replay is needed.
+        keys = [0.9, 0.95] * 4 + [0.26] + [0.5, 0.6] * 3 + [0.26, 0.28]
+        pack = self._pack(keys)
         _assert_pack_equivalent(bulk, seq, pack, self._state)
-        assert bulk._counter == 5
+        assert bulk.sample_set.tie_fallbacks == 0
+        assert [(i.ident, k) for i, k in bulk.sample_with_keys()] == [
+            (108, 0.26), (115, 0.26), (116, 0.28)
+        ]
 
 
 class TestL1CoordinatorPack:

@@ -16,9 +16,10 @@ Eight contracts pin the columnar data plane:
    are rejected by the columnar plane before any site runs;
 5. **Coordinator pack paths** — each bulk commit equals sequential
    delivery, including the replay fallbacks;
-6. **Bulk sample merge** — ``TopKeySample.merge_columns`` equals
-   sequential ``add`` calls (including the tie fallback), and the
-   sorted query view is cached per mutation epoch;
+6. **Bulk sample merge** — ``TopKeySample.fold_selected`` over the
+   fused kernel's selection equals sequential ``add`` calls (including
+   the tie fallback and tie-rich key pools), snapshots round-trip, and
+   the sorted query view is cached per mutation epoch;
 7. **Multi-query driver** — fused columnar members match standalone
    runs;
 8. **Window grouping** — the engines' counting-sort ``window_order``
@@ -43,6 +44,7 @@ from repro.core import (
 )
 from repro.core.coordinator import SworCoordinator
 from repro.core.sample_set import TopKeySample
+from repro.kernels import numpy_backend
 from repro.net.counters import MessageCounters
 from repro.net.messages import EARLY, Message, MessagePack, REGULAR
 from repro.net.tracing import MessageTrace
@@ -612,6 +614,21 @@ class TestCoordinatorPackPaths:
 # ---------------------------------------------------------------------------
 
 
+def _bulk_commit(sample, idents, keys):
+    """One fused selection over ``sample``'s key column plus the single
+    bulk commit — the coordinators' pack fold."""
+    idents = np.asarray(idents, dtype=np.int64)
+    keys = np.asarray(keys, dtype=np.float64)
+    fold = numpy_backend.swor_fold_regulars(
+        keys, sample.threshold, sample.keys, sample.sample_size
+    )
+    return sample.fold_selected(idents, np.ones(len(keys)), keys, *fold)
+
+
+#: A small key pool, so equal keys (at and away from the cut) are common.
+TIED_KEYS = st.sampled_from([1.0, 2.0, 2.0 + 1e-9, 3.0])
+
+
 class TestTopKeySampleMerge:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -629,22 +646,42 @@ class TestTopKeySampleMerge:
         for i, key in enumerate(keys[:half]):
             bulk.add(Item(i, 1.0), key)
             seq.add(Item(i, 1.0), key)
-        threshold = bulk.threshold
-        cand = [
-            (half + j, key)
-            for j, key in enumerate(keys[half:])
-            if key > threshold
-        ]
-        bulk.merge_columns(
-            [ident for ident, _ in cand],
-            [1.0] * len(cand),
-            [key for _, key in cand],
-        )
-        for ident, key in cand:
+        idents = list(range(half, len(keys)))
+        _bulk_commit(bulk, idents, keys[half:])
+        for ident, key in zip(idents, keys[half:]):
             seq.add(Item(ident, 1.0), key)
-        assert sorted(
-            (item.ident, key) for item, key in bulk.entries()
-        ) == sorted((item.ident, key) for item, key in seq.entries())
+        assert bulk.entries() == seq.entries()
+        assert bulk.threshold == seq.threshold
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        s=st.integers(min_value=1, max_value=6),
+        old=st.lists(TIED_KEYS, max_size=12),
+        pack=st.lists(TIED_KEYS, max_size=20),
+    )
+    def test_bulk_commit_equals_sequential_on_tied_keys(self, s, old, pack):
+        bulk = TopKeySample(s)
+        seq = TopKeySample(s)
+        for i, key in enumerate(old):
+            bulk.add(Item(i, 1.0), key)
+            seq.add(Item(i, 1.0), key)
+        idents = list(range(len(old), len(old) + len(pack)))
+        _bulk_commit(bulk, idents, pack)
+        for ident, key in zip(idents, pack):
+            seq.add(Item(ident, 1.0), key)
+        assert bulk.entries() == seq.entries()
+        assert bulk.threshold == seq.threshold
+        assert len(bulk) == len(seq)
+        # Snapshot, mutate, restore: the state compares equal again, and
+        # the restored set keeps evicting like the sequential one.
+        saved = bulk.snapshot_state()
+        bulk.add(Item(-1, 1.0), 4.0)
+        assert bulk.snapshot_state() != saved
+        bulk.restore_state(saved)
+        assert bulk.snapshot_state() == saved
+        for sample in (bulk, seq):
+            sample.add(Item(-2, 1.0), 2.0)
+        assert bulk.entries() == seq.entries()
         assert bulk.threshold == seq.threshold
 
     def test_boundary_ties_fall_back_exactly(self):
@@ -653,13 +690,12 @@ class TestTopKeySampleMerge:
         for sample in (bulk, seq):
             sample.add(Item(0, 1.0), 5.0)
             sample.add(Item(1, 1.0), 7.0)
-        bulk.merge_columns([2, 3], [1.0, 1.0], [5.0 + 1e-9, 5.0 + 1e-9])
+        _bulk_commit(bulk, [2, 3], [5.0 + 1e-9, 5.0 + 1e-9])
         seq.add(Item(2, 1.0), 5.0 + 1e-9)
         seq.add(Item(3, 1.0), 5.0 + 1e-9)
+        assert bulk.tie_fallbacks == 1
         assert bulk.threshold == seq.threshold
-        assert {i.ident for i, _ in bulk.entries()} == {
-            i.ident for i, _ in seq.entries()
-        }
+        assert bulk.entries() == seq.entries()
 
     def test_sorted_view_cached_per_mutation_epoch(self):
         sample = TopKeySample(4)

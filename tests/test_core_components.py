@@ -54,6 +54,24 @@ class TestTopKeySample:
         rejected = ts.add(Item(2, 1.0), 1.0)
         assert rejected is not None and rejected.ident == 2
 
+    def test_equal_minimal_keys_evict_oldest(self):
+        ts = TopKeySample(2)
+        ts.add(Item("a", 1.0), 1.0)
+        ts.add(Item("b", 1.0), 1.0)
+        assert [item.ident for item in ts.items()] == ["a", "b"]
+        displaced = ts.add(Item("c", 1.0), 2.0)
+        assert displaced is not None and displaced.ident == "a"
+        assert [item.ident for item in ts.items()] == ["c", "b"]
+        # Slot order is not arrival order: f takes e's freed slot ahead
+        # of the older g, and g must still leave first.
+        ts = TopKeySample(2)
+        ts.add(Item("e", 1.0), 1.0)
+        ts.add(Item("g", 1.0), 2.0)
+        ts.add(Item("f", 1.0), 2.0)
+        displaced = ts.add(Item("h", 1.0), 3.0)
+        assert displaced is not None and displaced.ident == "g"
+        assert [item.ident for item in ts.items()] == ["h", "f"]
+
     def test_entries_sorted(self):
         ts = TopKeySample(4)
         for i, key in enumerate([2.0, 8.0, 5.0]):

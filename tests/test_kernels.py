@@ -340,14 +340,14 @@ class TestEngineParity:
         assert engine.last_run_stats["kernels"] == "numpy"
         stats = kernel_stats()
         assert ("window_split", "numpy") in stats
-        assert ("merge_cut", "numpy") in stats
+        assert ("swor_fold_regulars", "numpy") in stats
 
 
 class TestCoordinatorFusedFold:
-    """Packs above the scalar cutoff (> 32 regulars) take the fused
-    ``swor_fold_regulars`` kernel; its commit must equal sequential
-    per-message delivery on every backend — push path (underfull
-    sample), partition path, and the tie-rich fallback alike."""
+    """Every pack's regulars take the fused ``swor_fold_regulars``
+    kernel; its commit must equal sequential per-message delivery on
+    every backend — push path (underfull sample), partition path, and
+    the tie-rich fallback alike."""
 
     def _coordinator(self, s):
         return SworCoordinator(

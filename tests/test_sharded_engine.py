@@ -13,7 +13,9 @@ What is covered:
    select.
 3. **Worker failure** — a site raising mid-run surfaces the original
    traceback in the parent and leaves no orphaned processes or
-   shared-memory segments.
+   shared-memory segments, even when it raises in a speculative window
+   during a slow parent fold; a site that raises only on stale
+   speculative state runs to the columnar engine's result.
 4. **Wire form** — ``MessagePack.to_arrays``/``from_arrays`` round-trip
    (hypothesis property), with exact counter-accounting parity.
 5. **Shard slice views** — per-window grouping matches the columnar
@@ -26,6 +28,8 @@ import glob
 import multiprocessing
 import os
 import random
+import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,15 +37,24 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import ConfigurationError
 from repro.core import DistributedWeightedSWOR, SworConfig
 from repro.net.counters import MessageCounters
-from repro.net.messages import REGULAR, SWR_SAMPLE, MessagePack
+from repro.net.messages import (
+    COUNT_REPORT,
+    ESTIMATE_BROADCAST,
+    REGULAR,
+    SWR_SAMPLE,
+    Message,
+    MessagePack,
+)
 from repro.net.tracing import MessageTrace
 from repro.runtime import (
+    BROADCAST,
     ColumnarEngine,
+    Network,
     ShardedEngine,
     ShardedWorkerError,
     get_engine,
 )
-from repro.runtime.interfaces import SiteAlgorithm
+from repro.runtime.interfaces import CoordinatorAlgorithm, SiteAlgorithm
 from repro.stream import round_robin, zipf_stream
 from repro.stream.columns import ColumnarStream, ShardSliceView
 
@@ -357,6 +370,49 @@ class FaultySite(SiteAlgorithm):
         pass
 
 
+class StaleStateSite(SiteAlgorithm):
+    """Picklable stub that reports its first batch, then raises on any
+    later batch computed before the coordinator's broadcast reached it.
+
+    Only a speculative window — computed before the commit that
+    delivers the broadcast — can be in that state: the columnar engine
+    hands the broadcast to every later site of the window it fires in,
+    so on committed state this site never raises."""
+
+    def __init__(self) -> None:
+        self.reported = False
+        self.ticked = False
+
+    def on_item(self, item):
+        return self.on_columns(np.array([item.ident]), np.array([item.weight]))
+
+    def on_columns(self, idents, weights, prep=None):
+        if len(weights) == 0:
+            return []
+        if not self.reported:
+            self.reported = True
+            return [Message(COUNT_REPORT, (len(weights),))]
+        if not self.ticked:
+            raise RuntimeError("stale-state-site-exploded")
+        return []
+
+    def on_control(self, message):
+        self.ticked = True
+
+
+class TickCoordinator(CoordinatorAlgorithm):
+    """Broadcasts once, on the first report it receives."""
+
+    def __init__(self) -> None:
+        self.reports = 0
+
+    def on_message(self, site_id, message):
+        self.reports += 1
+        if self.reports == 1:
+            return [(BROADCAST, Message(ESTIMATE_BROADCAST, (1.0,)))]
+        return []
+
+
 class TestWorkerFailure:
     def _leaked_segments(self):
         return set(glob.glob("/dev/shm/psm_*"))
@@ -381,6 +437,76 @@ class TestWorkerFailure:
             child.join(timeout=10)
         assert multiprocessing.active_children() == []
         assert self._leaked_segments() <= before
+
+    def test_speculative_raise_under_slow_fold_is_a_worker_error(self):
+        # The site raises in a speculative window while the parent is
+        # still folding the previous one; the error must surface as
+        # ShardedWorkerError however the commit races the worker.
+        stream = _stream(n=4000)
+        engine = ShardedEngine(batch_size=512, workers=2)
+        proto = DistributedWeightedSWOR(
+            SworConfig(num_sites=SITES, sample_size=SAMPLE),
+            seed=SEED,
+            engine=engine,
+        )
+        proto.network.sites[6] = FaultySite(fail_after=250)
+        coordinator = proto.network.coordinator
+        fold = coordinator.on_message_pack
+
+        def slow_fold(site_id, pack):
+            time.sleep(0.05)
+            return fold(site_id, pack)
+
+        coordinator.on_message_pack = slow_fold
+        with pytest.raises(ShardedWorkerError) as excinfo:
+            proto.run(stream)
+        assert "faulty-site-exploded" in str(excinfo.value)
+        for child in multiprocessing.active_children():
+            child.join(timeout=10)
+        assert multiprocessing.active_children() == []
+
+    def test_stale_state_raise_in_speculation_matches_columnar(self):
+        stream = _stream(n=4000)
+
+        def run(engine):
+            sites = [StaleStateSite() for _ in range(SITES)]
+            network = Network(sites, TickCoordinator())
+            counters = network.run(stream, engine=engine)
+            return (
+                counters.snapshot(),
+                network.coordinator.reports,
+                [(site.reported, site.ticked) for site in network.sites],
+            )
+
+        want = run(ColumnarEngine(batch_size=512))
+        engine = ShardedEngine(batch_size=512, workers=2)
+        try:
+            got = run(engine)
+            assert engine.last_run_stats["mode"] == "sharded"
+        finally:
+            engine.close()
+        assert got == want
+
+    def test_failed_send_reads_a_queued_traceback_first(self):
+        # A worker that shipped its traceback and closed its pipe before
+        # the parent's next send fails stop, not as a crash.
+        parent, child = multiprocessing.Pipe()
+        child.send(("err", "Traceback: site-exploded"))
+        child.close()
+        handle = SimpleNamespace(
+            conn=parent,
+            index=1,
+            site_lo=4,
+            site_hi=8,
+            process=SimpleNamespace(exitcode=None),
+        )
+        try:
+            with pytest.raises(ShardedWorkerError) as excinfo:
+                ShardedEngine._send(handle, ("com", []), 3)
+        finally:
+            parent.close()
+        assert excinfo.value.fault_class == "error"
+        assert excinfo.value.worker_traceback == "Traceback: site-exploded"
 
     def test_failure_in_first_window_still_cleans_up(self):
         stream = _stream(n=2000)
