@@ -46,6 +46,16 @@ class EpochTracker:
         """Current epoch index (None before ``u`` first reaches 1)."""
         return self._epoch
 
+    def next_floor(self) -> float:
+        """The least threshold :meth:`observe_threshold` would announce
+        at: ``r^(j+1)`` in epoch ``j`` (the same ``r ** (j + 1)`` that
+        :meth:`_epoch_of` compares against), ``1`` before epoch 0.
+
+        ``u`` only grows and every change is observed, so the epoch
+        changes exactly when ``u`` reaches this floor — which lets a
+        bulk path find the arrival that crosses it without replaying."""
+        return 1.0 if self._epoch is None else self.r ** (self._epoch + 1)
+
     def would_announce(self, u: float) -> bool:
         """Whether :meth:`observe_threshold(u)` would broadcast —
         *pure*, so bulk paths can test an epoch crossing before

@@ -25,13 +25,15 @@ Two insertion paths share the construction:
 * :meth:`SlidingWindowWeightedSWOR.insert_columns` — a whole column of
   arrivals at once, **bit-identical to per-item insertion at any chunk
   size** (it consumes the same scalar uniforms in the same order), with
-  the dominance bookkeeping done in bulk: retained entries take one
-  vectorized rank lookup against the chunk's sorted keys, and the
-  chunk's internal dominator counts come from block-wise sorted-key
-  prefix ranks instead of ``O(retained)`` scans per arrival.  This is
-  the hook the columnar plane (:class:`~repro.stream.columns.ColumnarStream`
-  timestamp columns, the multi-query driver's
-  ``observe_columns`` path) feeds.
+  the dominance bookkeeping done in bulk and capped at ``s``: an item
+  is dropped once it has ``s`` dominators, so only the ``s`` largest
+  later keys can decide its count.  Retained entries take one
+  vectorized rank lookup against the chunk's top ``s`` keys, and the
+  chunk's internal dominator counts come from the capped kernel
+  ``window_dominators(keys, s)`` instead of ``O(retained)`` scans per
+  arrival.  This is the hook the columnar plane
+  (:class:`~repro.stream.columns.ColumnarStream` timestamp columns, the
+  multi-query driver's ``observe_columns`` path) feeds.
 
 Window-validation contract
 --------------------------
@@ -70,8 +72,9 @@ __all__ = ["SlidingWindowWeightedSWOR"]
 _INSERT_CHUNK = 8192
 
 # The chunk-internal dominator count lives in the kernel tier
-# (``repro.kernels``): block-table prefix ranks on the numpy backend,
-# a Fenwick tree on the compiled one — exact counts either way.
+# (``repro.kernels``): ranks against the running top-``s`` keys on the
+# numpy backend, a clamped Fenwick tree on the compiled one — exact
+# below the cap either way.
 
 
 class _Entry:
@@ -137,25 +140,26 @@ class SlidingWindowWeightedSWOR:
 
     # -- insertion -----------------------------------------------------
 
-    def _timestamp_of(self, timestamp: Optional[float]) -> float:
-        ts = float(self.items_seen - 1) if timestamp is None else float(timestamp)
+    def _check_timestamp(self, ts: float) -> None:
         if ts < self._last_timestamp:
             raise ConfigurationError(
                 f"timestamps must be non-decreasing: {ts} after "
                 f"{self._last_timestamp}"
             )
-        self._last_timestamp = ts
-        return ts
 
     def insert(self, item: Item, timestamp: Optional[float] = None) -> None:
         """Observe one arrival; O(retained) time.
 
         ``timestamp`` defaults to the arrival index and must be
-        non-decreasing across insertions.
+        non-decreasing across insertions.  The weight and the timestamp
+        are validated before any state changes, so a rejected arrival
+        leaves the sampler (and its RNG) untouched.
         """
         w = item.weight
         if w <= 0 or w != w:  # noqa: PLR0124 - NaN check
             raise InvalidWeightError(f"invalid weight {w} for item {item.ident}")
+        ts = float(self.items_seen) if timestamp is None else float(timestamp)
+        self._check_timestamp(ts)
         self.items_seen += 1
         key = w / exponential(self._rng)
         s = self.sample_size
@@ -165,9 +169,8 @@ class SlidingWindowWeightedSWOR:
                 entry.dominators += 1
             if entry.dominators < s:
                 survivors.append(entry)
-        survivors.append(
-            _Entry(self.items_seen - 1, item, key, self._timestamp_of(timestamp))
-        )
+        survivors.append(_Entry(self.items_seen - 1, item, key, ts))
+        self._last_timestamp = ts
         if self.horizon is not None:
             cutoff = self.items_seen - self.horizon
             survivors = [e for e in survivors if e.index >= cutoff]
@@ -179,21 +182,25 @@ class SlidingWindowWeightedSWOR:
         Bit-identical to calling :meth:`insert` per arrival — the same
         scalar uniforms are drawn from ``rng`` in the same order (so
         chunk boundaries never change the sample) — but the dominance
-        bookkeeping is bulk: per internal chunk, each retained entry's
-        dominator increment is its rank deficit against the chunk's
-        sorted keys (one vectorized ``searchsorted`` for *all* retained
-        entries), and the chunk's internal later-larger counts come
-        from block-wise prefix ranks (a ``b x b`` comparison table per
-        block plus ranks against the running sorted suffix) instead of
-        the per-item ``O(retained)`` scan.  ``Item`` objects are built
-        only for arrivals that survive their own chunk.
+        bookkeeping is bulk and capped at ``s``: per internal chunk,
+        each retained entry's dominator increment is its rank deficit
+        against the chunk's top ``s`` keys (one vectorized
+        ``searchsorted`` for *all* retained entries), and the chunk's
+        internal later-larger counts come from the capped kernel
+        ``window_dominators(keys, s)`` instead of the per-item
+        ``O(retained)`` scan.  A count capped at ``s`` is exact below
+        ``s`` (fewer than ``s`` larger keys are all among the ``s``
+        largest), and at ``s`` the item is dropped either way, so every
+        survivor stores the same ``dominators`` as per-item insertion.
+        ``Item`` objects are built only for arrivals that survive their
+        own chunk.
 
         ``idents`` / ``weights`` (and optional ``timestamps``, which
         must be non-decreasing) are parallel sequences; numpy columns
         from a :class:`~repro.stream.columns.ColumnarStream` are
         consumed zero-copy.  The whole column is validated up front —
-        an invalid weight raises before *any* arrival is inserted
-        (fail-fast, unlike the per-item path's partial progress).
+        an invalid weight or timestamp raises before *any* arrival is
+        inserted.
         """
         n = len(weights)
         if n == 0:
@@ -214,6 +221,9 @@ class SlidingWindowWeightedSWOR:
                 raise ConfigurationError(
                     "timestamps must be non-decreasing within a column"
                 )
+        self._check_timestamp(
+            float(self.items_seen) if timestamps is None else float(timestamps[0])
+        )
         for lo in range(0, n, _INSERT_CHUNK):
             hi = min(lo + _INSERT_CHUNK, n)
             self._insert_chunk(
@@ -227,12 +237,6 @@ class SlidingWindowWeightedSWOR:
         m = len(weights)
         s = self.sample_size
         base = self.items_seen
-        first_ts = float(base) if timestamps is None else float(timestamps[0])
-        if first_ts < self._last_timestamp:
-            raise ConfigurationError(
-                f"timestamps must be non-decreasing: {first_ts} after "
-                f"{self._last_timestamp}"
-            )
         # The exact scalar draw sequence of per-item insert():
         # one inverted uniform per arrival, redrawing on u <= 0.
         rand = self._rng.random
@@ -244,9 +248,9 @@ class SlidingWindowWeightedSWOR:
                 u = rand()
             us.append(-log(u))
         keys = weights / _np.asarray(us)
-        keys_sorted = _np.sort(keys)
         # Retained entries: dominator increment = # chunk keys strictly
-        # greater — a rank deficit in the chunk's sorted keys.
+        # greater, capped at s — a rank deficit in the chunk's sorted
+        # top s keys, exact below s.
         survivors: List[_Entry] = []
         if self._entries:
             old_keys = _np.fromiter(
@@ -254,16 +258,17 @@ class SlidingWindowWeightedSWOR:
                 dtype=_np.float64,
                 count=len(self._entries),
             )
-            incs = m - _np.searchsorted(keys_sorted, old_keys, side="right")
+            top = keys if m <= s else _np.partition(keys, m - s)[m - s:]
+            top = _np.sort(top)
+            incs = len(top) - _np.searchsorted(top, old_keys, side="right")
             for entry, inc in zip(self._entries, incs.tolist()):
                 entry.dominators += inc
                 if entry.dominators < s:
                     survivors.append(entry)
-        # Chunk-internal dominators (kernel-tier): exact integer counts
-        # of strictly-later strictly-larger keys — block-table prefix
-        # ranks on the numpy backend, a Fenwick tree over searchsorted
-        # ranks on the compiled one; identical by exactness.
-        dominators = _active_kernels().window_dominators(keys)
+        # Chunk-internal dominators (kernel-tier): counts of
+        # strictly-later strictly-larger keys, capped at s and so exact
+        # for every arrival the chunk keeps; identical across backends.
+        dominators = _active_kernels().window_dominators(keys, s)
         self.items_seen += m
         for i in _np.flatnonzero(dominators < s).tolist():
             entry = _Entry(

@@ -3,7 +3,8 @@
 The columnar plane (PRs 3–6) vectorized every protocol, but four loops
 still dominate profiles: the SWOR coordinator fold (threshold mask +
 top-``s`` merge), the SWR per-sampler min fold, the sliding-window
-dominator count, and the site-side level computation / early-regular
+dominator count (capped at the sample size, the most a retained
+arrival can have), and the site-side level computation / early-regular
 split.  This package puts those four behind a *backend seam* mirroring
 the engine registry:
 

@@ -12,7 +12,8 @@ Bit-identity notes (why the loop results equal the numpy results):
   an explicit quickselect returns the exact same float ``np.partition``
   selects;
 * dominator counts are exact integers — the Fenwick-tree count over
-  ``searchsorted`` ranks equals the block-table count;
+  ``searchsorted`` ranks, clamped to the cap, equals the numpy
+  backend's capped top-``cap`` count, which is exact below the cap;
 * level computation starts from a ``log`` estimate but converges via
   ``pow``-comparison correction loops to the unique bracket
   ``r^j <= w < r^{j+1}``, so a last-ulp difference between numpy's and
@@ -300,9 +301,9 @@ def swr_min_fold(
     return _swr_min_fold_core(_i64(samplers), _f64(keys), sample_size)
 
 
-def window_dominators(keys: _np.ndarray) -> _np.ndarray:
+def window_dominators(keys: _np.ndarray, cap: int) -> _np.ndarray:
     """See :func:`repro.kernels.numpy_backend.window_dominators`."""
-    return _window_dominators_core(_f64(keys))
+    return _np.minimum(_window_dominators_core(_f64(keys)), cap)
 
 
 def compute_levels(weights: _np.ndarray, r: float) -> _np.ndarray:
@@ -341,7 +342,7 @@ def warmup() -> None:
     merge_cut(old, keys, 2)
     swor_fold_regulars(keys, 0.5, old, 2)
     swr_min_fold(_np.array([0, 1, 0], dtype=_np.int64), keys, 2)
-    window_dominators(keys)
+    window_dominators(keys, 2)
     compute_levels(keys, 2.0)
     window_split(
         keys, 2.0, 0.0, _np.array([False, True], dtype=_np.bool_)

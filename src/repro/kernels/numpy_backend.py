@@ -4,7 +4,7 @@ Each function here is the vectorized hot-path logic that used to live
 inline in the core structures (the top-``s`` merge cut, the fused
 regular fold that the SWOR, L1 and unweighted coordinators run over the
 sample set's key column, the SWR lexsort min fold, the sliding-window
-block-table dominator count, and the site-side level computation /
+capped dominator count, and the site-side level computation /
 early-regular split), extracted behind the kernel seam in
 :mod:`repro.kernels` so a compiled backend can replace it
 call-for-call.
@@ -46,8 +46,9 @@ __all__ = [
 AVAILABLE = True
 
 #: Block width of the chunk-internal dominator count: within a block
-#: the later-larger counts come from one ``b x b`` comparison table,
-#: across blocks from ranks in the running sorted suffix.
+#: the later-larger counts of the arrivals still below the cap come
+#: from one comparison table, across blocks from ranks in the running
+#: sorted top-``cap`` keys of the later blocks.
 _RANK_BLOCK = 256
 
 
@@ -119,27 +120,38 @@ def swr_min_fold(
     ]
 
 
-def window_dominators(keys: _np.ndarray) -> _np.ndarray:
-    """Chunk-internal dominator counts of the sliding-window sampler:
-    ``out[i] = #{j > i : keys[j] > keys[i]}`` (strictly later, strictly
-    larger), exact integers.
+def window_dominators(keys: _np.ndarray, cap: int) -> _np.ndarray:
+    """Capped chunk-internal dominator counts of the sliding-window
+    sampler: ``out[i] = min(cap, #{j > i : keys[j] > keys[i]})``
+    (strictly later, strictly larger), exact integers; ``cap >= 1``.
 
-    Blocks are processed back to front; an arrival's count is its
-    later-larger count within its block (``b x b`` comparison table)
-    plus its rank deficit in the sorted suffix of all later blocks.
+    Blocks are processed back to front against ``top``, the sorted
+    ``cap`` largest keys of all later blocks.  Below the cap the count
+    against ``top`` is exact: if fewer than ``cap`` later keys exceed
+    ``x`` they are all among the ``cap`` largest, otherwise all of
+    ``top`` exceeds ``x``.  Only arrivals still below the cap after
+    that cross-block count get a within-block count, against the later
+    positions of their block.
     """
     m = len(keys)
-    dominators = _np.zeros(m, dtype=_np.int64)
-    suffix_sorted = keys[:0]
+    dominators = _np.full(m, cap, dtype=_np.int64)
+    positions = _np.arange(_RANK_BLOCK)
+    top = keys[:0]
     for bs in range(((m - 1) // _RANK_BLOCK) * _RANK_BLOCK, -1, -_RANK_BLOCK):
         block = keys[bs:bs + _RANK_BLOCK]
-        cross = len(suffix_sorted) - _np.searchsorted(
-            suffix_sorted, block, side="right"
-        )
-        later = block[None, :] > block[:, None]
-        within = _np.triu(later, k=1).sum(axis=1)
-        dominators[bs:bs + _RANK_BLOCK] = cross + within
-        suffix_sorted = _np.sort(_np.concatenate([block, suffix_sorted]))
+        cross = len(top) - _np.searchsorted(top, block, side="right")
+        cand = _np.flatnonzero(cross < cap)
+        if len(cand):
+            later = (block[None, :] > block[cand, None]) & (
+                positions[None, : len(block)] > cand[:, None]
+            )
+            dominators[bs + cand] = _np.minimum(
+                cross[cand] + later.sum(axis=1), cap
+            )
+        merged = _np.concatenate([top, block])
+        if len(merged) > cap:
+            merged = _np.partition(merged, len(merged) - cap)[len(merged) - cap:]
+        top = _np.sort(merged)
     return dominators
 
 

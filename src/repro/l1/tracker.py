@@ -235,21 +235,25 @@ class _L1Coordinator(CoordinatorAlgorithm):
     # -- bulk path: one pack per (site, batch) --------------------------
 
     def on_message_pack(self, site_id: int, pack) -> List[Tuple[int, Message]]:
-        """Columnar fold of a whole site batch of duplicate keys.
+        """Columnar fold of a whole site batch of duplicate keys, in
+        epoch segments.
 
-        Mirrors the SWOR coordinator's pack path: one fused
-        ``swor_fold_regulars`` call masks the pack against the entry
-        threshold and selects the merged top ``s``, and one
+        A segment ends at the message whose key completes the ``s``-th
+        key at or above the next bracket floor ``B``
+        (:meth:`~repro.core.epochs.EpochTracker.next_floor`): that is
+        exactly where sequential delivery's threshold ``u`` (the
+        ``s``-th largest key of the set plus the messages so far)
+        reaches ``B`` and an ``EPOCH_UPDATE`` fires.  The completing
+        key is ``>= B > u``, so sequential delivery accepts it too;
+        keys it rejects are ``<= u`` and never enter the top ``s``.
+        Each segment is one fused ``swor_fold_regulars`` call and one
         :meth:`~repro.core.sample_set.TopKeySample.fold_selected`
-        commits it — taken only when
-        :meth:`~repro.core.epochs.EpochTracker.would_announce` proves
-        the merged threshold stays inside the current epoch bracket (no
-        ``EPOCH_UPDATE`` fires mid-pack); otherwise the pack replays
-        message by message, reproducing broadcast count and timing —
-        and the exact-phase weight accounting — precisely.  On the fast
-        path the pre-announce exact weight accumulates in the same
-        left-fold order as sequential delivery, so the exact-regime
-        estimate stays bit-identical.
+        commit, then one ``observe_threshold`` — a jump across several
+        brackets announces once, as sequential delivery does.  Before
+        the first announce the exact duplicated weight accumulates in
+        the same left-fold order as per-message delivery, so responses,
+        sample, epochs and the exact-regime estimate are bit-identical
+        to replaying the pack message by message.
         """
         nr = pack.num_regular
         if nr == 0:
@@ -260,29 +264,40 @@ class _L1Coordinator(CoordinatorAlgorithm):
             or pack.regular_kind != REGULAR
         ):
             return self._replay_pack(site_id, pack)
+        idents = pack.regular_idents
+        weights = pack.regular_weights
         keys = pack.regular_keys
-        fold = _active_kernels().swor_fold_regulars(
-            keys,
-            self.sample_set.threshold,
-            self.sample_set.keys,
-            self.sample_size,
-        )
-        accepted = len(fold[0])
-        if accepted and self.epochs.would_announce(fold[2]):
-            return self._replay_pack(site_id, pack)
-        if not self._announced_any:
-            # Same left-fold float order as per-message accumulation.
-            for w in pack.regular_weights.tolist():
-                self._exact_duplicated_weight += w
-        if accepted:
-            self.sample_set.fold_selected(
-                pack.regular_idents, pack.regular_weights, keys, *fold
+        fold_regulars = _active_kernels().swor_fold_regulars
+        sample_set = self.sample_set
+        responses: List[Tuple[int, Message]] = []
+        lo = 0
+        while lo < nr:
+            floor = self.epochs.next_floor()
+            # u < floor (every threshold change was observed), so fewer
+            # than s set keys reach the floor and need >= 1.
+            need = self.sample_size - int(_np.count_nonzero(sample_set.keys >= floor))
+            crossing = _np.flatnonzero(keys[lo:] >= floor)
+            hi = lo + int(crossing[need - 1]) + 1 if len(crossing) >= need else nr
+            if not self._announced_any:
+                # Same left-fold float order as per-message accumulation.
+                for w in weights[lo:hi].tolist():
+                    self._exact_duplicated_weight += w
+            seg_keys = keys[lo:hi]
+            fold = fold_regulars(
+                seg_keys, sample_set.threshold, sample_set.keys, self.sample_size
             )
-            announce = self.epochs.observe_threshold(self.sample_set.threshold)
-            if announce is not None:  # pragma: no cover - precluded above
-                self._announced_any = True
-                return [(BROADCAST, Message(EPOCH_UPDATE, (announce,)))]
-        return []
+            if len(fold[0]):
+                sample_set.fold_selected(
+                    idents[lo:hi], weights[lo:hi], seg_keys, *fold
+                )
+                announce = self.epochs.observe_threshold(sample_set.threshold)
+                if announce is not None:
+                    self._announced_any = True
+                    responses.append(
+                        (BROADCAST, Message(EPOCH_UPDATE, (announce,)))
+                    )
+            lo = hi
+        return responses
 
     def _replay_pack(
         self, site_id: int, pack

@@ -37,6 +37,7 @@ from repro.l1.tracker import _L1Coordinator
 from repro.net.counters import MessageCounters
 from repro.net.messages import Message, MessagePack, REGULAR, SWR_SAMPLE
 from repro.net.tracing import MessageTrace
+from repro.runtime import CoordinatorAlgorithm
 from repro.stream import (
     ColumnarStream,
     heavy_to_one_site,
@@ -433,6 +434,57 @@ class TestL1CoordinatorPack:
         pack = self._pack([3.0, 5.0, 9.0, 17.0])  # threshold sweeps epochs
         _assert_pack_equivalent(bulk, seq, pack, self._state)
         assert bulk._announced_any
+
+    @staticmethod
+    def _segment_keys(rng, n, kind):
+        if kind == "log_uniform":  # jumps across several brackets
+            return np.exp(rng.uniform(-3.0, 12.0, n))
+        if kind == "rising":  # one bracket after another
+            return np.sort(np.exp(rng.uniform(-3.0, 12.0, n)))
+        if kind == "ties":  # tied keys, many below 1
+            return np.round(rng.uniform(0.0, 4.0, n), 1)
+        if kind == "below_one":  # never leaves the exact phase
+            return rng.uniform(0.0, 0.99, n)
+        return np.exp(np.round(rng.uniform(-1.0, 6.0, n)))  # tied across brackets
+
+    def test_segmented_fold_matches_per_message_oracle(self):
+        """Packs that cross epoch brackets fold in epoch segments, yet
+        responses (kind, payload, order), sample, threshold, exact
+        weight and epochs equal the per-message oracle's, from an
+        underfull start through several packs."""
+        rng = np.random.default_rng(2024)
+        kinds = ("log_uniform", "rising", "ties", "below_one", "tied_brackets")
+        most_broadcasts = 0
+        for trial in range(300):
+            s = int(rng.integers(1, 40))
+            r = float(rng.choice([2.0, 2.5, 3.0, 7.0]))
+            bulk = _L1Coordinator(s, 3, r)
+            seq = _L1Coordinator(s, 3, r)
+            for _ in range(int(rng.integers(1, 6))):
+                n = int(rng.integers(17, 300))
+                pack = MessagePack(
+                    regular_idents=rng.integers(0, 1000, n).astype(np.int64),
+                    regular_weights=np.round(rng.uniform(0.1, 5.0, n), 2),
+                    regular_keys=self._segment_keys(
+                        rng, n, kinds[trial % len(kinds)]
+                    ),
+                )
+                got = bulk.on_message_pack(0, pack)
+                want = CoordinatorAlgorithm.on_message_pack(seq, 0, pack)
+                assert [(d, m.kind, m.payload) for d, m in got] == [
+                    (d, m.kind, m.payload) for d, m in want
+                ]
+                assert bulk.sample_set.entries() == seq.sample_set.entries()
+                assert bulk.sample_set.threshold == seq.sample_set.threshold
+                assert (
+                    bulk._exact_duplicated_weight == seq._exact_duplicated_weight
+                )
+                assert bulk._announced_any == seq._announced_any
+                assert (
+                    bulk.epochs.snapshot_state() == seq.epochs.snapshot_state()
+                )
+                most_broadcasts = max(most_broadcasts, len(want))
+        assert most_broadcasts >= 2  # some pack folded in several segments
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,59 @@ class TestSlidingWindowColumnar:
         got = sw.sample_with_keys(window)
         assert [(item.ident, key) for item, key in got] == brute
 
+    @pytest.mark.parametrize("horizon", [None, 1000])
+    def test_large_sample_chunked_insert_bit_identical(self, horizon):
+        """``s`` at and beyond the kernel's 256-wide rank block: capped
+        dominator counts still leave every survivor's ``dominators``
+        equal to per-item insertion's, at random chunk sizes."""
+        np = self.np
+        s, n = 300, 3000
+        rng = random.Random(17)
+        weights = [rng.uniform(0.01, 100.0) for _ in range(n)]
+        per_item = SlidingWindowWeightedSWOR(s, random.Random(3), horizon=horizon)
+        for i, w in enumerate(weights):
+            per_item.insert(Item(i, w))
+        chunked = SlidingWindowWeightedSWOR(s, random.Random(3), horizon=horizon)
+        lo = 0
+        while lo < n:
+            size = rng.randint(1, n - lo)
+            chunked.insert_columns(
+                np.arange(lo, lo + size), np.asarray(weights[lo:lo + size])
+            )
+            lo += size
+        assert [
+            (e.index, e.item, e.key, e.dominators, e.timestamp)
+            for e in per_item._entries
+        ] == [
+            (e.index, e.item, e.key, e.dominators, e.timestamp)
+            for e in chunked._entries
+        ]
+
+    def test_rejected_insert_leaves_sampler_unchanged(self):
+        """A timestamp the sampler rejects changes nothing: not the
+        arrival count, the entries' dominator counts, nor the RNG — so
+        later inserts match a twin that never saw the rejected call."""
+        sw = SlidingWindowWeightedSWOR(2, random.Random(8))
+        twin = SlidingWindowWeightedSWOR(2, random.Random(8))
+        for sampler in (sw, twin):
+            sampler.insert(Item(0, 1.0), timestamp=100.0)
+            sampler.insert(Item(1, 2.0), timestamp=101.0)
+
+        def snapshot(sampler):
+            return (
+                sampler.items_seen,
+                [(e.index, e.item, e.key, e.dominators) for e in sampler._entries],
+                sampler._rng.getstate(),
+            )
+
+        before = snapshot(sw)
+        with pytest.raises(ConfigurationError):
+            sw.insert(Item(2, 3.0), timestamp=99.0)
+        assert snapshot(sw) == before
+        for sampler in (sw, twin):
+            sampler.insert(Item(3, 4.0), timestamp=102.0)
+        assert snapshot(sw) == snapshot(twin)
+
     def test_batch_size_one_column_equals_insert(self):
         np = self.np
         a = SlidingWindowWeightedSWOR(3, random.Random(5))

@@ -96,6 +96,19 @@ def _key_fixtures(rng):
     ]
 
 
+def _dominator_caps(n):
+    """Caps for ``window_dominators``: tiny, typical, and one above any
+    possible count (so the capped kernel must return exact counts)."""
+    return (1, 2, 5, 64, n + 1)
+
+
+def _brute_dominators(keys, cap):
+    """``min(cap, #{j > i : keys[j] > keys[i]})`` by brute force."""
+    return [
+        min(cap, int((keys[i + 1:] > keys[i]).sum())) for i in range(len(keys))
+    ]
+
+
 class TestKernelParity:
     @other_backend
     def test_merge_cut_parity_including_boundary_ties(self, backend):
@@ -154,16 +167,18 @@ class TestKernelParity:
     def test_window_dominators_parity(self, backend):
         rng = np.random.default_rng(11)
         for keys in _key_fixtures(rng):
-            got = backend.window_dominators(keys)
-            want = NUMPY.window_dominators(keys)
-            assert got.tolist() == want.tolist()
-        # Exact semantics on a case small enough to brute-force.
-        keys = np.round(rng.uniform(0.0, 2.0, 300), 1)
-        brute = [
-            int(sum(keys[j] > keys[i] for j in range(i + 1, len(keys))))
-            for i in range(len(keys))
-        ]
-        assert NUMPY.window_dominators(keys).tolist() == brute
+            for cap in _dominator_caps(len(keys)):
+                got = backend.window_dominators(keys, cap)
+                want = NUMPY.window_dominators(keys, cap)
+                assert got.tolist() == want.tolist()
+        # Capped semantics on cases small enough to brute-force, across
+        # the 256-wide rank block.
+        for n in (300, 600):
+            keys = np.round(rng.uniform(0.0, 2.0, n), 1)
+            for cap in _dominator_caps(n):
+                want = _brute_dominators(keys, cap)
+                assert NUMPY.window_dominators(keys, cap).tolist() == want
+                assert backend.window_dominators(keys, cap).tolist() == want
 
     @other_backend
     def test_compute_levels_parity_at_power_boundaries(self, backend):
@@ -232,10 +247,10 @@ class TestKernelParity:
             assert got[0].tolist() == want[0].tolist()
             assert got[1].tolist() == want[1].tolist()
             assert (got[2], got[3]) == (want[2], want[3])
-            assert (
-                backend.window_dominators(keys).tolist()
-                == NUMPY.window_dominators(keys).tolist()
-            )
+            for cap in _dominator_caps(n):
+                want = _brute_dominators(keys, cap)
+                assert backend.window_dominators(keys, cap).tolist() == want
+                assert NUMPY.window_dominators(keys, cap).tolist() == want
 
 
 # ---------------------------------------------------------------------------
