@@ -26,6 +26,8 @@ path (the default ``on_columns`` hook, which loops ``on_item``,
 reconstructed by rebinding it on every site; per-item ``insert`` for
 the sliding window), while staying **bit-identical** in samples and
 message counters between the ``Item``-backed and the columnar stream.
+Each path's time is the median of ``PROTOCOL_REPS`` repetitions,
+interleaved per-item/columnar after one warm-up each.
 
 Environment knobs (used by the CI smoke job):
 
@@ -45,6 +47,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import statistics
 import time
 import tracemalloc
 import types
@@ -77,6 +80,10 @@ PROTOCOL_JSON_PATH = os.environ.get("REPRO_BENCH_COLP_JSON")
 SAMPLE = 16
 SEED = 1
 REPS = 3  # timing repetitions per engine (best-of)
+#: Protocol-coverage repetitions per path, interleaved per-item/columnar
+#: after one warm-up each, so host noise hits both sides alike; each
+#: path records its median.
+PROTOCOL_REPS = 7
 
 
 def _make_stream():
@@ -215,16 +222,31 @@ def _force_per_item(instance):
     return instance
 
 
-def _time_run(build, stream, reps=1):
-    best = None
-    for _ in range(reps):
-        instance = build()
-        t0 = time.perf_counter()
-        instance.run(stream)
-        elapsed = time.perf_counter() - t0
-        if best is None or elapsed < best[0]:
-            best = (elapsed, instance)
-    return best
+def _time_run(build, stream):
+    instance = build()
+    t0 = time.perf_counter()
+    instance.run(stream)
+    return time.perf_counter() - t0, instance
+
+
+def _interleaved_medians(per_item, columnar):
+    """Time two ``() -> (seconds, result)`` runs: one warm-up each,
+    then ``PROTOCOL_REPS`` interleaved repetitions.  Returns each
+    side's median seconds and its last result."""
+    per_item()
+    columnar()
+    per_item_times, columnar_times = [], []
+    for _ in range(PROTOCOL_REPS):
+        elapsed, per_item_result = per_item()
+        per_item_times.append(elapsed)
+        elapsed, columnar_result = columnar()
+        columnar_times.append(elapsed)
+    return (
+        statistics.median(per_item_times),
+        per_item_result,
+        statistics.median(columnar_times),
+        columnar_result,
+    )
 
 
 def _protocol_cases():
@@ -284,13 +306,11 @@ def _bench_protocols(report_fn):
     }
     all_parity = True
     for name, build, fingerprint in _protocol_cases():
-        per_item_time, _ = _time_run(
-            lambda: _force_per_item(build("columnar")), stream, reps=REPS
+        per_item_time, _, columnar_time, columnar_proto = _interleaved_medians(
+            lambda: _time_run(lambda: _force_per_item(build("columnar")), stream),
+            lambda: _time_run(lambda: build("columnar"), columnar_stream),
         )
         _, item_stream_proto = _time_run(lambda: build("columnar"), stream)
-        columnar_time, columnar_proto = _time_run(
-            lambda: build("columnar"), columnar_stream, reps=REPS
-        )
         parity = fingerprint(item_stream_proto) == fingerprint(columnar_proto)
         all_parity = all_parity and parity
         speedup = per_item_time / columnar_time
@@ -314,25 +334,23 @@ def _bench_protocols(report_fn):
     weights = columnar_stream.weights[:sw_items]
     idents = columnar_stream.idents[:sw_items]
     item_objs = [Item(int(e), float(w)) for e, w in zip(idents, weights)]
-    sw_per_item_time = None
-    for _ in range(REPS):
-        per_item = SlidingWindowWeightedSWOR(SAMPLE, random.Random(SEED))
+
+    def sw_per_item():
+        sampler = SlidingWindowWeightedSWOR(SAMPLE, random.Random(SEED))
         t0 = time.perf_counter()
         for item in item_objs:
-            per_item.insert(item)
-        elapsed = time.perf_counter() - t0
-        sw_per_item_time = (
-            elapsed if sw_per_item_time is None else min(sw_per_item_time, elapsed)
-        )
-    sw_columnar_time = None
-    for _ in range(REPS):
-        chunked = SlidingWindowWeightedSWOR(SAMPLE, random.Random(SEED))
+            sampler.insert(item)
+        return time.perf_counter() - t0, sampler
+
+    def sw_columnar():
+        sampler = SlidingWindowWeightedSWOR(SAMPLE, random.Random(SEED))
         t0 = time.perf_counter()
-        chunked.insert_columns(idents, weights)
-        elapsed = time.perf_counter() - t0
-        sw_columnar_time = (
-            elapsed if sw_columnar_time is None else min(sw_columnar_time, elapsed)
-        )
+        sampler.insert_columns(idents, weights)
+        return time.perf_counter() - t0, sampler
+
+    sw_per_item_time, per_item, sw_columnar_time, chunked = _interleaved_medians(
+        sw_per_item, sw_columnar
+    )
     sw_parity = per_item.sample_with_keys() == chunked.sample_with_keys()
     all_parity = all_parity and sw_parity
     sw_speedup = sw_per_item_time / sw_columnar_time

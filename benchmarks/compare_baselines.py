@@ -90,7 +90,8 @@ BASELINES: Dict[str, Dict[str, List[str]]] = {
     # supervision_ratio is unsupervised/supervised wall time on the
     # SAME sharded run (~1.0 when supervision is free, the
     # in-bench REPRO_BENCH_FAULTS_MAX_OVERHEAD gate enforces the real
-    # 2% ceiling); recovery_identical rides along as a parity check.
+    # 2% ceiling); recovery_identical (the kill:1:2 run's degraded
+    # rerun) rides along as a parity check.
     "BENCH_faults.json": {
         "config": ["items", "sites", "sample_size", "workers", "batch_size"],
         "ratios": ["supervision_ratio"],

@@ -17,15 +17,16 @@ catalog of estimation queries concurrently over one shared stream pass
 
 Every subcommand accepts ``--engine {reference,columnar,sharded}``
 (``--batch-size N`` for the columnar-plane engines, ``--workers N``,
-``--worker-timeout SECONDS``, ``--max-worker-restarts N``, and the
-debug-only ``--fault-plan PLAN`` for the sharded engine, ``--kernels {auto,numba,numpy}`` for the
+``--worker-timeout SECONDS``, and the debug-only ``--fault-plan PLAN``
+for the sharded engine, ``--kernels {auto,numba,numpy}`` for the
 columnar-plane engines — see :mod:`repro.kernels`) to pick the
 execution runtime; see :mod:`repro.runtime`.
 Every protocol has a native columnar fast path, so ``--engine columnar``
 is the fast engine on each subcommand (at ``--batch-size 1``
 bit-identical to ``reference``), and ``--engine sharded`` runs the site
 passes across worker processes, bit-identical to ``columnar`` at any
-worker count.  ``--seed`` may be
+worker count; a worker fault finishes the run on the in-process
+columnar engine, with the same output.  ``--seed`` may be
 given either globally (``repro --seed 7 swor``) or per subcommand; the
 subcommand's value wins when both are present.
 
@@ -137,16 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             default=None,
             help="seconds the sharded supervisor waits for a worker "
-            "message before classifying it as hung (--engine sharded "
+            "message before classifying it as hung and finishing the "
+            "run on the in-process columnar engine (--engine sharded "
             "only; default: 60)",
-        )
-        p.add_argument(
-            "--max-worker-restarts",
-            type=int,
-            default=None,
-            help="worker respawns the sharded supervisor may perform "
-            "per run before degrading to the in-process columnar engine "
-            "(--engine sharded only; default: 2)",
         )
         p.add_argument(
             "--fault-plan",
@@ -154,7 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="inject deterministic faults into the sharded engine's "
             "chaos seams: comma-separated kind:worker:window entries, "
-            "e.g. 'kill:1:2,corrupt:0:3' (debug/test only)",
+            "e.g. 'kill:1:2,corrupt:0:3'; the first fault that fires "
+            "degrades the run to the in-process columnar engine, with "
+            "identical output (debug/test only)",
         )
         p.add_argument(
             "--profile",
@@ -280,8 +276,6 @@ def _check_engine_flags(args: argparse.Namespace) -> None:
         raise SystemExit("--kernels requires --engine columnar or sharded")
     if args.worker_timeout is not None and args.engine != "sharded":
         raise SystemExit("--worker-timeout requires --engine sharded")
-    if args.max_worker_restarts is not None and args.engine != "sharded":
-        raise SystemExit("--max-worker-restarts requires --engine sharded")
     if args.fault_plan is not None and args.engine != "sharded":
         raise SystemExit("--fault-plan requires --engine sharded")
 
@@ -298,7 +292,6 @@ def _engine_of(args: argparse.Namespace):
         workers=args.workers,
         kernels=args.kernels,
         worker_timeout=args.worker_timeout,
-        max_worker_restarts=args.max_worker_restarts,
         fault_plan=args.fault_plan,
     )
     args._engine = engine
@@ -445,14 +438,12 @@ def _cmd_query(args: argparse.Namespace) -> str:
     if (
         args.workers is not None
         or args.worker_timeout is not None
-        or args.max_worker_restarts is not None
         or args.fault_plan is not None
     ):
         raise SystemExit(
             "repro query runs its fused multi-query pass in-process; "
-            "--workers/--worker-timeout/--max-worker-restarts/"
-            "--fault-plan do not apply (engine 'sharded' selects "
-            "the columnar data plane)"
+            "--workers/--worker-timeout/--fault-plan do not apply "
+            "(engine 'sharded' selects the columnar data plane)"
         )
     rng = random.Random(args.seed)
     items = zipf_stream(args.items, rng, alpha=args.alpha)

@@ -237,9 +237,8 @@ class SworCoordinator(CoordinatorAlgorithm):
 
         Captures everything the message handlers can mutate — the
         coordinator RNG position, sample set, level sets, epoch
-        tracker, and receipt counters — so supervised lockstep can
-        rewind a faulted window and retry it, and the degradation
-        ladder can restart a run from its checkpoint.
+        tracker, and receipt counters — so a sharded run that degrades
+        after a worker fault can restart from its run-start checkpoint.
         """
         return (
             self._rng.getstate(),

@@ -197,7 +197,7 @@ class TopKeySample:
         self._refresh()
         return m
 
-    # -- snapshots (sharded lockstep recovery, degradation ladder) ----
+    # -- snapshots (the sharded engine's run-start checkpoint) --------
 
     def snapshot_state(self) -> SampleSnapshot:
         """Rewind point as plain tuples (value-comparable; ``Item`` is

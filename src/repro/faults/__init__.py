@@ -1,7 +1,7 @@
 """Chaos-injection harness for the fault-tolerant sharded runtime.
 
 See :mod:`repro.faults.plan` for the declarative :class:`FaultPlan`
-and the worker/parent injection seams; ``tests/test_chaos.py`` is the
+and the worker-side injection seams; ``tests/test_chaos.py`` is the
 consumer.  Plans are passed to the engine via
 ``ShardedEngine(fault_plan=...)``, ``get_engine(..., fault_plan=...)``
 or the ``--fault-plan`` debug CLI flag.

@@ -3,11 +3,9 @@
 A :class:`FaultPlan` is a small list of :class:`FaultSpec` entries, each
 naming a fault *kind*, the worker it strikes, and the window at which it
 fires.  The plan is threaded through test-only seams in the sharded
-engine: worker-side seams fire just before/instead of a result send
-(``kill``/``hang``/``drop``) or on the encoded wire descriptors
-(``corrupt``/``truncate``); the one parent-side kind (``respawn``)
-makes the supervisor's worker respawn fail a fixed number of times
-before succeeding.
+engine, all of them worker-side: seams fire just before/instead of a
+result send (``kill``/``hang``/``drop``) or on the encoded wire
+descriptors (``corrupt``/``truncate``).
 
 Everything here is deterministic by construction: firing is keyed on
 (worker, window) — never on wall-clock time — and the only randomness
@@ -42,24 +40,18 @@ __all__ = [
 #: interpreter crash in the supervisor's fault detail.
 CHAOS_EXITCODE = 73
 
-#: Worker-side kinds fire at (worker, window); ``respawn`` is
-#: parent-side and its third field counts injected respawn failures.
+#: Every kind fires at (worker, window).
 FAULT_KINDS = (
     "kill",  # os._exit before sending the window's results
     "hang",  # block forever before sending the window's results
     "drop",  # silently skip the result send (parent sees a hang)
     "corrupt",  # mangle a pack descriptor so wire validation rejects it
     "truncate",  # point a pack descriptor past its buffer
-    "respawn",  # parent-side: fail the next N respawns of this worker
 )
 
 
 class FaultSpec:
-    """One planned fault: ``kind`` strikes ``worker`` at ``window``.
-
-    For ``kind == "respawn"`` the ``window`` field instead carries the
-    number of consecutive respawn attempts to fail.
-    """
+    """One planned fault: ``kind`` strikes ``worker`` at ``window``."""
 
     __slots__ = ("kind", "worker", "window")
 
@@ -94,13 +86,10 @@ class FaultSpec:
 class FaultPlan:
     """An ordered set of planned faults for one sharded run.
 
-    The engine clones the plan per run (so a plan on a long-lived
-    engine re-fires every run) and mutates the clone as faults fire:
-    when the supervisor handles a fault of worker ``w`` at window
-    ``u``, every worker-side entry for ``w`` at windows ``<= u`` is
-    retired, and the *remaining* entries are what a respawned worker
-    receives — each planned fault therefore fires at most once per
-    run, including across recoveries.
+    Nothing mutates a plan: every run ships each worker its entries
+    afresh, so a plan on a long-lived engine re-fires every run.  The
+    first fault that fires degrades the run, so later entries of the
+    same run never fire.
     """
 
     def __init__(self, entries: Iterable[FaultSpec] = ()) -> None:
@@ -123,44 +112,11 @@ class FaultPlan:
     def __str__(self) -> str:
         return ",".join(str(entry) for entry in self.entries)
 
-    def clone(self) -> "FaultPlan":
-        return FaultPlan(
-            FaultSpec(e.kind, e.worker, e.window) for e in self.entries
-        )
-
     def wire_for(self, worker: int) -> Tuple[Tuple[str, int], ...]:
-        """The (kind, window) pairs shipped in ``worker``'s payload —
-        its still-pending worker-side faults."""
+        """The (kind, window) pairs shipped in ``worker``'s payload."""
         return tuple(
-            (e.kind, e.window)
-            for e in self.entries
-            if e.worker == worker and e.kind != "respawn"
+            (e.kind, e.window) for e in self.entries if e.worker == worker
         )
-
-    def mark_fired(self, worker: int, window: Optional[int]) -> None:
-        """Retire ``worker``'s worker-side entries up to ``window``
-        (all of them when ``window`` is None) after the supervisor has
-        classified a fault there."""
-        self.entries = [
-            e
-            for e in self.entries
-            if e.kind == "respawn"
-            or e.worker != worker
-            or (window is not None and e.window > window)
-        ]
-
-    def take_respawn_failure(self, worker: int) -> bool:
-        """Consume one injected respawn failure for ``worker`` if the
-        plan has any left; True means the supervisor must fail this
-        respawn attempt."""
-        for entry in self.entries:
-            if entry.kind == "respawn" and entry.worker == worker:
-                if entry.window <= 1:
-                    self.entries.remove(entry)
-                else:
-                    entry.window -= 1
-                return True
-        return False
 
     @classmethod
     def single(
@@ -168,7 +124,7 @@ class FaultPlan:
         seed: int,
         workers: int,
         windows: int,
-        kinds: Sequence[str] = ("kill", "hang", "drop", "corrupt", "truncate"),
+        kinds: Sequence[str] = FAULT_KINDS,
     ) -> "FaultPlan":
         """A seeded one-fault plan: pick (kind, worker, window)
         uniformly from the given ranges — the chaos suite's property
@@ -187,8 +143,7 @@ class FaultPlan:
 
 def parse_fault_plan(text: str) -> FaultPlan:
     """Parse the ``--fault-plan`` CLI form: comma-separated
-    ``kind:worker:window`` triples (for ``respawn`` the third field is
-    the failure count), e.g. ``"kill:1:2,respawn:1:1"``."""
+    ``kind:worker:window`` triples, e.g. ``"kill:1:2,corrupt:0:3"``."""
     entries = []
     for part in text.split(","):
         part = part.strip()

@@ -164,10 +164,9 @@ class MessageCounters:
     def snapshot_state(self):
         """An opaque rewind point for the sharded engine.
 
-        A supervised sharded run counts packs as it folds a window;
-        when a worker faults mid-window, the counters rewind with the
-        coordinator so the retry re-records everything exactly once.
-        The degradation ladder's run-start checkpoint uses it too.
+        The sharded engine's run-start checkpoint takes one; when a
+        worker faults, the counters rewind with the coordinator so the
+        in-process rerun records everything exactly once.
         """
         return (
             self.upstream,

@@ -43,7 +43,6 @@ from .bridge import (
     observe_fault,
     observe_heartbeat_age,
     observe_message_counters,
-    observe_recovery,
     observe_sharded_stats,
 )
 from .exposition import render_json, render_prometheus, write_metrics
@@ -67,7 +66,6 @@ __all__ = [
     "observe_message_counters",
     "observe_sharded_stats",
     "observe_fault",
-    "observe_recovery",
     "observe_degradation",
     "observe_heartbeat_age",
     "merge_worker_deltas",

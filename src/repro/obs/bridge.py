@@ -26,7 +26,6 @@ __all__ = [
     "observe_message_counters",
     "observe_sharded_stats",
     "observe_fault",
-    "observe_recovery",
     "observe_degradation",
     "observe_heartbeat_age",
     "merge_worker_deltas",
@@ -46,7 +45,6 @@ WORKER_METRIC_NAMES = (
     "snapshots",
     "rolls_served",
     "spec_recomputes",
-    "replay_windows",
 )
 
 
@@ -159,32 +157,14 @@ def observe_fault(registry, fault_class: str) -> None:
     ).labels(fault_class=fault_class).inc()
 
 
-def observe_recovery(registry, worker: int, seconds: float) -> None:
-    """Record one completed window-boundary recovery (respawn + state
-    re-ship + replay + survivor rewind) and its wall-clock cost."""
-    if not registry.enabled:
-        return
-    registry.counter(
-        "repro_shard_worker_restarts_total",
-        "shard workers respawned by the supervisor after a fault",
-        labels=("worker",),
-    ).labels(worker=worker).inc()
-    registry.histogram(
-        "repro_shard_recovery_seconds",
-        "wall-clock seconds per deterministic worker recovery",
-    ).observe(seconds)
-
-
 def observe_degradation(registry, rung: str) -> None:
-    """Count one rung taken on the graceful-degradation ladder (the
-    in-process ``columnar`` engine) after recovery was exhausted or
-    unavailable."""
+    """Count one sharded run that a classified worker fault degraded to
+    ``rung`` (the in-process ``columnar`` engine)."""
     if not registry.enabled:
         return
     registry.counter(
         "repro_shard_degradations_total",
-        "sharded runs degraded to a slower rung after fault recovery "
-        "was exhausted",
+        "sharded runs finished on a slower rung after a worker fault",
         labels=("rung",),
     ).labels(rung=rung).inc()
 

@@ -63,7 +63,6 @@ def get_engine(
     workers: Optional[int] = None,
     kernels: Optional[str] = None,
     worker_timeout: Optional[float] = None,
-    max_worker_restarts: Optional[int] = None,
     fault_plan: Union[str, FaultPlan, None] = None,
 ) -> Engine:
     """Resolve an engine from a name, an instance, or ``None``.
@@ -89,10 +88,6 @@ def get_engine(
         Seconds the sharded supervisor waits for a worker message
         before classifying the worker as hung; rejected for engines
         that do not shard.
-    max_worker_restarts:
-        Worker respawns the sharded supervisor may perform per run
-        before degrading to the in-process columnar engine; rejected
-        for engines that do not shard.
     fault_plan:
         A :class:`~repro.faults.FaultPlan` (or its ``kind:worker:window``
         string form) injected through the sharded engine's chaos seams
@@ -114,11 +109,6 @@ def get_engine(
         if worker_timeout is not None:
             raise ConfigurationError(
                 "worker_timeout cannot be combined with an engine instance"
-            )
-        if max_worker_restarts is not None:
-            raise ConfigurationError(
-                "max_worker_restarts cannot be combined with an "
-                "engine instance"
             )
         if fault_plan is not None:
             raise ConfigurationError(
@@ -155,12 +145,6 @@ def get_engine(
                 f"engine {name!r} does not take a worker_timeout"
             )
         kwargs["worker_timeout"] = worker_timeout
-    if max_worker_restarts is not None:
-        if not issubclass(cls, ShardedEngine):
-            raise ConfigurationError(
-                f"engine {name!r} does not take max_worker_restarts"
-            )
-        kwargs["max_worker_restarts"] = max_worker_restarts
     if fault_plan is not None:
         if not issubclass(cls, ShardedEngine):
             raise ConfigurationError(

@@ -151,13 +151,10 @@ class CoordinatorAlgorithm(ABC):
         """Return a cheap opaque snapshot of ALL mutable coordinator
         state, or ``None`` (the default) for "unsupported".
 
-        The sharded engine's supervised runs snapshot the
-        coordinator at each window start, so a window whose worker
-        faults mid-fold can be rewound and retried in place; the
-        degradation ladder's run-start checkpoint uses it too.
-        Coordinators that return ``None`` stay correct: the checkpoint
-        pickles them instead, and a fault once a window has begun
-        folding takes the ladder rather than an in-place retry.
+        The sharded engine's run-start checkpoint takes one, so a
+        worker fault can rewind the coordinator and rerun the whole
+        stream in-process.  Coordinators that return ``None`` stay
+        correct: the checkpoint pickles them instead.
         """
         return None
 

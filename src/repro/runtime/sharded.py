@@ -96,8 +96,7 @@ so the error ships, in place of ``res(t + 1)``, only if the recompute
 on the committed state raises too.  A ``roll`` of window
 ``t`` discards the speculation the same way and blocks re-speculation
 until ``com(t)``, preserving the fast-roll invariant that prefix sites
-keep their state; ``rwd`` drops it (restoring ``t``'s snapshot undoes
-it).
+keep their state.
 
 Every window folds through one method (:meth:`ShardedEngine._fold_window`),
 in exact ascending-site order: the parent makes the columnar engine's
@@ -108,35 +107,29 @@ speculation hits/misses, and a per-window timing breakdown (worker
 compute, transport wait, parent fold);
 ``repro ... --profile --engine sharded`` prints it.
 
-Fault tolerance: supervision, recovery, and the degradation ladder
-------------------------------------------------------------------
+Fault tolerance: supervision and degradation
+--------------------------------------------
 Every worker receive is supervised (``supervision="on"``, the
 default): deadline-bounded waits classify silence as a **hang**, a
 dead pipe or process exit as a **crash**, and a descriptor rejected by
 the wire validation in :mod:`repro.net.messages` as **poison** — while
 a worker that ships its own traceback stays fail-stop
-(:class:`ShardedWorkerError`, ``fault_class="error"``), since replaying
-a deterministic user-code exception would just raise it again.  A
-classified fault triggers **deterministic
-window-boundary recovery**: the dead shard's worker is reaped and
-respawned on the same pool slot (bounded retries, capped backoff), its
-run-start site states are re-shipped and fast-forwarded through the
-committed control history (bit-identical replay — same RNG positions),
-survivors rewind the in-flight window to their pre-window snapshots,
-the parent's coordinator/counters rewind to the window-start snapshot,
-and the window retries.  A recovered run's samples **and** message
-counters are bit-identical to a fault-free one.  When recovery is
-exhausted (``max_worker_restarts``) or structurally unavailable (a
-mid-commit fault, a coordinator that cannot rewind), the run takes the
-**degradation ladder** — sharded -> in-process columnar — restoring
-the run-start network checkpoint first; ``last_run_stats`` records the
-fault log, restart count, recovery seconds, and the rung taken
-(``mode="degraded"``).  The chaos seams threaded through the worker
-loop (:mod:`repro.faults`) inject crashes, hangs, drops,
-corrupt/truncated packs, and respawn failures deterministically;
-``tests/test_chaos.py`` drives them across the whole grid and asserts
-bit-identity or explicit degradation — never a hang, leaked process,
-or leaked shared-memory segment.
+(:class:`ShardedWorkerError`, ``fault_class="error"``), since rerunning
+a deterministic user-code exception would just raise it again.  Every
+classified fault takes one path: the pool is reaped, the network is
+restored to its run-start checkpoint, and the run finishes on the
+in-process columnar engine (``mode="degraded"``,
+``degraded_to="columnar"``).  The rerun is bit-identical to a
+fault-free run — samples **and** message counters — and keeps its
+window schedule, so it forwards only the ``on_step`` /
+``on_checkpoint`` calls past the windows the sharded attempt already
+reported.  ``last_run_stats`` records the fault log; the engine's next
+run spawns a fresh pool.  The chaos seams threaded through the worker
+loop (:mod:`repro.faults`) inject crashes, hangs, drops and
+corrupt/truncated packs deterministically; ``tests/test_chaos.py``
+drives them across a worker/window grid and asserts bit-identical
+degradation — never a hang, leaked process, or leaked shared-memory
+segment.
 
 Fallbacks: ``workers=1`` (or one site), instrumented networks (a
 :class:`~repro.net.tracing.MessageTrace` wrapping the delivery
@@ -186,7 +179,6 @@ from ..obs import (
     observe_degradation,
     observe_fault,
     observe_heartbeat_age,
-    observe_recovery,
     observe_sharded_stats,
 )
 from .batched import (
@@ -222,11 +214,6 @@ _READY_TIMEOUT = 120.0
 #: has to beat "forever", not a window compute.
 _DEFAULT_WORKER_TIMEOUT = 60.0
 
-#: Respawn attempts per recovery, with capped exponential backoff.
-_RESPAWN_RETRIES = 3
-_RESPAWN_BACKOFF = 0.05
-_RESPAWN_BACKOFF_CAP = 1.0
-
 #: Seconds to wait for a politely-asked worker to exit before force.
 _JOIN_TIMEOUT = 5.0
 
@@ -244,8 +231,10 @@ def available_cpus() -> int:
 class ShardedWorkerError(RuntimeError):
     """A shard worker died, hung, raised, or sent a malformed pack.
 
-    The parent raises this only after recovery is exhausted or disabled
-    and the worker pool is torn down (processes joined or killed,
+    A worker that raised (``fault_class="error"``) always surfaces as
+    this; a crash, hang or poison only when the run cannot degrade
+    (supervision off, or no run-start checkpoint).  The parent raises
+    it after the worker pool is torn down (processes joined or killed,
     shared-memory segments unlinked), so a failing site never leaks
     orphans.  Structured context rides along for programmatic handling:
 
@@ -304,9 +293,8 @@ class ShardedWorkerError(RuntimeError):
 
 class _WorkerFault(Exception):
     """Internal: one classified worker fault (crash/hang/poison) with
-    enough context to recover in place or degrade.  Converted to
-    :class:`ShardedWorkerError` via :meth:`to_error` when it must
-    surface to the caller."""
+    enough context to degrade.  Converted to :class:`ShardedWorkerError`
+    via :meth:`to_error` when it must surface to the caller."""
 
     def __init__(self, handle, fault_class, detail, window=None) -> None:
         super().__init__(detail)
@@ -343,15 +331,6 @@ def _queued_traceback(handle) -> Optional[str]:
     except (EOFError, OSError):
         pass
     return None
-
-
-class _LadderFault(Exception):
-    """Internal: a fault that window-boundary recovery cannot (or may
-    no longer) handle — the run must take the degradation ladder."""
-
-    def __init__(self, fault: _WorkerFault) -> None:
-        super().__init__(fault.detail)
-        self.fault = fault
 
 
 def _attach_shm(name: str):
@@ -487,18 +466,9 @@ class _WorkerShard:
             if payload.get("metrics")
             else None
         )
-        #: Supervision / recovery fields (absent pre-supervisor payloads
-        #: keep working: every key defaults to the unsupervised shape).
-        self.worker: int = payload.get("worker", 0)
-        self.supervised: bool = bool(payload.get("supervised"))
         #: Chaos seams: planned ``(kind, window)`` faults for this
         #: worker (test-only; empty/None in production).
         self.faults = payload.get("faults") or ()
-        #: Deterministic recovery: fast-forward the first ``resume``
-        #: windows from ``history`` (their committed control lists)
-        #: without shipping anything, then rejoin the live protocol.
-        self.resume: int = payload.get("resume", 0)
-        self.history: List[list] = payload.get("history") or []
         #: Speculation verdicts, shipped with the final state.
         self.hits = 0
         self.misses = 0
@@ -522,7 +492,6 @@ class _WorkerShard:
         hi: int,
         min_site: Optional[int] = None,
         slot: int = 0,
-        encode: bool = True,
     ):
         """Run the shard's site passes for global window ``[lo, hi)``.
 
@@ -537,10 +506,7 @@ class _WorkerShard:
         the rollback suffix.  Pack contents are also invariant to the
         shared-prep shortcut, so the suffix pass simply skips it.
         ``slot`` selects which ring slot the window's packs encode
-        into (``t % 2`` for window ``t``).  ``encode=False`` runs the
-        pass purely for its state effects (RNG advances, per-site
-        accounting) without serializing anything — the recovery replay
-        of already-committed windows.
+        into (``t % 2`` for window ``t``).
         """
         i0, i1 = self.view.window_bounds(lo, hi)
         if i0 == i1:
@@ -549,7 +515,7 @@ class _WorkerShard:
         if metrics is not None:
             t_start = time.perf_counter()
             if min_site is None:
-                metrics["windows" if encode else "replay_windows"] += 1
+                metrics["windows"] += 1
         site_ids, starts, ends, idents_sorted, weights_sorted = (
             self.view.window_order(i0, i1)
         )
@@ -580,10 +546,6 @@ class _WorkerShard:
                     None if window_prep is None else (window_prep, start, end)
                 ),
             )
-            if not encode:
-                if not isinstance(result, MessagePack):
-                    list(result)  # drive lazy hooks for their state effects
-                continue
             descriptor = self._encode(site_id, result)
             if descriptor is not None:
                 out.append(descriptor)
@@ -741,36 +703,6 @@ def _send_state(shard: _WorkerShard, conn) -> None:
     conn.send(message)
 
 
-def _replay_history(shard: _WorkerShard) -> None:
-    """Fast-forward a respawned worker through its shard's already
-    committed windows, without shipping anything.
-
-    Per window the live protocol leaves each site in the state
-    "pre-window state, then the controls triggered by *earlier* sites
-    (rolls pre-apply them before the site's final compute), then the
-    compute, then the remaining controls (applied at commit)".  The
-    replay reproduces exactly that placement from the committed control
-    lists, so end-of-window site states — including RNG positions —
-    are bit-identical to the run that faulted.
-    """
-    for t in range(shard.resume):
-        lo, hi = shard.windows[t]
-        controls = shard.history[t] if t < len(shard.history) else []
-        if controls:
-            for idx, site in enumerate(shard.sites):
-                site_id = shard.site_lo + idx
-                for _, dest, ctrl in controls[: _prefix_len(controls, site_id)]:
-                    if dest == BROADCAST or dest == site_id:
-                        site.on_control(ctrl)
-        shard.compute_window(lo, hi, encode=False)
-        if controls:
-            for idx, site in enumerate(shard.sites):
-                site_id = shard.site_lo + idx
-                for _, dest, ctrl in controls[_prefix_len(controls, site_id):]:
-                    if dest == BROADCAST or dest == site_id:
-                        site.on_control(ctrl)
-
-
 def _send_results(shard: _WorkerShard, conn, t: int, results, seconds) -> None:
     """Ship one window's descriptors and the compute seconds that
     produced them, through the chaos seams: a planned wire fault
@@ -809,12 +741,8 @@ def _compute(shard: _WorkerShard, t: int, speculative: bool = False):
     busy = i0 != i1
     # Pre-window state, captured BEFORE the compute so rollback
     # replays from exactly this point (same RNG positions).  Skipped
-    # when the shard has no arrivals (nothing mutates) — except under
-    # supervision, where a post-fault ``rwd`` must be able to undo
-    # controls a roll applied mid-window.
-    snapshot = (
-        _snapshot_sites(shard.sites) if busy or shard.supervised else None
-    )
+    # when the shard has no arrivals (nothing mutates).
+    snapshot = _snapshot_sites(shard.sites) if busy else None
     if snapshot is not None and shard.metrics is not None:
         shard.metrics["snapshots"] += 1
     t0 = time.perf_counter()
@@ -855,17 +783,11 @@ def _worker_run(shard: _WorkerShard, conn) -> None:
     miss too, so its error ships only if the recompute raises again,
     in place of that window's results.  A roll discards the
     speculation (a held error with it) and none is made again before
-    the commit.  Under supervision two more commands exist: a
-    respawned worker starts with a :func:`_replay_history`
-    fast-forward, and ``rwd`` rewinds the current (uncommitted) window
-    to its pre-window snapshot so the parent can retry it after another
-    worker's fault.
+    the commit.
     """
-    if shard.resume:
-        _replay_history(shard)
     total = len(shard.windows)
     spec = None
-    for t in range(shard.resume, total):
+    for t in range(total):
         lo, hi = shard.windows[t]
         if spec is None:
             spec = _compute(shard, t)
@@ -893,35 +815,20 @@ def _worker_run(shard: _WorkerShard, conn) -> None:
                         shard.hits += 1
                 _apply_commit(shard, applied, controls)
                 break
+            if tag != "roll":
+                raise ProtocolViolationError(
+                    f"shard worker got unexpected command {tag!r}"
+                )
             if spec is not None:
-                # A roll or rewind invalidates the speculation.
+                # A roll invalidates the speculation.
                 _discard(shard, spec)
                 spec = None
-            if tag == "roll":
-                from_site, controls = message[1], message[2]
-                replacements = _apply_roll(
-                    shard, lo, hi, snapshot, applied, from_site, controls,
-                    t % 2,
-                )
-                _send_results(
-                    shard, conn, t, replacements, time.perf_counter() - t0
-                )
-                continue
-            if tag == "rwd":
-                if message[1] != t:
-                    raise ProtocolViolationError(
-                        f"rwd for window {message[1]} but worker is at {t}"
-                    )
-                if snapshot is not None:
-                    _restore_sites(shard, snapshot)
-                applied = [0] * len(shard.sites)
-                results = shard.compute_window(lo, hi, slot=t % 2)
-                seconds = time.perf_counter() - t0
-                conn.send(("rwdok",))
-                _send_results(shard, conn, t, results, seconds)
-                continue
-            raise ProtocolViolationError(
-                f"shard worker got unexpected command {tag!r}"
+            from_site, controls = message[1], message[2]
+            replacements = _apply_roll(
+                shard, lo, hi, snapshot, applied, from_site, controls, t % 2
+            )
+            _send_results(
+                shard, conn, t, replacements, time.perf_counter() - t0
             )
     message = conn.recv()
     if message[0] != "fin":
@@ -1020,8 +927,9 @@ def _unlink_segments(shms) -> None:
 
 def _reap_handle(handle) -> None:
     """Impolite teardown of one (dead, hung, or poisoned) worker: close
-    the pipe, then terminate -> kill.  Its ring segment is deliberately
-    kept — a replacement worker re-attaches the same name."""
+    the pipe, then terminate -> kill, so the pool shutdown that follows
+    does not wait out its join timeout.  Its ring segment is unlinked
+    with the rest of the pool's."""
     try:
         handle.conn.close()
     except Exception:
@@ -1043,10 +951,10 @@ def _shutdown_pool(pool) -> None:
 
     Module-level (not a method) so ``weakref.finalize`` can run it
     after the engine is gone.  Idempotent on its own via the ``closed``
-    flag (recovery paths call it directly, and a failed spawn may have
-    called it before ``close()`` does), and the shared-memory unlink
-    runs in a ``finally`` so ``/dev/shm`` segments are released even
-    when a worker refuses to die within the join timeouts.
+    flag (a failed spawn may have called it before ``close()`` does),
+    and the shared-memory unlink runs in a ``finally`` so ``/dev/shm``
+    segments are released even when a worker refuses to die within the
+    join timeouts.
     """
     if pool.get("closed"):
         return
@@ -1081,10 +989,9 @@ def _shutdown_pool(pool) -> None:
 
 
 def _checkpoint_network(network):
-    """Run-start checkpoint of everything the parent would need to
-    restart the run from scratch on a lower ladder rung: site states
-    (pickled wholesale — workers get slices of this on redispatch),
-    the coordinator state, and the message counters."""
+    """Run-start checkpoint of everything the parent needs to rerun a
+    faulted run from scratch in-process: site states (pickled
+    wholesale), the coordinator state, and the message counters."""
     coordinator_state = network.coordinator.snapshot_state()
     if coordinator_state is None:
         coordinator_state = (
@@ -1106,8 +1013,8 @@ def _checkpoint_network(network):
 
 
 def _restore_network(network, checkpoint) -> None:
-    """Rewind a network to its run-start checkpoint (degradation
-    ladder: the next rung replays the whole run deterministically)."""
+    """Rewind a network to its run-start checkpoint (degradation: the
+    columnar rerun replays the whole run deterministically)."""
     for mirror, saved in zip(
         network.sites, pickle.loads(checkpoint["sites"])
     ):
@@ -1121,26 +1028,12 @@ def _restore_network(network, checkpoint) -> None:
     network.items_processed = checkpoint["items_processed"]
 
 
-class _WindowAttempt:
-    """Parent-side fold progress for one supervised window.
-
-    A post-fault retry refolds the window from its start; the refold is
-    bit-identical to the faulted attempt (same restored coordinator,
-    same recomputed packs, same order), so downstream delivery number
-    ``i`` of the retry *is* delivery number ``i`` of the original.
-    ``delivered`` counts deliveries whose site-mirror ``on_control``
-    already ran (mirrors are not snapshotted — unlike the coordinator
-    and counters, which rewind); the retry skips re-applying those
-    while still re-recording their (rewound) counter traffic.
-    """
-
-    __slots__ = ("window", "folded", "delivered", "seen")
-
-    def __init__(self, window: int) -> None:
-        self.window = window
-        self.folded = False  # any coordinator fold ran this window
-        self.delivered = 0  # mirror deliveries that must not re-apply
-        self.seen = 0  # deliveries seen so far in the current attempt
+def _after(callback, reported):
+    """``callback`` restricted to ``t > reported``: the degraded rerun
+    fires again at every ``t`` the sharded attempt already reported."""
+    if callback is None:
+        return None
+    return lambda t: callback(t) if t > reported else None
 
 
 class _RunTally:
@@ -1192,56 +1085,24 @@ class _RunTally:
         }
 
 
-def _deliver_guarded(network, attempt, dest, response) -> None:
-    """Deliver one coordinator response downstream, skipping the
-    site-mirror re-application for deliveries a pre-fault fold of the
-    same window already made (see :class:`_WindowAttempt`)."""
-    if attempt is not None:
-        attempt.seen += 1
-        if attempt.seen <= attempt.delivered:
-            counters = network.counters
-            if dest == BROADCAST:
-                counters.record_downstream(
-                    response, copies=network.num_sites
-                )
-            else:
-                counters.record_downstream(response, copies=1)
-            return
-        attempt.delivered += 1
-    network.deliver_downstream(dest, response)
-
-
 class WorkerSupervisor:
     """Parent-side supervision state for one sharded run.
 
-    Owns fault classification bookkeeping (the fault log, restart
-    budget, capped-backoff respawns), per-worker heartbeats, the
-    run-start network checkpoint the degradation ladder restores, and
-    the per-run clone of the engine's chaos :class:`FaultPlan`.
-    Created per ``run()`` when ``supervision="on"`` (the default).
+    Holds the receive deadline, per-worker heartbeats, the fault log,
+    the run-start network checkpoint a fault degrades from, and the
+    engine's chaos :class:`FaultPlan`.  Created per ``run()`` when
+    ``supervision="on"`` (the default).
     """
 
-    def __init__(self, timeout, max_restarts, plan, registry) -> None:
+    def __init__(self, timeout, plan, registry) -> None:
         self.timeout = float(timeout)
-        self.max_restarts = int(max_restarts)
-        self.plan: Optional[FaultPlan] = (
-            plan.clone() if plan is not None else None
-        )
+        self.plan: Optional[FaultPlan] = plan
         self.registry = registry
-        self.restarts = 0
         self.fault_log: List[dict] = []
-        self.recovery_seconds = 0.0
         self.checkpoint = None  # run-start network checkpoint (or None)
         self.last_seen: dict = {}  # worker index -> perf_counter stamp
-        #: One-shot deadline extensions: a freshly respawned worker
-        #: replays every committed window before its first result.
-        self.boost: dict = {}
-
-    def deadline(self, handle) -> float:
-        return self.boost.get(handle.index, 0.0) + self.timeout
 
     def heartbeat(self, handle) -> None:
-        self.boost.pop(handle.index, None)
         self.last_seen[handle.index] = time.perf_counter()
 
     def export_heartbeats(self) -> None:
@@ -1253,28 +1114,21 @@ class WorkerSupervisor:
                 self.registry, worker, now - self.last_seen[worker]
             )
 
-    def record_fault(self, fault, window) -> None:
+    def record_fault(self, fault) -> None:
         self.fault_log.append(
             {
                 "worker": fault.handle.index,
-                "window": window,
+                "window": fault.window,
                 "fault_class": fault.fault_class,
                 "detail": fault.detail,
             }
         )
-        if self.plan is not None:
-            self.plan.mark_fired(fault.handle.index, window)
         observe_fault(self.registry, fault.fault_class)
 
     def wire_faults(self, worker: int):
         if self.plan is None:
             return None
         return self.plan.wire_for(worker) or None
-
-    def take_respawn_failure(self, worker: int) -> bool:
-        return self.plan is not None and self.plan.take_respawn_failure(
-            worker
-        )
 
 
 class ShardedEngine(ColumnarEngine):
@@ -1300,14 +1154,10 @@ class ShardedEngine(ColumnarEngine):
         Supervision deadline in seconds: how long a worker may stay
         silent while the parent waits on it before the supervisor
         classifies a hang.  Defaults to 60s.
-    max_worker_restarts:
-        In-place window-boundary recoveries allowed per run before the
-        supervisor stops respawning and takes the degradation ladder
-        instead (sharded -> in-process columnar).
     fault_plan:
         Chaos injection (testing only): a :class:`~repro.faults.FaultPlan`
-        or its ``"kind:worker:window,..."`` string form.  Cloned per
-        run; ``None`` (production) leaves every seam inert.
+        or its ``"kind:worker:window,..."`` string form, fired afresh
+        every run; ``None`` (production) leaves every seam inert.
     supervision:
         ``"on"`` (default) or ``"off"``.  Off restores the fail-stop
         behavior: any worker fault tears the pool down and raises
@@ -1324,7 +1174,6 @@ class ShardedEngine(ColumnarEngine):
         transport: str = "auto",
         kernels=None,
         worker_timeout: Optional[float] = None,
-        max_worker_restarts: int = 2,
         fault_plan=None,
         supervision: str = "on",
     ) -> None:
@@ -1347,10 +1196,6 @@ class ShardedEngine(ColumnarEngine):
             raise ConfigurationError(
                 f"worker_timeout must be > 0, got {worker_timeout}"
             )
-        if max_worker_restarts < 0:
-            raise ConfigurationError(
-                f"max_worker_restarts must be >= 0, got {max_worker_restarts}"
-            )
         if supervision not in ("on", "off"):
             raise ConfigurationError(
                 f"supervision must be 'on' or 'off', got {supervision!r}"
@@ -1365,7 +1210,6 @@ class ShardedEngine(ColumnarEngine):
         self.workers = int(workers)
         self.transport = transport
         self.worker_timeout = float(worker_timeout)
-        self.max_worker_restarts = int(max_worker_restarts)
         self.fault_plan = fault_plan
         self.supervision = supervision
         #: Observability: how the last ``run`` executed (mode, effective
@@ -1454,16 +1298,13 @@ class ShardedEngine(ColumnarEngine):
                 )
             if self.supervision == "on":
                 supervisor = WorkerSupervisor(
-                    self.worker_timeout,
-                    self.max_worker_restarts,
-                    self.fault_plan,
-                    self.registry,
+                    self.worker_timeout, self.fault_plan, self.registry
                 )
                 try:
                     supervisor.checkpoint = _checkpoint_network(network)
                 except Exception:
                     # Unpicklable network: supervise (classify faults,
-                    # enforce deadlines) without recovery or ladder.
+                    # enforce deadlines) without degradation.
                     supervisor.checkpoint = None
             try:
                 pool, warm = self._get_pool(workers)
@@ -1502,26 +1343,24 @@ class ShardedEngine(ColumnarEngine):
                     on_checkpoint,
                     supervisor,
                 )
-            except (_WorkerFault, _LadderFault) as exc:
-                fault = exc.fault if isinstance(exc, _LadderFault) else exc
-                if supervisor is not None and isinstance(exc, _WorkerFault):
-                    # Ladder faults were logged where they were
-                    # classified; bare faults get logged here.
-                    supervisor.record_fault(fault, fault.window)
+            except _WorkerFault as fault:
+                if supervisor is not None:
+                    supervisor.record_fault(fault)
                 _reap_handle(fault.handle)
                 self.close()
                 if supervisor is None or supervisor.checkpoint is None:
                     raise fault.to_error() from None
-                # Degradation ladder: restore the run-start checkpoint
-                # and rerun on the in-process columnar engine.
+                # The one fault path: restore the run-start checkpoint
+                # and rerun on the in-process columnar engine.  The
+                # rerun is bit-identical and keeps the window schedule,
+                # so it forwards only the callbacks past the windows
+                # the sharded attempt already reported.
+                reported = network.items_processed
                 _restore_network(network, supervisor.checkpoint)
                 observe_degradation(self.registry, "columnar")
                 self.last_run_stats = {
                     "mode": "degraded",
-                    "reason": (
-                        f"fault recovery exhausted "
-                        f"({fault.fault_class}: {fault.detail})"
-                    ),
+                    "reason": f"worker {fault.fault_class} fault: {fault.detail}",
                     "rung": "columnar",
                     "degraded_to": "columnar",
                 }
@@ -1529,9 +1368,9 @@ class ShardedEngine(ColumnarEngine):
                     self,
                     network,
                     stream,
-                    on_step=on_step,
+                    on_step=_after(on_step, reported),
                     checkpoints=checkpoints,
-                    on_checkpoint=on_checkpoint,
+                    on_checkpoint=_after(on_checkpoint, reported),
                 )
             stats = self.last_run_stats
             if stats.get("mode") == "sharded":
@@ -1541,14 +1380,9 @@ class ShardedEngine(ColumnarEngine):
                 stats["items"] = n
                 stats["seconds"] = seconds
             if supervisor is not None:
-                stats["supervision"] = {
-                    "worker_timeout": supervisor.timeout,
-                    "max_worker_restarts": supervisor.max_restarts,
-                }
+                stats["supervision"] = {"worker_timeout": supervisor.timeout}
                 if supervisor.fault_log:
                     stats["faults"] = supervisor.fault_log
-                    stats["worker_restarts"] = supervisor.restarts
-                    stats["recovery_seconds"] = supervisor.recovery_seconds
             if self.registry.enabled and stats.get("mode") == "sharded":
                 self._export_run(
                     network, n, seconds, windows=stats.get("windows")
@@ -1595,7 +1429,6 @@ class ShardedEngine(ColumnarEngine):
             "rings": [],
             "transport": "shm" if use_shm else "pipe",
             "use_shm": use_shm,
-            "slot_bytes": slot_bytes,
             "closed": False,
         }
         try:
@@ -1681,21 +1514,12 @@ class ShardedEngine(ColumnarEngine):
                 "num_sites": num_sites,
                 "token": token,
                 "shms": shms,
-                # Kept for worker respawns: a fresh process has an
-                # empty stream cache, so it re-attaches the full
-                # segment instead of referencing ("cached", token).
-                "spec_full": specs[0] if specs is not None else None,
             }
             if cache is not None:
                 _unlink_segments(cache["shms"])
         else:
             token = cache["token"]
             specs = [("cached", token)] * workers
-        pool["run"] = {
-            "n": n,
-            "marks": marks,
-            "metrics": bool(self.registry.enabled),
-        }
         for handle in pool["handles"]:
             handle.site_lo, handle.site_hi = ShardSliceView.shard_range(
                 num_sites, workers, handle.index
@@ -1733,8 +1557,6 @@ class ShardedEngine(ColumnarEngine):
                 # (WORKER_METRIC_NAMES order) to result messages; when
                 # falsy the wire shape is untouched.
                 "metrics": bool(self.registry.enabled),
-                "worker": handle.index,
-                "supervised": supervisor is not None,
                 "faults": (
                     supervisor.wire_faults(handle.index)
                     if supervisor is not None
@@ -1755,8 +1577,7 @@ class ShardedEngine(ColumnarEngine):
         return message[1], message[2]
 
     def _fold_window(
-        self, window, network, handles, pending, supervisor, worker_deltas,
-        attempt,
+        self, window, network, handles, pending, supervisor, worker_deltas
     ):
         """Fold one window's descriptors in exact ascending-site order —
         the columnar engine's order.
@@ -1768,11 +1589,9 @@ class ShardedEngine(ColumnarEngine):
         ``("roll", site_id, controls)`` and answers with the replacement
         suffix, which supersedes the stale one.  The replacements'
         compute seconds go uncounted: a window's worker compute is the
-        whole-window pass behind it.  ``attempt`` (supervised runs
-        only) guards downstream deliveries across window-recovery
-        retries.  Returns ``(controls, rollbacks)``: the window's
-        control list (what the commit carries) and the number of rolls
-        it took.
+        whole-window pass behind it.  Returns ``(controls, rollbacks)``:
+        the window's control list (what the commit carries) and the
+        number of rolls it took.
         """
         controls: List[Tuple[int, int, object]] = []
         rollbacks = 0
@@ -1781,13 +1600,8 @@ class ShardedEngine(ColumnarEngine):
         while i < len(order):
             site_id = order[i]
             handle, descriptor = pending.pop(site_id)
-            if attempt is not None:
-                attempt.folded = True
             responses = self._fold(
-                network,
-                site_id,
-                self._decode(handle, descriptor, window),
-                attempt,
+                network, site_id, self._decode(handle, descriptor, window)
             )
             if responses:
                 controls.extend(
@@ -1850,76 +1664,37 @@ class ShardedEngine(ColumnarEngine):
         on_checkpoint,
         supervisor=None,
     ) -> "MessageCounters":
+        """The window protocol, parent side: per window, gather every
+        worker's results, fold them, commit, and fire the window's
+        callbacks.  A classified fault anywhere in here propagates as
+        :class:`_WorkerFault`; :meth:`_run_sharded` degrades the run."""
         handles = pool["handles"]
         windows = list(
             batch_windows(n, self.batch_size, self.initial_batch_size, marks)
         )
         tally = _RunTally()
-        history: List[list] = []
-        coordinator = network.coordinator
-        counters = network.counters
-        t_idx = 0
-        attempt: Optional[_WindowAttempt] = None
-        while t_idx < len(windows):
-            lo, hi = windows[t_idx]
-            snap = None
-            if supervisor is not None:
-                # Window-start snapshot of what the parent mutates
-                # while folding; a mid-window fault rewinds to it.
-                snap = (
-                    coordinator.snapshot_state(),
-                    counters.snapshot_state(),
-                )
-                if attempt is None or attempt.window != t_idx:
-                    attempt = _WindowAttempt(t_idx)
-                attempt.seen = 0
-                attempt.folded = False
+        for t_idx, (lo, hi) in enumerate(windows):
             worker_deltas: list = []
-            try:
-                t0 = time.perf_counter()
-                pending = {}
-                compute = 0.0
-                for handle in handles:
-                    descriptors, seconds = self._recv_results(
-                        handle, supervisor, t_idx, worker_deltas
-                    )
-                    compute = max(compute, seconds)
-                    for descriptor in descriptors:
-                        pending[descriptor[0]] = (handle, descriptor)
-                t1 = time.perf_counter()
-                controls, rollbacks = self._fold_window(
-                    t_idx,
-                    network,
-                    handles,
-                    pending,
-                    supervisor,
-                    worker_deltas,
-                    attempt,
+            t0 = time.perf_counter()
+            pending = {}
+            compute = 0.0
+            for handle in handles:
+                descriptors, seconds = self._recv_results(
+                    handle, supervisor, t_idx, worker_deltas
                 )
-                t2 = time.perf_counter()
-            except _WorkerFault as fault:
-                if supervisor is None:
-                    raise
-                self._recover_window(
-                    supervisor, network, pool, t_idx, history, fault,
-                    snap, attempt,
-                )
-                continue
-            # Commit phase.  A fault here is NOT window-recoverable —
-            # a worker that already received the com advances its sites
-            # irreversibly — so it goes straight to the ladder.
-            try:
-                for handle in handles:
-                    self._send(handle, ("com", controls), t_idx)
-            except _WorkerFault as fault:
-                if supervisor is None:
-                    raise
-                supervisor.record_fault(fault, t_idx)
-                raise _LadderFault(fault) from None
+                compute = max(compute, seconds)
+                for descriptor in descriptors:
+                    pending[descriptor[0]] = (handle, descriptor)
+            t1 = time.perf_counter()
+            controls, rollbacks = self._fold_window(
+                t_idx, network, handles, pending, supervisor, worker_deltas
+            )
+            t2 = time.perf_counter()
+            for handle in handles:
+                self._send(handle, ("com", controls), t_idx)
             for worker, deltas in worker_deltas:
                 merge_worker_deltas(self.registry, worker, deltas)
             tally.commit(rollbacks, controls, compute, t1 - t0, t2 - t1)
-            history.append(controls)
             if supervisor is not None:
                 supervisor.export_heartbeats()
             network.items_processed += hi - lo
@@ -1928,183 +1703,9 @@ class ShardedEngine(ColumnarEngine):
                 on_step(t)
             if hi in mark_set:
                 on_checkpoint(t)
-            t_idx += 1
         speculation = self._finish_run(network, handles, supervisor)
         self.last_run_stats = tally.stats(pool, len(windows), speculation)
         return network.counters
-
-    # -- window-boundary recovery (supervised) ---------------------------
-
-    def _recover_window(
-        self, supervisor, network, pool, t_idx, history, fault, snap, attempt
-    ) -> None:
-        """Recover from one classified worker fault without losing the
-        run: reap and respawn the dead shard's worker, fast-forward it
-        through the committed windows, rewind the survivors (and the
-        parent's coordinator/counters) to the window boundary, and let
-        the window loop retry.  The retry is bit-identical to a
-        fault-free run.  Raises :class:`_LadderFault` when recovery is
-        out of budget or structurally impossible.
-        """
-        t_start = time.perf_counter()
-        supervisor.record_fault(fault, t_idx)
-        if supervisor.restarts >= supervisor.max_restarts:
-            raise _LadderFault(fault) from None
-        supervisor.restarts += 1
-        if supervisor.checkpoint is None:
-            # No run-start site states -> cannot rebuild the dead shard.
-            raise _LadderFault(fault) from None
-        if attempt.folded and snap[0] is None:
-            # Partial folds reached a coordinator that cannot rewind.
-            raise _LadderFault(fault) from None
-        dead = fault.handle
-        try:
-            handle = self._respawn_worker(pool, dead, supervisor)
-            self._redispatch_worker(pool, handle, t_idx, history, supervisor)
-            for other in pool["handles"]:
-                if other is not handle:
-                    self._send(other, ("rwd", t_idx), t_idx)
-            for other in pool["handles"]:
-                if other is handle:
-                    continue
-                # Drain until the rewind confirmation; anything queued
-                # before it (stale results of the faulted attempt) is
-                # superseded by the resend that follows the rwdok.
-                while True:
-                    message = self._recv(other, supervisor, t_idx)
-                    if message[0] == "rwdok":
-                        break
-        except _WorkerFault as exc:
-            supervisor.record_fault(exc, t_idx)
-            raise _LadderFault(exc) from None
-        if attempt.folded:
-            network.coordinator.restore_state(snap[0])
-            network.counters.restore_state(snap[1])
-        seconds = time.perf_counter() - t_start
-        supervisor.recovery_seconds += seconds
-        observe_recovery(self.registry, dead.index, seconds)
-        # The respawned worker replays t_idx committed windows before
-        # its first result lands: scale its first deadline with that.
-        supervisor.boost[handle.index] = supervisor.timeout * (1 + t_idx)
-
-    def _respawn_worker(self, pool, dead, supervisor):
-        """Replace one reaped worker with a fresh process on the same
-        pool slot (same index, same ring segment), with bounded retries
-        and capped exponential backoff."""
-        from multiprocessing import get_context
-
-        _reap_handle(dead)
-        ctx = get_context("spawn")
-        delay = _RESPAWN_BACKOFF
-        last_exc: Optional[BaseException] = None
-        for _ in range(_RESPAWN_RETRIES):
-            process = None
-            try:
-                if supervisor.take_respawn_failure(dead.index):
-                    raise ShardedWorkerError(
-                        f"injected respawn failure for worker {dead.index}"
-                    )
-                ring_spec = None
-                if dead.ring is not None:
-                    ring_spec = (dead.ring.name, pool["slot_bytes"])
-                parent_conn, child_conn = ctx.Pipe()
-                process = ctx.Process(
-                    target=_worker_main,
-                    args=({"ring": ring_spec}, child_conn),
-                    daemon=True,
-                    name=f"repro-shard-{dead.index}",
-                )
-                process.start()
-                child_conn.close()
-                if not parent_conn.poll(_READY_TIMEOUT):
-                    raise ShardedWorkerError(
-                        f"respawned shard worker {dead.index} not ready "
-                        f"within {_READY_TIMEOUT:.0f}s"
-                    )
-                message = parent_conn.recv()
-                if message[0] != "rdy":
-                    raise ShardedWorkerError(
-                        f"respawned shard worker {dead.index} sent "
-                        f"{message[0]!r} instead of ready"
-                    )
-                handle = _WorkerHandle(
-                    dead.index, process, parent_conn, dead.ring
-                )
-                handle.site_lo, handle.site_hi = dead.site_lo, dead.site_hi
-                pool["handles"][dead.index] = handle
-                return handle
-            except Exception as exc:
-                last_exc = exc
-                if process is not None:
-                    try:
-                        process.terminate()
-                        process.join(timeout=_JOIN_TIMEOUT)
-                    except Exception:  # pragma: no cover - best effort
-                        pass
-                time.sleep(delay)
-                delay = min(delay * 2, _RESPAWN_BACKOFF_CAP)
-        raise _WorkerFault(
-            dead,
-            "crash",
-            f"respawn failed after {_RESPAWN_RETRIES} attempts: {last_exc!r}",
-        ) from last_exc
-
-    def _redispatch_worker(
-        self, pool, handle, resume, history, supervisor
-    ) -> None:
-        """Ship a respawned worker its shard, rebuilt for deterministic
-        recovery: run-start site states (sliced from the supervisor's
-        checkpoint), a fresh stream shipment (its cache died with the
-        old process), and the committed control history to fast-forward
-        through."""
-        from ..stream.columns import ShardSliceView
-
-        run = pool["run"]
-        stream_info = pool["stream"]
-        token = stream_info["token"]
-        if stream_info.get("spec_full") is not None:
-            stream_spec = stream_info["spec_full"]
-        else:
-            arrays = [ref() for ref in stream_info["refs"]]
-            if any(array is None for array in arrays):
-                raise _WorkerFault(
-                    handle,
-                    "crash",
-                    "stream columns were collected; cannot re-ship the "
-                    "shard to a respawned worker",
-                )
-            stream_spec = (
-                "view",
-                ShardSliceView.from_columns(
-                    arrays[0],
-                    arrays[1],
-                    arrays[2],
-                    handle.site_lo,
-                    handle.site_hi,
-                ),
-                token,
-            )
-        sites = pickle.loads(supervisor.checkpoint["sites"])[
-            handle.site_lo : handle.site_hi
-        ]
-        payload = {
-            "site_lo": handle.site_lo,
-            "site_hi": handle.site_hi,
-            "sites": sites,
-            "n": run["n"],
-            "batch_size": self.batch_size,
-            "initial_batch_size": self.initial_batch_size,
-            "marks": run["marks"],
-            "stream": stream_spec,
-            "kernels": _active_kernels().name,
-            "metrics": run["metrics"],
-            "worker": handle.index,
-            "supervised": True,
-            "faults": supervisor.wire_faults(handle.index),
-            "resume": resume,
-            "history": list(history),
-        }
-        self._send(handle, ("run", payload))
 
     def format_stats(self) -> str:
         """A human-readable breakdown of :attr:`last_run_stats` (used
@@ -2114,10 +1715,8 @@ class ShardedEngine(ColumnarEngine):
             return "sharded engine: no run recorded yet"
         if stats.get("mode") == "degraded":
             return (
-                f"sharded engine: degraded to the "
-                f"{stats.get('rung', '?')} rung "
-                f"({stats.get('reason', 'unknown reason')}); "
-                f"{len(stats.get('faults', ()))} faults logged"
+                f"sharded engine: degraded to the {stats['rung']} rung "
+                f"({stats['reason']})"
             )
         if stats.get("mode") != "sharded":
             return (
@@ -2150,12 +1749,6 @@ class ShardedEngine(ColumnarEngine):
                 if key in timing:
                     parts.append(f"{label} {timing[key]:.3f}s")
             lines.append("  time: " + ", ".join(parts))
-        if stats.get("faults"):
-            lines.append(
-                f"  faults: {len(stats['faults'])} classified, "
-                f"{stats.get('worker_restarts', 0)} worker restarts, "
-                f"recovery {stats.get('recovery_seconds', 0.0):.3f}s"
-            )
         if "kernels" in stats:
             lines.append(f"  kernels: {stats['kernels']} backend")
         return "\n".join(lines)
@@ -2163,9 +1756,9 @@ class ShardedEngine(ColumnarEngine):
     @staticmethod
     def _send(handle, message, window=None) -> None:
         """Send a command to a worker; a dead pipe raises a classified
-        ``crash`` :class:`_WorkerFault` (the supervised paths recover
-        or degrade; unsupervised boundaries convert it to
-        :class:`ShardedWorkerError` via ``to_error``) — unless the
+        ``crash`` :class:`_WorkerFault` (a supervised run degrades; an
+        unsupervised one converts it to :class:`ShardedWorkerError` via
+        ``to_error``) — unless the
         worker shipped its own traceback before the pipe closed, which
         stays fail-stop (:class:`ShardedWorkerError`, ``"error"``)."""
         try:
@@ -2190,15 +1783,14 @@ class ShardedEngine(ColumnarEngine):
         pipe is a ``crash`` fault either way; a worker-shipped
         traceback is fail-stop (:class:`ShardedWorkerError` with
         ``fault_class="error"``) — the worker's own code raised, and
-        deterministic replay would just raise it again.
+        a deterministic rerun would just raise it again.
         """
         if supervisor is not None:
-            deadline = supervisor.deadline(handle)
-            if not handle.conn.poll(deadline):
+            if not handle.conn.poll(supervisor.timeout):
                 raise _WorkerFault(
                     handle,
                     "hang",
-                    f"no message within {deadline:.1f}s "
+                    f"no message within {supervisor.timeout:.1f}s "
                     f"(process alive: {handle.process.is_alive()})",
                     window=window,
                 )
@@ -2258,15 +1850,13 @@ class ShardedEngine(ColumnarEngine):
             ) from None
 
     @staticmethod
-    def _fold(network, site_id: int, payload, attempt=None):
+    def _fold(network, site_id: int, payload):
         """Deliver one site's window output to the coordinator, exactly
         as :meth:`Network.deliver_pack` / ``deliver_upstream`` would
         (same counter calls, same response fan-out), but returning the
         coordinator's responses so the window loop can see broadcasts.
         Only called on uninstrumented networks (checked at ``run``
         start), where this *is* the delivery path, verbatim.
-        ``attempt`` (supervised runs only) guards downstream
-        deliveries across window-recovery refolds.
         """
         counters = network.counters
         coordinator = network.coordinator
@@ -2276,14 +1866,14 @@ class ShardedEngine(ColumnarEngine):
             counters.record_upstream_pack(payload)
             responses = coordinator.on_message_pack(site_id, payload)
             for dest, response in responses:
-                _deliver_guarded(network, attempt, dest, response)
+                network.deliver_downstream(dest, response)
             return responses
         out = []
         for message in payload:
             counters.record_upstream(message)
             responses = coordinator.on_message(site_id, message)
             for dest, response in responses:
-                _deliver_guarded(network, attempt, dest, response)
+                network.deliver_downstream(dest, response)
             out.extend(responses)
         return out
 

@@ -2,22 +2,21 @@
 
 What is covered:
 
-1. **FaultPlan semantics** — parse/str round-trips, retirement on
-   fire, the worker wire form, respawn-failure consumption, and the
-   seeded single-fault generator.
-2. **Recovery in place** — every worker-side fault kind, across worker
-   and window positions, on the default (speculating) engine: the run
-   stays bit-identical to the columnar engine (samples AND message
-   counters), finishes in ``"sharded"`` mode with the expected fault
-   class and restart count, and leaks no processes or shared-memory
-   segments.
-3. **Exhaustion** — a zero restart budget or injected respawn failures
-   take the ladder to the in-process columnar engine; the run is still
-   bit-identical and never hangs.
-4. **Error surface** — ``ShardedWorkerError``'s structured context and
+1. **FaultPlan semantics** — parse/str round-trips, the worker wire
+   form, and the seeded single-fault generator.
+2. **Degradation** — one grid over every fault kind and over worker
+   and window positions (the last window and a two-fault plan
+   included).  Every classified fault takes the one fault path: the
+   run finishes on the in-process columnar engine
+   (``mode == "degraded"``), bit-identical to the fault-free columnar
+   run (samples AND message counters), logs the fault's class, worker
+   and window, and leaks no processes or shared-memory segments.  A
+   degraded run's ``on_step``/``on_checkpoint`` calls equal the
+   fault-free run's.
+3. **Error surface** — ``ShardedWorkerError``'s structured context and
    message format, pinned (dashboards and scripts parse it).
-5. **Property** — a seeded, uniformly drawn single fault (hypothesis)
-   always yields a bit-identical recovered run.
+4. **Property** — a seeded, uniformly drawn single fault (hypothesis)
+   always degrades to a bit-identical run.
 
 Every fault here is declarative and seeded (see
 :mod:`repro.faults`): no wall-clock triggers, no global RNG, so a
@@ -40,6 +39,7 @@ from repro.faults import (
     FAULT_KINDS,
     FaultPlan,
     FaultSpec,
+    chaos_exit,
     corrupt_descriptors,
     fault_action,
     parse_fault_plan,
@@ -56,7 +56,8 @@ SEED = 3
 ITEMS = 12_000
 BATCH = 1024
 WORKERS = 3
-#: Windows in the run above (ceil(ITEMS / BATCH)); plans target [0, 4).
+#: Windows in the run above under the 64-item doubling ramp.
+WINDOWS = 15
 TIMEOUT = 2.0
 
 
@@ -64,13 +65,13 @@ def _stream(n=ITEMS, seed=0, sites=SITES):
     return round_robin(zipf_stream(n, random.Random(seed), alpha=1.2), sites)
 
 
-def _run(engine, n=ITEMS):
+def _run(engine, n=ITEMS, **kwargs):
     proto = DistributedWeightedSWOR(
         SworConfig(num_sites=SITES, sample_size=SAMPLE),
         seed=SEED,
         engine=engine,
     )
-    proto.run(_stream(n))
+    proto.run(_stream(n), **kwargs)
     return (
         [(i.ident, i.weight, k) for i, k in proto.sample_with_keys()],
         proto.counters.snapshot(),
@@ -87,13 +88,12 @@ def _reference(n=ITEMS):
     return _REFERENCE[n]
 
 
-def _chaos_run(fault_plan, n=ITEMS, **kwargs):
+def _chaos_run(fault_plan, n=ITEMS):
     engine = ShardedEngine(
         batch_size=BATCH,
         workers=WORKERS,
         fault_plan=fault_plan,
         worker_timeout=TIMEOUT,
-        **kwargs,
     )
     try:
         fingerprint = _run(engine, n)
@@ -117,11 +117,37 @@ class FaultySite(SiteAlgorithm):
         pass
 
 
+class ExitingSite(SiteAlgorithm):
+    """A site whose worker process dies once the site has seen more
+    than ``exit_after`` arrivals (module-level so it pickles into spawn
+    workers)."""
+
+    def __init__(self, exit_after: int) -> None:
+        self.exit_after = exit_after
+        self.seen = 0
+
+    def on_item(self, item):
+        return []
+
+    def on_columns(self, idents, weights, prep=None):
+        self.seen += len(weights)
+        if self.seen > self.exit_after:
+            chaos_exit()
+        return ()
+
+    def on_control(self, message):
+        pass
+
+
 def _assert_no_orphans(before):
     for child in multiprocessing.active_children():
         child.join(timeout=10)
     assert multiprocessing.active_children() == []
     assert set(glob.glob("/dev/shm/psm_*")) <= before
+
+
+def _logged(stats):
+    return [(f["fault_class"], f["worker"], f["window"]) for f in stats["faults"]]
 
 
 # ---------------------------------------------------------------------------
@@ -131,45 +157,25 @@ def _assert_no_orphans(before):
 
 class TestFaultPlan:
     def test_parse_str_round_trip(self):
-        text = "kill:1:2,corrupt:0:3,respawn:1:2"
+        text = "kill:1:2,corrupt:0:3,truncate:2:0"
         plan = parse_fault_plan(text)
         assert str(plan) == text
         assert plan.entries[0] == FaultSpec("kill", 1, 2)
         assert parse_fault_plan(str(plan)) == plan
 
     @pytest.mark.parametrize(
-        "bad", ["boom:0:0", "kill:0", "kill:a:0", "kill:-1:0", "kill:0:-1"]
+        "bad",
+        ["boom:0:0", "kill:0", "kill:a:0", "kill:-1:0", "kill:0:-1", "respawn:1:1"],
     )
     def test_rejects_malformed_entries(self, bad):
         with pytest.raises(ConfigurationError):
             parse_fault_plan(bad)
 
-    def test_wire_for_excludes_other_workers_and_respawn(self):
-        plan = parse_fault_plan("kill:1:2,drop:0:1,respawn:1:3")
-        assert plan.wire_for(1) == (("kill", 2),)
+    def test_wire_for_excludes_other_workers(self):
+        plan = parse_fault_plan("kill:1:2,drop:0:1,corrupt:1:5")
+        assert plan.wire_for(1) == (("kill", 2), ("corrupt", 5))
         assert plan.wire_for(0) == (("drop", 1),)
         assert plan.wire_for(2) == ()
-
-    def test_mark_fired_retires_window_prefix(self):
-        plan = parse_fault_plan("kill:1:2,corrupt:1:5,drop:0:2")
-        plan.mark_fired(1, 2)
-        assert plan.wire_for(1) == (("corrupt", 5),)
-        assert plan.wire_for(0) == (("drop", 2),)
-        plan.mark_fired(1, None)  # retire all of worker 1's entries
-        assert plan.wire_for(1) == ()
-
-    def test_mark_fired_keeps_respawn_entries(self):
-        plan = parse_fault_plan("kill:1:2,respawn:1:1")
-        plan.mark_fired(1, None)
-        assert plan.take_respawn_failure(1) is True
-        assert plan.take_respawn_failure(1) is False
-
-    def test_take_respawn_failure_counts_down(self):
-        plan = parse_fault_plan("respawn:0:2")
-        assert plan.take_respawn_failure(0) is True
-        assert plan.take_respawn_failure(0) is True
-        assert plan.take_respawn_failure(0) is False
-        assert plan.take_respawn_failure(1) is False
 
     def test_single_is_seeded_and_in_range(self):
         a = FaultPlan.single(7, workers=3, windows=4)
@@ -178,12 +184,6 @@ class TestFaultPlan:
         assert spec.kind in FAULT_KINDS
         assert 0 <= spec.worker < 3
         assert 0 <= spec.window < 4
-
-    def test_clone_is_independent(self):
-        plan = parse_fault_plan("kill:1:2")
-        clone = plan.clone()
-        clone.mark_fired(1, None)
-        assert plan.wire_for(1) == (("kill", 2),)
 
     def test_fault_action_matches_kind_and_window(self):
         faults = (("kill", 2), ("corrupt", 3))
@@ -203,11 +203,14 @@ class TestFaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# 2. Recovery in place: bit-identical across every fault kind
+# 2. Degradation: one grid, bit-identical for every fault kind
 # ---------------------------------------------------------------------------
 
 
 class TestLockstepRecovery:
+    """A fault in the lockstep window protocol: the run recovers by
+    degrading to the in-process columnar engine."""
+
     KIND_TO_CLASS = {
         "kill": "crash",
         "hang": "hang",
@@ -216,59 +219,76 @@ class TestLockstepRecovery:
         "truncate": "poison",
     }
 
+    def _assert_degrades(self, plan):
+        """Run ``plan``; its first entry is the fault that fires."""
+        first = parse_fault_plan(plan).entries[0]
+        before = set(glob.glob("/dev/shm/psm_*"))
+        fingerprint, stats = _chaos_run(plan)
+        assert fingerprint == _reference()
+        assert stats["mode"] == "degraded"
+        assert stats["degraded_to"] == "columnar"
+        assert _logged(stats) == [
+            (self.KIND_TO_CLASS[first.kind], first.worker, first.window)
+        ]
+        _assert_no_orphans(before)
+
     @pytest.mark.parametrize("kind", sorted(KIND_TO_CLASS))
     def test_single_fault_recovers_bit_identical(self, kind):
-        before = set(glob.glob("/dev/shm/psm_*"))
-        fingerprint, stats = _chaos_run(f"{kind}:1:2")
-        assert fingerprint == _reference()
-        assert stats["mode"] == "sharded"
-        assert stats["worker_restarts"] == 1
-        assert [f["fault_class"] for f in stats["faults"]] == [
-            self.KIND_TO_CLASS[kind]
-        ]
-        assert stats["faults"][0]["worker"] == 1
-        assert stats["faults"][0]["window"] == 2
-        assert "degraded_to" not in stats
-        _assert_no_orphans(before)
+        self._assert_degrades(f"{kind}:1:2")
 
     @pytest.mark.parametrize(
         "plan",
-        ["kill:0:0", "kill:2:3", "hang:2:0", "corrupt:0:3", "drop:0:1", "corrupt:1:3"],
+        [
+            "kill:0:0",
+            "kill:2:3",
+            "hang:2:0",
+            "corrupt:0:3",
+            "drop:0:1",
+            "corrupt:1:3",
+            f"kill:1:{WINDOWS - 1}",  # the last window
+            "kill:0:1,corrupt:1:3",  # the run degrades before the second
+        ],
     )
     def test_worker_and_window_positions(self, plan):
-        fingerprint, stats = _chaos_run(plan)
-        assert fingerprint == _reference()
-        assert stats["mode"] == "sharded"
-        assert stats["worker_restarts"] == 1
+        self._assert_degrades(plan)
 
-    def test_two_faults_two_recoveries(self):
-        before = set(glob.glob("/dev/shm/psm_*"))
-        fingerprint, stats = _chaos_run("kill:0:1,corrupt:1:1")
-        assert fingerprint == _reference()
-        assert stats["mode"] == "sharded"
-        assert stats["worker_restarts"] == 2
-        assert sorted(f["fault_class"] for f in stats["faults"]) == [
-            "crash",
-            "poison",
-        ]
-        _assert_no_orphans(before)
+    def test_degraded_run_fires_callbacks_like_columnar(self):
+        # The sharded attempt reports windows 0-4 before the fault at
+        # window 5; the columnar rerun must not report them again.
+        def run(engine):
+            steps, marks = [], []
+            fingerprint = _run(
+                engine,
+                on_step=steps.append,
+                checkpoints=[1500, 5000, 11000],
+                on_checkpoint=marks.append,
+            )
+            return fingerprint, steps, marks
 
-    def test_injected_respawn_failures_then_success(self):
-        # Two of the three respawn attempts fail; the third succeeds,
-        # so the run still recovers in place.
-        fingerprint, stats = _chaos_run("kill:2:1,respawn:2:2")
-        assert fingerprint == _reference()
-        assert stats["mode"] == "sharded"
-        assert stats["worker_restarts"] == 1
+        want = run(ColumnarEngine(batch_size=BATCH))
+        engine = ShardedEngine(
+            batch_size=BATCH,
+            workers=WORKERS,
+            fault_plan="kill:1:5",
+            worker_timeout=TIMEOUT,
+        )
+        try:
+            got = run(engine)
+            stats = engine.last_run_stats
+        finally:
+            engine.close()
+        assert stats["mode"] == "degraded"
+        assert _logged(stats) == [("crash", 1, 5)]
+        assert got == want
+        assert want[2] == [1500, 5000, 11000]
 
     def test_recovery_accounting_and_supervision_stats(self):
         fingerprint, stats = _chaos_run("kill:1:2")
         assert fingerprint == _reference()
-        assert stats["supervision"] == {
-            "worker_timeout": TIMEOUT,
-            "max_worker_restarts": 2,
-        }
-        assert stats["recovery_seconds"] > 0.0
+        assert stats["supervision"] == {"worker_timeout": TIMEOUT}
+        assert stats["reason"].startswith("worker crash fault: ")
+        assert stats["engine"] == "sharded"
+        assert stats["items"] == ITEMS
 
     def test_fault_free_supervised_run_reports_no_faults(self):
         fingerprint, stats = _chaos_run(None)
@@ -278,37 +298,77 @@ class TestLockstepRecovery:
         assert "degraded_to" not in stats
         assert stats["supervision"]["worker_timeout"] == TIMEOUT
 
+    def test_degraded_run_exports_fault_and_degradation_metrics(self):
+        from repro.obs import MetricsRegistry
 
-# ---------------------------------------------------------------------------
-# 3. Exhaustion: the ladder bottoms out, never hangs
-# ---------------------------------------------------------------------------
+        registry = MetricsRegistry()
+        engine = ShardedEngine(
+            batch_size=BATCH,
+            workers=WORKERS,
+            fault_plan="corrupt:2:1",
+            worker_timeout=TIMEOUT,
+        ).instrument(registry)
+        try:
+            assert _run(engine) == _reference()
+            summary = engine.format_stats()
+        finally:
+            engine.close()
+        assert summary.startswith("sharded engine: degraded to the columnar rung")
+        assert "(worker poison fault: undecodable pack descriptor" in summary
+        snapshot = registry.snapshot()["metrics"]
+        faults = snapshot["repro_shard_faults_total"]["samples"]
+        assert [(s["labels"], s["value"]) for s in faults] == [
+            ({"fault_class": "poison"}, 1)
+        ]
+        degradations = snapshot["repro_shard_degradations_total"]["samples"]
+        assert [(s["labels"], s["value"]) for s in degradations] == [
+            ({"rung": "columnar"}, 1)
+        ]
 
-
-class TestExhaustion:
-    def test_zero_restart_budget_degrades_to_columnar(self):
+    @pytest.mark.parametrize("exit_after", [0, 250])
+    def test_unsupervised_crash_fails_stop(self, exit_after):
+        # Supervision off ships no fault plan: a site kills its worker.
         before = set(glob.glob("/dev/shm/psm_*"))
-        fingerprint, stats = _chaos_run("kill:1:2", max_worker_restarts=0)
-        assert fingerprint == _reference()
-        assert stats["mode"] == "degraded"
-        assert stats["rung"] == "columnar"
-        assert "fault recovery exhausted" in stats["reason"]
-        assert stats["degraded_to"] == "columnar"
-        assert stats["worker_restarts"] == 0
+        engine = ShardedEngine(
+            batch_size=BATCH, workers=WORKERS, supervision="off"
+        )
+        proto = DistributedWeightedSWOR(
+            SworConfig(num_sites=SITES, sample_size=SAMPLE),
+            seed=SEED,
+            engine=engine,
+        )
+        proto.network.sites[6] = ExitingSite(exit_after)
+        try:
+            with pytest.raises(ShardedWorkerError) as excinfo:
+                proto.run(_stream(4000))
+        finally:
+            engine.close()
+        err = excinfo.value
+        assert err.fault_class == "crash"
+        assert err.shard[0] <= 6 < err.shard[1]
         _assert_no_orphans(before)
 
-    def test_respawn_exhaustion_degrades_to_columnar(self):
-        # Every respawn attempt is made to fail: recovery cannot
-        # complete, so the ladder bottoms out on the columnar engine.
-        before = set(glob.glob("/dev/shm/psm_*"))
-        fingerprint, stats = _chaos_run("kill:1:1,respawn:1:9")
-        assert fingerprint == _reference()
-        assert stats["mode"] == "degraded"
-        assert stats["rung"] == "columnar"
-        _assert_no_orphans(before)
+    def test_next_run_after_degradation_spawns_a_fresh_pool(self):
+        engine = ShardedEngine(
+            batch_size=BATCH,
+            workers=WORKERS,
+            fault_plan="kill:1:2",
+            worker_timeout=TIMEOUT,
+        )
+        try:
+            assert _run(engine) == _reference()
+            assert engine.last_run_stats["mode"] == "degraded"
+            engine.fault_plan = None
+            assert _run(engine) == _reference()
+            stats = engine.last_run_stats
+        finally:
+            engine.close()
+        assert stats["mode"] == "sharded"
+        assert stats["warm_pool"] is False
 
 
 # ---------------------------------------------------------------------------
-# 4. Error surface: structured context, pinned message format
+# 3. Error surface: structured context, pinned message format
 # ---------------------------------------------------------------------------
 
 
@@ -353,8 +413,21 @@ class TestShardedWorkerError:
 
 
 # ---------------------------------------------------------------------------
-# 5. Property: any seeded single fault recovers bit-identically
+# 4. Property: any seeded single fault degrades bit-identically
 # ---------------------------------------------------------------------------
+
+
+def assert_single_fault_degrades(seed):
+    """The property body, shared with the stress tier's 50-example
+    repeat (``tests/test_stress.py``)."""
+    plan = FaultPlan.single(seed, workers=WORKERS, windows=4)
+    fingerprint, stats = _chaos_run(plan)
+    assert fingerprint == _reference()
+    assert stats["mode"] == "degraded"
+    (spec,) = plan.entries
+    assert [(f["worker"], f["window"]) for f in stats["faults"]] == [
+        (spec.worker, spec.window)
+    ]
 
 
 class TestChaosProperty:
@@ -365,11 +438,4 @@ class TestChaosProperty:
     )
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_seeded_single_fault_is_bit_identical(self, seed):
-        plan = FaultPlan.single(seed, workers=WORKERS, windows=4)
-        fingerprint, stats = _chaos_run(plan.clone())
-        assert fingerprint == _reference()
-        assert stats["mode"] == "sharded"
-        assert stats["worker_restarts"] == 1
-        assert [f["window"] for f in stats["faults"]] == [
-            plan.entries[0].window
-        ]
+        assert_single_fault_degrades(seed)

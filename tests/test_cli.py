@@ -166,6 +166,19 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["swor", "--items", "100", "--engine", "batched"])
 
+    def test_fault_plan_degrades_with_fault_free_output(self, capsys):
+        args = [
+            "swor", "--items", "20000", "--sites", "8", "--engine", "sharded",
+            "--workers", "2", "--batch-size", "1024",
+        ]
+        assert main(args) == 0
+        clean = capsys.readouterr().out
+        faulted = args + ["--fault-plan", "kill:1:2", "--worker-timeout", "30"]
+        assert main(faulted + ["--profile"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == clean
+        assert "degraded to the columnar rung" in captured.err
+
 
 class TestObservability:
     """--metrics-out / --profile-out / the stats subcommand."""

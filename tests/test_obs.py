@@ -41,7 +41,6 @@ from repro.obs import (
     observe_fault,
     observe_heartbeat_age,
     observe_message_counters,
-    observe_recovery,
     observe_sharded_stats,
     render_json,
     render_prometheus,
@@ -381,7 +380,6 @@ GOLDEN_METRIC_NAMES = [
     "repro_shard_fallbacks_total",
     "repro_shard_faults_total",
     "repro_shard_phase_seconds_total",
-    "repro_shard_recovery_seconds",
     "repro_shard_rollbacks_total",
     "repro_shard_speculation_total",
     "repro_shard_window_seconds",
@@ -390,8 +388,6 @@ GOLDEN_METRIC_NAMES = [
     "repro_shard_worker_heartbeat_age_seconds",
     "repro_shard_worker_pack_entries_total",
     "repro_shard_worker_packs_total",
-    "repro_shard_worker_replay_windows_total",
-    "repro_shard_worker_restarts_total",
     "repro_shard_worker_ring_bytes_total",
     "repro_shard_worker_rolls_served_total",
     "repro_shard_worker_snapshots_total",
@@ -437,7 +433,6 @@ class TestMetricNameStability:
         )
         merge_worker_deltas(registry, 0, (1.0,) * len(WORKER_METRIC_NAMES))
         observe_fault(registry, "crash")
-        observe_recovery(registry, 0, 0.01)
         observe_degradation(registry, "columnar")
         observe_heartbeat_age(registry, 0, 0.0)
         assert registry.metric_names() == GOLDEN_METRIC_NAMES
@@ -454,7 +449,6 @@ class TestMetricNameStability:
             "snapshots",
             "rolls_served",
             "spec_recomputes",
-            "replay_windows",
         )
 
 

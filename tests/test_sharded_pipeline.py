@@ -17,8 +17,8 @@ engine's.  No shipped coordinator sends a unicast, so a toy protocol
 drives both unicast branches: a control to a later site of the window
 (the engine must roll) and one to an earlier site (applied at commit,
 so the owning worker's speculation must miss).  The last part pins the
-``snapshot_state`` / ``restore_state`` round trips that window
-recovery and the degradation ladder rely on.
+``snapshot_state`` / ``restore_state`` round trips that the run-start
+checkpoint of a degraded run relies on.
 """
 
 from __future__ import annotations
@@ -377,10 +377,10 @@ def _regular_pack(keys, idents=None):
 
 
 class TestUnorderedFoldContract:
-    """Coordinator and counter snapshot round trips: a supervised run
-    rewinds a faulted window with them, and the degradation
-    ladder's run-start checkpoint takes one.  (Named for the fold these
-    round trips first served; the name keeps the test ids stable.)"""
+    """Coordinator and counter snapshot round trips: the run-start
+    checkpoint a faulted run degrades from takes one.  (Named for the
+    fold these round trips first served; the name keeps the test ids
+    stable.)"""
 
     def test_snapshot_restore_roundtrip(self):
         coord, _ = _warm_coordinator()

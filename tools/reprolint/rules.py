@@ -482,8 +482,8 @@ def _exclude_names(cls: ast.ClassDef) -> Set[str]:
 class SnapshotCompleteness(Rule):
     """R003: snapshot/restore pairs must cover every mutable attribute.
 
-    The sharded engine's rollbacks, speculation misses and window
-    recovery assume ``restore_state(snapshot_state())`` followed by the
+    The sharded engine's rollbacks, speculation misses and run-start
+    checkpoint assume ``restore_state(snapshot_state())`` followed by the
     same inputs reproduces the same outputs **bit for bit**.  An attribute that protocol methods mutate but the pair does
     not restore silently survives a rollback — parity then breaks only
     on the rare replay paths, the worst kind of bug to chase.  Derived
