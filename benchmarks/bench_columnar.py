@@ -213,12 +213,16 @@ def test_columnar_speedup_and_parity(benchmark, report):
 def _force_per_item(instance):
     """Rebind the default per-item ``on_columns`` hook on every site —
     the ``on_item`` loop these protocols ran before gaining native
-    vectorized hooks (the honest baseline for the columnar gain)."""
+    vectorized hooks (the honest baseline for the columnar gain) — and
+    turn the SWOR window pass off (a ``prepare_window`` that shares
+    nothing), which would otherwise draw and finish runs in bulk."""
     network = getattr(instance, "network", None)
     if network is None:
         network = instance.protocol.network  # tracker facades (HH)
     for site in network.sites:
         site.on_columns = types.MethodType(SiteAlgorithm.on_columns, site)
+        if hasattr(site, "prepare_window"):
+            site.prepare_window = lambda weights, runs=None: None
     return instance
 
 

@@ -127,7 +127,7 @@ class BatchRandom:
     def __init__(self, rng: random.Random) -> None:
         self._gen = _np.random.Generator(_np.random.PCG64(rng.getrandbits(64)))
 
-    def exponentials(self, n: int):
+    def exponentials(self, n: int, out=None):
         """``n`` i.i.d. rate-1 exponentials (float64 ndarray).
 
         The zero guard *clamps* draws to :data:`MIN_EXPONENTIAL` (numpy
@@ -136,9 +136,18 @@ class BatchRandom:
         clamping is branch-free and vectorizable, redrawing preserves
         the reference engine's historical sequence.  Both guarantee
         strictly positive, finite draws, hence finite ``w/t`` keys.
+
+        With ``out`` (a float64 slice of length ``n``, typically of a
+        longer caller column) the same draws, in the same order, fill
+        it in place *unclamped*, so a caller that fills many slices
+        clamps the whole column once (``np.maximum(column,
+        MIN_EXPONENTIAL, out=column)``) — the window pass of
+        :meth:`repro.core.site.SworSite.prepare_window`.
         """
         if n < 0:
             raise ConfigurationError(f"batch size must be >= 0, got {n}")
+        if out is not None:
+            return self._gen.standard_exponential(out=out)
         draws = self._gen.standard_exponential(n)
         return _np.maximum(draws, MIN_EXPONENTIAL, out=draws)
 

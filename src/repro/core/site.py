@@ -31,7 +31,7 @@ from typing import Any, List, Optional, Tuple, Union
 import numpy as _np
 
 from ..common.errors import ProtocolViolationError
-from ..common.rng import BatchRandom, LazyExponential, exponential
+from ..common.rng import MIN_EXPONENTIAL, BatchRandom, LazyExponential, exponential
 from ..kernels import active as _active_kernels
 from ..net.messages import (
     EARLY,
@@ -59,9 +59,26 @@ class _WindowPrep:
     per-arrival saturation lookup (``None`` when ``all_saturated``), and
     ``all_saturated`` short-circuits the common steady-state window
     where nothing is early.
+
+    When the engine hands over the window's runs, the window pass
+    fills the last three fields: ``runs`` holds the runs the engine
+    must still call ``on_columns`` for (every run, in order, minus the
+    early-free runs the pass finished because none of their keys beat
+    the window-start threshold), ``keys`` the window-length key column
+    of the early-free runs, and ``drawn`` those runs' start positions
+    (their ``on_columns`` only re-filters the keys).
     """
 
-    __slots__ = ("levels", "mask", "saturated", "all_saturated", "early_positions")
+    __slots__ = (
+        "levels",
+        "mask",
+        "saturated",
+        "all_saturated",
+        "early_positions",
+        "runs",
+        "keys",
+        "drawn",
+    )
 
     def __init__(
         self,
@@ -70,6 +87,7 @@ class _WindowPrep:
         saturated: Any,
         all_saturated: bool,
         early_positions: Optional[List[int]] = None,
+        runs: Optional[list] = None,
     ) -> None:
         self.levels = levels
         self.mask = mask
@@ -79,6 +97,9 @@ class _WindowPrep:
         #: lets each site bisect its [start, end) slice instead of
         #: reducing a boolean array to discover "no earlies here".
         self.early_positions = early_positions
+        self.runs = runs
+        self.keys: Any = None
+        self.drawn: Any = ()
 
 
 class SworSite(SiteAlgorithm):
@@ -129,8 +150,10 @@ class SworSite(SiteAlgorithm):
             return self._regular_lazy(item)
         return self._regular_fast(item)
 
-    def prepare_window(self, weights: _np.ndarray) -> "Optional[_WindowPrep]":
-        """Shared per-window precomputation for the columnar engine.
+    def prepare_window(
+        self, weights: _np.ndarray, runs: Optional[list] = None
+    ) -> "Optional[_WindowPrep]":
+        """Shared per-window precomputation for the columnar engines.
 
         Levels and the saturation lookup are pure functions of the
         weights, the shared config, and the saturation mask — and every
@@ -141,13 +164,26 @@ class SworSite(SiteAlgorithm):
         divergence between a ``LEVEL_SATURATED`` broadcast and the
         sites processed before it).  Returns ``None`` when there is
         nothing to share (level sets disabled).
+
+        ``runs`` — the window's ``(site_id, site, start, end)`` runs in
+        ascending site order, ``site`` one of this site's peers — turns
+        on the window pass: every *early-free* run (at least 2 arrivals,
+        none in a level this window-start mask leaves unsaturated) gets
+        its regular keys here, and the runs none of whose keys beat the
+        lowest window-start threshold among them are finished here too
+        (:meth:`_draw_early_free`).  The engine then calls
+        :meth:`on_columns` only for the context's ``runs``.  Without
+        ``runs``, in warm-up (mask 0) and in ``count_bits`` mode every
+        site takes its own per-site path.
         """
         if not self.config.level_sets_enabled:
             return None
         mask = self._saturated_mask
         if mask == 0:
             # Warm-up: everything is early, so every level is consumed.
-            return _WindowPrep(levels_of_array(weights, self._r), 0, None, False)
+            return _WindowPrep(
+                levels_of_array(weights, self._r), 0, None, False, runs=runs
+            )
         # Saturation typically fills from the bottom first: let J be the
         # lowest unsaturated level.  For J >= 1, any weight below r^J
         # lies in a level < J — all saturated (level_of maps every
@@ -169,10 +205,79 @@ class SworSite(SiteAlgorithm):
             weights, self._r, heavy_floor, self._mask_table()
         )
         if len(early_positions) == 0:
-            return _WindowPrep(None, mask, None, True)
-        return _WindowPrep(
-            levels, mask, saturated, False, early_positions.tolist()
-        )
+            prep = _WindowPrep(None, mask, None, True, runs=runs)
+        else:
+            prep = _WindowPrep(
+                levels, mask, saturated, False, early_positions.tolist(), runs
+            )
+        if runs is not None and not self.config.count_bits:
+            self._draw_early_free(prep, weights, runs)
+        return prep
+
+    @staticmethod
+    def _draw_early_free(
+        prep: "_WindowPrep", weights: _np.ndarray, runs: list
+    ) -> None:
+        """The window pass over ``runs`` (see :meth:`prepare_window`).
+
+        Each early-free run draws its ``end - start`` exponentials from
+        its own site's :class:`~repro.common.rng.BatchRandom` into its
+        slice of one window-length column — the count and order its
+        :meth:`on_columns` would draw — and books them with its
+        ``items_seen``.  Then one clamp, one division and one per-run
+        maximum cover the span from the first drawn run to the last.  A
+        run whose largest key does not beat the lowest window-start
+        threshold of the drawn runs is finished: it would send nothing,
+        since thresholds only rise.
+        The rest stay in ``prep.runs`` and re-filter against their
+        live threshold.  An early-free run stays early-free under any
+        later mask (levels only saturate), so a mid-window
+        ``LEVEL_SATURATED`` cannot change its draw count.
+        """
+        early = prep.early_positions
+        keys: Optional[_np.ndarray] = None
+        drawn: List[int] = []
+        drawn_starts: List[int] = []
+        last_end = 0
+        threshold = math.inf
+        for j, (_, site, start, end) in enumerate(runs):
+            n = end - start
+            if n < 2 or (
+                early is not None
+                and bisect_left(early, start) != bisect_left(early, end)
+            ):
+                continue
+            if keys is None:
+                # Gaps between drawn runs get key w/inf = 0, which
+                # never beats a threshold.
+                keys = _np.full(len(weights), _np.inf)
+            batch = site._batch_rng
+            if batch is None:
+                batch = site._batch_rng = BatchRandom(site._rng)
+            batch.exponentials(n, out=keys[start:end])
+            site.items_seen += n
+            site.exponentials_generated += n
+            if site._threshold < threshold:
+                threshold = site._threshold
+            drawn.append(j)
+            drawn_starts.append(start)
+            last_end = end
+        if keys is None:
+            return
+        span = keys[drawn_starts[0] : last_end]
+        _np.maximum(span, MIN_EXPONENTIAL, out=span)
+        _np.divide(weights[drawn_starts[0] : last_end], span, out=span)
+        # Each segment runs to the next drawn start (the last one to
+        # the span's end): its extra positions hold key 0, so the
+        # maximum is the drawn run's own.
+        beats = (
+            _np.maximum.reduceat(keys[:last_end], drawn_starts) > threshold
+        ).tolist()
+        finished = {j for j, beat in zip(drawn, beats) if not beat}
+        if finished:
+            prep.runs = [run for j, run in enumerate(runs) if j not in finished]
+        prep.keys = keys
+        prep.drawn = set(drawn_starts)
 
     def _saturation_table(self, max_level: int) -> _np.ndarray:
         """Cached bool table ``table[j] = level j saturated``.
@@ -226,6 +331,13 @@ class SworSite(SiteAlgorithm):
         no ``Item`` and no per-message ``Message`` objects (an empty
         tuple when the batch sends nothing).
 
+        An early-free run that the window pass of
+        :meth:`prepare_window` already drew and counted (``prep``'s
+        start is in the context's ``drawn``) only re-filters its keys
+        from the context's column against the live threshold; the pass
+        finished the early-free runs that had nothing to send, so the
+        engine does not call them at all.
+
         Takes the scalar ``on_item`` path (returning plain messages)
         for single-item batches, which keeps batch size 1 bit-identical
         to the reference engine, and in ``count_bits`` mode, whose
@@ -234,6 +346,12 @@ class SworSite(SiteAlgorithm):
         n = len(weights)
         if n <= 1 or self.config.count_bits:
             return SiteAlgorithm.on_columns(self, idents, weights)
+        if prep is not None and prep[1] in prep[0].drawn:
+            # An early-free run the window pass drew and counted: only
+            # re-filter its keys against the live threshold, which a
+            # mid-window EPOCH_UPDATE may have raised.
+            keys = prep[0].keys[prep[1] : prep[2]]
+            return self._pack_above_threshold((), idents, weights, keys)
         self.items_seen += n
         early_idents: Optional[Any] = None
         early_weights: Optional[Any] = None
@@ -291,24 +409,32 @@ class SworSite(SiteAlgorithm):
         draws = self._batch_rng.exponentials(m)
         self.exponentials_generated += m
         keys = _np.divide(regular_weights, draws, out=draws)
-        send = keys > self._threshold
-        num_send = _np.count_nonzero(send)
-        if num_send == 0:
-            if early_idents is None:
-                return ()
-            return MessagePack(early_idents, early_weights, early_levels)
-        if num_send != m:
-            regular_idents = regular_idents[send]
-            regular_weights = regular_weights[send]
-            keys = keys[send]
-        return MessagePack(
-            early_idents,
-            early_weights,
-            early_levels,
+        return self._pack_above_threshold(
+            ()
+            if early_idents is None
+            else (early_idents, early_weights, early_levels),
             regular_idents,
             regular_weights,
             keys,
         )
+
+    def _pack_above_threshold(
+        self, early: tuple, idents: Any, weights: Any, keys: Any
+    ) -> Union[MessagePack, tuple]:
+        """The pack of the ``early`` columns (``()`` for none) plus the
+        regular entries whose key beats the live threshold — ``()``
+        when that leaves nothing to send."""
+        send = keys > self._threshold
+        num_send = _np.count_nonzero(send)
+        if num_send == 0:
+            return MessagePack(*early) if early else ()
+        if num_send != len(keys):
+            idents = idents[send]
+            weights = weights[send]
+            keys = keys[send]
+        if not early:
+            early = (None, None, None)
+        return MessagePack(*early, idents, weights, keys)
 
     def snapshot_state(self) -> tuple:
         """Fast window-boundary snapshot for the sharded engine.

@@ -14,7 +14,12 @@ per-item Python objects on the hot path:
   level indices are computed **once per window** (sites sharing a
   config expose :meth:`~repro.core.site.SworSite.prepare_window`)
   instead of once per (site, window);
-* each site's bulk hook
+* the same hook runs the **window pass**: every early-free run (a
+  site's slice with at least 2 arrivals, none in a level still open at
+  window start) draws its keys into one window-length column, and the
+  runs with no key above the window-start threshold are finished
+  there — the engine calls no site hook for them;
+* each remaining site's bulk hook
   (:meth:`~repro.runtime.interfaces.SiteAlgorithm.on_columns`) returns
   a single :class:`~repro.net.messages.MessagePack` of parallel arrays
   per (site, batch) — word-accounted exactly as the messages it stands
@@ -34,7 +39,12 @@ saturate a level or cross an epoch (see
 therefore match a traced run — whose network folds every pack message
 by message — bit for bit, and at batch size 1 every site takes its
 scalar ``on_item`` path, so the engine reproduces
-:class:`~repro.runtime.reference.ReferenceEngine` exactly.
+:class:`~repro.runtime.reference.ReferenceEngine` exactly.  The window
+pass changes no draw: each run draws from its own site's generator,
+as many keys as its ``on_columns`` would, and a control that lands
+mid-window can only saturate a level (an early-free run stays
+early-free) or raise a threshold (the window-start screen keeps a
+superset of the senders, which the live re-filter trims).
 
 ``Item`` objects are created lazily, only for arrivals that actually
 reach a level set, the sample, a trace, or a scalar fallback — a few
@@ -161,7 +171,8 @@ class ColumnarEngine(Engine):
         # (levels and the saturation lookup are pure functions of
         # weight, config, and the broadcast-synchronized mask — and
         # each site still verifies the mask; see
-        # ``SworSite.prepare_window``).
+        # ``SworSite.prepare_window``).  The hook also runs the window
+        # pass and returns the runs still to call.
         site0 = sites[0]
         cls0, cfg0 = type(site0), getattr(site0, "config", None)
         share_prep = (
@@ -183,11 +194,17 @@ class ColumnarEngine(Engine):
             )
             weights_sorted = weights[positions]
             idents_sorted = idents[positions]
+            runs = [
+                (site_id, sites[site_id], start, end)
+                for site_id, start, end in zip(site_ids, run_starts, run_ends)
+            ]
             window_prep = (
-                site0.prepare_window(weights_sorted) if share_prep else None
+                site0.prepare_window(weights_sorted, runs) if share_prep else None
             )
-            for site_id, start, end in zip(site_ids, run_starts, run_ends):
-                result = sites[site_id].on_columns(
+            if window_prep is not None:
+                runs = window_prep.runs
+            for site_id, site, start, end in runs:
+                result = site.on_columns(
                     idents_sorted[start:end],
                     weights_sorted[start:end],
                     prep=(

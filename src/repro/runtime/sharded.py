@@ -500,11 +500,17 @@ class _WorkerShard:
         once-per-window ``prepare_window`` context when every shard
         site shares class and config (pack contents are invariant to
         the sharing — sites verify the context's mask — so shard-local
-        sharing is parity-safe).
+        sharing is parity-safe).  The context's window pass finishes
+        the shard's early-free runs that have nothing to send (see
+        :meth:`~repro.core.site.SworSite.prepare_window`), and only the
+        runs it leaves get an ``on_columns`` call.  Its draws and
+        counters are site state, so the pre-window snapshots that
+        speculation misses and rollbacks restore cover them.
 
         ``min_site`` restricts the pass to sites with a *larger* id —
         the rollback suffix.  Pack contents are also invariant to the
-        shared-prep shortcut, so the suffix pass simply skips it.
+        shared-prep shortcut and the window pass, so the suffix pass
+        skips both: each suffix site takes its own per-site path.
         ``slot`` selects which ring slot the window's packs encode
         into (``t % 2`` for window ``t``).
         """
@@ -519,6 +525,12 @@ class _WorkerShard:
         site_ids, starts, ends, idents_sorted, weights_sorted = (
             self.view.window_order(i0, i1)
         )
+        site_lo = self.site_lo
+        runs = [
+            (site_id, self.sites[site_id - site_lo], start, end)
+            for site_id, start, end in zip(site_ids, starts, ends)
+            if min_site is None or site_id > min_site
+        ]
         window_prep = None
         if min_site is None:
             site0 = self.sites[0]
@@ -532,14 +544,14 @@ class _WorkerShard:
                 )
             )
             if share_prep:
-                window_prep = site0.prepare_window(weights_sorted)
+                window_prep = site0.prepare_window(weights_sorted, runs)
+                if window_prep is not None:
+                    runs = window_prep.runs
         self.ring_off = slot * self.slot_bytes
         self.ring_limit = self.ring_off + self.slot_bytes
         out = []
-        for site_id, start, end in zip(site_ids, starts, ends):
-            if min_site is not None and site_id <= min_site:
-                continue
-            result = self.sites[site_id - self.site_lo].on_columns(
+        for site_id, site, start, end in runs:
+            result = site.on_columns(
                 idents_sorted[start:end],
                 weights_sorted[start:end],
                 prep=(

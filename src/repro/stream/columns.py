@@ -39,7 +39,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as _np
 
 from ..common.errors import ConfigurationError
-from .item import DistributedStream, Item
+from .item import DistributedStream, Item, check_weight_column
 
 __all__ = [
     "ColumnarStream",
@@ -202,7 +202,8 @@ class ColumnarStream:
     ----------
     idents / weights / sites:
         Parallel arrays in global arrival order (coerced to
-        int64/float64/int64).
+        int64/float64/int64).  Every weight must be positive and finite
+        (:class:`~repro.common.errors.ConfigurationError` otherwise).
     num_sites:
         The number of sites ``k``; every entry of ``sites`` must lie in
         ``0..k-1``.
@@ -229,6 +230,7 @@ class ColumnarStream:
             )
         if num_sites <= 0:
             raise ConfigurationError(f"num_sites must be positive, got {num_sites}")
+        check_weight_column(weights)
         if len(sites) and ((sites < 0) | (sites >= num_sites)).any():
             bad = int(sites[(sites < 0) | (sites >= num_sites)][0])
             raise ConfigurationError(

@@ -55,6 +55,20 @@ def validate_weights(items: Iterable[Item], require_at_least_one: bool = True) -
             )
 
 
+def check_weight_column(weights) -> None:
+    """Reject a float64 weight column holding any weight that is not
+    positive and finite, with :func:`repro.core.levels.level_of`'s
+    :class:`ConfigurationError` — the one ingest check every stream
+    the columnar data plane reads passes.  Two reductions, no
+    temporaries on the (common) clean path; positive weights below 1
+    stay legal."""
+    if len(weights) and not (weights.min() > 0.0 and weights.max() < math.inf):
+        bad = weights[~((weights > 0.0) & (weights < math.inf))][0]
+        raise ConfigurationError(
+            f"weight must be positive and finite: {float(bad)}"
+        )
+
+
 def total_weight(items: Iterable[Item]) -> float:
     """Sum of weights — the paper's ``W``."""
     return sum(item.weight for item in items)
@@ -153,7 +167,9 @@ class DistributedStream:
         identifier is not int64-representable: the columnar plane
         (``engine="columnar"`` / ``"sharded"`` and the multi-query
         driver) needs an int64 ident column, while ``engine="reference"``
-        replays any identifiers.
+        replays any identifiers.  Raises it too, before any site runs,
+        for a weight that is not positive and finite
+        (:func:`check_weight_column`).
         """
         if self._arrays is None:
             n = len(self._items)
@@ -174,13 +190,15 @@ class DistributedStream:
                     "driver) requires an int64 ident column — use "
                     "engine='reference'"
                 ) from None
+            weights = _np.fromiter(
+                (item.weight for item in self._items),
+                dtype=_np.float64,
+                count=n,
+            )
+            check_weight_column(weights)
             self._arrays = (
                 _np.asarray(self._assignment, dtype=_np.int64),
-                _np.fromiter(
-                    (item.weight for item in self._items),
-                    dtype=_np.float64,
-                    count=n,
-                ),
+                weights,
                 idents,
             )
         return self._arrays

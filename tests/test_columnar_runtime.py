@@ -524,6 +524,62 @@ class TestNonIntegerIdents:
         )
 
 
+BAD_WEIGHTS = [float("nan"), -1.0, 0.0, float("inf")]
+
+
+class TestInvalidWeights:
+    """A weight that is not positive and finite fails at ingest with
+    one error under every engine — including a steady-state window,
+    where only weights above the heavy floor reach a level
+    computation, and the sharded engine, before its pool spawns."""
+
+    @staticmethod
+    def _stream(bad):
+        rng = random.Random(4)
+        items = [Item(i, rng.uniform(1.0, 100.0)) for i in range(40_000)]
+        items[30_000] = Item(30_000, bad)
+        return round_robin(items, 4)
+
+    @pytest.mark.parametrize("bad", BAD_WEIGHTS)
+    def test_columnar_stream_rejects_at_construction(self, bad):
+        message = f"weight must be positive and finite: {bad}"
+        with pytest.raises(ConfigurationError, match=message):
+            ColumnarStream([0, 1, 2], [1.0, bad, 0.5], [0, 0, 1], 2)
+        stream = DistributedStream([Item(0, 1.0), Item(1, bad)], [0, 1], 2)
+        with pytest.raises(ConfigurationError, match=message):
+            stream.arrays()
+        with pytest.raises(ConfigurationError, match=message):
+            ColumnarStream.from_distributed(stream)
+
+    def test_sub_one_weights_stay_legal(self):
+        stream = ColumnarStream([0, 1], [0.25, 1e-300], [0, 1], 2)
+        assert stream.weights.tolist() == [0.25, 1e-300]
+
+    @pytest.mark.parametrize("bad", BAD_WEIGHTS)
+    @pytest.mark.parametrize("engine", ["reference", "columnar", "sharded"])
+    def test_every_engine_raises(self, bad, engine):
+        import glob
+        import multiprocessing
+
+        shm_before = set(glob.glob("/dev/shm/psm_*"))
+        runner = (
+            get_engine("sharded", workers=2) if engine == "sharded" else engine
+        )
+        proto = DistributedWeightedSWOR(
+            SworConfig(num_sites=4, sample_size=4), seed=3, engine=runner
+        )
+        with pytest.raises(
+            ConfigurationError, match="weight must be positive and finite"
+        ):
+            proto.run(self._stream(bad))
+        if engine != "reference":  # the oracle raises at arrival 30,000
+            assert proto.network.items_processed == 0
+        if engine == "sharded":
+            assert runner._pool is None  # failed before spawning workers
+            assert multiprocessing.active_children() == []
+            assert set(glob.glob("/dev/shm/psm_*")) <= shm_before
+
+
 # ---------------------------------------------------------------------------
 # 5. Coordinator pack paths (bulk commit vs sequential replay)
 # ---------------------------------------------------------------------------

@@ -216,6 +216,41 @@ class TestZeroGuardPolicy:
         keys = 1e6 / draws  # the largest generator weight
         assert np.isfinite(keys).all() and (keys > 0).all()
 
+    def test_slice_fill_equals_fresh_draw_clamp_included(self):
+        """``exponentials(n, out=slice)`` fills a caller's column with
+        the draws a fresh call returns, in order; clamping the column
+        once afterwards reproduces the fresh call's zero guard."""
+        np = pytest.importorskip("numpy")
+        from repro.common.rng import MIN_EXPONENTIAL, BatchRandom
+
+        fresh = BatchRandom(random.Random(8))
+        filler = BatchRandom(random.Random(8))
+        column = np.full(1000, np.inf)
+        for start, n in ((3, 240), (300, 2), (500, 417)):
+            want = fresh.exponentials(n)
+            filler.exponentials(n, out=column[start : start + n])
+            np.maximum(column, MIN_EXPONENTIAL, out=column)
+            assert np.array_equal(column[start : start + n], want)
+        assert fresh.snapshot() == filler.snapshot()
+
+        pattern = np.array([0.0, 0.5, 0.0, 2.0])
+
+        class Pattern:  # a ziggurat that rounds two draws to zero
+            def standard_exponential(self, size=None, out=None):
+                if out is None:
+                    return pattern[:size].copy()
+                out[:] = pattern[: len(out)]
+                return out
+
+        fresh._gen = Pattern()
+        filler._gen = Pattern()
+        column = np.full(6, np.inf)
+        filler.exponentials(4, out=column[1:5])
+        np.maximum(column, MIN_EXPONENTIAL, out=column)
+        want = fresh.exponentials(4)
+        assert want.tolist() == [MIN_EXPONENTIAL, 0.5, MIN_EXPONENTIAL, 2.0]
+        assert np.array_equal(column[1:5], want)
+
     def test_both_paths_yield_finite_keys_for_extreme_weights(self):
         np = pytest.importorskip("numpy")
         from repro.common.rng import BatchRandom
