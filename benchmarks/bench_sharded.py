@@ -90,17 +90,15 @@ def _bench(report_fn):
     """Median-of-REPS timing of both engines, repetitions interleaved.
 
     An explicit warmup run per engine precedes the timed loop: for the
-    sharded engine it spawns the persistent worker pool, and when the
-    compiled kernel tier is active it pays the first-call JIT
-    compilation — so the medians measure steady-state (warm-pool,
-    warm-kernel) throughput, the regime a long-lived engine actually
-    runs in.
+    sharded engine it spawns the persistent worker pool — so the
+    medians measure steady-state (warm-pool) throughput, the regime a
+    long-lived engine actually runs in.
     """
     stream = _make_stream()
     columnar = ColumnarEngine(batch_size=BATCH)
     engine = ShardedEngine(batch_size=BATCH, workers=WORKERS)
     try:
-        _run_once(stream, columnar)  # warmup: kernel JIT
+        _run_once(stream, columnar)  # warmup
         _run_once(stream, engine)  # warmup: pool spawn
         col_times, shard_times = [], []
         for _ in range(REPS):

@@ -97,15 +97,6 @@ BASELINES: Dict[str, Dict[str, List[str]]] = {
         "ratios": ["supervision_ratio"],
         "absolute": ["supervised_items_per_sec"],
     },
-    # fold_speedup is numba-vs-numpy on the fused coordinator fold; a
-    # numpy-only environment records 1.0 (the bench skips the compiled
-    # tier but still asserts parity), so the committed number is stable
-    # wherever numba is absent and meaningful wherever it is present.
-    "BENCH_kernels.json": {
-        "config": ["pack_size", "sample_size", "rounds"],
-        "ratios": ["fold_speedup"],
-        "absolute": ["numpy_folds_per_sec"],
-    },
 }
 
 

@@ -16,11 +16,10 @@ catalog of estimation queries concurrently over one shared stream pass
 (see :mod:`repro.query`).
 
 Every subcommand accepts ``--engine {reference,columnar,sharded}``
-(``--batch-size N`` for the columnar-plane engines, ``--workers N``,
-``--worker-timeout SECONDS``, and the debug-only ``--fault-plan PLAN``
-for the sharded engine, ``--kernels {auto,numba,numpy}`` for the
-columnar-plane engines — see :mod:`repro.kernels`) to pick the
-execution runtime; see :mod:`repro.runtime`.
+(``--batch-size N`` for the columnar-plane engines, and ``--workers N``,
+``--worker-timeout SECONDS`` and the debug-only ``--fault-plan PLAN``
+for the sharded engine) to pick the execution runtime; see
+:mod:`repro.runtime`.
 Every protocol has a native columnar fast path, so ``--engine columnar``
 is the fast engine on each subcommand (at ``--batch-size 1``
 bit-identical to ``reference``), and ``--engine sharded`` runs the site
@@ -123,15 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="worker process count for --engine sharded "
             "(default: the CPUs this process may run on)",
-        )
-        p.add_argument(
-            "--kernels",
-            choices=("auto", "numba", "numpy"),
-            default=None,
-            help="kernel backend for --engine columnar/sharded: the "
-            "compiled tier behind the hottest fold and site loops "
-            "(numba when installed, numpy always; bit-identical either "
-            "way; default: the REPRO_KERNELS env var, else auto)",
         )
         p.add_argument(
             "--worker-timeout",
@@ -269,11 +259,6 @@ def _check_engine_flags(args: argparse.Namespace) -> None:
         raise SystemExit("--batch-size requires --engine columnar or sharded")
     if args.workers is not None and args.engine != "sharded":
         raise SystemExit("--workers requires --engine sharded")
-    if args.kernels is not None and args.engine not in (
-        "columnar",
-        "sharded",
-    ):
-        raise SystemExit("--kernels requires --engine columnar or sharded")
     if args.worker_timeout is not None and args.engine != "sharded":
         raise SystemExit("--worker-timeout requires --engine sharded")
     if args.fault_plan is not None and args.engine != "sharded":
@@ -290,7 +275,6 @@ def _engine_of(args: argparse.Namespace):
         args.engine,
         batch_size=args.batch_size,
         workers=args.workers,
-        kernels=args.kernels,
         worker_timeout=args.worker_timeout,
         fault_plan=args.fault_plan,
     )
@@ -482,12 +466,7 @@ def _cmd_query(args: argparse.Namespace) -> str:
         batch_size=args.batch_size,
         registry=registry,
     )
-    # The driver builds its engines internally (kernels=None), so a
-    # --kernels request scopes the process default around the run.
-    from .kernels import use_kernels
-
-    with use_kernels(args.kernels):
-        result = driver.run(stream)
+    result = driver.run(stream)
 
     w = stream.total_weight()
     truths = {

@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..common.errors import ProtocolViolationError
 from ..common.rng import exponential
-from ..kernels import active as _active_kernels
+from ..kernels import swor_fold_regulars
 from ..net.messages import (
     EARLY,
     EPOCH_UPDATE,
@@ -203,7 +203,7 @@ class SworCoordinator(CoordinatorAlgorithm):
             # cut (the threshold the fold leaves behind), the
             # boundary-tie count and the kept-candidate set in one pass.
             keys = pack.regular_keys
-            fold = _active_kernels().swor_fold_regulars(
+            fold = swor_fold_regulars(
                 keys,
                 self.sample_set.threshold,
                 self.sample_set.keys,

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as _np
 
 from ..common.errors import ConfigurationError, ProtocolViolationError
-from ..kernels import active as _active_kernels
+from ..kernels import compute_levels
 from ..stream.item import Item
 
 #: What :meth:`LevelSetManager.snapshot_state` returns: pending
@@ -35,11 +35,21 @@ LevelSnapshot = Tuple[
 __all__ = ["level_of", "levels_of_array", "LevelSetManager"]
 
 
+def _power(r: float, j: int) -> float:
+    """``r ** j``, or ``+inf`` where the power overflows a float."""
+    try:
+        return r**j
+    except OverflowError:
+        return math.inf
+
+
 def level_of(weight: float, r: float) -> int:
     """The level ``j`` with ``weight in [r^j, r^{j+1})`` (0 for w < r).
 
     Float-robust: corrects the ``log`` estimate against exact powers so
-    boundary weights (exactly ``r^j``) land in the right bracket.
+    boundary weights (exactly ``r^j``) land in the right bracket.  A
+    bracket power that overflows is ``+inf``, above every finite weight,
+    so the top of the float range gets its exact level too.
     """
     if weight <= 0.0 or not math.isfinite(weight):
         raise ConfigurationError(f"weight must be positive and finite: {weight}")
@@ -48,9 +58,9 @@ def level_of(weight: float, r: float) -> int:
     if weight < r:
         return 0
     j = int(math.log(weight) / math.log(r))
-    while r ** (j + 1) <= weight:
+    while _power(r, j + 1) <= weight:
         j += 1
-    while j > 0 and r**j > weight:
+    while j > 0 and _power(r, j) > weight:
         j -= 1
     return j
 
@@ -58,14 +68,14 @@ def level_of(weight: float, r: float) -> int:
 def levels_of_array(weights: _np.ndarray, r: float) -> _np.ndarray:
     """Vectorized :func:`level_of` over a numpy weight array.
 
-    Applies the same float-edge corrections as the scalar version (the
-    backends converge on the exact power-bracket comparisons, so the
-    result is independent of how the initial ``log`` estimate rounded).
-    Dispatches to the active kernel backend (:mod:`repro.kernels`).
+    Applies the same float-edge corrections as the scalar version (both
+    converge on the exact power-bracket comparisons, so the result is
+    independent of how the initial ``log`` estimate rounded), through
+    :func:`repro.kernels.compute_levels`.
     """
     if r < 2.0:
         raise ConfigurationError(f"level base r must be >= 2, got {r}")
-    return _active_kernels().compute_levels(weights, r)
+    return compute_levels(weights, r)
 
 
 class LevelSetManager:

@@ -32,7 +32,7 @@ import numpy as _np
 
 from ..common.errors import ProtocolViolationError
 from ..common.rng import MIN_EXPONENTIAL, BatchRandom, LazyExponential, exponential
-from ..kernels import active as _active_kernels
+from ..kernels import window_split
 from ..net.messages import (
     EARLY,
     EPOCH_UPDATE,
@@ -201,7 +201,7 @@ class SworSite(SiteAlgorithm):
             if lowest_open == 0
             else (self._r**lowest_open) * (1.0 - 1e-9)
         )
-        levels, saturated, early_positions = _active_kernels().window_split(
+        levels, saturated, early_positions = window_split(
             weights, self._r, heavy_floor, self._mask_table()
         )
         if len(early_positions) == 0:
@@ -385,10 +385,8 @@ class SworSite(SiteAlgorithm):
                 wctx = None
                 # Fused kernel: exact levels + saturation lookup +
                 # early positions in one pass (floor 0 = every weight).
-                levels, saturated, early_positions = (
-                    _active_kernels().window_split(
-                        weights, self._r, 0.0, self._mask_table()
-                    )
+                levels, saturated, early_positions = window_split(
+                    weights, self._r, 0.0, self._mask_table()
                 )
                 if len(early_positions) == 0:
                     saturated = None  # nothing early: skip the split

@@ -31,7 +31,7 @@ import numpy as _np
 
 from ..common.errors import ConfigurationError, ProtocolViolationError
 from ..common.rng import BatchRandom, RandomSource, binomial
-from ..kernels import active as _active_kernels
+from ..kernels import swr_min_fold
 from ..net.counters import MessageCounters
 from ..net.messages import Message, MessagePack, ROUND_UPDATE, SWR_SAMPLE
 from ..runtime import (
@@ -204,8 +204,7 @@ class _SwrCoordinator(CoordinatorAlgorithm):
     def on_message_pack(self, site_id: int, pack: Any) -> List[Tuple[int, Message]]:
         """Vectorized per-sampler min-key fold of a whole site batch.
 
-        One kernel-tier pass (``swr_min_fold`` — a stable lexsort on
-        the numpy backend, a fused loop on the compiled one) groups the
+        One ``swr_min_fold`` pass (a stable lexsort) groups the
         pack's entries by sampler and finds each sampler's minimum key
         (first arrival wins ties, as the scalar strict-``<`` update
         does); ``Item`` objects are built only for the winners.  The fast path commits only when
@@ -228,9 +227,9 @@ class _SwrCoordinator(CoordinatorAlgorithm):
             return self._replay_pack(site_id, pack)
         samplers = pack.regular_extra
         keys = pack.regular_keys
-        # Stable per-sampler minimum (kernel-tier): each sampler's head
-        # is its min key, earliest arrival on ties, ascending sampler.
-        heads = _active_kernels().swr_min_fold(samplers, keys, self.sample_size)
+        # Stable per-sampler minimum: each sampler's head is its min
+        # key, earliest arrival on ties, ascending sampler.
+        heads = swr_min_fold(samplers, keys)
         winners: List[Tuple[int, int, float]] = []
         for i in heads.tolist():
             sid = int(samplers[i])

@@ -21,7 +21,7 @@ import numpy as _np
 
 from ..common.errors import ConfigurationError, ProtocolViolationError
 from ..common.rng import BatchRandom, RandomSource
-from ..kernels import active as _active_kernels
+from ..kernels import swor_fold_regulars
 from ..net.counters import MessageCounters
 from ..net.messages import Message, MessagePack, REGULAR, ROUND_UPDATE
 from ..runtime import (
@@ -176,7 +176,7 @@ class _UnweightedCoordinator(CoordinatorAlgorithm):
             # cheap as per-message delivery.
             return self._replay_pack(site_id, pack)
         neg_keys = -pack.regular_keys
-        fold = _active_kernels().swor_fold_regulars(
+        fold = swor_fold_regulars(
             neg_keys,
             self.sample_set.threshold,
             self.sample_set.keys,

@@ -61,7 +61,7 @@ import numpy as _np
 
 from ..common.errors import ConfigurationError, InvalidWeightError
 from ..common.rng import exponential
-from ..kernels import active as _active_kernels
+from ..kernels import window_dominators
 from ..stream.item import Item
 
 __all__ = ["SlidingWindowWeightedSWOR"]
@@ -70,11 +70,6 @@ __all__ = ["SlidingWindowWeightedSWOR"]
 #: the transient sort/rank arrays regardless of the caller's column
 #: length.
 _INSERT_CHUNK = 8192
-
-# The chunk-internal dominator count lives in the kernel tier
-# (``repro.kernels``): ranks against the running top-``s`` keys on the
-# numpy backend, a clamped Fenwick tree on the compiled one — exact
-# below the cap either way.
 
 
 class _Entry:
@@ -265,10 +260,10 @@ class SlidingWindowWeightedSWOR:
                 entry.dominators += inc
                 if entry.dominators < s:
                     survivors.append(entry)
-        # Chunk-internal dominators (kernel-tier): counts of
-        # strictly-later strictly-larger keys, capped at s and so exact
-        # for every arrival the chunk keeps; identical across backends.
-        dominators = _active_kernels().window_dominators(keys, s)
+        # Chunk-internal dominators: counts of strictly-later
+        # strictly-larger keys, capped at s and so exact for every
+        # arrival the chunk keeps.
+        dominators = window_dominators(keys, s)
         self.items_seen += m
         for i in _np.flatnonzero(dominators < s).tolist():
             entry = _Entry(

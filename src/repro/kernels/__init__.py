@@ -1,315 +1,222 @@
-"""The kernel registry — a compiled tier for the hottest columnar loops.
+"""The hot-loop kernels of the columnar plane, as six numpy functions.
 
-The columnar plane (PRs 3–6) vectorized every protocol, but four loops
-still dominate profiles: the SWOR coordinator fold (threshold mask +
-top-``s`` merge), the SWR per-sampler min fold, the sliding-window
-dominator count (capped at the sample size, the most a retained
-arrival can have), and the site-side level computation / early-regular
-split.  This package puts those four behind a *backend seam* mirroring
-the engine registry:
+Each function here is vectorized hot-path logic shared by the core
+structures: the top-``s`` merge cut, the fused regular fold that the
+SWOR, L1 and unweighted coordinators run over the sample set's key
+column, the SWR lexsort min fold, the sliding-window capped dominator
+count, and the site-side level computation / early-regular split.
+Callers import them directly.
 
-* ``"numpy"`` — :mod:`repro.kernels.numpy_backend`, the always-available
-  vectorized implementations (the exact logic that used to live inline);
-* ``"numba"`` — :mod:`repro.kernels.numba_backend`, fused
-  ``@njit(cache=True)`` loop kernels, offered only when numba imports;
-* ``"auto"`` — numba when available, else numpy (the default, also the
-  default of the ``REPRO_KERNELS`` environment variable).
+Kernels never draw randomness and never mutate protocol state — they
+only transform columns whose random keys were already drawn by the
+caller — so a fast path built on them stays bit-identical to the
+scalar path it replaces.  ``tests/test_kernels.py`` checks every kernel
+against an independent scalar oracle on adversarial fixtures.
 
-The acceptance bar is the one every fast path since PR 3 has carried:
-**bit-identical samples and message counters** regardless of backend.
-Kernels therefore never draw randomness and never mutate protocol
-state — they are pure column transforms whose outputs (floats, counts,
-index sets) are defined to be backend-independent; the parity suite in
-``tests/test_kernels.py`` pins this on adversarial fixtures.
-
-Selection
----------
-:func:`active` resolves the process default lazily: an explicit
-:func:`set_default_kernels` wins, else ``REPRO_KERNELS``, else
-``"auto"``.  Engines with a ``kernels=`` override scope it to the run
-via :func:`use_kernels`.  Requesting ``"numba"`` explicitly when numba
-is missing raises :class:`~repro.common.errors.ConfigurationError`;
-``"auto"`` (and an env-var request) falls back to numpy silently.
-
-Instrumentation
----------------
-Every kernel call is counted and timed into a process-local stats table
-(:func:`kernel_stats`), and — when an engine attaches a live
-:class:`~repro.obs.MetricsRegistry` — exported as
-``repro_kernel_calls_total{kernel,backend}`` /
-``repro_kernel_seconds{kernel,backend}`` plus a
-``repro_kernel_backend_info{backend}`` selection gauge.  Observational
-only, like all of :mod:`repro.obs`.
+The purity half of that contract (no RNG, no clocks, no I/O, no
+module-global mutation anywhere under ``src/repro/kernels/``) is
+enforced statically by reprolint rule R002 (``python -m
+tools.reprolint --list-rules``).
 """
 
 from __future__ import annotations
 
-import os
-import time
-import warnings
-from contextlib import contextmanager
-from types import ModuleType
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+import math
+from typing import Tuple
+
+import numpy as _np
 
 from ..common.errors import ConfigurationError
-from . import numba_backend, numpy_backend
 
 __all__ = [
-    "KERNEL_NAMES",
-    "KERNEL_BACKENDS",
-    "KernelBackend",
-    "active",
-    "available_backends",
-    "get_kernels",
-    "kernel_stats",
-    "python_mirror_backend",
-    "reset_default_kernels",
-    "reset_kernel_stats",
-    "set_default_kernels",
-    "set_kernel_registry",
-    "use_kernels",
-]
-
-#: The kernel seam: every backend module defines exactly these.
-KERNEL_NAMES = (
     "swor_fold_regulars",
     "merge_cut",
     "swr_min_fold",
     "window_dominators",
     "compute_levels",
     "window_split",
-)
+]
 
-#: name -> backend module, mirroring ``repro.runtime.ENGINES``.
-KERNEL_BACKENDS = {
-    "numpy": numpy_backend,
-    "numba": numba_backend,
-}
-
-#: Environment variable consulted when no explicit default is set.
-ENV_VAR = "REPRO_KERNELS"
-
-# -- per-(kernel, backend) accounting -----------------------------------
-
-_stats: Dict[Tuple[str, str], List[float]] = {}
-_registry: Optional[Any] = None
-_calls_family: Optional[Any] = None
-_seconds_family: Optional[Any] = None
+#: Block width of the chunk-internal dominator count: within a block
+#: the later-larger counts of the arrivals still below the cap come
+#: from one comparison table, across blocks from ranks in the running
+#: sorted top-``cap`` keys of the later blocks.
+_RANK_BLOCK = 256
 
 
-def kernel_stats() -> Dict[Tuple[str, str], Tuple[int, float]]:
-    """``{(kernel, backend): (calls, seconds)}`` accumulated since the
-    last :func:`reset_kernel_stats` — always on (no registry needed)."""
-    return {k: (int(v[0]), v[1]) for k, v in _stats.items() if v[0]}
+def merge_cut(
+    old_keys: _np.ndarray, cand_keys: _np.ndarray, sample_size: int
+) -> Tuple[float, int]:
+    """``(cut, at_cut)`` of a top-``s`` merge over old + candidate keys.
 
-
-def reset_kernel_stats() -> None:
-    # Zero in place: the instrumented closures hold the cell lists.
-    for cell in _stats.values():
-        cell[0] = 0
-        cell[1] = 0.0
-
-
-def set_kernel_registry(registry: Optional[Any]) -> None:
-    """Attach (or detach, with ``None``/disabled) the live metrics
-    registry kernel calls export to.  Called by
-    :meth:`repro.runtime.base.Engine.instrument`; last attach wins
-    (kernel selection is process-global, so is its telemetry)."""
-    # reprolint: disable=R002 registry attachment is telemetry plumbing, not kernel math
-    global _registry, _calls_family, _seconds_family
-    if registry is None or not getattr(registry, "enabled", False):
-        _registry = _calls_family = _seconds_family = None
-        return
-    _registry = registry
-    _calls_family = registry.counter(
-        "repro_kernel_calls_total",
-        "kernel-tier calls by kernel and backend",
-        labels=("kernel", "backend"),
-    )
-    _seconds_family = registry.histogram(
-        "repro_kernel_seconds",
-        "wall-clock duration of kernel-tier calls",
-        labels=("kernel", "backend"),
-    )
-    registry.gauge(
-        "repro_kernel_backend_info",
-        "1 for the kernel backend selected by the process default",
-        labels=("backend",),
-    ).labels(backend=active().name).set(1)
-
-
-class KernelBackend:
-    """One resolved backend: the six kernels, instrumented.
-
-    Attribute access is pre-bound at construction (``backend.merge_cut``
-    is a closure, not a dict lookup), so per-call overhead is one
-    ``perf_counter`` pair plus a list update.
+    ``cut`` is the exact ``(total - s)``-th smallest of the merged
+    multiset — the smallest surviving key — and ``at_cut`` is how many
+    merged keys equal it (``!= 1`` means the selection boundary is an
+    ambiguous tie).  Requires ``len(old) + len(cand) >= sample_size``.
     """
+    merged = _np.concatenate([old_keys, cand_keys])
+    cut_index = len(merged) - sample_size
+    cut = float(_np.partition(merged, cut_index)[cut_index])
+    return cut, int((merged == cut).sum())
 
-    __slots__ = ("name",) + KERNEL_NAMES
 
-    name: str
-    swor_fold_regulars: Callable[..., Any]
-    merge_cut: Callable[..., Any]
-    swr_min_fold: Callable[..., Any]
-    window_dominators: Callable[..., Any]
-    compute_levels: Callable[..., Any]
-    window_split: Callable[..., Any]
+def swor_fold_regulars(
+    keys: _np.ndarray, threshold: float, old_keys: _np.ndarray, sample_size: int
+) -> Tuple[_np.ndarray, _np.ndarray, float, int]:
+    """The fused SWOR coordinator fold over one pack's regular keys.
 
-    def __init__(self, name: str, module: ModuleType) -> None:
-        self.name = name
-        for kernel_name in KERNEL_NAMES:
-            setattr(
-                self,
-                kernel_name,
-                _timed(kernel_name, name, getattr(module, kernel_name)),
+    One pass computes everything the coordinator's fast path needs:
+
+    * ``surv_idx`` — indices (into ``keys``) of the candidates above
+      the live ``threshold`` (Algorithm 2 line 19's re-check);
+    * ``kept_idx`` — the subset that survives the top-``s`` merge
+      against ``old_keys`` (all of ``surv_idx`` on the underfull push
+      path);
+    * ``cut`` — the merged threshold the fold would leave behind
+      (``0.0`` while the merged set stays underfull), which drives the
+      epoch-crossing check;
+    * ``at_cut`` — merged keys equal to ``cut`` (``!= 1`` on the
+      partition path means the order-dependent tie fallback applies).
+    """
+    surv_idx = _np.flatnonzero(keys > threshold)
+    n = len(surv_idx)
+    h = len(old_keys)
+    if h + n < sample_size:
+        return surv_idx, surv_idx, 0.0, 1
+    cand = keys[surv_idx]
+    cut, at_cut = merge_cut(old_keys, cand, sample_size)
+    if n <= sample_size - h:
+        kept_idx = surv_idx
+    else:
+        kept_idx = surv_idx[cand >= cut]
+    return surv_idx, kept_idx, cut, at_cut
+
+
+def swr_min_fold(samplers: _np.ndarray, keys: _np.ndarray) -> _np.ndarray:
+    """Per-sampler minimum of one SWR pack: head indices, ascending
+    sampler id, earliest arrival winning key ties.
+
+    One stable ``np.lexsort`` groups the pack's entries by sampler and
+    finds each sampler's minimum key (first arrival wins ties, as the
+    scalar strict-``<`` update does).
+    """
+    nr = len(keys)
+    order = _np.lexsort((_np.arange(nr), keys, samplers))
+    sorted_samplers = samplers[order]
+    return order[
+        _np.flatnonzero(_np.r_[True, sorted_samplers[1:] != sorted_samplers[:-1]])
+    ]
+
+
+def window_dominators(keys: _np.ndarray, cap: int) -> _np.ndarray:
+    """Capped chunk-internal dominator counts of the sliding-window
+    sampler: ``out[i] = min(cap, #{j > i : keys[j] > keys[i]})``
+    (strictly later, strictly larger), exact integers; ``cap >= 1``.
+
+    Blocks are processed back to front against ``top``, the sorted
+    ``cap`` largest keys of all later blocks.  Below the cap the count
+    against ``top`` is exact: if fewer than ``cap`` later keys exceed
+    ``x`` they are all among the ``cap`` largest, otherwise all of
+    ``top`` exceeds ``x``.  Only arrivals still below the cap after
+    that cross-block count get a within-block count, against the later
+    positions of their block.
+    """
+    m = len(keys)
+    dominators = _np.full(m, cap, dtype=_np.int64)
+    positions = _np.arange(_RANK_BLOCK)
+    top = keys[:0]
+    for bs in range(((m - 1) // _RANK_BLOCK) * _RANK_BLOCK, -1, -_RANK_BLOCK):
+        block = keys[bs:bs + _RANK_BLOCK]
+        cross = len(top) - _np.searchsorted(top, block, side="right")
+        cand = _np.flatnonzero(cross < cap)
+        if len(cand):
+            later = (block[None, :] > block[cand, None]) & (
+                positions[None, : len(block)] > cand[:, None]
             )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"KernelBackend({self.name!r})"
-
-
-def _timed(
-    kernel_name: str, backend_name: str, fn: Callable[..., Any]
-) -> Callable[..., Any]:
-    cell = _stats.setdefault((kernel_name, backend_name), [0, 0.0])
-    # reprolint: disable=R002 wall-clock here only times the call for obs; kernel outputs never see it
-    perf_counter = time.perf_counter
-
-    def call(*args: Any) -> Any:
-        t0 = perf_counter()
-        out = fn(*args)
-        dt = perf_counter() - t0
-        cell[0] += 1
-        cell[1] += dt
-        if _registry is not None:
-            _calls_family.labels(kernel=kernel_name, backend=backend_name).inc()
-            _seconds_family.labels(
-                kernel=kernel_name, backend=backend_name
-            ).observe(dt)
-        return out
-
-    call.__name__ = f"{backend_name}:{kernel_name}"
-    return call
+            dominators[bs + cand] = _np.minimum(
+                cross[cand] + later.sum(axis=1), cap
+            )
+        merged = _np.concatenate([top, block])
+        if len(merged) > cap:
+            merged = _np.partition(merged, len(merged) - cap)[len(merged) - cap:]
+        top = _np.sort(merged)
+    return dominators
 
 
-# -- selection ----------------------------------------------------------
+def compute_levels(weights: _np.ndarray, r: float) -> _np.ndarray:
+    """Vectorized level computation ``w in [r^j, r^{j+1})`` (0 for
+    ``w < r``), with the scalar path's float-edge corrections.
 
-_backends: Dict[str, KernelBackend] = {}
-_default: Optional[KernelBackend] = None
-
-
-def available_backends() -> Dict[str, bool]:
-    """``{name: importable}`` for every registered backend."""
-    return {
-        name: bool(getattr(module, "AVAILABLE", False))
-        for name, module in KERNEL_BACKENDS.items()
-    }
-
-
-def _backend(name: str) -> KernelBackend:
-    backend = _backends.get(name)
-    if backend is None:
-        backend = _backends[name] = KernelBackend(name, KERNEL_BACKENDS[name])
-    return backend
-
-
-def get_kernels(
-    spec: Union[str, "KernelBackend", None] = None, strict: bool = True
-) -> "KernelBackend":
-    """Resolve a kernel-backend spec, mirroring ``get_engine``.
-
-    ``spec`` may be a :class:`KernelBackend` (returned as-is), a name
-    from :data:`KERNEL_BACKENDS`, ``"auto"``, or ``None`` (= the
-    ``REPRO_KERNELS`` environment variable, default ``"auto"``).  With
-    ``strict`` (the default for explicit requests) an unavailable or
-    unknown backend raises ``ConfigurationError``; ``strict=False``
-    (used for env/worker propagation) warns and falls back to auto.
+    Validates weights (positive and finite) and raises
+    :class:`~repro.common.errors.ConfigurationError` on the first bad
+    one; assumes ``r >= 2`` (validated by the caller).  The correction
+    loops converge to the unique bracket satisfying the exact ``pow``
+    comparisons, which is what makes the result independent of how the
+    initial ``log`` estimate rounded.  A bracket power that overflows
+    is ``+inf``, above every finite weight, as in
+    :func:`~repro.core.levels.level_of`.
     """
-    if isinstance(spec, KernelBackend):
-        return spec
-    if spec is None:
-        spec = os.environ.get(ENV_VAR) or "auto"
-        strict = False
-    if not isinstance(spec, str):
+    # Float64 exponentiation throughout: an integer ``r`` would make
+    # ``np.power(r, est)`` wrap in int64 for large levels.
+    r = float(r)
+    w = _np.asarray(weights, dtype=_np.float64)
+    bad = ~_np.isfinite(w) | (w <= 0.0)
+    if bad.any():
         raise ConfigurationError(
-            f"kernels spec must be a string or KernelBackend, got {spec!r}"
+            f"weight must be positive and finite: {float(w[bad][0])}"
         )
-    name = spec.lower()
-    if name == "auto":
-        return _backend("numba" if numba_backend.AVAILABLE else "numpy")
-    if name not in KERNEL_BACKENDS:
-        known = ", ".join(sorted(KERNEL_BACKENDS) + ["auto"])
-        message = f"unknown kernel backend {spec!r} (known: {known})"
-        if strict:
-            raise ConfigurationError(message)
-        warnings.warn(f"{message}; falling back to auto", stacklevel=2)
-        return get_kernels("auto")
-    if not getattr(KERNEL_BACKENDS[name], "AVAILABLE", False):
-        message = f"kernel backend {spec!r} is not available on this install"
-        if name == "numba":
-            message += " (pip install 'repro-weighted-reservoir[kernels]')"
-        if strict:
-            raise ConfigurationError(message)
-        warnings.warn(f"{message}; falling back to auto", stacklevel=2)
-        return get_kernels("auto")
-    return _backend(name)
+    levels = _np.zeros(len(w), dtype=_np.int64)
+    big = w >= r
+    if big.any():
+        est = (_np.log(w[big]) / math.log(r)).astype(_np.int64)
+        with _np.errstate(over="ignore"):
+            while True:  # correct log() rounding down across power boundaries
+                low = _np.power(r, est + 1) <= w[big]
+                if not low.any():
+                    break
+                est[low] += 1
+            while True:  # ...and rounding up
+                high = (est > 0) & (_np.power(r, est) > w[big])
+                if not high.any():
+                    break
+                est[high] -= 1
+        levels[big] = est
+    return levels
 
 
-def active() -> KernelBackend:
-    """The process-default backend (resolved lazily on first use)."""
-    # reprolint: disable=R002 process-default backend selection is the seam itself, not a kernel
-    global _default
-    if _default is None:
-        _default = get_kernels(None)
-    return _default
+def window_split(
+    weights: _np.ndarray, r: float, heavy_floor: float, table: _np.ndarray
+) -> Tuple[_np.ndarray, _np.ndarray, _np.ndarray]:
+    """Fused site-side level computation + early/regular split.
 
+    For every weight at or above ``heavy_floor`` the exact level is
+    computed (``heavy_floor <= 0`` means *every* weight, including the
+    validation that implies); weights below the floor are provably in
+    saturated levels and keep a level-0 placeholder.  ``table`` is the
+    saturation lookup (``table[j]`` = level ``j`` saturated); levels
+    beyond the table are unsaturated by construction (the table covers
+    every set bit of the mask).
 
-def set_default_kernels(
-    spec: Union[str, KernelBackend, None], strict: bool = True
-) -> KernelBackend:
-    """Set the process-default backend; returns the resolved backend."""
-    # reprolint: disable=R002 process-default backend selection is the seam itself, not a kernel
-    global _default
-    _default = get_kernels(spec, strict=strict)
-    return _default
-
-
-def reset_default_kernels() -> None:
-    """Forget the resolved default so the next :func:`active` re-reads
-    ``REPRO_KERNELS`` (test hook)."""
-    # reprolint: disable=R002 process-default backend selection is the seam itself, not a kernel
-    global _default
-    _default = None
-
-
-@contextmanager
-def use_kernels(
-    spec: Union[str, KernelBackend, None]
-) -> Iterator[KernelBackend]:
-    """Scope the process-default backend to a ``with`` block — how an
-    engine's ``kernels=`` override applies for exactly one run.
-    ``None`` (no override) is a pass-through that yields the active
-    default, so engine code wraps unconditionally."""
-    # reprolint: disable=R002 process-default backend selection is the seam itself, not a kernel
-    global _default
-    if spec is None:
-        yield active()
-        return
-    prev = _default
-    _default = get_kernels(spec)
-    try:
-        yield _default
-    finally:
-        _default = prev
-
-
-def python_mirror_backend() -> KernelBackend:
-    """The numba backend's loop logic as a backend named ``"python"`` —
-    compiled when numba is present, plain Python otherwise.  The parity
-    suite uses this to exercise the loop implementations on
-    numpy-only installs, where ``"numba"`` itself is unavailable."""
-    backend = _backends.get("python")
-    if backend is None:
-        backend = _backends["python"] = KernelBackend("python", numba_backend)
-    return backend
+    Returns ``(levels, saturated, early_positions)`` where
+    ``early_positions`` is the sorted index array of unsaturated
+    (early) arrivals — the site's split in one pass.
+    """
+    n = len(weights)
+    if heavy_floor > 0.0:
+        heavy_idx = _np.flatnonzero(weights >= heavy_floor)
+    else:
+        heavy_idx = _np.arange(n)
+    levels = _np.zeros(n, dtype=_np.int64)
+    saturated = _np.ones(n, dtype=_np.bool_)
+    if len(heavy_idx) == 0:
+        return levels, saturated, heavy_idx
+    heavy_levels = compute_levels(
+        weights if len(heavy_idx) == n else weights[heavy_idx], r
+    )
+    levels[heavy_idx] = heavy_levels
+    in_table = heavy_levels < len(table)
+    heavy_saturated = _np.zeros(len(heavy_idx), dtype=_np.bool_)
+    heavy_saturated[in_table] = table[heavy_levels[in_table]]
+    early_positions = heavy_idx[~heavy_saturated]
+    saturated[early_positions] = False
+    return levels, saturated, early_positions

@@ -43,7 +43,7 @@ from ..common.rng import (
 )
 from ..core.epochs import EpochTracker
 from ..core.sample_set import TopKeySample
-from ..kernels import active as _active_kernels
+from ..kernels import swor_fold_regulars
 from ..net.counters import MessageCounters
 from ..net.messages import EPOCH_UPDATE, Message, MessagePack, REGULAR
 from ..runtime import (
@@ -267,7 +267,6 @@ class _L1Coordinator(CoordinatorAlgorithm):
         idents = pack.regular_idents
         weights = pack.regular_weights
         keys = pack.regular_keys
-        fold_regulars = _active_kernels().swor_fold_regulars
         sample_set = self.sample_set
         responses: List[Tuple[int, Message]] = []
         lo = 0
@@ -283,7 +282,7 @@ class _L1Coordinator(CoordinatorAlgorithm):
                 for w in weights[lo:hi].tolist():
                     self._exact_duplicated_weight += w
             seg_keys = keys[lo:hi]
-            fold = fold_regulars(
+            fold = swor_fold_regulars(
                 seg_keys, sample_set.threshold, sample_set.keys, self.sample_size
             )
             if len(fold[0]):

@@ -61,7 +61,6 @@ def get_engine(
     spec: Union[str, Engine, None] = None,
     batch_size: Optional[int] = None,
     workers: Optional[int] = None,
-    kernels: Optional[str] = None,
     worker_timeout: Optional[float] = None,
     fault_plan: Union[str, FaultPlan, None] = None,
 ) -> Engine:
@@ -80,10 +79,6 @@ def get_engine(
         Worker process count for the sharded engine (defaults to the
         CPUs this process may run on); rejected for engines that do not
         shard.
-    kernels:
-        ``"auto"`` / ``"numba"`` / ``"numpy"`` — the kernel backend for
-        the columnar-plane engines (see :mod:`repro.kernels`); rejected
-        for engines without a columnar data plane.
     worker_timeout:
         Seconds the sharded supervisor waits for a worker message
         before classifying the worker as hung; rejected for engines
@@ -101,10 +96,6 @@ def get_engine(
         if workers is not None:
             raise ConfigurationError(
                 "workers cannot be combined with an engine instance"
-            )
-        if kernels is not None:
-            raise ConfigurationError(
-                "kernels cannot be combined with an engine instance"
             )
         if worker_timeout is not None:
             raise ConfigurationError(
@@ -133,12 +124,6 @@ def get_engine(
                 f"engine {name!r} does not take workers"
             )
         kwargs["workers"] = workers
-    if kernels is not None:
-        if not issubclass(cls, ColumnarEngine):
-            raise ConfigurationError(
-                f"engine {name!r} does not take a kernel backend"
-            )
-        kwargs["kernels"] = kernels
     if worker_timeout is not None:
         if not issubclass(cls, ShardedEngine):
             raise ConfigurationError(

@@ -31,7 +31,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional
 
-from ..kernels import set_kernel_registry
 from ..obs import NULL_REGISTRY, observe_message_counters
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -80,9 +79,6 @@ class Engine(ABC):
             engine = get_engine("columnar").instrument(registry)
         """
         self.registry = NULL_REGISTRY if registry is None else registry
-        # Kernel-tier telemetry follows the engine's registry (process
-        # global — kernel selection is too; last attach wins).
-        set_kernel_registry(registry)
         return self
 
     def _record_run(
@@ -160,8 +156,6 @@ class Engine(ABC):
         if "windows" in stats:
             parts.append(f"windows {stats['windows']}")
         parts.append(f"wall {stats['seconds']:.3f}s")
-        if "kernels" in stats:
-            parts.append(f"kernels {stats['kernels']}")
         line = f"{self.name} engine: " + ", ".join(parts)
         if stats.get("mode") == "fallback":
             line += f"\n  (fallback: {stats.get('reason', 'unknown reason')})"

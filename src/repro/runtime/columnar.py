@@ -57,7 +57,6 @@ import time
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
 
 from ..common.errors import ConfigurationError
-from ..kernels import get_kernels, use_kernels
 from ..net.messages import MessagePack
 from .base import Engine
 from .batched import (
@@ -91,9 +90,6 @@ class ColumnarEngine(Engine):
         First batch's size; batches double until reaching
         ``batch_size``.  The ramp bounds warm-up staleness while the
         coordinator's threshold is still near zero.
-    kernels:
-        Kernel-backend override for this engine's runs (see
-        :mod:`repro.kernels`).
     """
 
     name = "columnar"
@@ -102,7 +98,6 @@ class ColumnarEngine(Engine):
         self,
         batch_size: int = DEFAULT_BATCH_SIZE,
         initial_batch_size: int = DEFAULT_INITIAL_BATCH_SIZE,
-        kernels=None,
     ) -> None:
         if batch_size <= 0:
             raise ConfigurationError(
@@ -114,35 +109,11 @@ class ColumnarEngine(Engine):
             )
         self.batch_size = batch_size
         self.initial_batch_size = min(initial_batch_size, batch_size)
-        #: Kernel-backend override for this engine's runs (``None`` =
-        #: the process default, i.e. ``REPRO_KERNELS`` / ``"auto"``).
-        #: Resolved eagerly so a bad spec fails at construction.
-        self._kernels = None if kernels is None else get_kernels(kernels)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(batch_size={self.batch_size})"
 
     def run(
-        self,
-        network: "Network",
-        stream,
-        on_step: Optional[Callable[[int], None]] = None,
-        checkpoints: Optional[Iterable[int]] = None,
-        on_checkpoint: Optional[Callable[[int], None]] = None,
-    ) -> "MessageCounters":
-        with use_kernels(self._kernels) as kernels:
-            counters = self._run_columnar(
-                network,
-                stream,
-                on_step=on_step,
-                checkpoints=checkpoints,
-                on_checkpoint=on_checkpoint,
-            )
-        if self.last_run_stats:
-            self.last_run_stats.setdefault("kernels", kernels.name)
-        return counters
-
-    def _run_columnar(
         self,
         network: "Network",
         stream,

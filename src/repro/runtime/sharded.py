@@ -170,8 +170,6 @@ from ..faults import (
     fault_action,
     parse_fault_plan,
 )
-from ..kernels import active as _active_kernels
-from ..kernels import set_default_kernels, use_kernels
 from ..net.messages import MessagePack, PackWireError
 from ..obs import (
     WORKER_METRIC_NAMES,
@@ -421,7 +419,6 @@ class _WorkerShard:
     """
 
     def __init__(self, payload, ring, slot_bytes, stream_cache) -> None:
-        set_default_kernels(payload.get("kernels", "auto"), strict=False)
         self.site_lo: int = payload["site_lo"]
         self.site_hi: int = payload["site_hi"]
         self.sites: List = payload["sites"]
@@ -1184,7 +1181,6 @@ class ShardedEngine(ColumnarEngine):
         initial_batch_size: int = DEFAULT_INITIAL_BATCH_SIZE,
         workers: Optional[int] = None,
         transport: str = "auto",
-        kernels=None,
         worker_timeout: Optional[float] = None,
         fault_plan=None,
         supervision: str = "on",
@@ -1192,7 +1188,6 @@ class ShardedEngine(ColumnarEngine):
         super().__init__(
             batch_size=batch_size,
             initial_batch_size=initial_batch_size,
-            kernels=kernels,
         )
         if workers is None:
             workers = available_cpus()
@@ -1252,26 +1247,6 @@ class ShardedEngine(ColumnarEngine):
     # -- top level ------------------------------------------------------
 
     def run(
-        self,
-        network: "Network",
-        stream,
-        on_step: Optional[Callable[[int], None]] = None,
-        checkpoints: Optional[Iterable[int]] = None,
-        on_checkpoint: Optional[Callable[[int], None]] = None,
-    ) -> "MessageCounters":
-        with use_kernels(self._kernels) as kernels:
-            counters = self._run_sharded(
-                network,
-                stream,
-                on_step=on_step,
-                checkpoints=checkpoints,
-                on_checkpoint=on_checkpoint,
-            )
-        if self.last_run_stats:
-            self.last_run_stats.setdefault("kernels", kernels.name)
-        return counters
-
-    def _run_sharded(
         self,
         network: "Network",
         stream,
@@ -1560,11 +1535,6 @@ class ShardedEngine(ColumnarEngine):
                 "initial_batch_size": self.initial_batch_size,
                 "marks": marks,
                 "stream": stream_spec,
-                # The parent's resolved kernel backend by name; workers
-                # re-resolve with strict=False so a backend the worker
-                # interpreter cannot import degrades to auto, not a
-                # crash (the numpy tier is bit-identical anyway).
-                "kernels": _active_kernels().name,
                 # When truthy, workers append a flat telemetry column
                 # (WORKER_METRIC_NAMES order) to result messages; when
                 # falsy the wire shape is untouched.
@@ -1679,7 +1649,7 @@ class ShardedEngine(ColumnarEngine):
         """The window protocol, parent side: per window, gather every
         worker's results, fold them, commit, and fire the window's
         callbacks.  A classified fault anywhere in here propagates as
-        :class:`_WorkerFault`; :meth:`_run_sharded` degrades the run."""
+        :class:`_WorkerFault`; :meth:`run` degrades the run."""
         handles = pool["handles"]
         windows = list(
             batch_windows(n, self.batch_size, self.initial_batch_size, marks)
@@ -1761,8 +1731,6 @@ class ShardedEngine(ColumnarEngine):
                 if key in timing:
                     parts.append(f"{label} {timing[key]:.3f}s")
             lines.append("  time: " + ", ".join(parts))
-        if "kernels" in stats:
-            lines.append(f"  kernels: {stats['kernels']} backend")
         return "\n".join(lines)
 
     @staticmethod

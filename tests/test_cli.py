@@ -232,6 +232,22 @@ class TestObservability:
         # The full dump is not truncated to the --profile top-20 view.
         assert "function calls" in text
 
+    def test_profile_sort_tottime(self, capsys):
+        code = main(
+            [
+                "swor",
+                "--items",
+                "300",
+                "--engine",
+                "columnar",
+                "--profile",
+                "--profile-sort",
+                "tottime",
+            ]
+        )
+        assert code == 0
+        assert "Ordered by: internal time" in capsys.readouterr().err
+
     def test_stats_prometheus_to_stdout(self, capsys):
         code = main(["stats", *self.ARGS, "--engine", "columnar"])
         captured = capsys.readouterr()

@@ -44,7 +44,7 @@ from repro.core import (
 )
 from repro.core.coordinator import SworCoordinator
 from repro.core.sample_set import TopKeySample
-from repro.kernels import numpy_backend
+from repro.kernels import swor_fold_regulars
 from repro.net.counters import MessageCounters
 from repro.net.messages import EARLY, Message, MessagePack, REGULAR
 from repro.net.tracing import MessageTrace
@@ -675,7 +675,7 @@ def _bulk_commit(sample, idents, keys):
     bulk commit — the coordinators' pack fold."""
     idents = np.asarray(idents, dtype=np.int64)
     keys = np.asarray(keys, dtype=np.float64)
-    fold = numpy_backend.swor_fold_regulars(
+    fold = swor_fold_regulars(
         keys, sample.threshold, sample.keys, sample.sample_size
     )
     return sample.fold_selected(idents, np.ones(len(keys)), keys, *fold)

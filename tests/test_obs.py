@@ -366,9 +366,6 @@ GOLDEN_METRIC_NAMES = [
     "repro_engine_run_seconds",
     "repro_engine_runs_total",
     "repro_engine_windows_total",
-    "repro_kernel_backend_info",
-    "repro_kernel_calls_total",
-    "repro_kernel_seconds",
     "repro_message_words",
     "repro_message_words_max",
     "repro_messages",

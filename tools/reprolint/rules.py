@@ -12,10 +12,10 @@ R001      rng-discipline          randomness only via seeded instances
                                   (``random.Random``, numpy ``Generator``,
                                   :mod:`repro.common.rng`) — never global
                                   module state, which any import can perturb
-R002      kernel-purity           ``repro.kernels`` backends are pure column
+R002      kernel-purity           ``repro.kernels`` kernels are pure column
                                   transforms: no RNG, no clocks, no I/O, no
-                                  module-global mutation (the bit-identical
-                                  backend seam)
+                                  module-global mutation (so a fast path
+                                  built on them stays bit-identical)
 R003      snapshot-completeness   every ``snapshot_state``/``restore_state``
                                   pair covers every mutable attribute, or
                                   names it in ``_SNAPSHOT_EXCLUDE`` (rollback
@@ -153,7 +153,7 @@ _NP_RANDOM_ALLOWED = {
 class RngDiscipline(Rule):
     """R001: no global-state randomness, anywhere.
 
-    Bit-identical replay across engines, workers, and backends requires
+    Bit-identical replay across engines and workers requires
     every variate to come from an owned, seeded stream
     (``random.Random``, numpy ``Generator``/``PCG64``,
     ``repro.common.rng`` helpers).  ``random.random()`` and friends
@@ -302,14 +302,13 @@ _IO_MODULES = {"subprocess", "socket"}
 
 @register_rule
 class KernelPurity(Rule):
-    """R002: kernel backends are pure column transforms.
+    """R002: kernels are pure column transforms.
 
-    The kernel seam's contract (PR 8) is that every backend computes
-    the same outputs from the same columns, so backends can be swapped
-    per-process, per-run, and per-worker without perturbing a single
-    sample or counter.  Anything ambient — RNG, clocks, I/O, mutable
-    module globals — is a channel through which two backends (or two
-    runs) could diverge, so none of it is allowed in
+    A kernel computes its outputs from its input columns alone, so the
+    fast paths built on it give the same samples and counters in every
+    process, run and worker.  Anything ambient — RNG, clocks, I/O,
+    mutable module globals — is a channel through which two runs (or
+    two workers) could diverge, so none of it is allowed in
     ``src/repro/kernels/``.
     """
 
@@ -376,7 +375,7 @@ class KernelPurity(Rule):
                     self.id,
                     node,
                     f"mutating module globals ({', '.join(node.names)}) from a "
-                    "kernel makes backend behavior order-dependent",
+                    "kernel makes its behavior order-dependent",
                 )
 
 
