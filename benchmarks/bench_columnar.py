@@ -214,15 +214,27 @@ def _force_per_item(instance):
     """Rebind the default per-item ``on_columns`` hook on every site —
     the ``on_item`` loop these protocols ran before gaining native
     vectorized hooks (the honest baseline for the columnar gain) — and
-    turn the SWOR window pass off (a ``prepare_window`` that shares
-    nothing), which would otherwise draw and finish runs in bulk."""
+    turn the SWOR window step off (a ``prepare_window`` that runs no
+    pass), which would otherwise draw every run's keys in bulk and fold
+    quiet windows as one pack.  The coordinator's pack folds are
+    counted into ``network.pack_folds``: the per-item leg must fold
+    none."""
     network = getattr(instance, "network", None)
     if network is None:
         network = instance.protocol.network  # tracker facades (HH)
     for site in network.sites:
         site.on_columns = types.MethodType(SiteAlgorithm.on_columns, site)
         if hasattr(site, "prepare_window"):
-            site.prepare_window = lambda weights, runs=None: None
+            site.prepare_window = lambda *args: None
+    coordinator = network.coordinator
+    fold_pack = coordinator.on_message_pack
+    network.pack_folds = 0
+
+    def counted_fold(site_id, pack):
+        network.pack_folds += 1
+        return fold_pack(site_id, pack)
+
+    coordinator.on_message_pack = counted_fold
     return instance
 
 
@@ -310,9 +322,21 @@ def _bench_protocols(report_fn):
     }
     all_parity = True
     for name, build, fingerprint in _protocol_cases():
-        per_item_time, _, columnar_time, columnar_proto = _interleaved_medians(
-            lambda: _time_run(lambda: _force_per_item(build("columnar")), stream),
-            lambda: _time_run(lambda: build("columnar"), columnar_stream),
+        per_item_time, per_item_proto, columnar_time, columnar_proto = (
+            _interleaved_medians(
+                lambda: _time_run(
+                    lambda: _force_per_item(build("columnar")), stream
+                ),
+                lambda: _time_run(lambda: build("columnar"), columnar_stream),
+            )
+        )
+        per_item_network = getattr(per_item_proto, "network", None)
+        if per_item_network is None:
+            per_item_network = per_item_proto.protocol.network
+        # The per-item leg stays per-item: no window pack (no pack at
+        # all) reaches its coordinator, the HH leg's included.
+        assert per_item_network.pack_folds == 0, (
+            f"the per-item {name} leg folded {per_item_network.pack_folds} packs"
         )
         _, item_stream_proto = _time_run(lambda: build("columnar"), stream)
         parity = fingerprint(item_stream_proto) == fingerprint(columnar_proto)

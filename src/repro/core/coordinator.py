@@ -19,6 +19,8 @@ import math
 import random
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as _np
+
 from ..common.errors import ProtocolViolationError
 from ..common.rng import exponential
 from ..kernels import swor_fold_regulars
@@ -158,7 +160,10 @@ class SworCoordinator(CoordinatorAlgorithm):
         pack-entry threshold, whereas sequential processing re-checks
         each regular against the threshold *as it evolves* within the
         batch; the sample itself is identical either way (rejected
-        candidates can never be among the final top ``s``).
+        candidates can never be among the final top ``s``).  A window
+        pack from the columnar engine's window step (see
+        :meth:`can_park`) therefore counts the survivors of the
+        window-entry threshold.
         """
         ne = pack.num_early
         early_keys: List[float] = []
@@ -199,19 +204,12 @@ class SworCoordinator(CoordinatorAlgorithm):
         fold: Any = None
         accepted = 0
         if fast and nr:
-            # The fused kernel computes the threshold mask, the merged
-            # cut (the threshold the fold leaves behind), the
-            # boundary-tie count and the kept-candidate set in one pass.
             keys = pack.regular_keys
-            fold = swor_fold_regulars(
-                keys,
-                self.sample_set.threshold,
-                self.sample_set.keys,
-                self.sample_set.sample_size,
-            )
-            accepted = len(fold[0])
-            if accepted and self.epochs.would_announce(fold[2]):
+            fold = self._quiet_fold(keys)
+            if fold is None:
                 fast = False
+            else:
+                accepted = len(fold[0])
         if not fast:
             return self._replay_pack(pack, early_items, early_keys, levels_list)
         if ne:
@@ -231,6 +229,41 @@ class SworCoordinator(CoordinatorAlgorithm):
                 if announce is not None:  # pragma: no cover - precluded above
                     return [(BROADCAST, Message(EPOCH_UPDATE, (announce,)))]
         return []
+
+    # -- the columnar window step's pure checks ------------------------
+
+    def can_park(self, early_levels: Any) -> bool:
+        """Whether earlies at these levels (a window's early level
+        column) all park without saturating a level.  Pure: the
+        columnar engine asks before its window pass draws anything
+        (:meth:`~repro.core.site.SworSite.prepare_window`), since only
+        a ``LEVEL_SATURATED`` changes how many keys a site draws."""
+        counts = _np.bincount(early_levels)
+        for level in _np.flatnonzero(counts).tolist():
+            if not self.levels.can_absorb(level, int(counts[level])):
+                return False
+        return True
+
+    def folds_quietly(self, keys: Any) -> bool:
+        """Whether one fold of these regular keys (``None``: none),
+        after earlies that :meth:`can_park` admitted, leaves the epoch
+        unchanged — the fast-path test of :meth:`on_message_pack`,
+        pure.  The columnar engine then folds the whole window as one
+        pack."""
+        return keys is None or self._quiet_fold(keys) is not None
+
+    def _quiet_fold(self, keys: Any) -> Any:
+        """The fused fold of ``keys`` into ``S`` — the threshold mask,
+        the merged cut (the threshold the fold leaves behind), the
+        boundary-tie count and the kept-candidate set, in one kernel
+        pass — or ``None`` when it would announce a new epoch."""
+        sample = self.sample_set
+        fold = swor_fold_regulars(
+            keys, sample.threshold, sample.keys, sample.sample_size
+        )
+        if len(fold[0]) and self.epochs.would_announce(fold[2]):
+            return None
+        return fold
 
     def snapshot_state(self) -> tuple:
         """Window-boundary snapshot for the sharded engine.

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, Callable, List, Optional, Union
 
 import numpy as _np
 
@@ -50,56 +49,115 @@ __all__ = ["SworSite"]
 
 
 class _WindowPrep:
-    """Per-window shared context built by :meth:`SworSite.prepare_window`.
+    """The window pass's result, built by :meth:`SworSite.prepare_window`.
 
     ``levels`` spans the whole (site-sorted) window and is exact for
-    every arrival that can possibly be early under ``mask`` (it may be
-    a zero-filled placeholder for arrivals of provably saturated
-    levels, whose level index no consumer reads); ``saturated`` is the
-    per-arrival saturation lookup (``None`` when ``all_saturated``), and
-    ``all_saturated`` short-circuits the common steady-state window
-    where nothing is early.
-
-    When the engine hands over the window's runs, the window pass
-    fills the last three fields: ``runs`` holds the runs the engine
-    must still call ``on_columns`` for (every run, in order, minus the
-    early-free runs the pass finished because none of their keys beat
-    the window-start threshold), ``keys`` the window-length key column
-    of the early-free runs, and ``drawn`` those runs' start positions
-    (their ``on_columns`` only re-filters the keys).
+    every early arrival (it may be a zero-filled placeholder for
+    arrivals of provably saturated levels, whose level index no
+    consumer reads), and ``early_positions`` holds the sorted window
+    positions of the early arrivals.  ``regular`` holds the window
+    positions of the regular arrivals (``None`` when every arrival is
+    regular) and ``regular_keys`` their keys; ``candidates`` indexes
+    the keys above ``threshold``, the window-start threshold.
+    ``early_bounds`` / ``regular_bounds`` are each run's bounds into
+    ``early_positions`` / ``regular_keys``: one entry per run start,
+    plus one for the window's end.
     """
 
     __slots__ = (
         "levels",
-        "mask",
-        "saturated",
-        "all_saturated",
         "early_positions",
-        "runs",
-        "keys",
-        "drawn",
+        "regular",
+        "regular_keys",
+        "threshold",
+        "candidates",
+        "early_bounds",
+        "regular_bounds",
     )
 
     def __init__(
         self,
         levels: Any,
-        mask: int,
-        saturated: Any,
-        all_saturated: bool,
-        early_positions: Optional[List[int]] = None,
-        runs: Optional[list] = None,
+        early_positions: _np.ndarray,
+        regular: Any,
+        regular_keys: _np.ndarray,
+        threshold: float,
+        early_bounds: _np.ndarray,
+        regular_bounds: _np.ndarray,
     ) -> None:
         self.levels = levels
-        self.mask = mask
-        self.saturated = saturated
-        self.all_saturated = all_saturated
-        #: Sorted window positions of the early arrivals (when known):
-        #: lets each site bisect its [start, end) slice instead of
-        #: reducing a boolean array to discover "no earlies here".
         self.early_positions = early_positions
-        self.runs = runs
-        self.keys: Any = None
-        self.drawn: Any = ()
+        self.regular = regular
+        self.regular_keys = regular_keys
+        self.threshold = threshold
+        self.candidates = _np.flatnonzero(regular_keys > threshold)
+        self.early_bounds = early_bounds
+        self.regular_bounds = regular_bounds
+
+    def window_pack(self, idents: _np.ndarray, weights: _np.ndarray) -> MessagePack:
+        """The pass's output as one pack: every early arrival, then
+        every regular one whose key beats the window-start threshold,
+        each half in window order (an empty pack when nothing is
+        sent)."""
+        early = self.early_positions
+        if len(early) == len(idents):
+            columns: tuple = (idents, weights, self.levels)
+        elif len(early):
+            columns = (idents[early], weights[early], self.levels[early])
+        else:
+            columns = (None, None, None)
+        candidates = self.candidates
+        if len(candidates) == 0:
+            return MessagePack(*columns)
+        positions = (
+            candidates if self.regular is None else self.regular[candidates]
+        )
+        return MessagePack(
+            *columns,
+            idents[positions],
+            weights[positions],
+            self.regular_keys[candidates],
+        )
+
+    def run_results(self, pack: MessagePack, runs: list):
+        """Yield ``(site_id, run_pack)`` for each run that sends
+        something, in run order: the run's slice of this window's
+        :meth:`window_pack` ``pack`` — what its
+        :meth:`SworSite.on_columns` would send, a single arrival as a
+        one-entry pack.  Its regulars are re-filtered against the
+        site's live threshold when that is above the window-start one
+        — raised by an ``EPOCH_UPDATE`` delivered before this run,
+        which is why this is a generator."""
+        early_bounds = self.early_bounds
+        regular_bounds = _np.searchsorted(self.candidates, self.regular_bounds)
+        senders = _np.flatnonzero(
+            _np.diff(early_bounds) + _np.diff(regular_bounds)
+        ).tolist()
+        early_bounds = early_bounds.tolist()
+        regular_bounds = regular_bounds.tolist()
+        for j in senders:
+            site_id, site, _, _ = runs[j]
+            e0, e1 = early_bounds[j], early_bounds[j + 1]
+            c0, c1 = regular_bounds[j], regular_bounds[j + 1]
+            early: tuple = (None, None, None)
+            if e1 > e0:
+                early = (
+                    pack.early_idents[e0:e1],
+                    pack.early_weights[e0:e1],
+                    pack.early_levels[e0:e1],
+                )
+            if c1 > c0:
+                idents = pack.regular_idents[c0:c1]
+                weights = pack.regular_weights[c0:c1]
+                keys = pack.regular_keys[c0:c1]
+                if site._threshold > self.threshold:
+                    send = keys > site._threshold
+                    idents, weights, keys = idents[send], weights[send], keys[send]
+                if len(keys):
+                    yield site_id, MessagePack(*early, idents, weights, keys)
+                    continue
+            if e1 > e0:
+                yield site_id, MessagePack(*early)
 
 
 class SworSite(SiteAlgorithm):
@@ -151,39 +209,100 @@ class SworSite(SiteAlgorithm):
         return self._regular_fast(item)
 
     def prepare_window(
-        self, weights: _np.ndarray, runs: Optional[list] = None
+        self,
+        weights: _np.ndarray,
+        runs: Optional[list] = None,
+        can_park: Optional[Callable[[_np.ndarray], bool]] = None,
     ) -> "Optional[_WindowPrep]":
-        """Shared per-window precomputation for the columnar engines.
+        """The window pass of the columnar engines: every run's regular
+        keys, drawn on window-start state.
 
-        Levels and the saturation lookup are pure functions of the
-        weights, the shared config, and the saturation mask — and every
-        site's mask is broadcast-synchronized, so one computation on
-        the window's site-sorted weight column serves every site (each
-        :meth:`on_columns` call still *verifies* its own mask against
-        the context and recomputes locally in the rare mid-window
-        divergence between a ``LEVEL_SATURATED`` broadcast and the
-        sites processed before it).  Returns ``None`` when there is
-        nothing to share (level sets disabled).
+        ``weights`` is the window's site-sorted weight column and
+        ``runs`` its ``(site_id, site, start, end)`` runs in ascending
+        site order, covering the window, each ``site`` one of this
+        site's peers.  Levels and the saturation lookup are pure
+        functions of the weights, the shared config and the mask, so
+        one split of the window serves every run; every SWOR control is
+        a broadcast, so at a window boundary every site holds this
+        site's mask and threshold.
 
-        ``runs`` — the window's ``(site_id, site, start, end)`` runs in
-        ascending site order, ``site`` one of this site's peers — turns
-        on the window pass: every *early-free* run (at least 2 arrivals,
-        none in a level this window-start mask leaves unsaturated) gets
-        its regular keys here, and the runs none of whose keys beat the
-        lowest window-start threshold among them are finished here too
-        (:meth:`_draw_early_free`).  The engine then calls
-        :meth:`on_columns` only for the context's ``runs``.  Without
-        ``runs``, in warm-up (mask 0) and in ``count_bits`` mode every
-        site takes its own per-site path.
+        Each run books its arrivals in ``items_seen`` and draws its
+        regulars — the count and order its :meth:`on_columns` would
+        draw: from its own site's
+        :class:`~repro.common.rng.BatchRandom`, created as
+        :meth:`on_columns` creates it (two or more arrivals and at
+        least one regular), into its slice of one window column, or,
+        for a single arrival, the one scalar ``exponential(site._rng)``
+        that :meth:`on_item` would draw.  Then one clamp, one division
+        and one compare against the window-start threshold cover the
+        window.
+
+        ``can_park``, the coordinator's pure check of the window's
+        early levels, refuses the pass when a level could saturate in
+        the window, before anything is drawn: only ``LEVEL_SATURATED``
+        changes how many keys a run draws.  The pass also does not run
+        without ``runs``, with level sets disabled and in
+        ``count_bits`` mode.  Returns ``None`` when it does not run.
         """
-        if not self.config.level_sets_enabled:
+        if (
+            runs is None
+            or not self.config.level_sets_enabled
+            or self.config.count_bits
+        ):
             return None
+        levels, saturated, early = self._split(weights)
+        if can_park is not None and len(early) and not can_park(levels[early]):
+            return None
+        m = len(weights)
+        bounds = _np.array([run[2] for run in runs] + [m])
+        early_bounds = _np.searchsorted(early, bounds)
+        if len(early) == 0:
+            regular = None
+        elif len(early) == m:
+            regular = early[:0]
+        else:
+            regular = _np.flatnonzero(saturated)
+        draws = _np.empty(m - len(early))
+        off = 0
+        for (_, site, start, end), e0, e1 in zip(
+            runs, early_bounds.tolist(), early_bounds[1:].tolist()
+        ):
+            n = end - start
+            site.items_seen += n
+            count = n - (e1 - e0)
+            if not count:
+                continue
+            if n == 1:
+                draws[off] = exponential(site._rng)
+            else:
+                batch = site._batch_rng
+                if batch is None:
+                    batch = site._batch_rng = BatchRandom(site._rng)
+                batch.exponentials(count, out=draws[off : off + count])
+            site.exponentials_generated += count
+            off += count
+        _np.maximum(draws, MIN_EXPONENTIAL, out=draws)
+        keys = _np.divide(
+            weights if regular is None else weights[regular], draws, out=draws
+        )
+        return _WindowPrep(
+            levels,
+            early,
+            regular,
+            keys,
+            self._threshold,
+            early_bounds,
+            bounds - early_bounds,
+        )
+
+    def _split(self, weights: _np.ndarray) -> tuple:
+        """``(levels, saturated, early_positions)`` of a weight column
+        under this site's mask (``saturated`` is ``None`` in warm-up,
+        when the mask is 0 and every arrival is early)."""
         mask = self._saturated_mask
         if mask == 0:
-            # Warm-up: everything is early, so every level is consumed.
-            return _WindowPrep(
-                levels_of_array(weights, self._r), 0, None, False, runs=runs
-            )
+            levels = levels_of_array(weights, self._r)
+            return levels, None, _np.arange(len(weights))
         # Saturation typically fills from the bottom first: let J be the
         # lowest unsaturated level.  For J >= 1, any weight below r^J
         # lies in a level < J — all saturated (level_of maps every
@@ -201,83 +320,7 @@ class SworSite(SiteAlgorithm):
             if lowest_open == 0
             else (self._r**lowest_open) * (1.0 - 1e-9)
         )
-        levels, saturated, early_positions = window_split(
-            weights, self._r, heavy_floor, self._mask_table()
-        )
-        if len(early_positions) == 0:
-            prep = _WindowPrep(None, mask, None, True, runs=runs)
-        else:
-            prep = _WindowPrep(
-                levels, mask, saturated, False, early_positions.tolist(), runs
-            )
-        if runs is not None and not self.config.count_bits:
-            self._draw_early_free(prep, weights, runs)
-        return prep
-
-    @staticmethod
-    def _draw_early_free(
-        prep: "_WindowPrep", weights: _np.ndarray, runs: list
-    ) -> None:
-        """The window pass over ``runs`` (see :meth:`prepare_window`).
-
-        Each early-free run draws its ``end - start`` exponentials from
-        its own site's :class:`~repro.common.rng.BatchRandom` into its
-        slice of one window-length column — the count and order its
-        :meth:`on_columns` would draw — and books them with its
-        ``items_seen``.  Then one clamp, one division and one per-run
-        maximum cover the span from the first drawn run to the last.  A
-        run whose largest key does not beat the lowest window-start
-        threshold of the drawn runs is finished: it would send nothing,
-        since thresholds only rise.
-        The rest stay in ``prep.runs`` and re-filter against their
-        live threshold.  An early-free run stays early-free under any
-        later mask (levels only saturate), so a mid-window
-        ``LEVEL_SATURATED`` cannot change its draw count.
-        """
-        early = prep.early_positions
-        keys: Optional[_np.ndarray] = None
-        drawn: List[int] = []
-        drawn_starts: List[int] = []
-        last_end = 0
-        threshold = math.inf
-        for j, (_, site, start, end) in enumerate(runs):
-            n = end - start
-            if n < 2 or (
-                early is not None
-                and bisect_left(early, start) != bisect_left(early, end)
-            ):
-                continue
-            if keys is None:
-                # Gaps between drawn runs get key w/inf = 0, which
-                # never beats a threshold.
-                keys = _np.full(len(weights), _np.inf)
-            batch = site._batch_rng
-            if batch is None:
-                batch = site._batch_rng = BatchRandom(site._rng)
-            batch.exponentials(n, out=keys[start:end])
-            site.items_seen += n
-            site.exponentials_generated += n
-            if site._threshold < threshold:
-                threshold = site._threshold
-            drawn.append(j)
-            drawn_starts.append(start)
-            last_end = end
-        if keys is None:
-            return
-        span = keys[drawn_starts[0] : last_end]
-        _np.maximum(span, MIN_EXPONENTIAL, out=span)
-        _np.divide(weights[drawn_starts[0] : last_end], span, out=span)
-        # Each segment runs to the next drawn start (the last one to
-        # the span's end): its extra positions hold key 0, so the
-        # maximum is the drawn run's own.
-        beats = (
-            _np.maximum.reduceat(keys[:last_end], drawn_starts) > threshold
-        ).tolist()
-        finished = {j for j, beat in zip(drawn, beats) if not beat}
-        if finished:
-            prep.runs = [run for j, run in enumerate(runs) if j not in finished]
-        prep.keys = keys
-        prep.drawn = set(drawn_starts)
+        return window_split(weights, self._r, heavy_floor, self._mask_table())
 
     def _saturation_table(self, max_level: int) -> _np.ndarray:
         """Cached bool table ``table[j] = level j saturated``.
@@ -314,10 +357,7 @@ class SworSite(SiteAlgorithm):
         )
 
     def on_columns(
-        self,
-        idents: _np.ndarray,
-        weights: _np.ndarray,
-        prep: Optional[Tuple["_WindowPrep", int, int]] = None,
+        self, idents: _np.ndarray, weights: _np.ndarray
     ) -> Union[MessagePack, List[Message], tuple]:
         """Vectorized Algorithm 1 over a batch of arrivals.
 
@@ -331,13 +371,6 @@ class SworSite(SiteAlgorithm):
         no ``Item`` and no per-message ``Message`` objects (an empty
         tuple when the batch sends nothing).
 
-        An early-free run that the window pass of
-        :meth:`prepare_window` already drew and counted (``prep``'s
-        start is in the context's ``drawn``) only re-filters its keys
-        from the context's column against the live threshold; the pass
-        finished the early-free runs that had nothing to send, so the
-        engine does not call them at all.
-
         Takes the scalar ``on_item`` path (returning plain messages)
         for single-item batches, which keeps batch size 1 bit-identical
         to the reference engine, and in ``count_bits`` mode, whose
@@ -346,59 +379,20 @@ class SworSite(SiteAlgorithm):
         n = len(weights)
         if n <= 1 or self.config.count_bits:
             return SiteAlgorithm.on_columns(self, idents, weights)
-        if prep is not None and prep[1] in prep[0].drawn:
-            # An early-free run the window pass drew and counted: only
-            # re-filter its keys against the live threshold, which a
-            # mid-window EPOCH_UPDATE may have raised.
-            keys = prep[0].keys[prep[1] : prep[2]]
-            return self._pack_above_threshold((), idents, weights, keys)
         self.items_seen += n
-        early_idents: Optional[Any] = None
-        early_weights: Optional[Any] = None
-        early_levels: Optional[Any] = None
+        early: tuple = ()
         regular_idents, regular_weights = idents, weights
         if self.config.level_sets_enabled:
-            mask = self._saturated_mask
-            if prep is not None and prep[0].mask == mask:
-                wctx, start, end = prep
-                levels: Any = None  # sliced lazily below
-                saturated: Any = None
-                if not mask:
-                    # Warm-up: nothing saturated, the whole batch is
-                    # early (and no exponentials are drawn).
-                    return MessagePack(idents, weights, wctx.levels[start:end])
-                if not wctx.all_saturated:
-                    # Bisect the window's early-position index: most
-                    # sites discover "no earlies in my slice" without
-                    # touching (or reducing) any array.
-                    positions = wctx.early_positions
-                    if bisect_left(positions, start) != bisect_left(
-                        positions, end
-                    ):
-                        saturated = wctx.saturated[start:end]
-            elif not mask:
-                # Warm-up without a shared window context.
-                return MessagePack(
-                    idents, weights, levels_of_array(weights, self._r)
+            levels, saturated, early_positions = self._split(weights)
+            if len(early_positions) == n:
+                # Everything early (warm-up included): no exponentials.
+                return MessagePack(idents, weights, levels)
+            if len(early_positions):
+                early = (
+                    idents[early_positions],
+                    weights[early_positions],
+                    levels[early_positions],
                 )
-            else:
-                wctx = None
-                # Fused kernel: exact levels + saturation lookup +
-                # early positions in one pass (floor 0 = every weight).
-                levels, saturated, early_positions = window_split(
-                    weights, self._r, 0.0, self._mask_table()
-                )
-                if len(early_positions) == 0:
-                    saturated = None  # nothing early: skip the split
-            if saturated is not None and not saturated.all():
-                if levels is None:
-                    levels = wctx.levels[start:end]
-                early = ~saturated
-                early_idents = idents[early]
-                early_weights = weights[early]
-                early_levels = levels[early]
-                if early.all():
-                    return MessagePack(early_idents, early_weights, early_levels)
                 regular_idents = idents[saturated]
                 regular_weights = weights[saturated]
         if self._batch_rng is None:
@@ -408,12 +402,7 @@ class SworSite(SiteAlgorithm):
         self.exponentials_generated += m
         keys = _np.divide(regular_weights, draws, out=draws)
         return self._pack_above_threshold(
-            ()
-            if early_idents is None
-            else (early_idents, early_weights, early_levels),
-            regular_idents,
-            regular_weights,
-            keys,
+            early, regular_idents, regular_weights, keys
         )
 
     def _pack_above_threshold(

@@ -109,7 +109,7 @@ class _SwrSite(SiteAlgorithm):
         return hits, _np.maximum(xs, 1e-300, out=xs)
 
     def on_columns(
-        self, idents: _np.ndarray, weights: _np.ndarray, prep: Any = None
+        self, idents: _np.ndarray, weights: _np.ndarray
     ) -> Union[MessagePack, List[Message], tuple]:
         """Vectorized Corollary 1 over a batch of arrivals.
 

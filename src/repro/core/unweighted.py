@@ -59,7 +59,7 @@ class _UnweightedSite(SiteAlgorithm):
         return []
 
     def on_columns(
-        self, idents: _np.ndarray, weights: _np.ndarray, prep: Any = None
+        self, idents: _np.ndarray, weights: _np.ndarray
     ) -> Union[MessagePack, List[Message], tuple]:
         """Bulk path: one uniform batch draw, filtered against the
         (possibly one-batch-stale) round threshold; the coordinator's

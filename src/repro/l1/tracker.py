@@ -165,7 +165,7 @@ class _L1Site(SiteAlgorithm):
         keys = _np.repeat(weights, counts) / ts
         return counts, keys
 
-    def on_columns(self, idents, weights, prep=None):
+    def on_columns(self, idents, weights):
         """Vectorized duplication over a batch of arrivals.
 
         One :meth:`_draw_batch` replaces the per-update generator loop

@@ -11,15 +11,20 @@ per-item Python objects on the hot path:
 * per window, one O(n) counting sort
   (:func:`~repro.runtime.batched.window_order`) groups arrivals per
   site and **one gather** builds the site-sorted weight/ident columns;
-  level indices are computed **once per window** (sites sharing a
-  config expose :meth:`~repro.core.site.SworSite.prepare_window`)
-  instead of once per (site, window);
-* the same hook runs the **window pass**: every early-free run (a
-  site's slice with at least 2 arrivals, none in a level still open at
-  window start) draws its keys into one window-length column, and the
-  runs with no key above the window-start threshold are finished
-  there — the engine calls no site hook for them;
-* each remaining site's bulk hook
+* for weighted SWOR (which residual heavy hitters also run on) each
+  window takes the **window step**: when the coordinator's pure check
+  (``SworCoordinator.can_park``) says no level can saturate in the
+  window, one site pass
+  (:meth:`~repro.core.site.SworSite.prepare_window`) splits the window
+  into early and regular arrivals once and draws every run's keys on
+  window-start state; when the window's regulars also leave the epoch
+  unchanged (``SworCoordinator.folds_quietly``), the coordinator folds
+  the whole window as **one pack** (all earlies, then all regulars, in
+  site order), and otherwise each run's slice of the pass is delivered
+  in site order, re-filtered against its site's live threshold;
+* a window the check refuses, and every window of the other protocols,
+  of ``count_bits`` mode and of a network whose delivery is
+  instrumented, takes the per-site loop: each site's bulk hook
   (:meth:`~repro.runtime.interfaces.SiteAlgorithm.on_columns`) returns
   a single :class:`~repro.net.messages.MessagePack` of parallel arrays
   per (site, batch) — word-accounted exactly as the messages it stands
@@ -36,15 +41,30 @@ The coordinator's pack path is bit-compatible with sequential delivery:
 it falls back to exact per-message replay for the rare packs that
 saturate a level or cross an epoch (see
 ``SworCoordinator.on_message_pack``).  Samples and message counters
-therefore match a traced run — whose network folds every pack message
-by message — bit for bit, and at batch size 1 every site takes its
-scalar ``on_item`` path, so the engine reproduces
-:class:`~repro.runtime.reference.ReferenceEngine` exactly.  The window
-pass changes no draw: each run draws from its own site's generator,
-as many keys as its ``on_columns`` would, and a control that lands
-mid-window can only saturate a level (an early-free run stays
-early-free) or raise a threshold (the window-start screen keeps a
-superset of the senders, which the live re-filter trims).
+therefore match a traced run — whose network keeps the per-site loop
+and folds every pack message by message — bit for bit, and at batch
+size 1 each window holds one arrival, whose site sends or draws exactly
+as its scalar ``on_item`` would, so the engine reproduces
+:class:`~repro.runtime.reference.ReferenceEngine` exactly.
+
+The window step equals the per-site loop it replaces, and nothing is
+ever rewound:
+
+* the saturation check runs before anything is drawn, and only a
+  ``LEVEL_SATURATED`` changes how many keys a run draws — an
+  ``EPOCH_UPDATE`` only changes which keys it sends;
+* each run draws from its own site's generator, as many keys, in the
+  same order, as its ``on_columns`` (or, for a single arrival,
+  ``on_item``) would, so a split window's runs, re-filtered against the
+  live threshold, are exactly the per-site loop's packs;
+* in a window folded whole no control lands, so every site computes on
+  window-start state: early keys are still drawn in delivery order,
+  each level still parks its earlies in arrival order, and ``S`` keeps
+  its relative arrival order (only the absolute arrival counters
+  differ);
+* admission is monotone — per-level counts only grow and the threshold
+  only rises — so the window pack takes the coordinator's fast path
+  exactly when every per-site pack would.
 
 ``Item`` objects are created lazily, only for arrivals that actually
 reach a level set, the sample, a trace, or a scalar fallback — a few
@@ -73,6 +93,32 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 __all__ = ["ColumnarEngine"]
 
 
+def shares_window_pass(sites) -> bool:
+    """Whether one window pass can serve every site: all are the same
+    algorithm, with a ``prepare_window`` hook, over one shared config
+    object (one split of the window then serves every run; see
+    :meth:`~repro.core.site.SworSite.prepare_window`)."""
+    site0 = sites[0]
+    config = getattr(site0, "config", None)
+    return (
+        hasattr(site0, "prepare_window")
+        and config is not None
+        and all(
+            type(s) is type(site0) and getattr(s, "config", None) is config
+            for s in sites
+        )
+    )
+
+
+def site_results(runs, idents, weights):
+    """The per-site loop: ``(site_id, result)`` of each run's own
+    ``on_columns`` over its slice of the site-sorted window columns,
+    computed only when the caller asks for it — after the previous
+    run's result has been delivered and its controls applied."""
+    for site_id, site, start, end in runs:
+        yield site_id, site.on_columns(idents[start:end], weights[start:end])
+
+
 class ColumnarEngine(Engine):
     """Batched schedule, columnar data plane.
 
@@ -90,6 +136,11 @@ class ColumnarEngine(Engine):
         First batch's size; batches double until reaching
         ``batch_size``.  The ramp bounds warm-up staleness while the
         coordinator's threshold is still near zero.
+
+    ``last_run_stats`` counts the windows of the last run by path:
+    ``windows_whole`` (folded as one pack), ``windows_split`` (split on
+    an epoch advance) and ``windows_per_site`` (left to the per-site
+    loop); they sum to ``windows``.
     """
 
     name = "columnar"
@@ -135,27 +186,19 @@ class ColumnarEngine(Engine):
         )
         mark_set = set(marks)
         sites = network.sites
+        coordinator = network.coordinator
         deliver_pack = network.deliver_pack
         deliver_upstream = network.deliver_upstream
-        # Once-per-window precompute sharing: sound whenever every site
-        # is the same algorithm over the same shared config object
-        # (levels and the saturation lookup are pure functions of
-        # weight, config, and the broadcast-synchronized mask — and
-        # each site still verifies the mask; see
-        # ``SworSite.prepare_window``).  The hook also runs the window
-        # pass and returns the runs still to call.
-        site0 = sites[0]
-        cls0, cfg0 = type(site0), getattr(site0, "config", None)
-        share_prep = (
-            hasattr(site0, "prepare_window")
-            and cfg0 is not None
-            and all(
-                type(s) is cls0 and getattr(s, "config", None) is cfg0
-                for s in sites
-            )
+        # The window step needs a coordinator with its pure checks and
+        # a network whose delivery no observer wraps.
+        can_park = getattr(coordinator, "can_park", None)
+        step = (
+            can_park is not None
+            and shares_window_pass(sites)
+            and not network.delivery_instrumented()
         )
         t0 = time.perf_counter()
-        windows = 0
+        windows = whole = split = 0
         for lo, hi in batch_windows(
             n, self.batch_size, self.initial_batch_size, marks
         ):
@@ -170,19 +213,23 @@ class ColumnarEngine(Engine):
                 for site_id, start, end in zip(site_ids, run_starts, run_ends)
             ]
             window_prep = (
-                site0.prepare_window(weights_sorted, runs) if share_prep else None
+                sites[0].prepare_window(weights_sorted, runs, can_park)
+                if step
+                else None
             )
             if window_prep is not None:
-                runs = window_prep.runs
-            for site_id, site, start, end in runs:
-                result = site.on_columns(
-                    idents_sorted[start:end],
-                    weights_sorted[start:end],
-                    prep=(
-                        None if window_prep is None
-                        else (window_prep, start, end)
-                    ),
-                )
+                pack = window_prep.window_pack(idents_sorted, weights_sorted)
+                if coordinator.folds_quietly(pack.regular_keys):
+                    # One fold for the window (the SWOR fold does not
+                    # read the sender's id).
+                    whole += 1
+                    results = [(site_ids[0], pack)]
+                else:
+                    split += 1
+                    results = window_prep.run_results(pack, runs)
+            else:
+                results = site_results(runs, idents_sorted, weights_sorted)
+            for site_id, result in results:
                 if isinstance(result, MessagePack):
                     deliver_pack(site_id, result)
                 else:
@@ -195,4 +242,21 @@ class ColumnarEngine(Engine):
             if hi in mark_set:
                 on_checkpoint(t)
         self._record_run(network, n, time.perf_counter() - t0, windows=windows)
+        self.last_run_stats.update(
+            windows_whole=whole,
+            windows_split=split,
+            windows_per_site=windows - whole - split,
+        )
         return network.counters
+
+    def format_stats(self) -> str:
+        """The base rendering plus the window step's counts."""
+        line = super().format_stats()
+        stats = self.last_run_stats
+        if "windows_whole" in stats:
+            line += (
+                f"\n  window step: {stats['windows_whole']} folded whole, "
+                f"{stats['windows_split']} split on an epoch advance, "
+                f"{stats['windows_per_site']} per site"
+            )
+        return line

@@ -54,16 +54,13 @@ class SiteAlgorithm(ABC):
     def on_item(self, item: Item) -> List["Message"]:
         """Observe one local arrival; return upstream messages (maybe [])."""
 
-    def on_columns(self, idents, weights, prep=None):
+    def on_columns(self, idents, weights):
         """Observe a batch of local arrivals given as parallel columns.
 
         Bulk hook used by the columnar data plane: ``idents`` and
         ``weights`` are aligned numpy arrays for this site's share of a
-        batch window, and ``prep`` optionally carries the engine's
-        once-per-window precomputation as a ``(context, start, end)``
-        triple (built by the optional site hook ``prepare_window``;
-        sites that don't share window state ignore it).  Returns either
-        a :class:`~repro.net.messages.MessagePack` (vectorized sites) or
+        batch window.  Returns either a
+        :class:`~repro.net.messages.MessagePack` (vectorized sites) or
         an iterable of :class:`~repro.net.messages.Message`.
 
         This default delegates to :meth:`on_item` per arrival,

@@ -77,22 +77,14 @@ class Network:
         Counted as the messages the pack stands for (see
         :meth:`~repro.net.counters.MessageCounters.record_upstream_pack`),
         then handled through the coordinator's bulk hook; responses fan
-        out as usual.  When the delivery methods have been instrumented
-        — rebound on the instance (:class:`~repro.net.tracing.MessageTrace`),
-        overridden in a subclass, or patched on the class — the pack is
-        expanded and routed message by message instead, so wrappers see
-        every upstream message with its exact causal order under any
-        engine.
+        out as usual.  When delivery is instrumented
+        (:meth:`delivery_instrumented`) the pack is expanded and routed
+        message by message instead, so wrappers see every upstream
+        message with its exact causal order under any engine.
         """
         if len(pack) == 0:
             return
-        cls = type(self)
-        if (
-            "deliver_upstream" in self.__dict__
-            or "deliver_downstream" in self.__dict__
-            or cls.deliver_upstream is not _BASE_DELIVER_UPSTREAM
-            or cls.deliver_downstream is not _BASE_DELIVER_DOWNSTREAM
-        ):
+        if self.delivery_instrumented():
             for message in pack.messages():
                 self.deliver_upstream(site_id, message)
             return
@@ -100,6 +92,27 @@ class Network:
         responses = self.coordinator.on_message_pack(site_id, pack)
         for dest, response in responses:
             self.deliver_downstream(dest, response)
+
+    def delivery_instrumented(self) -> bool:
+        """Whether an observer has wrapped the delivery path: any of
+        :meth:`deliver_upstream`, :meth:`deliver_downstream` and
+        :meth:`deliver_pack` rebound on the instance
+        (:class:`~repro.net.tracing.MessageTrace`), overridden in a
+        subclass, or patched on the class.  Such an observer wants
+        every upstream message in its causal order: packs are expanded
+        message by message, the sharded engine runs in-process, and the
+        columnar engine keeps its per-site loop (a ``deliver_pack``
+        wrapper would otherwise see one window pack)."""
+        instance = self.__dict__
+        cls = type(self)
+        return (
+            "deliver_upstream" in instance
+            or "deliver_downstream" in instance
+            or "deliver_pack" in instance
+            or cls.deliver_upstream is not _BASE_DELIVER_UPSTREAM
+            or cls.deliver_downstream is not _BASE_DELIVER_DOWNSTREAM
+            or cls.deliver_pack is not _BASE_DELIVER_PACK
+        )
 
     def deliver_downstream(self, dest: int, message: "Message") -> None:
         """Deliver a coordinator response to one site or to all sites."""
@@ -172,8 +185,9 @@ class Network:
 
 
 #: Pristine delivery methods, captured at class-definition time —
-#: ``deliver_pack`` compares against these so *any* instrumentation
-#: (instance rebinding, subclass override, or a patch on the class
-#: itself) routes packs message by message through the wrappers.
+#: :meth:`Network.delivery_instrumented` compares against these so
+#: *any* instrumentation (instance rebinding, subclass override, or a
+#: patch on the class itself) counts.
 _BASE_DELIVER_UPSTREAM = Network.deliver_upstream
 _BASE_DELIVER_DOWNSTREAM = Network.deliver_downstream
+_BASE_DELIVER_PACK = Network.deliver_pack

@@ -184,7 +184,7 @@ from .batched import (
     DEFAULT_INITIAL_BATCH_SIZE,
     batch_windows,
 )
-from .columnar import ColumnarEngine
+from .columnar import ColumnarEngine, shares_window_pass, site_results
 from .interfaces import BROADCAST
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -492,24 +492,24 @@ class _WorkerShard:
     ):
         """Run the shard's site passes for global window ``[lo, hi)``.
 
-        Mirrors the columnar engine's inner loop exactly: ascending
-        site ids, per-site slices in global arrival order, shared
-        once-per-window ``prepare_window`` context when every shard
-        site shares class and config (pack contents are invariant to
-        the sharing — sites verify the context's mask — so shard-local
-        sharing is parity-safe).  The context's window pass finishes
-        the shard's early-free runs that have nothing to send (see
-        :meth:`~repro.core.site.SworSite.prepare_window`), and only the
-        runs it leaves get an ``on_columns`` call.  Its draws and
-        counters are site state, so the pre-window snapshots that
-        speculation misses and rollbacks restore cover them.
+        Mirrors the columnar engine's per-site results exactly:
+        ascending site ids, per-site slices in global arrival order.
+        When every shard site shares class and config, one window pass
+        (:meth:`~repro.core.site.SworSite.prepare_window`) draws every
+        run's keys, and its window pack is split back into per-site
+        results (:meth:`~repro.core.site._WindowPrep.run_results`).
+        The worker applies no control mid-compute, so the pass equals
+        the per-site ``on_columns`` calls; it needs no saturation
+        check, since the parent's fold rolls back the sites after any
+        control.  The pass's draws and counters are site state, so the
+        pre-window snapshots that speculation misses and rollbacks
+        restore cover them.
 
-        ``min_site`` restricts the pass to sites with a *larger* id —
-        the rollback suffix.  Pack contents are also invariant to the
-        shared-prep shortcut and the window pass, so the suffix pass
-        skips both: each suffix site takes its own per-site path.
-        ``slot`` selects which ring slot the window's packs encode
-        into (``t % 2`` for window ``t``).
+        ``min_site`` restricts the compute to sites with a *larger*
+        id — the rollback suffix, whose sites have taken some of the
+        window's controls — and runs each of them through its own
+        ``on_columns``.  ``slot`` selects which ring slot the window's
+        packs encode into (``t % 2`` for window ``t``).
         """
         i0, i1 = self.view.window_bounds(lo, hi)
         if i0 == i1:
@@ -529,32 +529,18 @@ class _WorkerShard:
             if min_site is None or site_id > min_site
         ]
         window_prep = None
-        if min_site is None:
-            site0 = self.sites[0]
-            cls0, cfg0 = type(site0), getattr(site0, "config", None)
-            share_prep = (
-                hasattr(site0, "prepare_window")
-                and cfg0 is not None
-                and all(
-                    type(s) is cls0 and getattr(s, "config", None) is cfg0
-                    for s in self.sites
-                )
+        if min_site is None and shares_window_pass(self.sites):
+            window_prep = self.sites[0].prepare_window(weights_sorted, runs)
+        if window_prep is not None:
+            results = window_prep.run_results(
+                window_prep.window_pack(idents_sorted, weights_sorted), runs
             )
-            if share_prep:
-                window_prep = site0.prepare_window(weights_sorted, runs)
-                if window_prep is not None:
-                    runs = window_prep.runs
+        else:
+            results = site_results(runs, idents_sorted, weights_sorted)
         self.ring_off = slot * self.slot_bytes
         self.ring_limit = self.ring_off + self.slot_bytes
         out = []
-        for site_id, site, start, end in runs:
-            result = site.on_columns(
-                idents_sorted[start:end],
-                weights_sorted[start:end],
-                prep=(
-                    None if window_prep is None else (window_prep, start, end)
-                ),
-            )
+        for site_id, result in results:
             descriptor = self._encode(site_id, result)
             if descriptor is not None:
                 out.append(descriptor)
@@ -1268,7 +1254,7 @@ class ShardedEngine(ColumnarEngine):
             reason = "empty stream"
         elif workers < 2:
             reason = "single worker"
-        elif _network_instrumented(network):
+        elif network.delivery_instrumented():
             reason = "network delivery is instrumented"
         elif not all(
             getattr(site, "shardable", True) for site in network.sites
@@ -1879,25 +1865,3 @@ def _columns_to_shm(assignment, weights, idents):
         spec[name] = (offset, array.dtype.str, len(array))
         offset += nbytes
     return (shm.name, spec), shm
-
-
-def _network_instrumented(network) -> bool:
-    """Mirror :meth:`Network.deliver_pack`'s tracing check: wrapped or
-    overridden delivery methods mean an observer wants to see every
-    message in causal order — the sharded fold would bypass it, so the
-    engine falls back to the in-process columnar path instead."""
-    from .network import (
-        _BASE_DELIVER_DOWNSTREAM,
-        _BASE_DELIVER_UPSTREAM,
-        Network,
-    )
-
-    cls = type(network)
-    return (
-        "deliver_upstream" in network.__dict__
-        or "deliver_downstream" in network.__dict__
-        or "deliver_pack" in network.__dict__
-        or cls.deliver_upstream is not _BASE_DELIVER_UPSTREAM
-        or cls.deliver_downstream is not _BASE_DELIVER_DOWNSTREAM
-        or cls.deliver_pack is not Network.deliver_pack
-    )

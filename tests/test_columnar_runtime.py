@@ -410,8 +410,9 @@ class TestColumnarEngineParity:
 
     def test_sub_one_weights_with_open_level_zero(self):
         """Level 0 open while a higher level is saturated: sub-1 weights
-        live in level 0 and must stay EARLY — the window-prep heavy-floor
-        shortcut proves nothing when the lowest open level is 0."""
+        live in level 0 and must stay EARLY — the heavy-floor shortcut
+        proves nothing when the lowest open level is 0, in the window
+        pass and in a site's own ``on_columns`` alike."""
         from repro.core import SworSite
         from repro.net.messages import LEVEL_SATURATED
 
@@ -422,11 +423,12 @@ class TestColumnarEngineParity:
             site.on_control(Message(LEVEL_SATURATED, (1,)))  # bit 0 stays clear
         weights = np.array([0.5, 2.0, 4.0, 0.9])  # levels 0, 1, 2, 0
         idents = np.arange(4, dtype=np.int64)
-        prep = shared.prepare_window(weights)
-        with_prep = shared.on_columns(idents, weights, prep=(prep, 0, 4))
-        without_prep = solo.on_columns(idents, weights)
-        assert with_prep.messages() == without_prep.messages()
-        assert with_prep.num_early == 3  # only the saturated level-1 item filters
+        prep = shared.prepare_window(weights, [(0, shared, 0, 4)])
+        with_pass = prep.window_pack(idents, weights)
+        without_pass = solo.on_columns(idents, weights)
+        assert with_pass.messages() == without_pass.messages()
+        assert with_pass.num_early == 3  # only the saturated level-1 item filters
+        assert shared._rng.getstate() == solo._rng.getstate()
 
     def test_parity_with_sub_one_weights_and_open_level_zero(self):
         """End-to-end bit-parity on a stream where a higher level

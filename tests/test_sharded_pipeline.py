@@ -13,7 +13,7 @@ sizes, reused networks, and checkpoints.
 
 Every window folds in exact ascending-site order, so the parent's
 coordinator calls are pinned call for call against the columnar
-engine's.  No shipped coordinator sends a unicast, so a toy protocol
+engine's per-site packs (its whole-window fold turned off).  No shipped coordinator sends a unicast, so a toy protocol
 drives both unicast branches: a control to a later site of the window
 (the engine must roll) and one to an earlier site (applied at commit,
 so the owning worker's speculation must miss).  The last part pins the
@@ -228,12 +228,16 @@ class TestBroadcastStormParity:
 # ---------------------------------------------------------------------------
 
 
-def _fold_sequence(stream, engine):
+def _fold_sequence(stream, engine, whole=True):
     """Run the storm under ``engine`` and record every coordinator
     call: ``(site_id, len(pack))`` per pack, ``(site_id, kind)`` per
-    message."""
+    message.  ``whole=False`` turns the columnar engine's whole-window
+    fold off: its quiet windows then deliver their per-site packs, as
+    the sharded parent does."""
     proto = DistributedWeightedSWOR(_config(), seed=SEED, engine=engine)
     coordinator = proto.coordinator
+    if not whole:
+        coordinator.folds_quietly = lambda keys: False
     calls = []
     fold_pack = coordinator.on_message_pack
     fold_message = coordinator.on_message
@@ -255,7 +259,13 @@ def _fold_sequence(stream, engine):
 class TestFoldSequence:
     @pytest.mark.parametrize("batch_size", [256, 1024])
     def test_parent_folds_columnar_sequence(self, storm_stream, batch_size):
-        expected = _fold_sequence(
+        """The parent folds the per-site packs of the columnar engine
+        whose quiet windows are not folded whole, call for call, and
+        ends where the default columnar run ends."""
+        per_site = _fold_sequence(
+            storm_stream, ColumnarEngine(batch_size=batch_size), whole=False
+        )
+        default = _fold_sequence(
             storm_stream, ColumnarEngine(batch_size=batch_size)
         )
         engine = ShardedEngine(batch_size=batch_size, workers=2)
@@ -264,8 +274,10 @@ class TestFoldSequence:
             assert engine.last_run_stats["mode"] == "sharded"
         finally:
             engine.close()
-        assert got[0] == expected[0]
-        assert got[1] == expected[1]
+        assert got[0] == per_site[0]
+        assert got[1] == per_site[1] == default[1]
+        # Quiet windows fold whole by default: never more folds.
+        assert len(default[0]) <= len(per_site[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,22 @@
-"""The SWOR window pass against the per-site path it replaces.
+"""The columnar engine's SWOR window step against the per-site path.
 
-``SworSite.prepare_window`` draws the keys of every early-free run (a
-site's slice of a window with at least 2 arrivals, none in a level the
-window-start mask leaves unsaturated) into one window-length column,
-finishes the runs with no key above the lowest window-start threshold,
-and leaves the rest to an ``on_columns`` call that re-filters against
-the live threshold.  Turning the pass off must change nothing: not the
-sample, not the counters, not any site's ``items_seen`` or
-``exponentials_generated``.  The stream below is built so that every
-branch the pass decides is taken in steady state (mask not 0): runs
-with earlies, single-arrival runs, finished runs, and — the case only
-the live re-filter gets right — an ``EPOCH_UPDATE`` that fires
-mid-window while a later early-free run holds a key between the old
-and the new threshold.  All runs here are in-process (columnar).
+When no level can saturate in a window (``SworCoordinator.can_park``),
+``SworSite.prepare_window`` draws every run's keys on window-start
+state in one pass; when the window's regulars also leave the epoch
+unchanged (``SworCoordinator.folds_quietly``) the engine folds the whole
+window as one pack, and otherwise it delivers each run's slice of the
+pass, re-filtered against the site's live threshold.  Turning the step
+off — no pass, so every site takes its own ``on_columns`` — must change
+nothing: not the sample, not the counters, not any
+site's ``items_seen``, ``exponentials_generated`` or RNG position, not
+the coordinator's RNG position, level sets or epoch.
+
+The stream below is built so that every path of the step is taken:
+warm-up windows (mask 0), whole windows, windows refused because a
+level saturates, windows split on an epoch advance in which a later
+run — a single-arrival one too — holds a key between the old and the
+new threshold (only the live re-filter gets that right), and windows
+cut short by a checkpoint.  All runs here are in-process (columnar).
 """
 
 from __future__ import annotations
@@ -22,12 +26,17 @@ import random
 import numpy as np
 import pytest
 
+from repro import ResidualHeavyHitterTracker
 from repro.core import DistributedWeightedSWOR, SworConfig, SworSite
+from repro.core.coordinator import SworCoordinator
+from repro.core.site import _WindowPrep
+from repro.net.messages import EARLY, MessagePack
 from repro.runtime import ColumnarEngine
 from repro.stream import ColumnarStream
 
 N = 40_000
 K = 16  # with s = 4: r = 4
+CHECKPOINTS = [9_001, 20_011, 31_337]
 
 
 def _stream(seed: int = 4) -> ColumnarStream:
@@ -42,83 +51,265 @@ def _stream(seed: int = 4) -> ColumnarStream:
 
 
 class _Spy:
-    """Counts what the pass decided, through class-level wrappers."""
+    """Records which path of the step each window took, through
+    class-level wrappers."""
 
     def __init__(self, monkeypatch) -> None:
-        self.calls = 0
-        self.open_windows = 0  # mask != 0, yet some arrival early
-        self.single_runs = 0  # one-arrival runs with mask != 0
-        self.refiltered = 0  # drawn keys in (window-start, live] threshold
-        self.window_threshold = 0.0
-        prepare, on_columns = SworSite.prepare_window, SworSite.on_columns
+        self.warmup = 0  # windows the pass took with mask 0
+        self.refused = 0  # windows can_park refused
+        self.whole = 0
+        self.split = 0
+        self.trimmed = 0  # pass keys in (window-start, live] threshold
+        self.single_trimmed = 0  # ... of single-arrival runs
+        self.stepped_at: list = []  # window length of each stepped window
         spy = self
+        prepare = SworSite.prepare_window
+        can_park = SworCoordinator.can_park
+        folds_quietly = SworCoordinator.folds_quietly
+        run_results = _WindowPrep.run_results
 
-        def prepare_window(site, weights, runs=None):
-            prep = prepare(site, weights, runs)
-            if runs and prep is not None and prep.mask:
-                spy.window_threshold = min(s._threshold for _, s, _, _ in runs)
-                spy.open_windows += not prep.all_saturated
-                spy.single_runs += sum(e - s == 1 for _, _, s, e in runs)
+        def prepare_window(site, weights, runs=None, can_park=None):
+            prep = prepare(site, weights, runs, can_park)
+            if prep is not None:
+                spy.warmup += site._saturated_mask == 0
+                spy.stepped_at.append(len(weights))
             return prep
 
-        def on_columns_spy(site, idents, weights, prep=None):
-            spy.calls += 1
-            if prep is not None and prep[1] in prep[0].drawn:
-                keys = prep[0].keys[prep[1] : prep[2]]
-                spy.refiltered += int(
-                    np.count_nonzero(
-                        (keys > spy.window_threshold)
-                        & (keys <= site._threshold)
-                    )
+        def can_park_spy(coordinator, early_levels):
+            admitted = can_park(coordinator, early_levels)
+            spy.refused += not admitted
+            return admitted
+
+        def folds_quietly_spy(coordinator, keys):
+            quiet = folds_quietly(coordinator, keys)
+            spy.whole += quiet
+            spy.split += not quiet
+            return quiet
+
+        def run_results_spy(prep, pack, runs):
+            delivered = []  # (site_id, threshold once its result landed)
+            for site_id, result in run_results(prep, pack, runs):
+                yield site_id, result
+                delivered.append((site_id, runs[0][1]._threshold))
+            bounds = np.searchsorted(prep.candidates, prep.regular_bounds)
+            keys = prep.regular_keys[prep.candidates]
+            for j, (site_id, _, start, end) in enumerate(runs):
+                live = max(
+                    (t for s, t in delivered if s < site_id),
+                    default=prep.threshold,
                 )
-            return on_columns(site, idents, weights, prep)
+                run_keys = keys[bounds[j] : bounds[j + 1]]
+                trimmed = int(np.count_nonzero(run_keys <= live))
+                spy.trimmed += trimmed
+                spy.single_trimmed += trimmed if end - start == 1 else 0
 
         monkeypatch.setattr(SworSite, "prepare_window", prepare_window)
-        monkeypatch.setattr(SworSite, "on_columns", on_columns_spy)
+        monkeypatch.setattr(SworCoordinator, "can_park", can_park_spy)
+        monkeypatch.setattr(SworCoordinator, "folds_quietly", folds_quietly_spy)
+        monkeypatch.setattr(_WindowPrep, "run_results", run_results_spy)
 
 
-def _run(stream, batch_size: int):
-    proto = DistributedWeightedSWOR(
-        SworConfig(num_sites=K, sample_size=4),
-        seed=11,
-        engine=ColumnarEngine(batch_size=batch_size),
-    )
-    counters = proto.run(stream)
+def _state(proto, checkpoints):
+    coordinator = proto.coordinator
     return (
         tuple((i.ident, i.weight, key) for i, key in proto.sample_with_keys()),
-        counters.snapshot(),
-        [(s.items_seen, s.exponentials_generated) for s in proto.sites],
+        proto.counters.snapshot(),
+        [
+            (s.items_seen, s.exponentials_generated, s._rng.getstate())
+            for s in proto.sites
+        ],
+        coordinator._rng.getstate(),
+        coordinator.levels.snapshot_state(),
+        coordinator.epochs.snapshot_state(),
+        checkpoints,
     )
 
 
-@pytest.mark.parametrize("batch_size", [64, 1024])
-def test_window_pass_equals_per_site_path(monkeypatch, batch_size):
+def _run(stream, protocol: str, batch_size):
+    engine = (
+        ColumnarEngine()
+        if batch_size is None
+        else ColumnarEngine(batch_size=batch_size)
+    )
+    if protocol == "swor":
+        proto = DistributedWeightedSWOR(
+            SworConfig(num_sites=K, sample_size=4), seed=11, engine=engine
+        )
+    else:
+        proto = ResidualHeavyHitterTracker(K, 0.2, seed=11, engine=engine).protocol
+    checkpoints = []
+    proto.run(
+        stream,
+        checkpoints=CHECKPOINTS,
+        on_checkpoint=lambda t: checkpoints.append(
+            (t, tuple((i.ident, key) for i, key in proto.sample_with_keys()))
+        ),
+    )
+    return _state(proto, checkpoints), engine.last_run_stats
+
+
+def _step_and_per_site(monkeypatch, protocol, batch_size):
     stream = _stream()
     with monkeypatch.context() as patch:
         spy = _Spy(patch)
-        with_pass = _run(stream, batch_size)
+        stepped, stats = _run(stream, protocol, batch_size)
     with monkeypatch.context() as patch:
-        patch.setattr(
-            SworSite, "_draw_early_free", staticmethod(lambda *args: None)
+        # The step off: no pass, so every site runs its own on_columns.
+        patch.setattr(SworSite, "prepare_window", lambda self, *args: None)
+        per_site, off_stats = _run(stream, protocol, batch_size)
+    assert stepped == per_site
+    assert sum(seen for seen, _, _ in stepped[2]) == N
+    assert off_stats["windows_per_site"] == off_stats["windows"]
+    assert off_stats["windows_whole"] == off_stats["windows_split"] == 0
+    return spy, stats
+
+
+BATCH_SIZES = pytest.mark.parametrize(
+    "batch_size", [64, 1024, None], ids=["64", "1024", "default"]
+)
+
+
+@BATCH_SIZES
+def test_window_pass_equals_per_site_path(monkeypatch, batch_size):
+    spy, stats = _step_and_per_site(monkeypatch, "swor", batch_size)
+    assert spy.whole > 0 and spy.warmup > 0
+    assert spy.whole == stats["windows_whole"]
+    assert spy.split == stats["windows_split"]
+
+
+@BATCH_SIZES
+def test_window_pass_equals_per_site_path_hh(monkeypatch, batch_size):
+    spy, stats = _step_and_per_site(monkeypatch, "hh", batch_size)
+    assert spy.whole > 0 and spy.warmup > 0
+    assert spy.whole == stats["windows_whole"]
+
+
+def test_every_path_of_the_step_runs(monkeypatch):
+    """At batch size 64 the stream takes every path: whole, split with
+    trimmed keys (in a single-arrival run too), refused, warm-up and
+    checkpoint-cut windows; the run stats count them."""
+    spy, stats = _step_and_per_site(monkeypatch, "swor", 64)
+    assert spy.whole > 0
+    assert spy.split > 0
+    assert spy.trimmed > 0  # a mid-window EPOCH_UPDATE trimmed a later run
+    assert spy.single_trimmed > 0  # ... and a single-arrival one
+    assert spy.refused > 0
+    assert spy.warmup > 0
+    assert any(size != 64 for size in spy.stepped_at)  # cut by a checkpoint
+    counts = (
+        stats["windows_whole"],
+        stats["windows_split"],
+        stats["windows_per_site"],
+    )
+    assert sum(counts) == stats["windows"]
+    assert all(count > 0 for count in counts)
+    assert counts[:2] == (spy.whole, spy.split)
+
+
+def test_profile_prints_window_step_counts():
+    engine = ColumnarEngine(batch_size=256)
+    proto = DistributedWeightedSWOR(
+        SworConfig(num_sites=K, sample_size=4), seed=11, engine=engine
+    )
+    proto.run(_stream())
+    stats = engine.last_run_stats
+    assert (
+        f"window step: {stats['windows_whole']} folded whole, "
+        f"{stats['windows_split']} split on an epoch advance, "
+        f"{stats['windows_per_site']} per site"
+    ) in engine.format_stats()
+
+
+def test_wrapped_deliver_pack_keeps_per_site_packs(monkeypatch):
+    """An instance-wrapped ``deliver_pack`` instruments delivery: the
+    engine keeps its per-site loop, so the wrapper sees one pack per
+    sending site per window, and the run ends where the unwrapped one
+    does."""
+    site_packs = []
+    on_columns = SworSite.on_columns
+
+    def counted(site, idents, weights):
+        result = on_columns(site, idents, weights)
+        if isinstance(result, MessagePack) and len(result):
+            site_packs.append(site.site_id)
+        return result
+
+    def run(wrap):
+        proto = DistributedWeightedSWOR(
+            SworConfig(num_sites=K, sample_size=4),
+            seed=11,
+            engine=ColumnarEngine(batch_size=1024),
         )
-        off = _Spy(patch)
-        per_site = _run(stream, batch_size)
-    assert with_pass == per_site
-    assert sum(seen for seen, _ in with_pass[2]) == N
-    # Every branch of the pass ran in steady state.
-    assert spy.calls < off.calls  # runs finished in the pass
-    assert spy.refiltered > 0  # a mid-window EPOCH_UPDATE trimmed a run
-    assert spy.open_windows > 0  # runs with earlies kept the per-site path
-    assert spy.single_runs > 0  # one-arrival runs kept the scalar path
-    assert off.refiltered == 0
+        network = proto.network
+        calls, windows = [], [0]
+        if wrap:
+            deliver_pack = network.deliver_pack
+
+            def wrapped(site_id, pack):
+                calls.append((windows[0], site_id, len(pack)))
+                return deliver_pack(site_id, pack)
+
+            network.deliver_pack = wrapped
+        proto.run(_stream(), on_step=lambda t: windows.__setitem__(0, t))
+        return _state(proto, []), proto.engine.last_run_stats, calls
+
+    plain, plain_stats, _ = run(False)
+    monkeypatch.setattr(SworSite, "on_columns", counted)
+    wrapped, stats, calls = run(True)
+    assert wrapped == plain
+    assert [site_id for _, site_id, _ in calls] == site_packs
+    assert plain_stats["windows_whole"] > 0
+    assert stats["windows_per_site"] == stats["windows"]
+    per_window = {}
+    for window, site_id, size in calls:
+        assert size > 0
+        per_window.setdefault(window, []).append(site_id)
+    # One call per sending site per window, in ascending site order.
+    assert all(ids == sorted(set(ids)) for ids in per_window.values())
+    assert len(calls) > 2 * len(per_window)
 
 
 def test_prepare_window_without_runs_draws_nothing():
-    """Callers without the window's runs (the multi-query driver, the
-    sharded rollback suffix) get the shared levels only."""
+    """Without the window's runs there is no pass: nothing is drawn or
+    booked, and the caller takes the per-site path."""
     config = SworConfig(num_sites=2, sample_size=2)
     site = SworSite(0, config, random.Random(1))
     site._saturated_mask = 0b1111
-    prep = site.prepare_window(np.array([2.0, 3.0, 2.5, 3.5]))
-    assert prep.runs is None and prep.keys is None and not prep.drawn
+    state = site._rng.getstate()
+    assert site.prepare_window(np.array([2.0, 3.0, 2.5, 3.5])) is None
     assert site.items_seen == 0 and site._batch_rng is None
+    assert site._rng.getstate() == state
+
+
+def test_window_pack_is_the_concatenated_site_packs():
+    """On window-start state the window pack holds every run's early
+    entries, then every run's regulars, in site order — what the
+    per-site ``on_columns`` calls send, concatenated by kind."""
+    config = SworConfig(num_sites=3, sample_size=2)  # r = 2
+    gen = np.random.Generator(np.random.PCG64(9))
+    weights = gen.random(30) * 20 + 1
+    idents = np.arange(30, dtype=np.int64)
+
+    def runs_of(sites):
+        return [(j, sites[j], 10 * j, 10 * j + 10) for j in range(3)]
+
+    stepped = [SworSite(j, config, random.Random(j)) for j in range(3)]
+    solo = [SworSite(j, config, random.Random(j)) for j in range(3)]
+    for site in stepped + solo:
+        site._saturated_mask = 0b111  # levels 0-2 saturated, 3-4 open
+        site._threshold = 8.0
+    prep = stepped[0].prepare_window(weights, runs_of(stepped))
+    pack = prep.window_pack(idents, weights)
+    site_packs = [
+        site.on_columns(idents[10 * j : 10 * j + 10], weights[10 * j : 10 * j + 10])
+        for j, site in enumerate(solo)
+    ]
+    site_packs = [p for p in site_packs if isinstance(p, MessagePack)]
+    messages = [m for p in site_packs for m in p.messages()]
+    early = [m for m in messages if m.kind == EARLY]
+    assert pack.messages() == early + [m for m in messages if m.kind != EARLY]
+    assert pack.num_early > 0 and pack.num_regular > 0
+    results = list(prep.run_results(pack, runs_of(stepped)))
+    assert [r.messages() for _, r in results] == [p.messages() for p in site_packs]
+    for a, b in zip(stepped, solo):
+        assert a.snapshot_state() == b.snapshot_state()
