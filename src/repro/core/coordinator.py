@@ -11,13 +11,18 @@ Responsibilities:
   (Algorithm 3 lines 5–8);
 * answer queries with the top-``s`` keys over ``S ∪ (∪_j D_j)``
   (Algorithm 2 line 22) — valid at *every* time step, per Definition 3.
+
+The per-message path offers a released level to ``S`` one entry at a
+time; the pack path folds it, and a pack's regulars, in epoch segments
+— bit-identical, with ``Item`` objects only for entries that enter
+``S`` or answer a query.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as _np
 
@@ -34,11 +39,15 @@ from ..net.messages import (
 from ..runtime import BROADCAST, CoordinatorAlgorithm
 from ..stream.item import Item
 from .config import SworConfig
-from .epochs import EpochTracker
+from .epochs import EpochTracker, fold_in_epoch_segments
 from .levels import LevelSetManager, level_of
 from .sample_set import TopKeySample
 
 __all__ = ["SworCoordinator"]
+
+#: Packs of at most this many earlies walk them even when none
+#: saturates: the walk costs about 1.3 µs per early, a grouping 45 µs.
+_WALK_MAX = 32
 
 
 class SworCoordinator(CoordinatorAlgorithm):
@@ -55,6 +64,9 @@ class SworCoordinator(CoordinatorAlgorithm):
         self.regular_accepted = 0
         self.early_received = 0
         self.early_for_saturated = 0
+        # folds_quietly's memo for the pack fold that follows it:
+        # (keys, S's offer count at the check, the fused fold).
+        self._quiet: Optional[Tuple[Any, int, Any]] = None
 
     # -- CoordinatorAlgorithm interface --------------------------------
 
@@ -90,15 +102,14 @@ class SworCoordinator(CoordinatorAlgorithm):
             )
         ident, weight = message.payload
         key = weight / exponential(self._rng)
-        return self._early_core(
-            Item(ident, weight), level_of(weight, self._r), key
-        )
+        return self._early_core(ident, weight, level_of(weight, self._r), key)
 
     def _early_core(
-        self, item: Item, level: int, key: float
+        self, ident: Any, weight: float, level: int, key: float, fold: bool = False
     ) -> List[Tuple[int, Message]]:
         """Algorithm 2 lines 8-17 for one early item with its key
-        already generated (shared by the per-message and pack paths)."""
+        already generated.  A saturating level's entries go to ``S`` one
+        by one, or, on the pack path (``fold``), in epoch segments."""
         if self.levels.is_saturated(level):
             # The sender filtered on a stale saturation view (its
             # LEVEL_SATURATED broadcast is still in flight — possible
@@ -107,68 +118,68 @@ class SworCoordinator(CoordinatorAlgorithm):
             # the sample directly with a coordinator-generated key,
             # exactly as it would have had it been parked and released.
             self.early_for_saturated += 1
-            return self._add_to_sample(item, key)
-        released = self.levels.add(item, key, level=level)
+            return self._add_to_sample(ident, weight, key)
+        released = self.levels.add(ident, weight, key, level)
         if released is None:
             return []
-        responses: List[Tuple[int, Message]] = [
-            (BROADCAST, Message(LEVEL_SATURATED, (level,)))
-        ]
-        for rel_item, rel_key in released:
-            responses.extend(self._add_to_sample(rel_item, rel_key))
+        responses = [(BROADCAST, Message(LEVEL_SATURATED, (level,)))]
+        if fold:
+            return responses + self._fold(*released)[0]
+        for entry in zip(*released):
+            responses += self._add_to_sample(*entry)
         return responses
+
+    def _fold(
+        self, idents: Any, weights: Any, keys: Any
+    ) -> Tuple[List[Tuple[int, Message]], int]:
+        """:func:`~repro.core.epochs.fold_in_epoch_segments` of columns
+        into ``S``: its broadcasts, and its survivor count."""
+        announcements, survivors = fold_in_epoch_segments(
+            self.sample_set,
+            self.epochs,
+            _np.asarray(idents, dtype=_np.int64),
+            _np.asarray(weights, dtype=_np.float64),
+            _np.asarray(keys, dtype=_np.float64),
+        )
+        return [
+            (BROADCAST, Message(EPOCH_UPDATE, (floor,))) for _, floor in announcements
+        ], survivors
 
     def _on_regular(self, message: Message) -> List[Tuple[int, Message]]:
         ident, weight, key = message.payload
         self.regular_received += 1
-        return self._regular_core(ident, weight, key)
-
-    def _regular_core(
-        self, ident: int, weight: float, key: float
-    ) -> List[Tuple[int, Message]]:
         if key <= self.sample_set.threshold:
             # Site filtered on a stale (smaller) epoch threshold; the
             # coordinator's check (Algorithm 2 line 19) discards.
             return []
         self.regular_accepted += 1
-        return self._add_to_sample(Item(ident, weight), key)
+        return self._add_to_sample(ident, weight, key)
 
     # -- bulk path: one pack per (site, batch) --------------------------
 
     def on_message_pack(self, site_id: int, pack: Any) -> List[Tuple[int, Message]]:
-        """Columnar Algorithms 2-3 over a whole site batch.
+        """Columnar Algorithms 2-3 over a whole site batch, bit-identical
+        to delivering its messages one by one.
 
         Early keys are drawn first, in delivery order, with exactly the
-        scalar path's RNG consumption — so samples stay bit-identical
-        to per-message processing.  The *fast path* then commits the
-        pack in bulk: earlies are parked level-by-level with one list
-        extend each, and every pack's regulars, however few, take one
-        fused ``swor_fold_regulars`` call (threshold re-check plus
-        top-``s`` selection over the sample's key column) and one
-        :meth:`~repro.core.sample_set.TopKeySample.fold_selected`
-        commit.  The fast path is only taken when the pack provably
-        emits no broadcast — no early touches a saturated (or
-        about-to-saturate) level, and the merged threshold stays inside
-        the current epoch bracket; pack processing is then
-        indistinguishable from sequential delivery.  Otherwise (a
-        logarithmic number of packs per run) the pack is replayed
-        message by message, which reproduces the sequential semantics —
-        including broadcast timing — exactly.
+        scalar path's RNG consumption.  If no early saturates a level
+        (:meth:`LevelSetManager.admits`), each level parks its earlies
+        with one extend per column; else, and in small packs, the
+        earlies are walked in order as on the scalar path, but a
+        released level folds in epoch segments
+        (:func:`~repro.core.epochs.fold_in_epoch_segments`).
+        The regulars fold in epoch segments too (a quiet pack is one),
+        reusing the fold :meth:`folds_quietly` computed for the same
+        keys array while ``S`` is unchanged.
 
-        One observability stat differs on the fast path:
-        ``regular_accepted`` counts the survivors of the
-        pack-entry threshold, whereas sequential processing re-checks
-        each regular against the threshold *as it evolves* within the
-        batch; the sample itself is identical either way (rejected
-        candidates can never be among the final top ``s``).  A window
-        pack from the columnar engine's window step (see
-        :meth:`can_park`) therefore counts the survivors of the
-        window-entry threshold.
+        ``regular_accepted`` counts the survivors of each segment's
+        entry threshold (for a window pack, the window-entry threshold),
+        not of the threshold as it evolves message by message; rejected
+        candidates never enter the top ``s``, so the sample is the same.
         """
+        quiet, self._quiet = self._quiet, None
+        responses: List[Tuple[int, Message]] = []
         ne = pack.num_early
-        early_keys: List[float] = []
-        levels_list: List[int] = []
-        early_items: Any = None
         if ne:
             if not self.config.level_sets_enabled:
                 raise ProtocolViolationError(
@@ -177,58 +188,34 @@ class SworCoordinator(CoordinatorAlgorithm):
             # Identical RNG consumption to ne scalar exponential() draws.
             rand = self._rng.random
             log = math.log
-            weights_list = pack.early_weights.tolist()
-            for w in weights_list:
+            weights = pack.early_weights.tolist()
+            keys: List[float] = []
+            for w in weights:
                 u = rand()
                 while u <= 0.0:
                     u = rand()
-                early_keys.append(w / -log(u))
-            levels_list = pack.early_levels.tolist()
-            early_items = pack.early_items
-            if early_items is None:
-                ids = pack.early_idents.tolist()
-                early_items = [
-                    Item(ids[i], weights_list[i]) for i in range(ne)
-                ]
-        fast = True
-        grouped: Dict[int, List[int]] = {}
-        if ne:
-            for i in range(ne):
-                grouped.setdefault(levels_list[i], []).append(i)
-            for lv, indices in grouped.items():
-                if not self.levels.can_absorb(lv, len(indices)):
-                    fast = False
-                    break
-        nr = pack.num_regular
-        keys: Any = None
-        fold: Any = None
-        accepted = 0
-        if fast and nr:
-            keys = pack.regular_keys
-            fold = self._quiet_fold(keys)
-            if fold is None:
-                fast = False
-            else:
-                accepted = len(fold[0])
-        if not fast:
-            return self._replay_pack(pack, early_items, early_keys, levels_list)
-        if ne:
+                keys.append(w / -log(u))
             self.early_received += ne
-            for lv, indices in grouped.items():
-                self.levels.add_many(
-                    lv, [(early_items[i], early_keys[i]) for i in indices]
-                )
-        if nr:
-            self.regular_received += nr
-            if accepted:
-                self.regular_accepted += accepted
-                self.sample_set.fold_selected(
-                    pack.regular_idents, pack.regular_weights, keys, *fold
-                )
-                announce = self.epochs.observe_threshold(self.sample_set.threshold)
-                if announce is not None:  # pragma: no cover - precluded above
-                    return [(BROADCAST, Message(EPOCH_UPDATE, (announce,)))]
-        return []
+            levels = pack.early_levels
+            if ne > _WALK_MAX and self.levels.admits(levels):
+                self.levels.park(levels, pack.early_idents, pack.early_weights, keys)
+            else:
+                for ident, weight, level, key in zip(
+                    pack.early_idents.tolist(), weights, levels.tolist(), keys
+                ):
+                    responses += self._early_core(ident, weight, level, key, True)
+        if pack.num_regular:
+            self.regular_received += pack.num_regular
+            columns = (pack.regular_idents, pack.regular_weights, pack.regular_keys)
+            if quiet and quiet[0] is columns[2] and quiet[1] == self.sample_set.offers:
+                # The fold folds_quietly computed against this very S.
+                self.sample_set.fold_selected(*columns, *quiet[2])
+                self.regular_accepted += len(quiet[2][0])
+            else:
+                controls, survivors = self._fold(*columns)
+                self.regular_accepted += survivors
+                responses += controls
+        return responses
 
     # -- the columnar window step's pure checks ------------------------
 
@@ -238,32 +225,26 @@ class SworCoordinator(CoordinatorAlgorithm):
         columnar engine asks before its window pass draws anything
         (:meth:`~repro.core.site.SworSite.prepare_window`), since only
         a ``LEVEL_SATURATED`` changes how many keys a site draws."""
-        counts = _np.bincount(early_levels)
-        for level in _np.flatnonzero(counts).tolist():
-            if not self.levels.can_absorb(level, int(counts[level])):
-                return False
-        return True
+        return self.levels.admits(early_levels)
 
     def folds_quietly(self, keys: Any) -> bool:
         """Whether one fold of these regular keys (``None``: none),
         after earlies that :meth:`can_park` admitted, leaves the epoch
-        unchanged — the fast-path test of :meth:`on_message_pack`,
-        pure.  The columnar engine then folds the whole window as one
-        pack."""
-        return keys is None or self._quiet_fold(keys) is not None
-
-    def _quiet_fold(self, keys: Any) -> Any:
-        """The fused fold of ``keys`` into ``S`` — the threshold mask,
-        the merged cut (the threshold the fold leaves behind), the
-        boundary-tie count and the kept-candidate set, in one kernel
-        pass — or ``None`` when it would announce a new epoch."""
+        unchanged — so the columnar engine can fold the whole window as
+        one pack.  Pure but for a memo: the fused fold (threshold mask,
+        merged cut, boundary-tie count and kept set, in one kernel
+        pass), which :meth:`on_message_pack` reuses for the same keys
+        array while ``S`` is unchanged."""
+        if keys is None:
+            return True
         sample = self.sample_set
         fold = swor_fold_regulars(
             keys, sample.threshold, sample.keys, sample.sample_size
         )
         if len(fold[0]) and self.epochs.would_announce(fold[2]):
-            return None
-        return fold
+            return False
+        self._quiet = (keys, sample.offers, fold)
+        return True
 
     def snapshot_state(self) -> tuple:
         """Window-boundary snapshot for the sharded engine.
@@ -303,39 +284,17 @@ class SworCoordinator(CoordinatorAlgorithm):
         self.regular_accepted = regular_accepted
         self.early_received = early_received
         self.early_for_saturated = early_for_saturated
-
-    def _replay_pack(
-        self,
-        pack: Any,
-        early_items: Any,
-        early_keys: List[float],
-        levels_list: List[int],
-    ) -> List[Tuple[int, Message]]:
-        """Sequential pack replay with pre-drawn early keys and
-        pre-built early Items — the exact per-message semantics, used
-        when a pack would saturate a level or cross an epoch boundary."""
-        responses: List[Tuple[int, Message]] = []
-        for i in range(pack.num_early):
-            self.early_received += 1
-            responses.extend(
-                self._early_core(early_items[i], levels_list[i], early_keys[i])
-            )
-        if pack.num_regular:
-            ids = pack.regular_idents.tolist()
-            ws = pack.regular_weights.tolist()
-            keys = pack.regular_keys.tolist()
-            for i in range(len(keys)):
-                self.regular_received += 1
-                responses.extend(self._regular_core(ids[i], ws[i], keys[i]))
-        return responses
+        self._quiet = None
 
     # -- Algorithm 3: Add-to-Sample --------------------------------------
 
-    def _add_to_sample(self, item: Item, key: float) -> List[Tuple[int, Message]]:
+    def _add_to_sample(
+        self, ident: Any, weight: float, key: float
+    ) -> List[Tuple[int, Message]]:
         """Insert into ``S``; broadcast if the epoch advanced."""
         if key <= self.sample_set.threshold:
             return []
-        self.sample_set.add(item, key)
+        self.sample_set.add(Item(ident, weight), key)
         announce = self.epochs.observe_threshold(self.sample_set.threshold)
         if announce is None:
             return []
@@ -345,10 +304,19 @@ class SworCoordinator(CoordinatorAlgorithm):
 
     def sample_with_keys(self) -> List[Tuple[Item, float]]:
         """The weighted SWOR at this instant: top-``s`` keys over
-        ``S ∪ (∪_j D_j)`` (withheld items use their pre-generated keys)."""
-        entries = self.sample_set.entries() + self.levels.pending_entries()
-        entries.sort(key=lambda pair: -pair[1])
-        return entries[: self.config.sample_size]
+        ``S ∪ (∪_j D_j)`` (withheld items use their pre-generated keys).
+        One stable sort by decreasing key of ``S``'s sorted view, then
+        the pending keys in bucket order; ``Item``s are built only for
+        the pending entries it selects."""
+        released = self.sample_set.entries()
+        idents, weights, keys = self.levels.pending_columns()
+        n = len(released)
+        ranked = _np.array([key for _, key in released] + keys)
+        top = _np.argsort(-ranked, kind="stable")[: self.config.sample_size]
+        return [
+            released[i] if i < n else (Item(idents[i - n], weights[i - n]), keys[i - n])
+            for i in top.tolist()
+        ]
 
     def sample(self) -> List[Item]:
         """Sampled items in decreasing key order."""

@@ -7,16 +7,27 @@ the bracket floor ``r^j`` to every site (``k`` messages), and sites then
 drop keys below it locally.  Because ``u`` only grows, epochs advance
 monotonically; Proposition 5 bounds their expected number by
 ``~3 log(W/s)/log(r)``.
+
+:func:`fold_in_epoch_segments` is the one bulk fold of keyed entries
+into the sample set that keeps the announce points exact; the SWOR
+coordinator (its regulars and its level releases) and the L1
+coordinator share it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
+
+import numpy as _np
 
 from ..common.errors import ConfigurationError
+from ..kernels import swor_fold_regulars
 
-__all__ = ["EpochTracker"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .sample_set import TopKeySample
+
+__all__ = ["EpochTracker", "fold_in_epoch_segments"]
 
 
 class EpochTracker:
@@ -80,3 +91,56 @@ class EpochTracker:
         self._epoch = new_epoch
         self.broadcasts += 1
         return self.r**new_epoch
+
+
+def fold_in_epoch_segments(
+    sample: "TopKeySample",
+    epochs: EpochTracker,
+    idents: _np.ndarray,
+    weights: _np.ndarray,
+    keys: _np.ndarray,
+) -> Tuple[List[Tuple[int, float]], int]:
+    """Offer keyed entries to ``S`` in order, in epoch segments.
+
+    Sequential offers (Algorithm 3) reject a key at or below the live
+    threshold ``u``, insert the rest and observe ``u`` after each
+    insert.  Here each segment is one fused ``swor_fold_regulars`` call
+    and one :meth:`~repro.core.sample_set.TopKeySample.fold_selected`
+    commit, then one ``observe_threshold``.  A segment ends at the entry
+    whose key completes the ``s``-th key at or above the next bracket
+    floor ``B`` (:meth:`EpochTracker.next_floor`): that is exactly where
+    the sequential threshold (the ``s``-th largest key of ``S`` plus the
+    entries so far) reaches ``B`` and an announce fires.  The completing
+    key is ``>= B > u``, so sequential offers insert it too; keys they
+    reject are ``<= u`` and never enter the top ``s``.  A jump across
+    several brackets announces once, as sequential offers do, and
+    entries that cross no floor are one segment.  ``S`` and the epochs
+    end bit-identical to sequential offers.
+
+    Returns ``(announcements, survivors)``: one ``(end, floor)`` pair
+    per announce (``end`` is the index after the announcing entry,
+    ``floor`` the value to broadcast) and the number of entries above
+    their segment's entry threshold.
+    """
+    n = len(keys)
+    s = sample.sample_size
+    announcements: List[Tuple[int, float]] = []
+    survivors = 0
+    lo = 0
+    while lo < n:
+        floor = epochs.next_floor()
+        # u < floor (every threshold change was observed), so fewer
+        # than s keys of S reach the floor and need >= 1.
+        need = s - int(_np.count_nonzero(sample.keys >= floor))
+        crossing = _np.flatnonzero(keys[lo:] >= floor)
+        hi = lo + int(crossing[need - 1]) + 1 if len(crossing) >= need else n
+        seg_keys = keys[lo:hi]
+        fold = swor_fold_regulars(seg_keys, sample.threshold, sample.keys, s)
+        if len(fold[0]):
+            survivors += len(fold[0])
+            sample.fold_selected(idents[lo:hi], weights[lo:hi], seg_keys, *fold)
+            announce = epochs.observe_threshold(sample.threshold)
+            if announce is not None:
+                announcements.append((hi, announce))
+        lo = hi
+    return announcements, survivors

@@ -18,7 +18,7 @@ the key-concentration bound (Proposition 3).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as _np
 
@@ -26,11 +26,13 @@ from ..common.errors import ConfigurationError, ProtocolViolationError
 from ..kernels import compute_levels
 from ..stream.item import Item
 
+#: One level set ``D_j`` as columns: the parked earlies' idents,
+#: weights and keys, each a list in arrival order.
+Bucket = Tuple[List[Any], List[float], List[float]]
+
 #: What :meth:`LevelSetManager.snapshot_state` returns: pending
 #: buckets, saturated levels, and the two counters.
-LevelSnapshot = Tuple[
-    Dict[int, List[Tuple["Item", float]]], Set[int], int, int
-]
+LevelSnapshot = Tuple[Dict[int, Bucket], Set[int], int, int]
 
 __all__ = ["level_of", "levels_of_array", "LevelSetManager"]
 
@@ -85,6 +87,13 @@ class LevelSetManager:
     10–11), so queries can rank withheld items without touching sampler
     state — the Theorem 3 query procedure.
 
+    Each ``D_j`` is a :data:`Bucket` of three lists in arrival order, so
+    parking builds no per-entry object and a saturating level hands its
+    columns to the sampler whole.  Idents stay lists, not int64 arrays:
+    the reference engine parks idents beyond int64.  The dict keeps
+    levels in first-appearance order, the order :meth:`pending_columns`
+    concatenates them in (and so the query view's tie order).
+
     Parameters
     ----------
     r:
@@ -102,7 +111,7 @@ class LevelSetManager:
             )
         self.r = r
         self.saturation_size = saturation_size
-        self._pending: Dict[int, List[Tuple[Item, float]]] = {}
+        self._pending: Dict[int, Bucket] = {}
         self._saturated: Set[int] = set()
         self.early_items_received = 0
         self.levels_saturated = 0
@@ -111,63 +120,83 @@ class LevelSetManager:
         return level in self._saturated
 
     def add(
-        self, item: Item, key: float, level: Optional[int] = None
-    ) -> Optional[List[Tuple[Item, float]]]:
-        """Park an early item (with its pre-generated key) in its level.
-
-        Returns the full batch of ``(item, key)`` entries when this
-        arrival saturates the level — the caller must then feed them to
-        the sampler and broadcast ``LEVEL_SATURATED`` — else ``None``.
-        ``level`` may be passed when the caller already computed it.
-        """
+        self, ident: Any, weight: float, key: float, level: Optional[int] = None
+    ) -> Optional[Bucket]:
+        """Park an early item (with its pre-generated key) in its level,
+        computed from ``weight`` unless given.  Returns the level's
+        columns ``(idents, weights, keys)`` when this arrival saturates
+        it — the caller then offers them to the sampler in order and
+        broadcasts ``LEVEL_SATURATED`` — else ``None``."""
         if level is None:
-            level = level_of(item.weight, self.r)
+            level = level_of(weight, self.r)
         if level in self._saturated:
             raise ProtocolViolationError(
                 f"early item for already-saturated level {level} "
-                f"(item {item.ident}); site state out of sync"
+                f"(item {ident}); site state out of sync"
             )
-        bucket = self._pending.setdefault(level, [])
-        bucket.append((item, key))
+        bucket = self._pending.get(level)
+        if bucket is None:
+            bucket = self._pending[level] = ([], [], [])
+        bucket[0].append(ident)
+        bucket[1].append(weight)
+        bucket[2].append(key)
         self.early_items_received += 1
-        if len(bucket) >= self.saturation_size:
-            self._saturated.add(level)
-            self.levels_saturated += 1
-            del self._pending[level]
-            return bucket
-        return None
+        if len(bucket[2]) < self.saturation_size:
+            return None
+        self._saturated.add(level)
+        self.levels_saturated += 1
+        del self._pending[level]
+        return bucket
 
-    def can_absorb(self, level: int, count: int) -> bool:
-        """Whether ``count`` more earlies can be parked in ``level``
-        without touching a saturated level or triggering saturation —
-        the precondition of :meth:`add_many` (saturation events must
-        take the sequential path so the release point stays exact)."""
-        if level in self._saturated:
-            return False
-        return len(self._pending.get(level, ())) + count < self.saturation_size
+    def admits(self, early_levels: _np.ndarray) -> bool:
+        """Whether earlies at these levels (a pack's or a window's early
+        level column) all park without saturating a level — else a
+        release must take the coordinator's sequential walk, so its
+        point stays exact.  Pure."""
+        counts = _np.bincount(early_levels)
+        for level in counts.nonzero()[0].tolist():
+            parked = len(self._pending[level][2]) if level in self._pending else 0
+            if level in self._saturated or parked + counts[level] >= self.saturation_size:
+                return False
+        return True
 
-    def add_many(self, level: int, entries: List[Tuple[Item, float]]) -> None:
-        """Park a batch of pre-keyed entries in one unsaturated level.
+    def park(
+        self, early_levels: _np.ndarray, idents: Any, weights: Any, keys: List[float]
+    ) -> None:
+        """Park earlies that :meth:`admits` admitted, each level's in
+        arrival order: one stable argsort groups the columns by level,
+        and each level takes one extend per column.  Levels new to the
+        store join it in first-appearance order."""
+        order = early_levels.argsort(kind="stable")
+        ranked = early_levels[order]
+        starts = [0]
+        starts += ((ranked[1:] != ranked[:-1]).nonzero()[0] + 1).tolist()
+        levels = ranked[starts].tolist()
+        bounds = starts + [len(order)]
+        columns = (
+            idents[order].tolist(),
+            weights[order].tolist(),
+            _np.array(keys)[order].tolist(),
+        )
+        for _, g in sorted(zip(order[starts].tolist(), range(len(levels)))):
+            bucket = self._pending.setdefault(levels[g], ([], [], []))
+            for column, values in zip(bucket, columns):
+                column.extend(values[bounds[g] : bounds[g + 1]])
+        self.early_items_received += len(order)
 
-        Bulk counterpart of :meth:`add` for the coordinator's columnar
-        pack path; entries must be in arrival order and the caller must
-        have checked :meth:`can_absorb` first.
-        """
-        if not self.can_absorb(level, len(entries)):
-            raise ProtocolViolationError(
-                f"bulk park of {len(entries)} items would saturate (or hit "
-                f"an already-saturated) level {level}; use sequential add"
-            )
-        self._pending.setdefault(level, []).extend(entries)
-        self.early_items_received += len(entries)
+    @staticmethod
+    def _copy(pending: Dict[int, Bucket]) -> Dict[int, Bucket]:
+        return {
+            level: (list(idents), list(weights), list(keys))
+            for level, (idents, weights, keys) in pending.items()
+        }
 
     def snapshot_state(self) -> "LevelSnapshot":
-        """Cheap rewind point: bucket entries are immutable tuples, so
-        shallow per-bucket copies suffice.  Bucket *insertion order* is
-        part of the state (``pending_entries`` concatenates in dict
-        order), so the dict is copied as-is."""
+        """Rewind point: per-bucket copies of the columns.  Bucket
+        *insertion order* is part of the state (:meth:`pending_columns`
+        concatenates in dict order), so the dict is copied in order."""
         return (
-            {level: list(bucket) for level, bucket in self._pending.items()},
+            self._copy(self._pending),
             set(self._saturated),
             self.early_items_received,
             self.levels_saturated,
@@ -175,30 +204,33 @@ class LevelSetManager:
 
     def restore_state(self, state: "LevelSnapshot") -> None:
         pending, saturated, received, saturated_count = state
-        self._pending = {level: list(bucket) for level, bucket in pending.items()}
+        self._pending = self._copy(pending)
         self._saturated = set(saturated)
         self.early_items_received = received
         self.levels_saturated = saturated_count
 
-    def pending_entries(self) -> List[Tuple[Item, float]]:
-        """All withheld ``(item, key)`` pairs across unsaturated levels.
-
-        Queries rank these alongside the sampler's set ``S``
-        (Algorithm 2 line 22: ``S ∪ (∪_j D_j)``).
-        """
-        out: List[Tuple[Item, float]] = []
+    def pending_columns(self) -> Bucket:
+        """All withheld ``(idents, weights, keys)`` across unsaturated
+        levels, in bucket order — ranked with the sampler's set ``S``
+        by queries (Algorithm 2 line 22: ``S ∪ (∪_j D_j)``)."""
+        columns: Bucket = ([], [], [])
         for bucket in self._pending.values():
-            out.extend(bucket)
-        return out
+            for column, values in zip(columns, bucket):
+                column.extend(values)
+        return columns
+
+    def pending_entries(self) -> List[Tuple[Item, float]]:
+        """The withheld entries as ``(item, key)`` pairs, in bucket
+        order."""
+        idents, weights, keys = self.pending_columns()
+        return list(zip(map(Item, idents, weights), keys))
 
     def pending_count(self) -> int:
-        return sum(len(b) for b in self._pending.values())
+        return sum(len(keys) for _, _, keys in self._pending.values())
 
     def pending_weight(self) -> float:
         """Total withheld weight (used by invariants in tests)."""
-        return sum(
-            item.weight for bucket in self._pending.values() for item, _ in bucket
-        )
+        return sum(self.pending_columns()[1])
 
     @property
     def saturated_levels(self) -> Set[int]:

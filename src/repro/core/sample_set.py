@@ -135,6 +135,13 @@ class TopKeySample:
         consumer treats it as a multiset."""
         return self._keys[: len(self._items)]
 
+    @property
+    def offers(self) -> int:
+        """The arrival counter: it advances with every change to the
+        set, so a caller can tell whether ``S`` changed since it last
+        looked (until a :meth:`restore_state`)."""
+        return self._counter
+
     def fold_selected(
         self,
         idents: Any,

@@ -41,9 +41,8 @@ from ..common.rng import (
     exponential,
     truncated_exponential_below,
 )
-from ..core.epochs import EpochTracker
+from ..core.epochs import EpochTracker, fold_in_epoch_segments
 from ..core.sample_set import TopKeySample
-from ..kernels import swor_fold_regulars
 from ..net.counters import MessageCounters
 from ..net.messages import EPOCH_UPDATE, Message, MessagePack, REGULAR
 from ..runtime import (
@@ -236,24 +235,15 @@ class _L1Coordinator(CoordinatorAlgorithm):
 
     def on_message_pack(self, site_id: int, pack) -> List[Tuple[int, Message]]:
         """Columnar fold of a whole site batch of duplicate keys, in
-        epoch segments.
-
-        A segment ends at the message whose key completes the ``s``-th
-        key at or above the next bracket floor ``B``
-        (:meth:`~repro.core.epochs.EpochTracker.next_floor`): that is
-        exactly where sequential delivery's threshold ``u`` (the
-        ``s``-th largest key of the set plus the messages so far)
-        reaches ``B`` and an ``EPOCH_UPDATE`` fires.  The completing
-        key is ``>= B > u``, so sequential delivery accepts it too;
-        keys it rejects are ``<= u`` and never enter the top ``s``.
-        Each segment is one fused ``swor_fold_regulars`` call and one
-        :meth:`~repro.core.sample_set.TopKeySample.fold_selected`
-        commit, then one ``observe_threshold`` — a jump across several
-        brackets announces once, as sequential delivery does.  Before
-        the first announce the exact duplicated weight accumulates in
-        the same left-fold order as per-message delivery, so responses,
-        sample, epochs and the exact-regime estimate are bit-identical
-        to replaying the pack message by message.
+        epoch segments (:func:`~repro.core.epochs.fold_in_epoch_segments`,
+        shared with the SWOR coordinator): one fused fold and one commit
+        per segment, each segment ending where sequential delivery's
+        threshold reaches the next bracket floor and an
+        ``EPOCH_UPDATE`` fires.  Before the first announce the exact
+        duplicated weight accumulates over the same prefix, in the same
+        left-fold order as per-message delivery, so responses, sample,
+        epochs and the exact-regime estimate are bit-identical to
+        replaying the pack message by message.
         """
         nr = pack.num_regular
         if nr == 0:
@@ -264,39 +254,19 @@ class _L1Coordinator(CoordinatorAlgorithm):
             or pack.regular_kind != REGULAR
         ):
             return self._replay_pack(site_id, pack)
-        idents = pack.regular_idents
         weights = pack.regular_weights
-        keys = pack.regular_keys
-        sample_set = self.sample_set
-        responses: List[Tuple[int, Message]] = []
-        lo = 0
-        while lo < nr:
-            floor = self.epochs.next_floor()
-            # u < floor (every threshold change was observed), so fewer
-            # than s set keys reach the floor and need >= 1.
-            need = self.sample_size - int(_np.count_nonzero(sample_set.keys >= floor))
-            crossing = _np.flatnonzero(keys[lo:] >= floor)
-            hi = lo + int(crossing[need - 1]) + 1 if len(crossing) >= need else nr
-            if not self._announced_any:
-                # Same left-fold float order as per-message accumulation.
-                for w in weights[lo:hi].tolist():
-                    self._exact_duplicated_weight += w
-            seg_keys = keys[lo:hi]
-            fold = swor_fold_regulars(
-                seg_keys, sample_set.threshold, sample_set.keys, self.sample_size
-            )
-            if len(fold[0]):
-                sample_set.fold_selected(
-                    idents[lo:hi], weights[lo:hi], seg_keys, *fold
-                )
-                announce = self.epochs.observe_threshold(sample_set.threshold)
-                if announce is not None:
-                    self._announced_any = True
-                    responses.append(
-                        (BROADCAST, Message(EPOCH_UPDATE, (announce,)))
-                    )
-            lo = hi
-        return responses
+        announcements, _ = fold_in_epoch_segments(
+            self.sample_set, self.epochs, pack.regular_idents, weights, pack.regular_keys
+        )
+        if not self._announced_any:
+            # The messages up to and including the first announce.
+            stop = announcements[0][0] if announcements else nr
+            for w in weights[:stop].tolist():
+                self._exact_duplicated_weight += w
+            self._announced_any = bool(announcements)
+        return [
+            (BROADCAST, Message(EPOCH_UPDATE, (floor,))) for _, floor in announcements
+        ]
 
     def _replay_pack(
         self, site_id: int, pack

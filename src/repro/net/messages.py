@@ -128,10 +128,9 @@ class MessagePack:
     ``early_levels`` is the per-early level index (a pure function of
     the weight and the protocol's ``r``, computed vectorized at the
     site); it carries no information beyond the payloads and is not
-    counted as words.  ``early_items`` is an
-    optional memo of pre-built :class:`~repro.stream.item.Item` objects
-    aligned with the early columns — multi-query drivers attach one
-    shared list so every member coordinator parks the same objects.
+    counted as words.  A pack holds columns only: the coordinator parks
+    earlies as columns too and builds an :class:`~repro.stream.item.Item`
+    only for an entry that enters its sample or answers a query.
 
     Either half may be ``None`` (no entries of that kind).
     """
@@ -145,7 +144,6 @@ class MessagePack:
         "regular_keys",
         "regular_kind",
         "regular_extra",
-        "early_items",
     )
 
     def __init__(
@@ -167,7 +165,6 @@ class MessagePack:
         self.regular_keys = regular_keys
         self.regular_kind = regular_kind
         self.regular_extra = regular_extra
-        self.early_items = None
 
     @property
     def num_early(self) -> int:
@@ -224,8 +221,7 @@ class MessagePack:
 
         The inverse of :meth:`from_arrays`.  Only the columns that are
         present appear in the dict (see :data:`WIRE_DTYPES` for the
-        full set); the ``early_items`` memo is transport-local and
-        deliberately **not** part of the wire form.  This is what the
+        full set).  This is what the
         sharded engine ships between worker and coordinator processes —
         a handful of flat int64/float64 buffers per (site, batch) — and
         doubles as the natural frame for shipping packs over a real

@@ -22,10 +22,9 @@ of them:
   query's site gets its slice of those columns, exactly as
   :class:`~repro.runtime.ColumnarEngine` hands them out;
 * queries backed by *same-config* weighted SWORs are **fused**: the
-  batch's level indices, the early/regular split, and the shared early
-  ``Item`` objects are computed once per (batch, site), leaving only
-  the per-query exponential draws, threshold filtering, and coordinator
-  work;
+  batch's level indices and the early/regular split are computed once
+  per (batch, site), leaving only the per-query exponential draws,
+  threshold filtering, and coordinator work;
 * control propagation follows the columnar engine's bounded-staleness
   contract exactly, so per-query message counts match a standalone
   columnar run message for message.
@@ -160,15 +159,15 @@ class _FusedSworGroup:
     """Shared site-side pass for same-config weighted-SWOR queries.
 
     For each (batch, site) the group computes once: the batch's level
-    indices, the saturation split into early/regular arrivals, and the
-    early arrivals' ``Item`` objects.  Each member query then only
+    indices and the saturation split into early/regular arrivals.  Each
+    member query then only
     draws its own batch exponentials, filters on its own epoch
     threshold, and delivers a single
     :class:`~repro.net.messages.MessagePack` per (site, batch) through
     its own network's
     :meth:`~repro.runtime.network.Network.deliver_pack` — all members'
-    packs aliasing the same early columns and the same early ``Item``
-    memo — so the sample each member ends with is bit-identical to a
+    packs aliasing the same early columns — so the sample each member
+    ends with is bit-identical to a
     standalone columnar run with the same seed, at a fraction of the
     site-side cost.
 
@@ -231,22 +230,13 @@ class _FusedSworGroup:
                 regular_weights = weights[saturated]
         else:
             early_idents, early_weights, early_levels = idents, weights, levels
-        early_items = None
-        if early_idents is not None:
-            # One shared Item memo, parked by every member coordinator.
-            early_items = [
-                Item(ident, weight)
-                for ident, weight in zip(
-                    early_idents.tolist(), early_weights.tolist()
-                )
-            ]
         for protocol in self.protocols:
             site = protocol.sites[site_id]
             site.items_seen += n
             if regular_weights is None:
-                pack = MessagePack(early_idents, early_weights, early_levels)
-                pack.early_items = early_items
-                protocol.network.deliver_pack(site_id, pack)
+                protocol.network.deliver_pack(
+                    site_id, MessagePack(early_idents, early_weights, early_levels)
+                )
                 continue
             threshold = site._threshold  # pre-flush view, like on_columns
             if site._batch_rng is None:
@@ -258,7 +248,7 @@ class _FusedSworGroup:
             send = keys > threshold
             num_send = int(_np.count_nonzero(send))
             if num_send == 0:
-                if early_items is None:
+                if early_idents is None:
                     continue
                 pack = MessagePack(early_idents, early_weights, early_levels)
             elif num_send == m:
@@ -279,7 +269,6 @@ class _FusedSworGroup:
                     regular_weights[send],
                     keys[send],
                 )
-            pack.early_items = early_items
             protocol.network.deliver_pack(site_id, pack)
 
 
@@ -443,7 +432,7 @@ class MultiQueryDriver:
         or a :class:`~repro.stream.columns.ColumnarStream`; per-query
         answers are bit-identical between the two representations of
         the same data (``Item`` objects are only ever built lazily,
-        for arrivals that reach a sample or a level set).
+        for arrivals that enter a sample or answer a query).
 
         ``checkpoints`` (1-indexed global item counts) snapshot every
         query's answer mid-stream; batches split so each snapshot is

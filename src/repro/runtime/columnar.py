@@ -38,14 +38,15 @@ Why this is correct
 Control propagation is deferred to batch boundaries, which only adds
 messages the coordinator discards (see :mod:`repro.runtime.batched`).
 The coordinator's pack path is bit-compatible with sequential delivery:
-it falls back to exact per-message replay for the rare packs that
-saturate a level or cross an epoch (see
-``SworCoordinator.on_message_pack``).  Samples and message counters
-therefore match a traced run — whose network keeps the per-site loop
-and folds every pack message by message — bit for bit, and at batch
-size 1 each window holds one arrival, whose site sends or draws exactly
-as its scalar ``on_item`` would, so the engine reproduces
-:class:`~repro.runtime.reference.ReferenceEngine` exactly.
+a pack that saturates a level or crosses an epoch folds the released
+level and the regulars in epoch segments, each ending where sequential
+delivery would announce, so every broadcast lands where per-message
+delivery puts it (see ``SworCoordinator.on_message_pack``).  Samples
+and message counters therefore match a traced run — whose network
+keeps the per-site loop and folds every pack message by message — bit
+for bit, and at batch size 1 each window holds one arrival, whose site
+sends or draws exactly as its scalar ``on_item`` would, so the engine
+reproduces :class:`~repro.runtime.reference.ReferenceEngine` exactly.
 
 The window step equals the per-site loop it replaces, and nothing is
 ever rewound:
@@ -66,9 +67,9 @@ ever rewound:
   only rises — so the window pack takes the coordinator's fast path
   exactly when every per-site pack would.
 
-``Item`` objects are created lazily, only for arrivals that actually
-reach a level set, the sample, a trace, or a scalar fallback — a few
-thousand per million-item run.
+``Item`` objects are created lazily, only for arrivals that enter the
+sample, answer a query, reach a trace, or take a scalar path (a single
+arrival) — level sets park columns.
 """
 
 from __future__ import annotations

@@ -14,8 +14,10 @@ Eight contracts pin the columnar data plane:
    reference engine exactly;
 4. **Ingest domain** — identifiers that are not int64-representable
    are rejected by the columnar plane before any site runs;
-5. **Coordinator pack paths** — each bulk commit equals sequential
-   delivery, including the replay fallbacks;
+5. **Coordinator pack paths** — each pack fold equals sequential
+   delivery, including level releases and epoch crossings folded in
+   epoch segments, and the query view's tie order is the stable sort
+   of ``S`` then the pending entries;
 6. **Bulk sample merge** — ``TopKeySample.fold_selected`` over the
    fused kernel's selection equals sequential ``add`` calls (including
    the tie fallback and tie-rich key pools), snapshots round-trip, and
@@ -43,6 +45,7 @@ from repro.core import (
     SworConfig,
 )
 from repro.core.coordinator import SworCoordinator
+from repro.core.levels import levels_of_array
 from repro.core.sample_set import TopKeySample
 from repro.kernels import swor_fold_regulars
 from repro.net.counters import MessageCounters
@@ -583,78 +586,242 @@ class TestInvalidWeights:
 
 
 # ---------------------------------------------------------------------------
-# 5. Coordinator pack paths (bulk commit vs sequential replay)
+# 5. Coordinator pack paths (columnar folds vs sequential delivery)
 # ---------------------------------------------------------------------------
 
 
-class TestCoordinatorPackPaths:
-    def _twins(self, k=4, s=3, saturation=4):
-        config = SworConfig(
-            num_sites=k,
-            sample_size=s,
-            # saturation_size is derived as round(factor * r * s).
-            level_set_factor=saturation / (max(2.0, k / s) * s),
-        )
-        assert config.saturation_size == saturation
-        bulk = SworCoordinator(config, random.Random(42))
-        seq = SworCoordinator(config, random.Random(42))
-        return bulk, seq
+def twin_coordinators(k=4, s=3, saturation=4, seed=42):
+    """Two SWOR coordinators with the same config and RNG seed."""
+    config = SworConfig(
+        num_sites=k,
+        sample_size=s,
+        # saturation_size is derived as round(factor * r * s).
+        level_set_factor=saturation / (max(2.0, k / s) * s),
+    )
+    assert config.saturation_size == saturation
+    return (
+        SworCoordinator(config, random.Random(seed)),
+        SworCoordinator(config, random.Random(seed)),
+    )
 
-    def _assert_equivalent(self, bulk, seq, pack):
-        responses_bulk = bulk.on_message_pack(0, pack)
-        responses_seq = []
-        for message in pack.messages():
-            responses_seq.extend(seq.on_message(0, message))
-        assert [(d, m.kind, m.payload) for d, m in responses_bulk] == [
-            (d, m.kind, m.payload) for d, m in responses_seq
+
+def coordinator_pack(coordinator, early_weights=(), regulars=()):
+    """A pack of earlies (idents 0, 1, ...; levels as the site computes
+    them) and ``(ident, weight, key)`` regulars."""
+    columns = [None, None, None]
+    if len(early_weights):
+        weights = np.asarray(early_weights, dtype=np.float64)
+        columns = [
+            np.arange(len(weights), dtype=np.int64),
+            weights,
+            levels_of_array(weights, coordinator.config.r),
         ]
-        assert bulk.sample_with_keys() == seq.sample_with_keys()
-        assert bulk.early_received == seq.early_received
-        assert bulk.regular_received == seq.regular_received
-        assert bulk.levels.saturated_levels == seq.levels.saturated_levels
+    if len(regulars):
+        idents, weights, keys = zip(*regulars)
+        columns += [
+            np.array(idents, dtype=np.int64),
+            np.array(weights, dtype=np.float64),
+            np.array(keys, dtype=np.float64),
+        ]
+    return MessagePack(*columns)
 
-    def test_saturating_pack_takes_replay_path(self):
-        """A pack whose earlies saturate a level must broadcast at the
-        exact release point — forced through the sequential replay."""
-        bulk, seq = self._twins(saturation=3)
-        pack = MessagePack(
-            np.arange(5, dtype=np.int64),
-            np.ones(5),            # all level 0 -> saturates at the 3rd
-            np.zeros(5, dtype=np.int64),
+
+def assert_pack_equals_messages(bulk, seq, pack):
+    """``bulk`` folds ``pack`` whole and ``seq`` gets its messages one
+    by one: responses (kind, payload and order), the query view, the
+    exact receipt counters, the RNG position and the level and epoch
+    state must agree.  Returns the responses."""
+    responses_bulk = bulk.on_message_pack(0, pack)
+    responses_seq = []
+    for message in pack.messages():
+        responses_seq.extend(seq.on_message(0, message))
+    assert [(d, m.kind, m.payload) for d, m in responses_bulk] == [
+        (d, m.kind, m.payload) for d, m in responses_seq
+    ]
+    assert bulk.sample_with_keys() == seq.sample_with_keys()
+    for counter in ("early_received", "regular_received", "early_for_saturated"):
+        assert getattr(bulk, counter) == getattr(seq, counter), counter
+    assert bulk._rng.getstate() == seq._rng.getstate()
+    assert bulk.levels.snapshot_state() == seq.levels.snapshot_state()
+    assert bulk.epochs.snapshot_state() == seq.epochs.snapshot_state()
+    return [(m.kind, m.payload) for _, m in responses_bulk]
+
+
+#: A small key pool, so equal regular keys (at and away from the cut,
+#: and at epoch floors) are common.
+PACK_KEYS = st.sampled_from([0.5, 1.0, 2.0, 2.0, 3.0, 4.0, 16.0, 64.0])
+
+#: Tier-1 examples of the pack property; the stress tier runs 50 times
+#: as many (``tests/test_stress.py``).
+PACK_EXAMPLES = 40
+
+
+@st.composite
+def pack_sequences(draw):
+    """A coordinator config and a few packs of earlies over three
+    levels and regulars with tied keys."""
+    s = draw(st.integers(min_value=2, max_value=6))
+    saturation = draw(st.integers(min_value=2, max_value=8))
+    packs = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from([1.0, 2.5, 5.0, 40.0]), max_size=12),
+                st.lists(PACK_KEYS, max_size=10),
+            ),
+            min_size=1,
+            max_size=4,
         )
-        self._assert_equivalent(bulk, seq, pack)
+    )
+    return s, saturation, packs
+
+
+def check_pack_sequence(case):
+    """Every pack of the sequence folds as its messages would."""
+    s, saturation, packs = case
+    bulk, seq = twin_coordinators(k=4, s=s, saturation=saturation)
+    ident = 1000
+    for early_weights, keys in packs:
+        regulars = []
+        for key in keys:
+            regulars.append((ident, 1.0, key))
+            ident += 1
+        pack = coordinator_pack(bulk, early_weights, regulars)
+        if len(pack):
+            assert_pack_equals_messages(bulk, seq, pack)
+
+
+class TestCoordinatorPackPaths:
+    def test_saturating_pack_takes_replay_path(self):
+        """A pack whose earlies saturate a level broadcasts at the
+        exact release point; the earlies after it, for the level just
+        saturated, compete for the sample directly."""
+        bulk, seq = twin_coordinators(saturation=3)
+        pack = coordinator_pack(
+            bulk, np.ones(5), [(10, 1.0, 0.25), (11, 1.0, 9.0)]
+        )  # all level 0 -> saturates at the 3rd
+        out = assert_pack_equals_messages(bulk, seq, pack)
+        assert out[0] == ("level_saturated", (0,))
         assert bulk.early_for_saturated == seq.early_for_saturated == 2
 
     def test_epoch_crossing_pack_takes_replay_path(self):
-        bulk, seq = self._twins(s=2, saturation=4)
+        bulk, seq = twin_coordinators(s=2, saturation=4)
         # Pre-saturate level 0 so regulars flow; huge keys force the
         # threshold through several epoch brackets inside one pack.
-        warm = MessagePack(
-            np.arange(4, dtype=np.int64),
-            np.ones(4),
-            np.zeros(4, dtype=np.int64),
+        assert_pack_equals_messages(bulk, seq, coordinator_pack(bulk, np.ones(4)))
+        pack = coordinator_pack(
+            bulk, regulars=[(10, 1.0, 5.0), (11, 1.0, 40.0), (12, 1.0, 600.0)]
         )
-        self._assert_equivalent(bulk, seq, warm)
-        pack = MessagePack(
-            regular_idents=np.array([10, 11, 12], dtype=np.int64),
-            regular_weights=np.array([1.0, 1.0, 1.0]),
-            regular_keys=np.array([5.0, 40.0, 600.0]),
-        )
-        self._assert_equivalent(bulk, seq, pack)
+        assert_pack_equals_messages(bulk, seq, pack)
         assert bulk.epochs.epoch == seq.epochs.epoch
 
-    def test_quiet_pack_takes_bulk_path(self, rng):
-        bulk, seq = self._twins()
-        pack = MessagePack(
-            np.arange(2, dtype=np.int64),
-            np.array([1.0, 2.0]),
-            np.zeros(2, dtype=np.int64),
-            np.array([7, 8], dtype=np.int64),
-            np.array([3.0, 4.0]),
-            np.array([0.5, 0.25]),
+    def test_quiet_pack_takes_bulk_path(self):
+        bulk, seq = twin_coordinators()
+        pack = coordinator_pack(
+            bulk, [1.0, 2.0], [(7, 3.0, 0.5), (8, 4.0, 0.25)]
         )
-        self._assert_equivalent(bulk, seq, pack)
+        assert assert_pack_equals_messages(bulk, seq, pack) == []
         assert bulk.levels.pending_count() == 2
+
+    def test_release_crosses_several_epoch_brackets(self):
+        """A release into an empty sample announces at three separate
+        entries; the segmented fold emits each where sequential offers
+        do."""
+        bulk, seq = twin_coordinators(s=2, saturation=8, seed=4)
+        out = assert_pack_equals_messages(
+            bulk, seq, coordinator_pack(bulk, np.full(8, 100.0))
+        )
+        assert out[0] == ("level_saturated", (6,))
+        assert [kind for kind, _ in out[1:]].count("epoch_update") >= 2
+
+    def test_two_levels_saturate_in_one_pack(self):
+        bulk, seq = twin_coordinators(s=2, saturation=3, seed=5)
+        weights = [1.0, 3.0, 1.0, 3.0, 1.0, 3.0, 1.0, 3.0]  # levels 0 and 1
+        out = assert_pack_equals_messages(
+            bulk,
+            seq,
+            coordinator_pack(bulk, weights, [(20, 1.0, 2.0), (21, 1.0, 7.5)]),
+        )
+        saturations = [payload for kind, payload in out if kind == "level_saturated"]
+        assert saturations == [(0,), (1,)]
+        assert bulk.early_for_saturated == 2
+
+    def test_release_into_underfull_sample(self):
+        """Releases of 3 into a sample of 5: the first leaves ``S``
+        underfull (threshold 0), the second fills it mid-release."""
+        bulk, seq = twin_coordinators(s=5, saturation=3, seed=6)
+        assert_pack_equals_messages(bulk, seq, coordinator_pack(bulk, np.ones(3)))
+        assert len(bulk.sample_set) == 3 and bulk.threshold == 0.0
+        assert_pack_equals_messages(
+            bulk, seq, coordinator_pack(bulk, np.full(4, 3.0))
+        )
+        assert bulk.sample_set.full and bulk.early_for_saturated == 1
+
+    def test_regular_pack_crosses_epochs_at_several_entries(self):
+        bulk, seq = twin_coordinators(s=2, saturation=4)
+        keys = [1.5, 1.25, 3.0, 0.5, 9.0, 40.0, 2.0, 41.0]
+        out = assert_pack_equals_messages(
+            bulk,
+            seq,
+            coordinator_pack(
+                bulk, regulars=[(i, 1.0, key) for i, key in enumerate(keys)]
+            ),
+        )
+        assert [payload for _, payload in out] == [(1.0,), (2.0,), (8.0,), (32.0,)]
+
+    @settings(max_examples=PACK_EXAMPLES, deadline=None)
+    @given(case=pack_sequences())
+    def test_packs_equal_messages_property(self, case):
+        check_pack_sequence(case)
+
+    @pytest.mark.parametrize("batch_size", [1024, None])
+    def test_hh_release_across_epochs_equals_traced_run(self, monkeypatch, batch_size):
+        """End to end: an HH stream whose first release announces four
+        epochs.  The untraced columnar run folds it in epoch segments;
+        a traced network, at the same schedule, offers every entry one
+        by one — the per-message oracle."""
+        from repro import ResidualHeavyHitterTracker
+
+        releases = []  # (folded in epoch segments, EPOCH_UPDATEs) per release
+        early_core = SworCoordinator._early_core
+
+        def spy(coordinator, ident, weight, level, key, fold=False):
+            out = early_core(coordinator, ident, weight, level, key, fold)
+            if out and out[0][1].kind == "level_saturated":
+                releases.append((fold, sum(m.kind == "epoch_update" for _, m in out)))
+            return out
+
+        monkeypatch.setattr(SworCoordinator, "_early_core", spy)
+        gen = np.random.Generator(np.random.PCG64(0))
+        weights = np.minimum(gen.random(20_000) ** (-1.0 / 1.2), 1e6)
+        share = np.arange(1, 17, dtype=np.float64) ** -1.2
+        sites = gen.choice(16, size=20_000, p=share / share.sum())
+        stream = ColumnarStream(np.arange(20_000), weights, sites, 16)
+
+        def run(traced):
+            engine = (
+                ColumnarEngine() if batch_size is None
+                else ColumnarEngine(batch_size=batch_size)
+            )
+            proto = ResidualHeavyHitterTracker(16, 0.2, seed=3, engine=engine).protocol
+            if traced:
+                MessageTrace.attach(proto.network)
+            proto.run(stream)
+            coordinator = proto.coordinator
+            return (
+                _fingerprint(proto, proto.counters),
+                coordinator.early_received,
+                coordinator.regular_received,
+                coordinator.early_for_saturated,
+                coordinator._rng.getstate(),
+                coordinator.levels.snapshot_state(),
+                coordinator.epochs.snapshot_state(),
+            )
+
+        untraced = run(False)
+        assert max(n for folded, n in releases if folded) >= 2
+        del releases[:]
+        assert run(True) == untraced
+        assert releases and not any(folded for folded, _ in releases)
 
     def test_early_for_disabled_level_sets_raises(self):
         config = SworConfig(num_sites=4, sample_size=3, level_sets_enabled=False)
@@ -665,6 +832,51 @@ class TestCoordinatorPackPaths:
         )
         with pytest.raises(ProtocolViolationError):
             coord.on_message_pack(0, pack)
+
+
+class TestQueryViewTies:
+    """``sample_with_keys`` ranks ``S``'s sorted view, then the pending
+    entries in bucket order, by one stable sort on decreasing key."""
+
+    @staticmethod
+    def _concatenate_then_sort(coordinator):
+        entries = coordinator.sample_set.entries() + coordinator.levels.pending_entries()
+        entries.sort(key=lambda pair: -pair[1])
+        return entries[: coordinator.config.sample_size]
+
+    def _coordinator(self, s=3):
+        config = SworConfig(num_sites=4, sample_size=s, level_set_factor=100.0)
+        return SworCoordinator(config, random.Random(0))
+
+    def test_ties_within_s_across_s_and_pending_and_across_levels(self):
+        coord = self._coordinator(s=4)
+        for ident, key in [(1, 2.0), (2, 5.0), (3, 2.0)]:
+            coord.on_message(0, Message(REGULAR, (ident, 1.0, key)))
+        coord.levels.add(10, 3.0, 5.0)  # level 1, ties S's 5.0
+        coord.levels.add(11, 1.0, 2.0)  # level 0, ties S's 2.0
+        coord.levels.add(12, 3.0, 2.0)  # level 1 again, ties both
+        coord.levels.add(13, 9.0, 5.0)  # level 3
+        view = coord.sample_with_keys()
+        assert view == self._concatenate_then_sort(coord)
+        assert [(item.ident, key) for item, key in view] == [
+            (2, 5.0), (10, 5.0), (13, 5.0), (1, 2.0)
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        released=st.lists(PACK_KEYS, max_size=8),
+        pending=st.lists(
+            st.tuples(st.sampled_from([1.0, 3.0, 9.0]), PACK_KEYS), max_size=12
+        ),
+        s=st.integers(min_value=1, max_value=6),
+    )
+    def test_equals_concatenate_then_stable_sort(self, released, pending, s):
+        coord = self._coordinator(s=s)
+        for ident, key in enumerate(released):
+            coord.on_message(0, Message(REGULAR, (ident, 1.0, key)))
+        for ident, (weight, key) in enumerate(pending, start=100):
+            coord.levels.add(ident, weight, key)
+        assert coord.sample_with_keys() == self._concatenate_then_sort(coord)
 
 
 # ---------------------------------------------------------------------------

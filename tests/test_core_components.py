@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.common import ConfigurationError, ProtocolViolationError
@@ -113,22 +114,22 @@ class TestLevelOf:
 class TestLevelSetManager:
     def test_saturation_releases_batch(self):
         mgr = LevelSetManager(r=2.0, saturation_size=3)
-        assert mgr.add(Item(0, 4.0), 1.0) is None
-        assert mgr.add(Item(1, 5.0), 2.0) is None
-        batch = mgr.add(Item(2, 6.0), 3.0)
-        assert batch is not None and len(batch) == 3
+        assert mgr.add(0, 4.0, 1.0) is None
+        assert mgr.add(1, 5.0, 2.0) is None
+        batch = mgr.add(2, 6.0, 3.0)
+        assert batch == ([0, 1, 2], [4.0, 5.0, 6.0], [1.0, 2.0, 3.0])
         assert mgr.is_saturated(2)  # level of weights 4..6 at r=2
 
     def test_post_saturation_add_is_violation(self):
         mgr = LevelSetManager(r=2.0, saturation_size=1)
-        mgr.add(Item(0, 4.0), 1.0)
+        mgr.add(0, 4.0, 1.0)
         with pytest.raises(ProtocolViolationError):
-            mgr.add(Item(1, 4.5), 1.0)
+            mgr.add(1, 4.5, 1.0)
 
     def test_pending_entries_and_weight(self):
         mgr = LevelSetManager(r=2.0, saturation_size=10)
-        mgr.add(Item(0, 4.0), 1.0)
-        mgr.add(Item(1, 100.0), 2.0)
+        mgr.add(0, 4.0, 1.0)
+        mgr.add(1, 100.0, 2.0)
         assert mgr.pending_count() == 2
         assert mgr.pending_weight() == pytest.approx(104.0)
         keys = {k for _, k in mgr.pending_entries()}
@@ -136,12 +137,13 @@ class TestLevelSetManager:
 
     def test_levels_independent(self):
         mgr = LevelSetManager(r=2.0, saturation_size=2)
-        mgr.add(Item(0, 1.0), 1.0)  # level 0
-        batch = mgr.add(Item(1, 100.0), 2.0)  # level 6
+        mgr.add(0, 1.0, 1.0)  # level 0
+        batch = mgr.add(1, 100.0, 2.0)  # level 6
         assert batch is None
-        batch = mgr.add(Item(2, 1.5), 3.0)  # saturates level 0
+        batch = mgr.add(2, 1.5, 3.0)  # saturates level 0
         assert batch is not None
-        assert {item.ident for item, _ in batch} == {0, 2}
+        idents, _, _ = batch
+        assert set(idents) == {0, 2}
 
     def test_lemma1_heaviness_invariant(self):
         """Items in a saturated batch are <= 1/(4s)-fraction of it:
@@ -153,15 +155,73 @@ class TestLevelSetManager:
         i = 0
         while batch is None:
             w = rng.uniform(8.0, 15.999)  # all level 3 at r=2
-            batch = mgr.add(Item(i, w), 1.0)
+            batch = mgr.add(i, w, 1.0)
             i += 1
-        total = sum(item.weight for item, _ in batch)
-        for item, _ in batch:
-            assert item.weight <= total / (4 * s) * (1 + 1e-9)
+        _, weights, _ = batch
+        assert len(weights) == mgr.saturation_size
+        total = sum(weights)
+        for weight in weights:
+            assert weight <= total / (4 * s) * (1 + 1e-9)
 
     def test_invalid_saturation_size(self):
         with pytest.raises(ConfigurationError):
             LevelSetManager(2.0, 0)
+
+    def test_snapshot_restore_round_trip(self):
+        """Snapshots copy the columns (later parking does not leak into
+        them) and keep the buckets' first-appearance order."""
+        mgr = LevelSetManager(r=2.0, saturation_size=3)
+        mgr.add(0, 9.0, 1.5)  # level 3 first
+        mgr.add(1, 1.0, 2.5)  # then level 0
+        mgr.add(2, 9.5, 0.5)
+        snapshot = mgr.snapshot_state()
+        before = mgr.pending_columns()
+        assert before == ([0, 2, 1], [9.0, 9.5, 1.0], [1.5, 0.5, 2.5])
+        mgr.add(3, 1.5, 4.0)
+        assert mgr.add(4, 12.0, 3.0) is not None  # saturates level 3
+        mgr.add(5, 40.0, 1.0)
+        assert mgr.snapshot_state() != snapshot
+        mgr.restore_state(snapshot)
+        assert mgr.snapshot_state() == snapshot
+        assert mgr.pending_columns() == before
+        assert not mgr.is_saturated(3)
+        assert (mgr.early_items_received, mgr.levels_saturated) == (3, 0)
+        mgr.add(6, 1.2, 7.0)  # the restored columns are copies too
+        assert snapshot[0][0] == ([1], [1.0], [2.5])
+
+    def test_pending_weight_sums_in_bucket_order(self):
+        """A left fold over the buckets in first-appearance order, as
+        over the ``(item, key)`` buckets it replaced."""
+        mgr = LevelSetManager(r=2.0, saturation_size=3)
+        for ident, weight in enumerate([1e16, 1.0, 3.0, 1.0]):  # levels 53, 0, 1, 0
+            mgr.add(ident, weight, 1.0)
+        assert mgr.pending_weight() == ((1e16 + 1.0) + 1.0) + 3.0
+        mgr.add(4, 1.5, 1.0)  # saturates level 0: its weight leaves
+        assert mgr.pending_weight() == 1e16 + 3.0
+
+    def test_admits_and_park_equal_one_by_one_add(self):
+        """``admits`` refuses a column that would saturate (or hits a
+        saturated) level; ``park`` groups an admitted one by level and
+        ends where one-by-one ``add`` does, new levels in
+        first-appearance order."""
+        levels = np.array([3, 0, 3, 1, 0])
+        idents = np.arange(5)
+        weights = np.array([9.0, 1.0, 10.0, 2.0, 1.5])
+        keys = [0.5, 1.5, 2.5, 3.5, 4.5]
+        bulk = LevelSetManager(r=2.0, saturation_size=3)
+        seq = LevelSetManager(r=2.0, saturation_size=3)
+        assert bulk.admits(levels)
+        bulk.park(levels, idents, weights, keys)
+        for ident, weight, key in zip(idents.tolist(), weights.tolist(), keys):
+            seq.add(ident, weight, key)
+        assert bulk.snapshot_state() == seq.snapshot_state()
+        assert list(bulk.snapshot_state()[0]) == [3, 0, 1]
+        assert bulk.admits(np.array([1, 5]))
+        assert not bulk.admits(np.array([1, 3]))  # level 3 would fill
+        assert bulk.add(9, 12.0, 1.0) == ([0, 2, 9], [9.0, 10.0, 12.0], [0.5, 2.5, 1.0])
+        assert not bulk.admits(np.array([3]))  # level 3 is saturated
+        with pytest.raises(ProtocolViolationError):
+            bulk.add(10, 9.0, 1.0)
 
 
 class TestEpochTracker:

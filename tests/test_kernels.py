@@ -28,7 +28,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.core import DistributedWeightedSWOR, SworConfig, level_of
-from repro.core import coordinator as coordinator_mod
+from repro.core import epochs as epochs_mod
 from repro.core.coordinator import SworCoordinator
 from repro.kernels import (
     compute_levels,
@@ -322,7 +322,8 @@ class TestCoordinatorFusedFold:
             calls.append(args)
             return swor_fold_regulars(*args)
 
-        monkeypatch.setattr(coordinator_mod, "swor_fold_regulars", spy)
+        # The pack fold runs through the shared epoch-segmented fold.
+        monkeypatch.setattr(epochs_mod, "swor_fold_regulars", spy)
         bulk = self._coordinator(s)
         bulk.on_message_pack(0, pack)
         assert calls  # the fused fold, not a replay, took the pack

@@ -206,6 +206,50 @@ def test_every_path_of_the_step_runs(monkeypatch):
     assert counts[:2] == (spy.whole, spy.split)
 
 
+@pytest.mark.parametrize("protocol", ["swor", "hh"])
+def test_window_folded_whole_runs_the_fused_fold_once(monkeypatch, protocol):
+    """``folds_quietly`` computes the window's fused fold, and the pack
+    fold that follows reuses it: one ``swor_fold_regulars`` call per
+    window folded whole, counted across both modules that call the
+    kernel."""
+    from repro.core import coordinator as coordinator_mod
+    from repro.core import epochs as epochs_mod
+
+    kernel_calls = [0]
+    for module in (coordinator_mod, epochs_mod):
+        kernel = module.swor_fold_regulars
+
+        def counted(*args, kernel=kernel):
+            kernel_calls[0] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(module, "swor_fold_regulars", counted)
+    per_window = []  # kernel calls of each window folded whole
+    started = []
+    folds_quietly = SworCoordinator.folds_quietly
+    on_message_pack = SworCoordinator.on_message_pack
+
+    def folds_quietly_spy(coordinator, keys):
+        before = kernel_calls[0]
+        quiet = folds_quietly(coordinator, keys)
+        if quiet and keys is not None:
+            started.append(before)
+        return quiet
+
+    def on_message_pack_spy(coordinator, site_id, pack):
+        out = on_message_pack(coordinator, site_id, pack)
+        if started:
+            per_window.append(kernel_calls[0] - started.pop())
+        return out
+
+    monkeypatch.setattr(SworCoordinator, "folds_quietly", folds_quietly_spy)
+    monkeypatch.setattr(SworCoordinator, "on_message_pack", on_message_pack_spy)
+    _, stats = _run(_stream(), protocol, None)
+    assert len(per_window) > 0 and not started
+    assert len(per_window) <= stats["windows_whole"]
+    assert per_window == [1] * len(per_window)
+
+
 def test_profile_prints_window_step_counts():
     engine = ColumnarEngine(batch_size=256)
     proto = DistributedWeightedSWOR(
