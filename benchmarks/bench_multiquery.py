@@ -8,17 +8,21 @@ per-query samples (same derived seeds) and message counts within
 **1.05x**.  (The gate was 2x while the sequential comparator ran the
 slower per-message batched engine.  Against standalone columnar runs,
 which each draw their own exponentials and fold their own packs just
-like a fused member, the shared pass measured 1.12-1.64x over nine
-runs at 1M items / 64 sites on a busy 2-core container; the committed
-baseline and ``compare_baselines.py`` track the ratio itself.)
+like a query in the shared pass, the ratio read 1.45 (median of 15
+runs) at the CI config and 1.51-1.63x at 1M items / 64 sites on a
+2-core container; the committed baseline and ``compare_baselines.py``
+track the ratio itself.)
 
 The 8 benchmark queries are heterogeneous estimation queries (subset
 sums, quantiles, a group-by, a frequency, a mean) that all compile onto
-same-config weighted SWOR instances, which is exactly the fleet the
-driver's fused site-side pass amortizes: per batch it computes the
-per-site grouping, level indices, early/regular split, and shared early
-``Item`` objects once, leaving only per-query RNG draws, threshold
-filters, and coordinator work.
+same-config weighted SWOR instances.  The driver runs each query's
+network through the columnar engine's window step, as a standalone run
+does, and shares what does not depend on a query's random draws: per
+window it groups and gathers the arrivals once, and the window's level
+split — of the whole window, and of each run of a window the
+coordinator refuses — is computed once for all same-config queries
+(the grouped window's memo).  Per-query RNG draws, threshold filters
+and coordinator work remain.
 
 Run with::
 

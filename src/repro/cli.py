@@ -425,7 +425,7 @@ def _cmd_query(args: argparse.Namespace) -> str:
         or args.fault_plan is not None
     ):
         raise SystemExit(
-            "repro query runs its fused multi-query pass in-process; "
+            "repro query runs its shared multi-query pass in-process; "
             "--workers/--worker-timeout/--fault-plan do not apply "
             "(engine 'sharded' selects the columnar data plane)"
         )

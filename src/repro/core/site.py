@@ -17,15 +17,15 @@ Snapshot contract: ``snapshot_state()``/``restore_state()`` must cover
 every attribute protocol methods mutate — the sharded engine's
 rollback replays from these snapshots and any uncovered attribute
 breaks bit-parity only on the rare rollback paths.  reprolint rule
-R003 checks this statically; derived caches that rebuild themselves
-are exempted explicitly via ``_SNAPSHOT_EXCLUDE``.
+R003 checks this statically.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
-from typing import Any, Callable, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Union
 
 import numpy as _np
 
@@ -45,7 +45,28 @@ from ..stream.item import Item
 from .config import SworConfig
 from .levels import level_of, levels_of_array
 
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..runtime.columnar import GroupedWindow
+
 __all__ = ["SworSite"]
+
+
+@functools.lru_cache(maxsize=256)
+def saturation_table(mask: int) -> _np.ndarray:
+    """The read-only bool table ``table[j] = level j saturated`` of a
+    saturated-level bitmask, spanning ``max(64, mask.bit_length())``
+    levels — every set bit, so levels beyond the table are unsaturated
+    (the form the ``window_split`` kernel wants).
+
+    A pure function of the mask, cached and shared by every site: the
+    mask changes only on a ``LEVEL_SATURATED`` broadcast, which every
+    site of a network (and every same-config network) receives."""
+    size = max(64, mask.bit_length())
+    table = _np.fromiter(
+        ((mask >> j) & 1 for j in range(size)), dtype=_np.bool_, count=size
+    )
+    table.flags.writeable = False
+    return table
 
 
 class _WindowPrep:
@@ -173,10 +194,6 @@ class SworSite(SiteAlgorithm):
         Site-local randomness (independent across sites).
     """
 
-    #: Derived cache, keyed by ``_saturated_mask`` and rebuilt on any
-    #: mismatch — safe to omit from snapshot/restore (reprolint R003).
-    _SNAPSHOT_EXCLUDE = ("_sat_table", "_sat_table_mask")
-
     def __init__(self, site_id: int, config: SworConfig, rng: random.Random) -> None:
         self.site_id = site_id
         self.config = config
@@ -187,10 +204,6 @@ class SworSite(SiteAlgorithm):
         self._saturated_mask = 0
         self._threshold = 0.0  # u_i, last announced epoch floor r^j
         self._batch_rng: Optional[BatchRandom] = None
-        # Saturation lookup table cache for the columnar path (rebuilt
-        # only when the mask changes or a deeper level appears).
-        self._sat_table = None
-        self._sat_table_mask = -1
         self.items_seen = 0
         self.exponentials_generated = 0
         self.bits_generated = 0
@@ -210,21 +223,24 @@ class SworSite(SiteAlgorithm):
 
     def prepare_window(
         self,
-        weights: _np.ndarray,
+        window: "GroupedWindow",
         runs: Optional[list] = None,
         can_park: Optional[Callable[[_np.ndarray], bool]] = None,
-    ) -> "Optional[_WindowPrep]":
+    ) -> "Union[_WindowPrep, None, bool]":
         """The window pass of the columnar engines: every run's regular
         keys, drawn on window-start state.
 
-        ``weights`` is the window's site-sorted weight column and
-        ``runs`` its ``(site_id, site, start, end)`` runs in ascending
-        site order, covering the window, each ``site`` one of this
-        site's peers.  Levels and the saturation lookup are pure
-        functions of the weights, the shared config and the mask, so
-        one split of the window serves every run; every SWOR control is
-        a broadcast, so at a window boundary every site holds this
-        site's mask and threshold.
+        ``window`` is a grouped window
+        (:class:`~repro.runtime.columnar.GroupedWindow`: the window's
+        site-sorted columns and its memo of level splits) and ``runs``
+        its ``(site_id, site, start, end)`` runs in ascending site
+        order, covering the window, each ``site`` one of this site's
+        peers.  Levels and the saturation lookup are pure functions of
+        the weights, ``r`` and the mask, so one split of the window —
+        read from the window's memo, where every same-config network
+        finds it — serves every run; every SWOR control is a broadcast,
+        so at a window boundary every site holds this site's mask and
+        threshold.
 
         Each run books its arrivals in ``items_seen`` and draws its
         regulars — the count and order its :meth:`on_columns` would
@@ -239,10 +255,12 @@ class SworSite(SiteAlgorithm):
 
         ``can_park``, the coordinator's pure check of the window's
         early levels, refuses the pass when a level could saturate in
-        the window, before anything is drawn: only ``LEVEL_SATURATED``
-        changes how many keys a run draws.  The pass also does not run
+        the window, before anything is drawn (only ``LEVEL_SATURATED``
+        changes how many keys a run draws): the result is then
+        ``False``, and each run takes its own :meth:`on_columns`, with
+        its split read from the window's memo.  The pass does not run
         without ``runs``, with level sets disabled and in
-        ``count_bits`` mode.  Returns ``None`` when it does not run.
+        ``count_bits`` mode: the result is then ``None``.
         """
         if (
             runs is None
@@ -250,9 +268,10 @@ class SworSite(SiteAlgorithm):
             or self.config.count_bits
         ):
             return None
-        levels, saturated, early = self._split(weights)
+        weights = window.weights
+        levels, saturated, early = window.split(self, 0, len(weights))
         if can_park is not None and len(early) and not can_park(levels[early]):
-            return None
+            return False
         m = len(weights)
         bounds = _np.array([run[2] for run in runs] + [m])
         early_bounds = _np.searchsorted(early, bounds)
@@ -320,44 +339,10 @@ class SworSite(SiteAlgorithm):
             if lowest_open == 0
             else (self._r**lowest_open) * (1.0 - 1e-9)
         )
-        return window_split(weights, self._r, heavy_floor, self._mask_table())
-
-    def _saturation_table(self, max_level: int) -> _np.ndarray:
-        """Cached bool table ``table[j] = level j saturated``.
-
-        Shared by every bulk path (``on_columns``, ``prepare_window``,
-        the fused multi-query pass) and rebuilt
-        only when the mask changes — a ``LEVEL_SATURATED`` broadcast, a
-        handful of times per run — or a deeper level appears.
-        """
-        table = self._sat_table
-        if (
-            table is None
-            or self._sat_table_mask != self._saturated_mask
-            or len(table) <= max_level
-        ):
-            mask = self._saturated_mask
-            size = max(max_level + 1, 64)
-            table = _np.fromiter(
-                ((mask >> j) & 1 for j in range(size)),
-                dtype=_np.bool_,
-                count=size,
-            )
-            self._sat_table = table
-            self._sat_table_mask = mask
-        return table
-
-    def _mask_table(self) -> _np.ndarray:
-        """The saturation table sized to cover every set mask bit —
-        the form the ``window_split`` kernel wants (levels beyond the
-        table are unsaturated by construction, since the table spans
-        the mask's bit length)."""
-        return self._saturation_table(
-            max(63, self._saturated_mask.bit_length() - 1)
-        )
+        return window_split(weights, self._r, heavy_floor, saturation_table(mask))
 
     def on_columns(
-        self, idents: _np.ndarray, weights: _np.ndarray
+        self, idents: _np.ndarray, weights: _np.ndarray, split: Any = None
     ) -> Union[MessagePack, List[Message], tuple]:
         """Vectorized Algorithm 1 over a batch of arrivals.
 
@@ -371,6 +356,12 @@ class SworSite(SiteAlgorithm):
         no ``Item`` and no per-message ``Message`` objects (an empty
         tuple when the batch sends nothing).
 
+        ``split``, when given, is this batch's level split
+        ``(levels, saturated, early_positions)`` under this site's
+        mask, as :meth:`_split` computes it — read by the columnar
+        engines from a grouped window's memo, so same-config networks
+        split each run once.
+
         Takes the scalar ``on_item`` path (returning plain messages)
         for single-item batches, which keeps batch size 1 bit-identical
         to the reference engine, and in ``count_bits`` mode, whose
@@ -383,7 +374,9 @@ class SworSite(SiteAlgorithm):
         early: tuple = ()
         regular_idents, regular_weights = idents, weights
         if self.config.level_sets_enabled:
-            levels, saturated, early_positions = self._split(weights)
+            levels, saturated, early_positions = (
+                self._split(weights) if split is None else split
+            )
             if len(early_positions) == n:
                 # Everything early (warm-up included): no exponentials.
                 return MessagePack(idents, weights, levels)
@@ -428,9 +421,7 @@ class SworSite(SiteAlgorithm):
 
         Captures exactly the state the site-pass hooks mutate: the two
         RNG streams (scalar + batch), the control view (mask,
-        threshold), and the resource counters.  The ``_sat_table``
-        cache is deliberately excluded — it is keyed by the mask and
-        rebuilds itself on mismatch.
+        threshold), and the resource counters.
         """
         batch = self._batch_rng
         return (

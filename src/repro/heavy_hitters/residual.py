@@ -121,8 +121,9 @@ class ResidualHeavyHitterTracker:
 
     @property
     def protocol(self) -> DistributedWeightedSWOR:
-        """The underlying Theorem 3 protocol (e.g. for shared-pass
-        drivers that fuse same-config SWOR instances)."""
+        """The underlying Theorem 3 protocol (e.g. for the multi-query
+        driver, which runs its network through the columnar window
+        step)."""
         return self._swor
 
     @property

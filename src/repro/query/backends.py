@@ -127,11 +127,6 @@ class _SworBackedQuery(NetworkBackedQuery):
         self.network = protocol.network
         self.confidence = confidence
 
-    @property
-    def fuse_config(self) -> SworConfig:
-        """Key for the driver's fused same-config site groups."""
-        return self.protocol.config
-
     def entries(self) -> List[Tuple[Item, float]]:
         return self.protocol.sample_with_keys()
 
@@ -174,10 +169,6 @@ class _HeavyHittersBackedQuery(NetworkBackedQuery):
         super().__init__(query)
         self.tracker = tracker
         self.network = tracker.protocol.network
-
-    @property
-    def fuse_config(self) -> SworConfig:
-        return self.tracker.protocol.config
 
     def answer(self) -> List[Item]:
         return self.tracker.heavy_hitters()

@@ -12,22 +12,22 @@ centralized backends take column slices through ``observe_columns``.
 Each query is backed by its own protocol instance (weighted/unweighted
 SWOR, SWR, L1 tracker, sliding-window sampler) with an independent,
 deterministically derived RNG substream — the same sample a standalone
-run with :func:`repro.query.backends.query_seed` would produce — while
-the driver amortizes the columnar engine's per-batch work across all
-of them:
+run with :func:`repro.query.backends.query_seed` would produce.
 
-* the per-site grouping of each window (one counting sort,
-  :func:`~repro.runtime.batched.window_order`) and the gather of the
-  site-sorted ident/weight columns are computed **once**, and every
-  query's site gets its slice of those columns, exactly as
-  :class:`~repro.runtime.ColumnarEngine` hands them out;
-* queries backed by *same-config* weighted SWORs are **fused**: the
-  batch's level indices and the early/regular split are computed once
-  per (batch, site), leaving only the per-query exponential draws,
-  threshold filtering, and coordinator work;
-* control propagation follows the columnar engine's bounded-staleness
-  contract exactly, so per-query message counts match a standalone
-  columnar run message for message.
+Per window the driver groups the arrivals by site (one counting sort,
+:func:`~repro.runtime.batched.window_order`) and gathers the
+site-sorted ident/weight columns **once**, into one
+:class:`~repro.runtime.columnar.GroupedWindow`; then it runs the
+columnar engine's window body,
+:func:`~repro.runtime.columnar.run_window`, once per query network.
+Every query network therefore takes exactly the path a standalone
+:class:`~repro.runtime.ColumnarEngine` run takes — SWOR and heavy-hitter
+queries the SWOR window step, the others the per-site loop — and ends
+with the same sample, counters and coordinator state.  Same-config
+SWOR queries share the level split of every window and of every run of
+a refused window through the grouped window's memo: the split is a
+pure function of the weights, ``r`` and the saturated mask, all
+independent of a query's random draws.
 
 The batch schedule is the columnar engine's
 (:func:`~repro.runtime.batched.batch_windows`: doubling ramp,
@@ -42,14 +42,8 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-import numpy as _np
-
 from ..common.errors import ConfigurationError
-from ..common.rng import BatchRandom
-from ..core.config import SworConfig
-from ..core.levels import levels_of_array
 from ..net.counters import MessageCounters
-from ..net.messages import MessagePack
 from ..obs import NULL_REGISTRY
 from ..runtime.batched import (
     DEFAULT_BATCH_SIZE,
@@ -57,42 +51,17 @@ from ..runtime.batched import (
     batch_windows,
     window_order,
 )
-from ..stream.item import DistributedStream, Item
+from ..runtime.columnar import GroupedWindow, run_window, window_step
+from ..stream.item import DistributedStream
 from .backends import (
     CentralizedQuery,
     CompiledQuery,
     NetworkBackedQuery,
-    _SworBackedQuery,
     compile_query,
 )
 from .model import Query, QueryCatalog
 
 __all__ = ["MultiQueryDriver", "MultiQueryResult"]
-
-
-def _site_pass(network, site_id: int, idents, weights) -> None:
-    """Run one site's share of a window and deliver the result — a
-    whole pack, or its messages one by one, as
-    :class:`~repro.runtime.ColumnarEngine` does.
-
-    Batches go through the bulk hook ``on_columns``.  A single arrival
-    goes straight to ``on_item`` (what ``on_columns`` would delegate
-    to), whose result may be a lazy generator — the L1 site's, whose
-    messages interleave with the broadcasts they trigger.  Keeping it
-    off ``on_columns`` keeps every ``on_columns`` result sized, which
-    the per-layer ledger in ``perfbench/`` relies on: it wraps
-    ``on_columns`` and counts the entries each call returns.
-    """
-    site = network.sites[site_id]
-    if len(weights) == 1:
-        result = site.on_item(Item(int(idents[0]), float(weights[0])))
-    else:
-        result = site.on_columns(idents, weights)
-    if isinstance(result, MessagePack):
-        network.deliver_pack(site_id, result)
-    else:
-        for message in result:
-            network.deliver_upstream(site_id, message)
 
 
 class MultiQueryResult:
@@ -138,140 +107,6 @@ class MultiQueryResult:
             ) from None
 
 
-class _GenericConsumer:
-    """Drives one network-backed query through the shared batches the
-    way a standalone :class:`~repro.runtime.ColumnarEngine` run of the
-    same protocol would: the site's columnar hook, then delivery — so
-    per-query samples and counters stay bit-identical to it (SWR,
-    unweighted, and L1 queries all ride their native pack paths)."""
-
-    __slots__ = ("instance", "network")
-
-    def __init__(self, instance: NetworkBackedQuery) -> None:
-        self.instance = instance
-        self.network = instance.network
-
-    def site_batch(self, site_id: int, idents, weights) -> None:
-        _site_pass(self.network, site_id, idents, weights)
-
-
-class _FusedSworGroup:
-    """Shared site-side pass for same-config weighted-SWOR queries.
-
-    For each (batch, site) the group computes once: the batch's level
-    indices and the saturation split into early/regular arrivals.  Each
-    member query then only
-    draws its own batch exponentials, filters on its own epoch
-    threshold, and delivers a single
-    :class:`~repro.net.messages.MessagePack` per (site, batch) through
-    its own network's
-    :meth:`~repro.runtime.network.Network.deliver_pack` — all members'
-    packs aliasing the same early columns — so the sample each member
-    ends with is bit-identical to a
-    standalone columnar run with the same seed, at a fraction of the
-    site-side cost.
-
-    Single-arrival batches (and any state divergence between members'
-    site views — impossible for same-config members, but checked
-    defensively) run each member's own site hook instead.
-    """
-
-    __slots__ = ("config", "members", "protocols", "_r")
-
-    def __init__(
-        self, config: SworConfig, members: List[NetworkBackedQuery]
-    ) -> None:
-        self.config = config
-        self.members = members
-        self.protocols = [
-            m.protocol if isinstance(m, _SworBackedQuery) else m.tracker.protocol
-            for m in members
-        ]
-        self._r = config.r
-
-    def _fallback(self, site_id: int, idents, weights) -> None:
-        for protocol in self.protocols:
-            _site_pass(protocol.network, site_id, idents, weights)
-
-    def site_batch(self, site_id: int, idents, weights) -> None:
-        """One shared early/regular split, one pack per member query.
-
-        Decision-for-decision and draw-for-draw identical to a
-        standalone columnar run of each member: per member only the
-        batch exponentials, the threshold filter, and the pack delivery
-        remain.
-        """
-        n = len(weights)
-        if n <= 1:
-            self._fallback(site_id, idents, weights)
-            return
-        first = self.protocols[0].sites[site_id]
-        mask = first._saturated_mask
-        for protocol in self.protocols[1:]:
-            if protocol.sites[site_id]._saturated_mask != mask:
-                self._fallback(site_id, idents, weights)  # pragma: no cover - defensive
-                return
-        levels = levels_of_array(weights, self._r)
-        early_idents = early_weights = early_levels = None
-        regular_idents = regular_weights = None
-        if mask:
-            saturated = first._saturation_table(int(levels.max()))[levels]
-            num_saturated = int(_np.count_nonzero(saturated))
-            if num_saturated == n:
-                regular_idents, regular_weights = idents, weights
-            elif num_saturated == 0:
-                early_idents, early_weights, early_levels = idents, weights, levels
-            else:
-                early = ~saturated
-                early_idents = idents[early]
-                early_weights = weights[early]
-                early_levels = levels[early]
-                regular_idents = idents[saturated]
-                regular_weights = weights[saturated]
-        else:
-            early_idents, early_weights, early_levels = idents, weights, levels
-        for protocol in self.protocols:
-            site = protocol.sites[site_id]
-            site.items_seen += n
-            if regular_weights is None:
-                protocol.network.deliver_pack(
-                    site_id, MessagePack(early_idents, early_weights, early_levels)
-                )
-                continue
-            threshold = site._threshold  # pre-flush view, like on_columns
-            if site._batch_rng is None:
-                site._batch_rng = BatchRandom(site._rng)
-            m = len(regular_weights)
-            draws = site._batch_rng.exponentials(m)
-            site.exponentials_generated += m
-            keys = _np.divide(regular_weights, draws, out=draws)
-            send = keys > threshold
-            num_send = int(_np.count_nonzero(send))
-            if num_send == 0:
-                if early_idents is None:
-                    continue
-                pack = MessagePack(early_idents, early_weights, early_levels)
-            elif num_send == m:
-                pack = MessagePack(
-                    early_idents,
-                    early_weights,
-                    early_levels,
-                    regular_idents,
-                    regular_weights,
-                    keys,
-                )
-            else:
-                pack = MessagePack(
-                    early_idents,
-                    early_weights,
-                    early_levels,
-                    regular_idents[send],
-                    regular_weights[send],
-                    keys[send],
-                )
-            protocol.network.deliver_pack(site_id, pack)
-
-
 class MultiQueryDriver:
     """Run a catalog of queries concurrently over one stream pass.
 
@@ -292,9 +127,9 @@ class MultiQueryDriver:
         synchronous round model, bit-identical to
         :class:`~repro.runtime.ReferenceEngine`).  ``"sharded"`` is
         accepted as a passthrough and selects the columnar data plane:
-        the driver's fused multi-query pass is itself the execution
-        engine and runs in-process (per-query results are bit-identical
-        either way); shard-parallel *site* execution applies to
+        the driver's shared pass is itself the execution engine and
+        runs in-process (per-query results are bit-identical either
+        way); shard-parallel *site* execution applies to
         single-protocol runs via :class:`~repro.runtime.ShardedEngine`.
     batch_size / initial_batch_size:
         Batch ramp, as in :class:`~repro.runtime.ColumnarEngine`;
@@ -303,10 +138,6 @@ class MultiQueryDriver:
         with a batch size.
     confidence:
         Nominal CI level for all estimator-backed answers.
-    fuse:
-        Allow the fused same-config SWOR fast path (disable to force
-        the generic per-query path, e.g. for benchmarking the fusion
-        gain itself).
     registry:
         Optional :class:`~repro.obs.MetricsRegistry`; when attached,
         each run exports per-query fold time
@@ -324,7 +155,6 @@ class MultiQueryDriver:
         batch_size: Optional[int] = None,
         initial_batch_size: Optional[int] = None,
         confidence: float = 0.95,
-        fuse: bool = True,
         registry=None,
     ) -> None:
         if num_sites <= 0:
@@ -363,8 +193,6 @@ class MultiQueryDriver:
         self.batch_size = batch_size
         self.initial_batch_size = min(initial_batch_size, batch_size)
         self.confidence = confidence
-        # Batch size 1 leaves a fused group nothing to share.
-        self.fuse = fuse and engine != "reference"
         self.compiled: List[CompiledQuery] = [
             compile_query(query, num_sites, seed, confidence) for query in catalog
         ]
@@ -396,30 +224,6 @@ class MultiQueryDriver:
         raise ConfigurationError(f"unknown query {name!r}")
 
     # -- the shared pass ----------------------------------------------
-
-    def _consumers(self) -> List[object]:
-        """Group fusable same-config SWOR queries; others run generic."""
-        fusable: Dict[SworConfig, List[NetworkBackedQuery]] = {}
-        consumers: List[object] = []
-        generic: List[NetworkBackedQuery] = []
-        for instance in self._network_backed:
-            config = getattr(instance, "fuse_config", None)
-            if (
-                self.fuse
-                and config is not None
-                and config.level_sets_enabled
-                and not config.count_bits
-            ):
-                fusable.setdefault(config, []).append(instance)
-            else:
-                generic.append(instance)
-        for config, members in fusable.items():
-            if len(members) >= 2:
-                consumers.append(_FusedSworGroup(config, members))
-            else:
-                generic.extend(members)
-        consumers.extend(_GenericConsumer(instance) for instance in generic)
-        return consumers
 
     def run(
         self,
@@ -460,15 +264,21 @@ class MultiQueryDriver:
         )
         mark_set = set(marks)
         snapshots: List[Tuple[int, Dict[str, object]]] = []
-        consumers = self._consumers()
         centralized = self._centralized
         networks = [instance.network for instance in self._network_backed]
+        # The reference round model takes no window step: each arrival
+        # goes through on_item and each message is delivered alone, as
+        # under ReferenceEngine.
+        steps = [
+            (network, None if self.engine == "reference" else window_step(network))
+            for network in networks
+        ]
         ts_column = getattr(stream, "timestamps", None)
         registry = self.registry
-        # Per-consumer fold clocks, allocated only when a live registry
-        # is attached (timing is per (window, site, consumer) — the
-        # null registry pays zero perf_counter calls).
-        timings = [0.0] * len(consumers) if registry.enabled else None
+        # Per-query fold clocks, allocated only when a live registry is
+        # attached (timing is per (window, query) — the null registry
+        # pays zero perf_counter calls).
+        timings = [0.0] * len(steps) if registry.enabled else None
         span = registry.span("driver_run")
         # batch_windows is the same schedule ColumnarEngine iterates —
         # the source of the driver's run-for-run parity with it.
@@ -476,9 +286,24 @@ class MultiQueryDriver:
             for lo, hi in batch_windows(
                 n, self.batch_size, self.initial_batch_size, marks
             ):
-                self._run_window(
-                    consumers, assignment, weights, idents, lo, hi, timings
+                positions, site_ids, run_starts, run_ends = window_order(
+                    assignment, lo, hi
                 )
+                window = GroupedWindow(
+                    idents[positions],
+                    weights[positions],
+                    site_ids,
+                    run_starts,
+                    run_ends,
+                )
+                if timings is None:
+                    for network, can_park in steps:
+                        run_window(network, window, can_park)
+                else:
+                    for index, (network, can_park) in enumerate(steps):
+                        t0 = time.perf_counter()
+                        run_window(network, window, can_park)
+                        timings[index] += time.perf_counter() - t0
                 if centralized:
                     ts = None if ts_column is None else ts_column[lo:hi]
                     for instance in centralized:
@@ -491,7 +316,7 @@ class MultiQueryDriver:
                 if hi in mark_set:
                     snapshots.append((base + hi, self.answers()))
         if timings is not None:
-            self._export_run(consumers, timings, n)
+            self._export_run(timings, n)
         return MultiQueryResult(
             answers=self.answers(),
             counters=self.counters(),
@@ -499,52 +324,16 @@ class MultiQueryDriver:
             snapshots=snapshots,
         )
 
-    @staticmethod
-    def _run_window(
-        consumers: List[object],
-        assignment,
-        weights,
-        idents,
-        lo: int,
-        hi: int,
-        timings: Optional[List[float]] = None,
-    ) -> None:
-        """One grouping and one gather of the window serve *every*
-        query's sites: each site gets its slice of the window's
-        site-sorted columns, as :class:`~repro.runtime.ColumnarEngine`
-        hands them out."""
-        positions, site_ids, run_starts, run_ends = window_order(
-            assignment, lo, hi
-        )
-        weights_sorted = weights[positions]
-        idents_sorted = idents[positions]
-        for site_id, start, end in zip(site_ids, run_starts, run_ends):
-            site_idents = idents_sorted[start:end]
-            site_weights = weights_sorted[start:end]
-            if timings is None:
-                for consumer in consumers:
-                    consumer.site_batch(site_id, site_idents, site_weights)
-            else:
-                for index, consumer in enumerate(consumers):
-                    t0 = time.perf_counter()
-                    consumer.site_batch(site_id, site_idents, site_weights)
-                    timings[index] += time.perf_counter() - t0
-
-    def _export_run(self, consumers, timings, items: int) -> None:
+    def _export_run(self, timings, items: int) -> None:
         """Export one run's driver telemetry (live registry only)."""
         registry = self.registry
         fold = registry.counter(
             "repro_query_fold_seconds_total",
-            "per-query seconds in the shared site-pass/fold loop "
-            "(fused groups are labeled name1+name2+...)",
+            "per-query seconds in the shared site-pass/fold loop",
             labels=("query",),
         )
-        for consumer, seconds in zip(consumers, timings):
-            if isinstance(consumer, _FusedSworGroup):
-                label = "+".join(m.name for m in consumer.members)
-            else:
-                label = consumer.instance.name
-            fold.labels(query=label).inc(seconds)
+        for instance, seconds in zip(self._network_backed, timings):
+            fold.labels(query=instance.name).inc(seconds)
         registry.counter(
             "repro_driver_runs_total", "completed MultiQueryDriver runs"
         ).inc()

@@ -10,7 +10,10 @@ per-item Python objects on the hot path:
   ``arrays()`` view;
 * per window, one O(n) counting sort
   (:func:`~repro.runtime.batched.window_order`) groups arrivals per
-  site and **one gather** builds the site-sorted weight/ident columns;
+  site and **one gather** builds the site-sorted weight/ident columns:
+  a :class:`GroupedWindow`, which :func:`run_window` — the window body,
+  shared with the multi-query driver, which runs it once per query
+  network over one grouped window — delivers to a network;
 * for weighted SWOR (which residual heavy hitters also run on) each
   window takes the **window step**: when the coordinator's pure check
   (``SworCoordinator.can_park``) says no level can saturate in the
@@ -24,14 +27,20 @@ per-item Python objects on the hot path:
   in site order, re-filtered against its site's live threshold;
 * a window the check refuses, and every window of the other protocols,
   of ``count_bits`` mode and of a network whose delivery is
-  instrumented, takes the per-site loop: each site's bulk hook
+  instrumented, takes the per-site loop (:func:`site_results`): each
+  site's bulk hook
   (:meth:`~repro.runtime.interfaces.SiteAlgorithm.on_columns`) returns
   a single :class:`~repro.net.messages.MessagePack` of parallel arrays
   per (site, batch) — word-accounted exactly as the messages it stands
   for — which the coordinator's
   :meth:`~repro.runtime.interfaces.CoordinatorAlgorithm.on_message_pack`
   bulk path re-checks with a boolean mask and folds via one
-  ``np.partition`` top-``s`` merge.
+  ``np.partition`` top-``s`` merge; a run of one arrival goes to
+  ``on_item``;
+* the level split of the window and of each run of a refused window is
+  a pure function of the weights, ``r`` and the saturated mask, so the
+  grouped window memoizes it (:meth:`GroupedWindow.split`): same-config
+  SWOR networks fed the same window split it once.
 
 Why this is correct
 -------------------
@@ -67,6 +76,12 @@ ever rewound:
   only rises — so the window pack takes the coordinator's fast path
   exactly when every per-site pack would.
 
+The split memo changes nothing either: its key — run bounds, ``r`` and
+the mask — determines the split, and what it shares between networks
+(levels, the saturated mask, early positions) is only ever read.  A
+network's draws, thresholds and folds stay its own, so a query network
+run by the multi-query driver ends in the state of a standalone run.
+
 ``Item`` objects are created lazily, only for arrivals that enter the
 sample, answer a query, reach a trace, or take a scalar path (a single
 arrival) — level sets park columns.
@@ -79,6 +94,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
 
 from ..common.errors import ConfigurationError
 from ..net.messages import MessagePack
+from ..stream.item import Item
 from .base import Engine
 from .batched import (
     DEFAULT_BATCH_SIZE,
@@ -91,7 +107,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..net.counters import MessageCounters
     from .network import Network
 
-__all__ = ["ColumnarEngine"]
+__all__ = ["ColumnarEngine", "GroupedWindow", "run_window", "window_step"]
 
 
 def shares_window_pass(sites) -> bool:
@@ -111,13 +127,123 @@ def shares_window_pass(sites) -> bool:
     )
 
 
-def site_results(runs, idents, weights):
-    """The per-site loop: ``(site_id, result)`` of each run's own
-    ``on_columns`` over its slice of the site-sorted window columns,
-    computed only when the caller asks for it — after the previous
-    run's result has been delivered and its controls applied."""
+class GroupedWindow:
+    """One window grouped by site: the site-sorted ``idents`` /
+    ``weights`` columns, the ``site_ids`` of its runs and their
+    ``starts`` / ``ends`` — one :func:`~repro.runtime.batched.window_order`
+    plus one gather — and a memo of SWOR level splits.
+
+    Every network the window is delivered to reads the same columns;
+    the memo lets same-config SWOR networks split each run once
+    (:meth:`split`)."""
+
+    __slots__ = ("idents", "weights", "site_ids", "starts", "ends", "_splits")
+
+    def __init__(self, idents, weights, site_ids, starts, ends) -> None:
+        self.idents = idents
+        self.weights = weights
+        self.site_ids = site_ids
+        self.starts = starts
+        self.ends = ends
+        self._splits: dict = {}
+
+    def split(self, site, start: int, end: int):
+        """``site._split`` of the weights in ``[start, end)``: the
+        level split of a SWOR site (:meth:`~repro.core.site.SworSite._split`),
+        a pure function of the weights, ``r`` and the saturated mask,
+        computed once per ``(start, end, r, mask)`` and shared by every
+        site and network that asks for it."""
+        key = (start, end, site._r, site._saturated_mask)
+        split = self._splits.get(key)
+        if split is None:
+            split = self._splits[key] = site._split(self.weights[start:end])
+        return split
+
+
+def site_results(runs, window: GroupedWindow, memo: bool = False):
+    """The per-site loop: ``(site_id, result)`` of each run's own site
+    pass over its slice of the window's columns, computed only when the
+    caller asks for it — after the previous run's result has been
+    delivered and its controls applied.
+
+    A run of one arrival calls ``on_item`` — what ``on_columns`` would
+    delegate to — whose result may be a lazy generator (the L1 site's,
+    whose messages interleave with the broadcasts they trigger); longer
+    runs call ``on_columns``, so every ``on_columns`` result is sized.
+    With ``memo`` (a SWOR window the coordinator's check refused) each
+    run reads its level split from the window's memo."""
+    idents, weights = window.idents, window.weights
     for site_id, site, start, end in runs:
-        yield site_id, site.on_columns(idents[start:end], weights[start:end])
+        if end - start == 1:
+            result = site.on_item(Item(int(idents[start]), float(weights[start])))
+        elif memo:
+            result = site.on_columns(
+                idents[start:end], weights[start:end], window.split(site, start, end)
+            )
+        else:
+            result = site.on_columns(idents[start:end], weights[start:end])
+        yield site_id, result
+
+
+def window_step(network: "Network"):
+    """The coordinator's pure ``can_park`` check when ``network`` takes
+    the window step — every site shares the window pass, and no
+    observer wraps delivery — else ``None``."""
+    can_park = getattr(network.coordinator, "can_park", None)
+    if (
+        can_park is None
+        or not shares_window_pass(network.sites)
+        or network.delivery_instrumented()
+    ):
+        return None
+    return can_park
+
+
+#: The paths :func:`run_window` reports.
+WHOLE, SPLIT, PER_SITE = 0, 1, 2
+
+
+def run_window(network: "Network", window: GroupedWindow, can_park=None) -> int:
+    """Deliver one grouped window to ``network``: the columnar engine's
+    window body, which the multi-query driver also runs once per query
+    network.
+
+    With ``can_park`` (see :func:`window_step`) the SWOR window step
+    runs: the window pass, then one pack fold when the window is quiet
+    (``WHOLE``) or each run's slice of the pass (``SPLIT``).  Otherwise
+    — and when the check refuses the pass — the per-site loop runs
+    (``PER_SITE``; :func:`site_results`).  Returns the path taken."""
+    sites = network.sites
+    runs = [
+        (site_id, sites[site_id], start, end)
+        for site_id, start, end in zip(window.site_ids, window.starts, window.ends)
+    ]
+    prep = (
+        None if can_park is None else sites[0].prepare_window(window, runs, can_park)
+    )
+    if prep:
+        pack = prep.window_pack(window.idents, window.weights)
+        if network.coordinator.folds_quietly(pack.regular_keys):
+            # One fold for the window (the SWOR fold does not read the
+            # sender's id).
+            network.deliver_pack(runs[0][0], pack)
+            return WHOLE
+        results = prep.run_results(pack, runs)
+        path = SPLIT
+    else:
+        # ``prep`` is False when the check refused the pass: each run
+        # then reads its level split from the window's memo.
+        results = site_results(runs, window, memo=prep is False)
+        path = PER_SITE
+    deliver_pack = network.deliver_pack
+    deliver_upstream = network.deliver_upstream
+    for site_id, result in results:
+        if isinstance(result, MessagePack):
+            deliver_pack(site_id, result)
+        else:
+            for message in result:
+                deliver_upstream(site_id, message)
+    return path
 
 
 class ColumnarEngine(Engine):
@@ -186,67 +312,30 @@ class ColumnarEngine(Engine):
             else []
         )
         mark_set = set(marks)
-        sites = network.sites
-        coordinator = network.coordinator
-        deliver_pack = network.deliver_pack
-        deliver_upstream = network.deliver_upstream
-        # The window step needs a coordinator with its pure checks and
-        # a network whose delivery no observer wraps.
-        can_park = getattr(coordinator, "can_park", None)
-        step = (
-            can_park is not None
-            and shares_window_pass(sites)
-            and not network.delivery_instrumented()
-        )
+        can_park = window_step(network)
+        paths = [0, 0, 0]
         t0 = time.perf_counter()
-        windows = whole = split = 0
         for lo, hi in batch_windows(
             n, self.batch_size, self.initial_batch_size, marks
         ):
-            windows += 1
             positions, site_ids, run_starts, run_ends = window_order(
                 assignment, lo, hi
             )
-            weights_sorted = weights[positions]
-            idents_sorted = idents[positions]
-            runs = [
-                (site_id, sites[site_id], start, end)
-                for site_id, start, end in zip(site_ids, run_starts, run_ends)
-            ]
-            window_prep = (
-                sites[0].prepare_window(weights_sorted, runs, can_park)
-                if step
-                else None
+            window = GroupedWindow(
+                idents[positions], weights[positions], site_ids, run_starts, run_ends
             )
-            if window_prep is not None:
-                pack = window_prep.window_pack(idents_sorted, weights_sorted)
-                if coordinator.folds_quietly(pack.regular_keys):
-                    # One fold for the window (the SWOR fold does not
-                    # read the sender's id).
-                    whole += 1
-                    results = [(site_ids[0], pack)]
-                else:
-                    split += 1
-                    results = window_prep.run_results(pack, runs)
-            else:
-                results = site_results(runs, idents_sorted, weights_sorted)
-            for site_id, result in results:
-                if isinstance(result, MessagePack):
-                    deliver_pack(site_id, result)
-                else:
-                    for message in result:
-                        deliver_upstream(site_id, message)
+            paths[run_window(network, window, can_park)] += 1
             network.items_processed += hi - lo
             t = network.items_processed
             if on_step is not None:
                 on_step(t)
             if hi in mark_set:
                 on_checkpoint(t)
-        self._record_run(network, n, time.perf_counter() - t0, windows=windows)
+        self._record_run(network, n, time.perf_counter() - t0, windows=sum(paths))
         self.last_run_stats.update(
-            windows_whole=whole,
-            windows_split=split,
-            windows_per_site=windows - whole - split,
+            windows_whole=paths[WHOLE],
+            windows_split=paths[SPLIT],
+            windows_per_site=paths[PER_SITE],
         )
         return network.counters
 

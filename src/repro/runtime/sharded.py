@@ -184,7 +184,12 @@ from .batched import (
     DEFAULT_INITIAL_BATCH_SIZE,
     batch_windows,
 )
-from .columnar import ColumnarEngine, shares_window_pass, site_results
+from .columnar import (
+    ColumnarEngine,
+    GroupedWindow,
+    shares_window_pass,
+    site_results,
+)
 from .interfaces import BROADCAST
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -493,8 +498,10 @@ class _WorkerShard:
         """Run the shard's site passes for global window ``[lo, hi)``.
 
         Mirrors the columnar engine's per-site results exactly:
-        ascending site ids, per-site slices in global arrival order.
-        When every shard site shares class and config, one window pass
+        ascending site ids, per-site slices in global arrival order,
+        over the shard's rows of the window as one
+        :class:`~repro.runtime.columnar.GroupedWindow`.  When every
+        shard site shares class and config, one window pass
         (:meth:`~repro.core.site.SworSite.prepare_window`) draws every
         run's keys, and its window pack is split back into per-site
         results (:meth:`~repro.core.site._WindowPrep.run_results`).
@@ -507,9 +514,10 @@ class _WorkerShard:
 
         ``min_site`` restricts the compute to sites with a *larger*
         id — the rollback suffix, whose sites have taken some of the
-        window's controls — and runs each of them through its own
-        ``on_columns``.  ``slot`` selects which ring slot the window's
-        packs encode into (``t % 2`` for window ``t``).
+        window's controls — and runs each of them through the per-site
+        loop (:func:`~repro.runtime.columnar.site_results`).  ``slot``
+        selects which ring slot the window's packs encode into
+        (``t % 2`` for window ``t``).
         """
         i0, i1 = self.view.window_bounds(lo, hi)
         if i0 == i1:
@@ -522,6 +530,7 @@ class _WorkerShard:
         site_ids, starts, ends, idents_sorted, weights_sorted = (
             self.view.window_order(i0, i1)
         )
+        window = GroupedWindow(idents_sorted, weights_sorted, site_ids, starts, ends)
         site_lo = self.site_lo
         runs = [
             (site_id, self.sites[site_id - site_lo], start, end)
@@ -530,13 +539,13 @@ class _WorkerShard:
         ]
         window_prep = None
         if min_site is None and shares_window_pass(self.sites):
-            window_prep = self.sites[0].prepare_window(weights_sorted, runs)
+            window_prep = self.sites[0].prepare_window(window, runs)
         if window_prep is not None:
             results = window_prep.run_results(
                 window_prep.window_pack(idents_sorted, weights_sorted), runs
             )
         else:
-            results = site_results(runs, idents_sorted, weights_sorted)
+            results = site_results(runs, window)
         self.ring_off = slot * self.slot_bytes
         self.ring_limit = self.ring_off + self.slot_bytes
         out = []

@@ -222,6 +222,37 @@ class TestProtocolEngineParity:
         )
 
 
+    @pytest.mark.parametrize("name", ["swr", "unweighted", "l1"])
+    def test_single_arrivals_skip_on_columns(self, monkeypatch, name):
+        """The per-site loop hands a run of one arrival to ``on_item``
+        (whose result may be a lazy generator, as the L1 site's is), so
+        ``on_columns`` only ever sees batches — and returns a sized
+        result.  Windows of 24 arrivals over 16 round-robin sites hold
+        runs of one and of two arrivals."""
+        build, _ = PROTOCOLS[name]
+        instance = build("columnar", 24)
+        site_cls = type(instance.network.sites[0])
+        on_columns = site_cls.on_columns
+        on_item = site_cls.on_item
+        batches = []
+        singles = [0]
+
+        def columns_spy(site, idents, weights):
+            result = on_columns(site, idents, weights)
+            batches.append((len(weights), len(result)))
+            return result
+
+        def item_spy(site, item):
+            singles[0] += 1
+            return on_item(site, item)
+
+        monkeypatch.setattr(site_cls, "on_columns", columns_spy)
+        monkeypatch.setattr(site_cls, "on_item", item_spy)
+        instance.run(_stream(n=6_000))
+        assert batches and singles[0] > 0
+        assert min(n for n, _ in batches) == 2
+
+
 # ---------------------------------------------------------------------------
 # 2. Kind-parametric pack accounting
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ Eight contracts pin the columnar data plane:
    fused kernel's selection equals sequential ``add`` calls (including
    the tie fallback and tie-rich key pools), snapshots round-trip, and
    the sorted query view is cached per mutation epoch;
-7. **Multi-query driver** — fused columnar members match standalone
-   runs;
+7. **Multi-query driver** — same-config SWOR queries match standalone
+   columnar runs;
 8. **Window grouping** — the engines' counting-sort ``window_order``
    equals a stable comparison sort of the window's rows by site, at
    every key width, and engine and driver runs are unchanged under
@@ -418,6 +418,7 @@ class TestColumnarEngineParity:
         pass and in a site's own ``on_columns`` alike."""
         from repro.core import SworSite
         from repro.net.messages import LEVEL_SATURATED
+        from repro.runtime.columnar import GroupedWindow
 
         config = SworConfig(num_sites=4, sample_size=2)  # r = 2
         shared = SworSite(0, config, random.Random(1))
@@ -426,7 +427,8 @@ class TestColumnarEngineParity:
             site.on_control(Message(LEVEL_SATURATED, (1,)))  # bit 0 stays clear
         weights = np.array([0.5, 2.0, 4.0, 0.9])  # levels 0, 1, 2, 0
         idents = np.arange(4, dtype=np.int64)
-        prep = shared.prepare_window(weights, [(0, shared, 0, 4)])
+        window = GroupedWindow(idents, weights, [0], [0], [4])
+        prep = shared.prepare_window(window, [(0, shared, 0, 4)])
         with_pass = prep.window_pack(idents, weights)
         without_pass = solo.on_columns(idents, weights)
         assert with_pass.messages() == without_pass.messages()
@@ -1024,7 +1026,7 @@ class TestDriverColumnarMode:
             }
 
         columnar = run("columnar")
-        # Each member of the fused group matches its standalone run.
+        # Each same-config SWOR query matches its standalone run.
         for name, (sample, snapshot) in columnar.items():
             proto = DistributedWeightedSWOR(
                 SworConfig(num_sites=16, sample_size=32),

@@ -616,7 +616,7 @@ class TestEngineInstrumentation:
             _value(registry, "repro_engine_runs_total", engine="sharded") == 1.0
         )
 
-    def test_driver_fold_labels_include_fused_groups(self):
+    def test_driver_fold_labels_one_per_query(self):
         registry = MetricsRegistry()
         driver = MultiQueryDriver(
             QueryCatalog(
@@ -632,8 +632,8 @@ class TestEngineInstrumentation:
         driver.run(_stream(6_000))
         fold = registry._families["repro_query_fold_seconds_total"]
         labels = {values[0] for values, _cell in fold.samples()}
-        # Same-sample-size SWOR queries fuse into one shared consumer.
-        assert labels == {"a+b"}
+        # Each query network runs its own window step: one label each.
+        assert labels == {"a", "b"}
         assert _value(registry, "repro_driver_runs_total") == 1.0
         assert _value(registry, "repro_driver_items_total") == 6_000
         for name, counters in driver.counters().items():

@@ -15,7 +15,8 @@ import random
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.core import DistributedWeightedSWOR, SworConfig
+from repro.core import DistributedWeightedSWOR, SworConfig, SworSite
+from repro.core.coordinator import SworCoordinator
 from repro.query import (
     CountQuery,
     Estimate,
@@ -29,8 +30,11 @@ from repro.query import (
     SubsetSumQuery,
     TotalWeightQuery,
     WeightedMeanQuery,
+    compile_query,
     query_seed,
 )
+from repro.runtime import ColumnarEngine
+from repro.runtime.batched import DEFAULT_BATCH_SIZE
 from repro.stream import round_robin, zipf_stream
 
 
@@ -71,49 +75,36 @@ class TestGoldenParity:
         assert instance.counters.snapshot() == standalone.counters.snapshot()
 
     def test_fused_queries_match_standalones(self):
-        """Same-config queries go through the fused site path; each
-        must still match its own standalone run exactly."""
+        """Every network-backed query — two same-config SWORs, heavy
+        hitters, count, weighted mean and total weight — ends in the
+        state of its own standalone columnar run: sample, counters,
+        answers at every checkpoint, and the coordinator's and every
+        site's ``snapshot_state()``, at several batch sizes."""
         stream = _stream()
-        queries = _swor_queries(4)
-        driver = MultiQueryDriver(QueryCatalog(queries), num_sites=8, seed=5)
-        driver.run(stream)
-        assert any(
-            type(c).__name__ == "_FusedSworGroup" for c in driver._consumers()
-        )
-        for query in queries:
-            standalone = DistributedWeightedSWOR(
-                SworConfig(num_sites=8, sample_size=32),
-                seed=query_seed(5, query.name),
-                engine="columnar",
+        queries = _swor_queries(2) + [
+            HeavyHittersQuery("hh", eps=0.2),
+            CountQuery("count", sample_size=32),
+            WeightedMeanQuery("mean", sample_size=32),
+            TotalWeightQuery("total", eps=0.2),
+        ]
+        checkpoints = [5_000, 12_345, 20_000]
+        for batch_size in (64, 1024, None):
+            driver = MultiQueryDriver(
+                QueryCatalog(queries), num_sites=8, seed=5, batch_size=batch_size
             )
-            standalone.run(stream)
-            instance = driver[query.name]
-            assert (
-                instance.protocol.sample_with_keys()
-                == standalone.sample_with_keys()
-            ), query.name
-            assert (
-                instance.counters.snapshot() == standalone.counters.snapshot()
-            ), query.name
-
-    def test_fuse_off_is_equivalent(self):
-        stream = _stream(n=8_000)
-        queries = _swor_queries(3)
-        fused = MultiQueryDriver(QueryCatalog(queries), num_sites=8, seed=1)
-        plain = MultiQueryDriver(
-            QueryCatalog(queries), num_sites=8, seed=1, fuse=False
-        )
-        fused.run(stream)
-        plain.run(stream)
-        for query in queries:
-            assert (
-                fused[query.name].protocol.sample_with_keys()
-                == plain[query.name].protocol.sample_with_keys()
-            )
-            assert (
-                fused[query.name].counters.snapshot()
-                == plain[query.name].counters.snapshot()
-            )
+            result = driver.run(stream, checkpoints=checkpoints)
+            for query in queries:
+                alone, answers = _standalone(query, stream, batch_size, checkpoints)
+                ours = driver[query.name]
+                assert alone.network is not ours.network
+                label = (query.name, batch_size)
+                assert answers == [
+                    repr(result.answers_at(t)[query.name]) for t in checkpoints
+                ], label
+                assert _network_state(ours) == _network_state(alone), label
+            # The SWOR coordinators' snapshots are real state, so the
+            # comparison above is not vacuous for them.
+            assert driver[queries[0].name].network.coordinator.snapshot_state()
 
     def test_reference_engine_matches_reference_run(self):
         stream = _stream(n=3_000)
@@ -131,6 +122,79 @@ class TestGoldenParity:
         instance = driver["ref"]
         assert instance.protocol.sample_with_keys() == standalone.sample_with_keys()
         assert instance.counters.snapshot() == standalone.counters.snapshot()
+
+
+def _standalone(query, stream, batch_size, checkpoints):
+    """``query`` compiled as the driver compiles it (seed 5, 8 sites)
+    and run alone on the columnar engine; returns it with its answers
+    at each checkpoint."""
+    alone = compile_query(query, 8, 5)
+    answers = []
+    ColumnarEngine(batch_size=batch_size or DEFAULT_BATCH_SIZE).run(
+        alone.network,
+        stream,
+        checkpoints=checkpoints,
+        on_checkpoint=lambda t: answers.append(repr(alone.answer())),
+    )
+    return alone, answers
+
+
+def _network_state(compiled) -> tuple:
+    """A network-backed query's sample, counters and every
+    ``snapshot_state()`` of its coordinator and sites."""
+    owner = getattr(compiled, "protocol", None) or compiled.tracker
+    if hasattr(owner, "sample_with_keys"):
+        sample = owner.sample_with_keys()
+    elif hasattr(owner, "sample"):
+        sample = owner.sample()
+    else:
+        sample = owner.estimate()
+    network = compiled.network
+    return (
+        sample,
+        network.counters.snapshot(),
+        network.coordinator.snapshot_state(),
+        [site.snapshot_state() for site in network.sites],
+    )
+
+
+class TestSharedSplits:
+    def test_split_count_does_not_grow_with_same_config_queries(
+        self, monkeypatch
+    ):
+        """Same-config SWOR queries read every level split — the
+        window pass's and each run's in a window the coordinator
+        refuses — from the window's memo: a run with one query computes
+        as many splits as a run with four or eight."""
+        stream = round_robin(
+            zipf_stream(60_000, random.Random(0), alpha=1.2), 16
+        )
+        split = SworSite._split
+        calls = [0]
+
+        def counted(site, weights):
+            calls[0] += 1
+            return split(site, weights)
+
+        monkeypatch.setattr(SworSite, "_split", counted)
+        refused = [0]
+        can_park = SworCoordinator.can_park
+
+        def can_park_spy(coordinator, early_levels):
+            admitted = can_park(coordinator, early_levels)
+            refused[0] += not admitted
+            return admitted
+
+        monkeypatch.setattr(SworCoordinator, "can_park", can_park_spy)
+        counts = []
+        for count in (1, 4, 8):
+            calls[0] = 0
+            MultiQueryDriver(
+                QueryCatalog(_swor_queries(count, s=64)), num_sites=16, seed=11
+            ).run(stream)
+            counts.append(calls[0])
+        assert refused[0] > 0  # refused windows split run by run
+        assert counts[0] > 0 and counts == [counts[0]] * 3
 
 
 class TestHeterogeneousCatalog:

@@ -32,6 +32,7 @@ from repro.core.coordinator import SworCoordinator
 from repro.core.site import _WindowPrep
 from repro.net.messages import EARLY, MessagePack
 from repro.runtime import ColumnarEngine
+from repro.runtime.columnar import GroupedWindow
 from repro.stream import ColumnarStream
 
 N = 40_000
@@ -68,11 +69,11 @@ class _Spy:
         folds_quietly = SworCoordinator.folds_quietly
         run_results = _WindowPrep.run_results
 
-        def prepare_window(site, weights, runs=None, can_park=None):
-            prep = prepare(site, weights, runs, can_park)
-            if prep is not None:
+        def prepare_window(site, window, runs=None, can_park=None):
+            prep = prepare(site, window, runs, can_park)
+            if prep:
                 spy.warmup += site._saturated_mask == 0
-                spy.stepped_at.append(len(weights))
+                spy.stepped_at.append(len(window.weights))
             return prep
 
         def can_park_spy(coordinator, early_levels):
@@ -320,7 +321,10 @@ def test_prepare_window_without_runs_draws_nothing():
     site = SworSite(0, config, random.Random(1))
     site._saturated_mask = 0b1111
     state = site._rng.getstate()
-    assert site.prepare_window(np.array([2.0, 3.0, 2.5, 3.5])) is None
+    window = GroupedWindow(
+        np.arange(4, dtype=np.int64), np.array([2.0, 3.0, 2.5, 3.5]), [0], [0], [4]
+    )
+    assert site.prepare_window(window) is None
     assert site.items_seen == 0 and site._batch_rng is None
     assert site._rng.getstate() == state
 
@@ -342,7 +346,8 @@ def test_window_pack_is_the_concatenated_site_packs():
     for site in stepped + solo:
         site._saturated_mask = 0b111  # levels 0-2 saturated, 3-4 open
         site._threshold = 8.0
-    prep = stepped[0].prepare_window(weights, runs_of(stepped))
+    window = GroupedWindow(idents, weights, [0, 1, 2], [0, 10, 20], [10, 20, 30])
+    prep = stepped[0].prepare_window(window, runs_of(stepped))
     pack = prep.window_pack(idents, weights)
     site_packs = [
         site.on_columns(idents[10 * j : 10 * j + 10], weights[10 * j : 10 * j + 10])
