@@ -224,7 +224,7 @@ class _SwrCoordinator(CoordinatorAlgorithm):
             or pack.num_early
             or pack.regular_kind != SWR_SAMPLE
         ):
-            return self._replay_pack(site_id, pack)
+            return CoordinatorAlgorithm.on_message_pack(self, site_id, pack)
         samplers = pack.regular_extra
         keys = pack.regular_keys
         # Stable per-sampler minimum: each sampler's head is its min
@@ -246,7 +246,7 @@ class _SwrCoordinator(CoordinatorAlgorithm):
                 and worst > 0.0
                 and self._bracket_of(worst) < self._announced
             ):
-                return self._replay_pack(site_id, pack)
+                return CoordinatorAlgorithm.on_message_pack(self, site_id, pack)
             ids, ws = pack.regular_idents, pack.regular_weights
             for sid, i, key in winners:
                 self._min_keys[sid] = key
@@ -263,11 +263,6 @@ class _SwrCoordinator(CoordinatorAlgorithm):
             j -= 1
             bracket = self.beta**-j
         return bracket
-
-    def _replay_pack(self, site_id: int, pack: Any) -> List[Tuple[int, Message]]:
-        """Exact sequential semantics for packs the fast path declines
-        — the interface default's expand-and-replay loop."""
-        return CoordinatorAlgorithm.on_message_pack(self, site_id, pack)
 
     def sample(self) -> List[Item]:
         """One item per sampler slot — the with-replacement sample."""

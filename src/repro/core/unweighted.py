@@ -174,7 +174,7 @@ class _UnweightedCoordinator(CoordinatorAlgorithm):
             # per message), a tiny pack, or a foreign shape: exact
             # replay — always bit-identical, and for tiny packs as
             # cheap as per-message delivery.
-            return self._replay_pack(site_id, pack)
+            return CoordinatorAlgorithm.on_message_pack(self, site_id, pack)
         neg_keys = -pack.regular_keys
         fold = swor_fold_regulars(
             neg_keys,
@@ -195,16 +195,11 @@ class _UnweightedCoordinator(CoordinatorAlgorithm):
                 > self._epoch
             )
         if replay:
-            return self._replay_pack(site_id, pack)
+            return CoordinatorAlgorithm.on_message_pack(self, site_id, pack)
         self.sample_set.fold_selected(
             pack.regular_idents, pack.regular_weights, neg_keys, *fold
         )
         return []
-
-    def _replay_pack(self, site_id: int, pack: Any) -> List[Tuple[int, Message]]:
-        """Exact sequential semantics for packs the fast path declines
-        — the interface default's expand-and-replay loop."""
-        return CoordinatorAlgorithm.on_message_pack(self, site_id, pack)
 
     def sample(self) -> List[Item]:
         """Current uniform SWOR (increasing key order)."""

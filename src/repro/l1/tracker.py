@@ -77,6 +77,12 @@ def theorem6_duplication(s: int, eps: float) -> int:
 class _L1Site(SiteAlgorithm):
     """Site half: duplication-aware key generation with geometric skips."""
 
+    #: ``on_item`` yields lazily: each copy is delivered, and any epoch
+    #: broadcast it triggers applied, before the next copy is drawn —
+    #: an order a shard worker, which applies no control inside a
+    #: site's window, cannot keep.
+    shardable = False
+
     def __init__(
         self, duplication: int, rng: random.Random
     ) -> None:
@@ -253,7 +259,7 @@ class _L1Coordinator(CoordinatorAlgorithm):
             or pack.num_early
             or pack.regular_kind != REGULAR
         ):
-            return self._replay_pack(site_id, pack)
+            return CoordinatorAlgorithm.on_message_pack(self, site_id, pack)
         weights = pack.regular_weights
         announcements, _ = fold_in_epoch_segments(
             self.sample_set, self.epochs, pack.regular_idents, weights, pack.regular_keys
@@ -267,13 +273,6 @@ class _L1Coordinator(CoordinatorAlgorithm):
         return [
             (BROADCAST, Message(EPOCH_UPDATE, (floor,))) for _, floor in announcements
         ]
-
-    def _replay_pack(
-        self, site_id: int, pack
-    ) -> List[Tuple[int, Message]]:
-        """Exact sequential semantics for packs the fast path declines
-        — the interface default's expand-and-replay loop."""
-        return CoordinatorAlgorithm.on_message_pack(self, site_id, pack)
 
     def estimate(self) -> float:
         """``W~``: the Theorem 6 estimator ``s·u/l``.

@@ -12,10 +12,11 @@ A zero-dependency metrics core every layer of the package reports into:
   (:mod:`repro.obs.exposition`), surfaced by ``repro ...
   --metrics-out FILE`` and ``repro stats`` — and, eventually, the
   ``repro serve`` ``/metrics`` endpoint (ROADMAP item 1);
-* bridges from the existing accounting —
-  :class:`~repro.net.counters.MessageCounters` and the sharded
-  engine's ``last_run_stats`` — onto registry metrics
-  (:mod:`repro.obs.bridge`).
+* :func:`export_run` — the one map from a run record (an engine's
+  ``last_run_stats``, which every engine's ``run()`` builds once) plus
+  the network's :class:`~repro.net.counters.MessageCounters` onto
+  registry metrics (:mod:`repro.obs.bridge`); engines call it as they
+  record each run, so the record and the registry never drift.
 
 Attach a registry to any engine with
 :meth:`~repro.runtime.base.Engine.instrument`::
@@ -36,15 +37,7 @@ engine (pinned by ``tests/test_obs.py``), and the measured overhead is
 gated at ≤2% by ``benchmarks/bench_obs.py``.
 """
 
-from .bridge import (
-    WORKER_METRIC_NAMES,
-    merge_worker_deltas,
-    observe_degradation,
-    observe_fault,
-    observe_heartbeat_age,
-    observe_message_counters,
-    observe_sharded_stats,
-)
+from .bridge import export_run
 from .exposition import render_json, render_prometheus, write_metrics
 from .registry import (
     DURATION_BUCKETS,
@@ -63,11 +56,5 @@ __all__ = [
     "render_prometheus",
     "render_json",
     "write_metrics",
-    "observe_message_counters",
-    "observe_sharded_stats",
-    "observe_fault",
-    "observe_degradation",
-    "observe_heartbeat_age",
-    "merge_worker_deltas",
-    "WORKER_METRIC_NAMES",
+    "export_run",
 ]

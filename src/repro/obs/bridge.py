@@ -1,62 +1,98 @@
-"""Bridges from existing accounting onto the metrics registry.
+"""The bridge from a run record onto the metrics registry.
 
-The package already measures a lot — every run produces a
-:class:`~repro.net.counters.MessageCounters`, and the sharded engine
-keeps a ``last_run_stats`` dict — but none of it was exported in a
-scrape-able form.  This module maps those structures onto registry
-metrics **without changing their public shapes**:
+Every engine ``run()`` ends in one record, ``last_run_stats`` (see
+:mod:`repro.runtime.base`), and every network keeps a cumulative
+:class:`~repro.net.counters.MessageCounters`.  :func:`export_run` maps
+the two onto registry metrics; it is the README's record→metric table
+(section "Observability") written as code:
 
-* :func:`observe_message_counters` — message totals / words / per-kind
-  counts as gauges (counters are cumulative per network, so last-write
-  gauges re-export safely after every run);
-* :func:`observe_sharded_stats` — the sharded engine's
-  ``last_run_stats`` (windows, rollbacks, speculation verdicts, phase
-  timings) as counters, so the dict and the registry can never drift:
-  one is computed from the other's inputs.
+* each record: ``repro_engine_runs_total``, and its ``items``,
+  ``seconds`` and ``windows``: ``repro_engine_items_total``,
+  ``repro_engine_run_seconds``, ``repro_engine_windows_total`` (all
+  labeled ``{engine}``);
+* the network's ``MessageCounters``: the ``repro_messages{engine,
+  direction}``, ``repro_message_words``, ``repro_message_words_max``
+  and ``repro_messages_by_kind{engine,kind}`` gauges;
+* ``mode="fallback"`` and its ``reason``:
+  ``repro_shard_fallbacks_total{reason}``; ``mode="degraded"`` and
+  ``degraded_to``: ``repro_shard_degradations_total{rung}``; each of
+  ``faults``: ``repro_shard_faults_total{fault_class}``;
+* a sharded run's ``rollbacks`` and ``controls``:
+  ``repro_shard_rollbacks_total``, ``repro_shard_controls_total``;
+  ``speculation``: ``repro_shard_speculation_total{verdict}``;
+  ``timing`` and ``per_window``:
+  ``repro_shard_phase_seconds_total{phase}`` and the
+  ``repro_shard_window_seconds{phase}`` histogram; ``per_worker``:
+  ``repro_shard_worker_{compute_seconds,packs,pack_entries,
+  rolls_served}_total{worker}``.
 
-The name mapping is documented in the README's "Observability" section
-and pinned by the golden metric-name test in ``tests/test_obs.py``.
+The name list is pinned by the golden metric-name test in
+``tests/test_obs.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+__all__ = ["export_run"]
 
-__all__ = [
-    "observe_message_counters",
-    "observe_sharded_stats",
-    "observe_fault",
-    "observe_degradation",
-    "observe_heartbeat_age",
-    "merge_worker_deltas",
-    "WORKER_METRIC_NAMES",
-]
-
-#: The fixed schema of the per-window metric columns a shard worker
-#: ships back with its results (see ``repro.runtime.sharded``): a flat
-#: value vector in this exact order, merged into the parent registry as
-#: ``repro_shard_worker_<name>_total{worker=...}`` at window commit.
-WORKER_METRIC_NAMES = (
-    "windows",
-    "packs",
-    "pack_entries",
-    "ring_bytes",
-    "compute_seconds",
-    "snapshots",
-    "rolls_served",
-    "spec_recomputes",
+#: The per-worker figures of a sharded record, each counted by the
+#: parent from what it receives: ``(row key, family, help)``.
+_WORKER_FAMILIES = (
+    (
+        "compute_seconds",
+        "repro_shard_worker_compute_seconds_total",
+        "per-worker compute seconds reported in its window results",
+    ),
+    (
+        "packs",
+        "repro_shard_worker_packs_total",
+        "per-worker pack descriptors decoded by the parent",
+    ),
+    (
+        "pack_entries",
+        "repro_shard_worker_pack_entries_total",
+        "per-worker messages in the decoded pack descriptors",
+    ),
+    (
+        "rolls_served",
+        "repro_shard_worker_rolls_served_total",
+        "per-worker rollbacks sent by the parent",
+    ),
 )
 
 
-def observe_message_counters(registry, counters, engine: str) -> None:
-    """Export one network's cumulative message accounting.
+def export_run(registry, stats, counters) -> None:
+    """Export one run record (an engine's ``last_run_stats``) and its
+    network's message counters (the mapping is the module docstring's).
 
-    Gauge semantics (set, not inc): ``MessageCounters`` accumulate
-    across ``run()`` calls on a reused network, so re-exporting after
-    every run stays idempotent.
+    Counters add the run's figures, so a long-lived engine accumulates
+    across runs.  The message figures are gauges (set, not added):
+    ``MessageCounters`` accumulate across ``run()`` calls on a reused
+    network, so re-exporting them after every run stays idempotent.
     """
     if not registry.enabled:
         return
+    engine = stats["engine"]
+    registry.counter(
+        "repro_engine_runs_total",
+        "recorded engine run() calls",
+        labels=("engine",),
+    ).labels(engine=engine).inc()
+    registry.counter(
+        "repro_engine_items_total",
+        "stream arrivals replayed",
+        labels=("engine",),
+    ).labels(engine=engine).inc(stats["items"])
+    if "windows" in stats:
+        registry.counter(
+            "repro_engine_windows_total",
+            "batch windows driven through the sites",
+            labels=("engine",),
+        ).labels(engine=engine).inc(stats["windows"])
+    registry.histogram(
+        "repro_engine_run_seconds",
+        "wall-clock duration of engine run() calls",
+        labels=("engine",),
+    ).labels(engine=engine).observe(stats["seconds"])
     messages = registry.gauge(
         "repro_messages",
         "cumulative protocol messages by direction (the paper's metric)",
@@ -83,116 +119,59 @@ def observe_message_counters(registry, counters, engine: str) -> None:
     )
     for kind, count in counters.by_kind.items():
         by_kind.labels(engine=engine, kind=kind).set(count)
-
-
-def observe_sharded_stats(registry, stats: Dict[str, object]) -> None:
-    """Export one sharded run's ``last_run_stats`` onto the registry.
-
-    Name mapping (each counter *adds* the run's delta, so a long-lived
-    engine accumulates across runs):
-
-    ==============================  =====================================
-    ``last_run_stats`` key           metric
-    ==============================  =====================================
-    ``windows``                      ``repro_shard_windows_total``
-    ``rollbacks``                    ``repro_shard_rollbacks_total``
-    ``controls``                     ``repro_shard_controls_total``
-    ``speculation.hits``             ``repro_shard_speculation_total{verdict="hit"}``
-    ``speculation.misses``           ``repro_shard_speculation_total{verdict="miss"}``
-    ``timing.<phase>_seconds``       ``repro_shard_phase_seconds_total{phase=...}``
-    ==============================  =====================================
-    """
-    if not registry.enabled or stats.get("mode") != "sharded":
+    mode = stats.get("mode")
+    if mode == "fallback":
+        registry.counter(
+            "repro_shard_fallbacks_total",
+            "sharded runs served by the in-process columnar path",
+            labels=("reason",),
+        ).labels(reason=stats["reason"].split(":")[0]).inc()
+    elif mode == "degraded":
+        registry.counter(
+            "repro_shard_degradations_total",
+            "sharded runs finished on a slower rung after a worker fault",
+            labels=("rung",),
+        ).labels(rung=stats["degraded_to"]).inc()
+    for fault in stats.get("faults", ()):
+        registry.counter(
+            "repro_shard_faults_total",
+            "worker faults classified by the sharded supervisor",
+            labels=("fault_class",),
+        ).labels(fault_class=fault["fault_class"]).inc()
+    if mode != "sharded":
         return
-    registry.counter(
-        "repro_shard_windows_total", "batch windows folded by the parent"
-    ).inc(stats.get("windows", 0))
     registry.counter(
         "repro_shard_rollbacks_total",
         "mid-window broadcasts that forced a worker suffix rollback",
-    ).inc(stats.get("rollbacks", 0))
+    ).inc(stats["rollbacks"])
     registry.counter(
         "repro_shard_controls_total",
         "control messages carried by window commits",
-    ).inc(stats.get("controls", 0))
-    speculation = stats.get("speculation")
-    if speculation is not None:
-        verdicts = registry.counter(
-            "repro_shard_speculation_total",
-            "speculative window verdicts at commit",
-            labels=("verdict",),
-        )
-        verdicts.labels(verdict="hit").inc(speculation["hits"])
-        verdicts.labels(verdict="miss").inc(speculation["misses"])
-    timing = stats.get("timing") or {}
+    ).inc(stats["controls"])
+    verdicts = registry.counter(
+        "repro_shard_speculation_total",
+        "speculative window verdicts at commit",
+        labels=("verdict",),
+    )
+    verdicts.labels(verdict="hit").inc(stats["speculation"]["hits"])
+    verdicts.labels(verdict="miss").inc(stats["speculation"]["misses"])
     phases = registry.counter(
         "repro_shard_phase_seconds_total",
         "cumulative seconds per sharded window phase",
         labels=("phase",),
     )
-    for key, seconds in timing.items():
-        phases.labels(phase=key.replace("_seconds", "")).inc(seconds)
-    per_window = stats.get("per_window") or ()
-    if per_window:
-        window_hist = registry.histogram(
-            "repro_shard_window_seconds",
-            "per-window phase durations across the run",
-            labels=("phase",),
-        )
-        for entry in per_window:
-            for key, value in entry.items():
-                if key.endswith("_seconds"):
-                    window_hist.labels(phase=key[:-8]).observe(value)
-
-
-def observe_fault(registry, fault_class: str) -> None:
-    """Count one classified worker fault (``crash``/``hang``/``poison``)
-    detected by the sharded supervisor."""
-    if not registry.enabled:
-        return
-    registry.counter(
-        "repro_shard_faults_total",
-        "worker faults classified by the sharded supervisor",
-        labels=("fault_class",),
-    ).labels(fault_class=fault_class).inc()
-
-
-def observe_degradation(registry, rung: str) -> None:
-    """Count one sharded run that a classified worker fault degraded to
-    ``rung`` (the in-process ``columnar`` engine)."""
-    if not registry.enabled:
-        return
-    registry.counter(
-        "repro_shard_degradations_total",
-        "sharded runs finished on a slower rung after a worker fault",
-        labels=("rung",),
-    ).labels(rung=rung).inc()
-
-
-def observe_heartbeat_age(registry, worker: int, seconds: float) -> None:
-    """Export one worker's heartbeat age (seconds since its last
-    message reached the supervisor; refreshed at every window commit)."""
-    if not registry.enabled:
-        return
-    registry.gauge(
-        "repro_shard_worker_heartbeat_age_seconds",
-        "seconds since each shard worker's last message, at last export",
-        labels=("worker",),
-    ).labels(worker=worker).set(seconds)
-
-
-def merge_worker_deltas(registry, worker: int, deltas) -> None:
-    """Fold one worker's per-window metric columns into the registry.
-
-    ``deltas`` is the flat value vector matching
-    :data:`WORKER_METRIC_NAMES` position for position (the wire form a
-    worker appends to its result messages when metrics are enabled).
-    """
-    for name, value in zip(WORKER_METRIC_NAMES, deltas):
-        if value:
-            registry.counter(
-                f"repro_shard_worker_{name}_total",
-                f"per-worker {name.replace('_', ' ')} (shipped as columns "
-                "with window results, merged at commit)",
-                labels=("worker",),
-            ).labels(worker=worker).inc(value)
+    window_seconds = registry.histogram(
+        "repro_shard_window_seconds",
+        "per-window phase durations across the run",
+        labels=("phase",),
+    )
+    for key, seconds in stats["timing"].items():
+        phase = key[: -len("_seconds")]
+        phases.labels(phase=phase).inc(seconds)
+        cell = window_seconds.labels(phase=phase)
+        for row in stats["per_window"]:
+            cell.observe(row[key])
+    for key, name, help_text in _WORKER_FAMILIES:
+        family = registry.counter(name, help_text, labels=("worker",))
+        for worker, row in enumerate(stats["per_worker"]):
+            family.labels(worker=worker).inc(row[key])

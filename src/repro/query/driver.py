@@ -14,10 +14,10 @@ SWOR, SWR, L1 tracker, sliding-window sampler) with an independent,
 deterministically derived RNG substream — the same sample a standalone
 run with :func:`repro.query.backends.query_seed` would produce.
 
-Per window the driver groups the arrivals by site (one counting sort,
-:func:`~repro.runtime.batched.window_order`) and gathers the
-site-sorted ident/weight columns **once**, into one
-:class:`~repro.runtime.columnar.GroupedWindow`; then it runs the
+Per window the driver groups the arrivals by site (one counting sort)
+and gathers the site-sorted ident/weight columns **once**, into one
+:class:`~repro.runtime.columnar.GroupedWindow` — the columnar engine's
+own :func:`~repro.runtime.columnar.group_window` — then it runs the
 columnar engine's window body,
 :func:`~repro.runtime.columnar.run_window`, once per query network.
 Every query network therefore takes exactly the path a standalone
@@ -49,9 +49,9 @@ from ..runtime.batched import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_INITIAL_BATCH_SIZE,
     batch_windows,
-    window_order,
+    checkpoint_marks,
 )
-from ..runtime.columnar import GroupedWindow, run_window, window_step
+from ..runtime.columnar import group_window, run_window, window_step
 from ..stream.item import DistributedStream
 from .backends import (
     CentralizedQuery,
@@ -257,11 +257,7 @@ class MultiQueryDriver:
         assignment, weights, idents = stream.arrays()
         n = len(stream)
         base = self.items_processed
-        marks: List[int] = (
-            [t - base for t in sorted(set(checkpoints)) if base < t <= base + n]
-            if checkpoints
-            else []
-        )
+        marks: List[int] = checkpoint_marks(checkpoints, base, n) if checkpoints else []
         mark_set = set(marks)
         snapshots: List[Tuple[int, Dict[str, object]]] = []
         centralized = self._centralized
@@ -286,16 +282,7 @@ class MultiQueryDriver:
             for lo, hi in batch_windows(
                 n, self.batch_size, self.initial_batch_size, marks
             ):
-                positions, site_ids, run_starts, run_ends = window_order(
-                    assignment, lo, hi
-                )
-                window = GroupedWindow(
-                    idents[positions],
-                    weights[positions],
-                    site_ids,
-                    run_starts,
-                    run_ends,
-                )
+                window = group_window(assignment, idents, weights, lo, hi)
                 if timings is None:
                     for network, can_park in steps:
                         run_window(network, window, can_park)

@@ -19,19 +19,37 @@ The package ships one scalar oracle and one vectorized data plane:
 
 Every engine carries a metrics registry (:mod:`repro.obs`) — the
 disabled :data:`~repro.obs.NULL_REGISTRY` by default, a live
-:class:`~repro.obs.MetricsRegistry` after
-:meth:`Engine.instrument` — plus a ``last_run_stats`` dict and a
-:meth:`Engine.format_stats` rendering of it.  Instrumentation is
-observational only: samples and message counters are bit-identical
-with a live registry and without one.
+:class:`~repro.obs.MetricsRegistry` after :meth:`Engine.instrument` —
+and one run record, ``last_run_stats``: a plain dict that every
+``run()`` assigns exactly once, through :meth:`Engine._record_run`, at
+its end.  :meth:`Engine.format_stats` renders any record, and
+:func:`repro.obs.export_run` maps it (plus the network's message
+counters) onto the registry; nothing else describes a run.  The keys:
+
+* every record: ``engine``, ``items``, ``seconds`` (the whole
+  ``run()`` call's wall);
+* windowed runs: ``windows``; in-process columnar windows also
+  ``windows_whole`` / ``windows_split`` / ``windows_per_site``;
+* every sharded run: ``mode`` — ``"sharded"``, or ``"fallback"``,
+  ``"degraded"`` or ``"failed"`` with its ``reason`` (a degraded run
+  adds ``degraded_to``; a failed one, recorded before it raises,
+  counts in ``items`` only the arrivals of its committed windows) —
+  and, when supervised, ``supervision`` and any classified ``faults``;
+* a run that ran sharded: ``workers``, ``transport``, ``warm_pool``,
+  ``rollbacks``, ``speculation``, ``per_window`` rows and the
+  ``controls`` and per-phase ``timing`` totals summed from them,
+  ``per_worker`` rows, and ``shm_segments``.
+
+Instrumentation is observational only: samples and message counters
+are bit-identical with a live registry and without one.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
-from ..obs import NULL_REGISTRY, observe_message_counters
+from ..obs import NULL_REGISTRY, export_run
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..net.counters import MessageCounters
@@ -39,6 +57,14 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .network import Network
 
 __all__ = ["Engine"]
+
+#: The leading phrase :meth:`Engine.format_stats` gives each ``mode``
+#: of a sharded run that did not run sharded.
+_MODE_PHRASES = {
+    "fallback": "ran in fallback mode",
+    "degraded": "degraded to the columnar rung",
+    "failed": "failed",
+}
 
 
 class Engine(ABC):
@@ -51,9 +77,8 @@ class Engine(ABC):
     #: un-instrumented engines pay nothing and need no None checks).
     registry = NULL_REGISTRY
 
-    #: How the last ``run()`` executed — engine name, item count, wall
-    #: seconds; the sharded engine adds its window/rollback/speculation
-    #: breakdown.  Empty until the first run.
+    #: The last ``run()``'s record (see the module docstring).  Empty
+    #: until the first run.
     last_run_stats: Dict[str, object] = {}
 
     @abstractmethod
@@ -68,8 +93,9 @@ class Engine(ABC):
         """Replay ``stream`` through ``network``; return its counters.
 
         Implementations must process items in global arrival order (or a
-        batching thereof), keep ``network.items_processed`` current, and
-        fire ``on_checkpoint(t)`` exactly at each requested ``t``.
+        batching thereof), keep ``network.items_processed`` current,
+        fire ``on_checkpoint(t)`` exactly at each requested ``t``, and
+        end by calling :meth:`_record_run` once.
         """
 
     def instrument(self, registry) -> "Engine":
@@ -86,80 +112,66 @@ class Engine(ABC):
         network: "Network",
         items: int,
         seconds: float,
-        windows: Optional[int] = None,
+        per_window: Optional[List[dict]] = None,
+        **fields,
     ) -> None:
-        """Book one completed ``run()``: refresh ``last_run_stats`` and
-        export the run onto the registry (engine-labeled run/item
-        counters, a run-duration histogram, and the network's message
-        accounting).  A sharded fallback's ``{"mode": "fallback",
-        "reason": ...}`` marker — or the supervisor's ``"degraded"``
-        marker — survives the refresh so diagnostics keep explaining
-        *why* the in-process path ran.
-        """
+        """Build the run's record — the one place ``last_run_stats`` is
+        assigned — and export it onto the registry.
+
+        ``fields`` are the engine's own keys.  ``per_window`` rows (one
+        per committed sharded window) are kept as given and summed into
+        the record's ``controls`` and per-phase ``timing`` totals (each
+        row's ``*_seconds`` keys)."""
         stats: Dict[str, object] = {
             "engine": self.name,
             "items": items,
             "seconds": seconds,
+            **fields,
         }
-        if windows is not None:
-            stats["windows"] = windows
-        prior = self.last_run_stats
-        if prior.get("mode") in ("fallback", "degraded") and "engine" not in prior:
-            stats = {**prior, **stats}
+        if per_window is not None:
+            timing: Dict[str, float] = {}
+            for row in per_window:
+                for key, value in row.items():
+                    if key.endswith("_seconds"):
+                        timing[key] = timing.get(key, 0.0) + value
+            stats["controls"] = sum(row["controls"] for row in per_window)
+            stats["timing"] = timing
+            stats["per_window"] = per_window
         self.last_run_stats = stats
-        self._export_run(network, items, seconds, windows)
-
-    def _export_run(
-        self,
-        network: "Network",
-        items: int,
-        seconds: float,
-        windows: Optional[int] = None,
-    ) -> None:
-        """The registry half of :meth:`_record_run` (engines that build
-        their own ``last_run_stats``, like the sharded one, call this
-        directly)."""
-        registry = self.registry
-        if not registry.enabled:
-            return
-        registry.counter(
-            "repro_engine_runs_total",
-            "completed engine run() calls",
-            labels=("engine",),
-        ).labels(engine=self.name).inc()
-        registry.counter(
-            "repro_engine_items_total",
-            "stream arrivals replayed",
-            labels=("engine",),
-        ).labels(engine=self.name).inc(items)
-        if windows is not None:
-            registry.counter(
-                "repro_engine_windows_total",
-                "batch windows driven through the sites",
-                labels=("engine",),
-            ).labels(engine=self.name).inc(windows)
-        registry.histogram(
-            "repro_engine_run_seconds",
-            "wall-clock duration of engine run() calls",
-            labels=("engine",),
-        ).labels(engine=self.name).observe(seconds)
-        observe_message_counters(registry, network.counters, self.name)
+        export_run(self.registry, stats, network.counters)
 
     def format_stats(self) -> str:
         """A human-readable rendering of :attr:`last_run_stats` —
-        printed by ``repro ... --profile``.  Safe on an engine that has
-        been constructed but never run."""
+        printed by ``repro ... --profile`` and ``repro stats``.  Safe
+        on an engine that has been constructed but never run."""
         stats = self.last_run_stats
         if not stats:
             return f"{self.name} engine: no run recorded yet"
-        parts = [f"items {stats['items']}"]
+        line = f"items {stats['items']}"
         if "windows" in stats:
-            parts.append(f"windows {stats['windows']}")
-        parts.append(f"wall {stats['seconds']:.3f}s")
-        line = f"{self.name} engine: " + ", ".join(parts)
-        if stats.get("mode") == "fallback":
-            line += f"\n  (fallback: {stats.get('reason', 'unknown reason')})"
-        return line
+            line += f", windows {stats['windows']}"
+        lines = [line + f", wall {stats['seconds']:.3f}s"]
+        mode = stats.get("mode")
+        if mode in _MODE_PHRASES:
+            lines.insert(0, f"{_MODE_PHRASES[mode]} ({stats['reason']})")
+        if "windows_whole" in stats:
+            lines.append(
+                f"window step: {stats['windows_whole']} folded whole, "
+                f"{stats['windows_split']} split on an epoch advance, "
+                f"{stats['windows_per_site']} per site"
+            )
+        if mode == "sharded":
+            spec = stats["speculation"]
+            timing = stats["timing"]
+            lines += [
+                f"{stats['workers']} workers, {stats['transport']} transport: "
+                f"rollbacks {stats['rollbacks']}, controls {stats['controls']}",
+                f"speculation: {spec['hits']} hits, {spec['misses']} misses",
+                f"time: worker compute {timing['worker_compute_seconds']:.3f}s, "
+                f"transport wait {timing['transport_wait_seconds']:.3f}s, "
+                f"parent fold {timing['parent_fold_seconds']:.3f}s",
+            ]
+        return f"{self.name} engine: " + "\n  ".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"

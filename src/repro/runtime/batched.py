@@ -5,7 +5,8 @@ the sharded workers (:mod:`repro.runtime.sharded`), and the multi-query
 driver (:class:`repro.query.driver.MultiQueryDriver`) — replays a stream
 in the same windows and groups each window per site the same way.  This
 module is that single source: :func:`batch_windows` is the schedule,
-:func:`window_order` the grouping.
+:func:`checkpoint_marks` where it splits, :func:`window_order` the
+grouping.
 
 Why batching is correct
 -----------------------
@@ -40,6 +41,7 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "DEFAULT_INITIAL_BATCH_SIZE",
     "batch_windows",
+    "checkpoint_marks",
     "window_order",
 ]
 
@@ -74,6 +76,19 @@ def batch_windows(n, batch_size, initial_batch_size, marks=()):
         yield lo, hi
         lo = hi
         size = min(size * 2, batch_size)
+
+
+def checkpoint_marks(checkpoints, base, n):
+    """The stream offsets, sorted and distinct, at which a run of ``n``
+    arrivals over a network that has processed ``base`` must stop for
+    ``checkpoints``.
+
+    Checkpoints count cumulative arrivals (the reference engine's
+    ``items_processed`` clock), so a network reused across runs keeps
+    one clock; the marks are the ones that fall inside this run, as
+    offsets into its stream — what :func:`batch_windows` splits at.
+    """
+    return [t - base for t in sorted(set(checkpoints)) if base < t <= base + n]
 
 
 def window_order(sites, lo, hi):

@@ -10,8 +10,9 @@ per-item Python objects on the hot path:
   ``arrays()`` view;
 * per window, one O(n) counting sort
   (:func:`~repro.runtime.batched.window_order`) groups arrivals per
-  site and **one gather** builds the site-sorted weight/ident columns:
-  a :class:`GroupedWindow`, which :func:`run_window` — the window body,
+  site and **one gather** builds the site-sorted weight/ident columns
+  (:func:`group_window`): a :class:`GroupedWindow`, which
+  :func:`run_window` — the window body,
   shared with the multi-query driver, which runs it once per query
   network over one grouped window — delivers to a network;
 * for weighted SWOR (which residual heavy hitters also run on) each
@@ -100,6 +101,7 @@ from .batched import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_INITIAL_BATCH_SIZE,
     batch_windows,
+    checkpoint_marks,
     window_order,
 )
 
@@ -107,7 +109,13 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..net.counters import MessageCounters
     from .network import Network
 
-__all__ = ["ColumnarEngine", "GroupedWindow", "run_window", "window_step"]
+__all__ = [
+    "ColumnarEngine",
+    "GroupedWindow",
+    "group_window",
+    "run_window",
+    "window_step",
+]
 
 
 def shares_window_pass(sites) -> bool:
@@ -158,6 +166,20 @@ class GroupedWindow:
         if split is None:
             split = self._splits[key] = site._split(self.weights[start:end])
         return split
+
+
+def group_window(assignment, idents, weights, lo: int, hi: int) -> GroupedWindow:
+    """Group stream rows ``[lo, hi)`` per site and gather their columns
+    once: the :class:`GroupedWindow` the columnar engine and the
+    multi-query driver deliver.
+
+    ``window_order`` is this module's name, looked up at call time, so
+    a wrapper bound here (a timing ledger, a grouping oracle) sees the
+    grouping of both."""
+    positions, site_ids, run_starts, run_ends = window_order(assignment, lo, hi)
+    return GroupedWindow(
+        idents[positions], weights[positions], site_ids, run_starts, run_ends
+    )
 
 
 def site_results(runs, window: GroupedWindow, memo: bool = False):
@@ -299,31 +321,31 @@ class ColumnarEngine(Engine):
         checkpoints: Optional[Iterable[int]] = None,
         on_checkpoint: Optional[Callable[[int], None]] = None,
     ) -> "MessageCounters":
+        t0 = time.perf_counter()
+        fields = self._replay(network, stream, on_step, checkpoints, on_checkpoint)
+        self._record_run(network, len(stream), time.perf_counter() - t0, **fields)
+        return network.counters
+
+    def _replay(
+        self, network: "Network", stream, on_step, checkpoints, on_checkpoint
+    ) -> dict:
+        """The in-process window loop (also the sharded engine's
+        fallback and degraded path); returns the record's window
+        counts."""
         assignment, weights, idents = stream.arrays()
         n = len(stream)
-        # Checkpoints count cumulative items_processed (matching the
-        # reference engine), so a network reused across run() calls
-        # keeps one consistent clock; convert to stream offsets here.
-        base = network.items_processed
-        want_checkpoints = checkpoints is not None and on_checkpoint is not None
         marks: List[int] = (
-            [t - base for t in sorted(set(checkpoints)) if base < t <= base + n]
-            if want_checkpoints
+            checkpoint_marks(checkpoints, network.items_processed, n)
+            if checkpoints is not None and on_checkpoint is not None
             else []
         )
         mark_set = set(marks)
         can_park = window_step(network)
         paths = [0, 0, 0]
-        t0 = time.perf_counter()
         for lo, hi in batch_windows(
             n, self.batch_size, self.initial_batch_size, marks
         ):
-            positions, site_ids, run_starts, run_ends = window_order(
-                assignment, lo, hi
-            )
-            window = GroupedWindow(
-                idents[positions], weights[positions], site_ids, run_starts, run_ends
-            )
+            window = group_window(assignment, idents, weights, lo, hi)
             paths[run_window(network, window, can_park)] += 1
             network.items_processed += hi - lo
             t = network.items_processed
@@ -331,22 +353,9 @@ class ColumnarEngine(Engine):
                 on_step(t)
             if hi in mark_set:
                 on_checkpoint(t)
-        self._record_run(network, n, time.perf_counter() - t0, windows=sum(paths))
-        self.last_run_stats.update(
-            windows_whole=paths[WHOLE],
-            windows_split=paths[SPLIT],
-            windows_per_site=paths[PER_SITE],
-        )
-        return network.counters
-
-    def format_stats(self) -> str:
-        """The base rendering plus the window step's counts."""
-        line = super().format_stats()
-        stats = self.last_run_stats
-        if "windows_whole" in stats:
-            line += (
-                f"\n  window step: {stats['windows_whole']} folded whole, "
-                f"{stats['windows_split']} split on an epoch advance, "
-                f"{stats['windows_per_site']} per site"
-            )
-        return line
+        return {
+            "windows": sum(paths),
+            "windows_whole": paths[WHOLE],
+            "windows_split": paths[SPLIT],
+            "windows_per_site": paths[PER_SITE],
+        }

@@ -47,7 +47,13 @@ class SiteAlgorithm(ABC):
     #: ``Generator`` all qualify).  Sites holding unpicklable state
     #: (open files, sockets, lambdas) or state whose pickled copy would
     #: diverge should set this ``False``; the sharded engine then falls
-    #: back to its in-process columnar path instead of guessing.
+    #: back to its in-process columnar path instead of guessing.  So
+    #: must a site whose messages from one window depend on controls
+    #: their predecessors trigger — a lazy ``on_item`` whose next
+    #: message is drawn only after the previous one's broadcasts were
+    #: applied: a worker computes a site's whole window before the
+    #: parent folds any of it, and never applies a control between two
+    #: messages of one site's window.
     shardable: bool = True
 
     @abstractmethod

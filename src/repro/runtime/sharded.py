@@ -103,9 +103,13 @@ in exact ascending-site order: the parent makes the columnar engine's
 coordinator calls, in the columnar engine's order.
 
 ``last_run_stats`` records rollback counts, the workers' summed
-speculation hits/misses, and a per-window timing breakdown (worker
-compute, transport wait, parent fold);
-``repro ... --profile --engine sharded`` prints it.
+speculation hits/misses, a per-window timing breakdown (worker
+compute, transport wait, parent fold) and per-worker rows; the parent
+counts every figure from the messages it already exchanges (the
+compute seconds in each ``res``, the descriptors it decodes, the
+``roll``s it sends, the verdicts in each ``sta``), so the wire has one
+shape with a metrics registry attached or not.
+``repro ... --profile --engine sharded`` prints the record.
 
 Fault tolerance: supervision and degradation
 --------------------------------------------
@@ -123,7 +127,8 @@ in-process columnar engine (``mode="degraded"``,
 fault-free run — samples **and** message counters — and keeps its
 window schedule, so it forwards only the ``on_step`` /
 ``on_checkpoint`` calls past the windows the sharded attempt already
-reported.  ``last_run_stats`` records the fault log; the engine's next
+reported.  ``last_run_stats`` records the fault log (a run that cannot
+degrade records ``mode="failed"`` before it raises); the engine's next
 run spawns a fresh pool.  The chaos seams threaded through the worker
 loop (:mod:`repro.faults`) inject crashes, hangs, drops and
 corrupt/truncated packs deterministically; ``tests/test_chaos.py``
@@ -140,9 +145,11 @@ memory) all run the in-process :class:`ColumnarEngine` path instead, so
 the engine is always safe to select; ``last_run_stats`` records which
 mode ran.  A stream whose identifiers are not int64-representable
 raises :class:`~repro.common.errors.ConfigurationError` before any site
-runs, as under the columnar engine.  Sites whose bulk hooks return
-*lazy* message iterators are materialized at the worker before
-shipping.
+runs, as under the columnar engine.  A worker applies no control
+between two messages of one site's window, so a site whose scalar
+path yields its messages lazily — each one delivered, and its
+broadcasts applied, before the next is drawn (the L1 site) — must
+declare itself non-shardable, and runs in-process.
 """
 
 from __future__ import annotations
@@ -171,18 +178,11 @@ from ..faults import (
     parse_fault_plan,
 )
 from ..net.messages import MessagePack, PackWireError
-from ..obs import (
-    WORKER_METRIC_NAMES,
-    merge_worker_deltas,
-    observe_degradation,
-    observe_fault,
-    observe_heartbeat_age,
-    observe_sharded_stats,
-)
 from .batched import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_INITIAL_BATCH_SIZE,
     batch_windows,
+    checkpoint_marks,
 )
 from .columnar import (
     ColumnarEngine,
@@ -460,33 +460,12 @@ class _WorkerShard:
                 payload["marks"],
             )
         )
-        #: Telemetry deltas accumulated between sends (``None`` when the
-        #: parent's registry is disabled — every message then keeps the
-        #: exact wire shape of an uninstrumented build).
-        self.metrics = (
-            dict.fromkeys(WORKER_METRIC_NAMES, 0.0)
-            if payload.get("metrics")
-            else None
-        )
         #: Chaos seams: planned ``(kind, window)`` faults for this
         #: worker (test-only; empty/None in production).
         self.faults = payload.get("faults") or ()
         #: Speculation verdicts, shipped with the final state.
         self.hits = 0
         self.misses = 0
-
-    def drain_metrics(self):
-        """Return-and-reset the accumulated telemetry as the flat
-        :data:`~repro.obs.WORKER_METRIC_NAMES`-ordered value vector
-        (``None`` when metrics are disabled) — the column the worker
-        appends to its result messages."""
-        metrics = self.metrics
-        if metrics is None:
-            return None
-        values = tuple(metrics.values())
-        for key in metrics:
-            metrics[key] = 0.0
-        return values
 
     def compute_window(
         self,
@@ -522,11 +501,6 @@ class _WorkerShard:
         i0, i1 = self.view.window_bounds(lo, hi)
         if i0 == i1:
             return []
-        metrics = self.metrics
-        if metrics is not None:
-            t_start = time.perf_counter()
-            if min_site is None:
-                metrics["windows"] += 1
         site_ids, starts, ends, idents_sorted, weights_sorted = (
             self.view.window_order(i0, i1)
         )
@@ -553,8 +527,6 @@ class _WorkerShard:
             descriptor = self._encode(site_id, result)
             if descriptor is not None:
                 out.append(descriptor)
-        if metrics is not None:
-            metrics["compute_seconds"] += time.perf_counter() - t_start
         return out
 
     def _encode(self, site_id: int, result):
@@ -566,31 +538,21 @@ class _WorkerShard:
         pickled message lists, materialized here because a lazy
         iterator cannot cross the process boundary.
         """
-        metrics = self.metrics
         if isinstance(result, MessagePack):
             if len(result) == 0:
                 return None
-            if metrics is not None:
-                metrics["packs"] += 1
-                metrics["pack_entries"] += len(result)
             if self.ring is not None:
                 encoded = result.write_into(
                     self.ring_view, self.ring_off, self.ring_limit
                 )
                 if encoded is not None:
-                    kind, spec, end = encoded
-                    if metrics is not None:
-                        metrics["ring_bytes"] += end - self.ring_off
-                    self.ring_off = end
+                    kind, spec, self.ring_off = encoded
                     return (site_id, "p", kind, spec)
             kind, columns = result.to_arrays()
             return (site_id, "q", kind, columns)
         messages = list(result)
         if not messages:
             return None
-        if metrics is not None:
-            metrics["packs"] += 1
-            metrics["pack_entries"] += len(messages)
         return (site_id, "m", messages)
 
     def close(self) -> None:
@@ -647,8 +609,6 @@ def _apply_roll(
     per-site control cursor, mutated in place across repeated rolls of
     the same window.
     """
-    if shard.metrics is not None:
-        shard.metrics["rolls_served"] += 1
     if snapshot is None:
         # No arrivals this window: nothing to replay, just advance
         # each site's control prefix incrementally.
@@ -694,17 +654,14 @@ def _apply_roll(
 
 def _send_state(shard: _WorkerShard, conn) -> None:
     """Ship the shard's final site states and speculation verdicts."""
-    message = (
-        "sta",
-        shard.site_lo,
-        pickle.dumps(shard.sites, protocol=pickle.HIGHEST_PROTOCOL),
-        (shard.hits, shard.misses),
+    conn.send(
+        (
+            "sta",
+            shard.site_lo,
+            pickle.dumps(shard.sites, protocol=pickle.HIGHEST_PROTOCOL),
+            (shard.hits, shard.misses),
+        )
     )
-    if shard.metrics is not None:
-        # Leftover telemetry (post-commit work since the last result
-        # send) rides with the final state message.
-        message += (shard.drain_metrics(),)
-    conn.send(message)
 
 
 def _send_results(shard: _WorkerShard, conn, t: int, results, seconds) -> None:
@@ -724,16 +681,12 @@ def _send_results(shard: _WorkerShard, conn, t: int, results, seconds) -> None:
             block_forever()
         elif action == "drop":
             return
-    if shard.metrics is None:
-        conn.send(("res", results, seconds))
-    else:
-        conn.send(("res", results, seconds, shard.drain_metrics()))
+    conn.send(("res", results, seconds))
 
 
 def _compute(shard: _WorkerShard, t: int, speculative: bool = False):
     """Snapshot the shard's sites, then compute window ``t`` into ring
-    slot ``t % 2``.  Returns ``(snapshot, descriptors, seconds, busy)``,
-    ``busy`` telling whether the shard had arrivals in the window.
+    slot ``t % 2``.  Returns ``(snapshot, descriptors, seconds)``.
 
     A *speculative* compute runs before the commit of window ``t - 1``
     reaches the sites, so a site may raise only because its state is
@@ -742,13 +695,10 @@ def _compute(shard: _WorkerShard, t: int, speculative: bool = False):
     committed state, and only a raise there ships the error."""
     lo, hi = shard.windows[t]
     i0, i1 = shard.view.window_bounds(lo, hi)
-    busy = i0 != i1
     # Pre-window state, captured BEFORE the compute so rollback
     # replays from exactly this point (same RNG positions).  Skipped
     # when the shard has no arrivals (nothing mutates).
-    snapshot = _snapshot_sites(shard.sites) if busy else None
-    if snapshot is not None and shard.metrics is not None:
-        shard.metrics["snapshots"] += 1
+    snapshot = _snapshot_sites(shard.sites) if i0 != i1 else None
     t0 = time.perf_counter()
     try:
         results = shard.compute_window(lo, hi, slot=t % 2)
@@ -756,19 +706,16 @@ def _compute(shard: _WorkerShard, t: int, speculative: bool = False):
         if not speculative:
             raise
         results = None
-    return snapshot, results, time.perf_counter() - t0, busy
+    return snapshot, results, time.perf_counter() - t0
 
 
 def _discard(shard: _WorkerShard, spec) -> None:
     """Throw a speculative window away (a miss): rewind the sites to
-    its snapshot.  Its pass books as a recompute, not a window."""
-    snapshot, _, _, busy = spec
+    its snapshot."""
+    snapshot = spec[0]
     if snapshot is not None:
         _restore_sites(shard, snapshot)
     shard.misses += 1
-    if busy and shard.metrics is not None:
-        shard.metrics["windows"] -= 1
-        shard.metrics["spec_recomputes"] += 1
 
 
 def _worker_run(shard: _WorkerShard, conn) -> None:
@@ -795,7 +742,7 @@ def _worker_run(shard: _WorkerShard, conn) -> None:
         lo, hi = shard.windows[t]
         if spec is None:
             spec = _compute(shard, t)
-        snapshot, results, seconds, _ = spec
+        snapshot, results, seconds = spec
         _send_results(shard, conn, t, results, seconds)
         spec = None
         if t + 1 < total:
@@ -1032,6 +979,17 @@ def _restore_network(network, checkpoint) -> None:
     network.items_processed = checkpoint["items_processed"]
 
 
+def _supervision_fields(supervisor) -> dict:
+    """A supervised run's record keys: the deadline, and the fault log
+    when a fault was classified."""
+    if supervisor is None:
+        return {}
+    fields: dict = {"supervision": {"worker_timeout": supervisor.timeout}}
+    if supervisor.fault_log:
+        fields["faults"] = supervisor.fault_log
+    return fields
+
+
 def _after(callback, reported):
     """``callback`` restricted to ``t > reported``: the degraded rerun
     fires again at every ``t`` the sharded attempt already reported."""
@@ -1040,83 +998,20 @@ def _after(callback, reported):
     return lambda t: callback(t) if t > reported else None
 
 
-class _RunTally:
-    """Per-run fold accounting: one timing row per committed window."""
-
-    __slots__ = ("rollbacks", "controls", "timing", "per_window")
-
-    def __init__(self) -> None:
-        self.rollbacks = 0
-        self.controls = 0
-        self.timing = {
-            "worker_compute_seconds": 0.0,
-            "transport_wait_seconds": 0.0,
-            "parent_fold_seconds": 0.0,
-        }
-        self.per_window: List[dict] = []
-
-    def commit(self, rollbacks, controls, compute, wait, fold) -> None:
-        """Account one committed window: the slowest worker's compute,
-        the parent's wait for the window's results, and its fold."""
-        self.rollbacks += rollbacks
-        self.controls += len(controls)
-        row = {
-            "window": len(self.per_window),
-            "worker_compute_seconds": compute,
-            "transport_wait_seconds": wait,
-            "parent_fold_seconds": fold,
-        }
-        for key in self.timing:
-            self.timing[key] += row[key]
-        row["controls"] = len(controls)
-        self.per_window.append(row)
-
-    def stats(self, pool, windows, speculation) -> dict:
-        """The run's ``last_run_stats``."""
-        return {
-            "mode": "sharded",
-            "workers": pool["workers"],
-            "transport": pool["transport"],
-            "windows": windows,
-            "rollbacks": self.rollbacks,
-            "controls": self.controls,
-            "speculation": speculation,
-            "timing": self.timing,
-            "per_window": self.per_window,
-            "shm_segments": [
-                shm.name for shm in pool["rings"] + pool["stream"]["shms"]
-            ],
-        }
-
-
 class WorkerSupervisor:
     """Parent-side supervision state for one sharded run.
 
-    Holds the receive deadline, per-worker heartbeats, the fault log,
-    the run-start network checkpoint a fault degrades from, and the
-    engine's chaos :class:`FaultPlan`.  Created per ``run()`` when
+    Holds the receive deadline, the fault log, the run-start network
+    checkpoint a fault degrades from, and the engine's chaos
+    :class:`FaultPlan`.  Created per ``run()`` when
     ``supervision="on"`` (the default).
     """
 
-    def __init__(self, timeout, plan, registry) -> None:
+    def __init__(self, timeout, plan) -> None:
         self.timeout = float(timeout)
         self.plan: Optional[FaultPlan] = plan
-        self.registry = registry
         self.fault_log: List[dict] = []
         self.checkpoint = None  # run-start network checkpoint (or None)
-        self.last_seen: dict = {}  # worker index -> perf_counter stamp
-
-    def heartbeat(self, handle) -> None:
-        self.last_seen[handle.index] = time.perf_counter()
-
-    def export_heartbeats(self) -> None:
-        if not self.registry.enabled or not self.last_seen:
-            return
-        now = time.perf_counter()
-        for worker in sorted(self.last_seen):
-            observe_heartbeat_age(
-                self.registry, worker, now - self.last_seen[worker]
-            )
 
     def record_fault(self, fault) -> None:
         self.fault_log.append(
@@ -1127,7 +1022,6 @@ class WorkerSupervisor:
                 "detail": fault.detail,
             }
         )
-        observe_fault(self.registry, fault.fault_class)
 
     def wire_faults(self, worker: int):
         if self.plan is None:
@@ -1214,10 +1108,6 @@ class ShardedEngine(ColumnarEngine):
         self.worker_timeout = float(worker_timeout)
         self.fault_plan = fault_plan
         self.supervision = supervision
-        #: Observability: how the last ``run`` executed (mode, effective
-        #: transport, window/rollback/speculation counts, per-window
-        #: timing, warm-pool reuse).
-        self.last_run_stats: dict = {}
         self._pool = None
         self._finalizer = None
 
@@ -1252,8 +1142,8 @@ class ShardedEngine(ColumnarEngine):
         t_run = time.perf_counter()
         if checkpoints is not None:
             # Materialize once: marks are computed here AND the
-            # fallback engine iterates again — a one-shot iterator must
-            # survive both.
+            # in-process loop (fallback or degraded) iterates again — a
+            # one-shot iterator must survive both.
             checkpoints = list(checkpoints)
         arrays = stream.arrays()
         n = len(stream)
@@ -1272,16 +1162,12 @@ class ShardedEngine(ColumnarEngine):
         marks: List[int] = []
         pool = None
         supervisor = None
+        base = network.items_processed
         if reason is None:
-            base = network.items_processed
             if checkpoints is not None and on_checkpoint is not None:
-                marks = sorted(
-                    t - base for t in set(checkpoints) if base < t <= base + n
-                )
+                marks = checkpoint_marks(checkpoints, base, n)
             if self.supervision == "on":
-                supervisor = WorkerSupervisor(
-                    self.worker_timeout, self.fault_plan, self.registry
-                )
+                supervisor = WorkerSupervisor(self.worker_timeout, self.fault_plan)
                 try:
                     supervisor.checkpoint = _checkpoint_network(network)
                 except Exception:
@@ -1298,39 +1184,37 @@ class ShardedEngine(ColumnarEngine):
                 pool = None
                 reason = f"worker setup failed: {exc!r}"
         if reason is not None:
-            self.last_run_stats = {"mode": "fallback", "reason": reason}
-            if self.registry.enabled:
-                self.registry.counter(
-                    "repro_shard_fallbacks_total",
-                    "sharded runs served by the in-process columnar path",
-                    labels=("reason",),
-                ).labels(reason=reason.split(":")[0]).inc()
-            return ColumnarEngine.run(
-                self,
+            fields = self._replay(network, stream, on_step, checkpoints, on_checkpoint)
+            self._record_run(
                 network,
-                stream,
-                on_step=on_step,
-                checkpoints=checkpoints,
-                on_checkpoint=on_checkpoint,
+                n,
+                time.perf_counter() - t_run,
+                mode="fallback",
+                reason=reason,
+                **fields,
             )
+            return network.counters
         try:
             try:
-                counters = self._run_windows(
-                    network,
-                    pool,
-                    n,
-                    marks,
-                    set(marks),
-                    on_step,
-                    on_checkpoint,
-                    supervisor,
+                fields = self._run_windows(
+                    network, pool, n, marks, on_step, on_checkpoint, supervisor
                 )
+                fields["warm_pool"] = warm
             except _WorkerFault as fault:
                 if supervisor is not None:
                     supervisor.record_fault(fault)
                 _reap_handle(fault.handle)
                 self.close()
+                reason = f"worker {fault.fault_class} fault: {fault.detail}"
                 if supervisor is None or supervisor.checkpoint is None:
+                    self._record_run(
+                        network,
+                        network.items_processed - base,
+                        time.perf_counter() - t_run,
+                        mode="failed",
+                        reason=reason,
+                        **_supervision_fields(supervisor),
+                    )
                     raise fault.to_error() from None
                 # The one fault path: restore the run-start checkpoint
                 # and rerun on the in-process columnar engine.  The
@@ -1339,38 +1223,26 @@ class ShardedEngine(ColumnarEngine):
                 # the sharded attempt already reported.
                 reported = network.items_processed
                 _restore_network(network, supervisor.checkpoint)
-                observe_degradation(self.registry, "columnar")
-                self.last_run_stats = {
+                fields = {
                     "mode": "degraded",
-                    "reason": f"worker {fault.fault_class} fault: {fault.detail}",
-                    "rung": "columnar",
+                    "reason": reason,
                     "degraded_to": "columnar",
+                    **self._replay(
+                        network,
+                        stream,
+                        _after(on_step, reported),
+                        checkpoints,
+                        _after(on_checkpoint, reported),
+                    ),
                 }
-                counters = ColumnarEngine.run(
-                    self,
-                    network,
-                    stream,
-                    on_step=_after(on_step, reported),
-                    checkpoints=checkpoints,
-                    on_checkpoint=_after(on_checkpoint, reported),
-                )
-            stats = self.last_run_stats
-            if stats.get("mode") == "sharded":
-                stats["warm_pool"] = warm
-                seconds = time.perf_counter() - t_run
-                stats["engine"] = self.name
-                stats["items"] = n
-                stats["seconds"] = seconds
-            if supervisor is not None:
-                stats["supervision"] = {"worker_timeout": supervisor.timeout}
-                if supervisor.fault_log:
-                    stats["faults"] = supervisor.fault_log
-            if self.registry.enabled and stats.get("mode") == "sharded":
-                self._export_run(
-                    network, n, seconds, windows=stats.get("windows")
-                )
-                observe_sharded_stats(self.registry, stats)
-            return counters
+            self._record_run(
+                network,
+                n,
+                time.perf_counter() - t_run,
+                **fields,
+                **_supervision_fields(supervisor),
+            )
+            return network.counters
         except BaseException:
             # The pool's protocol state is unknown after a failure —
             # never reuse it.  Teardown also reaps any orphans.
@@ -1530,10 +1402,6 @@ class ShardedEngine(ColumnarEngine):
                 "initial_batch_size": self.initial_batch_size,
                 "marks": marks,
                 "stream": stream_spec,
-                # When truthy, workers append a flat telemetry column
-                # (WORKER_METRIC_NAMES order) to result messages; when
-                # falsy the wire shape is untouched.
-                "metrics": bool(self.registry.enabled),
                 "faults": (
                     supervisor.wire_faults(handle.index)
                     if supervisor is not None
@@ -1542,19 +1410,17 @@ class ShardedEngine(ColumnarEngine):
             }
             self._send(handle, ("run", payload))
 
-
     # -- the window protocol ------------------------------------------
 
-    def _recv_results(self, handle, supervisor, window, worker_deltas):
+    def _recv_results(self, handle, supervisor, window, per_worker):
         """Read one ``res``: returns ``(descriptors, compute_seconds)``,
-        filing its telemetry column for commit."""
-        message = self._recv(handle, supervisor, window)
-        if len(message) > 3 and message[3]:
-            worker_deltas.append((handle.index, message[3]))
-        return message[1], message[2]
+        booking the seconds to the worker's row."""
+        _, descriptors, seconds = self._recv(handle, supervisor, window)
+        per_worker[handle.index]["compute_seconds"] += seconds
+        return descriptors, seconds
 
     def _fold_window(
-        self, window, network, handles, pending, supervisor, worker_deltas
+        self, window, network, handles, pending, supervisor, per_worker
     ):
         """Fold one window's descriptors in exact ascending-site order —
         the columnar engine's order.
@@ -1565,8 +1431,10 @@ class ShardedEngine(ColumnarEngine):
         id), every worker owning such sites rolls back: it gets
         ``("roll", site_id, controls)`` and answers with the replacement
         suffix, which supersedes the stale one.  The replacements'
-        compute seconds go uncounted: a window's worker compute is the
-        whole-window pass behind it.  Returns ``(controls, rollbacks)``:
+        compute seconds count in their worker's row but not in the
+        window's worker compute, which is the whole-window pass behind
+        it.  Each decoded descriptor and each roll is booked to its
+        worker's ``per_worker`` row.  Returns ``(controls, rollbacks)``:
         the window's control list (what the commit carries) and the
         number of rolls it took.
         """
@@ -1577,9 +1445,11 @@ class ShardedEngine(ColumnarEngine):
         while i < len(order):
             site_id = order[i]
             handle, descriptor = pending.pop(site_id)
-            responses = self._fold(
-                network, site_id, self._decode(handle, descriptor, window)
-            )
+            payload = self._decode(handle, descriptor, window)
+            row = per_worker[handle.index]
+            row["packs"] += 1
+            row["pack_entries"] += len(payload)
+            responses = self._fold(network, site_id, payload)
             if responses:
                 controls.extend(
                     (site_id, dest, message) for dest, message in responses
@@ -1595,9 +1465,10 @@ class ShardedEngine(ColumnarEngine):
                         del pending[stale]
                     for h in affected:
                         self._send(h, ("roll", site_id, controls), window)
+                        per_worker[h.index]["rolls_served"] += 1
                     for h in affected:
                         descriptors, _ = self._recv_results(
-                            h, supervisor, window, worker_deltas
+                            h, supervisor, window, per_worker
                         )
                         for descriptor in descriptors:
                             pending[descriptor[0]] = (h, descriptor)
@@ -1607,10 +1478,11 @@ class ShardedEngine(ColumnarEngine):
             i += 1
         return controls, rollbacks
 
-    def _finish_run(self, network, handles, supervisor=None) -> dict:
+    def _finish_run(self, network, handles, supervisor, per_worker) -> dict:
         """End-of-run barrier: ``fin`` every worker, then adopt each
-        shard's final site states into the parent's mirrors.  Returns
-        the workers' summed speculation verdicts."""
+        shard's final site states into the parent's mirrors and book
+        its speculation verdicts to its row.  Returns the summed
+        verdicts."""
         for handle in handles:
             self._send(handle, ("fin",))
         speculation = {"hits": 0, "misses": 0}
@@ -1621,112 +1493,89 @@ class ShardedEngine(ColumnarEngine):
                     f"shard worker {handle.index} sent {message[0]!r} "
                     "instead of final state"
                 )
-            hits, misses = message[3]
+            _, site_lo, sites, (hits, misses) = message
+            row = per_worker[handle.index]
+            row["hits"], row["misses"] = hits, misses
             speculation["hits"] += hits
             speculation["misses"] += misses
-            if len(message) > 4 and message[4]:
-                merge_worker_deltas(self.registry, handle.index, message[4])
-            for offset, final in enumerate(pickle.loads(message[2])):
-                _adopt_site_state(network.sites[message[1] + offset], final)
+            for offset, final in enumerate(pickle.loads(sites)):
+                _adopt_site_state(network.sites[site_lo + offset], final)
         return speculation
 
     def _run_windows(
-        self,
-        network,
-        pool,
-        n,
-        marks,
-        mark_set,
-        on_step,
-        on_checkpoint,
-        supervisor=None,
-    ) -> "MessageCounters":
+        self, network, pool, n, marks, on_step, on_checkpoint, supervisor=None
+    ) -> dict:
         """The window protocol, parent side: per window, gather every
         worker's results, fold them, commit, and fire the window's
-        callbacks.  A classified fault anywhere in here propagates as
-        :class:`_WorkerFault`; :meth:`run` degrades the run."""
+        callbacks.  Returns the run's record keys.  A classified fault
+        anywhere in here propagates as :class:`_WorkerFault`;
+        :meth:`run` degrades the run."""
         handles = pool["handles"]
         windows = list(
             batch_windows(n, self.batch_size, self.initial_batch_size, marks)
         )
-        tally = _RunTally()
+        mark_set = set(marks)
+        rollbacks = 0
+        per_window: List[dict] = []
+        per_worker = [
+            {
+                "compute_seconds": 0.0,
+                "packs": 0,
+                "pack_entries": 0,
+                "rolls_served": 0,
+            }
+            for _ in handles
+        ]
         for t_idx, (lo, hi) in enumerate(windows):
-            worker_deltas: list = []
             t0 = time.perf_counter()
             pending = {}
             compute = 0.0
             for handle in handles:
                 descriptors, seconds = self._recv_results(
-                    handle, supervisor, t_idx, worker_deltas
+                    handle, supervisor, t_idx, per_worker
                 )
                 compute = max(compute, seconds)
                 for descriptor in descriptors:
                     pending[descriptor[0]] = (handle, descriptor)
             t1 = time.perf_counter()
-            controls, rollbacks = self._fold_window(
-                t_idx, network, handles, pending, supervisor, worker_deltas
+            controls, rolls = self._fold_window(
+                t_idx, network, handles, pending, supervisor, per_worker
             )
             t2 = time.perf_counter()
             for handle in handles:
                 self._send(handle, ("com", controls), t_idx)
-            for worker, deltas in worker_deltas:
-                merge_worker_deltas(self.registry, worker, deltas)
-            tally.commit(rollbacks, controls, compute, t1 - t0, t2 - t1)
-            if supervisor is not None:
-                supervisor.export_heartbeats()
+            rollbacks += rolls
+            # The slowest worker's compute, the parent's wait for the
+            # window's results, and its fold.
+            per_window.append(
+                {
+                    "window": t_idx,
+                    "worker_compute_seconds": compute,
+                    "transport_wait_seconds": t1 - t0,
+                    "parent_fold_seconds": t2 - t1,
+                    "controls": len(controls),
+                }
+            )
             network.items_processed += hi - lo
             t = network.items_processed
             if on_step is not None:
                 on_step(t)
             if hi in mark_set:
                 on_checkpoint(t)
-        speculation = self._finish_run(network, handles, supervisor)
-        self.last_run_stats = tally.stats(pool, len(windows), speculation)
-        return network.counters
-
-    def format_stats(self) -> str:
-        """A human-readable breakdown of :attr:`last_run_stats` (used
-        by ``repro ... --profile --engine sharded``)."""
-        stats = self.last_run_stats
-        if not stats:
-            return "sharded engine: no run recorded yet"
-        if stats.get("mode") == "degraded":
-            return (
-                f"sharded engine: degraded to the {stats['rung']} rung "
-                f"({stats['reason']})"
-            )
-        if stats.get("mode") != "sharded":
-            return (
-                f"sharded engine: ran in fallback mode "
-                f"({stats.get('reason', 'unknown reason')})"
-            )
-        lines = [
-            (
-                f"sharded engine breakdown ({stats['workers']} workers, "
-                f"{stats['transport']} transport):"
-            ),
-            (
-                f"  windows {stats['windows']}, rollbacks "
-                f"{stats['rollbacks']}, controls {stats['controls']}"
-            ),
-        ]
-        spec = stats.get("speculation")
-        if spec is not None:
-            lines.append(
-                f"  speculation: {spec['hits']} hits, {spec['misses']} misses"
-            )
-        timing = stats.get("timing")
-        if timing is not None:
-            parts = []
-            for label, key in (
-                ("worker compute", "worker_compute_seconds"),
-                ("transport wait", "transport_wait_seconds"),
-                ("parent fold", "parent_fold_seconds"),
-            ):
-                if key in timing:
-                    parts.append(f"{label} {timing[key]:.3f}s")
-            lines.append("  time: " + ", ".join(parts))
-        return "\n".join(lines)
+        speculation = self._finish_run(network, handles, supervisor, per_worker)
+        return {
+            "mode": "sharded",
+            "workers": pool["workers"],
+            "transport": pool["transport"],
+            "windows": len(windows),
+            "rollbacks": rollbacks,
+            "speculation": speculation,
+            "per_window": per_window,
+            "per_worker": per_worker,
+            "shm_segments": [
+                shm.name for shm in pool["rings"] + pool["stream"]["shms"]
+            ],
+        }
 
     @staticmethod
     def _send(handle, message, window=None) -> None:
@@ -1754,7 +1603,7 @@ class ShardedEngine(ColumnarEngine):
         """Receive one worker message; classify failures.
 
         With a supervisor the receive is deadline-bounded (``hang``
-        fault on expiry) and stamps the worker's heartbeat.  A dead
+        fault on expiry).  A dead
         pipe is a ``crash`` fault either way; a worker-shipped
         traceback is fail-stop (:class:`ShardedWorkerError` with
         ``fault_class="error"``) — the worker's own code raised, and
@@ -1781,8 +1630,6 @@ class ShardedEngine(ColumnarEngine):
             ) from None
         if message[0] == "err":
             raise _worker_error(handle, message[1], window)
-        if supervisor is not None:
-            supervisor.heartbeat(handle)
         return message
 
     def _decode(self, handle, descriptor, window=None):

@@ -325,6 +325,43 @@ class TestLockstepRecovery:
             ({"rung": "columnar"}, 1)
         ]
 
+    def test_fault_that_cannot_degrade_is_recorded_and_counted(
+        self, monkeypatch
+    ):
+        """A supervised run whose network has no run-start checkpoint
+        raises on a classified fault — after recording it, so the fault
+        still reaches ``repro_shard_faults_total``."""
+        import repro.runtime.sharded as sharded_mod
+        from repro.obs import MetricsRegistry
+
+        def no_checkpoint(network):
+            raise TypeError("cannot pickle the network")
+
+        monkeypatch.setattr(sharded_mod, "_checkpoint_network", no_checkpoint)
+        registry = MetricsRegistry()
+        engine = ShardedEngine(
+            batch_size=BATCH,
+            workers=WORKERS,
+            fault_plan="kill:1:2",
+            worker_timeout=TIMEOUT,
+        ).instrument(registry)
+        try:
+            with pytest.raises(ShardedWorkerError) as excinfo:
+                _run(engine)
+            stats = engine.last_run_stats
+        finally:
+            engine.close()
+        assert excinfo.value.fault_class == "crash"
+        assert stats["mode"] == "failed"
+        assert stats["reason"].startswith("worker crash fault: ")
+        assert _logged(stats) == [("crash", 1, 2)]
+        snapshot = registry.snapshot()["metrics"]
+        faults = snapshot["repro_shard_faults_total"]["samples"]
+        assert [(s["labels"], s["value"]) for s in faults] == [
+            ({"fault_class": "crash"}, 1)
+        ]
+        assert "repro_shard_degradations_total" not in snapshot
+
     @pytest.mark.parametrize("exit_after", [0, 250])
     def test_unsupervised_crash_fails_stop(self, exit_after):
         # Supervision off ships no fault plan: a site kills its worker.

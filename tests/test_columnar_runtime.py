@@ -1102,10 +1102,11 @@ class TestWindowGrouping:
 
     @pytest.mark.parametrize("k", [8, 300])
     def test_driver_matches_stable_sort_grouping(self, monkeypatch, k):
-        """The multi-query driver groups each window through the same
-        ``window_order``; its answers and counters are those of the
-        stable comparison sort too."""
-        import repro.query.driver as driver_mod
+        """The multi-query driver groups each window through the columnar
+        engine's ``group_window``, hence the same ``window_order``; its
+        answers and counters are those of the stable comparison sort
+        too."""
+        import repro.runtime.columnar as columnar_mod
         from repro.query import (
             CountQuery,
             MultiQueryDriver,
@@ -1135,5 +1136,12 @@ class TestWindowGrouping:
             )
 
         fast = run()
-        monkeypatch.setattr(driver_mod, "window_order", _stable_sort_grouping)
+        windows = []
+
+        def oracle(sites, lo, hi):
+            windows.append((lo, hi))
+            return _stable_sort_grouping(sites, lo, hi)
+
+        monkeypatch.setattr(columnar_mod, "window_order", oracle)
         assert run() == fast
+        assert windows  # MultiQueryDriver grouped through the patched name

@@ -16,9 +16,10 @@ What is covered:
    columnar, sharded) and on the multi-query driver.  Instrumentation
    is observational only.
 5. **Instrumentation facts** — engines export run/item/window
-   counters and message gauges that agree with the ground truth;
-   worker shards ship metric columns that merge into per-worker
-   counters; ``format_stats`` is safe before any run.
+   counters and message gauges that agree with the ground truth; the
+   sharded record's per-worker figures, counted by the parent, agree
+   with the run and with their per-worker counters; ``format_stats``
+   is safe before any run.
 """
 
 from __future__ import annotations
@@ -30,18 +31,13 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.core import DistributedWeightedSWOR, SworConfig
+from repro.net.counters import MessageCounters
 from repro.obs import (
     DURATION_BUCKETS,
     NULL_REGISTRY,
-    WORKER_METRIC_NAMES,
     MetricsRegistry,
     NullRegistry,
-    merge_worker_deltas,
-    observe_degradation,
-    observe_fault,
-    observe_heartbeat_age,
-    observe_message_counters,
-    observe_sharded_stats,
+    export_run,
     render_json,
     render_prometheus,
     write_metrics,
@@ -380,16 +376,10 @@ GOLDEN_METRIC_NAMES = [
     "repro_shard_rollbacks_total",
     "repro_shard_speculation_total",
     "repro_shard_window_seconds",
-    "repro_shard_windows_total",
     "repro_shard_worker_compute_seconds_total",
-    "repro_shard_worker_heartbeat_age_seconds",
     "repro_shard_worker_pack_entries_total",
     "repro_shard_worker_packs_total",
-    "repro_shard_worker_ring_bytes_total",
     "repro_shard_worker_rolls_served_total",
-    "repro_shard_worker_snapshots_total",
-    "repro_shard_worker_spec_recomputes_total",
-    "repro_shard_worker_windows_total",
 ]
 
 
@@ -399,10 +389,9 @@ class TestMetricNameStability:
         resulting family names exactly.
 
         In-process engine runs, a driver run, and a (deterministic,
-        spawn-free) sharded fallback run hit the real code paths; the
-        sharded bridge and the worker-column merge are driven with
-        synthetic inputs so the racy metrics (speculation timing varies
-        run to run) still surface every name deterministically.
+        spawn-free) sharded fallback run hit the real code paths; a
+        sharded and a degraded record are exported synthetically, so
+        the metric names do not hang on a multiprocess run.
         """
         registry = MetricsRegistry()
         for spec in ("reference", "columnar"):
@@ -416,37 +405,40 @@ class TestMetricNameStability:
         driver.run(_stream(4_000))
         # workers=1 → deterministic in-process fallback, no spawn.
         _run(ShardedEngine(workers=1).instrument(registry), n=6_000)
-        observe_sharded_stats(
+        run = {"engine": "sharded", "items": 100, "seconds": 0.5, "windows": 4}
+        export_run(
             registry,
             {
+                **run,
                 "mode": "sharded",
-                "windows": 4,
                 "rollbacks": 1,
                 "controls": 2,
                 "speculation": {"hits": 3, "misses": 1},
-                "timing": {"compute_seconds": 0.5, "fold_seconds": 0.25},
-                "per_window": [{"compute_seconds": 0.1, "packs": 2}],
+                "timing": {"worker_compute_seconds": 0.5},
+                "per_window": [{"worker_compute_seconds": 0.1, "controls": 2}],
+                "per_worker": [
+                    {
+                        "compute_seconds": 0.5,
+                        "packs": 2,
+                        "pack_entries": 9,
+                        "rolls_served": 1,
+                    }
+                ],
             },
+            MessageCounters(),
         )
-        merge_worker_deltas(registry, 0, (1.0,) * len(WORKER_METRIC_NAMES))
-        observe_fault(registry, "crash")
-        observe_degradation(registry, "columnar")
-        observe_heartbeat_age(registry, 0, 0.0)
+        export_run(
+            registry,
+            {
+                **run,
+                "mode": "degraded",
+                "reason": "worker crash fault: gone",
+                "degraded_to": "columnar",
+                "faults": [{"fault_class": "crash"}],
+            },
+            MessageCounters(),
+        )
         assert registry.metric_names() == GOLDEN_METRIC_NAMES
-
-    def test_worker_metric_columns_schema_is_fixed(self):
-        """The wire schema of the per-window metric columns (position
-        IS the name — reordering breaks old/new worker mixes)."""
-        assert WORKER_METRIC_NAMES == (
-            "windows",
-            "packs",
-            "pack_entries",
-            "ring_bytes",
-            "compute_seconds",
-            "snapshots",
-            "rolls_served",
-            "spec_recomputes",
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +472,33 @@ class TestInstrumentationParity:
         # batch size (the existing parity guarantee, now under metrics).
         columnar = _run(get_engine("columnar", batch_size=4096))
         assert _fingerprint(live) == _fingerprint(columnar)
+
+    def test_sharded_wire_has_one_shape(self, monkeypatch):
+        """Every ``res`` and ``sta`` a worker sends has one shape, with
+        a live registry attached or not."""
+        pytest.importorskip("numpy")
+        shapes = []
+        recv = ShardedEngine._recv
+
+        def spy(self, handle, supervisor=None, window=None):
+            message = recv(self, handle, supervisor, window)
+            if message[0] in ("res", "sta"):
+                shapes.append((message[0], len(message)))
+            return message
+
+        monkeypatch.setattr(ShardedEngine, "_recv", spy)
+        engine = ShardedEngine(workers=2, batch_size=4096)
+        try:
+            plain = _run(engine)
+            plain_shapes = set(shapes)
+            shapes.clear()
+            engine.instrument(MetricsRegistry())
+            live = _run(engine)
+            assert engine.last_run_stats["mode"] == "sharded"
+        finally:
+            engine.close()
+        assert plain_shapes == set(shapes) == {("res", 3), ("sta", 4)}
+        assert _fingerprint(plain) == _fingerprint(live)
 
     def test_driver(self):
         queries = [
@@ -575,31 +594,58 @@ class TestEngineInstrumentation:
                 registry, "repro_engine_windows_total", engine=name
             ) == engine.last_run_stats["windows"]
 
-    def test_sharded_worker_columns_merge_at_commit(self):
+    def test_sharded_per_worker_figures_are_counted_by_the_parent(self):
+        """The record's per-worker rows — the compute seconds each
+        ``res`` reports, the descriptors the parent decodes, the rolls
+        it sends, the verdicts of each ``sta`` — agree with the run,
+        and each exported per-worker counter reads its row."""
         pytest.importorskip("numpy")
         registry = MetricsRegistry()
-        engine = ShardedEngine(workers=2, batch_size=4096).instrument(registry)
+        engine = ShardedEngine(workers=2, batch_size=1024).instrument(registry)
         try:
-            _run(engine)
+            proto = _run(engine)
             stats = engine.last_run_stats
-            assert stats["mode"] == "sharded"
         finally:
             engine.close()
-        windows = stats["windows"]
-        # Every worker ships every window exactly once (a discarded
-        # speculative pass books as a recompute, not a window).
-        per_worker = {
-            worker: _value(
-                registry, "repro_shard_worker_windows_total", worker=worker
-            )
-            for worker in (0, 1)
+        assert stats["mode"] == "sharded"
+        rows = stats["per_worker"]
+        assert [sorted(row) for row in rows] == [
+            [
+                "compute_seconds",
+                "hits",
+                "misses",
+                "pack_entries",
+                "packs",
+                "rolls_served",
+            ]
+        ] * 2
+        # Every decoded message is folded, and counted, upstream.
+        assert sum(row["pack_entries"] for row in rows) == proto.counters.upstream
+        assert all(0 < row["packs"] <= row["pack_entries"] for row in rows)
+        # The last shard holds the highest sites: every roll reaches it.
+        assert rows[-1]["rolls_served"] == stats["rollbacks"] > 0
+        # Each worker resolves its speculation of every window but the
+        # last as one hit or one miss.
+        for row in rows:
+            assert row["hits"] + row["misses"] == stats["windows"] - 1
+        assert stats["speculation"] == {
+            "hits": sum(row["hits"] for row in rows),
+            "misses": sum(row["misses"] for row in rows),
         }
-        assert per_worker == {0: float(windows), 1: float(windows)}
-        assert _value(registry, "repro_shard_windows_total") == windows
-        # The stats dict the registry was computed from is unchanged in
-        # shape (the public surface other tests and the CLI rely on).
-        for key in ("mode", "windows", "rollbacks", "controls", "timing"):
-            assert key in stats
+        # A window's worker compute is its slowest worker's pass.
+        assert stats["timing"]["worker_compute_seconds"] <= sum(
+            row["compute_seconds"] for row in rows
+        )
+        for figure in ("compute_seconds", "packs", "pack_entries", "rolls_served"):
+            family = f"repro_shard_worker_{figure}_total"
+            for worker, row in enumerate(rows):
+                assert _value(registry, family, worker=worker) == pytest.approx(
+                    row[figure]
+                )
+        assert (
+            _value(registry, "repro_engine_windows_total", engine="sharded")
+            == stats["windows"]
+        )
 
     def test_sharded_fallback_reason_is_labeled(self):
         registry = MetricsRegistry()

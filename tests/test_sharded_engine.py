@@ -274,8 +274,8 @@ class TestShardedFallbacks:
         engine = ShardedEngine(batch_size=512, workers=1)
         proto = _run(stream, engine)
         stats = engine.last_run_stats
-        # The fallback marker survives the run-stats refresh (PR 7 adds
-        # engine/items/seconds/windows to every completed run).
+        # One record holds the fallback marker and the run's own
+        # engine/items/seconds/windows keys.
         assert stats["mode"] == "fallback"
         assert stats["reason"] == "single worker"
         assert stats["engine"] == "sharded" and stats["items"] == 3000
@@ -329,6 +329,35 @@ class TestShardedFallbacks:
         )
         proto.network.sites[2] = _UnshardableSite()
         proto.run(stream)
+        assert engine.last_run_stats["reason"] == "non-shardable site"
+
+    def test_l1_matches_columnar_in_process(self):
+        """The L1 site yields its copies lazily: each is delivered, and
+        its epoch broadcast applied, before the next is drawn.  A worker
+        cannot keep that order, so the tracker runs in-process and sends
+        exactly what columnar sends."""
+        from repro.l1 import L1Tracker
+
+        stream = round_robin(zipf_stream(3000, random.Random(0)), 64)
+
+        def run(engine):
+            tracker = L1Tracker(
+                64,
+                0.1,
+                seed=0,
+                sample_size_override=8,
+                duplication_override=50,
+                engine=engine,
+            )
+            tracker.run(stream)
+            return tracker.estimate(), tracker.counters.snapshot()
+
+        engine = ShardedEngine(batch_size=64, workers=2)
+        try:
+            got = run(engine)
+        finally:
+            engine.close()
+        assert got == run(ColumnarEngine(batch_size=64))
         assert engine.last_run_stats["reason"] == "non-shardable site"
 
     def test_get_engine_workers_validation(self):
