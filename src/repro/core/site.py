@@ -198,6 +198,9 @@ class SworSite(SiteAlgorithm):
         self.site_id = site_id
         self.config = config
         self._rng = rng
+        # The scalar stream's state as the last snapshot copied it;
+        # ``None`` once a draw has moved the stream (:meth:`_draw_rng`).
+        self._rng_state: Optional[tuple] = None
         self._r = config.r
         # Bitmask of saturated levels (level j -> bit j): O(1) words for
         # any realistic W since levels top out at log_r(W).
@@ -292,11 +295,11 @@ class SworSite(SiteAlgorithm):
             if not count:
                 continue
             if n == 1:
-                draws[off] = exponential(site._rng)
+                draws[off] = exponential(site._draw_rng())
             else:
                 batch = site._batch_rng
                 if batch is None:
-                    batch = site._batch_rng = BatchRandom(site._rng)
+                    batch = site._batch_rng = BatchRandom(site._draw_rng())
                 batch.exponentials(count, out=draws[off : off + count])
             site.exponentials_generated += count
             off += count
@@ -389,7 +392,7 @@ class SworSite(SiteAlgorithm):
                 regular_idents = idents[saturated]
                 regular_weights = weights[saturated]
         if self._batch_rng is None:
-            self._batch_rng = BatchRandom(self._rng)
+            self._batch_rng = BatchRandom(self._draw_rng())
         m = len(regular_weights)
         draws = self._batch_rng.exponentials(m)
         self.exponentials_generated += m
@@ -422,10 +425,23 @@ class SworSite(SiteAlgorithm):
         Captures exactly the state the site-pass hooks mutate: the two
         RNG streams (scalar + batch), the control view (mask,
         threshold), and the resource counters.
+
+        Snapshots of consecutive windows share the scalar stream's
+        state tuple (immutable) until a draw moves the stream: the
+        window pass draws from it only for single arrivals and to
+        derive the batch stream, so most windows copy none of its 625
+        words.  Every draw from ``_rng`` must go through
+        :meth:`_draw_rng`, which forgets the shared tuple; a draw that
+        bypassed it would leave the next snapshot, and a restore, at
+        the stream's old position.  The batch stream's state and the
+        scalar fields are copied afresh every time.
         """
+        rng_state = self._rng_state
+        if rng_state is None:
+            rng_state = self._rng_state = self._rng.getstate()
         batch = self._batch_rng
         return (
-            self._rng.getstate(),
+            rng_state,
             # Distinguish "no batch stream yet" (its creation draw must
             # be re-consumed on replay) from an existing stream's state.
             None if batch is None else (batch.snapshot(),),
@@ -436,9 +452,16 @@ class SworSite(SiteAlgorithm):
             self.bits_generated,
         )
 
+    def __getstate__(self) -> dict:
+        # A pickled site carries its scalar stream once: the copy the
+        # last snapshot took stays behind.
+        return {**self.__dict__, "_rng_state": None}
+
     def restore_state(self, state: tuple) -> None:
         rng_state, batch_state, mask, threshold, seen, exps, bits = state
-        self._rng.setstate(rng_state)
+        if rng_state is not self._rng_state:  # else no draw moved it
+            self._rng.setstate(rng_state)
+            self._rng_state = rng_state
         if batch_state is None:
             # The batch stream (if any) was created after the snapshot;
             # dropping it un-consumes its derivation draw (restored
@@ -478,9 +501,15 @@ class SworSite(SiteAlgorithm):
 
     # -- internals ----------------------------------------------------
 
+    def _draw_rng(self) -> random.Random:
+        """The scalar stream, for a draw: forgets the state tuple the
+        last snapshot copied, which the draw moves past."""
+        self._rng_state = None
+        return self._rng
+
     def _regular_fast(self, item: Item) -> List[Message]:
         """Generate the key with one full-precision exponential."""
-        t = exponential(self._rng)
+        t = exponential(self._draw_rng())
         self.exponentials_generated += 1
         v = item.weight / t
         if v > self._threshold:
@@ -493,7 +522,7 @@ class SworSite(SiteAlgorithm):
         ``v > u``  iff  ``t < w/u``; with ``u == 0`` every key passes
         and must be materialized.
         """
-        lazy = LazyExponential(self._rng)
+        lazy = LazyExponential(self._draw_rng())
         self.exponentials_generated += 1
         u = self._threshold
         if u <= 0.0:

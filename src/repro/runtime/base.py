@@ -36,9 +36,14 @@ counters) onto the registry; nothing else describes a run.  The keys:
   counts in ``items`` only the arrivals of its committed windows) —
   and, when supervised, ``supervision`` and any classified ``faults``;
 * a run that ran sharded: ``workers``, ``transport``, ``warm_pool``,
+  ``setup_seconds`` (getting the worker pool, spawned when not warm,
+  and shipping each worker its shard; part of ``seconds``),
   ``rollbacks``, ``speculation``, ``per_window`` rows and the
   ``controls`` and per-phase ``timing`` totals summed from them,
-  ``per_worker`` rows, and ``shm_segments``.
+  ``per_worker`` rows, and ``shm_segments``.  A worker's compute
+  seconds (``timing["worker_compute_seconds"]``, its row's
+  ``compute_seconds``) cover its pre-window snapshot and its site
+  pass.
 
 Instrumentation is observational only: samples and message counters
 are bit-identical with a live registry and without one.
@@ -167,6 +172,8 @@ class Engine(ABC):
                 f"{stats['workers']} workers, {stats['transport']} transport: "
                 f"rollbacks {stats['rollbacks']}, controls {stats['controls']}",
                 f"speculation: {spec['hits']} hits, {spec['misses']} misses",
+                f"setup {stats['setup_seconds']:.3f}s "
+                f"({'warm' if stats['warm_pool'] else 'cold'} pool)",
                 f"time: worker compute {timing['worker_compute_seconds']:.3f}s, "
                 f"transport wait {timing['transport_wait_seconds']:.3f}s, "
                 f"parent fold {timing['parent_fold_seconds']:.3f}s",

@@ -100,6 +100,13 @@ class SiteAlgorithm(ABC):
         the same outputs bit for bit.  Returning ``None`` (the default)
         means "unsupported": engines then snapshot by pickling the
         whole site, which is always correct, just slower.
+
+        A snapshot is never mutated once taken, so consecutive
+        snapshots may share immutable parts — an RNG state tuple, say —
+        that nothing has changed since.  The site must then forget a
+        shared part at every mutation of what it copies (every draw
+        from that RNG), and :meth:`restore_state` may skip restoring a
+        part the site still holds unchanged.
         """
         return None
 

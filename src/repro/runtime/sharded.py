@@ -103,12 +103,14 @@ in exact ascending-site order: the parent makes the columnar engine's
 coordinator calls, in the columnar engine's order.
 
 ``last_run_stats`` records rollback counts, the workers' summed
-speculation hits/misses, a per-window timing breakdown (worker
-compute, transport wait, parent fold) and per-worker rows; the parent
-counts every figure from the messages it already exchanges (the
-compute seconds in each ``res``, the descriptors it decodes, the
-``roll``s it sends, the verdicts in each ``sta``), so the wire has one
-shape with a metrics registry attached or not.
+speculation hits/misses, the run's ``setup_seconds`` (getting the pool
+and shipping each worker its shard), a per-window timing breakdown
+(worker compute, transport wait, parent fold) and per-worker rows; the
+parent counts every figure from the messages it already exchanges: the
+seconds in each ``res`` (a worker's pre-window snapshot and site pass,
+or a roll's restore and recompute), the descriptors it decodes, the
+``roll``s it sends and the verdicts in each ``sta``.  So the wire has
+one shape with a metrics registry attached or not.
 ``repro ... --profile --engine sharded`` prints the record.
 
 Fault tolerance: supervision and degradation
@@ -665,11 +667,11 @@ def _send_state(shard: _WorkerShard, conn) -> None:
 
 
 def _send_results(shard: _WorkerShard, conn, t: int, results, seconds) -> None:
-    """Ship one window's descriptors and the compute seconds that
-    produced them, through the chaos seams: a planned wire fault
-    mangles the descriptors; a planned process fault kills/hangs/drops
-    instead of sending.  With no plan (every production run) this is
-    exactly the plain send."""
+    """Ship one window's descriptors and the worker seconds that
+    produced them (snapshot and compute), through the chaos seams: a
+    planned wire fault mangles the descriptors; a planned process fault
+    kills/hangs/drops instead of sending.  With no plan (every
+    production run) this is exactly the plain send."""
     if shard.faults:
         wire = fault_action(shard.faults, t, ("corrupt", "truncate"))
         if wire is not None:
@@ -686,7 +688,9 @@ def _send_results(shard: _WorkerShard, conn, t: int, results, seconds) -> None:
 
 def _compute(shard: _WorkerShard, t: int, speculative: bool = False):
     """Snapshot the shard's sites, then compute window ``t`` into ring
-    slot ``t % 2``.  Returns ``(snapshot, descriptors, seconds)``.
+    slot ``t % 2``.  Returns ``(snapshot, descriptors, seconds)``:
+    ``seconds`` covers the snapshot and the compute, all of the
+    worker's work for the window before it ships.
 
     A *speculative* compute runs before the commit of window ``t - 1``
     reaches the sites, so a site may raise only because its state is
@@ -695,11 +699,11 @@ def _compute(shard: _WorkerShard, t: int, speculative: bool = False):
     committed state, and only a raise there ships the error."""
     lo, hi = shard.windows[t]
     i0, i1 = shard.view.window_bounds(lo, hi)
+    t0 = time.perf_counter()
     # Pre-window state, captured BEFORE the compute so rollback
     # replays from exactly this point (same RNG positions).  Skipped
     # when the shard has no arrivals (nothing mutates).
     snapshot = _snapshot_sites(shard.sites) if i0 != i1 else None
-    t0 = time.perf_counter()
     try:
         results = shard.compute_window(lo, hi, slot=t % 2)
     except Exception:
@@ -722,11 +726,12 @@ def _worker_run(shard: _WorkerShard, conn) -> None:
     """The window protocol, worker side, for one run.
 
     Per window: send the descriptors computed against the
-    last-committed control state, with the compute's seconds, then
-    speculate — compute window ``t + 1`` into the other ring slot —
-    and serve ``roll`` (restore the pre-window snapshot, re-apply each
-    control message to exactly the sites after its trigger, recompute,
-    resend the suffix) until the parent ``com``mits.  At commit every
+    last-committed control state, with the seconds its snapshot and
+    compute took, then speculate — compute window ``t + 1`` into the
+    other ring slot — and serve ``roll`` (restore the pre-window
+    snapshot, re-apply each control message to exactly the sites after
+    its trigger, recompute, resend the suffix) until the parent
+    ``com``mits.  At commit every
     site applies the control messages it has not seen yet.  The
     speculation is a *hit* when none of them reaches this shard (its
     packs then ship as they are) and a *miss* otherwise (restored, and
@@ -1175,10 +1180,12 @@ class ShardedEngine(ColumnarEngine):
                     # enforce deadlines) without degradation.
                     supervisor.checkpoint = None
             try:
+                t_setup = time.perf_counter()
                 pool, warm = self._get_pool(workers)
                 self._dispatch_run(
                     pool, network, arrays, n, marks, supervisor=supervisor
                 )
+                setup = time.perf_counter() - t_setup
             except Exception as exc:
                 self.close()
                 pool = None
@@ -1200,6 +1207,7 @@ class ShardedEngine(ColumnarEngine):
                     network, pool, n, marks, on_step, on_checkpoint, supervisor
                 )
                 fields["warm_pool"] = warm
+                fields["setup_seconds"] = setup
             except _WorkerFault as fault:
                 if supervisor is not None:
                     supervisor.record_fault(fault)

@@ -25,10 +25,11 @@ failing example replays exactly.
 
 from __future__ import annotations
 
-import glob
+import contextlib
 import multiprocessing
 import random
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -139,11 +140,40 @@ class ExitingSite(SiteAlgorithm):
         pass
 
 
-def _assert_no_orphans(before):
+@contextlib.contextmanager
+def _created_segments():
+    """Yield the list of the shared-memory segments the sharded engine
+    creates inside the block — a spy on ``SharedMemory(create=True)``
+    in :mod:`repro.runtime.sharded` (workers only attach) — so the
+    orphan check ignores every other process's segments."""
+    from multiprocessing import shared_memory
+
+    from repro.runtime import sharded
+
+    names = []
+
+    def spy(*args, **kwargs):
+        segment = shared_memory.SharedMemory(*args, **kwargs)
+        if kwargs.get("create"):
+            names.append(segment.name)
+        return segment
+
+    with mock.patch.object(
+        sharded, "_shared_memory", SimpleNamespace(SharedMemory=spy)
+    ):
+        yield names
+
+
+def _assert_no_orphans(created):
+    from multiprocessing import shared_memory
+
     for child in multiprocessing.active_children():
         child.join(timeout=10)
     assert multiprocessing.active_children() == []
-    assert set(glob.glob("/dev/shm/psm_*")) <= before
+    assert created  # the rings and the stream's columns
+    for name in created:
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
 
 
 def _logged(stats):
@@ -222,15 +252,15 @@ class TestLockstepRecovery:
     def _assert_degrades(self, plan):
         """Run ``plan``; its first entry is the fault that fires."""
         first = parse_fault_plan(plan).entries[0]
-        before = set(glob.glob("/dev/shm/psm_*"))
-        fingerprint, stats = _chaos_run(plan)
+        with _created_segments() as created:
+            fingerprint, stats = _chaos_run(plan)
         assert fingerprint == _reference()
         assert stats["mode"] == "degraded"
         assert stats["degraded_to"] == "columnar"
         assert _logged(stats) == [
             (self.KIND_TO_CLASS[first.kind], first.worker, first.window)
         ]
-        _assert_no_orphans(before)
+        _assert_no_orphans(created)
 
     @pytest.mark.parametrize("kind", sorted(KIND_TO_CLASS))
     def test_single_fault_recovers_bit_identical(self, kind):
@@ -365,7 +395,6 @@ class TestLockstepRecovery:
     @pytest.mark.parametrize("exit_after", [0, 250])
     def test_unsupervised_crash_fails_stop(self, exit_after):
         # Supervision off ships no fault plan: a site kills its worker.
-        before = set(glob.glob("/dev/shm/psm_*"))
         engine = ShardedEngine(
             batch_size=BATCH, workers=WORKERS, supervision="off"
         )
@@ -375,15 +404,16 @@ class TestLockstepRecovery:
             engine=engine,
         )
         proto.network.sites[6] = ExitingSite(exit_after)
-        try:
-            with pytest.raises(ShardedWorkerError) as excinfo:
-                proto.run(_stream(4000))
-        finally:
-            engine.close()
+        with _created_segments() as created:
+            try:
+                with pytest.raises(ShardedWorkerError) as excinfo:
+                    proto.run(_stream(4000))
+            finally:
+                engine.close()
         err = excinfo.value
         assert err.fault_class == "crash"
         assert err.shard[0] <= 6 < err.shard[1]
-        _assert_no_orphans(before)
+        _assert_no_orphans(created)
 
     def test_next_run_after_degradation_spawns_a_fresh_pool(self):
         engine = ShardedEngine(

@@ -20,6 +20,10 @@ What is covered:
    (hypothesis property), with exact counter-accounting parity.
 5. **Shard slice views** — per-window grouping matches the columnar
    engine's full-window grouping slices.
+6. **Site snapshots** — a SWOR site's snapshots share its scalar
+   stream's state until a draw moves it: a restore replays every
+   scalar draw path exactly, and window passes that draw nothing from
+   that stream copy none of its state.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import glob
 import multiprocessing
 import os
+import pickle
 import random
 import time
 from types import SimpleNamespace
@@ -35,7 +40,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigurationError
-from repro.core import DistributedWeightedSWOR, SworConfig
+from repro.core import DistributedWeightedSWOR, SworConfig, SworSite
 from repro.net.counters import MessageCounters
 from repro.net.messages import (
     COUNT_REPORT,
@@ -54,9 +59,11 @@ from repro.runtime import (
     ShardedWorkerError,
     get_engine,
 )
+from repro.runtime.columnar import GroupedWindow
 from repro.runtime.interfaces import CoordinatorAlgorithm, SiteAlgorithm
 from repro.stream import round_robin, zipf_stream
 from repro.stream.columns import ColumnarStream, ShardSliceView
+from repro.stream.item import Item
 
 np = pytest.importorskip("numpy")
 
@@ -219,13 +226,20 @@ class TestShardedParity:
     def test_warm_pool_reuse_across_protocols(self, shared_stream, columnar_1024):
         # One engine instance, two independent protocol runs: the
         # second reuses the spawned worker pool (fresh site states are
-        # re-shipped) and stays bit-identical.
+        # re-shipped) and stays bit-identical.  The record books the
+        # cold pool's spawn as setup, inside the run's wall.
         engine = ShardedEngine(batch_size=1024, workers=2)
         try:
             first = _run(shared_stream, engine)
-            assert engine.last_run_stats["warm_pool"] is False
+            cold = engine.last_run_stats
+            assert cold["warm_pool"] is False
+            assert "(cold pool)" in engine.format_stats()
             second = _run(shared_stream, engine)
-            assert engine.last_run_stats["warm_pool"] is True
+            warm = engine.last_run_stats
+            assert warm["warm_pool"] is True
+            assert "(warm pool)" in engine.format_stats()
+            assert 0 < warm["setup_seconds"] < cold["setup_seconds"]
+            assert cold["setup_seconds"] < cold["seconds"]
             assert _fingerprint(first) == columnar_1024
             assert _fingerprint(second) == columnar_1024
         finally:
@@ -744,7 +758,121 @@ class TestShardSliceView:
 
 
 # ---------------------------------------------------------------------------
-# 6. CLI + driver passthrough
+# 6. Site snapshots
+# ---------------------------------------------------------------------------
+
+#: A mask saturating every level of the weights below: all regular.
+ALL_SATURATED = (1 << 64) - 1
+
+
+def _swor_site(count_bits=False, seed=11):
+    config = SworConfig(num_sites=2, sample_size=2, count_bits=count_bits)
+    site = SworSite(0, config, random.Random(seed))
+    site._saturated_mask = ALL_SATURATED
+    return site
+
+
+def _one_run_window(site, weights):
+    """``site.prepare_window`` over one run of ``weights``: its keys."""
+    weights = np.asarray(weights, dtype=np.float64)
+    m = len(weights)
+    window = GroupedWindow(np.arange(m, dtype=np.int64), weights, [0], [0], [m])
+    return site.prepare_window(window, [(0, site, 0, m)]).regular_keys.tolist()
+
+
+#: Every path that draws from a SWOR site's scalar stream:
+#: ``(site factory, draw)``.
+SCALAR_DRAWS = {
+    "on_item": (_swor_site, lambda site: site.on_item(Item(1, 5.0))[0].payload),
+    "count_bits": (
+        lambda: _swor_site(count_bits=True),
+        lambda site: site.on_item(Item(1, 5.0))[0].payload,
+    ),
+    "on_columns_derives_batch": (
+        _swor_site,
+        lambda site: site.on_columns(
+            np.arange(3, dtype=np.int64), np.array([2.0, 5.0, 9.0])
+        ).regular_keys.tolist(),
+    ),
+    "window_single_arrival": (
+        _swor_site,
+        lambda site: _one_run_window(site, [5.0]),
+    ),
+    "window_derives_batch": (
+        _swor_site,
+        lambda site: _one_run_window(site, [2.0, 5.0, 9.0]),
+    ),
+}
+
+
+class TestSiteSnapshots:
+    """``SworSite.snapshot_state`` shares the scalar stream's state
+    tuple across snapshots until a draw moves the stream; every draw
+    path must forget it, or a rollback replays from the wrong place."""
+
+    @pytest.mark.parametrize("path", sorted(SCALAR_DRAWS))
+    def test_restore_replays_each_scalar_draw(self, path):
+        make_site, draw = SCALAR_DRAWS[path]
+        site = make_site()
+        before = site.snapshot_state()
+        first = draw(site)
+        after = site.snapshot_state()
+        site.restore_state(before)
+        assert draw(site) == first
+        assert site.snapshot_state() == after
+        assert after[0] != before[0]  # the path drew from the stream
+
+    def test_window_passes_without_scalar_draws_copy_no_scalar_state(
+        self, monkeypatch
+    ):
+        from repro.runtime.sharded import _restore_sites, _snapshot_sites
+
+        config = SworConfig(num_sites=4, sample_size=2)
+        sites = [SworSite(j, config, random.Random(j)) for j in range(4)]
+        for site in sites:
+            site._saturated_mask = ALL_SATURATED
+        weights = np.random.Generator(np.random.PCG64(5)).random(40) * 20 + 1
+        window = GroupedWindow(
+            np.arange(40, dtype=np.int64), weights, [0, 1, 2, 3],
+            [0, 10, 20, 30], [10, 20, 30, 40],
+        )
+        runs = [(j, site, 10 * j, 10 * j + 10) for j, site in enumerate(sites)]
+
+        def window_pass():
+            return sites[0].prepare_window(window, runs).regular_keys.tolist()
+
+        window_pass()  # derives every site's batch stream: a scalar draw
+        calls = {"getstate": 0, "setstate": 0}
+        getstate, setstate = random.Random.getstate, random.Random.setstate
+
+        def counted_getstate(rng):
+            calls["getstate"] += 1
+            return getstate(rng)
+
+        def counted_setstate(rng, state):
+            calls["setstate"] += 1
+            setstate(rng, state)
+
+        monkeypatch.setattr(random.Random, "getstate", counted_getstate)
+        monkeypatch.setattr(random.Random, "setstate", counted_setstate)
+        for _ in range(3):
+            snapshot = _snapshot_sites(sites)
+            keys = window_pass()
+        assert calls["getstate"] == len(sites)  # the first snapshot only
+        _restore_sites(SimpleNamespace(sites=sites), snapshot)
+        assert window_pass() == keys
+        assert calls == {"getstate": len(sites), "setstate": 0}
+
+    def test_pickled_site_leaves_the_copy_behind(self):
+        site = _swor_site()
+        state = site.snapshot_state()
+        clone = pickle.loads(pickle.dumps(site))
+        assert clone._rng_state is None
+        assert clone.snapshot_state() == state
+
+
+# ---------------------------------------------------------------------------
+# 7. CLI + driver passthrough
 # ---------------------------------------------------------------------------
 
 
