@@ -40,6 +40,7 @@ __all__ = [
     "batch_uniforms",
     "min_uniform_key_for_weight",
     "binomial",
+    "restore_batch",
     "truncated_exponential_below",
 ]
 
@@ -160,16 +161,17 @@ class BatchRandom:
         return _np.maximum(draws, MIN_UNIFORM)
 
     def snapshot(self):
-        """Opaque generator state for deterministic replay.
+        """Opaque generator state for deterministic replay (a fresh
+        dict, never mutated afterwards).
 
-        Paired with :meth:`restore`; used by the sharded engine's
-        rollback path to rewind a site to a window boundary without
-        pickling.
+        Paired with :meth:`restore` and :func:`restore_batch`; site
+        snapshots carry it, so the sharded engine rewinds a site to a
+        window boundary without pickling.
         """
         return self._gen.bit_generator.state
 
     def restore(self, state) -> None:
-        """Rewind to a :meth:`snapshot` taken on this instance."""
+        """Rewind to a :meth:`snapshot` of this stream or of a copy."""
         self._gen.bit_generator.state = state
 
     def binomials(self, n: int, ps):
@@ -183,6 +185,24 @@ class BatchRandom:
         if n < 0:
             raise ConfigurationError(f"binomial n must be >= 0, got {n}")
         return self._gen.binomial(n, _np.clip(ps, 0.0, 1.0))
+
+
+def restore_batch(batch: Optional[BatchRandom], state) -> Optional[BatchRandom]:
+    """A site's batch stream restored to ``state``, a
+    :meth:`BatchRandom.snapshot` or ``None`` (no stream yet).
+
+    ``None`` drops the stream: it was derived after the snapshot, and
+    the restored scalar stream re-draws its derivation on replay.
+    Otherwise ``batch`` rewinds in place, or, on a site that never
+    derived one (the parent's copy of a site a worker ran), a new
+    stream starts at ``state``."""
+    if state is None:
+        return None
+    if batch is None:
+        batch = BatchRandom.__new__(BatchRandom)
+        batch._gen = _np.random.Generator(_np.random.PCG64(0))
+    batch.restore(state)
+    return batch
 
 
 def batch_exponentials(rng: random.Random, n: int, rate: float = 1.0):

@@ -30,7 +30,13 @@ from typing import TYPE_CHECKING, Any, Callable, List, Optional, Union
 import numpy as _np
 
 from ..common.errors import ProtocolViolationError
-from ..common.rng import MIN_EXPONENTIAL, BatchRandom, LazyExponential, exponential
+from ..common.rng import (
+    MIN_EXPONENTIAL,
+    BatchRandom,
+    LazyExponential,
+    exponential,
+    restore_batch,
+)
 from ..kernels import window_split
 from ..net.messages import (
     EARLY,
@@ -420,11 +426,13 @@ class SworSite(SiteAlgorithm):
         return MessagePack(*early, idents, weights, keys)
 
     def snapshot_state(self) -> tuple:
-        """Fast window-boundary snapshot for the sharded engine.
+        """Value snapshot of the site, as the sharded engine takes one
+        before every window, in its run-start checkpoint and at run end.
 
         Captures exactly the state the site-pass hooks mutate: the two
-        RNG streams (scalar + batch), the control view (mask,
-        threshold), and the resource counters.
+        RNG streams (scalar; batch, or ``None`` before its derivation
+        draw), the control view (mask, threshold), and the resource
+        counters.
 
         Snapshots of consecutive windows share the scalar stream's
         state tuple (immutable) until a draw moves the stream: the
@@ -442,9 +450,7 @@ class SworSite(SiteAlgorithm):
         batch = self._batch_rng
         return (
             rng_state,
-            # Distinguish "no batch stream yet" (its creation draw must
-            # be re-consumed on replay) from an existing stream's state.
-            None if batch is None else (batch.snapshot(),),
+            None if batch is None else batch.snapshot(),
             self._saturated_mask,
             self._threshold,
             self.items_seen,
@@ -458,18 +464,12 @@ class SworSite(SiteAlgorithm):
         return {**self.__dict__, "_rng_state": None}
 
     def restore_state(self, state: tuple) -> None:
+        """Rewind to a snapshot of this site or of a copy of it."""
         rng_state, batch_state, mask, threshold, seen, exps, bits = state
         if rng_state is not self._rng_state:  # else no draw moved it
             self._rng.setstate(rng_state)
             self._rng_state = rng_state
-        if batch_state is None:
-            # The batch stream (if any) was created after the snapshot;
-            # dropping it un-consumes its derivation draw (restored
-            # into ``_rng`` above), so replay re-derives it identically.
-            self._batch_rng = None
-        else:
-            assert self._batch_rng is not None  # stream predates the snapshot
-            self._batch_rng.restore(batch_state[0])
+        self._batch_rng = restore_batch(self._batch_rng, batch_state)
         self._saturated_mask = mask
         self._threshold = threshold
         self.items_seen = seen

@@ -20,7 +20,7 @@ from typing import Any, List, Optional, Tuple, Union
 import numpy as _np
 
 from ..common.errors import ConfigurationError, ProtocolViolationError
-from ..common.rng import BatchRandom, RandomSource
+from ..common.rng import BatchRandom, RandomSource, restore_batch
 from ..kernels import swor_fold_regulars
 from ..net.counters import MessageCounters
 from ..net.messages import Message, MessagePack, REGULAR, ROUND_UPDATE
@@ -98,6 +98,24 @@ class _UnweightedSite(SiteAlgorithm):
         if threshold > self._threshold:
             raise ProtocolViolationError("unweighted threshold increased")
         self._threshold = threshold
+
+    def snapshot_state(self) -> tuple:
+        """Value snapshot: the scalar stream's state, the batch
+        stream's (``None`` before its derivation draw), the round
+        threshold and ``items_seen``."""
+        batch = self._batch_rng
+        return (
+            self._rng.getstate(),
+            None if batch is None else batch.snapshot(),
+            self._threshold,
+            self.items_seen,
+        )
+
+    def restore_state(self, state: tuple) -> None:
+        """Rewind to a snapshot of this site or of a copy of it."""
+        rng_state, batch_state, self._threshold, self.items_seen = state
+        self._rng.setstate(rng_state)
+        self._batch_rng = restore_batch(self._batch_rng, batch_state)
 
     def state_words(self) -> int:
         return 2

@@ -22,6 +22,7 @@ without an import cycle (messages/counters only appear in annotations).
 
 from __future__ import annotations
 
+import pickle
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, List, Tuple
 
@@ -44,16 +45,17 @@ class SiteAlgorithm(ABC):
     #: instance to survive a ``pickle`` round trip with full state
     #: fidelity — including its RNG streams, so a restored copy draws
     #: the same variates (``random.Random``, ``BatchRandom``, and numpy
-    #: ``Generator`` all qualify).  Sites holding unpicklable state
-    #: (open files, sockets, lambdas) or state whose pickled copy would
-    #: diverge should set this ``False``; the sharded engine then falls
-    #: back to its in-process columnar path instead of guessing.  So
-    #: must a site whose messages from one window depend on controls
-    #: their predecessors trigger — a lazy ``on_item`` whose next
-    #: message is drawn only after the previous one's broadcasts were
-    #: applied: a worker computes a site's whole window before the
-    #: parent folds any of it, and never applies a control between two
-    #: messages of one site's window.
+    #: ``Generator`` all qualify): the engine pickles each shard's sites
+    #: into its worker, and the default :meth:`snapshot_state` pickles
+    #: the site's attributes.  A site holding unpicklable state (open
+    #: files, sockets, lambdas) fails the worker setup, and the engine
+    #: then runs in-process instead; a site whose pickled copy would
+    #: diverge must set this ``False``.  So must a site whose messages
+    #: from one window depend on controls their predecessors trigger —
+    #: a lazy ``on_item`` whose next message is drawn only after the
+    #: previous one's broadcasts were applied: a worker computes a
+    #: site's whole window before the parent folds any of it, and never
+    #: applies a control between two messages of one site's window.
     shardable: bool = True
 
     @abstractmethod
@@ -89,17 +91,26 @@ class SiteAlgorithm(ABC):
         """Receive a downstream control message from the coordinator."""
 
     def snapshot_state(self):
-        """Return a cheap opaque snapshot of ALL mutable site state.
+        """Return a snapshot of ALL mutable site state.
 
-        The sharded engine snapshots every site at each window boundary
-        so a mid-window coordinator broadcast can roll the suffix of
-        the window back and replay it deterministically.  The snapshot
-        must capture *everything* ``on_item`` / ``on_columns`` can
+        The one way an engine rewinds or transplants a site, paired
+        with :meth:`restore_state`.  The sharded engine snapshots every
+        site before each window (a mid-window broadcast rolls the
+        window's later sites back to it, a missed speculation the whole
+        shard), in its run-start checkpoint (a worker fault rewinds the
+        network to it and reruns in-process), and at run end (each
+        worker ships its sites' snapshots, and the parent restores its
+        own copies of the sites from them).  The snapshot must capture
+        *everything* ``on_item`` / ``on_columns`` / ``on_control`` can
         mutate — RNG positions included — such that
         :meth:`restore_state` followed by the same inputs reproduces
-        the same outputs bit for bit.  Returning ``None`` (the default)
-        means "unsupported": engines then snapshot by pickling the
-        whole site, which is always correct, just slower.
+        the same outputs bit for bit.
+
+        This default pickles the instance's attributes, which is
+        faithful for every site :attr:`shardable` admits (a site without
+        a ``__dict__`` must override both methods).  Protocol sites
+        override it with a value snapshot of their few fields, which
+        is much cheaper per window.
 
         A snapshot is never mutated once taken, so consecutive
         snapshots may share immutable parts — an RNG state tuple, say —
@@ -108,13 +119,18 @@ class SiteAlgorithm(ABC):
         from that RNG), and :meth:`restore_state` may skip restoring a
         part the site still holds unchanged.
         """
-        return None
+        return pickle.dumps(vars(self), protocol=pickle.HIGHEST_PROTOCOL)
 
     def restore_state(self, state) -> None:
-        """Rewind to a :meth:`snapshot_state` taken on this instance."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement fast state snapshots"
-        )
+        """Rewind to a :meth:`snapshot_state` taken on this instance or
+        on a copy of it (the parent restores its site from the
+        snapshot the worker's copy took), leaving the snapshot as it
+        was: the engine may restore it again.  This default replaces
+        the instance's attributes in place, so every reference to the
+        site stays valid."""
+        attributes = vars(self)
+        attributes.clear()
+        attributes.update(pickle.loads(state))
 
     def state_words(self) -> int:
         """Approximate persistent state size in machine words.
@@ -158,21 +174,23 @@ class CoordinatorAlgorithm(ABC):
         return responses
 
     def snapshot_state(self):
-        """Return a cheap opaque snapshot of ALL mutable coordinator
-        state, or ``None`` (the default) for "unsupported".
+        """Return a snapshot of ALL mutable coordinator state.
 
         The sharded engine's run-start checkpoint takes one, so a
         worker fault can rewind the coordinator and rerun the whole
-        stream in-process.  Coordinators that return ``None`` stay
-        correct: the checkpoint pickles them instead.
+        stream in-process.  The contract is
+        :meth:`SiteAlgorithm.snapshot_state`'s, and so is this default:
+        it pickles the instance's attributes.
         """
-        return None
+        return pickle.dumps(vars(self), protocol=pickle.HIGHEST_PROTOCOL)
 
     def restore_state(self, state) -> None:
-        """Rewind to a :meth:`snapshot_state` taken on this instance."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement fast state snapshots"
-        )
+        """Rewind to a :meth:`snapshot_state` taken on this instance, in
+        place: the network and the protocol facade keep holding this
+        same object."""
+        attributes = vars(self)
+        attributes.clear()
+        attributes.update(pickle.loads(state))
 
     def state_words(self) -> int:
         """Approximate persistent state size in machine words."""

@@ -67,6 +67,21 @@ bit for bit at every batch size and worker count —
 ``benchmarks/bench_sharded.py`` pins this at the multi-million-item
 scale.
 
+One snapshot mechanism
+----------------------
+Every rewind and every transplant of protocol state goes through
+:meth:`~repro.runtime.interfaces.SiteAlgorithm.snapshot_state` /
+``restore_state``, at four points: a worker snapshots each of its sites
+before every window (a roll rewinds just the suffix sites, a missed
+speculation the whole shard); the run-start checkpoint holds every
+site's and the coordinator's snapshot; and at run end each worker ships
+its sites' snapshots in ``sta``, from which the parent restores its own
+sites.  Restores happen in place, so whatever holds a site or the
+coordinator — the network, the protocol facade — keeps seeing its
+state.  Protocol sites snapshot a few values (their RNG states,
+control view and counters); any other site takes the interface
+default, which pickles its attributes.
+
 Speculative windows
 -------------------
 Lockstep would leave every worker idle while the parent folds.  The
@@ -95,7 +110,7 @@ is held as a miss: a site may fail only on its stale pre-commit state,
 so the error ships, in place of ``res(t + 1)``, only if the recompute
 on the committed state raises too.  A ``roll`` of window
 ``t`` discards the speculation the same way and blocks re-speculation
-until ``com(t)``, preserving the fast-roll invariant that prefix sites
+until ``com(t)``, preserving the roll's invariant that prefix sites
 keep their state.
 
 Every window folds through one method (:meth:`ShardedEngine._fold_window`),
@@ -157,7 +172,6 @@ declare itself non-shardable, and runs in-process.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 import traceback
 import weakref
@@ -349,38 +363,6 @@ def _attach_shm(name: str):
     return _shared_memory.SharedMemory(name=name)
 
 
-def _prefix_len(controls, site_id: int) -> int:
-    """Number of window controls a site must see *before* computing:
-    exactly those triggered by an earlier site's fold.  Triggers are
-    non-decreasing in fold order, so this is a prefix."""
-    n = 0
-    for trigger, _, _ in controls:
-        if trigger >= site_id:
-            break
-        n += 1
-    return n
-
-
-def _adopt_site_state(dst, src) -> None:
-    """Transplant a worker site's final state onto the parent's mirror.
-
-    After a sharded run the parent's site objects have only mirrored
-    control traffic; the workers hold the real per-site state (RNG
-    positions, ``items_seen``, resource counters).  Copying the worker
-    state back keeps facade-level introspection (``resource_report``)
-    and *subsequent* ``run()`` calls on the same network bit-compatible
-    with a columnar run.  The mirror's original shared ``config``
-    object is kept so identity relationships survive.
-    """
-    if not hasattr(dst, "__dict__") or not hasattr(src, "__dict__"):
-        return  # slots-only sites keep their (control-mirrored) state
-    config = dst.__dict__.get("config")
-    dst.__dict__.clear()
-    dst.__dict__.update(src.__dict__)
-    if config is not None and "config" in dst.__dict__:
-        dst.__dict__["config"] = config
-
-
 # ---------------------------------------------------------------------------
 # Worker process
 # ---------------------------------------------------------------------------
@@ -564,34 +546,6 @@ class _WorkerShard:
         self.view = None
 
 
-def _snapshot_sites(sites):
-    """Window-boundary snapshot of a shard's sites.
-
-    Prefers the sites' cheap :meth:`snapshot_state` hooks (a few
-    microseconds per site); any site without one degrades the whole
-    shard to pickling, which is always correct.
-    """
-    states = []
-    for site in sites:
-        state = site.snapshot_state()
-        if state is None:
-            return (
-                "pickle",
-                pickle.dumps(sites, protocol=pickle.HIGHEST_PROTOCOL),
-            )
-        states.append(state)
-    return ("fast", states)
-
-
-def _restore_sites(shard: "_WorkerShard", snapshot) -> None:
-    kind, data = snapshot
-    if kind == "pickle":
-        shard.sites = pickle.loads(data)
-    else:
-        for site, state in zip(shard.sites, data):
-            site.restore_state(state)
-
-
 def _apply_commit(shard: _WorkerShard, applied, controls) -> None:
     """Commit a window: apply the controls each site has not seen yet."""
     for idx, site in enumerate(shard.sites):
@@ -607,60 +561,32 @@ def _apply_roll(
     descriptors for the invalidated suffix (sites after ``from_site``),
     encoded into ring ``slot``.
 
-    ``snapshot`` and ``applied`` are the window's pre-compute state and
-    per-site control cursor, mutated in place across repeated rolls of
-    the same window.
+    Each suffix site rewinds to its pre-window state in ``snapshot``,
+    takes every control of the window so far (each was triggered at or
+    before ``from_site``, so before the site) and recomputes; prefix
+    sites keep their state and their already-folded packs.
+    ``applied``, the window's per-site control cursor, is updated in
+    place across repeated rolls of the same window.
     """
-    if snapshot is None:
-        # No arrivals this window: nothing to replay, just advance
-        # each site's control prefix incrementally.
-        for idx, site in enumerate(shard.sites):
-            site_id = shard.site_lo + idx
-            n_pre = _prefix_len(controls, site_id)
-            for _, dest, ctrl in controls[applied[idx] : n_pre]:
-                if dest == BROADCAST or dest == site_id:
-                    site.on_control(ctrl)
-            applied[idx] = n_pre
-        return []
-    if snapshot[0] == "fast":
-        # Per-site snapshots are independent: rewind and replay ONLY
-        # the invalidated suffix (sites after the trigger); prefix
-        # sites keep their state and their already-folded packs.
-        # Every control's trigger is <= from_site, so the whole list
-        # applies to every suffix site.
-        states = snapshot[1]
-        for idx, site in enumerate(shard.sites):
-            site_id = shard.site_lo + idx
-            if site_id <= from_site:
-                continue
-            site.restore_state(states[idx])
-            for _, dest, ctrl in controls:
-                if dest == BROADCAST or dest == site_id:
-                    site.on_control(ctrl)
-            applied[idx] = len(controls)
-        return shard.compute_window(lo, hi, min_site=from_site, slot=slot)
-    # Pickled snapshot: the site list is restored wholesale, so the
-    # prefix must be replayed too (deterministically identical) and
-    # its packs dropped from the resend.
-    _restore_sites(shard, snapshot)
     for idx, site in enumerate(shard.sites):
         site_id = shard.site_lo + idx
-        n_pre = _prefix_len(controls, site_id)
-        for _, dest, ctrl in controls[:n_pre]:
+        if site_id <= from_site:
+            continue
+        site.restore_state(snapshot[idx])
+        for _, dest, ctrl in controls:
             if dest == BROADCAST or dest == site_id:
                 site.on_control(ctrl)
-        applied[idx] = n_pre
-    results = shard.compute_window(lo, hi, slot=slot)
-    return [d for d in results if d[0] > from_site]
+        applied[idx] = len(controls)
+    return shard.compute_window(lo, hi, min_site=from_site, slot=slot)
 
 
 def _send_state(shard: _WorkerShard, conn) -> None:
-    """Ship the shard's final site states and speculation verdicts."""
+    """Ship the shard's final site snapshots and speculation verdicts."""
     conn.send(
         (
             "sta",
             shard.site_lo,
-            pickle.dumps(shard.sites, protocol=pickle.HIGHEST_PROTOCOL),
+            [site.snapshot_state() for site in shard.sites],
             (shard.hits, shard.misses),
         )
     )
@@ -698,12 +624,11 @@ def _compute(shard: _WorkerShard, t: int, speculative: bool = False):
     commit counts it as a miss and recomputes the window on the
     committed state, and only a raise there ships the error."""
     lo, hi = shard.windows[t]
-    i0, i1 = shard.view.window_bounds(lo, hi)
     t0 = time.perf_counter()
-    # Pre-window state, captured BEFORE the compute so rollback
-    # replays from exactly this point (same RNG positions).  Skipped
-    # when the shard has no arrivals (nothing mutates).
-    snapshot = _snapshot_sites(shard.sites) if i0 != i1 else None
+    # Pre-window state, captured BEFORE the compute so a rollback or a
+    # missed speculation replays from exactly this point (same RNG
+    # positions).
+    snapshot = [site.snapshot_state() for site in shard.sites]
     try:
         results = shard.compute_window(lo, hi, slot=t % 2)
     except Exception:
@@ -716,9 +641,8 @@ def _compute(shard: _WorkerShard, t: int, speculative: bool = False):
 def _discard(shard: _WorkerShard, spec) -> None:
     """Throw a speculative window away (a miss): rewind the sites to
     its snapshot."""
-    snapshot = spec[0]
-    if snapshot is not None:
-        _restore_sites(shard, snapshot)
+    for site, state in zip(shard.sites, spec[0]):
+        site.restore_state(state)
     shard.misses += 1
 
 
@@ -946,40 +870,25 @@ def _shutdown_pool(pool) -> None:
 
 def _checkpoint_network(network):
     """Run-start checkpoint of everything the parent needs to rerun a
-    faulted run from scratch in-process: site states (pickled
-    wholesale), the coordinator state, and the message counters."""
-    coordinator_state = network.coordinator.snapshot_state()
-    if coordinator_state is None:
-        coordinator_state = (
-            "pickle",
-            pickle.dumps(
-                network.coordinator, protocol=pickle.HIGHEST_PROTOCOL
-            ),
-        )
-    else:
-        coordinator_state = ("fast", coordinator_state)
+    faulted run from scratch in-process: every site's and the
+    coordinator's :meth:`snapshot_state`, the message counters, and the
+    items processed.  Raises when a snapshot cannot be taken (a
+    default snapshot pickles, and some state does not pickle)."""
     return {
-        "sites": pickle.dumps(
-            network.sites, protocol=pickle.HIGHEST_PROTOCOL
-        ),
-        "coordinator": coordinator_state,
+        "sites": [site.snapshot_state() for site in network.sites],
+        "coordinator": network.coordinator.snapshot_state(),
         "counters": network.counters.snapshot_state(),
         "items_processed": network.items_processed,
     }
 
 
 def _restore_network(network, checkpoint) -> None:
-    """Rewind a network to its run-start checkpoint (degradation: the
-    columnar rerun replays the whole run deterministically)."""
-    for mirror, saved in zip(
-        network.sites, pickle.loads(checkpoint["sites"])
-    ):
-        _adopt_site_state(mirror, saved)
-    kind, state = checkpoint["coordinator"]
-    if kind == "fast":
-        network.coordinator.restore_state(state)
-    else:
-        network.coordinator = pickle.loads(state)
+    """Rewind a network to its run-start checkpoint, in place
+    (degradation: the columnar rerun replays the whole run
+    deterministically)."""
+    for site, state in zip(network.sites, checkpoint["sites"]):
+        site.restore_state(state)
+    network.coordinator.restore_state(checkpoint["coordinator"])
     network.counters.restore_state(checkpoint["counters"])
     network.items_processed = checkpoint["items_processed"]
 
@@ -1487,10 +1396,10 @@ class ShardedEngine(ColumnarEngine):
         return controls, rollbacks
 
     def _finish_run(self, network, handles, supervisor, per_worker) -> dict:
-        """End-of-run barrier: ``fin`` every worker, then adopt each
-        shard's final site states into the parent's mirrors and book
-        its speculation verdicts to its row.  Returns the summed
-        verdicts."""
+        """End-of-run barrier: ``fin`` every worker, then restore the
+        parent's sites from each shard's final site snapshots, in
+        place, and book its speculation verdicts to its row.  Returns
+        the summed verdicts."""
         for handle in handles:
             self._send(handle, ("fin",))
         speculation = {"hits": 0, "misses": 0}
@@ -1501,13 +1410,13 @@ class ShardedEngine(ColumnarEngine):
                     f"shard worker {handle.index} sent {message[0]!r} "
                     "instead of final state"
                 )
-            _, site_lo, sites, (hits, misses) = message
+            _, site_lo, states, (hits, misses) = message
             row = per_worker[handle.index]
             row["hits"], row["misses"] = hits, misses
             speculation["hits"] += hits
             speculation["misses"] += misses
-            for offset, final in enumerate(pickle.loads(sites)):
-                _adopt_site_state(network.sites[site_lo + offset], final)
+            for offset, state in enumerate(states):
+                network.sites[site_lo + offset].restore_state(state)
         return speculation
 
     def _run_windows(

@@ -12,7 +12,9 @@ What is covered:
    run (samples AND message counters), logs the fault's class, worker
    and window, and leaks no processes or shared-memory segments.  A
    degraded run's ``on_step``/``on_checkpoint`` calls equal the
-   fault-free run's.
+   fault-free run's.  A degraded SWR or unweighted run rewinds the
+   coordinator its protocol facade holds, so ``sample()`` equals the
+   fault-free run's too.
 3. **Error surface** — ``ShardedWorkerError``'s structured context and
    message format, pinned (dashboards and scripts parse it).
 4. **Property** — a seeded, uniformly drawn single fault (hypothesis)
@@ -36,6 +38,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.core import DistributedWeightedSWOR, SworConfig
+from repro.core.swr import DistributedWeightedSWR
+from repro.core.unweighted import DistributedUnweightedSWOR
 from repro.faults import (
     FAULT_KINDS,
     FaultPlan,
@@ -311,6 +315,40 @@ class TestLockstepRecovery:
         assert _logged(stats) == [("crash", 1, 5)]
         assert got == want
         assert want[2] == [1500, 5000, 11000]
+
+    @pytest.mark.parametrize(
+        "protocol", [DistributedWeightedSWR, DistributedUnweightedSWOR]
+    )
+    def test_degradation_rewinds_the_facades_coordinator(self, protocol):
+        # These coordinators snapshot by pickling their attributes; the
+        # checkpoint restore must rewind the object the facade holds,
+        # or sample() reads a coordinator frozen at the fault.
+        def run(engine):
+            proto = protocol(SITES, SAMPLE, seed=SEED, engine=engine)
+            proto.run(_stream())
+            return proto
+
+        want = run(ColumnarEngine(batch_size=BATCH))
+        engine = ShardedEngine(
+            batch_size=BATCH,
+            workers=WORKERS,
+            fault_plan="kill:1:5",
+            worker_timeout=TIMEOUT,
+        )
+        with _created_segments() as created:
+            try:
+                got = run(engine)
+                stats = engine.last_run_stats
+            finally:
+                engine.close()
+        assert stats["mode"] == "degraded"
+        assert _logged(stats) == [("crash", 1, 5)]
+        assert got.network.coordinator is got.coordinator
+        assert [(i.ident, i.weight) for i in got.sample()] == [
+            (i.ident, i.weight) for i in want.sample()
+        ]
+        assert got.counters.snapshot() == want.counters.snapshot()
+        _assert_no_orphans(created)
 
     def test_recovery_accounting_and_supervision_stats(self):
         fingerprint, stats = _chaos_run("kill:1:2")

@@ -9,6 +9,7 @@ the closed-form bounds with generous constants.
 
 from __future__ import annotations
 
+import pickle
 import random
 from collections import Counter
 
@@ -166,6 +167,40 @@ class TestSworMessages:
         report = proto.resource_report()
         assert report["site_state_words_max"] <= 4
         assert report["coordinator_state_words"] <= 10 * s
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DistributedWeightedSWOR(
+                SworConfig(num_sites=8, sample_size=16),
+                seed=14,
+                engine="columnar",
+            ),
+            lambda: DistributedWeightedSWR(8, 16, seed=14, engine="columnar"),
+            lambda: DistributedUnweightedSWOR(8, 16, seed=14, engine="columnar"),
+        ],
+        ids=["swor", "swr", "unweighted"],
+    )
+    def test_site_snapshot_size_constant_in_stream_length(self, make):
+        """Proposition 6 on the object the sharded engine copies: a
+        site's ``snapshot_state()`` pickles to the same size after 10^3
+        and after 10^5 arrivals.  Only a few bytes may differ: the
+        saturation mask gains a bit per saturated level, and a counter
+        or stream position may take a byte more to encode."""
+
+        def site_snapshots(n):
+            proto = make()
+            proto.run(round_robin(zipf_stream(n, random.Random(15)), 8))
+            for site in proto.network.sites:
+                assert site.state_words() <= 4
+            return [
+                len(pickle.dumps(site.snapshot_state()))
+                for site in proto.network.sites
+            ]
+
+        short, long = site_snapshots(1_000), site_snapshots(100_000)
+        for before, after in zip(short, long):
+            assert after <= before + 8
 
 
 class TestLevelSetAblation:

@@ -102,9 +102,13 @@ class TestGoldenParity:
                     repr(result.answers_at(t)[query.name]) for t in checkpoints
                 ], label
                 assert _network_state(ours) == _network_state(alone), label
-            # The SWOR coordinators' snapshots are real state, so the
-            # comparison above is not vacuous for them.
-            assert driver[queries[0].name].network.coordinator.snapshot_state()
+            # Every network's snapshots are real state — a value snapshot
+            # or the interface default's pickled attributes — so the
+            # comparison above is not vacuous for any query.
+            for query in queries:
+                network = driver[query.name].network
+                assert network.coordinator.snapshot_state()
+                assert all(site.snapshot_state() for site in network.sites)
 
     def test_reference_engine_matches_reference_run(self):
         stream = _stream(n=3_000)

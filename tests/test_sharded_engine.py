@@ -7,6 +7,9 @@ What is covered:
    combinations, including batch size 1 (pure scalar-message
    transport), rollback-heavy runs, checkpoints, and reused networks
    (two consecutive ``run`` calls continue the RNG streams exactly).
+   The SWR and unweighted protocols match in full state — sample,
+   counters, and the coordinator's and every site's ``snapshot_state()``
+   — under rollbacks, which rewind sites through those hooks.
 2. **Fallbacks** — workers=1 (also the default on a process pinned to
    one CPU), instrumented (traced) networks, and non-shardable sites
    all take the in-process columnar path; the engine is always safe to
@@ -41,6 +44,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.core import DistributedWeightedSWOR, SworConfig, SworSite
+from repro.core.swr import DistributedWeightedSWR
+from repro.core.unweighted import DistributedUnweightedSWOR
 from repro.net.counters import MessageCounters
 from repro.net.messages import (
     COUNT_REPORT,
@@ -91,6 +96,32 @@ def _fingerprint(proto):
     return (
         [(item.ident, item.weight, key) for item, key in proto.sample_with_keys()],
         proto.counters.snapshot(),
+    )
+
+
+#: Protocol facades by name: ``factory(num_sites, engine)``.
+PROTOCOLS = {
+    "swor": lambda sites, engine: DistributedWeightedSWOR(
+        SworConfig(num_sites=sites, sample_size=SAMPLE), seed=SEED, engine=engine
+    ),
+    "swr": lambda sites, engine: DistributedWeightedSWR(
+        sites, SAMPLE, seed=SEED, engine=engine
+    ),
+    "unweighted": lambda sites, engine: DistributedUnweightedSWOR(
+        sites, SAMPLE, seed=SEED, engine=engine
+    ),
+}
+
+
+def _full_state(proto):
+    """A protocol's sample, counters and the ``snapshot_state()`` of its
+    coordinator and every site."""
+    network = proto.network
+    return (
+        [(item.ident, item.weight) for item in proto.sample()],
+        network.counters.snapshot(),
+        network.coordinator.snapshot_state(),
+        [site.snapshot_state() for site in network.sites],
     )
 
 
@@ -175,52 +206,54 @@ class TestShardedParity:
             ShardedEngine(batch_size=512, workers=3)
         )
 
-    def test_reused_network_continues_rng_streams(self):
-        # The second run must pickle the *advanced* site states back in
-        # — worker finals are transplanted onto the parent's mirrors.
+    @pytest.mark.parametrize("protocol", ["swor", "swr"])
+    def test_reused_network_continues_rng_streams(self, protocol):
+        # The second run must ship the *advanced* site states: the
+        # parent restores its sites from the workers' final snapshots,
+        # and a site that never drew in the parent gets its batch
+        # stream from that snapshot.
         items = zipf_stream(3000, random.Random(2), alpha=1.3)
         first = round_robin(items[:1500], 6)
         second = round_robin(items[1500:], 6)
 
         def run_twice(engine):
-            proto = DistributedWeightedSWOR(
-                SworConfig(num_sites=6, sample_size=SAMPLE),
-                seed=SEED,
-                engine=engine,
-            )
+            proto = PROTOCOLS[protocol](6, engine)
             proto.run(first)
             proto.run(second)
-            return _fingerprint(proto), proto.resource_report()
+            return _full_state(proto)
 
         assert run_twice(ColumnarEngine(batch_size=512)) == run_twice(
             ShardedEngine(batch_size=512, workers=3)
         )
 
-    def test_swr_parity_via_pickle_snapshots(self):
-        # SWR sites implement no fast snapshot hooks, so the worker
-        # falls back to pickling whole shards — the other rollback
-        # path — and ROUND_UPDATE broadcasts drive the lockstep.
-        from repro.core.swr import DistributedWeightedSWR
-
-        stream = _stream(n=8000, seed=21)
+    @pytest.mark.parametrize(
+        "protocol,sites,batch_size",
+        [
+            ("swr", SITES, 1024),
+            ("swr", 64, 32),
+            ("unweighted", SITES, 1024),
+            ("unweighted", 64, 32),
+        ],
+    )
+    def test_snapshot_parity_under_rollbacks(self, protocol, sites, batch_size):
+        # ROUND_UPDATE broadcasts drive the lockstep: each roll rewinds
+        # the suffix sites through their own snapshot hooks.
+        stream = _stream(n=8000, seed=21, sites=sites)
 
         def run(engine):
-            proto = DistributedWeightedSWR(
-                SITES, SAMPLE, seed=SEED, engine=engine
-            )
+            proto = PROTOCOLS[protocol](sites, engine)
             proto.run(stream)
-            return (
-                proto.counters.snapshot(),
-                [
-                    None if slot is None else (slot.ident, slot.weight)
-                    for slot in proto.coordinator._slots
-                ],
-            )
+            return _full_state(proto)
 
-        columnar = run(ColumnarEngine(batch_size=1024))
-        engine = ShardedEngine(batch_size=1024, workers=3)
-        sharded = run(engine)
-        assert engine.last_run_stats["mode"] == "sharded"
+        columnar = run(ColumnarEngine(batch_size=batch_size))
+        engine = ShardedEngine(batch_size=batch_size, workers=3)
+        try:
+            sharded = run(engine)
+            stats = engine.last_run_stats
+        finally:
+            engine.close()
+        assert stats["mode"] == "sharded"
+        assert stats["rollbacks"] > 0
         assert sharded == columnar
 
     def test_warm_pool_reuse_across_protocols(self, shared_stream, columnar_1024):
@@ -825,8 +858,6 @@ class TestSiteSnapshots:
     def test_window_passes_without_scalar_draws_copy_no_scalar_state(
         self, monkeypatch
     ):
-        from repro.runtime.sharded import _restore_sites, _snapshot_sites
-
         config = SworConfig(num_sites=4, sample_size=2)
         sites = [SworSite(j, config, random.Random(j)) for j in range(4)]
         for site in sites:
@@ -856,10 +887,11 @@ class TestSiteSnapshots:
         monkeypatch.setattr(random.Random, "getstate", counted_getstate)
         monkeypatch.setattr(random.Random, "setstate", counted_setstate)
         for _ in range(3):
-            snapshot = _snapshot_sites(sites)
+            snapshot = [site.snapshot_state() for site in sites]
             keys = window_pass()
         assert calls["getstate"] == len(sites)  # the first snapshot only
-        _restore_sites(SimpleNamespace(sites=sites), snapshot)
+        for site, state in zip(sites, snapshot):
+            site.restore_state(state)
         assert window_pass() == keys
         assert calls == {"getstate": len(sites), "setstate": 0}
 
