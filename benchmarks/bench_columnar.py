@@ -53,6 +53,7 @@ import tracemalloc
 import types
 
 from repro.analysis import format_table
+from repro.common.rng import RandomSource
 from repro.core import DistributedUnweightedSWOR, DistributedWeightedSWOR, SworConfig
 from repro.core.swr import DistributedWeightedSWR
 from repro.extensions import SlidingWindowWeightedSWOR
@@ -364,14 +365,14 @@ def _bench_protocols(report_fn):
     item_objs = [Item(int(e), float(w)) for e, w in zip(idents, weights)]
 
     def sw_per_item():
-        sampler = SlidingWindowWeightedSWOR(SAMPLE, random.Random(SEED))
+        sampler = SlidingWindowWeightedSWOR(SAMPLE, RandomSource(SEED).generator("sw"))
         t0 = time.perf_counter()
         for item in item_objs:
             sampler.insert(item)
         return time.perf_counter() - t0, sampler
 
     def sw_columnar():
-        sampler = SlidingWindowWeightedSWOR(SAMPLE, random.Random(SEED))
+        sampler = SlidingWindowWeightedSWOR(SAMPLE, RandomSource(SEED).generator("sw"))
         t0 = time.perf_counter()
         sampler.insert_columns(idents, weights)
         return time.perf_counter() - t0, sampler

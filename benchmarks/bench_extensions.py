@@ -17,6 +17,7 @@ from collections import Counter
 
 from repro.analysis import format_table
 from repro.centralized import WeightedReservoirSWOR
+from repro.common.rng import RandomSource
 from repro.extensions import CascadeWeightedSWOR, SlidingWindowWeightedSWOR
 from repro.stream import Item
 
@@ -26,7 +27,7 @@ def test_sliding_window_space(benchmark, report):
         rows = []
         s = 16
         for n in (2000, 8000, 32000):
-            sw = SlidingWindowWeightedSWOR(s, random.Random(n))
+            sw = SlidingWindowWeightedSWOR(s, RandomSource(n).generator("sw"))
             rng = random.Random(n + 1)
             for i in range(n):
                 sw.insert(Item(i, rng.uniform(1.0, 10.0)))

@@ -11,7 +11,9 @@ which each draw their own exponentials and fold their own packs just
 like a query in the shared pass, the ratio read 1.45 (median of 15
 runs) at the CI config and 1.51-1.63x at 1M items / 64 sites on a
 2-core container; the committed baseline and ``compare_baselines.py``
-track the ratio itself.)
+track the ratio itself.)  Each side's time is the median of ``REPS``
+repetitions, interleaved sequential/shared so host noise hits both
+sides alike, as ``bench_sharded.py`` times its engines.
 
 The 8 benchmark queries are heterogeneous estimation queries (subset
 sums, quantiles, a group-by, a frequency, a mean) that all compile onto
@@ -41,6 +43,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import statistics
 import time
 
 from repro.analysis import format_table
@@ -63,7 +66,9 @@ MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MQ_MIN_SPEEDUP", 1.0))
 JSON_PATH = os.environ.get("REPRO_BENCH_MQ_JSON")
 SAMPLE = 64
 ROOT_SEED = 11
-REPS = 3  # timing repetitions (best-of)
+#: Timed repetitions per side, interleaved sequential/shared; each
+#: side records its median.
+REPS = 5
 MAX_MESSAGE_RATIO = 1.05
 
 
@@ -120,15 +125,15 @@ def _bench(report_fn):
     stream.arrays()  # build the SoA cache outside the timed regions
 
     # Runs are seed-deterministic, so any repetition's protocols serve
-    # for the sample/message checks — keep the best time of REPS.
-    seq_time, seq_protos = min(
-        (_run_sequential(stream, names) for _ in range(REPS)),
-        key=lambda pair: pair[0],
-    )
-    shared_time, driver = min(
-        (_run_shared(stream, queries) for _ in range(REPS)),
-        key=lambda pair: pair[0],
-    )
+    # for the sample/message checks.
+    seq_times, shared_times = [], []
+    for _ in range(REPS):
+        elapsed, seq_protos = _run_sequential(stream, names)
+        seq_times.append(elapsed)
+        elapsed, driver = _run_shared(stream, queries)
+        shared_times.append(elapsed)
+    seq_time = statistics.median(seq_times)
+    shared_time = statistics.median(shared_times)
 
     speedup = seq_time / shared_time
     identical = 0

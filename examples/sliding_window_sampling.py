@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 
+from repro.common.rng import RandomSource
 from repro.extensions import SlidingWindowWeightedSWOR
 from repro.stream import Item
 
@@ -21,7 +22,7 @@ from repro.stream import Item
 def main() -> None:
     s, n = 8, 60_000
     rng = random.Random(11)
-    sampler = SlidingWindowWeightedSWOR(s, random.Random(12))
+    sampler = SlidingWindowWeightedSWOR(s, RandomSource(12).generator("sliding-window"))
 
     # Background traffic, with a burst of heavy items near the end
     # (positions n-6000 .. n-5000, weight 100x background).

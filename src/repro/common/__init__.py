@@ -8,14 +8,9 @@ from .errors import (
     ReproError,
 )
 from .rng import (
-    BatchRandom,
     LazyExponential,
     RandomSource,
-    batch_exponentials,
-    batch_uniforms,
-    binomial,
     exponential,
-    min_uniform_key_for_weight,
     truncated_exponential_below,
 )
 from .order_stats import (
@@ -43,14 +38,9 @@ __all__ = [
     "ProtocolViolationError",
     "DrainedStreamError",
     "RandomSource",
-    "BatchRandom",
     "LazyExponential",
     "exponential",
-    "batch_exponentials",
-    "batch_uniforms",
     "truncated_exponential_below",
-    "min_uniform_key_for_weight",
-    "binomial",
     "anti_ranks",
     "exact_swor_inclusion_probabilities",
     "exact_swor_ordered_probability",

@@ -20,14 +20,12 @@ time; the pack path folds it, and a pack's regulars, in epoch segments
 
 from __future__ import annotations
 
-import math
-import random
 from typing import Any, List, Optional, Tuple
 
 import numpy as _np
 
 from ..common.errors import ProtocolViolationError
-from ..common.rng import exponential
+from ..common.rng import MIN_EXPONENTIAL
 from ..kernels import swor_fold_regulars
 from ..net.messages import (
     EARLY,
@@ -51,11 +49,12 @@ _WALK_MAX = 32
 
 
 class SworCoordinator(CoordinatorAlgorithm):
-    """The coordinator of the weighted-SWOR protocol."""
+    """The coordinator of the weighted-SWOR protocol.  Its one
+    generator ``gen`` draws the early keys."""
 
-    def __init__(self, config: SworConfig, rng: random.Random) -> None:
+    def __init__(self, config: SworConfig, gen: _np.random.Generator) -> None:
         self.config = config
-        self._rng = rng
+        self._gen = gen
         self._r = config.r
         self.sample_set = TopKeySample(config.sample_size)
         self.levels = LevelSetManager(self._r, config.saturation_size)
@@ -101,7 +100,7 @@ class SworCoordinator(CoordinatorAlgorithm):
                 "early message received but level sets are disabled"
             )
         ident, weight = message.payload
-        key = weight / exponential(self._rng)
+        key = weight / max(self._gen.standard_exponential(), MIN_EXPONENTIAL)
         return self._early_core(ident, weight, level_of(weight, self._r), key)
 
     def _early_core(
@@ -161,8 +160,9 @@ class SworCoordinator(CoordinatorAlgorithm):
         """Columnar Algorithms 2-3 over a whole site batch, bit-identical
         to delivering its messages one by one.
 
-        Early keys are drawn first, in delivery order, with exactly the
-        scalar path's RNG consumption.  If no early saturates a level
+        Early keys are drawn first, in delivery order, in one draw of
+        the generator (the variates ``ne`` scalar draws give).  If no
+        early saturates a level
         (:meth:`LevelSetManager.admits`), each level parks its earlies
         with one extend per column; else, and in small packs, the
         earlies are walked in order as on the scalar path, but a
@@ -185,23 +185,19 @@ class SworCoordinator(CoordinatorAlgorithm):
                 raise ProtocolViolationError(
                     "early message received but level sets are disabled"
                 )
-            # Identical RNG consumption to ne scalar exponential() draws.
-            rand = self._rng.random
-            log = math.log
-            weights = pack.early_weights.tolist()
-            keys: List[float] = []
-            for w in weights:
-                u = rand()
-                while u <= 0.0:
-                    u = rand()
-                keys.append(w / -log(u))
+            draws = self._gen.standard_exponential(ne)
+            _np.maximum(draws, MIN_EXPONENTIAL, out=draws)
+            keys = _np.divide(pack.early_weights, draws, out=draws)
             self.early_received += ne
             levels = pack.early_levels
             if ne > _WALK_MAX and self.levels.admits(levels):
                 self.levels.park(levels, pack.early_idents, pack.early_weights, keys)
             else:
                 for ident, weight, level, key in zip(
-                    pack.early_idents.tolist(), weights, levels.tolist(), keys
+                    pack.early_idents.tolist(),
+                    pack.early_weights.tolist(),
+                    levels.tolist(),
+                    keys.tolist(),
                 ):
                     responses += self._early_core(ident, weight, level, key, True)
         if pack.num_regular:
@@ -250,12 +246,12 @@ class SworCoordinator(CoordinatorAlgorithm):
         """Window-boundary snapshot for the sharded engine.
 
         Captures everything the message handlers can mutate — the
-        coordinator RNG position, sample set, level sets, epoch
+        generator's state, sample set, level sets, epoch
         tracker, and receipt counters — so a sharded run that degrades
         after a worker fault can restart from its run-start checkpoint.
         """
         return (
-            self._rng.getstate(),
+            self._gen.bit_generator.state,
             self.sample_set.snapshot_state(),
             self.levels.snapshot_state(),
             self.epochs.snapshot_state(),
@@ -267,7 +263,7 @@ class SworCoordinator(CoordinatorAlgorithm):
 
     def restore_state(self, state: tuple) -> None:
         (
-            rng_state,
+            gen_state,
             sample_state,
             levels_state,
             epochs_state,
@@ -276,7 +272,7 @@ class SworCoordinator(CoordinatorAlgorithm):
             early_received,
             early_for_saturated,
         ) = state
-        self._rng.setstate(rng_state)
+        self._gen.bit_generator.state = gen_state
         self.sample_set.restore_state(sample_state)
         self.levels.restore_state(levels_state)
         self.epochs.restore_state(epochs_state)

@@ -161,7 +161,7 @@ class LevelSetManager:
         return True
 
     def park(
-        self, early_levels: _np.ndarray, idents: Any, weights: Any, keys: List[float]
+        self, early_levels: _np.ndarray, idents: Any, weights: Any, keys: Any
     ) -> None:
         """Park earlies that :meth:`admits` admitted, each level's in
         arrival order: one stable argsort groups the columns by level,
@@ -176,7 +176,7 @@ class LevelSetManager:
         columns = (
             idents[order].tolist(),
             weights[order].tolist(),
-            _np.array(keys)[order].tolist(),
+            _np.asarray(keys)[order].tolist(),
         )
         for _, g in sorted(zip(order[starts].tolist(), range(len(levels)))):
             bucket = self._pending.setdefault(levels[g], ([], [], []))

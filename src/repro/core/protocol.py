@@ -44,7 +44,7 @@ class DistributedWeightedSWOR:
     config:
         Protocol parameters (``k``, ``s``, level-set knobs).
     seed:
-        Root seed; sites and coordinator get independent sub-streams.
+        Root seed; sites and coordinator get independent generators.
     engine:
         Execution engine — an :class:`~repro.runtime.Engine` instance,
         a registry name (``"reference"`` / ``"columnar"`` /
@@ -66,10 +66,10 @@ class DistributedWeightedSWOR:
         self.engine = get_engine(engine, batch_size=batch_size)
         source = RandomSource(seed)
         self.sites = [
-            SworSite(i, config, source.substream(f"site-{i}"))
+            SworSite(i, config, source.generator(f"site-{i}"))
             for i in range(config.num_sites)
         ]
-        self.coordinator = SworCoordinator(config, source.substream("coordinator"))
+        self.coordinator = SworCoordinator(config, source.generator("coordinator"))
         self.network = Network(self.sites, self.coordinator)
 
     # -- stream processing ---------------------------------------------

@@ -23,20 +23,12 @@ R003 checks this statically.
 from __future__ import annotations
 
 import functools
-import math
-import random
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Union
 
 import numpy as _np
 
 from ..common.errors import ProtocolViolationError
-from ..common.rng import (
-    MIN_EXPONENTIAL,
-    BatchRandom,
-    LazyExponential,
-    exponential,
-    restore_batch,
-)
+from ..common.rng import MIN_EXPONENTIAL, LazyExponential
 from ..kernels import window_split
 from ..net.messages import (
     EARLY,
@@ -196,23 +188,22 @@ class SworSite(SiteAlgorithm):
         This site's index in ``0..k-1``.
     config:
         Shared protocol parameters.
-    rng:
-        Site-local randomness (independent across sites).
+    gen:
+        The site's one generator (independent across sites): its
+        scalar and its column draws alike.
     """
 
-    def __init__(self, site_id: int, config: SworConfig, rng: random.Random) -> None:
+    def __init__(
+        self, site_id: int, config: SworConfig, gen: _np.random.Generator
+    ) -> None:
         self.site_id = site_id
         self.config = config
-        self._rng = rng
-        # The scalar stream's state as the last snapshot copied it;
-        # ``None`` once a draw has moved the stream (:meth:`_draw_rng`).
-        self._rng_state: Optional[tuple] = None
+        self._gen = gen
         self._r = config.r
         # Bitmask of saturated levels (level j -> bit j): O(1) words for
         # any realistic W since levels top out at log_r(W).
         self._saturated_mask = 0
         self._threshold = 0.0  # u_i, last announced epoch floor r^j
-        self._batch_rng: Optional[BatchRandom] = None
         self.items_seen = 0
         self.exponentials_generated = 0
         self.bits_generated = 0
@@ -252,15 +243,12 @@ class SworSite(SiteAlgorithm):
         threshold.
 
         Each run books its arrivals in ``items_seen`` and draws its
-        regulars — the count and order its :meth:`on_columns` would
-        draw: from its own site's
-        :class:`~repro.common.rng.BatchRandom`, created as
-        :meth:`on_columns` creates it (two or more arrivals and at
-        least one regular), into its slice of one window column, or,
-        for a single arrival, the one scalar ``exponential(site._rng)``
-        that :meth:`on_item` would draw.  Then one clamp, one division
-        and one compare against the window-start threshold cover the
-        window.
+        regulars from its own site's generator into its slice of one
+        window column — the variates its :meth:`on_columns`, or for a
+        single arrival its :meth:`on_item`, would draw, since a slice
+        fill equals that many scalar draws.  Then one clamp, one
+        division and one compare against the window-start threshold
+        cover the window.
 
         ``can_park``, the coordinator's pure check of the window's
         early levels, refuses the pass when a level could saturate in
@@ -300,13 +288,7 @@ class SworSite(SiteAlgorithm):
             count = n - (e1 - e0)
             if not count:
                 continue
-            if n == 1:
-                draws[off] = exponential(site._draw_rng())
-            else:
-                batch = site._batch_rng
-                if batch is None:
-                    batch = site._batch_rng = BatchRandom(site._draw_rng())
-                batch.exponentials(count, out=draws[off : off + count])
+            site._gen.standard_exponential(out=draws[off : off + count])
             site.exponentials_generated += count
             off += count
         _np.maximum(draws, MIN_EXPONENTIAL, out=draws)
@@ -358,9 +340,9 @@ class SworSite(SiteAlgorithm):
         One numpy pass replaces the per-item interpreter dispatch: the
         whole batch's levels are computed at once, the saturation
         bitmask is applied as a table lookup, and all regular keys come
-        from a single batch exponential draw (one
-        :class:`~repro.common.rng.BatchRandom`) filtered against the
-        epoch threshold.  The result is a single
+        from one exponential draw of the site's generator (the
+        variates the per-item path would draw, in order) filtered
+        against the epoch threshold.  The result is a single
         :class:`~repro.net.messages.MessagePack` of parallel arrays —
         no ``Item`` and no per-message ``Message`` objects (an empty
         tuple when the batch sends nothing).
@@ -397,10 +379,9 @@ class SworSite(SiteAlgorithm):
                 )
                 regular_idents = idents[saturated]
                 regular_weights = weights[saturated]
-        if self._batch_rng is None:
-            self._batch_rng = BatchRandom(self._draw_rng())
         m = len(regular_weights)
-        draws = self._batch_rng.exponentials(m)
+        draws = self._gen.standard_exponential(m)
+        _np.maximum(draws, MIN_EXPONENTIAL, out=draws)
         self.exponentials_generated += m
         keys = _np.divide(regular_weights, draws, out=draws)
         return self._pack_above_threshold(
@@ -429,28 +410,12 @@ class SworSite(SiteAlgorithm):
         """Value snapshot of the site, as the sharded engine takes one
         before every window, in its run-start checkpoint and at run end.
 
-        Captures exactly the state the site-pass hooks mutate: the two
-        RNG streams (scalar; batch, or ``None`` before its derivation
-        draw), the control view (mask, threshold), and the resource
-        counters.
-
-        Snapshots of consecutive windows share the scalar stream's
-        state tuple (immutable) until a draw moves the stream: the
-        window pass draws from it only for single arrivals and to
-        derive the batch stream, so most windows copy none of its 625
-        words.  Every draw from ``_rng`` must go through
-        :meth:`_draw_rng`, which forgets the shared tuple; a draw that
-        bypassed it would leave the next snapshot, and a restore, at
-        the stream's old position.  The batch stream's state and the
-        scalar fields are copied afresh every time.
+        Captures exactly the state the site-pass hooks mutate: the
+        generator's state (four 64-bit words), the control view (mask,
+        threshold), and the resource counters — O(1) words.
         """
-        rng_state = self._rng_state
-        if rng_state is None:
-            rng_state = self._rng_state = self._rng.getstate()
-        batch = self._batch_rng
         return (
-            rng_state,
-            None if batch is None else batch.snapshot(),
+            self._gen.bit_generator.state,
             self._saturated_mask,
             self._threshold,
             self.items_seen,
@@ -458,18 +423,10 @@ class SworSite(SiteAlgorithm):
             self.bits_generated,
         )
 
-    def __getstate__(self) -> dict:
-        # A pickled site carries its scalar stream once: the copy the
-        # last snapshot took stays behind.
-        return {**self.__dict__, "_rng_state": None}
-
     def restore_state(self, state: tuple) -> None:
         """Rewind to a snapshot of this site or of a copy of it."""
-        rng_state, batch_state, mask, threshold, seen, exps, bits = state
-        if rng_state is not self._rng_state:  # else no draw moved it
-            self._rng.setstate(rng_state)
-            self._rng_state = rng_state
-        self._batch_rng = restore_batch(self._batch_rng, batch_state)
+        gen_state, mask, threshold, seen, exps, bits = state
+        self._gen.bit_generator.state = gen_state
         self._saturated_mask = mask
         self._threshold = threshold
         self.items_seen = seen
@@ -501,15 +458,9 @@ class SworSite(SiteAlgorithm):
 
     # -- internals ----------------------------------------------------
 
-    def _draw_rng(self) -> random.Random:
-        """The scalar stream, for a draw: forgets the state tuple the
-        last snapshot copied, which the draw moves past."""
-        self._rng_state = None
-        return self._rng
-
     def _regular_fast(self, item: Item) -> List[Message]:
         """Generate the key with one full-precision exponential."""
-        t = exponential(self._draw_rng())
+        t = max(self._gen.standard_exponential(), MIN_EXPONENTIAL)
         self.exponentials_generated += 1
         v = item.weight / t
         if v > self._threshold:
@@ -522,21 +473,14 @@ class SworSite(SiteAlgorithm):
         ``v > u``  iff  ``t < w/u``; with ``u == 0`` every key passes
         and must be materialized.
         """
-        lazy = LazyExponential(self._draw_rng())
+        lazy = LazyExponential(self._gen.bit_generator.random_raw())
         self.exponentials_generated += 1
         u = self._threshold
-        if u <= 0.0:
-            v = item.weight / lazy.value()
-            self.bits_generated += lazy.bits_used
-            return [Message(REGULAR, (item.ident, item.weight, v))]
-        send = lazy.below(item.weight / u)
-        if not send:
+        if u > 0.0 and not lazy.below(item.weight / u):
             self.bits_generated += lazy.bits_used
             return []
-        v = item.weight / lazy.value()
+        v = item.weight / max(lazy.value(), MIN_EXPONENTIAL)
         self.bits_generated += lazy.bits_used  # cumulative: includes below()
-        if not math.isfinite(v):
-            v = item.weight / 1e-300
         return [Message(REGULAR, (item.ident, item.weight, v))]
 
     @property

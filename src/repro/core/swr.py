@@ -10,8 +10,9 @@ proof, both implemented here:
   is ``α(w, τ) = 1 - (1-τ)^w``; the site flips one coin instead of ``w``;
 * **binomial batching** — across the ``s`` independent samplers, the
   number forwarding is ``Binomial(s, α)``; the site draws it once and
-  picks a uniform subset of samplers, which (as the paper notes) equals
-  the law of ``s`` independent decisions.
+  picks a uniform subset of samplers (Floyd's algorithm,
+  :func:`floyd_sample`), which (as the paper notes) equals the law of
+  ``s`` independent decisions.
 
 Keys: each sampler tracks the *minimum* of per-duplicate uniform keys;
 ``min`` of ``w`` uniforms has tail ``(1-x)^w``, so the item with the
@@ -24,13 +25,12 @@ minimum, giving the ``log(W)/log(2+k/s)`` round structure of [14].
 from __future__ import annotations
 
 import math
-import random
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as _np
 
 from ..common.errors import ConfigurationError, ProtocolViolationError
-from ..common.rng import BatchRandom, RandomSource, binomial, restore_batch
+from ..common.rng import RandomSource
 from ..kernels import swr_min_fold
 from ..net.counters import MessageCounters
 from ..net.messages import Message, MessagePack, ROUND_UPDATE, SWR_SAMPLE
@@ -47,14 +47,29 @@ from ..stream.item import DistributedStream, Item
 __all__ = ["DistributedWeightedSWR"]
 
 
-class _SwrSite(SiteAlgorithm):
-    """Site half of the SWR protocol."""
+def floyd_sample(s: int, us: Sequence[float]) -> List[int]:
+    """A uniform ``len(us)``-subset of ``range(s)``, ascending, by
+    Floyd's algorithm over the uniforms ``us`` (each in ``[0, 1)``):
+    step ``j`` picks ``t`` uniform in ``0..j`` and takes ``j`` instead
+    when ``t`` is already chosen.  A full subset skips the loop."""
+    if len(us) == s:
+        return list(range(s))
+    chosen: Set[int] = set()
+    for j, u in zip(range(s - len(us), s), us):
+        t = int(u * (j + 1))
+        chosen.add(j if t in chosen else t)
+    return sorted(chosen)
 
-    def __init__(self, sample_size: int, rng: random.Random) -> None:
+
+class _SwrSite(SiteAlgorithm):
+    """Site half of the SWR protocol.  Its one generator ``gen``
+    draws, per sending arrival, the aggregate coin, the forwarded
+    copies' keys and their sampler subset, in that order."""
+
+    def __init__(self, sample_size: int, gen: _np.random.Generator) -> None:
         self.sample_size = sample_size
-        self._rng = rng
+        self._gen = gen
         self._threshold = 1.0  # uniform keys live in (0,1)
-        self._batch_rng: Optional[BatchRandom] = None
         self.items_seen = 0
 
     def on_item(self, item: Item) -> List[Message]:
@@ -66,42 +81,40 @@ class _SwrSite(SiteAlgorithm):
         else:
             # alpha = 1 - (1-tau)^w, computed stably for tiny tau.
             alpha = -math.expm1(w * math.log1p(-tau))
-        hits = binomial(self._rng, self.sample_size, alpha)
+        hits = self._gen.binomial(self.sample_size, alpha)
         if hits == 0:
             return []
-        chosen = self._rng.sample(range(self.sample_size), hits)
-        messages = []
-        for sampler_id in chosen:
-            key = self._conditional_min_key(w, tau, alpha)
-            messages.append(
-                Message(SWR_SAMPLE, (sampler_id, item.ident, w, key))
-            )
-        return messages
+        keys = [
+            self._conditional_min_key(w, tau, alpha, u)
+            for u in self._gen.random(hits).tolist()
+        ]
+        chosen = floyd_sample(self.sample_size, self._gen.random(hits).tolist())
+        return [
+            Message(SWR_SAMPLE, (sampler_id, item.ident, w, key))
+            for sampler_id, key in zip(chosen, keys)
+        ]
 
     def _draw_batch(self, weights: _np.ndarray) -> Tuple[Any, Optional[Any]]:
         """The bulk draw of :meth:`on_columns`.
 
-        Draw order (all from this site's :class:`BatchRandom`): one
-        binomial per arrival (the Corollary 1 aggregate coin, over the
-        ``s`` samplers at the batch-entry threshold), then one uniform
-        per *forwarded* copy, transformed through the conditional
-        min-of-``w``-uniforms law of :meth:`_conditional_min_key` with
-        the same clamps.  Sampler subsets are drawn afterwards by the
-        caller, per sending arrival in arrival order, from the site's
-        scalar stream.  Returns ``(hits, keys)``.
+        Draw order: one binomial per arrival (the Corollary 1 aggregate
+        coin, over the ``s`` samplers at the batch-entry threshold),
+        then one uniform per *forwarded* copy, transformed through the
+        conditional min-of-``w``-uniforms law of
+        :meth:`_conditional_min_key` with the same clamps.  The caller
+        draws the sampler subsets afterwards.  Returns ``(hits,
+        keys)``.
         """
         tau = self._threshold
         if tau >= 1.0:
             alphas = _np.ones(len(weights))
         else:
             alphas = -_np.expm1(weights * math.log1p(-tau))
-        if self._batch_rng is None:
-            self._batch_rng = BatchRandom(self._rng)
-        hits = self._batch_rng.binomials(self.sample_size, alphas)
+        hits = self._gen.binomial(self.sample_size, alphas)
         total = int(hits.sum())
         if total == 0:
             return hits, None
-        us = self._batch_rng.uniforms(total)
+        us = self._gen.random(total)
         rep_w = _np.repeat(weights, hits)
         xs = -_np.expm1(_np.log1p(-us * _np.repeat(alphas, hits)) / rep_w)
         if tau < 1.0:
@@ -113,9 +126,10 @@ class _SwrSite(SiteAlgorithm):
     ) -> Union[MessagePack, List[Message], tuple]:
         """Vectorized Corollary 1 over a batch of arrivals.
 
-        One :meth:`_draw_batch` replaces the per-item scalar coins, then
-        the per-sender scalar sampler subsets are drawn in arrival
-        order; the forwarded copies come back as one
+        One :meth:`_draw_batch` replaces the per-item coins and keys,
+        then one uniform draw feeds every sender's
+        :func:`floyd_sample` sampler subset, in arrival order; the
+        forwarded copies come back as one
         :class:`~repro.net.messages.MessagePack` with
         ``regular_kind=SWR_SAMPLE`` and the sampler index in the
         ``regular_extra`` column.  Single-item batches take the scalar
@@ -128,11 +142,12 @@ class _SwrSite(SiteAlgorithm):
         hits, keys = self._draw_batch(weights)
         if keys is None:
             return ()
+        us = self._gen.random(len(keys)).tolist()
         samplers: List[int] = []
-        for i in _np.flatnonzero(hits).tolist():
-            samplers.extend(
-                self._rng.sample(range(self.sample_size), int(hits[i]))
-            )
+        off = 0
+        for h in hits[hits > 0].tolist():
+            samplers += floyd_sample(self.sample_size, us[off : off + h])
+            off += h
         return MessagePack(
             regular_idents=_np.repeat(idents, hits),
             regular_weights=_np.repeat(weights, hits),
@@ -141,13 +156,14 @@ class _SwrSite(SiteAlgorithm):
             regular_extra=_np.asarray(samplers, dtype=_np.int64),
         )
 
-    def _conditional_min_key(self, w: float, tau: float, alpha: float) -> float:
-        """Min-of-``w``-uniforms key conditioned on being below ``tau``.
+    @staticmethod
+    def _conditional_min_key(w: float, tau: float, alpha: float, u: float) -> float:
+        """Min-of-``w``-uniforms key conditioned on being below ``tau``,
+        from the uniform ``u``.
 
         CDF ``F(x) = 1-(1-x)^w``; inverse of ``u*F(tau)`` is
         ``1 - (1 - u*alpha)^{1/w}``.
         """
-        u = self._rng.random()
         x = -math.expm1(math.log1p(-u * alpha) / w)
         if tau < 1.0:
             x = min(x, tau * (1.0 - 1e-12))
@@ -164,22 +180,14 @@ class _SwrSite(SiteAlgorithm):
         self._threshold = threshold
 
     def snapshot_state(self) -> tuple:
-        """Value snapshot: the scalar stream's state, the batch
-        stream's (``None`` before its derivation draw), the round
-        threshold and ``items_seen``."""
-        batch = self._batch_rng
-        return (
-            self._rng.getstate(),
-            None if batch is None else batch.snapshot(),
-            self._threshold,
-            self.items_seen,
-        )
+        """Value snapshot: the generator's state, the round threshold
+        and ``items_seen``."""
+        return (self._gen.bit_generator.state, self._threshold, self.items_seen)
 
     def restore_state(self, state: tuple) -> None:
         """Rewind to a snapshot of this site or of a copy of it."""
-        rng_state, batch_state, self._threshold, self.items_seen = state
-        self._rng.setstate(rng_state)
-        self._batch_rng = restore_batch(self._batch_rng, batch_state)
+        gen_state, self._threshold, self.items_seen = state
+        self._gen.bit_generator.state = gen_state
 
     def state_words(self) -> int:
         return 2
@@ -298,7 +306,7 @@ class DistributedWeightedSWR:
     num_sites / sample_size:
         ``k`` and ``s``.
     seed:
-        Root seed for site/coordinator sub-streams.
+        Root seed for the sites' generators.
     engine / batch_size:
         Execution engine selection (name or instance; see
         :func:`repro.runtime.get_engine`).
@@ -320,7 +328,7 @@ class DistributedWeightedSWR:
         self.engine = get_engine(engine, batch_size=batch_size)
         source = RandomSource(seed)
         self.sites = [
-            _SwrSite(sample_size, source.substream(f"swr-site-{i}"))
+            _SwrSite(sample_size, source.generator(f"swr-site-{i}"))
             for i in range(num_sites)
         ]
         self.coordinator = _SwrCoordinator(sample_size, self.beta)

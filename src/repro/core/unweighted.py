@@ -14,13 +14,12 @@ this one's sample law and message shape.
 from __future__ import annotations
 
 import math
-import random
 from typing import Any, List, Optional, Tuple, Union
 
 import numpy as _np
 
 from ..common.errors import ConfigurationError, ProtocolViolationError
-from ..common.rng import BatchRandom, RandomSource, restore_batch
+from ..common.rng import MIN_UNIFORM, RandomSource
 from ..kernels import swor_fold_regulars
 from ..net.counters import MessageCounters
 from ..net.messages import Message, MessagePack, REGULAR, ROUND_UPDATE
@@ -39,21 +38,18 @@ __all__ = ["DistributedUnweightedSWOR"]
 
 
 class _UnweightedSite(SiteAlgorithm):
-    """Site half: forward items whose uniform key beats the bracket."""
+    """Site half: forward items whose uniform key beats the bracket.
+    Its one generator ``gen`` draws the keys, clamped to
+    :data:`~repro.common.rng.MIN_UNIFORM` on both paths."""
 
-    def __init__(
-        self, config: "DistributedUnweightedSWOR", rng: random.Random
-    ) -> None:
-        self._rng = rng
+    def __init__(self, gen: _np.random.Generator) -> None:
+        self._gen = gen
         self._threshold = 1.0  # keys live in (0,1); start unfiltered
-        self._batch_rng: Optional[BatchRandom] = None
         self.items_seen = 0
 
     def on_item(self, item: Item) -> List[Message]:
         self.items_seen += 1
-        key = self._rng.random()
-        while key <= 0.0:
-            key = self._rng.random()
+        key = max(self._gen.random(), MIN_UNIFORM)
         if key < self._threshold:
             return [Message(REGULAR, (item.ident, item.weight, key))]
         return []
@@ -61,7 +57,8 @@ class _UnweightedSite(SiteAlgorithm):
     def on_columns(
         self, idents: _np.ndarray, weights: _np.ndarray
     ) -> Union[MessagePack, List[Message], tuple]:
-        """Bulk path: one uniform batch draw, filtered against the
+        """Bulk path: one uniform draw (the keys the per-item path would
+        draw, in order), filtered against the
         (possibly one-batch-stale) round threshold; the coordinator's
         top-``s`` sample discards any extra passes.  The passers come back
         as one :class:`~repro.net.messages.MessagePack` of parallel
@@ -72,9 +69,8 @@ class _UnweightedSite(SiteAlgorithm):
         if n <= 1:
             return SiteAlgorithm.on_columns(self, idents, weights)
         self.items_seen += n
-        if self._batch_rng is None:
-            self._batch_rng = BatchRandom(self._rng)
-        keys = self._batch_rng.uniforms(n)
+        keys = self._gen.random(n)
+        _np.maximum(keys, MIN_UNIFORM, out=keys)
         send = keys < self._threshold
         num_send = int(_np.count_nonzero(send))
         if num_send == 0:
@@ -100,22 +96,14 @@ class _UnweightedSite(SiteAlgorithm):
         self._threshold = threshold
 
     def snapshot_state(self) -> tuple:
-        """Value snapshot: the scalar stream's state, the batch
-        stream's (``None`` before its derivation draw), the round
-        threshold and ``items_seen``."""
-        batch = self._batch_rng
-        return (
-            self._rng.getstate(),
-            None if batch is None else batch.snapshot(),
-            self._threshold,
-            self.items_seen,
-        )
+        """Value snapshot: the generator's state, the round threshold
+        and ``items_seen``."""
+        return (self._gen.bit_generator.state, self._threshold, self.items_seen)
 
     def restore_state(self, state: tuple) -> None:
         """Rewind to a snapshot of this site or of a copy of it."""
-        rng_state, batch_state, self._threshold, self.items_seen = state
-        self._rng.setstate(rng_state)
-        self._batch_rng = restore_batch(self._batch_rng, batch_state)
+        gen_state, self._threshold, self.items_seen = state
+        self._gen.bit_generator.state = gen_state
 
     def state_words(self) -> int:
         return 2
@@ -252,7 +240,7 @@ class DistributedUnweightedSWOR:
         self.engine = get_engine(engine, batch_size=batch_size)
         source = RandomSource(seed)
         self.sites = [
-            _UnweightedSite(self, source.substream(f"usite-{i}"))
+            _UnweightedSite(source.generator(f"usite-{i}"))
             for i in range(num_sites)
         ]
         self.coordinator = _UnweightedCoordinator(sample_size, self.r)

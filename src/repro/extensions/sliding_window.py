@@ -24,7 +24,8 @@ Two insertion paths share the construction:
   ``O(retained)`` dominance scan (the historical per-item path);
 * :meth:`SlidingWindowWeightedSWOR.insert_columns` — a whole column of
   arrivals at once, **bit-identical to per-item insertion at any chunk
-  size** (it consumes the same scalar uniforms in the same order), with
+  size** (one exponential draw per chunk gives the variates the
+  per-item draws would, in the same order), with
   the dominance bookkeeping done in bulk and capped at ``s``: an item
   is dropped once it has ``s`` dominators, so only the ``s`` largest
   later keys can decide its count.  Retained entries take one
@@ -54,13 +55,12 @@ what each site (or the coordinator, on centralized replay) would run.
 from __future__ import annotations
 
 import math
-import random
 from typing import List, Optional, Tuple
 
 import numpy as _np
 
 from ..common.errors import ConfigurationError, InvalidWeightError
-from ..common.rng import exponential
+from ..common.rng import MIN_EXPONENTIAL
 from ..kernels import window_dominators
 from ..stream.item import Item
 
@@ -92,8 +92,9 @@ class SlidingWindowWeightedSWOR:
     ----------
     sample_size:
         ``s`` — the sample size served for any queried window.
-    rng:
-        Randomness source (one exponential per arrival — both insertion
+    gen:
+        The sampler's one generator (one exponential per arrival, clamped
+        to :data:`~repro.common.rng.MIN_EXPONENTIAL` — both insertion
         paths consume exactly this, in arrival order).
     horizon:
         Optional maximum window length; arrivals older than the horizon
@@ -117,7 +118,7 @@ class SlidingWindowWeightedSWOR:
     def __init__(
         self,
         sample_size: int,
-        rng: random.Random,
+        gen: _np.random.Generator,
         horizon: Optional[int] = None,
     ) -> None:
         if sample_size <= 0:
@@ -128,7 +129,7 @@ class SlidingWindowWeightedSWOR:
             raise ConfigurationError(f"horizon must be positive, got {horizon}")
         self.sample_size = sample_size
         self.horizon = horizon
-        self._rng = rng
+        self._gen = gen
         self._entries: List[_Entry] = []  # in arrival order
         self._last_timestamp = -math.inf
         self.items_seen = 0
@@ -148,7 +149,7 @@ class SlidingWindowWeightedSWOR:
         ``timestamp`` defaults to the arrival index and must be
         non-decreasing across insertions.  The weight and the timestamp
         are validated before any state changes, so a rejected arrival
-        leaves the sampler (and its RNG) untouched.
+        leaves the sampler (and its generator) untouched.
         """
         w = item.weight
         if w <= 0 or w != w:  # noqa: PLR0124 - NaN check
@@ -156,7 +157,7 @@ class SlidingWindowWeightedSWOR:
         ts = float(self.items_seen) if timestamp is None else float(timestamp)
         self._check_timestamp(ts)
         self.items_seen += 1
-        key = w / exponential(self._rng)
+        key = w / max(self._gen.standard_exponential(), MIN_EXPONENTIAL)
         s = self.sample_size
         survivors: List[_Entry] = []
         for entry in self._entries:
@@ -174,9 +175,10 @@ class SlidingWindowWeightedSWOR:
     def insert_columns(self, idents, weights, timestamps=None) -> None:
         """Observe a whole column of arrivals at once.
 
-        Bit-identical to calling :meth:`insert` per arrival — the same
-        scalar uniforms are drawn from ``rng`` in the same order (so
-        chunk boundaries never change the sample) — but the dominance
+        Bit-identical to calling :meth:`insert` per arrival — one draw
+        per chunk gives the exponentials the per-item draws would, in
+        the same order (so chunk boundaries never change the sample) —
+        but the dominance
         bookkeeping is bulk and capped at ``s``: per internal chunk,
         each retained entry's dominator increment is its rank deficit
         against the chunk's top ``s`` keys (one vectorized
@@ -232,17 +234,9 @@ class SlidingWindowWeightedSWOR:
         m = len(weights)
         s = self.sample_size
         base = self.items_seen
-        # The exact scalar draw sequence of per-item insert():
-        # one inverted uniform per arrival, redrawing on u <= 0.
-        rand = self._rng.random
-        log = math.log
-        us = []
-        for _ in range(m):
-            u = rand()
-            while u <= 0.0:
-                u = rand()
-            us.append(-log(u))
-        keys = weights / _np.asarray(us)
+        draws = self._gen.standard_exponential(m)
+        _np.maximum(draws, MIN_EXPONENTIAL, out=draws)
+        keys = _np.divide(weights, draws, out=draws)
         # Retained entries: dominator increment = # chunk keys strictly
         # greater, capped at s — a rank deficit in the chunk's sorted
         # top s keys, exact below s.

@@ -29,16 +29,15 @@ The ``l``-fold duplication is *simulated in O(1 + sends)* per update:
 from __future__ import annotations
 
 import math
-import random
 from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as _np
 
 from ..common.errors import ConfigurationError, ProtocolViolationError
 from ..common.rng import (
-    BatchRandom,
+    MIN_EXPONENTIAL,
+    MIN_UNIFORM,
     RandomSource,
-    exponential,
     truncated_exponential_below,
 )
 from ..core.epochs import EpochTracker, fold_in_epoch_segments
@@ -75,7 +74,8 @@ def theorem6_duplication(s: int, eps: float) -> int:
 
 
 class _L1Site(SiteAlgorithm):
-    """Site half: duplication-aware key generation with geometric skips."""
+    """Site half: duplication-aware key generation with geometric skips,
+    every variate from the site's one generator ``gen``."""
 
     #: ``on_item`` yields lazily: each copy is delivered, and any epoch
     #: broadcast it triggers applied, before the next copy is drawn —
@@ -83,13 +83,10 @@ class _L1Site(SiteAlgorithm):
     #: site's window, cannot keep.
     shardable = False
 
-    def __init__(
-        self, duplication: int, rng: random.Random
-    ) -> None:
+    def __init__(self, duplication: int, gen: _np.random.Generator) -> None:
         self._dup = duplication
-        self._rng = rng
+        self._gen = gen
         self._threshold = 0.0  # epoch floor r^j announced by coordinator
-        self._batch_rng: Optional[BatchRandom] = None
         self.items_seen = 0
         self.keys_sent = 0
 
@@ -103,12 +100,12 @@ class _L1Site(SiteAlgorithm):
         self.items_seen += 1
         w = item.weight
         remaining = self._dup
-        rng = self._rng
+        gen = self._gen
         while remaining > 0:
             u = self._threshold
             if u <= 0.0:
                 # Threshold 0: every key passes; send this copy.
-                v = w / exponential(rng)
+                v = w / max(gen.standard_exponential(), MIN_EXPONENTIAL)
                 remaining -= 1
                 self.keys_sent += 1
                 yield Message(REGULAR, (item.ident, w, v))
@@ -121,14 +118,12 @@ class _L1Site(SiteAlgorithm):
             if p >= 1.0:
                 skip = 0
             else:
-                x = rng.random()
-                while x <= 0.0:
-                    x = rng.random()
+                x = max(gen.random(), MIN_UNIFORM)
                 skip = int(math.floor(math.log(x) / math.log1p(-p)))
             if skip >= remaining:
                 return
             remaining -= skip + 1
-            t = truncated_exponential_below(rng, bound)
+            t = truncated_exponential_below(gen.random(), bound)
             self.keys_sent += 1
             yield Message(REGULAR, (item.ident, w, w / t))
 
@@ -148,24 +143,25 @@ class _L1Site(SiteAlgorithm):
         """
         n = len(weights)
         dup = self._dup
-        if self._batch_rng is None:
-            self._batch_rng = BatchRandom(self._rng)
+        gen = self._gen
         u = self._threshold
         if u <= 0.0:
             counts = _np.full(n, dup, dtype=_np.int64)
-            draws = self._batch_rng.exponentials(dup * n)
+            draws = gen.standard_exponential(dup * n)
+            _np.maximum(draws, MIN_EXPONENTIAL, out=draws)
             keys = _np.repeat(weights, dup) / draws
             return counts, keys
         bounds = weights / u
         ps = -_np.expm1(-bounds)
-        counts = self._batch_rng.binomials(dup, ps)
+        counts = gen.binomial(dup, ps)
         total = int(counts.sum())
         if total == 0:
             return counts, None
-        us = self._batch_rng.uniforms(total)
+        us = gen.random(total)
         rep_bound = _np.repeat(bounds, counts)
         mass = -_np.expm1(-rep_bound)
         ts = -_np.log1p(-us * mass)
+        _np.maximum(ts, MIN_EXPONENTIAL, out=ts)
         _np.minimum(ts, rep_bound * (1.0 - 1e-12), out=ts)
         keys = _np.repeat(weights, counts) / ts
         return counts, keys
@@ -347,7 +343,7 @@ class L1Tracker:
         self.engine = get_engine(engine, batch_size=batch_size)
         source = RandomSource(seed)
         self.sites = [
-            _L1Site(self.duplication, source.substream(f"l1-site-{i}"))
+            _L1Site(self.duplication, source.generator(f"l1-site-{i}"))
             for i in range(num_sites)
         ]
         self.coordinator = _L1Coordinator(self.sample_size, self.duplication, self.r)

@@ -336,7 +336,7 @@ def compile_query(
     if isinstance(query, SlidingWindowQuery):
         sampler = SlidingWindowWeightedSWOR(
             query.sample_size,
-            RandomSource(seed).substream("sliding-window"),
+            RandomSource(seed).generator("sliding-window"),
             horizon=query.window,
         )
         return _SlidingWindowBackedQuery(query, sampler, confidence)

@@ -11,7 +11,7 @@ get ident/weight column slices through their
 centralized backends take column slices through ``observe_columns``.
 Each query is backed by its own protocol instance (weighted/unweighted
 SWOR, SWR, L1 tracker, sliding-window sampler) with an independent,
-deterministically derived RNG substream — the same sample a standalone
+deterministically derived seed — the same sample a standalone
 run with :func:`repro.query.backends.query_seed` would produce.
 
 Per window the driver groups the arrivals by site (one counting sort)

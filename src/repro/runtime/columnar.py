@@ -64,10 +64,12 @@ ever rewound:
 * the saturation check runs before anything is drawn, and only a
   ``LEVEL_SATURATED`` changes how many keys a run draws — an
   ``EPOCH_UPDATE`` only changes which keys it sends;
-* each run draws from its own site's generator, as many keys, in the
-  same order, as its ``on_columns`` (or, for a single arrival,
-  ``on_item``) would, so a split window's runs, re-filtered against the
-  live threshold, are exactly the per-site loop's packs;
+* each run fills its slice of the window's draw column from its own
+  site's one generator, and a fill of ``n`` entries draws the variates
+  ``n`` scalar draws would: the keys its ``on_columns`` (or, for a
+  single arrival, ``on_item``) would draw, so a split window's runs,
+  re-filtered against the live threshold, are exactly the per-site
+  loop's packs;
 * in a window folded whole no control lands, so every site computes on
   window-start state: early keys are still drawn in delivery order,
   each level still parks its earlies in arrival order, and ``S`` keeps

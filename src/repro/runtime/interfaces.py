@@ -43,9 +43,9 @@ class SiteAlgorithm(ABC):
     #: Whether this site may be shipped to (and snapshotted inside) a
     #: worker process by the multiprocess sharded engine.  Requires the
     #: instance to survive a ``pickle`` round trip with full state
-    #: fidelity — including its RNG streams, so a restored copy draws
-    #: the same variates (``random.Random``, ``BatchRandom``, and numpy
-    #: ``Generator`` all qualify): the engine pickles each shard's sites
+    #: fidelity — including its generator, so a restored copy draws
+    #: the same variates (a numpy ``Generator`` and a ``random.Random``
+    #: both qualify): the engine pickles each shard's sites
     #: into its worker, and the default :meth:`snapshot_state` pickles
     #: the site's attributes.  A site holding unpicklable state (open
     #: files, sockets, lambdas) fails the worker setup, and the engine
@@ -102,22 +102,16 @@ class SiteAlgorithm(ABC):
         worker ships its sites' snapshots, and the parent restores its
         own copies of the sites from them).  The snapshot must capture
         *everything* ``on_item`` / ``on_columns`` / ``on_control`` can
-        mutate — RNG positions included — such that
+        mutate — the generator's state included — such that
         :meth:`restore_state` followed by the same inputs reproduces
         the same outputs bit for bit.
 
         This default pickles the instance's attributes, which is
         faithful for every site :attr:`shardable` admits (a site without
         a ``__dict__`` must override both methods).  Protocol sites
-        override it with a value snapshot of their few fields, which
-        is much cheaper per window.
-
-        A snapshot is never mutated once taken, so consecutive
-        snapshots may share immutable parts — an RNG state tuple, say —
-        that nothing has changed since.  The site must then forget a
-        shared part at every mutation of what it copies (every draw
-        from that RNG), and :meth:`restore_state` may skip restoring a
-        part the site still holds unchanged.
+        override it with a value snapshot of their few fields — their
+        one generator's ``bit_generator.state`` (four 64-bit words) and
+        a few scalars — which is much cheaper per window.
         """
         return pickle.dumps(vars(self), protocol=pickle.HIGHEST_PROTOCOL)
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence
 
 from ..common.errors import ConfigurationError
+from ..common.rng import MAX_WEIGHT
+from ..stream.item import weight_error
 from .interfaces import BROADCAST, CoordinatorAlgorithm, SiteAlgorithm
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -127,7 +129,12 @@ class Network:
         self.sites[dest].on_control(message)
 
     def step(self, site_id: int, item: "Item") -> None:
-        """Process one arrival at one site (one model round)."""
+        """Process one arrival at one site (one model round).  A weight
+        above :data:`~repro.common.rng.MAX_WEIGHT` raises
+        :class:`~repro.common.errors.ConfigurationError`, as at
+        columnar ingest."""
+        if item.weight > MAX_WEIGHT:
+            raise weight_error(item.weight)
         messages = self.sites[site_id].on_item(item)
         for message in messages:
             self.deliver_upstream(site_id, message)

@@ -31,12 +31,12 @@ engine cleans up via ``weakref.finalize``.
 
 Why this is bit-identical to the columnar engine
 ------------------------------------------------
-Per-site RNG streams are derived independently
-(:class:`~repro.common.rng.RandomSource` substreams plus per-site
-``BatchRandom``), each site's per-window ident/weight slices are
-bitwise equal to the columnar engine's (the same order-preserving
-grouping over a position-compacted shard — see ``ShardSliceView``),
-and the coordinator runs *in the parent*, consuming its own RNG in
+Each site draws from its own generator
+(:meth:`~repro.common.rng.RandomSource.generator`, one per actor),
+each site's per-window ident/weight slices are bitwise equal to the
+columnar engine's (the same order-preserving grouping over a
+position-compacted shard — see ``ShardSliceView``), and the
+coordinator runs *in the parent*, drawing from its own generator in
 fold order.
 The one genuinely new piece is control flow: the columnar engine
 delivers a mid-window broadcast to the *later* sites of the same

@@ -202,8 +202,9 @@ class ColumnarStream:
     ----------
     idents / weights / sites:
         Parallel arrays in global arrival order (coerced to
-        int64/float64/int64).  Every weight must be positive and finite
-        (:class:`~repro.common.errors.ConfigurationError` otherwise).
+        int64/float64/int64).  Every weight must lie in
+        ``(0, MAX_WEIGHT]`` (:class:`~repro.common.errors.ConfigurationError`
+        otherwise; see :data:`repro.common.rng.MAX_WEIGHT`).
     num_sites:
         The number of sites ``k``; every entry of ``sites`` must lie in
         ``0..k-1``.

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 import numpy as _np
 
 from ..common.errors import ConfigurationError, InvalidWeightError
+from ..common.rng import MAX_WEIGHT
 
 __all__ = ["Item", "DistributedStream", "total_weight", "validate_weights"]
 
@@ -55,18 +56,27 @@ def validate_weights(items: Iterable[Item], require_at_least_one: bool = True) -
             )
 
 
-def check_weight_column(weights) -> None:
-    """Reject a float64 weight column holding any weight that is not
-    positive and finite, with :func:`repro.core.levels.level_of`'s
-    :class:`ConfigurationError` — the one ingest check every stream
-    the columnar data plane reads passes.  Two reductions, no
-    temporaries on the (common) clean path; positive weights below 1
-    stay legal."""
-    if len(weights) and not (weights.min() > 0.0 and weights.max() < math.inf):
-        bad = weights[~((weights > 0.0) & (weights < math.inf))][0]
-        raise ConfigurationError(
-            f"weight must be positive and finite: {float(bad)}"
+def weight_error(weight: float) -> ConfigurationError:
+    """The ingest error for a weight outside ``(0, MAX_WEIGHT]``: that
+    of :func:`repro.core.levels.level_of` when the weight is not
+    positive and finite, else the ceiling's."""
+    if 0.0 < weight < math.inf:
+        return ConfigurationError(
+            f"weight must be at most MAX_WEIGHT = 2**959: {weight}"
         )
+    return ConfigurationError(f"weight must be positive and finite: {weight}")
+
+
+def check_weight_column(weights) -> None:
+    """Reject a float64 weight column holding any weight outside the
+    declared domain ``(0, MAX_WEIGHT]`` with :func:`weight_error` — the
+    one ingest check every stream the columnar data plane reads passes
+    (:data:`~repro.common.rng.MAX_WEIGHT` keeps every key finite).  Two
+    reductions, no temporaries on the (common) clean path; positive
+    weights below 1 stay legal."""
+    if len(weights) and not (weights.min() > 0.0 and weights.max() <= MAX_WEIGHT):
+        bad = weights[~((weights > 0.0) & (weights <= MAX_WEIGHT))][0]
+        raise weight_error(float(bad))
 
 
 def total_weight(items: Iterable[Item]) -> float:
@@ -168,7 +178,7 @@ class DistributedStream:
         (``engine="columnar"`` / ``"sharded"`` and the multi-query
         driver) needs an int64 ident column, while ``engine="reference"``
         replays any identifiers.  Raises it too, before any site runs,
-        for a weight that is not positive and finite
+        for a weight outside ``(0, MAX_WEIGHT]``
         (:func:`check_weight_column`).
         """
         if self._arrays is None:

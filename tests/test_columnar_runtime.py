@@ -32,12 +32,15 @@ Eight contracts pin the columnar data plane:
 
 from __future__ import annotations
 
+import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigurationError, ProtocolViolationError
+from repro.common.rng import MAX_WEIGHT
 from repro.common.words import words_for_value, words_for_values_array
 from repro.core import (
     DistributedUnweightedSWOR,
@@ -421,8 +424,8 @@ class TestColumnarEngineParity:
         from repro.runtime.columnar import GroupedWindow
 
         config = SworConfig(num_sites=4, sample_size=2)  # r = 2
-        shared = SworSite(0, config, random.Random(1))
-        solo = SworSite(0, config, random.Random(1))
+        shared = SworSite(0, config, np.random.default_rng(1))
+        solo = SworSite(0, config, np.random.default_rng(1))
         for site in (shared, solo):
             site.on_control(Message(LEVEL_SATURATED, (1,)))  # bit 0 stays clear
         weights = np.array([0.5, 2.0, 4.0, 0.9])  # levels 0, 1, 2, 0
@@ -433,7 +436,7 @@ class TestColumnarEngineParity:
         without_pass = solo.on_columns(idents, weights)
         assert with_pass.messages() == without_pass.messages()
         assert with_pass.num_early == 3  # only the saturated level-1 item filters
-        assert shared._rng.getstate() == solo._rng.getstate()
+        assert shared._gen.bit_generator.state == solo._gen.bit_generator.state
 
     def test_parity_with_sub_one_weights_and_open_level_zero(self):
         """End-to-end bit-parity on a stream where a higher level
@@ -531,14 +534,31 @@ class TestNonIntegerIdents:
         )
 
 
-BAD_WEIGHTS = [float("nan"), -1.0, 0.0, float("inf")]
+#: Weights outside the declared domain ``(0, MAX_WEIGHT]``: not
+#: positive and finite, or finite but above the ceiling that keeps
+#: every key finite.
+BAD_WEIGHTS = [
+    float("nan"),
+    -1.0,
+    0.0,
+    float("inf"),
+    1e308,
+    math.nextafter(MAX_WEIGHT, math.inf),
+]
+
+
+def _weight_error(bad):
+    """The ingest error's message for ``bad``, as a regex."""
+    if 0.0 < bad < math.inf:
+        return re.escape(f"weight must be at most MAX_WEIGHT = 2**959: {bad}")
+    return re.escape(f"weight must be positive and finite: {bad}")
 
 
 class TestInvalidWeights:
-    """A weight that is not positive and finite fails at ingest with
-    one error under every engine — including a steady-state window,
-    where only weights above the heavy floor reach a level
-    computation, and the sharded engine, before its pool spawns."""
+    """A weight outside ``(0, MAX_WEIGHT]`` fails at ingest with one
+    error under every engine — including a steady-state window, where
+    only weights above the heavy floor reach a level computation, and
+    the sharded engine, before its pool spawns."""
 
     @staticmethod
     def _stream(bad):
@@ -549,7 +569,7 @@ class TestInvalidWeights:
 
     @pytest.mark.parametrize("bad", BAD_WEIGHTS)
     def test_columnar_stream_rejects_at_construction(self, bad):
-        message = f"weight must be positive and finite: {bad}"
+        message = _weight_error(bad)
         with pytest.raises(ConfigurationError, match=message):
             ColumnarStream([0, 1, 2], [1.0, bad, 0.5], [0, 0, 1], 2)
         stream = DistributedStream([Item(0, 1.0), Item(1, bad)], [0, 1], 2)
@@ -575,9 +595,7 @@ class TestInvalidWeights:
         proto = DistributedWeightedSWOR(
             SworConfig(num_sites=4, sample_size=4), seed=3, engine=runner
         )
-        with pytest.raises(
-            ConfigurationError, match="weight must be positive and finite"
-        ):
+        with pytest.raises(ConfigurationError, match=_weight_error(bad)):
             proto.run(self._stream(bad))
         if engine != "reference":  # the oracle raises at arrival 30,000
             assert proto.network.items_processed == 0
@@ -602,8 +620,8 @@ def twin_coordinators(k=4, s=3, saturation=4, seed=42):
     )
     assert config.saturation_size == saturation
     return (
-        SworCoordinator(config, random.Random(seed)),
-        SworCoordinator(config, random.Random(seed)),
+        SworCoordinator(config, np.random.default_rng(seed)),
+        SworCoordinator(config, np.random.default_rng(seed)),
     )
 
 
@@ -643,7 +661,7 @@ def assert_pack_equals_messages(bulk, seq, pack):
     assert bulk.sample_with_keys() == seq.sample_with_keys()
     for counter in ("early_received", "regular_received", "early_for_saturated"):
         assert getattr(bulk, counter) == getattr(seq, counter), counter
-    assert bulk._rng.getstate() == seq._rng.getstate()
+    assert bulk._gen.bit_generator.state == seq._gen.bit_generator.state
     assert bulk.levels.snapshot_state() == seq.levels.snapshot_state()
     assert bulk.epochs.snapshot_state() == seq.epochs.snapshot_state()
     return [(m.kind, m.payload) for _, m in responses_bulk]
@@ -814,7 +832,7 @@ class TestCoordinatorPackPaths:
                 coordinator.early_received,
                 coordinator.regular_received,
                 coordinator.early_for_saturated,
-                coordinator._rng.getstate(),
+                coordinator._gen.bit_generator.state,
                 coordinator.levels.snapshot_state(),
                 coordinator.epochs.snapshot_state(),
             )
@@ -827,7 +845,7 @@ class TestCoordinatorPackPaths:
 
     def test_early_for_disabled_level_sets_raises(self):
         config = SworConfig(num_sites=4, sample_size=3, level_sets_enabled=False)
-        coord = SworCoordinator(config, random.Random(0))
+        coord = SworCoordinator(config, np.random.default_rng(0))
         pack = MessagePack(
             np.array([1], dtype=np.int64), np.array([2.0]),
             np.array([0], dtype=np.int64),
@@ -848,7 +866,7 @@ class TestQueryViewTies:
 
     def _coordinator(self, s=3):
         config = SworConfig(num_sites=4, sample_size=s, level_set_factor=100.0)
-        return SworCoordinator(config, random.Random(0))
+        return SworCoordinator(config, np.random.default_rng(0))
 
     def test_ties_within_s_across_s_and_pending_and_across_levels(self):
         coord = self._coordinator(s=4)

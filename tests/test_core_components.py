@@ -281,7 +281,7 @@ class TestSworConfig:
 class TestSworSite:
     def _site(self, **cfg_kwargs):
         cfg = SworConfig(num_sites=4, sample_size=2, **cfg_kwargs)
-        return SworSite(0, cfg, random.Random(7))
+        return SworSite(0, cfg, np.random.default_rng(7))
 
     def test_unsaturated_level_sends_early(self):
         site = self._site()
@@ -332,7 +332,7 @@ class TestSworSite:
             num_sites=4, sample_size=2, count_bits=True,
             level_sets_enabled=False,
         )
-        site = SworSite(0, cfg, random.Random(3))
+        site = SworSite(0, cfg, np.random.default_rng(3))
         # High threshold: sends are rare, so bit counts reflect the pure
         # comparison cost Proposition 7 bounds (a send materializes the
         # key to full precision, which is fine — messages are rare).
@@ -346,7 +346,7 @@ class TestSworSite:
 class TestSworCoordinator:
     def _coordinator(self, k=4, s=2, **cfg_kwargs):
         cfg = SworConfig(num_sites=k, sample_size=s, **cfg_kwargs)
-        return SworCoordinator(cfg, random.Random(11)), cfg
+        return SworCoordinator(cfg, np.random.default_rng(11)), cfg
 
     def test_early_parks_in_level_set(self):
         coord, _ = self._coordinator()

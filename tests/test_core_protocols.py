@@ -183,10 +183,11 @@ class TestSworMessages:
     )
     def test_site_snapshot_size_constant_in_stream_length(self, make):
         """Proposition 6 on the object the sharded engine copies: a
-        site's ``snapshot_state()`` pickles to the same size after 10^3
-        and after 10^5 arrivals.  Only a few bytes may differ: the
-        saturation mask gains a bit per saturated level, and a counter
-        or stream position may take a byte more to encode."""
+        site's ``snapshot_state()`` pickles to at most 512 bytes — its
+        generator's four words plus a few scalars — and to the same
+        size after 10^3 and after 10^5 arrivals.  Only a few bytes may
+        differ: the saturation mask gains a bit per saturated level,
+        and a counter may take a byte more to encode."""
 
         def site_snapshots(n):
             proto = make()
@@ -200,6 +201,7 @@ class TestSworMessages:
 
         short, long = site_snapshots(1_000), site_snapshots(100_000)
         for before, after in zip(short, long):
+            assert before <= 512 and after <= 512
             assert after <= before + 8
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 import time
 
+import numpy as np
 import pytest
 
 from repro.centralized import (
@@ -51,7 +52,7 @@ class TestLazyBitModeFullProtocol:
         cfg = SworConfig(num_sites=2, sample_size=2, count_bits=True)
         from repro.core import SworSite
 
-        site = SworSite(0, cfg, random.Random(3))
+        site = SworSite(0, cfg, np.random.default_rng(3))
         msgs = site.on_item(Item(0, 100.0))
         assert msgs[0].kind == EARLY  # withholding happens before keys
 
@@ -149,7 +150,7 @@ class TestEpochUpdateStaleness:
         cfg = SworConfig(num_sites=2, sample_size=2)
         from repro.core import SworCoordinator
 
-        coord = SworCoordinator(cfg, random.Random(11))
+        coord = SworCoordinator(cfg, np.random.default_rng(11))
         from repro.net.messages import REGULAR
 
         # Feed keys directly with decreasing values: later ones fall
@@ -184,7 +185,7 @@ class TestControlMessageEdges:
     def test_epoch_update_equal_threshold_ok(self):
         from repro.core import SworSite
 
-        site = SworSite(0, SworConfig(num_sites=2, sample_size=2), random.Random(14))
+        site = SworSite(0, SworConfig(num_sites=2, sample_size=2), np.random.default_rng(14))
         site.on_control(Message(EPOCH_UPDATE, (4.0,)))
         site.on_control(Message(EPOCH_UPDATE, (4.0,)))  # idempotent
         assert site._threshold == 4.0
@@ -193,7 +194,7 @@ class TestControlMessageEdges:
         from repro.core import SworSite
         from repro.net.messages import LEVEL_SATURATED
 
-        site = SworSite(0, SworConfig(num_sites=2, sample_size=2), random.Random(15))
+        site = SworSite(0, SworConfig(num_sites=2, sample_size=2), np.random.default_rng(15))
         site.on_control(Message(LEVEL_SATURATED, (3,)))
         site.on_control(Message(LEVEL_SATURATED, (3,)))
         assert (site._saturated_mask >> 3) & 1

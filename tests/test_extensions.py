@@ -6,6 +6,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,8 +16,8 @@ from repro.common import (
     chi_square_pvalue,
     chi_square_statistic,
     exact_swor_inclusion_probabilities,
-    exponential,
 )
+from repro.common.rng import MIN_EXPONENTIAL
 from repro.extensions import CascadeWeightedSWOR, SlidingWindowWeightedSWOR
 from repro.stream import Item
 
@@ -27,7 +28,7 @@ class TestSlidingWindowSWOR:
         s, trials = 2, 6000
         counts = Counter()
         for t in range(trials):
-            sw = SlidingWindowWeightedSWOR(s, random.Random(t))
+            sw = SlidingWindowWeightedSWOR(s, np.random.default_rng(t))
             for i, w in enumerate(weights):
                 sw.insert(Item(i, w))
             for item in sw.sample():
@@ -44,7 +45,7 @@ class TestSlidingWindowSWOR:
         s, window, trials = 2, 4, 6000
         counts = Counter()
         for t in range(trials):
-            sw = SlidingWindowWeightedSWOR(s, random.Random(t + 10**6))
+            sw = SlidingWindowWeightedSWOR(s, np.random.default_rng(t + 10**6))
             for i, w in enumerate(weights):
                 sw.insert(Item(i, w))
             for item in sw.sample(window=window):
@@ -56,7 +57,7 @@ class TestSlidingWindowSWOR:
         assert chi_square_pvalue(stat, df) > 1e-4
 
     def test_sample_size_clamped_to_window(self):
-        sw = SlidingWindowWeightedSWOR(5, random.Random(1))
+        sw = SlidingWindowWeightedSWOR(5, np.random.default_rng(1))
         for i in range(3):
             sw.insert(Item(i, 2.0))
         assert len(sw.sample(window=2)) == 2
@@ -64,7 +65,7 @@ class TestSlidingWindowSWOR:
     def test_space_is_logarithmic(self):
         """Retained candidates ~ s·ln(n/s), far below n."""
         s, n = 8, 20000
-        sw = SlidingWindowWeightedSWOR(s, random.Random(3))
+        sw = SlidingWindowWeightedSWOR(s, np.random.default_rng(3))
         rng = random.Random(4)
         for i in range(n):
             sw.insert(Item(i, rng.uniform(1.0, 5.0)))
@@ -73,13 +74,13 @@ class TestSlidingWindowSWOR:
         assert sw.retained_count() < n / 10
 
     def test_horizon_discards_old(self):
-        sw = SlidingWindowWeightedSWOR(2, random.Random(5), horizon=10)
+        sw = SlidingWindowWeightedSWOR(2, np.random.default_rng(5), horizon=10)
         for i in range(100):
             sw.insert(Item(i, 1.0))
         assert all(e.index >= 90 for e in sw._entries)
 
     def test_window_validation(self):
-        sw = SlidingWindowWeightedSWOR(2, random.Random(6), horizon=10)
+        sw = SlidingWindowWeightedSWOR(2, np.random.default_rng(6), horizon=10)
         sw.insert(Item(0, 1.0))
         with pytest.raises(ConfigurationError):
             sw.sample(window=0)
@@ -88,17 +89,17 @@ class TestSlidingWindowSWOR:
 
     def test_invalid_construction(self):
         with pytest.raises(ConfigurationError):
-            SlidingWindowWeightedSWOR(0, random.Random(7))
+            SlidingWindowWeightedSWOR(0, np.random.default_rng(7))
         with pytest.raises(ConfigurationError):
-            SlidingWindowWeightedSWOR(2, random.Random(7), horizon=0)
+            SlidingWindowWeightedSWOR(2, np.random.default_rng(7), horizon=0)
 
     def test_invalid_weight(self):
-        sw = SlidingWindowWeightedSWOR(2, random.Random(8))
+        sw = SlidingWindowWeightedSWOR(2, np.random.default_rng(8))
         with pytest.raises(InvalidWeightError):
             sw.insert(Item(0, -1.0))
 
     def test_keys_decreasing_in_sample(self):
-        sw = SlidingWindowWeightedSWOR(4, random.Random(9))
+        sw = SlidingWindowWeightedSWOR(4, np.random.default_rng(9))
         for i in range(50):
             sw.insert(Item(i, 1.0 + i % 3))
         keys = [k for _, k in sw.sample_with_keys()]
@@ -109,8 +110,8 @@ class TestSlidingWindowSWOR:
         retention guarantee (the horizon), never the arrival count —
         an over-long window just covers everything retained, in both
         horizon modes."""
-        unbounded = SlidingWindowWeightedSWOR(2, random.Random(10))
-        bounded = SlidingWindowWeightedSWOR(2, random.Random(10), horizon=50)
+        unbounded = SlidingWindowWeightedSWOR(2, np.random.default_rng(10))
+        bounded = SlidingWindowWeightedSWOR(2, np.random.default_rng(10), horizon=50)
         for sw in (unbounded, bounded):
             for i in range(5):
                 sw.insert(Item(i, 2.0))
@@ -147,12 +148,12 @@ class TestSlidingWindowColumnar:
         np = self.np
         n = len(weights)
         per_item = SlidingWindowWeightedSWOR(
-            s, random.Random(seed), horizon=horizon
+            s, np.random.default_rng(seed), horizon=horizon
         )
         for i, w in enumerate(weights):
             per_item.insert(Item(i, w))
         chunked = SlidingWindowWeightedSWOR(
-            s, random.Random(seed), horizon=horizon
+            s, np.random.default_rng(seed), horizon=horizon
         )
         lo = 0
         while lo < n:
@@ -188,13 +189,15 @@ class TestSlidingWindowColumnar:
         """``sample(window)`` equals the exact top-``s`` keys of a
         brute-force window replay, across random horizons, evictions,
         window sizes, and the columnar insert path.  The sampler draws
-        one exponential per arrival in arrival order, so an
-        independent replay of the same ``random.Random`` recovers every
-        key — including those of evicted entries."""
+        one exponential per arrival in arrival order — a column draw
+        gives the variates the scalar draws would — so a fresh
+        generator of the same seed, drawn one arrival at a time,
+        recovers every key of both insert paths, including those of
+        evicted entries."""
         np = self.np
         rng_w = random.Random(seed + 1)
         weights = [rng_w.uniform(0.1, 100.0) for _ in range(n)]
-        sw = SlidingWindowWeightedSWOR(s, random.Random(seed), horizon=horizon)
+        sw = SlidingWindowWeightedSWOR(s, np.random.default_rng(seed), horizon=horizon)
         lo = 0
         while lo < n:
             size = data.draw(st.integers(min_value=1, max_value=n - lo))
@@ -206,8 +209,10 @@ class TestSlidingWindowColumnar:
                 for i in range(lo, lo + size):
                     sw.insert(Item(i, weights[i]))
             lo += size
-        replay = random.Random(seed)
-        all_keys = [w / exponential(replay) for w in weights]
+        replay = np.random.default_rng(seed)
+        all_keys = [
+            w / max(replay.standard_exponential(), MIN_EXPONENTIAL) for w in weights
+        ]
         max_window = horizon if horizon is not None else 2 * n
         window = data.draw(st.integers(min_value=1, max_value=max_window))
         cutoff = n - window
@@ -227,10 +232,10 @@ class TestSlidingWindowColumnar:
         s, n = 300, 3000
         rng = random.Random(17)
         weights = [rng.uniform(0.01, 100.0) for _ in range(n)]
-        per_item = SlidingWindowWeightedSWOR(s, random.Random(3), horizon=horizon)
+        per_item = SlidingWindowWeightedSWOR(s, np.random.default_rng(3), horizon=horizon)
         for i, w in enumerate(weights):
             per_item.insert(Item(i, w))
-        chunked = SlidingWindowWeightedSWOR(s, random.Random(3), horizon=horizon)
+        chunked = SlidingWindowWeightedSWOR(s, np.random.default_rng(3), horizon=horizon)
         lo = 0
         while lo < n:
             size = rng.randint(1, n - lo)
@@ -250,8 +255,8 @@ class TestSlidingWindowColumnar:
         """A timestamp the sampler rejects changes nothing: not the
         arrival count, the entries' dominator counts, nor the RNG — so
         later inserts match a twin that never saw the rejected call."""
-        sw = SlidingWindowWeightedSWOR(2, random.Random(8))
-        twin = SlidingWindowWeightedSWOR(2, random.Random(8))
+        sw = SlidingWindowWeightedSWOR(2, np.random.default_rng(8))
+        twin = SlidingWindowWeightedSWOR(2, np.random.default_rng(8))
         for sampler in (sw, twin):
             sampler.insert(Item(0, 1.0), timestamp=100.0)
             sampler.insert(Item(1, 2.0), timestamp=101.0)
@@ -260,7 +265,7 @@ class TestSlidingWindowColumnar:
             return (
                 sampler.items_seen,
                 [(e.index, e.item, e.key, e.dominators) for e in sampler._entries],
-                sampler._rng.getstate(),
+                sampler._gen.bit_generator.state,
             )
 
         before = snapshot(sw)
@@ -273,8 +278,8 @@ class TestSlidingWindowColumnar:
 
     def test_batch_size_one_column_equals_insert(self):
         np = self.np
-        a = SlidingWindowWeightedSWOR(3, random.Random(5))
-        b = SlidingWindowWeightedSWOR(3, random.Random(5))
+        a = SlidingWindowWeightedSWOR(3, np.random.default_rng(5))
+        b = SlidingWindowWeightedSWOR(3, np.random.default_rng(5))
         for i in range(40):
             a.insert(Item(i, float(i % 7 + 1)))
             b.insert_columns(np.array([i]), np.array([float(i % 7 + 1)]))
@@ -283,21 +288,21 @@ class TestSlidingWindowColumnar:
 
     def test_invalid_weight_fails_fast_without_partial_insert(self):
         np = self.np
-        sw = SlidingWindowWeightedSWOR(2, random.Random(6))
+        sw = SlidingWindowWeightedSWOR(2, np.random.default_rng(6))
         with pytest.raises(InvalidWeightError):
             sw.insert_columns(np.arange(3), np.array([1.0, -2.0, 3.0]))
         assert sw.items_seen == 0 and sw.retained_count() == 0
 
     def test_timestamps_default_to_arrival_index(self):
         np = self.np
-        sw = SlidingWindowWeightedSWOR(4, random.Random(7))
+        sw = SlidingWindowWeightedSWOR(4, np.random.default_rng(7))
         sw.insert_columns(np.arange(10), np.ones(10))
         sw.insert(Item(10, 1.0))
         assert all(e.timestamp == float(e.index) for e in sw._entries)
 
     def test_timestamps_must_be_nondecreasing(self):
         np = self.np
-        sw = SlidingWindowWeightedSWOR(2, random.Random(8))
+        sw = SlidingWindowWeightedSWOR(2, np.random.default_rng(8))
         sw.insert(Item(0, 1.0), timestamp=100.0)
         with pytest.raises(ConfigurationError):
             sw.insert(Item(1, 1.0), timestamp=99.0)
@@ -313,7 +318,7 @@ class TestSlidingWindowColumnar:
 
     def test_sample_since_exact_on_unbounded_horizon(self):
         np = self.np
-        sw = SlidingWindowWeightedSWOR(3, random.Random(9))
+        sw = SlidingWindowWeightedSWOR(3, np.random.default_rng(9))
         sw.insert_columns(
             np.arange(200),
             np.ones(200),
@@ -321,7 +326,7 @@ class TestSlidingWindowColumnar:
         )
         # Timestamp suffix ts >= 2*150 is exactly the last-50 window.
         assert sw.sample_since(300.0) == sw.sample_with_keys(50)
-        bounded = SlidingWindowWeightedSWOR(3, random.Random(9), horizon=50)
+        bounded = SlidingWindowWeightedSWOR(3, np.random.default_rng(9), horizon=50)
         bounded.insert(Item(0, 1.0))
         with pytest.raises(ConfigurationError):
             bounded.sample_since(0.0)
@@ -386,7 +391,7 @@ class TestCascadeSWOR:
         c1, c2 = Counter(), Counter()
         for t in range(trials):
             a = CascadeWeightedSWOR(s, random.Random(t))
-            b = SlidingWindowWeightedSWOR(s, random.Random(t + 7777))
+            b = SlidingWindowWeightedSWOR(s, np.random.default_rng(t + 7777))
             for i, w in enumerate(weights):
                 a.insert(Item(i, w))
                 b.insert(Item(i, w))

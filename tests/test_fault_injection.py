@@ -9,8 +9,8 @@ sample.
 
 from __future__ import annotations
 
-import random
 
+import numpy as np
 import pytest
 
 from repro.common import ProtocolViolationError
@@ -35,7 +35,7 @@ class TestChannelFaults:
 class TestSiteFaults:
     def _site(self):
         return SworSite(
-            0, SworConfig(num_sites=2, sample_size=2), random.Random(1)
+            0, SworConfig(num_sites=2, sample_size=2), np.random.default_rng(1)
         )
 
     def test_backwards_epoch_rejected(self):
@@ -57,7 +57,7 @@ class TestCoordinatorFaults:
         not corrupt level-set state: it generates the key itself and
         folds the item straight into the sample."""
         cfg = SworConfig(num_sites=2, sample_size=1, level_set_factor=0.5)
-        coord = SworCoordinator(cfg, random.Random(2))
+        coord = SworCoordinator(cfg, np.random.default_rng(2))
         # saturation_size = 0.5 * 2 * 1 = 1: first early item saturates.
         coord.on_message(0, Message(EARLY, (0, 1.0)))
         saturated_before = set(coord.levels.saturated_levels)
@@ -72,7 +72,7 @@ class TestCoordinatorFaults:
         """The folded-in item goes through Add-to-Sample: a key below
         the current threshold is discarded, not force-inserted."""
         cfg = SworConfig(num_sites=2, sample_size=1, level_set_factor=0.5)
-        coord = SworCoordinator(cfg, random.Random(3))
+        coord = SworCoordinator(cfg, np.random.default_rng(3))
         coord.on_message(0, Message(EARLY, (0, 1.0)))
         before = coord.threshold
         # A stale early item with a vanishing weight (key ~ 1e-9/Exp)
@@ -84,27 +84,27 @@ class TestCoordinatorFaults:
 
     def test_unknown_message_kind_rejected(self):
         cfg = SworConfig(num_sites=2, sample_size=1)
-        coord = SworCoordinator(cfg, random.Random(3))
+        coord = SworCoordinator(cfg, np.random.default_rng(3))
         with pytest.raises(ProtocolViolationError):
             coord.on_message(0, Message("mystery", ()))
 
 
 class TestL1Faults:
     def test_l1_site_rejects_decreasing_threshold(self):
-        site = _L1Site(duplication=4, rng=random.Random(4))
+        site = _L1Site(duplication=4, gen=np.random.default_rng(4))
         site.on_control(Message(EPOCH_UPDATE, (8.0,)))
         with pytest.raises(ProtocolViolationError, match="decreased"):
             site.on_control(Message(EPOCH_UPDATE, (4.0,)))
 
     def test_l1_site_rejects_foreign_control(self):
-        site = _L1Site(duplication=4, rng=random.Random(5))
+        site = _L1Site(duplication=4, gen=np.random.default_rng(5))
         with pytest.raises(ProtocolViolationError):
             site.on_control(Message(LEVEL_SATURATED, (0,)))
 
     def test_generator_interruption_is_safe(self):
         """Abandoning a site's message generator mid-item must not
         corrupt site state for the next item (no partial-state leak)."""
-        site = _L1Site(duplication=10, rng=random.Random(6))
+        site = _L1Site(duplication=10, gen=np.random.default_rng(6))
         gen = site.on_item(Item(0, 1.0))
         next(gen)  # consume one message, then drop the generator
         gen.close()

@@ -21,12 +21,14 @@ weights.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.common.rng import MAX_WEIGHT
 from repro.core import DistributedWeightedSWOR, SworConfig, level_of
 from repro.core import epochs as epochs_mod
 from repro.core.coordinator import SworCoordinator
@@ -39,7 +41,7 @@ from repro.kernels import (
     window_split,
 )
 from repro.net.messages import MessagePack
-from repro.runtime import ColumnarEngine
+from repro.runtime import ColumnarEngine, get_engine
 from repro.stream import Item, round_robin
 
 np = pytest.importorskip("numpy")
@@ -267,11 +269,14 @@ class TestKernelOracles:
 
 @pytest.mark.filterwarnings("error")
 def test_engines_agree_on_a_weight_at_the_float_top():
-    """One weight of 1e308 in a SWOR stream: every engine runs it without
-    an overflow, and columnar at batch size 1 equals ``reference``."""
+    """One weight of ``MAX_WEIGHT``, the top of the declared weight
+    domain, in a SWOR stream: every engine runs it with finite keys and
+    no overflow warning, and columnar at batch size 1 equals
+    ``reference``.  (The largest key, ``MAX_WEIGHT / MIN_EXPONENTIAL``,
+    is ``2**1023``; a heavier weight is refused at ingest.)"""
     rng = random.Random(3)
     items = [Item(i, rng.uniform(1.0, 100.0)) for i in range(4000)]
-    items[2500] = Item(2500, 1e308)
+    items[2500] = Item(2500, MAX_WEIGHT)
     stream = round_robin(items, 4)
 
     def run(engine):
@@ -281,11 +286,16 @@ def test_engines_agree_on_a_weight_at_the_float_top():
         proto.run(stream)
         sample = [(i.ident, i.weight, k) for i, k in proto.sample_with_keys()]
         assert 2500 in [ident for ident, _, _ in sample]
+        assert all(math.isfinite(key) for _, _, key in sample)
         return sample, proto.counters.snapshot()
 
     reference = run(None)
     assert run(ColumnarEngine(batch_size=1)) == reference
-    run(ColumnarEngine(batch_size=7))
+    sharded = get_engine("sharded", workers=2, batch_size=7)
+    try:
+        assert run(sharded) == run(ColumnarEngine(batch_size=7))
+    finally:
+        sharded.close()
     run(ColumnarEngine())
 
 
@@ -297,7 +307,7 @@ class TestCoordinatorFusedFold:
 
     def _coordinator(self, s):
         return SworCoordinator(
-            SworConfig(num_sites=4, sample_size=s), random.Random(42)
+            SworConfig(num_sites=4, sample_size=s), np.random.default_rng(42)
         )
 
     def _fingerprint(self, coordinator):

@@ -326,6 +326,42 @@ class TestSnapshotCompleteness:
         assert len(found) == 1
         assert "captured" in found[0].message
 
+    def test_generator_draw_is_a_mutation(self, tmp_path):
+        # A site that draws from its generator but whose restore never
+        # rewinds it replays different variates after a rollback.
+        code = """\
+            class Site:
+                def __init__(self, gen):
+                    self._gen = gen
+                    self.seen = 0
+
+                def on_item(self, item):
+                    self.seen += 1
+                    return item / self._gen.standard_exponential()
+
+                def on_word(self):
+                    return self._gen.bit_generator.random_raw()
+
+                def snapshot_state(self):
+                    return (self.seen,)
+
+                def restore_state(self, state):
+                    (self.seen,) = state
+            """
+        write_tree(tmp_path, {"src/repro/core/s.py": code})
+        found = findings_of(tmp_path, "R003")
+        assert len(found) == 1
+        assert "Site._gen" in found[0].message
+        fixed = code.replace(
+            "return (self.seen,)",
+            "return (self._gen.bit_generator.state, self.seen)",
+        ).replace(
+            "(self.seen,) = state",
+            "self._gen.bit_generator.state, self.seen = state",
+        )
+        write_tree(tmp_path, {"src/repro/core/s.py": fixed})
+        assert findings_of(tmp_path, "R003") == []
+
     def test_staticmethod_stores_ignored(self, tmp_path):
         # A staticmethod's first arg is not the instance; writes through
         # it are not protocol-state mutations.

@@ -12,7 +12,7 @@ Three contracts pin the `repro.runtime` refactor:
    RNG consumption, same delivery interleaving, same counters).
 
 Plus edge cases: checkpoint splitting, vectorized level parity, the
-stale-EARLY fold, and `LazyExponential` overflow clamping
+stale-EARLY fold, and `LazyExponential` key clamping
 (`core/site.py`'s ``_regular_lazy``).
 """
 
@@ -25,7 +25,7 @@ from collections import Counter
 import pytest
 
 from repro.common import (
-    BatchRandom,
+    RandomSource,
     chi_square_pvalue,
     chi_square_statistic,
     exact_swor_inclusion_probabilities,
@@ -54,14 +54,14 @@ np = pytest.importorskip("numpy")
 
 
 # ---------------------------------------------------------------------------
-# Golden fingerprints, recorded against the pre-refactor Network.run
-# (commit 35b2d21's seed code) — the reference engine must reproduce
+# Golden fingerprints of the reference engine, recorded with one PCG64
+# generator per actor (``RandomSource.generator``) — it must reproduce
 # them bit for bit.
 # ---------------------------------------------------------------------------
 
 GOLDEN = {
-    7: (551, 415, 136, (3440, 1859, 1377, 3707, 3361, 3213, 3807, 4563)),
-    2019: (564, 420, 144, (4981, 3012, 2681, 651, 135, 2330, 3854, 816)),
+    7: (546, 418, 128, (805, 4020, 4755, 1041, 4620, 4722, 2680, 3336)),
+    2019: (543, 423, 120, (816, 3032, 1720, 1475, 3689, 3793, 2401, 3924)),
 }
 
 
@@ -283,33 +283,27 @@ class TestVectorizedPrimitives:
                 levels_of_array(np.array([1.0, bad, 4.0]), 2.0)
 
     def test_batch_primitive_functions(self):
-        from repro.common import batch_exponentials, batch_uniforms
-
-        t = batch_exponentials(random.Random(1), 5000)
-        assert len(t) == 5000 and all(x > 0 for x in t)
-        scaled = batch_exponentials(random.Random(1), 5000, rate=4.0)
-        assert abs(float(np.mean(scaled)) - 0.25) < 0.02
-        u = batch_uniforms(random.Random(2), 1000)
-        assert len(u) == 1000 and all(0 < x < 1 for x in u)
-        with pytest.raises(ConfigurationError):
-            batch_exponentials(random.Random(1), 10, rate=0.0)
+        """The column draws the sites make: rate-1 exponentials and
+        uniforms in ``[0, 1)`` from an actor's generator."""
+        gen = RandomSource(1).generator("site-0")
+        t = gen.standard_exponential(5000)
+        assert len(t) == 5000 and (t >= 0).all()
+        assert abs(float(np.mean(t)) - 1.0) < 0.05
+        u = gen.random(1000)
+        assert len(u) == 1000 and ((u >= 0) & (u < 1)).all()
 
     def test_batch_random_reproducible(self):
-        a = BatchRandom(random.Random(42)).exponentials(100)
-        b = BatchRandom(random.Random(42)).exponentials(100)
+        a = RandomSource(42).generator("site-0").standard_exponential(100)
+        b = RandomSource(42).generator("site-0").standard_exponential(100)
         assert np.array_equal(a, b)
-        assert (a > 0).all()
-        # Sanity: rate-1 exponentials have mean ~1.
-        big = BatchRandom(random.Random(7)).exponentials(20_000)
-        assert abs(float(np.mean(big)) - 1.0) < 0.05
-        u = BatchRandom(random.Random(7)).uniforms(20_000)
-        assert ((u > 0) & (u < 1)).all()
+        c = RandomSource(42).generator("site-1").standard_exponential(100)
+        assert not np.array_equal(a, c)
 
     def test_site_bulk_hook_matches_scalar_law(self):
         """The vectorized on_columns path must emit REGULAR keys above
         the threshold only, tagged with the right idents."""
         config = SworConfig(num_sites=2, sample_size=2, level_sets_enabled=False)
-        site = SworSite(0, config, random.Random(3))
+        site = SworSite(0, config, RandomSource(3).generator("site-0"))
         site._threshold = 5.0
         items = [Item(i, float(1 + i % 4)) for i in range(256)]
         pack = site.on_columns(
@@ -325,22 +319,16 @@ class TestVectorizedPrimitives:
             assert items[ident].weight == weight
 
 
-class _AllOnesBits:
-    """Stub RNG: every revealed bit is 1, pinning U arbitrarily close
-    to 1 so ``LazyExponential.value()`` is as small as 64 bits allow."""
-
-    def getrandbits(self, _n):
-        return 1
-
-    def random(self):  # pragma: no cover - not used by the lazy path
-        return 0.5
+#: A raw word whose every bit is 1, pinning U arbitrarily close to 1 so
+#: ``LazyExponential.value()`` is as small as 64 bits allow.
+_ALL_ONES = 2**64 - 1
 
 
 class _TinyValueLazy:
-    """Stub LazyExponential whose materialized value underflows the
-    key division — drives the overflow clamp in ``_regular_lazy``."""
+    """Stub LazyExponential whose materialized value is below
+    ``MIN_EXPONENTIAL`` — drives the key clamp in ``_regular_lazy``."""
 
-    def __init__(self, _rng):
+    def __init__(self, _word):
         self.bits_used = 1
 
     def below(self, _bound):
@@ -354,28 +342,30 @@ class TestLazyExponentialOverflow:
     def test_value_never_returns_zero_at_max_bits(self):
         from repro.common.rng import LazyExponential
 
-        lazy = LazyExponential(_AllOnesBits())
+        lazy = LazyExponential(_ALL_ONES)
         t = lazy.value()
         assert t > 0.0 and math.isfinite(t)
         assert lazy.bits_used <= LazyExponential.MAX_BITS
 
     def test_overflowing_key_is_clamped(self, monkeypatch):
-        """site.py's ``_regular_lazy`` guards ``v = w / t`` against
-        non-finite keys by clamping to ``w / 1e-300``; force the branch
-        with a stub whose value() is subnormal."""
+        """site.py's ``_regular_lazy`` clamps ``t`` to
+        ``MIN_EXPONENTIAL`` before ``v = w / t``, as every key path
+        does; force the clamp with a stub whose value() is subnormal."""
+        from repro.common.rng import MIN_EXPONENTIAL
+
         import repro.core.site as site_mod
 
         monkeypatch.setattr(site_mod, "LazyExponential", _TinyValueLazy)
         config = SworConfig(
             num_sites=2, sample_size=2, level_sets_enabled=False, count_bits=True
         )
-        site = SworSite(0, config, random.Random(1))
+        site = SworSite(0, config, RandomSource(1).generator("site-0"))
         site._threshold = 1.0  # below() path (threshold > 0)
         messages = site.on_item(Item(0, 2.0))
         assert len(messages) == 1
         _, _, key = messages[0].payload
         assert math.isfinite(key)
-        assert key == 2.0 / 1e-300
+        assert key == 2.0 / MIN_EXPONENTIAL
 
     def test_lazy_mode_end_to_end_finite_keys(self):
         """count_bits mode (bit-by-bit generation) stays finite across

@@ -34,7 +34,6 @@ from __future__ import annotations
 import glob
 import multiprocessing
 import os
-import pickle
 import random
 import time
 from types import SimpleNamespace
@@ -800,7 +799,7 @@ ALL_SATURATED = (1 << 64) - 1
 
 def _swor_site(count_bits=False, seed=11):
     config = SworConfig(num_sites=2, sample_size=2, count_bits=count_bits)
-    site = SworSite(0, config, random.Random(seed))
+    site = SworSite(0, config, np.random.default_rng(seed))
     site._saturated_mask = ALL_SATURATED
     return site
 
@@ -813,7 +812,7 @@ def _one_run_window(site, weights):
     return site.prepare_window(window, [(0, site, 0, m)]).regular_keys.tolist()
 
 
-#: Every path that draws from a SWOR site's scalar stream:
+#: Every path that draws from a SWOR site's generator:
 #: ``(site factory, draw)``.
 SCALAR_DRAWS = {
     "on_item": (_swor_site, lambda site: site.on_item(Item(1, 5.0))[0].payload),
@@ -821,7 +820,7 @@ SCALAR_DRAWS = {
         lambda: _swor_site(count_bits=True),
         lambda site: site.on_item(Item(1, 5.0))[0].payload,
     ),
-    "on_columns_derives_batch": (
+    "on_columns": (
         _swor_site,
         lambda site: site.on_columns(
             np.arange(3, dtype=np.int64), np.array([2.0, 5.0, 9.0])
@@ -831,7 +830,7 @@ SCALAR_DRAWS = {
         _swor_site,
         lambda site: _one_run_window(site, [5.0]),
     ),
-    "window_derives_batch": (
+    "window_many": (
         _swor_site,
         lambda site: _one_run_window(site, [2.0, 5.0, 9.0]),
     ),
@@ -839,9 +838,9 @@ SCALAR_DRAWS = {
 
 
 class TestSiteSnapshots:
-    """``SworSite.snapshot_state`` shares the scalar stream's state
-    tuple across snapshots until a draw moves the stream; every draw
-    path must forget it, or a rollback replays from the wrong place."""
+    """A SWOR site's snapshot holds its one generator's state (four
+    64-bit words) and its scalars, so restoring one snapshot rewinds
+    every draw path: each replays bit for bit."""
 
     @pytest.mark.parametrize("path", sorted(SCALAR_DRAWS))
     def test_restore_replays_each_scalar_draw(self, path):
@@ -853,54 +852,7 @@ class TestSiteSnapshots:
         site.restore_state(before)
         assert draw(site) == first
         assert site.snapshot_state() == after
-        assert after[0] != before[0]  # the path drew from the stream
-
-    def test_window_passes_without_scalar_draws_copy_no_scalar_state(
-        self, monkeypatch
-    ):
-        config = SworConfig(num_sites=4, sample_size=2)
-        sites = [SworSite(j, config, random.Random(j)) for j in range(4)]
-        for site in sites:
-            site._saturated_mask = ALL_SATURATED
-        weights = np.random.Generator(np.random.PCG64(5)).random(40) * 20 + 1
-        window = GroupedWindow(
-            np.arange(40, dtype=np.int64), weights, [0, 1, 2, 3],
-            [0, 10, 20, 30], [10, 20, 30, 40],
-        )
-        runs = [(j, site, 10 * j, 10 * j + 10) for j, site in enumerate(sites)]
-
-        def window_pass():
-            return sites[0].prepare_window(window, runs).regular_keys.tolist()
-
-        window_pass()  # derives every site's batch stream: a scalar draw
-        calls = {"getstate": 0, "setstate": 0}
-        getstate, setstate = random.Random.getstate, random.Random.setstate
-
-        def counted_getstate(rng):
-            calls["getstate"] += 1
-            return getstate(rng)
-
-        def counted_setstate(rng, state):
-            calls["setstate"] += 1
-            setstate(rng, state)
-
-        monkeypatch.setattr(random.Random, "getstate", counted_getstate)
-        monkeypatch.setattr(random.Random, "setstate", counted_setstate)
-        for _ in range(3):
-            snapshot = [site.snapshot_state() for site in sites]
-            keys = window_pass()
-        assert calls["getstate"] == len(sites)  # the first snapshot only
-        for site, state in zip(sites, snapshot):
-            site.restore_state(state)
-        assert window_pass() == keys
-        assert calls == {"getstate": len(sites), "setstate": 0}
-
-    def test_pickled_site_leaves_the_copy_behind(self):
-        site = _swor_site()
-        state = site.snapshot_state()
-        clone = pickle.loads(pickle.dumps(site))
-        assert clone._rng_state is None
-        assert clone.snapshot_state() == state
+        assert after[0] != before[0]  # the path drew from the generator
 
 
 # ---------------------------------------------------------------------------

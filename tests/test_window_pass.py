@@ -21,8 +21,6 @@ cut short by a checkpoint.  All runs here are in-process (columnar).
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 import pytest
 
@@ -116,10 +114,10 @@ def _state(proto, checkpoints):
         tuple((i.ident, i.weight, key) for i, key in proto.sample_with_keys()),
         proto.counters.snapshot(),
         [
-            (s.items_seen, s.exponentials_generated, s._rng.getstate())
+            (s.items_seen, s.exponentials_generated, s._gen.bit_generator.state)
             for s in proto.sites
         ],
-        coordinator._rng.getstate(),
+        coordinator._gen.bit_generator.state,
         coordinator.levels.snapshot_state(),
         coordinator.epochs.snapshot_state(),
         checkpoints,
@@ -133,8 +131,10 @@ def _run(stream, protocol: str, batch_size):
         else ColumnarEngine(batch_size=batch_size)
     )
     if protocol == "swor":
+        # Seed 7: a mid-window EPOCH_UPDATE trims a single-arrival run
+        # (at batch size 64, 3 of seeds 1-12 do).
         proto = DistributedWeightedSWOR(
-            SworConfig(num_sites=K, sample_size=4), seed=11, engine=engine
+            SworConfig(num_sites=K, sample_size=4), seed=7, engine=engine
         )
     else:
         proto = ResidualHeavyHitterTracker(K, 0.2, seed=11, engine=engine).protocol
@@ -318,15 +318,15 @@ def test_prepare_window_without_runs_draws_nothing():
     """Without the window's runs there is no pass: nothing is drawn or
     booked, and the caller takes the per-site path."""
     config = SworConfig(num_sites=2, sample_size=2)
-    site = SworSite(0, config, random.Random(1))
+    site = SworSite(0, config, np.random.default_rng(1))
     site._saturated_mask = 0b1111
-    state = site._rng.getstate()
+    state = site._gen.bit_generator.state
     window = GroupedWindow(
         np.arange(4, dtype=np.int64), np.array([2.0, 3.0, 2.5, 3.5]), [0], [0], [4]
     )
     assert site.prepare_window(window) is None
-    assert site.items_seen == 0 and site._batch_rng is None
-    assert site._rng.getstate() == state
+    assert site.items_seen == 0
+    assert site._gen.bit_generator.state == state
 
 
 def test_window_pack_is_the_concatenated_site_packs():
@@ -341,8 +341,8 @@ def test_window_pack_is_the_concatenated_site_packs():
     def runs_of(sites):
         return [(j, sites[j], 10 * j, 10 * j + 10) for j in range(3)]
 
-    stepped = [SworSite(j, config, random.Random(j)) for j in range(3)]
-    solo = [SworSite(j, config, random.Random(j)) for j in range(3)]
+    stepped = [SworSite(j, config, np.random.default_rng(j)) for j in range(3)]
+    solo = [SworSite(j, config, np.random.default_rng(j)) for j in range(3)]
     for site in stepped + solo:
         site._saturated_mask = 0b111  # levels 0-2 saturated, 3-4 open
         site._threshold = 8.0

@@ -154,14 +154,18 @@ class RngDiscipline(Rule):
     """R001: no global-state randomness, anywhere.
 
     Bit-identical replay across engines and workers requires
-    every variate to come from an owned, seeded stream
-    (``random.Random``, numpy ``Generator``/``PCG64``,
-    ``repro.common.rng`` helpers).  ``random.random()`` and friends
-    draw from interpreter-global state that any library import or
-    unrelated code path can silently advance; ``np.random.seed`` +
-    module-level draws have the same failure mode plus cross-thread
-    sharing.  ``default_rng()`` *without* a seed is flagged too — it is
-    nondeterministic by construction.
+    every variate to come from an owned, seeded stream.  Every actor an
+    engine runs holds exactly one numpy ``Generator`` (PCG64, from
+    ``RandomSource.generator``) and draws its scalars and its columns
+    from it, so a site snapshot that captures the generator's state
+    rewinds every draw path at once (R003 checks that restore covers
+    it); scalar-only baselines hold one seeded ``random.Random``.
+    ``random.random()`` and friends draw from interpreter-global state
+    that any library import or unrelated code path can silently
+    advance; ``np.random.seed`` + module-level draws have the same
+    failure mode plus cross-thread sharing.  ``default_rng()``
+    *without* a seed is flagged too — it is nondeterministic by
+    construction.
     """
 
     id = "R001"
@@ -416,6 +420,37 @@ _MUTATOR_METHODS = {
 }
 
 
+#: Generator / ``random.Random`` draw-method names: a call
+#: ``self.<attr>...<draw>(...)`` advances the generator held in
+#: ``self.<attr>``, so it counts as a mutation of that attribute.
+_DRAW_METHODS = {
+    "binomial",
+    "choice",
+    "exponential",
+    "getrandbits",
+    "integers",
+    "normal",
+    "permutation",
+    "random",
+    "random_raw",
+    "shuffle",
+    "standard_exponential",
+    "standard_normal",
+    "uniform",
+}
+
+
+def _root_self_attr(node: ast.AST, self_name: str) -> Optional[str]:
+    """The ``self`` attribute an attribute chain starts at
+    (``self.gen.bit_generator`` -> ``gen``), else ``None``."""
+    while isinstance(node, ast.Attribute):
+        attr = _self_attr(node, self_name)
+        if attr is not None:
+            return attr
+        node = node.value
+    return None
+
+
 def _self_attr(node: ast.AST, self_name: str) -> Optional[str]:
     if (
         isinstance(node, ast.Attribute)
@@ -583,12 +618,14 @@ class SnapshotCompleteness(Rule):
                                 target, self_name
                             )
                         )
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _MUTATOR_METHODS
+                elif isinstance(node, ast.Call) and isinstance(
+                    node.func, ast.Attribute
                 ):
-                    attr = _self_attr(node.func.value, self_name)
+                    attr = None
+                    if node.func.attr in _MUTATOR_METHODS:
+                        attr = _self_attr(node.func.value, self_name)
+                    elif node.func.attr in _DRAW_METHODS:
+                        attr = _root_self_attr(node.func.value, self_name)
                     if attr is not None:
                         mutated.add(attr)
         return mutated
