@@ -6,11 +6,15 @@ granularity, so
 
 1. **Overhead** — a columnar weighted-SWOR run with a live
    :class:`~repro.obs.MetricsRegistry` attached must cost **<= 2%**
-   wall time over the identical run with the default no-op registry
-   (best-of-``REPS`` on both sides, measured interleaved so clock
-   drift hits both equally);
+   wall time over the identical run with the default no-op registry.
+   The overhead is the median, over ``PAIRS`` pairs, of each pair's
+   ``live / base - 1``: the two runs of a pair go back to back, and
+   the side that goes first alternates, so host noise and clock drift
+   hit both sides alike (at the CI config one run takes about 15 ms,
+   short enough for host noise to decide any single comparison).
 2. **Bit-parity** — samples AND message counters are identical with
-   the registry on and off (the registry only *observes*).
+   the registry on and off (the registry only *observes*), in every
+   pair.
 
 Run with::
 
@@ -28,9 +32,11 @@ Environment knobs (used by the CI smoke job):
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
+import statistics
 import time
 
 from repro.analysis import format_table
@@ -45,7 +51,7 @@ MAX_OVERHEAD = float(os.environ.get("REPRO_BENCH_OBS_MAX_OVERHEAD", 0.02))
 JSON_PATH = os.environ.get("REPRO_BENCH_OBS_JSON")
 SAMPLE = 16
 SEED = 1
-REPS = 7  # timing repetitions per side (best-of)
+PAIRS = 31  # interleaved (base, live) pairs; the overhead is their median
 
 
 def _make_stream():
@@ -62,6 +68,7 @@ def _run_once(stream, registry):
         seed=SEED,
         engine=engine,
     )
+    gc.collect()  # no collection of the previous run's garbage inside the timing
     t0 = time.perf_counter()
     proto.run(stream)
     return time.perf_counter() - t0, proto
@@ -70,34 +77,36 @@ def _run_once(stream, registry):
 def _bench(report_fn):
     stream = _make_stream()
     registry = MetricsRegistry()
-    # Interleave the two sides so slow-clock intervals (GC, turbo
-    # transitions) cannot land on just one of them.
-    base_best = live_best = None
-    base_proto = live_proto = None
-    for _ in range(REPS):
-        elapsed, proto = _run_once(stream, None)
-        if base_best is None or elapsed < base_best:
-            base_best, base_proto = elapsed, proto
-        elapsed, proto = _run_once(stream, registry)
-        if live_best is None or elapsed < live_best:
-            live_best, live_proto = elapsed, proto
-    overhead = live_best / base_best - 1.0
-    samples_identical = (
-        base_proto.sample_with_keys() == live_proto.sample_with_keys()
-    )
-    counters_identical = (
-        base_proto.counters.snapshot() == live_proto.counters.snapshot()
-    )
+    base_times, live_times, overheads = [], [], []
+    samples_identical = counters_identical = True
+    for pair in range(PAIRS):
+        # A pair runs back to back; the side that goes first alternates.
+        runs = {}
+        for side in (None, registry) if pair % 2 == 0 else (registry, None):
+            runs[side] = _run_once(stream, side)
+        (base, base_proto), (live, live_proto) = runs[None], runs[registry]
+        base_times.append(base)
+        live_times.append(live)
+        overheads.append(live / base - 1.0)
+        samples_identical &= (
+            base_proto.sample_with_keys() == live_proto.sample_with_keys()
+        )
+        counters_identical &= (
+            base_proto.counters.snapshot() == live_proto.counters.snapshot()
+        )
+    overhead = statistics.median(overheads)
+    base_median = statistics.median(base_times)
+    live_median = statistics.median(live_times)
     rows = [
         {
             "registry": "null (default)",
-            "seconds": round(base_best, 4),
-            "items_per_sec": round(ITEMS / base_best),
+            "median_seconds": round(base_median, 4),
+            "items_per_sec": round(ITEMS / base_median),
         },
         {
             "registry": "live MetricsRegistry",
-            "seconds": round(live_best, 4),
-            "items_per_sec": round(ITEMS / live_best),
+            "median_seconds": round(live_median, 4),
+            "items_per_sec": round(ITEMS / live_median),
         },
     ]
     report_fn(
@@ -105,8 +114,9 @@ def _bench(report_fn):
             rows,
             title=f"telemetry overhead: columnar weighted SWOR, {ITEMS} "
             f"items, k={SITES}, s={SAMPLE}",
-            caption=f"overhead {overhead * 100:+.2f}% (gate <= "
-            f"{MAX_OVERHEAD * 100:.0f}%), samples identical: "
+            caption=f"overhead {overhead * 100:+.2f}% (median of {PAIRS} "
+            f"interleaved pairs; gate <= {MAX_OVERHEAD * 100:.0f}%), "
+            "samples identical: "
             f"{samples_identical}, counters identical: "
             f"{counters_identical}, {len(registry.metric_names())} "
             "metric families exported",
@@ -117,8 +127,9 @@ def _bench(report_fn):
             "items": ITEMS,
             "sites": SITES,
             "sample_size": SAMPLE,
-            "base_seconds": round(base_best, 4),
-            "instrumented_seconds": round(live_best, 4),
+            "pairs": PAIRS,
+            "base_seconds": round(base_median, 4),
+            "instrumented_seconds": round(live_median, 4),
             "overhead": round(overhead, 4),
             "max_overhead": MAX_OVERHEAD,
             "samples_identical": samples_identical,

@@ -196,7 +196,6 @@ def _finish(report_fn, stream, col_time, col_proto, sharded, metrics=None):
         "max_messages_ratio": MAX_MSG_RATIO,
         "mode": stats.get("mode"),
         "warm_pool": stats.get("warm_pool"),
-        "transport": stats.get("transport"),
         "rollbacks": stats.get("rollbacks"),
         "windows": stats.get("windows"),
         "speculation_hits": speculation.get("hits"),
@@ -221,8 +220,7 @@ def _finish(report_fn, stream, col_time, col_proto, sharded, metrics=None):
             f"messages ratio {messages_ratio:.3f} (cap {MAX_MSG_RATIO}); "
             f"rollbacks={result['rollbacks']}, speculation "
             f"{result['speculation_hits']}/{result['speculation_misses']} "
-            f"hit/miss over {result['windows']} windows, "
-            f"transport={result['transport']}",
+            f"hit/miss over {result['windows']} windows",
         )
     )
     if JSON_PATH:

@@ -21,9 +21,9 @@ import math
 import random
 from typing import List, Optional, Tuple
 
-from ..common.errors import ConfigurationError, InvalidWeightError
+from ..common.errors import ConfigurationError
 from ..common.rng import exponential
-from ..stream.item import Item
+from ..stream.item import Item, check_weight
 
 __all__ = ["WeightedReservoirSWOR", "SkipWeightedReservoirSWOR"]
 
@@ -64,8 +64,7 @@ class WeightedReservoirSWOR:
         did not change.
         """
         w = item.weight
-        if not math.isfinite(w) or w <= 0.0:
-            raise InvalidWeightError(f"invalid weight {w} for item {item.ident}")
+        check_weight(w)
         self.items_seen += 1
         self.weight_seen += w
         key = w / exponential(self._rng)
@@ -145,8 +144,7 @@ class SkipWeightedReservoirSWOR:
     def insert(self, item: Item) -> Optional[float]:
         """Process one stream item; returns the new key on acceptance."""
         w = item.weight
-        if not math.isfinite(w) or w <= 0.0:
-            raise InvalidWeightError(f"invalid weight {w} for item {item.ident}")
+        check_weight(w)
         self.items_seen += 1
         self.weight_seen += w
         if len(self._heap) < self.sample_size:

@@ -14,11 +14,10 @@ arbitrary positive size).
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Tuple
 
-from ..common.errors import ConfigurationError, InvalidWeightError
-from ..stream.item import Item
+from ..common.errors import ConfigurationError
+from ..stream.item import Item, check_weight
 
 __all__ = ["MisraGries", "SpaceSaving"]
 
@@ -42,8 +41,7 @@ class MisraGries:
         """Process one weighted update, decrementing all counters when
         the table overflows (the weighted MG step)."""
         w = item.weight
-        if not math.isfinite(w) or w <= 0.0:
-            raise InvalidWeightError(f"invalid weight {w} for item {item.ident}")
+        check_weight(w)
         self.weight_seen += w
         counters = self._counters
         if item.ident in counters:
@@ -102,8 +100,7 @@ class SpaceSaving:
     def insert(self, item: Item) -> None:
         """Process one weighted update with min-counter replacement."""
         w = item.weight
-        if not math.isfinite(w) or w <= 0.0:
-            raise InvalidWeightError(f"invalid weight {w} for item {item.ident}")
+        check_weight(w)
         self.weight_seen += w
         counters = self._counters
         if item.ident in counters:

@@ -15,12 +15,11 @@ sampling differ only in the key's denominator distribution.
 from __future__ import annotations
 
 import heapq
-import math
 import random
 from typing import Callable, List, Tuple
 
-from ..common.errors import ConfigurationError, InvalidWeightError
-from ..stream.item import Item
+from ..common.errors import ConfigurationError
+from ..stream.item import Item, check_weight
 
 __all__ = ["PrioritySampler"]
 
@@ -45,8 +44,7 @@ class PrioritySampler:
     def insert(self, item: Item) -> None:
         """Process one stream item."""
         w = item.weight
-        if not math.isfinite(w) or w <= 0.0:
-            raise InvalidWeightError(f"invalid weight {w} for item {item.ident}")
+        check_weight(w)
         self.items_seen += 1
         self.weight_seen += w
         u = self._rng.random()

@@ -12,12 +12,11 @@ These are the 1960s–80s ancestors the paper generalizes (Section 1.3):
 
 from __future__ import annotations
 
-import math
 import random
 from typing import List, Optional
 
-from ..common.errors import ConfigurationError, InvalidWeightError
-from ..stream.item import Item
+from ..common.errors import ConfigurationError
+from ..stream.item import Item, check_weight
 
 __all__ = ["UnweightedReservoir", "WeightedReservoirSWR"]
 
@@ -82,8 +81,7 @@ class WeightedReservoirSWR:
     def insert(self, item: Item) -> int:
         """Process one item; returns how many slots adopted it."""
         w = item.weight
-        if not math.isfinite(w) or w <= 0.0:
-            raise InvalidWeightError(f"invalid weight {w} for item {item.ident}")
+        check_weight(w)
         self.items_seen += 1
         self.weight_seen += w
         p = w / self.weight_seen

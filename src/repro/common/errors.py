@@ -21,13 +21,17 @@ class ConfigurationError(ReproError):
     """
 
 
-class InvalidWeightError(ReproError):
-    """A stream item carried a weight the model does not allow.
+class InvalidWeightError(ConfigurationError):
+    """A weight outside the declared domain ``(0, MAX_WEIGHT]``.
 
-    The paper (Section 2.1) assumes every weight satisfies ``w >= 1``
-    after normalization; weights must also be finite. The samplers
-    enforce ``w > 0`` and finiteness, and the strict ``w >= 1`` model
-    assumption is enforced by the protocol layer.
+    The one error every out-of-domain weight raises, from every entry
+    point a weight takes into the package — stream ingest, the reference
+    engine's arrivals, the centralized and extension samplers — through
+    :func:`repro.stream.item.check_weight` or
+    :func:`~repro.stream.item.check_weight_column`.  Positive weights
+    below 1 are legal: the paper's ``w >= 1`` normalization (Section
+    2.1) is checked only on request
+    (:func:`~repro.stream.item.validate_weights`).
     """
 
 
@@ -36,8 +40,8 @@ class ProtocolViolationError(ReproError):
 
     This signals a bug in the implementation (or deliberate fault
     injection in tests), not a user error: e.g. a regular message
-    arriving for a level set that was never saturated, or a FIFO channel
-    delivering out of order.
+    arriving for a level set that was never saturated, or an epoch
+    threshold moving backwards.
     """
 
 

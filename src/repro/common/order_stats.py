@@ -22,6 +22,7 @@ import random
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
+from ..stream.item import check_weight
 from .errors import ConfigurationError
 from .rng import exponential
 
@@ -58,8 +59,8 @@ def exact_swor_inclusion_probabilities(
     if s < 0:
         raise ConfigurationError(f"sample size must be >= 0, got {s}")
     s = min(s, n)
-    if any(w <= 0 for w in weights):
-        raise ConfigurationError("all weights must be positive")
+    for weight in weights:
+        check_weight(weight)
     total = float(sum(weights))
     w = tuple(float(x) for x in weights)
 
@@ -98,8 +99,7 @@ def exact_swor_ordered_probability(
     total = float(sum(weights))
     prob = 1.0
     for idx in order:
-        if weights[idx] <= 0:
-            raise ConfigurationError("all weights must be positive")
+        check_weight(weights[idx])
         prob *= weights[idx] / total
         total -= weights[idx]
     return prob

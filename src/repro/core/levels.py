@@ -51,10 +51,10 @@ def level_of(weight: float, r: float) -> int:
     Float-robust: corrects the ``log`` estimate against exact powers so
     boundary weights (exactly ``r^j``) land in the right bracket.  A
     bracket power that overflows is ``+inf``, above every finite weight,
-    so the top of the float range gets its exact level too.
+    so the top of the float range gets its exact level too.  The weight
+    is in the domain ``(0, MAX_WEIGHT]``, checked where it entered
+    (:func:`repro.stream.item.check_weight`).
     """
-    if weight <= 0.0 or not math.isfinite(weight):
-        raise ConfigurationError(f"weight must be positive and finite: {weight}")
     if r < 2.0:
         raise ConfigurationError(f"level base r must be >= 2, got {r}")
     if weight < r:

@@ -25,8 +25,8 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from ..common.errors import ConfigurationError, InvalidWeightError
-from ..stream.item import Item
+from ..common.errors import ConfigurationError
+from ..stream.item import Item, check_weight
 
 __all__ = ["CascadeWeightedSWOR"]
 
@@ -47,9 +47,7 @@ class CascadeWeightedSWOR:
 
     def insert(self, item: Item) -> None:
         """Process one stream item, cascading displacements downward."""
-        w = item.weight
-        if w <= 0 or w != w:
-            raise InvalidWeightError(f"invalid weight {w} for item {item.ident}")
+        check_weight(item.weight)
         self.items_seen += 1
         arrival: Optional[Item] = item
         for level in range(self.sample_size):

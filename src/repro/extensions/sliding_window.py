@@ -59,10 +59,10 @@ from typing import List, Optional, Tuple
 
 import numpy as _np
 
-from ..common.errors import ConfigurationError, InvalidWeightError
+from ..common.errors import ConfigurationError
 from ..common.rng import MIN_EXPONENTIAL
 from ..kernels import window_dominators
-from ..stream.item import Item
+from ..stream.item import Item, check_weight, check_weight_column
 
 __all__ = ["SlidingWindowWeightedSWOR"]
 
@@ -152,8 +152,7 @@ class SlidingWindowWeightedSWOR:
         leaves the sampler (and its generator) untouched.
         """
         w = item.weight
-        if w <= 0 or w != w:  # noqa: PLR0124 - NaN check
-            raise InvalidWeightError(f"invalid weight {w} for item {item.ident}")
+        check_weight(w)
         ts = float(self.items_seen) if timestamp is None else float(timestamp)
         self._check_timestamp(ts)
         self.items_seen += 1
@@ -206,12 +205,7 @@ class SlidingWindowWeightedSWOR:
         weights = _np.ascontiguousarray(weights, dtype=_np.float64)
         if len(idents) != n or (timestamps is not None and len(timestamps) != n):
             raise ConfigurationError("insert_columns columns disagree in length")
-        bad = ~(weights > 0.0)  # catches <= 0 and NaN in one mask
-        if bad.any():
-            i = int(_np.flatnonzero(bad)[0])
-            raise InvalidWeightError(
-                f"invalid weight {float(weights[i])} for item {int(idents[i])}"
-            )
+        check_weight_column(weights)
         if timestamps is not None:
             timestamps = _np.ascontiguousarray(timestamps, dtype=_np.float64)
             if len(timestamps) > 1 and (_np.diff(timestamps) < 0).any():

@@ -26,8 +26,6 @@ from typing import Tuple
 
 import numpy as _np
 
-from ..common.errors import ConfigurationError
-
 __all__ = [
     "swor_fold_regulars",
     "merge_cut",
@@ -147,9 +145,9 @@ def compute_levels(weights: _np.ndarray, r: float) -> _np.ndarray:
     """Vectorized level computation ``w in [r^j, r^{j+1})`` (0 for
     ``w < r``), with the scalar path's float-edge corrections.
 
-    Validates weights (positive and finite) and raises
-    :class:`~repro.common.errors.ConfigurationError` on the first bad
-    one; assumes ``r >= 2`` (validated by the caller).  The correction
+    Assumes weights in the domain ``(0, MAX_WEIGHT]``, checked at
+    ingest (:func:`repro.stream.item.check_weight_column`), and
+    ``r >= 2`` (validated by the caller).  The correction
     loops converge to the unique bracket satisfying the exact ``pow``
     comparisons, which is what makes the result independent of how the
     initial ``log`` estimate rounded.  A bracket power that overflows
@@ -160,11 +158,6 @@ def compute_levels(weights: _np.ndarray, r: float) -> _np.ndarray:
     # ``np.power(r, est)`` wrap in int64 for large levels.
     r = float(r)
     w = _np.asarray(weights, dtype=_np.float64)
-    bad = ~_np.isfinite(w) | (w <= 0.0)
-    if bad.any():
-        raise ConfigurationError(
-            f"weight must be positive and finite: {float(w[bad][0])}"
-        )
     levels = _np.zeros(len(w), dtype=_np.int64)
     big = w >= r
     if big.any():
@@ -190,8 +183,8 @@ def window_split(
     """Fused site-side level computation + early/regular split.
 
     For every weight at or above ``heavy_floor`` the exact level is
-    computed (``heavy_floor <= 0`` means *every* weight, including the
-    validation that implies); weights below the floor are provably in
+    computed (``heavy_floor <= 0`` means *every* weight); weights below
+    the floor are provably in
     saturated levels and keep a level-0 placeholder.  ``table`` is the
     saturation lookup (``table[j]`` = level ``j`` saturated); levels
     beyond the table are unsaturated by construction (the table covers

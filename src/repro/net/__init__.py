@@ -1,6 +1,5 @@
-"""Network substrate: messages, FIFO channels, counters, and the driver."""
+"""Network substrate: messages, counters, tracing, and the driver."""
 
-from .channel import FifoChannel
 from .counters import MessageCounters
 from .messages import (
     COUNT_REPORT,
@@ -32,7 +31,6 @@ __all__ = [
     "RAW_ITEM",
     "UPSTREAM_KINDS",
     "DOWNSTREAM_KINDS",
-    "FifoChannel",
     "MessageCounters",
     "BROADCAST",
     "Network",

@@ -53,13 +53,13 @@ class MessageTrace:
         original_up = network.deliver_upstream
         original_down = network.deliver_downstream
 
-        def traced_up(site_id: int, message: Message) -> None:
+        def traced_up(site_id: int, message: Message) -> List[Tuple[int, Message]]:
             trace.events.append(
                 TraceEvent(
                     len(trace.events), "up", site_id, message.kind, message.payload
                 )
             )
-            original_up(site_id, message)
+            return original_up(site_id, message)
 
         def traced_down(dest: int, message: Message) -> None:
             trace.events.append(

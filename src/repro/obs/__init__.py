@@ -10,8 +10,7 @@ A zero-dependency metrics core every layer of the package reports into:
   un-instrumented runs pay (nearly) nothing;
 * Prometheus text and JSON exposition
   (:mod:`repro.obs.exposition`), surfaced by ``repro ...
-  --metrics-out FILE`` and ``repro stats`` — and, eventually, the
-  ``repro serve`` ``/metrics`` endpoint (ROADMAP item 1);
+  --metrics-out FILE`` and ``repro stats``;
 * :func:`export_run` — the one map from a run record (an engine's
   ``last_run_stats``, which every engine's ``run()`` builds once) plus
   the network's :class:`~repro.net.counters.MessageCounters` onto
@@ -42,7 +41,6 @@ from .exposition import render_json, render_prometheus, write_metrics
 from .registry import (
     DURATION_BUCKETS,
     NULL_REGISTRY,
-    SIZE_BUCKETS,
     MetricsRegistry,
     NullRegistry,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "NullRegistry",
     "NULL_REGISTRY",
     "DURATION_BUCKETS",
-    "SIZE_BUCKETS",
     "render_prometheus",
     "render_json",
     "write_metrics",

@@ -14,13 +14,7 @@ design goals, in order:
    convention named ``*_total`` or ``*_seconds_total``), gauges
    (last-write-wins — safe to re-export cumulative
    :class:`~repro.net.counters.MessageCounters` after every run), and
-   histograms with **fixed bucket schemas** chosen at creation, so two
-   registries with the same schema can always be merged.
-3. **Mergeable snapshots.**  :meth:`MetricsRegistry.merge_snapshot`
-   folds another registry's :meth:`~MetricsRegistry.snapshot` into this
-   one (counters and histograms add, gauges overwrite) — how shard
-   worker metrics reach the parent and how benchmark harnesses embed
-   sub-run registries in their artifacts.
+   histograms with **fixed bucket schemas** chosen at creation.
 
 Usage::
 
@@ -35,8 +29,8 @@ Usage::
     registry.snapshot()           # JSON-able dict
 
 The registry is deliberately not thread-safe: every engine in this
-package folds in a single parent thread, and worker *processes* keep
-their own registries whose snapshots are merged at window commit.
+package records its runs in a single parent thread (sharded workers
+keep no metrics; the parent counts from the messages it exchanges).
 """
 
 from __future__ import annotations
@@ -51,11 +45,10 @@ __all__ = [
     "NullRegistry",
     "NULL_REGISTRY",
     "DURATION_BUCKETS",
-    "SIZE_BUCKETS",
 ]
 
 #: Fixed duration bucket schema (seconds): spans and run timings share
-#: it so histograms from any two registries merge bucket-for-bucket.
+#: it.
 DURATION_BUCKETS: Tuple[float, ...] = (
     0.0001,
     0.00025,
@@ -74,21 +67,6 @@ DURATION_BUCKETS: Tuple[float, ...] = (
     5.0,
     10.0,
     30.0,
-)
-
-#: Fixed size bucket schema (counts/bytes, powers of 4).
-SIZE_BUCKETS: Tuple[float, ...] = (
-    1.0,
-    4.0,
-    16.0,
-    64.0,
-    256.0,
-    1024.0,
-    4096.0,
-    16384.0,
-    65536.0,
-    262144.0,
-    1048576.0,
 )
 
 _RESERVED_LABELS = frozenset({"le", "quantile"})
@@ -131,9 +109,6 @@ class _Gauge:
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
 
 class _Histogram:
@@ -224,9 +199,6 @@ class MetricFamily:
 
     def set(self, value: float) -> None:
         self._solo().set(value)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._solo().dec(amount)
 
     def observe(self, value: float) -> None:
         self._solo().observe(value)
@@ -388,41 +360,6 @@ class MetricsRegistry:
             out[family.name] = entry
         return {"metrics": out}
 
-    def merge_snapshot(self, snapshot: Dict[str, object]) -> None:
-        """Fold a :meth:`snapshot` from another registry into this one.
-
-        Counters and histograms **add** (the other registry's activity
-        accumulates here); gauges **overwrite** (last write wins).
-        Histogram schemas must match exactly.
-        """
-        for name, entry in snapshot.get("metrics", {}).items():
-            type_ = entry["type"]
-            family = self._family(
-                name,
-                type_,
-                entry.get("help", ""),
-                tuple(entry.get("label_names", ())),
-                buckets=entry.get("bucket_bounds"),
-            )
-            for sample in entry["samples"]:
-                labels = sample.get("labels", {})
-                cell = family.labels(**labels) if labels else family._solo()
-                if type_ == "histogram":
-                    bounds = [str(b) for b in family.buckets]
-                    incoming = sample["buckets"]
-                    if sorted(incoming) != sorted(bounds):
-                        raise ConfigurationError(
-                            f"histogram {name!r} bucket schema mismatch"
-                        )
-                    for i, bound in enumerate(bounds):
-                        cell.bucket_counts[i] += incoming[bound]
-                    cell.sum += sample["sum"]
-                    cell.count += sample["count"]
-                elif type_ == "counter":
-                    cell.inc(sample["value"])
-                else:
-                    cell.set(sample["value"])
-
     def exposition(self) -> str:
         """The registry in Prometheus text exposition format."""
         from .exposition import render_prometheus
@@ -445,9 +382,6 @@ class _NullMetric:
         pass
 
     def set(self, value: float) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
         pass
 
     def observe(self, value: float) -> None:
@@ -501,9 +435,6 @@ class NullRegistry:
 
     def snapshot(self):
         return {"metrics": {}}
-
-    def merge_snapshot(self, snapshot) -> None:
-        pass
 
     def exposition(self) -> str:
         return ""

@@ -35,7 +35,7 @@ counters) onto the registry; nothing else describes a run.  The keys:
   adds ``degraded_to``; a failed one, recorded before it raises,
   counts in ``items`` only the arrivals of its committed windows) —
   and, when supervised, ``supervision`` and any classified ``faults``;
-* a run that ran sharded: ``workers``, ``transport``, ``warm_pool``,
+* a run that ran sharded: ``workers``, ``warm_pool``,
   ``setup_seconds`` (getting the worker pool, spawned when not warm,
   and shipping each worker its shard; part of ``seconds``),
   ``rollbacks``, ``speculation``, ``per_window`` rows and the
@@ -169,7 +169,7 @@ class Engine(ABC):
             spec = stats["speculation"]
             timing = stats["timing"]
             lines += [
-                f"{stats['workers']} workers, {stats['transport']} transport: "
+                f"{stats['workers']} workers: "
                 f"rollbacks {stats['rollbacks']}, controls {stats['controls']}",
                 f"speculation: {spec['hits']} hits, {spec['misses']} misses",
                 f"setup {stats['setup_seconds']:.3f}s "

@@ -12,11 +12,10 @@ wrapping the instance methods.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..common.errors import ConfigurationError
-from ..common.rng import MAX_WEIGHT
-from ..stream.item import weight_error
+from ..stream.item import check_weight
 from .interfaces import BROADCAST, CoordinatorAlgorithm, SiteAlgorithm
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -65,15 +64,21 @@ class Network:
     def num_sites(self) -> int:
         return len(self.sites)
 
-    def deliver_upstream(self, site_id: int, message: "Message") -> None:
+    def deliver_upstream(
+        self, site_id: int, message: "Message"
+    ) -> List[Tuple[int, "Message"]]:
         """Deliver one site message to the coordinator, then fan out the
-        coordinator's responses synchronously."""
+        coordinator's responses synchronously.  Returns the responses
+        as ``(dest, message)`` pairs (a wrapper must return them too)."""
         self.counters.record_upstream(message)
         responses = self.coordinator.on_message(site_id, message)
         for dest, response in responses:
             self.deliver_downstream(dest, response)
+        return responses
 
-    def deliver_pack(self, site_id: int, pack: "MessagePack") -> None:
+    def deliver_pack(
+        self, site_id: int, pack: "MessagePack"
+    ) -> List[Tuple[int, "Message"]]:
         """Deliver a whole site batch to the coordinator as one pack.
 
         Counted as the messages the pack stands for (see
@@ -82,18 +87,22 @@ class Network:
         out as usual.  When delivery is instrumented
         (:meth:`delivery_instrumented`) the pack is expanded and routed
         message by message instead, so wrappers see every upstream
-        message with its exact causal order under any engine.
+        message with its exact causal order under any engine.  Returns
+        the responses fanned out, in order (for an expanded pack, each
+        message's responses concatenated).
         """
         if len(pack) == 0:
-            return
+            return []
         if self.delivery_instrumented():
+            responses = []
             for message in pack.messages():
-                self.deliver_upstream(site_id, message)
-            return
+                responses += self.deliver_upstream(site_id, message)
+            return responses
         self.counters.record_upstream_pack(pack)
         responses = self.coordinator.on_message_pack(site_id, pack)
         for dest, response in responses:
             self.deliver_downstream(dest, response)
+        return responses
 
     def delivery_instrumented(self) -> bool:
         """Whether an observer has wrapped the delivery path: any of
@@ -130,11 +139,11 @@ class Network:
 
     def step(self, site_id: int, item: "Item") -> None:
         """Process one arrival at one site (one model round).  A weight
-        above :data:`~repro.common.rng.MAX_WEIGHT` raises
-        :class:`~repro.common.errors.ConfigurationError`, as at
-        columnar ingest."""
-        if item.weight > MAX_WEIGHT:
-            raise weight_error(item.weight)
+        outside ``(0, MAX_WEIGHT]`` raises
+        :class:`~repro.common.errors.InvalidWeightError`
+        (:func:`~repro.stream.item.check_weight`), as at columnar
+        ingest."""
+        check_weight(item.weight)
         messages = self.sites[site_id].on_item(item)
         for message in messages:
             self.deliver_upstream(site_id, message)

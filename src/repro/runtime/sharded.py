@@ -8,19 +8,22 @@ worker *process* per shard, and keeps only the coordinator (plus the
 message accounting) in the parent:
 
 * each worker owns its shard's protocol sites and a compacted
-  :class:`~repro.stream.columns.ShardSliceView` of the stream columns
-  (shipped once per run, over :mod:`multiprocessing.shared_memory` when
-  available, pickled over the pipe otherwise);
+  :class:`~repro.stream.columns.ShardSliceView` of the stream columns,
+  which it compacts itself out of one :mod:`multiprocessing.shared_memory`
+  segment holding the full columns (shipped once per run);
 * per batch window the worker runs the same per-site grouping and
   ``on_columns`` site pass the columnar engine would, and ships each
   (site, batch) :class:`~repro.net.messages.MessagePack` back as flat
-  columns (:meth:`~repro.net.messages.MessagePack.to_arrays`) through a
-  per-worker shared-memory ring the parent reads zero-copy — falling
-  back to inline pickling for oversized windows or pipe transport;
-* the parent folds the packs through the **same** coordinator bulk path
+  columns through a per-worker shared-memory ring the parent reads
+  zero-copy — a pack too large for its ring slot goes inline, pickled
+  over the worker's pipe
+  (:meth:`~repro.net.messages.MessagePack.to_arrays`);
+* the parent delivers the packs through the network
+  (:meth:`~repro.runtime.network.Network.deliver_pack`), so the
+  **same** coordinator bulk path
   (:meth:`~repro.runtime.interfaces.CoordinatorAlgorithm.on_message_pack`)
-  in the **same** deterministic ascending-(batch, site) order the
-  columnar engine uses, with identical counter accounting.
+  folds them in the **same** deterministic ascending-(batch, site)
+  order the columnar engine uses, with identical counter accounting.
 
 Workers are spawned once per engine instance and *reused* across
 ``run()`` calls (each run re-ships the site states and stream shard),
@@ -157,8 +160,9 @@ Fallbacks: ``workers=1`` (or one site), instrumented networks (a
 :class:`~repro.net.tracing.MessageTrace` wrapping the delivery
 methods), sites that declare themselves non-shardable
 (:attr:`~repro.runtime.interfaces.SiteAlgorithm.shardable`), and any
-worker-setup failure (spawn unavailable, unpicklable sites, no shared
-memory) all run the in-process :class:`ColumnarEngine` path instead, so
+worker-setup failure (spawn unavailable, unpicklable sites, a host
+without :mod:`multiprocessing.shared_memory`) all run the in-process
+:class:`ColumnarEngine` path instead, so
 the engine is always safe to select; ``last_run_stats`` records which
 mode ran.  A stream whose identifiers are not int64-representable
 raises :class:`~repro.common.errors.ConfigurationError` before any site
@@ -179,7 +183,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
 import numpy as _np
 
-try:  # shared memory may be missing on exotic builds; pipes then carry all
+try:  # missing on exotic builds: every run then falls back in-process
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover - platform-dependent
     _shared_memory = None  # type: ignore[assignment]
@@ -418,22 +422,17 @@ class _WorkerShard:
                     "parent referenced a stream this worker has not cached"
                 )
             self.view = stream_cache["view"]
-        else:
-            if stream[0] == "full":
-                view = _view_from_full_shm(
-                    stream[1], stream[2], self.site_lo, self.site_hi
-                )
-                token = stream[3]
-            else:  # "view": pre-compacted, pipe transport
-                view = stream[1]
-                token = stream[2]
+        else:  # "full": compact this shard out of the shared columns
+            view = _view_from_full_shm(
+                stream[1], stream[2], self.site_lo, self.site_hi
+            )
             stream_cache.clear()
-            stream_cache["token"] = token
+            stream_cache["token"] = stream[3]
             stream_cache["view"] = view
             self.view = view
         self.ring = ring
         self.slot_bytes = slot_bytes
-        self.ring_view = memoryview(ring.buf) if ring is not None else None
+        self.ring_view = memoryview(ring.buf)
         self.ring_off = 0
         self.ring_limit = slot_bytes
         self.windows = list(
@@ -517,21 +516,20 @@ class _WorkerShard:
         """Serialize one site's window result for the pipe/ring.
 
         Packs go as flat columns — into the shared-memory ring when
-        they fit (the parent rebuilds zero-copy views), inline
-        otherwise; scalar fallbacks (single-item site batches) go as
-        pickled message lists, materialized here because a lazy
+        they fit (the parent rebuilds zero-copy views), inline over the
+        pipe otherwise; scalar fallbacks (single-item site batches) go
+        as pickled message lists, materialized here because a lazy
         iterator cannot cross the process boundary.
         """
         if isinstance(result, MessagePack):
             if len(result) == 0:
                 return None
-            if self.ring is not None:
-                encoded = result.write_into(
-                    self.ring_view, self.ring_off, self.ring_limit
-                )
-                if encoded is not None:
-                    kind, spec, self.ring_off = encoded
-                    return (site_id, "p", kind, spec)
+            encoded = result.write_into(
+                self.ring_view, self.ring_off, self.ring_limit
+            )
+            if encoded is not None:
+                kind, spec, self.ring_off = encoded
+                return (site_id, "p", kind, spec)
             kind, columns = result.to_arrays()
             return (site_id, "q", kind, columns)
         messages = list(result)
@@ -727,11 +725,8 @@ def _worker_main(boot, conn) -> None:
     """
     ring = None
     try:
-        ring_spec = boot["ring"]
-        slot_bytes = 0
-        if ring_spec is not None:
-            ring = _attach_shm(ring_spec[0])
-            slot_bytes = ring_spec[1]
+        ring_name, slot_bytes = boot["ring"]
+        ring = _attach_shm(ring_name)
         stream_cache: dict = {}
         conn.send(("rdy",))
         while True:
@@ -956,12 +951,9 @@ class ShardedEngine(ColumnarEngine):
     workers:
         Worker process count; defaults to the CPUs this process may run
         on (:func:`available_cpus`).  Clamped to the site count; ``1``
-        runs the in-process columnar path.
-    transport:
-        ``"auto"`` (shared memory when available, else pipes),
-        ``"shm"``, or ``"pipe"`` — how stream shards and result columns
-        move between processes.  Pipes are the portable fallback;
-        shared memory gives the parent zero-copy column views.
+        runs the in-process columnar path.  Stream columns and result
+        packs move through shared memory; commands, controls and
+        oversized packs through each worker's pipe.
     worker_timeout:
         Supervision deadline in seconds: how long a worker may stay
         silent while the parent waits on it before the supervisor
@@ -983,7 +975,6 @@ class ShardedEngine(ColumnarEngine):
         batch_size: int = DEFAULT_BATCH_SIZE,
         initial_batch_size: int = DEFAULT_INITIAL_BATCH_SIZE,
         workers: Optional[int] = None,
-        transport: str = "auto",
         worker_timeout: Optional[float] = None,
         fault_plan=None,
         supervision: str = "on",
@@ -996,10 +987,6 @@ class ShardedEngine(ColumnarEngine):
             workers = available_cpus()
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if transport not in ("auto", "shm", "pipe"):
-            raise ConfigurationError(
-                f"transport must be 'auto', 'shm', or 'pipe', got {transport!r}"
-            )
         if worker_timeout is None:
             worker_timeout = _DEFAULT_WORKER_TIMEOUT
         if worker_timeout <= 0:
@@ -1018,7 +1005,6 @@ class ShardedEngine(ColumnarEngine):
                 f"got {fault_plan!r}"
             )
         self.workers = int(workers)
-        self.transport = transport
         self.worker_timeout = float(worker_timeout)
         self.fault_plan = fault_plan
         self.supervision = supervision
@@ -1028,7 +1014,7 @@ class ShardedEngine(ColumnarEngine):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShardedEngine(batch_size={self.batch_size}, "
-            f"workers={self.workers}, transport={self.transport!r})"
+            f"workers={self.workers})"
         )
 
     def close(self) -> None:
@@ -1187,37 +1173,28 @@ class ShardedEngine(ColumnarEngine):
     def _spawn_pool(self, workers: int):
         from multiprocessing import get_context
 
-        use_shm = (
-            self.transport in ("auto", "shm") and _shared_memory is not None
-        )
-        if self.transport == "shm" and _shared_memory is None:
-            raise ConfigurationError("shared memory is unavailable")
+        if _shared_memory is None:
+            raise ShardedWorkerError("multiprocessing.shared_memory is unavailable")
         ctx = get_context("spawn")
         slot_bytes = max(_MIN_RING_BYTES, 48 * self.batch_size + 4096)
         pool = {
             "workers": workers,
             "handles": [],
             "rings": [],
-            "transport": "shm" if use_shm else "pipe",
-            "use_shm": use_shm,
             "closed": False,
         }
         try:
             for index in range(workers):
-                ring = None
-                ring_spec = None
-                if use_shm:
-                    # Two slots: a worker writes its speculative window
-                    # t+1 while the parent still reads window t.
-                    ring = _shared_memory.SharedMemory(
-                        create=True, size=slot_bytes * 2
-                    )
-                    pool["rings"].append(ring)
-                    ring_spec = (ring.name, slot_bytes)
+                # Two slots: a worker writes its speculative window t+1
+                # while the parent still reads window t.
+                ring = _shared_memory.SharedMemory(
+                    create=True, size=slot_bytes * 2
+                )
+                pool["rings"].append(ring)
                 parent_conn, child_conn = ctx.Pipe()
                 process = ctx.Process(
                     target=_worker_main,
-                    args=({"ring": ring_spec}, child_conn),
+                    args=({"ring": (ring.name, slot_bytes)}, child_conn),
                     daemon=True,
                     name=f"repro-shard-{index}",
                 )
@@ -1260,7 +1237,6 @@ class ShardedEngine(ColumnarEngine):
         """
         from ..stream.columns import ShardSliceView
 
-        assignment, weights, idents = arrays
         num_sites = network.num_sites
         workers = pool["workers"]
         cache = pool.get("stream")
@@ -1274,42 +1250,22 @@ class ShardedEngine(ColumnarEngine):
         )
         if not cached:
             token = 1 if cache is None else cache["token"] + 1
-            shms = []
-            specs = None
-            if pool["use_shm"]:
-                spec, shm = _columns_to_shm(assignment, weights, idents)
-                shms.append(shm)
-                specs = [("full",) + spec + (token,)] * workers
+            spec, shm = _columns_to_shm(*arrays)
+            stream_spec = ("full",) + spec + (token,)
             pool["stream"] = {
                 "refs": [weakref.ref(array) for array in arrays],
                 "num_sites": num_sites,
                 "token": token,
-                "shms": shms,
+                "shms": [shm],
             }
             if cache is not None:
                 _unlink_segments(cache["shms"])
         else:
-            token = cache["token"]
-            specs = [("cached", token)] * workers
+            stream_spec = ("cached", cache["token"])
         for handle in pool["handles"]:
             handle.site_lo, handle.site_hi = ShardSliceView.shard_range(
                 num_sites, workers, handle.index
             )
-            if specs is not None:
-                stream_spec = specs[handle.index]
-            else:
-                # Pipe transport, cold shipment: compact in the parent.
-                stream_spec = (
-                    "view",
-                    ShardSliceView.from_columns(
-                        assignment,
-                        weights,
-                        idents,
-                        handle.site_lo,
-                        handle.site_hi,
-                    ),
-                    token,
-                )
             payload = {
                 "site_lo": handle.site_lo,
                 "site_hi": handle.site_hi,
@@ -1366,7 +1322,12 @@ class ShardedEngine(ColumnarEngine):
             row = per_worker[handle.index]
             row["packs"] += 1
             row["pack_entries"] += len(payload)
-            responses = self._fold(network, site_id, payload)
+            if isinstance(payload, MessagePack):
+                responses = network.deliver_pack(site_id, payload)
+            else:
+                responses = []
+                for message in payload:
+                    responses += network.deliver_upstream(site_id, message)
             if responses:
                 controls.extend(
                     (site_id, dest, message) for dest, message in responses
@@ -1483,7 +1444,6 @@ class ShardedEngine(ColumnarEngine):
         return {
             "mode": "sharded",
             "workers": pool["workers"],
-            "transport": pool["transport"],
             "windows": len(windows),
             "rollbacks": rollbacks,
             "speculation": speculation,
@@ -1587,34 +1547,6 @@ class ShardedEngine(ColumnarEngine):
                 f"undecodable pack descriptor: {exc}",
                 window=window,
             ) from None
-
-    @staticmethod
-    def _fold(network, site_id: int, payload):
-        """Deliver one site's window output to the coordinator, exactly
-        as :meth:`Network.deliver_pack` / ``deliver_upstream`` would
-        (same counter calls, same response fan-out), but returning the
-        coordinator's responses so the window loop can see broadcasts.
-        Only called on uninstrumented networks (checked at ``run``
-        start), where this *is* the delivery path, verbatim.
-        """
-        counters = network.counters
-        coordinator = network.coordinator
-        if isinstance(payload, MessagePack):
-            if len(payload) == 0:  # pragma: no cover - filtered at encode
-                return []
-            counters.record_upstream_pack(payload)
-            responses = coordinator.on_message_pack(site_id, payload)
-            for dest, response in responses:
-                network.deliver_downstream(dest, response)
-            return responses
-        out = []
-        for message in payload:
-            counters.record_upstream(message)
-            responses = coordinator.on_message(site_id, message)
-            for dest, response in responses:
-                network.deliver_downstream(dest, response)
-            out.extend(responses)
-        return out
 
 
 def _columns_to_shm(assignment, weights, idents):

@@ -203,7 +203,7 @@ class ColumnarStream:
     idents / weights / sites:
         Parallel arrays in global arrival order (coerced to
         int64/float64/int64).  Every weight must lie in
-        ``(0, MAX_WEIGHT]`` (:class:`~repro.common.errors.ConfigurationError`
+        ``(0, MAX_WEIGHT]`` (:class:`~repro.common.errors.InvalidWeightError`
         otherwise; see :data:`repro.common.rng.MAX_WEIGHT`).
     num_sites:
         The number of sites ``k``; every entry of ``sites`` must lie in

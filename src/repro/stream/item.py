@@ -18,7 +18,14 @@ import numpy as _np
 from ..common.errors import ConfigurationError, InvalidWeightError
 from ..common.rng import MAX_WEIGHT
 
-__all__ = ["Item", "DistributedStream", "total_weight", "validate_weights"]
+__all__ = [
+    "Item",
+    "DistributedStream",
+    "check_weight",
+    "check_weight_column",
+    "total_weight",
+    "validate_weights",
+]
 
 
 class Item(NamedTuple):
@@ -40,15 +47,15 @@ class Item(NamedTuple):
 
 
 def validate_weights(items: Iterable[Item], require_at_least_one: bool = True) -> None:
-    """Raise :class:`InvalidWeightError` on non-positive/non-finite weights.
+    """Raise :class:`InvalidWeightError` on a weight outside the domain
+    (:func:`check_weight`).
 
     ``require_at_least_one`` additionally enforces the paper's ``w >= 1``
     normalization (Section 2.1).
     """
     for item in items:
         w = item.weight
-        if not math.isfinite(w) or w <= 0.0:
-            raise InvalidWeightError(f"item {item.ident} has invalid weight {w}")
+        check_weight(w)
         if require_at_least_one and w < 1.0:
             raise InvalidWeightError(
                 f"item {item.ident} has weight {w} < 1; the model assumes "
@@ -56,24 +63,31 @@ def validate_weights(items: Iterable[Item], require_at_least_one: bool = True) -
             )
 
 
-def weight_error(weight: float) -> ConfigurationError:
-    """The ingest error for a weight outside ``(0, MAX_WEIGHT]``: that
-    of :func:`repro.core.levels.level_of` when the weight is not
-    positive and finite, else the ceiling's."""
+def weight_error(weight: float) -> InvalidWeightError:
+    """The one error for a weight outside ``(0, MAX_WEIGHT]``: one
+    message when the weight is not positive and finite, another for a
+    finite weight above the ceiling."""
     if 0.0 < weight < math.inf:
-        return ConfigurationError(
+        return InvalidWeightError(
             f"weight must be at most MAX_WEIGHT = 2**959: {weight}"
         )
-    return ConfigurationError(f"weight must be positive and finite: {weight}")
+    return InvalidWeightError(f"weight must be positive and finite: {weight}")
+
+
+def check_weight(weight: float) -> None:
+    """Reject one weight outside the declared domain ``(0, MAX_WEIGHT]``
+    with :func:`weight_error` — the check every scalar entry point for
+    weights makes (the reference engine's arrivals, every sampler's
+    ``insert``).  :data:`~repro.common.rng.MAX_WEIGHT` keeps every key
+    ``w/t`` finite; positive weights below 1 stay legal."""
+    if not 0.0 < weight <= MAX_WEIGHT:
+        raise weight_error(weight)
 
 
 def check_weight_column(weights) -> None:
-    """Reject a float64 weight column holding any weight outside the
-    declared domain ``(0, MAX_WEIGHT]`` with :func:`weight_error` — the
-    one ingest check every stream the columnar data plane reads passes
-    (:data:`~repro.common.rng.MAX_WEIGHT` keeps every key finite).  Two
-    reductions, no temporaries on the (common) clean path; positive
-    weights below 1 stay legal."""
+    """:func:`check_weight` over a float64 weight column — the one
+    ingest check every stream the columnar data plane reads passes.
+    Two reductions, no temporaries on the (common) clean path."""
     if len(weights) and not (weights.min() > 0.0 and weights.max() <= MAX_WEIGHT):
         bad = weights[~((weights > 0.0) & (weights <= MAX_WEIGHT))][0]
         raise weight_error(float(bad))
@@ -177,8 +191,9 @@ class DistributedStream:
         identifier is not int64-representable: the columnar plane
         (``engine="columnar"`` / ``"sharded"`` and the multi-query
         driver) needs an int64 ident column, while ``engine="reference"``
-        replays any identifiers.  Raises it too, before any site runs,
-        for a weight outside ``(0, MAX_WEIGHT]``
+        replays any identifiers.  Raises
+        :class:`~repro.common.errors.InvalidWeightError`, before any
+        site runs, for a weight outside ``(0, MAX_WEIGHT]``
         (:func:`check_weight_column`).
         """
         if self._arrays is None:

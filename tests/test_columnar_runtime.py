@@ -13,7 +13,9 @@ Eight contracts pin the columnar data plane:
    coordinator's bulk/replay paths, and at batch size 1 it is the
    reference engine exactly;
 4. **Ingest domain** — identifiers that are not int64-representable
-   are rejected by the columnar plane before any site runs;
+   are rejected by the columnar plane before any site runs, and a
+   weight outside ``(0, MAX_WEIGHT]`` raises one error under every
+   protocol, engine and ``process()`` call;
 5. **Coordinator pack paths** — each pack fold equals sequential
    delivery, including level releases and epoch crossings folded in
    epoch segments, and the query view's tie order is the stable sort
@@ -39,7 +41,11 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.errors import ConfigurationError, ProtocolViolationError
+from repro.common.errors import (
+    ConfigurationError,
+    InvalidWeightError,
+    ProtocolViolationError,
+)
 from repro.common.rng import MAX_WEIGHT
 from repro.common.words import words_for_value, words_for_values_array
 from repro.core import (
@@ -65,6 +71,8 @@ from repro.stream import (
     uniform_random,
     zipf_stream,
 )
+
+import test_columnar_protocols as protocols
 
 np = pytest.importorskip("numpy")
 
@@ -555,10 +563,12 @@ def _weight_error(bad):
 
 
 class TestInvalidWeights:
-    """A weight outside ``(0, MAX_WEIGHT]`` fails at ingest with one
-    error under every engine — including a steady-state window, where
-    only weights above the heavy floor reach a level computation, and
-    the sharded engine, before its pool spawns."""
+    """A weight outside ``(0, MAX_WEIGHT]`` fails with one error under
+    every protocol and engine: at ingest under the columnar and sharded
+    engines — including a steady-state window, where only weights above
+    the heavy floor reach a level computation, and before the sharded
+    pool spawns — and at the offending arrival under ``reference`` and
+    ``process()``."""
 
     @staticmethod
     def _stream(bad):
@@ -567,15 +577,40 @@ class TestInvalidWeights:
         items[30_000] = Item(30_000, bad)
         return round_robin(items, 4)
 
+    @staticmethod
+    def _raises(build, engine, stream, bad):
+        """Run ``build(runner)`` over ``stream`` under ``engine``: it
+        must raise the ingest error, and under the columnar plane
+        before any site runs and before any worker spawns.  Returns the
+        facade's network."""
+        import glob
+        import multiprocessing
+
+        shm_before = set(glob.glob("/dev/shm/psm_*"))
+        runner = (
+            get_engine("sharded", workers=2) if engine == "sharded" else engine
+        )
+        instance = build(runner)
+        with pytest.raises(InvalidWeightError, match=_weight_error(bad)):
+            instance.run(stream)
+        network = getattr(instance, "protocol", instance).network
+        if engine != "reference":
+            assert network.items_processed == 0
+        if engine == "sharded":
+            assert runner._pool is None  # failed before spawning workers
+            assert multiprocessing.active_children() == []
+            assert set(glob.glob("/dev/shm/psm_*")) <= shm_before
+        return network
+
     @pytest.mark.parametrize("bad", BAD_WEIGHTS)
     def test_columnar_stream_rejects_at_construction(self, bad):
         message = _weight_error(bad)
-        with pytest.raises(ConfigurationError, match=message):
+        with pytest.raises(InvalidWeightError, match=message):
             ColumnarStream([0, 1, 2], [1.0, bad, 0.5], [0, 0, 1], 2)
         stream = DistributedStream([Item(0, 1.0), Item(1, bad)], [0, 1], 2)
-        with pytest.raises(ConfigurationError, match=message):
+        with pytest.raises(InvalidWeightError, match=message):
             stream.arrays()
-        with pytest.raises(ConfigurationError, match=message):
+        with pytest.raises(InvalidWeightError, match=message):
             ColumnarStream.from_distributed(stream)
 
     def test_sub_one_weights_stay_legal(self):
@@ -585,24 +620,44 @@ class TestInvalidWeights:
     @pytest.mark.parametrize("bad", BAD_WEIGHTS)
     @pytest.mark.parametrize("engine", ["reference", "columnar", "sharded"])
     def test_every_engine_raises(self, bad, engine):
-        import glob
-        import multiprocessing
+        network = self._raises(
+            lambda runner: DistributedWeightedSWOR(
+                SworConfig(num_sites=4, sample_size=4), seed=3, engine=runner
+            ),
+            engine,
+            self._stream(bad),
+            bad,
+        )
+        if engine == "reference":
+            assert network.items_processed == 30_000
 
-        shm_before = set(glob.glob("/dev/shm/psm_*"))
-        runner = (
-            get_engine("sharded", workers=2) if engine == "sharded" else engine
+    @pytest.mark.parametrize("bad", BAD_WEIGHTS)
+    @pytest.mark.parametrize("engine", ["reference", "columnar", "sharded"])
+    @pytest.mark.parametrize("name", sorted(protocols.PROTOCOLS))
+    def test_every_protocol_raises(self, name, engine, bad):
+        items = [Item(i, 1.0 + i % 7) for i in range(48)]
+        items[40] = Item(40, bad)
+        build = protocols.PROTOCOLS[name][0]
+        network = self._raises(
+            lambda runner: build(runner, None),
+            engine,
+            round_robin(items, 16),
+            bad,
         )
-        proto = DistributedWeightedSWOR(
-            SworConfig(num_sites=4, sample_size=4), seed=3, engine=runner
-        )
-        with pytest.raises(ConfigurationError, match=_weight_error(bad)):
-            proto.run(self._stream(bad))
-        if engine != "reference":  # the oracle raises at arrival 30,000
-            assert proto.network.items_processed == 0
-        if engine == "sharded":
-            assert runner._pool is None  # failed before spawning workers
-            assert multiprocessing.active_children() == []
-            assert set(glob.glob("/dev/shm/psm_*")) <= shm_before
+        if engine == "reference":
+            assert network.items_processed == 40
+
+    @pytest.mark.parametrize("bad", BAD_WEIGHTS)
+    @pytest.mark.parametrize("name", sorted(protocols.PROTOCOLS))
+    def test_every_protocols_process_raises(self, name, bad):
+        instance = protocols.PROTOCOLS[name][0]("reference", None)
+        instance.process(0, Item(0, 2.0))
+        network = getattr(instance, "protocol", instance).network
+        counters = network.counters.snapshot()
+        with pytest.raises(InvalidWeightError, match=_weight_error(bad)):
+            instance.process(1, Item(1, bad))
+        assert network.items_processed == 1
+        assert network.counters.snapshot() == counters
 
 
 # ---------------------------------------------------------------------------

@@ -106,8 +106,6 @@ class TestLevelOf:
 
     def test_invalid_inputs(self):
         with pytest.raises(ConfigurationError):
-            level_of(0.0, 2.0)
-        with pytest.raises(ConfigurationError):
             level_of(5.0, 1.5)
 
 

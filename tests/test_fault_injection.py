@@ -1,9 +1,9 @@
 """Fault-injection tests: the protocol layer detects model violations.
 
-The paper's model assumes FIFO channels, monotone thresholds, and
-saturation-state agreement between sites and the coordinator.  These
-tests break each assumption deliberately and assert the library fails
-loudly (ProtocolViolationError) instead of silently producing a biased
+The paper's model assumes monotone thresholds and saturation-state
+agreement between sites and the coordinator.  These tests break each
+assumption deliberately and assert the library fails loudly
+(ProtocolViolationError) instead of silently producing a biased
 sample.
 """
 
@@ -16,20 +16,9 @@ import pytest
 from repro.common import ProtocolViolationError
 from repro.core import SworConfig, SworCoordinator, SworSite
 from repro.l1.tracker import _L1Site
-from repro.net import FifoChannel, Message
+from repro.net import Message
 from repro.net.messages import EARLY, EPOCH_UPDATE, LEVEL_SATURATED
 from repro.stream import Item
-
-
-class TestChannelFaults:
-    def test_reordered_delivery_detected(self):
-        ch = FifoChannel("faulty")
-        ch.send(Message(EARLY, (0, 1.0)))
-        ch.send(Message(EARLY, (1, 1.0)))
-        ch.send(Message(EARLY, (2, 1.0)))
-        ch.reorder_for_test()
-        with pytest.raises(ProtocolViolationError, match="FIFO"):
-            list(ch.drain())
 
 
 class TestSiteFaults:

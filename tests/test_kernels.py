@@ -5,8 +5,7 @@ independent scalar computation of what it must return — the same
 floats, the same integer counts, the same index sets in the same
 order — on adversarial fixtures: ties exactly at the selection cut,
 plateaus, empty and singleton packs, the 256-wide rank block, power
-boundaries up to the top of the float range, saturation storms and bad
-weights.
+boundaries up to the top of the float range and saturation storms.
 
 * ``merge_cut`` — a ``sorted()`` order statistic plus a tie count;
 * ``swor_fold_regulars`` — a scalar threshold filter and top-``s``
@@ -15,8 +14,9 @@ weights.
 * ``swr_min_fold`` — the first argmin per sampler;
 * ``window_dominators`` — a brute-force count;
 * ``compute_levels`` and ``window_split`` — :func:`level_of` per weight
-  plus a saturation-table lookup; bad weights raise ``level_of``'s
-  exact error.
+  plus a saturation-table lookup (weights outside the domain never
+  reach them: ingest rejects them, see ``tests/test_columnar_runtime.py``
+  ``TestInvalidWeights``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import sys
 
 import pytest
 
-from repro.common.errors import ConfigurationError
 from repro.common.rng import MAX_WEIGHT
 from repro.core import DistributedWeightedSWOR, SworConfig, level_of
 from repro.core import epochs as epochs_mod
@@ -216,18 +215,6 @@ class TestKernelOracles:
             for w, j in zip(weights.tolist(), want):
                 assert j == 0 or _power(r, j) <= w
                 assert w < _power(r, j + 1)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_weights_raise_level_of_error(self, bad):
-        with pytest.raises(ConfigurationError) as want:
-            level_of(bad, 2.0)
-        weights = np.array([1.0, 2.0, bad, 4.0])
-        with pytest.raises(ConfigurationError) as got:
-            compute_levels(weights, 2.0)
-        assert str(got.value) == str(want.value)
-        with pytest.raises(ConfigurationError) as split:
-            window_split(weights, 2.0, 0.0, np.zeros(4, dtype=bool))
-        assert str(split.value) == str(want.value)
 
     def test_window_split_with_saturation_storm(self):
         rng = np.random.default_rng(5)

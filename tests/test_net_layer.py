@@ -1,4 +1,4 @@
-"""Unit tests for repro.net: messages, counters, channels."""
+"""Unit tests for repro.net: messages, counters, the network."""
 
 from __future__ import annotations
 
@@ -6,11 +6,10 @@ from typing import List, Tuple
 
 import pytest
 
-from repro.common import ConfigurationError, ProtocolViolationError
+from repro.common import ConfigurationError
 from repro.net import (
     BROADCAST,
     CoordinatorAlgorithm,
-    FifoChannel,
     Message,
     MessageCounters,
     Network,
@@ -74,33 +73,6 @@ class TestMessageCounters:
         fresh.record_upstream(Message("early", (1, 2.0)))
         assert twice.words == fresh.words
         assert twice.max_message_words == fresh.max_message_words
-
-
-class TestFifoChannel:
-    def test_in_order_delivery(self):
-        ch = FifoChannel("test")
-        for i in range(5):
-            ch.send(Message("early", (i,)))
-        received = [m.payload[0] for m in ch.drain()]
-        assert received == [0, 1, 2, 3, 4]
-
-    def test_empty_receive_none(self):
-        assert FifoChannel("t").receive() is None
-
-    def test_reorder_detected(self):
-        ch = FifoChannel("t")
-        ch.send(Message("early", (0,)))
-        ch.send(Message("early", (1,)))
-        ch.reorder_for_test()
-        with pytest.raises(ProtocolViolationError):
-            list(ch.drain())
-
-    def test_len_tracks_queue(self):
-        ch = FifoChannel("t")
-        ch.send(Message("early", ()))
-        assert len(ch) == 1
-        ch.receive()
-        assert len(ch) == 0
 
 
 class _EchoSite(SiteAlgorithm):

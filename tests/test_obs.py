@@ -100,8 +100,7 @@ class TestRegistry:
         g = registry.gauge("repro_depth")
         g.set(5)
         g.inc(2)
-        g.dec()
-        assert _value(registry, "repro_depth") == 6.0
+        assert _value(registry, "repro_depth") == 7.0
 
     def test_labeled_cells_are_independent(self):
         registry = MetricsRegistry()
@@ -187,7 +186,6 @@ class TestNullRegistry:
         null.histogram("h").observe(1.0)
         with null.span("fold", engine="a"):
             pass
-        null.merge_snapshot({"metrics": {"x": {}}})
         assert null.families() == []
         assert null.metric_names() == []
         assert null.snapshot() == {"metrics": {}}
@@ -198,49 +196,6 @@ class TestNullRegistry:
         from repro.runtime.base import Engine
 
         assert Engine.registry is NULL_REGISTRY
-
-
-class TestMergeSnapshot:
-    def test_counters_and_histograms_add_gauges_overwrite(self):
-        a = MetricsRegistry()
-        a.counter("repro_x_total", labels=("engine",)).labels(engine="e").inc(2)
-        a.gauge("repro_depth").set(1)
-        a.histogram("repro_h_seconds", buckets=(1.0, 2.0)).observe(0.5)
-        b = MetricsRegistry()
-        b.counter("repro_x_total", labels=("engine",)).labels(engine="e").inc(3)
-        b.gauge("repro_depth").set(7)
-        b.histogram("repro_h_seconds", buckets=(1.0, 2.0)).observe(1.5)
-        a.merge_snapshot(b.snapshot())
-        assert _value(a, "repro_x_total", engine="e") == 5.0
-        assert _value(a, "repro_depth") == 7.0
-        cell = a._families["repro_h_seconds"]._solo()
-        assert cell.bucket_counts == [1, 1]
-        assert cell.count == 2 and cell.sum == 2.0
-
-    def test_merge_declares_missing_families(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        b.counter("repro_new_total", "from b").inc(4)
-        a.merge_snapshot(b.snapshot())
-        assert _value(a, "repro_new_total") == 4.0
-        assert a._families["repro_new_total"].help == "from b"
-
-    def test_histogram_schema_mismatch_rejected(self):
-        a = MetricsRegistry()
-        a.histogram("repro_h_seconds", buckets=(1.0, 2.0)).observe(0.5)
-        b = MetricsRegistry()
-        b.histogram("repro_h_seconds", buckets=(1.0, 2.0, 4.0)).observe(0.5)
-        with pytest.raises(ConfigurationError):
-            a.merge_snapshot(b.snapshot())
-
-    def test_merge_is_how_bench_artifacts_fold(self):
-        """A snapshot survives a JSON round trip and still merges."""
-        b = MetricsRegistry()
-        b.counter("repro_x_total").inc(2)
-        b.histogram("repro_h_seconds", buckets=(1.0,)).observe(0.5)
-        a = MetricsRegistry()
-        a.merge_snapshot(json.loads(json.dumps(b.snapshot())))
-        assert a.snapshot() == b.snapshot()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from repro.common.order_stats import (
 )
 from repro.common.rng import truncated_exponential_below
 from repro.core import EpochTracker, TopKeySample, level_of
-from repro.net import FifoChannel, Message, MessageCounters
+from repro.net import Message, MessageCounters
 from repro.stream import DistributedStream, Item
 
 
@@ -110,19 +110,6 @@ class TestExactInclusionProperties:
         assert all(
             b >= a - 1e-9 for a, b in zip(sorted_probs, sorted_probs[1:])
         )
-
-
-class TestFifoChannelProperties:
-    @given(
-        payloads=st.lists(st.integers(), min_size=0, max_size=50)
-    )
-    @settings(max_examples=80)
-    def test_fifo_roundtrip(self, payloads):
-        ch = FifoChannel("prop")
-        for p in payloads:
-            ch.send(Message("raw_item", (p,)))
-        received = [m.payload[0] for m in ch.drain()]
-        assert received == payloads
 
 
 class TestRngProperties:

@@ -277,11 +277,6 @@ class TestVectorizedPrimitives:
             vec = levels_of_array(np.array(weights), r)
             assert list(vec) == [level_of(w, r) for w in weights]
 
-    def test_levels_of_array_rejects_invalid_weights(self):
-        for bad in (-1.0, 0.0, float("nan"), float("inf")):
-            with pytest.raises(ConfigurationError):
-                levels_of_array(np.array([1.0, bad, 4.0]), 2.0)
-
     def test_batch_primitive_functions(self):
         """The column draws the sites make: rate-1 exponentials and
         uniforms in ``[0, 1)`` from an actor's generator."""

@@ -1,11 +1,11 @@
-"""Multiprocess sharded engine: bit-parity, transports, failure paths.
+"""Multiprocess sharded engine: bit-parity, fallbacks, failure paths.
 
 What is covered:
 
 1. **Bit-parity** — samples AND message counters identical to the
-   columnar engine across (batch_size, workers, transport)
-   combinations, including batch size 1 (pure scalar-message
-   transport), rollback-heavy runs, checkpoints, and reused networks
+   columnar engine across (batch_size, workers) combinations,
+   including batch size 1 (pure scalar-message descriptors),
+   rollback-heavy runs, checkpoints, and reused networks
    (two consecutive ``run`` calls continue the RNG streams exactly).
    The SWR and unweighted protocols match in full state — sample,
    counters, and the coordinator's and every site's ``snapshot_state()``
@@ -138,15 +138,9 @@ class TestShardedParity:
     def columnar_1024(self, shared_stream):
         return _fingerprint(_run(shared_stream, ColumnarEngine(batch_size=1024)))
 
-    @pytest.mark.parametrize(
-        "workers,transport", [(2, "shm"), (3, "pipe"), (4, "auto")]
-    )
-    def test_bit_parity_across_workers_and_transports(
-        self, shared_stream, columnar_1024, workers, transport
-    ):
-        engine = ShardedEngine(
-            batch_size=1024, workers=workers, transport=transport
-        )
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_bit_parity_across_workers(self, shared_stream, columnar_1024, workers):
+        engine = ShardedEngine(batch_size=1024, workers=workers)
         proto = _run(shared_stream, engine)
         assert engine.last_run_stats["mode"] == "sharded"
         assert _fingerprint(proto) == columnar_1024
@@ -329,6 +323,24 @@ class TestShardedFallbacks:
             _run(stream, ColumnarEngine(batch_size=512))
         )
 
+    def test_host_without_shared_memory_runs_in_process(self, monkeypatch):
+        # Shared memory carries the stream and the packs; a host whose
+        # import of it failed falls back like any worker-setup failure.
+        from repro.runtime import sharded
+
+        monkeypatch.setattr(sharded, "_shared_memory", None)
+        stream = _stream(n=3000)
+        engine = ShardedEngine(batch_size=512, workers=2)
+        proto = _run(stream, engine)
+        stats = engine.last_run_stats
+        assert stats["mode"] == "fallback"
+        assert stats["reason"].startswith("worker setup failed")
+        assert "shared_memory is unavailable" in stats["reason"]
+        assert engine._pool is None
+        assert _fingerprint(proto) == _fingerprint(
+            _run(stream, ColumnarEngine(batch_size=512))
+        )
+
     def test_default_workers_follow_cpu_affinity(self, monkeypatch):
         # A process pinned to one CPU (``taskset -c 0``) defaults to one
         # worker, whatever the machine's core count.
@@ -416,8 +428,6 @@ class TestShardedFallbacks:
             get_engine(ShardedEngine(), workers=2)
         with pytest.raises(ConfigurationError, match="workers must be >= 1"):
             ShardedEngine(workers=0)
-        with pytest.raises(ConfigurationError, match="transport"):
-            ShardedEngine(transport="carrier-pigeon")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ spine forces the threshold across epoch brackets again and again
 in-flight window (dozens of rollbacks per run) and invalidates the
 workers' speculative next window (speculation misses).  Bit-parity of
 the samples AND the message counters against the single-process
-columnar engine must survive all of it, across transports, batch
+columnar engine must survive all of it, across worker counts, batch
 sizes, reused networks, and checkpoints.
 
 Every window folds in exact ascending-site order, so the parent's
@@ -28,7 +28,6 @@ import random
 import pytest
 
 from repro.core import DistributedWeightedSWOR, SworConfig
-from repro.net.counters import MessageCounters
 from repro.net.messages import EARLY, RAW_ITEM, ROUND_UPDATE, Message, MessagePack
 from repro.runtime import ColumnarEngine, Network, ShardedEngine
 from repro.runtime.interfaces import CoordinatorAlgorithm, SiteAlgorithm
@@ -104,15 +103,11 @@ class TestBroadcastStormParity:
     def columnar_256(self, storm_stream):
         return _fingerprint(_run(storm_stream, ColumnarEngine(batch_size=256)))
 
-    @pytest.mark.parametrize(
-        "workers,transport", [(2, "shm"), (3, "pipe"), (4, "auto")]
-    )
+    @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_parity_and_speculation_accounting(
-        self, storm_stream, columnar_256, workers, transport
+        self, storm_stream, columnar_256, workers
     ):
-        engine = ShardedEngine(
-            batch_size=256, workers=workers, transport=transport
-        )
+        engine = ShardedEngine(batch_size=256, workers=workers)
         proto = _run(storm_stream, engine)
         st = engine.last_run_stats
         assert st["mode"] == "sharded"

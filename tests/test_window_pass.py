@@ -21,6 +21,8 @@ cut short by a checkpoint.  All runs here are in-process (columnar).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -28,10 +30,10 @@ from repro import ResidualHeavyHitterTracker
 from repro.core import DistributedWeightedSWOR, SworConfig, SworSite
 from repro.core.coordinator import SworCoordinator
 from repro.core.site import _WindowPrep
-from repro.net.messages import EARLY, MessagePack
+from repro.net.messages import EARLY, EPOCH_UPDATE, REGULAR, Message, MessagePack
 from repro.runtime import ColumnarEngine
 from repro.runtime.columnar import GroupedWindow
-from repro.stream import ColumnarStream
+from repro.stream import ColumnarStream, Item
 
 N = 40_000
 K = 16  # with s = 4: r = 4
@@ -362,3 +364,40 @@ def test_window_pack_is_the_concatenated_site_packs():
     assert [r.messages() for _, r in results] == [p.messages() for p in site_packs]
     for a, b in zip(stepped, solo):
         assert a.snapshot_state() == b.snapshot_state()
+
+
+@pytest.mark.parametrize("above", [True, False])
+def test_single_arrival_run_refiltered_against_live_threshold(above):
+    """A threshold raised before a one-arrival run — an ``EPOCH_UPDATE``
+    from an earlier run's fold — re-filters the run's pass key: just
+    above the key the run sends nothing, just below it sends the
+    one-entry pack ``on_item`` sends from the same state.  The other
+    runs' packs do not change."""
+    config = SworConfig(num_sites=3, sample_size=2)  # r = 2
+    gen = np.random.Generator(np.random.PCG64(7))
+    weights = gen.random(21) * 30 + 1  # levels 0-4
+    idents = np.arange(21, dtype=np.int64)
+    sites = [SworSite(j, config, np.random.default_rng(j)) for j in range(3)]
+    for site in sites:
+        site._saturated_mask = 0b11111  # every arrival is regular
+    twin = SworSite(1, config, np.random.default_rng(0))
+    twin.restore_state(sites[1].snapshot_state())
+    runs = [(0, sites[0], 0, 10), (1, sites[1], 10, 11), (2, sites[2], 11, 21)]
+    window = GroupedWindow(idents, weights, [0, 1, 2], [0, 10, 11], [10, 11, 21])
+    prep = sites[0].prepare_window(window, runs)
+    pack = prep.window_pack(idents, weights)
+    before = {site_id: r.messages() for site_id, r in prep.run_results(pack, runs)}
+    assert sorted(before) == [0, 1, 2]  # window-start threshold 0: all send
+    key = float(prep.regular_keys[10])
+    live = math.nextafter(key, math.inf if above else -math.inf)
+    sites[1]._threshold = live
+    twin.on_control(Message(EPOCH_UPDATE, (live,)))
+    after = {site_id: r.messages() for site_id, r in prep.run_results(pack, runs)}
+    assert (after[0], after[2]) == (before[0], before[2])
+    weight = float(weights[10])
+    sent = twin.on_item(Item(10, weight))
+    assert twin._gen.bit_generator.state == sites[1]._gen.bit_generator.state
+    if above:
+        assert 1 not in after and sent == []
+    else:
+        assert after[1] == sent == [Message(REGULAR, (10, weight, key))]
