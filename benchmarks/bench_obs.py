@@ -6,15 +6,16 @@ granularity, so
 
 1. **Overhead** — a columnar weighted-SWOR run with a live
    :class:`~repro.obs.MetricsRegistry` attached must cost **<= 2%**
-   wall time over the identical run with the default no-op registry.
+   wall time over the identical run with no registry attached (the
+   default).
    The overhead is the median, over ``PAIRS`` pairs, of each pair's
    ``live / base - 1``: the two runs of a pair go back to back, and
    the side that goes first alternates, so host noise and clock drift
    hit both sides alike (at the CI config one run takes about 15 ms,
    short enough for host noise to decide any single comparison).
 2. **Bit-parity** — samples AND message counters are identical with
-   the registry on and off (the registry only *observes*), in every
-   pair.
+   the registry attached and without one (the registry only
+   *observes*), in every pair.
 
 Run with::
 
@@ -99,7 +100,7 @@ def _bench(report_fn):
     live_median = statistics.median(live_times)
     rows = [
         {
-            "registry": "null (default)",
+            "registry": "none attached (default)",
             "median_seconds": round(base_median, 4),
             "items_per_sec": round(ITEMS / base_median),
         },

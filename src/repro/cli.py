@@ -418,7 +418,7 @@ def _cmd_query(args: argparse.Namespace) -> str:
         TotalWeightQuery,
     )
 
-    _check_engine_flags(args)
+    engine = _engine_of(args)
     if (
         args.workers is not None
         or args.worker_timeout is not None
@@ -427,7 +427,7 @@ def _cmd_query(args: argparse.Namespace) -> str:
         raise SystemExit(
             "repro query runs its shared multi-query pass in-process; "
             "--workers/--worker-timeout/--fault-plan do not apply "
-            "(engine 'sharded' selects the columnar data plane)"
+            "(engine 'sharded' sets the batch schedule)"
         )
     rng = random.Random(args.seed)
     items = zipf_stream(args.items, rng, alpha=args.alpha)
@@ -452,19 +452,8 @@ def _cmd_query(args: argparse.Namespace) -> str:
             SlidingWindowQuery("recent_weight", window=window, sample_size=s),
         ]
     )
-    registry = None
-    if getattr(args, "metrics_out", None):
-        from .obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        args._registry = registry
     driver = MultiQueryDriver(
-        catalog,
-        num_sites=args.sites,
-        seed=args.seed,
-        engine=args.engine,
-        batch_size=args.batch_size,
-        registry=registry,
+        catalog, num_sites=args.sites, seed=args.seed, engine=engine
     )
     result = driver.run(stream)
 

@@ -1,18 +1,21 @@
 """The bridge from a run record onto the metrics registry.
 
-Every engine ``run()`` ends in one record, ``last_run_stats`` (see
-:mod:`repro.runtime.base`), and every network keeps a cumulative
-:class:`~repro.net.counters.MessageCounters`.  :func:`export_run` maps
-the two onto registry metrics; it is the README's record→metric table
-(section "Observability") written as code:
+Every engine ``run()`` and every multi-query driver pass ends in one
+record, ``last_run_stats`` (see :mod:`repro.runtime.base`), and every
+network keeps a cumulative :class:`~repro.net.counters.MessageCounters`.
+:func:`export_run` maps the two onto registry metrics; it is the
+README's record→metric table (section "Observability") written as code:
 
 * each record: ``repro_engine_runs_total``, and its ``items``,
   ``seconds`` and ``windows``: ``repro_engine_items_total``,
   ``repro_engine_run_seconds``, ``repro_engine_windows_total`` (all
   labeled ``{engine}``);
-* the network's ``MessageCounters``: the ``repro_messages{engine,
-  direction}``, ``repro_message_words``, ``repro_message_words_max``
-  and ``repro_messages_by_kind{engine,kind}`` gauges;
+* the network's ``MessageCounters`` (an engine run's; a driver pass
+  has none): the ``repro_messages{engine,direction}``,
+  ``repro_message_words``, ``repro_message_words_max`` and
+  ``repro_messages_by_kind{engine,kind}`` gauges;
+* a driver pass's ``queries``: ``repro_query_fold_seconds_total{query}``
+  and the ``repro_query_messages{query,direction}`` gauges;
 * ``mode="fallback"`` and its ``reason``:
   ``repro_shard_fallbacks_total{reason}``; ``mode="degraded"`` and
   ``degraded_to``: ``repro_shard_degradations_total{rung}``; each of
@@ -62,15 +65,14 @@ _WORKER_FAMILIES = (
 
 def export_run(registry, stats, counters) -> None:
     """Export one run record (an engine's ``last_run_stats``) and its
-    network's message counters (the mapping is the module docstring's).
+    network's message counters, ``None`` for a driver pass (the mapping
+    is the module docstring's).
 
     Counters add the run's figures, so a long-lived engine accumulates
     across runs.  The message figures are gauges (set, not added):
     ``MessageCounters`` accumulate across ``run()`` calls on a reused
     network, so re-exporting them after every run stays idempotent.
     """
-    if not registry.enabled:
-        return
     engine = stats["engine"]
     registry.counter(
         "repro_engine_runs_total",
@@ -93,32 +95,52 @@ def export_run(registry, stats, counters) -> None:
         "wall-clock duration of engine run() calls",
         labels=("engine",),
     ).labels(engine=engine).observe(stats["seconds"])
-    messages = registry.gauge(
-        "repro_messages",
-        "cumulative protocol messages by direction (the paper's metric)",
-        labels=("engine", "direction"),
-    )
-    messages.labels(engine=engine, direction="upstream").set(counters.upstream)
-    messages.labels(engine=engine, direction="downstream").set(
-        counters.downstream
-    )
-    registry.gauge(
-        "repro_message_words",
-        "cumulative machine words carried by all counted messages",
-        labels=("engine",),
-    ).labels(engine=engine).set(counters.words)
-    registry.gauge(
-        "repro_message_words_max",
-        "largest single message seen, in words (Proposition 7 audit)",
-        labels=("engine",),
-    ).labels(engine=engine).set(counters.max_message_words)
-    by_kind = registry.gauge(
-        "repro_messages_by_kind",
-        "cumulative protocol messages by kind",
-        labels=("engine", "kind"),
-    )
-    for kind, count in counters.by_kind.items():
-        by_kind.labels(engine=engine, kind=kind).set(count)
+    if counters is not None:
+        messages = registry.gauge(
+            "repro_messages",
+            "cumulative protocol messages by direction (the paper's metric)",
+            labels=("engine", "direction"),
+        )
+        messages.labels(engine=engine, direction="upstream").set(
+            counters.upstream
+        )
+        messages.labels(engine=engine, direction="downstream").set(
+            counters.downstream
+        )
+        registry.gauge(
+            "repro_message_words",
+            "cumulative machine words carried by all counted messages",
+            labels=("engine",),
+        ).labels(engine=engine).set(counters.words)
+        registry.gauge(
+            "repro_message_words_max",
+            "largest single message seen, in words (Proposition 7 audit)",
+            labels=("engine",),
+        ).labels(engine=engine).set(counters.max_message_words)
+        by_kind = registry.gauge(
+            "repro_messages_by_kind",
+            "cumulative protocol messages by kind",
+            labels=("engine", "kind"),
+        )
+        for kind, count in counters.by_kind.items():
+            by_kind.labels(engine=engine, kind=kind).set(count)
+    if "queries" in stats:
+        fold = registry.counter(
+            "repro_query_fold_seconds_total",
+            "per-query seconds in the shared site-pass/fold loop",
+            labels=("query",),
+        )
+        query_messages = registry.gauge(
+            "repro_query_messages",
+            "cumulative protocol messages per network-backed query",
+            labels=("query", "direction"),
+        )
+        for name, row in stats["queries"].items():
+            fold.labels(query=name).inc(row["fold_seconds"])
+            for direction in ("upstream", "downstream"):
+                query_messages.labels(query=name, direction=direction).set(
+                    row[direction]
+                )
     mode = stats.get("mode")
     if mode == "fallback":
         registry.counter(

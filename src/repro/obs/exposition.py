@@ -4,8 +4,8 @@ Two renderings of one :class:`~repro.obs.registry.MetricsRegistry`:
 
 * :func:`render_prometheus` — the Prometheus text exposition format
   (version 0.0.4), byte-deterministic for a given registry state, so
-  the future ``repro serve`` ``/metrics`` endpoint (ROADMAP item 1)
-  can return it verbatim and the golden tests can pin it exactly;
+  a scraper can read it verbatim and the golden tests can pin it
+  exactly;
 * :func:`render_json` — an indented JSON rendering of
   :meth:`~repro.obs.registry.MetricsRegistry.snapshot`, the form the
   benchmark harnesses embed in their ``BENCH_*.json`` artifacts.

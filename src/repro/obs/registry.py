@@ -1,15 +1,15 @@
-"""The metrics registry: counters, gauges, histograms, spans.
+"""The metrics registry: counters, gauges, histograms.
 
 A zero-dependency telemetry core for every engine in the package.  The
 design goals, in order:
 
-1. **Near-zero cost when disabled.**  Instrumented code holds a
-   :data:`NULL_REGISTRY` by default; its ``enabled`` flag lets hot
-   paths skip even the ``time.perf_counter()`` calls, and every handle
-   it hands out is a shared no-op singleton.  An un-instrumented run
-   pays one attribute load and one truthiness check per window — the
-   ≤2% overhead bar in ``benchmarks/bench_obs.py`` pins the *enabled*
-   cost too.
+1. **Off the hot path.**  No engine writes to a registry while it
+   runs: each run ends in one record (``last_run_stats``), and
+   :func:`repro.obs.export_run` maps that record onto the registry
+   :meth:`~repro.runtime.base.Engine.instrument` attached, once per
+   run.  An engine carries no registry by default and then exports
+   nothing; the ≤2% overhead bar in ``benchmarks/bench_obs.py`` pins
+   the cost of an attached one.
 2. **Prometheus-compatible semantics.**  Monotonic counters (by
    convention named ``*_total`` or ``*_seconds_total``), gauges
    (last-write-wins — safe to re-export cumulative
@@ -23,8 +23,6 @@ Usage::
         "repro_folds_total", "coordinator folds", labels=("engine",)
     )
     folds.labels(engine="columnar").inc()
-    with registry.span("fold", engine="columnar"):
-        ...                       # observes repro_fold_seconds{engine=...}
     print(registry.exposition())  # Prometheus text format
     registry.snapshot()           # JSON-able dict
 
@@ -35,20 +33,13 @@ keep no metrics; the parent counts from the messages it exchanges).
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..common.errors import ConfigurationError
 
-__all__ = [
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-    "DURATION_BUCKETS",
-]
+__all__ = ["MetricsRegistry", "DURATION_BUCKETS"]
 
-#: Fixed duration bucket schema (seconds): spans and run timings share
-#: it.
+#: The default histogram bucket schema (seconds): run durations.
 DURATION_BUCKETS: Tuple[float, ...] = (
     0.0001,
     0.00025,
@@ -106,9 +97,6 @@ class _Gauge:
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
 
 
 class _Histogram:
@@ -208,31 +196,8 @@ class MetricFamily:
         return list(self._children.items())
 
 
-class _Span:
-    """A timing context: observes its duration into a histogram cell."""
-
-    __slots__ = ("_cell", "_t0", "seconds")
-
-    def __init__(self, cell: _Histogram) -> None:
-        self._cell = cell
-        self._t0 = 0.0
-        #: Duration of the last completed span (seconds).
-        self.seconds = 0.0
-
-    def __enter__(self) -> "_Span":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.seconds = time.perf_counter() - self._t0
-        self._cell.observe(self.seconds)
-
-
 class MetricsRegistry:
     """A live collection of metric families (see the module docstring)."""
-
-    #: Hot paths check this before paying for clocks or label lookups.
-    enabled = True
 
     def __init__(self) -> None:
         self._families: Dict[str, MetricFamily] = {}
@@ -294,26 +259,6 @@ class MetricsRegistry:
         schema (:data:`DURATION_BUCKETS` by default)."""
         return self._family(name, "histogram", help, labels, buckets)
 
-    def span(self, name: str, **labels: object) -> _Span:
-        """A ``with``-block timer observing ``repro_<name>_seconds``.
-
-        ::
-
-            with registry.span("fold", engine="columnar"):
-                ...
-
-        The histogram family is auto-declared with the standard
-        duration buckets; its label names are fixed by the first call
-        for a given span name.
-        """
-        family = self.histogram(
-            f"repro_{name}_seconds",
-            f"duration of {name} spans",
-            labels=tuple(labels),
-        )
-        cell = family.labels(**labels) if labels else family._solo()
-        return _Span(cell)
-
     # -- read side ------------------------------------------------------
 
     def families(self) -> List[MetricFamily]:
@@ -368,81 +313,3 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MetricsRegistry({len(self._families)} families)"
-
-
-class _NullMetric:
-    """The do-nothing handle every :class:`NullRegistry` call returns."""
-
-    __slots__ = ()
-
-    def labels(self, **labels: object) -> "_NullMetric":
-        return self
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-class _NullSpan:
-    """A reusable no-op context manager (no clock reads)."""
-
-    __slots__ = ()
-    seconds = 0.0
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-_NULL_METRIC = _NullMetric()
-_NULL_SPAN = _NullSpan()
-
-
-class NullRegistry:
-    """The disabled registry: every operation is a shared no-op.
-
-    Instrumented code never needs a None check — it calls the same
-    surface and pays a few attribute loads.  ``enabled`` is False so
-    hot paths can skip clock reads entirely.
-    """
-
-    enabled = False
-
-    def counter(self, name, help="", labels=()):  # noqa: A002 - API parity
-        return _NULL_METRIC
-
-    def gauge(self, name, help="", labels=()):  # noqa: A002 - API parity
-        return _NULL_METRIC
-
-    def histogram(self, name, help="", labels=(), buckets=None):  # noqa: A002
-        return _NULL_METRIC
-
-    def span(self, name, **labels):
-        return _NULL_SPAN
-
-    def families(self):
-        return []
-
-    def metric_names(self):
-        return []
-
-    def snapshot(self):
-        return {"metrics": {}}
-
-    def exposition(self) -> str:
-        return ""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "NullRegistry()"
-
-
-#: The process-wide disabled registry (a singleton: identity checks and
-#: pickling across spawn both stay cheap and unambiguous).
-NULL_REGISTRY = NullRegistry()

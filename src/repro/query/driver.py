@@ -29,12 +29,14 @@ a refused window through the grouped window's memo: the split is a
 pure function of the weights, ``r`` and the saturated mask, all
 independent of a query's random draws.
 
-The batch schedule is the columnar engine's
+The batch schedule is the driver's engine's
 (:func:`~repro.runtime.batched.batch_windows`: doubling ramp,
 checkpoint-exact splits), so a driver with a single query is
-bit-identical to a standalone run under
+bit-identical to a standalone run under the same
 :class:`~repro.runtime.ColumnarEngine` — and with ``engine="reference"``
-(batch size 1) to the reference engine.
+(batch size 1) to the reference engine.  A pass ends in one run record
+on that engine (:meth:`~repro.runtime.base.Engine._record_run`), the
+record every engine run ends in.
 """
 
 from __future__ import annotations
@@ -44,13 +46,8 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..common.errors import ConfigurationError
 from ..net.counters import MessageCounters
-from ..obs import NULL_REGISTRY
-from ..runtime.batched import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_INITIAL_BATCH_SIZE,
-    batch_windows,
-    checkpoint_marks,
-)
+from ..runtime import ColumnarEngine, Engine, ReferenceEngine, get_engine
+from ..runtime.batched import batch_windows, checkpoint_marks
 from ..runtime.columnar import group_window, run_window, window_step
 from ..stream.item import DistributedStream
 from .backends import (
@@ -121,29 +118,31 @@ class MultiQueryDriver:
         Root seed; each query's protocol derives an independent seed
         via :func:`repro.query.backends.query_seed`.
     engine:
-        ``"columnar"`` (the default: the batch schedule and zero-object
-        pack data plane of :class:`~repro.runtime.ColumnarEngine`) or
-        ``"reference"`` (the same plane at batch size 1 — the
-        synchronous round model, bit-identical to
-        :class:`~repro.runtime.ReferenceEngine`).  ``"sharded"`` is
-        accepted as a passthrough and selects the columnar data plane:
-        the driver's shared pass is itself the execution engine and
-        runs in-process (per-query results are bit-identical either
-        way); shard-parallel *site* execution applies to
-        single-protocol runs via :class:`~repro.runtime.ShardedEngine`.
-    batch_size / initial_batch_size:
-        Batch ramp, as in :class:`~repro.runtime.ColumnarEngine`;
-        rejected under ``engine="reference"``, exactly as
-        :func:`~repro.runtime.get_engine` rejects a reference engine
-        with a batch size.
+        An engine name or :class:`~repro.runtime.base.Engine` instance,
+        resolved by :func:`~repro.runtime.get_engine` as the protocol
+        facades resolve theirs.  ``"columnar"`` (the default) runs the
+        pass on the batch schedule and zero-object pack data plane of
+        :class:`~repro.runtime.ColumnarEngine`; ``"reference"`` runs
+        the same plane at batch size 1 — the synchronous round model,
+        bit-identical to :class:`~repro.runtime.ReferenceEngine`.  A
+        :class:`~repro.runtime.ShardedEngine` sets the schedule and the
+        pass runs in-process (per-query results are bit-identical
+        either way); shard-parallel *site* execution applies to
+        single-protocol runs.  An engine instance brings its own ramp
+        (``batch_size`` and ``initial_batch_size``).
+    batch_size:
+        Steady-state batch size, passed to
+        :func:`~repro.runtime.get_engine` with an engine name.
     confidence:
         Nominal CI level for all estimator-backed answers.
-    registry:
-        Optional :class:`~repro.obs.MetricsRegistry`; when attached,
-        each run exports per-query fold time
-        (``repro_query_fold_seconds_total{query=...}``), per-query
-        message gauges, and driver run/item counters.  Answers and
-        counters are bit-identical with and without it.
+
+    Each :meth:`run` records the pass once on the engine
+    (``engine.last_run_stats``, see :mod:`repro.runtime.base`): its
+    ``items``, ``seconds`` and ``windows``, and per network-backed
+    query its fold seconds and message counts, exported like any run
+    of an instrumented engine (:meth:`~repro.runtime.base.Engine.instrument`).
+    Answers and counters are bit-identical on an instrumented engine
+    and a plain one.
     """
 
     def __init__(
@@ -151,36 +150,18 @@ class MultiQueryDriver:
         queries: Union[QueryCatalog, Iterable[Query]],
         num_sites: int,
         seed: Optional[int] = None,
-        engine: str = "columnar",
+        engine: Union[str, Engine] = "columnar",
         batch_size: Optional[int] = None,
-        initial_batch_size: Optional[int] = None,
         confidence: float = 0.95,
-        registry=None,
     ) -> None:
         if num_sites <= 0:
             raise ConfigurationError(f"num_sites must be positive, got {num_sites}")
-        if engine not in ("columnar", "sharded", "reference"):
+        engine = get_engine(engine, batch_size=batch_size)
+        if not isinstance(engine, (ColumnarEngine, ReferenceEngine)):
             raise ConfigurationError(
-                "engine must be 'columnar', 'sharded', or 'reference', "
-                f"got {engine!r}"
+                f"the multi-query driver runs on the columnar or reference "
+                f"schedule, not on engine {engine.name!r}"
             )
-        if engine == "reference":
-            for name, value in (
-                ("batch_size", batch_size),
-                ("initial_batch_size", initial_batch_size),
-            ):
-                if value is not None:
-                    raise ConfigurationError(
-                        f"engine 'reference' does not take a {name}"
-                    )
-            batch_size = initial_batch_size = 1
-        # None means "engine default", matching the protocol facades.
-        if batch_size is None:
-            batch_size = DEFAULT_BATCH_SIZE
-        if initial_batch_size is None:
-            initial_batch_size = DEFAULT_INITIAL_BATCH_SIZE
-        if batch_size <= 0 or initial_batch_size <= 0:
-            raise ConfigurationError("batch sizes must be positive")
         catalog = (
             queries if isinstance(queries, QueryCatalog) else QueryCatalog(list(queries))
         )
@@ -190,8 +171,6 @@ class MultiQueryDriver:
         self.num_sites = num_sites
         self.seed = seed
         self.engine = engine
-        self.batch_size = batch_size
-        self.initial_batch_size = min(initial_batch_size, batch_size)
         self.confidence = confidence
         self.compiled: List[CompiledQuery] = [
             compile_query(query, num_sites, seed, confidence) for query in catalog
@@ -203,9 +182,6 @@ class MultiQueryDriver:
             c for c in self.compiled if isinstance(c, CentralizedQuery)
         ]
         self.items_processed = 0
-        #: Telemetry sink (:mod:`repro.obs`); the no-op registry by
-        #: default, so un-instrumented drivers time nothing per batch.
-        self.registry = NULL_REGISTRY if registry is None else registry
 
     # -- answers ------------------------------------------------------
 
@@ -254,6 +230,7 @@ class MultiQueryDriver:
             raise ConfigurationError(
                 f"stream has {stream.num_sites} sites, driver has {self.num_sites}"
             )
+        t_run = time.perf_counter()
         assignment, weights, idents = stream.arrays()
         n = len(stream)
         base = self.items_processed
@@ -262,81 +239,54 @@ class MultiQueryDriver:
         snapshots: List[Tuple[int, Dict[str, object]]] = []
         centralized = self._centralized
         networks = [instance.network for instance in self._network_backed]
-        # The reference round model takes no window step: each arrival
-        # goes through on_item and each message is delivered alone, as
-        # under ReferenceEngine.
-        steps = [
-            (network, None if self.engine == "reference" else window_step(network))
-            for network in networks
-        ]
+        engine = self.engine
+        # The reference round model takes no window step and batches
+        # one arrival: each arrival goes through on_item and each
+        # message is delivered alone, as under ReferenceEngine.
+        if isinstance(engine, ColumnarEngine):
+            sizes = (engine.batch_size, engine.initial_batch_size)
+            steps = [(network, window_step(network)) for network in networks]
+        else:
+            sizes = (1, 1)
+            steps = [(network, None) for network in networks]
         ts_column = getattr(stream, "timestamps", None)
-        registry = self.registry
-        # Per-query fold clocks, allocated only when a live registry is
-        # attached (timing is per (window, query) — the null registry
-        # pays zero perf_counter calls).
-        timings = [0.0] * len(steps) if registry.enabled else None
-        span = registry.span("driver_run")
+        fold_seconds = [0.0] * len(steps)
+        windows = 0
         # batch_windows is the same schedule ColumnarEngine iterates —
         # the source of the driver's run-for-run parity with it.
-        with span:
-            for lo, hi in batch_windows(
-                n, self.batch_size, self.initial_batch_size, marks
-            ):
-                window = group_window(assignment, idents, weights, lo, hi)
-                if timings is None:
-                    for network, can_park in steps:
-                        run_window(network, window, can_park)
-                else:
-                    for index, (network, can_park) in enumerate(steps):
-                        t0 = time.perf_counter()
-                        run_window(network, window, can_park)
-                        timings[index] += time.perf_counter() - t0
-                if centralized:
-                    ts = None if ts_column is None else ts_column[lo:hi]
-                    for instance in centralized:
-                        instance.observe_columns(
-                            idents[lo:hi], weights[lo:hi], ts
-                        )
-                for network in networks:
-                    network.items_processed += hi - lo
-                self.items_processed += hi - lo
-                if hi in mark_set:
-                    snapshots.append((base + hi, self.answers()))
-        if timings is not None:
-            self._export_run(timings, n)
+        for lo, hi in batch_windows(n, *sizes, marks):
+            window = group_window(assignment, idents, weights, lo, hi)
+            for index, (network, can_park) in enumerate(steps):
+                t0 = time.perf_counter()
+                run_window(network, window, can_park)
+                fold_seconds[index] += time.perf_counter() - t0
+            if centralized:
+                ts = None if ts_column is None else ts_column[lo:hi]
+                for instance in centralized:
+                    instance.observe_columns(idents[lo:hi], weights[lo:hi], ts)
+            for network in networks:
+                network.items_processed += hi - lo
+            self.items_processed += hi - lo
+            windows += 1
+            if hi in mark_set:
+                snapshots.append((base + hi, self.answers()))
+        engine._record_run(
+            None,
+            n,
+            time.perf_counter() - t_run,
+            windows=windows,
+            queries={
+                instance.name: {
+                    "fold_seconds": seconds,
+                    "upstream": instance.counters.upstream,
+                    "downstream": instance.counters.downstream,
+                }
+                for instance, seconds in zip(self._network_backed, fold_seconds)
+            },
+        )
         return MultiQueryResult(
             answers=self.answers(),
             counters=self.counters(),
             items_processed=self.items_processed,
             snapshots=snapshots,
         )
-
-    def _export_run(self, timings, items: int) -> None:
-        """Export one run's driver telemetry (live registry only)."""
-        registry = self.registry
-        fold = registry.counter(
-            "repro_query_fold_seconds_total",
-            "per-query seconds in the shared site-pass/fold loop",
-            labels=("query",),
-        )
-        for instance, seconds in zip(self._network_backed, timings):
-            fold.labels(query=instance.name).inc(seconds)
-        registry.counter(
-            "repro_driver_runs_total", "completed MultiQueryDriver runs"
-        ).inc()
-        registry.counter(
-            "repro_driver_items_total",
-            "stream arrivals replayed through the shared pass",
-        ).inc(items)
-        messages = registry.gauge(
-            "repro_query_messages",
-            "cumulative protocol messages per network-backed query",
-            labels=("query", "direction"),
-        )
-        for name, counters in self.counters().items():
-            messages.labels(query=name, direction="upstream").set(
-                counters.upstream
-            )
-            messages.labels(query=name, direction="downstream").set(
-                counters.downstream
-            )

@@ -17,19 +17,25 @@ The package ships one scalar oracle and one vectorized data plane:
   columns with bounded-staleness control propagation, and its
   multiprocess variant :class:`~repro.runtime.sharded.ShardedEngine`.
 
-Every engine carries a metrics registry (:mod:`repro.obs`) — the
-disabled :data:`~repro.obs.NULL_REGISTRY` by default, a live
-:class:`~repro.obs.MetricsRegistry` after :meth:`Engine.instrument` —
-and one run record, ``last_run_stats``: a plain dict that every
-``run()`` assigns exactly once, through :meth:`Engine._record_run`, at
-its end.  :meth:`Engine.format_stats` renders any record, and
-:func:`repro.obs.export_run` maps it (plus the network's message
-counters) onto the registry; nothing else describes a run.  The keys:
+An engine carries no metrics registry (``registry`` is ``None``)
+until :meth:`Engine.instrument` attaches a
+:class:`~repro.obs.MetricsRegistry`.  It keeps one run record,
+``last_run_stats``: a plain dict that every ``run()``, and every
+:class:`~repro.query.MultiQueryDriver` pass on the engine, assigns
+exactly once, through :meth:`Engine._record_run`, at its end.
+:meth:`Engine.format_stats` renders any record, and
+:func:`repro.obs.export_run` maps it (plus the run's message counters)
+onto the attached registry; nothing else describes a run.  The keys:
 
 * every record: ``engine``, ``items``, ``seconds`` (the whole
-  ``run()`` call's wall);
-* windowed runs: ``windows``; in-process columnar windows also
-  ``windows_whole`` / ``windows_split`` / ``windows_per_site``;
+  ``run()`` call's or driver pass's wall);
+* windowed runs and driver passes: ``windows``; in-process columnar
+  windows also ``windows_whole`` / ``windows_split`` /
+  ``windows_per_site``;
+* a driver pass: ``queries``, which maps each network-backed query's
+  name to its ``fold_seconds`` (the pass's seconds in that query's
+  window body) and its cumulative ``upstream`` and ``downstream``
+  message counts;
 * every sharded run: ``mode`` — ``"sharded"``, or ``"fallback"``,
   ``"degraded"`` or ``"failed"`` with its ``reason`` (a degraded run
   adds ``degraded_to``; a failed one, recorded before it raises,
@@ -54,10 +60,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
-from ..obs import NULL_REGISTRY, export_run
+from ..obs import export_run
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..net.counters import MessageCounters
+    from ..obs import MetricsRegistry
     from ..stream.item import DistributedStream
     from .network import Network
 
@@ -78,9 +85,9 @@ class Engine(ABC):
     #: Registry name (``"reference"``, ``"columnar"``, ...).
     name: str = "abstract"
 
-    #: The telemetry sink (class default: the shared no-op registry, so
-    #: un-instrumented engines pay nothing and need no None checks).
-    registry = NULL_REGISTRY
+    #: The attached metrics registry; ``None`` until
+    #: :meth:`instrument` attaches one.
+    registry: Optional["MetricsRegistry"] = None
 
     #: The last ``run()``'s record (see the module docstring).  Empty
     #: until the first run.
@@ -109,24 +116,25 @@ class Engine(ABC):
 
             engine = get_engine("columnar").instrument(registry)
         """
-        self.registry = NULL_REGISTRY if registry is None else registry
+        self.registry = registry
         return self
 
     def _record_run(
         self,
-        network: "Network",
+        counters: Optional["MessageCounters"],
         items: int,
         seconds: float,
         per_window: Optional[List[dict]] = None,
         **fields,
     ) -> None:
         """Build the run's record — the one place ``last_run_stats`` is
-        assigned — and export it onto the registry.
+        assigned — and export it, with the run's message ``counters``
+        (``None`` for a driver pass), onto the attached registry.
 
-        ``fields`` are the engine's own keys.  ``per_window`` rows (one
-        per committed sharded window) are kept as given and summed into
-        the record's ``controls`` and per-phase ``timing`` totals (each
-        row's ``*_seconds`` keys)."""
+        ``fields`` are the engine's (or the driver's) own keys.
+        ``per_window`` rows (one per committed sharded window) are kept
+        as given and summed into the record's ``controls`` and
+        per-phase ``timing`` totals (each row's ``*_seconds`` keys)."""
         stats: Dict[str, object] = {
             "engine": self.name,
             "items": items,
@@ -143,7 +151,8 @@ class Engine(ABC):
             stats["timing"] = timing
             stats["per_window"] = per_window
         self.last_run_stats = stats
-        export_run(self.registry, stats, network.counters)
+        if self.registry is not None:
+            export_run(self.registry, stats, counters)
 
     def format_stats(self) -> str:
         """A human-readable rendering of :attr:`last_run_stats` —
@@ -164,6 +173,14 @@ class Engine(ABC):
                 f"window step: {stats['windows_whole']} folded whole, "
                 f"{stats['windows_split']} split on an epoch advance, "
                 f"{stats['windows_per_site']} per site"
+            )
+        if "queries" in stats:
+            lines.append(
+                "fold: "
+                + ", ".join(
+                    f"{name} {row['fold_seconds']:.3f}s"
+                    for name, row in stats["queries"].items()
+                )
             )
         if mode == "sharded":
             spec = stats["speculation"]

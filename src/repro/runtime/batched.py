@@ -95,10 +95,11 @@ def window_order(sites, lo, hi):
     """Group rows ``[lo, hi)`` of a site column per site, in O(n).
 
     The single source of truth for how every engine groups a window —
-    the columnar engine, the sharded workers'
-    :meth:`~repro.stream.columns.ShardSliceView.window_order`, and the
-    multi-query driver — which is what keeps their grouping, and hence
-    their run-for-run RNG parity, structural.
+    the columnar engine, the sharded workers (over their
+    :class:`~repro.stream.columns.ShardSliceView` rows), and the
+    multi-query driver, all through
+    :func:`~repro.runtime.columnar.group_window` — which is what keeps
+    their grouping, and hence their run-for-run RNG parity, structural.
 
     Returns ``(positions, site_ids, run_starts, run_ends)``:
     ``positions`` holds the window's row indices into ``sites`` by

@@ -325,7 +325,9 @@ class ColumnarEngine(Engine):
     ) -> "MessageCounters":
         t0 = time.perf_counter()
         fields = self._replay(network, stream, on_step, checkpoints, on_checkpoint)
-        self._record_run(network, len(stream), time.perf_counter() - t0, **fields)
+        self._record_run(
+            network.counters, len(stream), time.perf_counter() - t0, **fields
+        )
         return network.counters
 
     def _replay(

@@ -53,5 +53,5 @@ class ReferenceEngine(Engine):
                 on_step(t)
             if checkset is not None and on_checkpoint is not None and t in checkset:
                 on_checkpoint(t)
-        self._record_run(network, processed, time.perf_counter() - t0)
+        self._record_run(network.counters, processed, time.perf_counter() - t0)
         return network.counters

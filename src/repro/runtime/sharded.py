@@ -206,7 +206,7 @@ from .batched import (
 )
 from .columnar import (
     ColumnarEngine,
-    GroupedWindow,
+    group_window,
     shares_window_pass,
     site_results,
 )
@@ -461,8 +461,8 @@ class _WorkerShard:
 
         Mirrors the columnar engine's per-site results exactly:
         ascending site ids, per-site slices in global arrival order,
-        over the shard's rows of the window as one
-        :class:`~repro.runtime.columnar.GroupedWindow`.  When every
+        over the shard's rows of the window grouped by the engine's own
+        :func:`~repro.runtime.columnar.group_window`.  When every
         shard site shares class and config, one window pass
         (:meth:`~repro.core.site.SworSite.prepare_window`) draws every
         run's keys, and its window pack is split back into per-site
@@ -481,17 +481,15 @@ class _WorkerShard:
         selects which ring slot the window's packs encode into
         (``t % 2`` for window ``t``).
         """
-        i0, i1 = self.view.window_bounds(lo, hi)
+        view = self.view
+        i0, i1 = view.window_bounds(lo, hi)
         if i0 == i1:
             return []
-        site_ids, starts, ends, idents_sorted, weights_sorted = (
-            self.view.window_order(i0, i1)
-        )
-        window = GroupedWindow(idents_sorted, weights_sorted, site_ids, starts, ends)
+        window = group_window(view.sites, view.idents, view.weights, i0, i1)
         site_lo = self.site_lo
         runs = [
             (site_id, self.sites[site_id - site_lo], start, end)
-            for site_id, start, end in zip(site_ids, starts, ends)
+            for site_id, start, end in zip(window.site_ids, window.starts, window.ends)
             if min_site is None or site_id > min_site
         ]
         window_prep = None
@@ -499,7 +497,7 @@ class _WorkerShard:
             window_prep = self.sites[0].prepare_window(window, runs)
         if window_prep is not None:
             results = window_prep.run_results(
-                window_prep.window_pack(idents_sorted, weights_sorted), runs
+                window_prep.window_pack(window.idents, window.weights), runs
             )
         else:
             results = site_results(runs, window)
@@ -1088,7 +1086,7 @@ class ShardedEngine(ColumnarEngine):
         if reason is not None:
             fields = self._replay(network, stream, on_step, checkpoints, on_checkpoint)
             self._record_run(
-                network,
+                network.counters,
                 n,
                 time.perf_counter() - t_run,
                 mode="fallback",
@@ -1111,7 +1109,7 @@ class ShardedEngine(ColumnarEngine):
                 reason = f"worker {fault.fault_class} fault: {fault.detail}"
                 if supervisor is None or supervisor.checkpoint is None:
                     self._record_run(
-                        network,
+                        network.counters,
                         network.items_processed - base,
                         time.perf_counter() - t_run,
                         mode="failed",
@@ -1139,7 +1137,7 @@ class ShardedEngine(ColumnarEngine):
                     ),
                 }
             self._record_run(
-                network,
+                network.counters,
                 n,
                 time.perf_counter() - t_run,
                 **fields,

@@ -24,12 +24,13 @@ materialized ``Item`` list.
 
 A ``ColumnarStream`` is duck-compatible with the engine-facing surface
 of ``DistributedStream`` (``len`` / ``num_sites`` / ``arrays()`` /
-``assignment`` / ``items`` / ``iter_batches`` / iteration), where
-``items`` is a lazy sequence view, so every runtime engine — not just
+``assignment`` / ``items`` / iteration), where ``items`` is a lazy
+sequence view, so every runtime engine — not just
 :class:`~repro.runtime.columnar.ColumnarEngine` — can replay one.
 
-Identifiers must be int64-representable (the same requirement as the
-columnar engines' view of a ``DistributedStream``).
+Identifiers and site indices must be int64 integers, checked at
+construction by :func:`~repro.stream.item.check_int_column` (the same
+requirement as the columnar engines' view of a ``DistributedStream``).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as _np
 
 from ..common.errors import ConfigurationError
-from .item import DistributedStream, Item, check_weight_column
+from .item import DistributedStream, Item, check_int_column, check_weight_column
 
 __all__ = [
     "ColumnarStream",
@@ -92,14 +93,11 @@ class ShardSliceView:
     shard's arrivals.  A ``ShardSliceView`` holds those rows as four
     parallel columns — ``positions`` (the rows' global arrival indices,
     strictly increasing), ``sites``, ``weights``, and ``idents`` — so a
-    worker can answer the two questions the engine's window loop asks
-    without ever touching the full stream:
-
-    * :meth:`window_bounds` — which shard rows fall in the global
-      window ``[lo, hi)`` (one ``searchsorted`` against ``positions``);
-    * :meth:`window_order` — the window's shard rows grouped per site
-      with each site's arrivals in **global** order, via the engines'
-      shared grouping :func:`repro.runtime.batched.window_order`.
+    worker never touches the full stream: :meth:`window_bounds` brackets
+    the shard rows of a global window ``[lo, hi)`` (one
+    ``searchsorted`` against ``positions``), and the worker groups
+    those rows per site with the engines' own
+    :func:`~repro.runtime.columnar.group_window`.
 
     Because ``positions`` is increasing and the grouping keeps each
     site's rows in order, each site's per-window ident/weight slices
@@ -133,9 +131,8 @@ class ShardSliceView:
     @staticmethod
     def shard_range(num_sites: int, num_shards: int, index: int) -> Tuple[int, int]:
         """Contiguous site range ``[lo, hi)`` of shard ``index`` — the
-        single partition formula, shared by
-        :meth:`ColumnarStream.shard_views` and the sharded engine's
-        worker dispatch (so the two can never drift apart)."""
+        single partition formula of the sharded engine's worker
+        dispatch."""
         return (
             index * num_sites // num_shards,
             (index + 1) * num_sites // num_shards,
@@ -166,28 +163,6 @@ class ShardSliceView:
         i0, i1 = _np.searchsorted(self.positions, (lo, hi), side="left")
         return int(i0), int(i1)
 
-    def window_order(self, i0: int, i1: int):
-        """Per-site grouping of shard rows ``[i0, i1)``.
-
-        Returns ``(site_ids, run_starts, run_ends, idents_sorted,
-        weights_sorted)`` where ``[run_starts[j], run_ends[j])``
-        brackets site ``site_ids[j]``'s slice of the two sorted columns
-        — ascending site ids, each site's arrivals in global order
-        (the exact slices the columnar engine would gather).
-        """
-        from ..runtime.batched import window_order
-
-        positions, site_ids, run_starts, run_ends = window_order(
-            self.sites, i0, i1
-        )
-        return (
-            site_ids,
-            run_starts,
-            run_ends,
-            self.idents[positions],
-            self.weights[positions],
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShardSliceView(sites=[{self.site_lo}, {self.site_hi}), "
@@ -202,7 +177,11 @@ class ColumnarStream:
     ----------
     idents / weights / sites:
         Parallel arrays in global arrival order (coerced to
-        int64/float64/int64).  Every weight must lie in
+        int64/float64/int64).  Idents and sites must be integers that
+        fit int64 (:func:`~repro.stream.item.check_int_column`; a float
+        or out-of-range value raises
+        :class:`~repro.common.errors.ConfigurationError` rather than
+        being truncated or wrapped).  Every weight must lie in
         ``(0, MAX_WEIGHT]`` (:class:`~repro.common.errors.InvalidWeightError`
         otherwise; see :data:`repro.common.rng.MAX_WEIGHT`).
     num_sites:
@@ -221,9 +200,9 @@ class ColumnarStream:
     def __init__(
         self, idents, weights, sites, num_sites: int, timestamps=None
     ) -> None:
-        idents = _np.ascontiguousarray(idents, dtype=_np.int64)
+        idents = check_int_column(idents, "idents")
         weights = _np.ascontiguousarray(weights, dtype=_np.float64)
-        sites = _np.ascontiguousarray(sites, dtype=_np.int64)
+        sites = check_int_column(sites, "sites")
         if not (len(idents) == len(weights) == len(sites)):
             raise ConfigurationError(
                 f"column lengths disagree: {len(idents)} idents, "
@@ -340,41 +319,6 @@ class ColumnarStream:
     def prefix_weights(self):
         """``W_t`` for every prefix, as a float64 array (cumulative sum)."""
         return _np.cumsum(self.weights)
-
-    def iter_batches(
-        self, batch_size: int
-    ) -> Iterator[Tuple[List[int], List[Item]]]:
-        """Yield ``(sites, items)`` chunk pairs in global arrival order,
-        materializing each chunk's Items transiently (API parity with
-        :meth:`DistributedStream.iter_batches`)."""
-        if batch_size <= 0:
-            raise ConfigurationError(
-                f"batch_size must be positive, got {batch_size}"
-            )
-        items = self.items
-        for lo in range(0, len(self), batch_size):
-            hi = min(lo + batch_size, len(self))
-            yield self.sites[lo:hi].tolist(), items[lo:hi]
-
-    def shard_views(self, num_shards: int) -> List[ShardSliceView]:
-        """Partition the sites into ``num_shards`` contiguous ranges and
-        return one compacted :class:`ShardSliceView` per shard (the
-        worker-process view of the multiprocess sharded engine)."""
-        if not 1 <= num_shards <= self.num_sites:
-            raise ConfigurationError(
-                f"num_shards must be in 1..{self.num_sites}, got {num_shards}"
-            )
-        views = []
-        for i in range(num_shards):
-            site_lo, site_hi = ShardSliceView.shard_range(
-                self.num_sites, num_shards, i
-            )
-            views.append(
-                ShardSliceView.from_columns(
-                    self.sites, self.weights, self.idents, site_lo, site_hi
-                )
-            )
-        return views
 
     def local_streams(self) -> List[List[Item]]:
         """Items per site, each in arrival order (materializes Items)."""

@@ -21,11 +21,14 @@ from ..common.rng import MAX_WEIGHT
 __all__ = [
     "Item",
     "DistributedStream",
+    "check_int_column",
     "check_weight",
     "check_weight_column",
     "total_weight",
     "validate_weights",
 ]
+
+_INT64_MAX = _np.iinfo(_np.int64).max
 
 
 class Item(NamedTuple):
@@ -93,6 +96,27 @@ def check_weight_column(weights) -> None:
         raise weight_error(float(bad))
 
 
+def check_int_column(values, name: str):
+    """``values`` — an ident or site column — as a contiguous int64
+    array: the one ingest check for the integer columns, beside
+    :func:`check_weight_column`.  Integer and bool arrays whose values
+    fit int64, and Python ints in that range, pass (an int64 array at
+    the cost of a dtype check).  Floats, NaN and out-of-range values,
+    which a cast would truncate or wrap, raise
+    :class:`~repro.common.errors.ConfigurationError`."""
+    column = _np.asarray(values)
+    kind = column.dtype.kind
+    if (
+        column.size == 0
+        or kind in "bi"
+        or (kind == "u" and (column.dtype.itemsize < 8 or column.max() <= _INT64_MAX))
+    ):
+        return _np.ascontiguousarray(column, dtype=_np.int64)
+    raise ConfigurationError(
+        f"{name} must be integers that fit int64, got a {column.dtype} column"
+    )
+
+
 def total_weight(items: Iterable[Item]) -> float:
     """Sum of weights — the paper's ``W``."""
     return sum(item.weight for item in items)
@@ -124,7 +148,13 @@ class DistributedStream:
         if num_sites <= 0:
             raise ConfigurationError(f"num_sites must be positive, got {num_sites}")
         for site in assignment:
-            if not 0 <= site < num_sites:
+            try:
+                in_range = 0 <= _as_int_index(site) < num_sites
+            except TypeError:
+                raise ConfigurationError(
+                    f"site index {site!r} is not an integer"
+                ) from None
+            if not in_range:
                 raise ConfigurationError(
                     f"site index {site} out of range for k={num_sites}"
                 )
@@ -163,24 +193,6 @@ class DistributedStream:
             acc += item.weight
             out.append(acc)
         return out
-
-    def iter_batches(
-        self, batch_size: int
-    ) -> Iterator[Tuple[List[int], List[Item]]]:
-        """Yield ``(sites, items)`` chunk pairs in global arrival order.
-
-        Chunked iteration for batch-oriented consumers: each yielded
-        pair holds ``batch_size`` consecutive arrivals (the final chunk
-        may be shorter), with ``sites[i]`` the site receiving
-        ``items[i]``.
-        """
-        if batch_size <= 0:
-            raise ConfigurationError(
-                f"batch_size must be positive, got {batch_size}"
-            )
-        for lo in range(0, len(self._items), batch_size):
-            hi = lo + batch_size
-            yield self._assignment[lo:hi], self._items[lo:hi]
 
     def arrays(self) -> Tuple:
         """``(assignment, weights, idents)`` as numpy arrays, built once

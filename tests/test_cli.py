@@ -218,8 +218,29 @@ class TestObservability:
         capsys.readouterr()
         assert code == 0
         text = path.read_text()
-        assert "# TYPE repro_driver_runs_total counter" in text
-        assert "repro_query_fold_seconds_total" in text
+        # The pass counts as a run of its engine, through the one map.
+        assert 'repro_engine_runs_total{engine="reference"} 1' in text
+        assert "# TYPE repro_query_fold_seconds_total counter" in text
+        assert "# TYPE repro_query_messages gauge" in text
+        assert "repro_driver_" not in text
+
+    def test_query_profile_prints_the_pass_record(self, capsys):
+        code = main(
+            [
+                "query",
+                "--items",
+                "3000",
+                "--sites",
+                "4",
+                "--engine",
+                "columnar",
+                "--profile",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "columnar engine: items 3000, windows " in captured.err
+        assert "fold: total_weight " in captured.err
 
     def test_profile_out_writes_full_dump(self, tmp_path, capsys):
         path = tmp_path / "run.pstats"

@@ -213,15 +213,6 @@ class TestColumnarStream:
         assert (a_w == c_w).all()
         assert (a_i == c_i).all()
 
-    def test_iter_batches_matches(self):
-        stream = self._stream(n=30)
-        columnar = ColumnarStream.from_distributed(stream)
-        got = [
-            (sites, items) for sites, items in columnar.iter_batches(7)
-        ]
-        want = [(sites, items) for sites, items in stream.iter_batches(7)]
-        assert got == want
-
     def test_non_integer_idents_rejected(self):
         stream = DistributedStream([Item("a", 2.0)], [0], 1)  # type: ignore[arg-type]
         with pytest.raises(ConfigurationError, match="engine='reference'"):
@@ -235,6 +226,65 @@ class TestColumnarStream:
         stream = DistributedStream([Item(2.5, 2.0)], [0], 1)  # type: ignore[arg-type]
         with pytest.raises(ConfigurationError):
             stream.arrays()
+
+
+class TestIntegerColumns:
+    """Idents and site indices enter as int64 integers or not at all:
+    ``check_int_column`` rejects what a cast would truncate or wrap,
+    and ``DistributedStream`` rejects a non-integer site index."""
+
+    BAD = {
+        "float-idents": ([0.5, 1.2, 2.0], [0, 1, 2]),
+        "float-sites": ([0, 1, 2], [0.5, 1.7, 2.2]),
+        "uint64-ident-2**63": (np.array([2**63, 1, 2], dtype=np.uint64), [0, 1, 2]),
+        "nan-ident": ([math.nan, 1, 2], [0, 1, 2]),
+        "python-int-2**63": ([2**63], [0]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_columnar_stream_rejects(self, case):
+        idents, sites = self.BAD[case]
+        with pytest.raises(ConfigurationError, match="must be integers that fit int64"):
+            ColumnarStream(idents, [1.0] * len(sites), sites, 3)
+
+    def test_in_range_integers_accepted(self):
+        stream = ColumnarStream(
+            np.array([0, 2**63 - 1], dtype=np.uint64),
+            [1.0, 2.0],
+            np.array([True, False]),
+            2,
+        )
+        assert stream.idents.tolist() == [0, 2**63 - 1]
+        assert stream.sites.tolist() == [1, 0]
+        assert stream.idents.dtype == stream.sites.dtype == np.int64
+        assert ColumnarStream([-(2**63)], [1.0], [0], 1).idents.tolist() == [-(2**63)]
+        assert len(ColumnarStream([], [], [], 1)) == 0
+
+    def test_int64_columns_are_not_copied(self):
+        idents = np.arange(4, dtype=np.int64)
+        sites = idents % 2
+        stream = ColumnarStream(idents, np.ones(4), sites, 2)
+        assert stream.idents is idents and stream.sites is sites
+
+    def test_distributed_stream_rejects_float_sites(self):
+        items = [Item(i, 1.0) for i in range(8)]
+        with pytest.raises(ConfigurationError, match="site index 0.5 is not an integer"):
+            DistributedStream(items, [i % 4 + 0.5 for i in range(8)], 4)
+        # numpy integer sites stay legal.
+        DistributedStream(items, list(np.arange(8) % 4), 4)
+
+    @pytest.mark.parametrize("engine", ["reference", "columnar", "sharded"])
+    def test_every_engine_rejects_float_sites_before_any_site_runs(self, engine):
+        proto = DistributedWeightedSWOR(
+            SworConfig(num_sites=4, sample_size=2),
+            seed=1,
+            engine=get_engine(engine, workers=2) if engine == "sharded" else engine,
+        )
+        items = [Item(i, 1.0 + i) for i in range(40)]
+        with pytest.raises(ConfigurationError):
+            proto.run(DistributedStream(items, [i % 4 + 0.5 for i in range(40)], 4))
+        assert [site.items_seen for site in proto.sites] == [0] * 4
+        assert proto.counters.total == 0
 
 
 # ---------------------------------------------------------------------------

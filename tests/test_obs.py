@@ -3,8 +3,8 @@
 What is covered:
 
 1. **Registry semantics** — counters are monotonic, gauges last-write-
-   win, histograms keep fixed bucket schemas, labels validate, spans
-   time, and the null registry is a complete no-op surface.
+   win, histograms keep fixed bucket schemas, labels validate, and an
+   engine carries no registry until one is attached.
 2. **Golden exposition** — the Prometheus text rendering and the JSON
    snapshot of a hand-built registry are pinned byte-for-byte /
    structure-for-structure.
@@ -12,14 +12,15 @@ What is covered:
    layer exports is pinned as a golden list, so a rename is a
    deliberate, reviewed act (dashboards depend on these names).
 4. **Bit-parity** — samples AND message counters are identical with a
-   live registry and with the null one, on every engine (reference,
+   registry attached and without one, on every engine (reference,
    columnar, sharded) and on the multi-query driver.  Instrumentation
    is observational only.
 5. **Instrumentation facts** — engines export run/item/window
    counters and message gauges that agree with the ground truth; the
    sharded record's per-worker figures, counted by the parent, agree
-   with the run and with their per-worker counters; ``format_stats``
-   is safe before any run.
+   with the run and with their per-worker counters; a driver pass
+   records once on its engine; ``format_stats`` is safe before any
+   run.
 """
 
 from __future__ import annotations
@@ -34,16 +35,21 @@ from repro.core import DistributedWeightedSWOR, SworConfig
 from repro.net.counters import MessageCounters
 from repro.obs import (
     DURATION_BUCKETS,
-    NULL_REGISTRY,
     MetricsRegistry,
-    NullRegistry,
     export_run,
     render_json,
     render_prometheus,
     write_metrics,
 )
-from repro.query import MultiQueryDriver, QueryCatalog, SubsetSumQuery
-from repro.runtime import ShardedEngine, get_engine
+from repro.query import (
+    CountQuery,
+    MultiQueryDriver,
+    QueryCatalog,
+    SubsetSumQuery,
+    TotalWeightQuery,
+)
+from repro.runtime import Engine, ShardedEngine, get_engine
+from repro.runtime.batched import batch_windows
 from repro.stream import round_robin, zipf_stream
 
 SITES = 8
@@ -95,12 +101,12 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             c.inc(-1)
 
-    def test_gauge_set_inc_dec(self):
+    def test_gauge_last_write_wins(self):
         registry = MetricsRegistry()
         g = registry.gauge("repro_depth")
         g.set(5)
-        g.inc(2)
-        assert _value(registry, "repro_depth") == 7.0
+        g.set(2)
+        assert _value(registry, "repro_depth") == 2.0
 
     def test_labeled_cells_are_independent(self):
         registry = MetricsRegistry()
@@ -159,43 +165,11 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             registry.histogram("repro_h_seconds", buckets=(1.0, 1.0, 2.0))
 
-    def test_span_observes_duration_histogram(self):
-        registry = MetricsRegistry()
-        with registry.span("fold", engine="columnar") as span:
-            pass
-        assert span.seconds >= 0.0
-        family = registry._families["repro_fold_seconds"]
-        assert family.type == "histogram"
-        cell = family.labels(engine="columnar")
-        assert cell.count == 1
-        assert cell.sum == span.seconds
-
     def test_metric_names_sorted(self):
         registry = MetricsRegistry()
         registry.counter("repro_b_total")
         registry.counter("repro_a_total")
         assert registry.metric_names() == ["repro_a_total", "repro_b_total"]
-
-
-class TestNullRegistry:
-    def test_disabled_and_inert(self):
-        null = NULL_REGISTRY
-        assert null.enabled is False
-        null.counter("x_total").labels(engine="a").inc()
-        null.gauge("g").set(5)
-        null.histogram("h").observe(1.0)
-        with null.span("fold", engine="a"):
-            pass
-        assert null.families() == []
-        assert null.metric_names() == []
-        assert null.snapshot() == {"metrics": {}}
-        assert null.exposition() == ""
-
-    def test_singleton(self):
-        assert isinstance(NULL_REGISTRY, NullRegistry)
-        from repro.runtime.base import Engine
-
-        assert Engine.registry is NULL_REGISTRY
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +284,6 @@ class TestExposition:
 #: breaking change and must update this list (and the README table)
 #: in the same commit.
 GOLDEN_METRIC_NAMES = [
-    "repro_driver_items_total",
-    "repro_driver_run_seconds",
-    "repro_driver_runs_total",
     "repro_engine_items_total",
     "repro_engine_run_seconds",
     "repro_engine_runs_total",
@@ -343,10 +314,11 @@ class TestMetricNameStability:
         """Exercise every export path into ONE registry and pin the
         resulting family names exactly.
 
-        In-process engine runs, a driver run, and a (deterministic,
-        spawn-free) sharded fallback run hit the real code paths; a
-        sharded and a degraded record are exported synthetically, so
-        the metric names do not hang on a multiprocess run.
+        In-process engine runs, a driver pass on an instrumented
+        engine, and a (deterministic, spawn-free) sharded fallback run
+        hit the real code paths; a sharded and a degraded record are
+        exported synthetically, so the metric names do not hang on a
+        multiprocess run.
         """
         registry = MetricsRegistry()
         for spec in ("reference", "columnar"):
@@ -355,7 +327,7 @@ class TestMetricNameStability:
             QueryCatalog([SubsetSumQuery("q", sample_size=8)]),
             num_sites=SITES,
             seed=5,
-            registry=registry,
+            engine=get_engine("columnar").instrument(registry),
         )
         driver.run(_stream(4_000))
         # workers=1 → deterministic in-process fallback, no spawn.
@@ -455,28 +427,51 @@ class TestInstrumentationParity:
         assert plain_shapes == set(shapes) == {("res", 3), ("sta", 4)}
         assert _fingerprint(plain) == _fingerprint(live)
 
-    def test_driver(self):
+    def test_driver_pass_record(self):
+        """A driver pass records once on its engine: ``engine``,
+        ``items``, ``seconds``, ``windows`` (the schedule's window
+        count) and one ``queries`` row per network-backed query.
+        Answers and counters are identical with and without a registry
+        attached."""
         queries = [
             SubsetSumQuery("a", sample_size=8),
-            SubsetSumQuery("b", sample_size=8),
+            CountQuery("b", sample_size=8),
+            TotalWeightQuery("c", eps=0.25),
         ]
+        stream = _stream(6_000)
         plain = MultiQueryDriver(
             QueryCatalog(list(queries)), num_sites=SITES, seed=5
         )
-        answers_plain = plain.run(_stream(6_000))
+        answers_plain = plain.run(stream)
         registry = MetricsRegistry()
+        engine = get_engine("columnar").instrument(registry)
         live = MultiQueryDriver(
-            QueryCatalog(list(queries)),
-            num_sites=SITES,
-            seed=5,
-            registry=registry,
+            QueryCatalog(list(queries)), num_sites=SITES, seed=5, engine=engine
         )
-        answers_live = live.run(_stream(6_000))
+        answers_live = live.run(stream)
         assert repr(answers_plain.answers) == repr(answers_live.answers)
-        assert {
+        counters = {name: c.snapshot() for name, c in live.counters().items()}
+        assert counters == {
             name: c.snapshot() for name, c in plain.counters().items()
-        } == {name: c.snapshot() for name, c in live.counters().items()}
-        assert "repro_driver_runs_total" in registry.metric_names()
+        }
+        record = engine.last_run_stats
+        assert sorted(record) == ["engine", "items", "queries", "seconds", "windows"]
+        assert record["engine"] == "columnar"
+        assert record["items"] == 6_000
+        assert record["windows"] == len(
+            list(batch_windows(6_000, engine.batch_size, engine.initial_batch_size))
+        )
+        assert list(record["queries"]) == ["a", "b", "c"]
+        for name, row in record["queries"].items():
+            assert sorted(row) == ["downstream", "fold_seconds", "upstream"]
+            assert row["upstream"] == counters[name]["upstream"]
+            assert row["downstream"] == counters[name]["downstream"]
+        assert 0 < sum(r["fold_seconds"] for r in record["queries"].values())
+        assert sum(r["fold_seconds"] for r in record["queries"].values()) <= (
+            record["seconds"]
+        )
+        assert plain.engine.last_run_stats.keys() == record.keys()
+        assert _value(registry, "repro_engine_runs_total", engine="columnar") == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +496,12 @@ class TestEngineInstrumentation:
 
     def test_instrument_none_detaches(self):
         engine = get_engine("columnar")
+        assert Engine.registry is None and engine.registry is None
         registry = MetricsRegistry()
         assert engine.instrument(registry) is engine
         assert engine.registry is registry
         engine.instrument(None)
-        assert engine.registry is NULL_REGISTRY
+        assert engine.registry is None
 
     @pytest.mark.parametrize("spec", ["reference", "columnar"])
     def test_run_export_matches_ground_truth(self, spec):
@@ -628,16 +624,27 @@ class TestEngineInstrumentation:
             ),
             num_sites=SITES,
             seed=5,
-            registry=registry,
+            engine=get_engine("columnar").instrument(registry),
         )
         driver.run(_stream(6_000))
+        record = driver.engine.last_run_stats
         fold = registry._families["repro_query_fold_seconds_total"]
-        labels = {values[0] for values, _cell in fold.samples()}
         # Each query network runs its own window step: one label each.
-        assert labels == {"a", "b"}
-        assert _value(registry, "repro_driver_runs_total") == 1.0
-        assert _value(registry, "repro_driver_items_total") == 6_000
+        assert {values[0]: cell.value for values, cell in fold.samples()} == {
+            name: row["fold_seconds"] for name, row in record["queries"].items()
+        }
+        assert set(record["queries"]) == {"a", "b"}
+        # The pass counts as a run of its engine; it has no network of
+        # its own, so it sets no per-engine message gauge.
+        assert _value(registry, "repro_engine_runs_total", engine="columnar") == 1.0
+        assert _value(registry, "repro_engine_items_total", engine="columnar") == 6_000
+        assert (
+            _value(registry, "repro_engine_windows_total", engine="columnar")
+            == record["windows"]
+        )
+        assert "repro_messages" not in registry.metric_names()
         for name, counters in driver.counters().items():
-            assert _value(
-                registry, "repro_query_messages", query=name, direction="upstream"
-            ) == counters.upstream
+            for direction in ("upstream", "downstream"):
+                assert _value(
+                    registry, "repro_query_messages", query=name, direction=direction
+                ) == getattr(counters, direction)

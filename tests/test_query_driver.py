@@ -128,6 +128,26 @@ class TestGoldenParity:
         assert instance.counters.snapshot() == standalone.counters.snapshot()
 
 
+class TestEngineInstance:
+    def test_engine_instance_ramp_is_honoured(self):
+        """An engine instance brings its own ramp: the driver's pass
+        runs its schedule, so every query ends in the full state of a
+        standalone run under the same engine settings."""
+        stream = _stream()
+        queries = _swor_queries(1) + [CountQuery("count", sample_size=32)]
+
+        def engine():
+            return ColumnarEngine(batch_size=256, initial_batch_size=256)
+
+        driver = MultiQueryDriver(queries, 8, 5, engine=engine())
+        driver.run(stream)
+        assert driver.engine.last_run_stats["windows"] == -(-len(stream) // 256)
+        for query in queries:
+            alone = compile_query(query, 8, 5)
+            engine().run(alone.network, stream)
+            assert _network_state(driver[query.name]) == _network_state(alone)
+
+
 def _standalone(query, stream, batch_size, checkpoints):
     """``query`` compiled as the driver compiles it (seed 5, 8 sites)
     and run alone on the columnar engine; returns it with its answers
@@ -296,7 +316,7 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             MultiQueryDriver([SubsetSumQuery("a")], num_sites=4, engine="batched")
 
-    @pytest.mark.parametrize("option", ["batch_size", "initial_batch_size"])
+    @pytest.mark.parametrize("option", ["batch_size"])
     def test_reference_engine_rejects_batch_sizes(self, option):
         """Like ``get_engine("reference", batch_size=...)``: a batch size
         the reference engine would silently ignore is an error."""
@@ -310,9 +330,11 @@ class TestValidation:
                 **{option: 512},
             )
         driver = MultiQueryDriver(
-            [SubsetSumQuery("a")], num_sites=4, engine="reference"
+            [SubsetSumQuery("a")], num_sites=8, engine="reference"
         )
-        assert driver.batch_size == driver.initial_batch_size == 1
+        driver.run(_stream(n=300))
+        # The reference round model: one arrival per window.
+        assert driver.engine.last_run_stats["windows"] == 300
 
     def test_unknown_query_lookup(self):
         driver = MultiQueryDriver([SubsetSumQuery("a")], num_sites=4)

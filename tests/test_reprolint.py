@@ -53,7 +53,6 @@ from tools.reprolint.engine import (  # noqa: E402
 _FIXTURE_GOLDEN = """\
 GOLDEN_METRIC_NAMES = [
     "repro_good_total",
-    "repro_fold_seconds",
 ]
 """
 
@@ -446,22 +445,6 @@ class TestMetricNameDrift:
         assert len(found) == 1
         assert "repro_rogue_total" in found[0].message
 
-    def test_span_maps_to_seconds_family(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "tests/test_obs.py": _FIXTURE_GOLDEN,
-                "src/repro/obs/x.py": """\
-                def timed(registry):
-                    with registry.span("rogue"):
-                        pass
-                """,
-            },
-        )
-        found = findings_of(tmp_path, "R005")
-        assert len(found) == 1
-        assert "repro_rogue_seconds" in found[0].message
-
     def test_missing_namespace_prefix_flagged(self, tmp_path):
         write_tree(
             tmp_path,
@@ -485,8 +468,6 @@ class TestMetricNameDrift:
                 "src/repro/obs/x.py": """\
                 def register(registry):
                     registry.counter("repro_good_total", "on the list")
-                    with registry.span("fold"):
-                        pass
                 """,
             },
         )

@@ -43,7 +43,6 @@ from repro.common.errors import ConfigurationError
 from repro.net.messages import REGULAR
 from repro.runtime import ColumnarEngine, ReferenceEngine, get_engine
 from repro.stream import (
-    DistributedStream,
     Item,
     heavy_to_one_site,
     round_robin,
@@ -257,16 +256,6 @@ class TestColumnarMechanics:
             get_engine(inst, batch_size=4)
         with pytest.raises(ConfigurationError):
             ColumnarEngine(batch_size=0)
-
-    def test_stream_iter_batches(self):
-        items = [Item(i, 1.0) for i in range(10)]
-        stream = DistributedStream(items, [i % 3 for i in range(10)], 3)
-        chunks = list(stream.iter_batches(4))
-        assert [len(c_items) for _, c_items in chunks] == [4, 4, 2]
-        flat = [item for _, c_items in chunks for item in c_items]
-        assert flat == items
-        with pytest.raises(ConfigurationError):
-            list(stream.iter_batches(0))
 
 
 class TestVectorizedPrimitives:

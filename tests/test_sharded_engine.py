@@ -753,7 +753,11 @@ class TestPackWireForm:
 
 class TestShardSliceView:
     def test_window_order_matches_columnar_grouping(self):
+        """A worker groups its view's rows of a window with the
+        engine's ``group_window``: each shard site's slices equal the
+        full-window grouping's."""
         from repro.runtime.batched import window_order
+        from repro.runtime.columnar import group_window
 
         rng = np.random.default_rng(5)
         assignment = rng.integers(0, 7, size=500)
@@ -762,9 +766,7 @@ class TestShardSliceView:
         view = ShardSliceView.from_columns(assignment, weights, idents, 2, 5)
         lo, hi = 100, 350
         i0, i1 = view.window_bounds(lo, hi)
-        site_ids, starts, ends, idents_sorted, weights_sorted = (
-            view.window_order(i0, i1)
-        )
+        window = group_window(view.sites, view.idents, view.weights, i0, i1)
         # Reference: the full-window grouping the columnar engine does.
         positions, full_ids, run_starts, run_ends = window_order(
             assignment, lo, hi
@@ -773,18 +775,28 @@ class TestShardSliceView:
         for sid, start, end in zip(full_ids, run_starts, run_ends):
             if 2 <= sid < 5:
                 expected[sid] = positions[start:end]
-        assert site_ids == sorted(expected)
-        for sid, start, end in zip(site_ids, starts, ends):
-            assert idents_sorted[start:end].tolist() == (
+        assert window.site_ids == sorted(expected)
+        for sid, start, end in zip(window.site_ids, window.starts, window.ends):
+            assert window.idents[start:end].tolist() == (
                 idents[expected[sid]].tolist()
             )
-            assert weights_sorted[start:end].tolist() == (
+            assert window.weights[start:end].tolist() == (
                 weights[expected[sid]].tolist()
             )
 
     def test_shard_views_partition_the_stream(self):
+        """``shard_range`` plus ``from_columns`` — the worker dispatch's
+        partition — cover every arrival exactly once."""
         stream = ColumnarStream.from_distributed(_stream(n=1000))
-        views = stream.shard_views(3)
+        views = [
+            ShardSliceView.from_columns(
+                stream.sites,
+                stream.weights,
+                stream.idents,
+                *ShardSliceView.shard_range(stream.num_sites, 3, index),
+            )
+            for index in range(3)
+        ]
         assert [v.site_lo for v in views] == [0, 2, 5]
         assert [v.site_hi for v in views] == [2, 5, 8]
         assert sum(len(v) for v in views) == len(stream)
@@ -793,10 +805,11 @@ class TestShardSliceView:
 
     def test_shard_views_validation(self):
         stream = ColumnarStream.from_distributed(_stream(n=100))
-        with pytest.raises(ConfigurationError):
-            stream.shard_views(0)
-        with pytest.raises(ConfigurationError):
-            stream.shard_views(9)
+        columns = (stream.sites, stream.weights, stream.idents)
+        with pytest.raises(ConfigurationError, match="invalid shard range"):
+            ShardSliceView.from_columns(*columns, 5, 2)
+        with pytest.raises(ConfigurationError, match="lengths disagree"):
+            ShardSliceView([0, 1], [0, 0], [1.0], [7], 0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -749,10 +749,8 @@ class MetricNameDrift(Rule):
 
     ``tests/test_obs.py`` pins the complete family-name surface
     (``GOLDEN_METRIC_NAMES``); dashboards and the nightly artifact diff
-    key on those strings.  Registering a counter/gauge/histogram — or
-    opening a ``registry.span`` whose derived ``repro_<name>_seconds``
-    family — under a name that is not on the list is a silent breaking
-    change.  The fix is to add the name to the golden list (and the
+    key on those strings.  Registering a counter/gauge/histogram under a
+    name that is not on the list is a silent breaking change.  The fix is to add the name to the golden list (and the
     README table) in the same commit, which forces the rename through
     review.
     """
@@ -780,28 +778,20 @@ class MetricNameDrift(Rule):
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and (
-                    node.func.attr in _METRIC_METHODS
-                    or node.func.attr == "span"
-                )
+                and node.func.attr in _METRIC_METHODS
                 and node.args
                 and isinstance(node.args[0], ast.Constant)
                 and isinstance(node.args[0].value, str)
             ):
                 continue
-            literal = node.args[0].value
-            if node.func.attr == "span":
-                metric = f"repro_{literal}_seconds"
-            else:
-                metric = literal
-                if not metric.startswith("repro_"):
-                    yield src.finding(
-                        self.id,
-                        node,
-                        f"metric name {metric!r} lacks the repro_ namespace "
-                        "prefix",
-                    )
-                    continue
+            metric = node.args[0].value
+            if not metric.startswith("repro_"):
+                yield src.finding(
+                    self.id,
+                    node,
+                    f"metric name {metric!r} lacks the repro_ namespace prefix",
+                )
+                continue
             if not golden_loaded:
                 golden = self._golden(src.root)
                 golden_loaded = True
@@ -815,15 +805,10 @@ class MetricNameDrift(Rule):
                     return
             assert golden is not None
             if metric not in golden:
-                hint = (
-                    f"span {literal!r} maps to family {metric!r}, which"
-                    if node.func.attr == "span"
-                    else f"metric {metric!r}"
-                )
                 yield src.finding(
                     self.id,
                     node,
-                    f"{hint} is not on the golden stability list in "
+                    f"metric {metric!r} is not on the golden stability list in "
                     "tests/test_obs.py — add it there (and to the README "
                     "table) in the same commit",
                 )
