@@ -15,7 +15,8 @@ against the relevant closed-form bound).  ``query`` runs a whole
 catalog of estimation queries concurrently over one shared stream pass
 (see :mod:`repro.query`).
 
-Every subcommand accepts ``--engine {reference,columnar,sharded}``
+Every run-driving subcommand (all but ``bounds``, which runs no
+stream) accepts ``--engine {reference,columnar,sharded}``
 (``--batch-size N`` for the columnar-plane engines, and ``--workers N``,
 ``--worker-timeout SECONDS`` and the debug-only ``--fault-plan PLAN``
 for the sharded engine) to pick the execution runtime; see
@@ -24,10 +25,11 @@ Every protocol has a native columnar fast path, so ``--engine columnar``
 is the fast engine on each subcommand (at ``--batch-size 1``
 bit-identical to ``reference``), and ``--engine sharded`` runs the site
 passes across worker processes, bit-identical to ``columnar`` at any
-worker count; a worker fault finishes the run on the in-process
-columnar engine, with the same output.  ``--seed`` may be
-given either globally (``repro --seed 7 swor``) or per subcommand; the
-subcommand's value wins when both are present.
+worker count; a worker crash, hang or malformed pack finishes the run
+on the in-process columnar engine, with the same output (a site that
+raises fails the run).  ``--seed`` may be given either globally
+(``repro --seed 7 swor``) or per subcommand; the subcommand's value
+wins when both are present.
 
 ``--profile`` profiles the parent process: under ``--engine sharded``
 that is the coordinator fold and transport (the interesting hot path);
@@ -127,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--worker-timeout",
             type=float,
             default=None,
-            help="seconds the sharded supervisor waits for a worker "
+            help="seconds the sharded engine waits for a worker "
             "message before classifying it as hung and finishing the "
             "run on the in-process columnar engine (--engine sharded "
             "only; default: 60)",
@@ -246,12 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--eps", type=float, default=0.1)
     p_bounds.add_argument("--delta", type=float, default=0.05)
     p_bounds.add_argument("--weight", type=float, default=1e9)
-    engine_opts(p_bounds)  # accepted for flag uniformity; bounds runs no stream
     return parser
 
 
 def _check_engine_flags(args: argparse.Namespace) -> None:
-    """Shared flag validation for every subcommand."""
+    """Shared flag validation for every run-driving subcommand."""
     if args.batch_size is not None and args.engine not in (
         "columnar",
         "sharded",
@@ -520,7 +521,6 @@ def _cmd_stats(args: argparse.Namespace) -> str:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> str:
-    _engine_of(args)  # no stream to run, but validate the flags uniformly
     k, s, eps, delta, w = (
         args.sites,
         args.sample,

@@ -63,13 +63,14 @@ class SworCoordinator(CoordinatorAlgorithm):
         self.regular_accepted = 0
         self.early_received = 0
         self.early_for_saturated = 0
-        # folds_quietly's memo for the pack fold that follows it:
-        # (keys, S's offer count at the check, the fused fold).
+        # folds_quietly's memo for the delivery that follows it: (the
+        # window pack, S's offer count at the check, the fused fold).
         self._quiet: Optional[Tuple[Any, int, Any]] = None
 
     # -- CoordinatorAlgorithm interface --------------------------------
 
     def on_message(self, site_id: int, message: Message) -> List[Tuple[int, Message]]:
+        self._quiet = None
         if message.kind == EARLY:
             return self._on_early(message)
         if message.kind == REGULAR:
@@ -168,9 +169,11 @@ class SworCoordinator(CoordinatorAlgorithm):
         earlies are walked in order as on the scalar path, but a
         released level folds in epoch segments
         (:func:`~repro.core.epochs.fold_in_epoch_segments`).
-        The regulars fold in epoch segments too (a quiet pack is one),
-        reusing the fold :meth:`folds_quietly` computed for the same
-        keys array while ``S`` is unchanged.
+        The regulars fold in epoch segments too (a quiet pack is one).
+        The window pack :meth:`folds_quietly` just passed, delivered
+        while ``S`` is unchanged, skips both checks: :meth:`can_park`
+        admitted its earlies, and its regulars take the fold
+        :meth:`folds_quietly` computed.
 
         ``regular_accepted`` counts the survivors of each segment's
         entry threshold (for a window pack, the window-entry threshold),
@@ -178,6 +181,8 @@ class SworCoordinator(CoordinatorAlgorithm):
         candidates never enter the top ``s``, so the sample is the same.
         """
         quiet, self._quiet = self._quiet, None
+        if quiet and (quiet[0] is not pack or quiet[1] != self.sample_set.offers):
+            quiet = None
         responses: List[Tuple[int, Message]] = []
         ne = pack.num_early
         if ne:
@@ -190,7 +195,7 @@ class SworCoordinator(CoordinatorAlgorithm):
             keys = _np.divide(pack.early_weights, draws, out=draws)
             self.early_received += ne
             levels = pack.early_levels
-            if ne > _WALK_MAX and self.levels.admits(levels):
+            if ne > _WALK_MAX and (quiet or self.levels.admits(levels)):
                 self.levels.park(levels, pack.early_idents, pack.early_weights, keys)
             else:
                 for ident, weight, level, key in zip(
@@ -203,7 +208,7 @@ class SworCoordinator(CoordinatorAlgorithm):
         if pack.num_regular:
             self.regular_received += pack.num_regular
             columns = (pack.regular_idents, pack.regular_weights, pack.regular_keys)
-            if quiet and quiet[0] is columns[2] and quiet[1] == self.sample_set.offers:
+            if quiet:
                 # The fold folds_quietly computed against this very S.
                 self.sample_set.fold_selected(*columns, *quiet[2])
                 self.regular_accepted += len(quiet[2][0])
@@ -223,23 +228,24 @@ class SworCoordinator(CoordinatorAlgorithm):
         a ``LEVEL_SATURATED`` changes how many keys a site draws."""
         return self.levels.admits(early_levels)
 
-    def folds_quietly(self, keys: Any) -> bool:
-        """Whether one fold of these regular keys (``None``: none),
-        after earlies that :meth:`can_park` admitted, leaves the epoch
-        unchanged — so the columnar engine can fold the whole window as
-        one pack.  Pure but for a memo: the fused fold (threshold mask,
-        merged cut, boundary-tie count and kept set, in one kernel
-        pass), which :meth:`on_message_pack` reuses for the same keys
-        array while ``S`` is unchanged."""
-        if keys is None:
-            return True
+    def folds_quietly(self, pack: Any) -> bool:
+        """Whether one fold of a window pack whose earlies
+        :meth:`can_park` admitted leaves the epoch unchanged — so the
+        columnar engine can fold the whole window as one pack.  Pure
+        but for a memo of the pack and its regulars' fused fold
+        (threshold mask, merged cut, boundary-tie count and kept set,
+        in one kernel pass), which :meth:`on_message_pack` reuses when
+        the next delivery is that pack and ``S`` is unchanged."""
+        keys = pack.regular_keys
         sample = self.sample_set
-        fold = swor_fold_regulars(
-            keys, sample.threshold, sample.keys, sample.sample_size
-        )
-        if len(fold[0]) and self.epochs.would_announce(fold[2]):
-            return False
-        self._quiet = (keys, sample.offers, fold)
+        fold = None
+        if keys is not None:
+            fold = swor_fold_regulars(
+                keys, sample.threshold, sample.keys, sample.sample_size
+            )
+            if len(fold[0]) and self.epochs.would_announce(fold[2]):
+                return False
+        self._quiet = (pack, sample.offers, fold)
         return True
 
     def snapshot_state(self) -> tuple:

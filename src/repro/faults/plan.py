@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 #: Exit status a ``kill`` fault dies with — distinguishable from a real
-#: interpreter crash in the supervisor's fault detail.
+#: interpreter crash in the recorded fault's detail.
 CHAOS_EXITCODE = 73
 
 #: Every kind fires at (worker, window).
@@ -88,8 +88,9 @@ class FaultPlan:
 
     Nothing mutates a plan: every run ships each worker its entries
     afresh, so a plan on a long-lived engine re-fires every run.  The
-    first fault that fires degrades the run, so later entries of the
-    same run never fire.
+    first fault that fires ends the sharded attempt (it degrades the
+    run, or fails a run without a run-start checkpoint), so a run logs
+    one fault and later entries of the same run never fire.
     """
 
     def __init__(self, entries: Iterable[FaultSpec] = ()) -> None:
@@ -186,7 +187,7 @@ def fault_action(
 
 def block_forever() -> None:  # pragma: no cover - killed by the parent
     """Simulate a hung worker: block on an event nobody signals.  The
-    supervisor's deadline fires and the process is terminated; no
+    parent's receive deadline fires and the process is terminated; no
     wall-clock reads, no spinning."""
     threading.Event().wait()
 

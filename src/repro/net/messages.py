@@ -67,7 +67,7 @@ class PackWireError(ValueError):
     Raised at the process/network boundary (:meth:`MessagePack.from_arrays`
     / :meth:`MessagePack.read_from`) so a poisoned or truncated pack is
     rejected before it can crash a coordinator fold; the sharded
-    supervisor classifies it as a ``poison`` fault.  Subclasses
+    engine classifies it as a ``poison`` fault.  Subclasses
     :class:`ValueError` for compatibility with pre-existing callers.
     """
 

@@ -157,7 +157,7 @@ def export_run(registry, stats, counters) -> None:
     for fault in stats.get("faults", ()):
         registry.counter(
             "repro_shard_faults_total",
-            "worker faults classified by the sharded supervisor",
+            "worker faults of sharded runs, one per faulted run",
             labels=("fault_class",),
         ).labels(fault_class=fault["fault_class"]).inc()
     if mode != "sharded":

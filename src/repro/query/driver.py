@@ -128,8 +128,8 @@ class MultiQueryDriver:
         :class:`~repro.runtime.ShardedEngine` sets the schedule and the
         pass runs in-process (per-query results are bit-identical
         either way); shard-parallel *site* execution applies to
-        single-protocol runs.  An engine instance brings its own ramp
-        (``batch_size`` and ``initial_batch_size``).
+        single-protocol runs.  An engine instance brings its own
+        ``batch_size`` (``ColumnarEngine(batch_size=...)``).
     batch_size:
         Steady-state batch size, passed to
         :func:`~repro.runtime.get_engine` with an engine name.
@@ -244,17 +244,17 @@ class MultiQueryDriver:
         # one arrival: each arrival goes through on_item and each
         # message is delivered alone, as under ReferenceEngine.
         if isinstance(engine, ColumnarEngine):
-            sizes = (engine.batch_size, engine.initial_batch_size)
+            batch_size = engine.batch_size
             steps = [(network, window_step(network)) for network in networks]
         else:
-            sizes = (1, 1)
+            batch_size = 1
             steps = [(network, None) for network in networks]
         ts_column = getattr(stream, "timestamps", None)
         fold_seconds = [0.0] * len(steps)
         windows = 0
         # batch_windows is the same schedule ColumnarEngine iterates —
         # the source of the driver's run-for-run parity with it.
-        for lo, hi in batch_windows(n, *sizes, marks):
+        for lo, hi in batch_windows(n, batch_size, marks):
             window = group_window(assignment, idents, weights, lo, hi)
             for index, (network, can_park) in enumerate(steps):
                 t0 = time.perf_counter()

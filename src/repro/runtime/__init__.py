@@ -80,9 +80,9 @@ def get_engine(
         CPUs this process may run on); rejected for engines that do not
         shard.
     worker_timeout:
-        Seconds the sharded supervisor waits for a worker message
-        before classifying the worker as hung; rejected for engines
-        that do not shard.
+        Seconds the sharded engine waits for a worker message before
+        classifying the worker as hung; rejected for engines that do
+        not shard.
     fault_plan:
         A :class:`~repro.faults.FaultPlan` (or its ``kind:worker:window``
         string form) injected through the sharded engine's chaos seams

@@ -37,10 +37,13 @@ onto the attached registry; nothing else describes a run.  The keys:
   window body) and its cumulative ``upstream`` and ``downstream``
   message counts;
 * every sharded run: ``mode`` — ``"sharded"``, or ``"fallback"``,
-  ``"degraded"`` or ``"failed"`` with its ``reason`` (a degraded run
-  adds ``degraded_to``; a failed one, recorded before it raises,
-  counts in ``items`` only the arrivals of its committed windows) —
-  and, when supervised, ``supervision`` and any classified ``faults``;
+  ``"degraded"`` or ``"failed"`` with its one-line ``reason``; a
+  degraded or failed run also logs its one worker fault in ``faults``
+  (``worker``, ``window``, ``fault_class``, ``detail``).  A crash,
+  hang or poison degrades the run (it adds ``degraded_to``); a worker
+  ``error``, or any fault of a run without a run-start checkpoint,
+  fails it: the record, made before the error is re-raised, counts in
+  ``items`` only the arrivals of its committed windows;
 * a run that ran sharded: ``workers``, ``warm_pool``,
   ``setup_seconds`` (getting the worker pool, spawned when not warm,
   and shipping each worker its shard; part of ``seconds``),

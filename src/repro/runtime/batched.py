@@ -24,13 +24,14 @@ biases the sample distribution: each item's key is still an independent
 ``w/Exp(1)`` draw, and the coordinator still keeps exactly the top-``s``
 keys over released items.
 
-Batch sizes ramp up (doubling from ``initial_batch_size`` to
-``batch_size``, 16384 by default), which bounds the warm-up staleness: at
-stream start the threshold is 0 and no level is saturated, so a huge
-first batch would send every item upstream.  Batches additionally split
-at requested checkpoints so ``on_checkpoint(t)`` fires at exactly ``t``.
-A batch size of 1 reproduces the reference engine bit for bit (same RNG
-consumption, same delivery interleaving).
+Batch sizes ramp up (doubling from :data:`DEFAULT_INITIAL_BATCH_SIZE`,
+64, to ``batch_size``, 16384 by default), which bounds the warm-up
+staleness: at stream start the threshold is 0 and no level is
+saturated, so a huge first batch would send every item upstream.
+Batches additionally split at requested checkpoints so
+``on_checkpoint(t)`` fires at exactly ``t``.  A batch size of 1
+reproduces the reference engine bit for bit (same RNG consumption,
+same delivery interleaving).
 """
 
 from __future__ import annotations
@@ -45,28 +46,29 @@ __all__ = [
     "window_order",
 ]
 
-#: Steady-state and warm-up batch sizes.  Defined once here; the
-#: multi-query driver and the CLI help text reference these so the
+#: The default steady-state batch size and the ramp's first size.
+#: Defined once here; the CLI help text references these so the
 #: documented defaults can never desync from the engine's.
 DEFAULT_BATCH_SIZE = 16384
 DEFAULT_INITIAL_BATCH_SIZE = 64
 
 
-def batch_windows(n, batch_size, initial_batch_size, marks=()):
+def batch_windows(n, batch_size, marks=()):
     """Yield ``(lo, hi)`` stream windows under the doubling ramp.
 
     The single source of truth for the batch schedule: sizes ramp from
-    ``initial_batch_size`` doubling up to ``batch_size``, and windows
-    split so each mark in ``marks`` (stream offsets, exclusive upper
-    bounds) lands exactly on a window boundary.  The columnar and
-    sharded engines and the multi-query driver all iterate this, which
-    is what makes their checkpoint-exactness and run-for-run parity
-    structural rather than coincidental.
+    :data:`DEFAULT_INITIAL_BATCH_SIZE` (or ``batch_size``, when
+    smaller) doubling up to ``batch_size``, and windows split so each
+    mark in ``marks`` (stream offsets, exclusive upper bounds) lands
+    exactly on a window boundary.  The columnar and sharded engines and
+    the multi-query driver all iterate this, which is what makes their
+    checkpoint-exactness and run-for-run parity structural rather than
+    coincidental.
     """
     marks = sorted(marks)
     mark_index = 0
     lo = 0
-    size = min(initial_batch_size, batch_size)
+    size = min(DEFAULT_INITIAL_BATCH_SIZE, batch_size)
     while lo < n:
         hi = min(lo + size, n)
         while mark_index < len(marks) and marks[mark_index] <= lo:

@@ -101,7 +101,6 @@ from ..stream.item import Item
 from .base import Engine
 from .batched import (
     DEFAULT_BATCH_SIZE,
-    DEFAULT_INITIAL_BATCH_SIZE,
     batch_windows,
     checkpoint_marks,
     window_order,
@@ -247,7 +246,7 @@ def run_window(network: "Network", window: GroupedWindow, can_park=None) -> int:
     )
     if prep:
         pack = prep.window_pack(window.idents, window.weights)
-        if network.coordinator.folds_quietly(pack.regular_keys):
+        if network.coordinator.folds_quietly(pack):
             # One fold for the window (the SWOR fold does not read the
             # sender's id).
             network.deliver_pack(runs[0][0], pack)
@@ -283,10 +282,11 @@ class ColumnarEngine(Engine):
         Steady-state number of global arrivals per batch.  Larger
         batches amortize more interpreter dispatch but let site views go
         staler within a batch (more coordinator-discarded messages).
-    initial_batch_size:
-        First batch's size; batches double until reaching
-        ``batch_size``.  The ramp bounds warm-up staleness while the
-        coordinator's threshold is still near zero.
+        Batches ramp up to it, doubling from
+        :data:`~repro.runtime.batched.DEFAULT_INITIAL_BATCH_SIZE` (or
+        from ``batch_size`` when that is smaller): the ramp bounds
+        warm-up staleness while the coordinator's threshold is still
+        near zero.
 
     ``last_run_stats`` counts the windows of the last run by path:
     ``windows_whole`` (folded as one pack), ``windows_split`` (split on
@@ -296,21 +296,12 @@ class ColumnarEngine(Engine):
 
     name = "columnar"
 
-    def __init__(
-        self,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        initial_batch_size: int = DEFAULT_INITIAL_BATCH_SIZE,
-    ) -> None:
+    def __init__(self, batch_size: int = DEFAULT_BATCH_SIZE) -> None:
         if batch_size <= 0:
             raise ConfigurationError(
                 f"batch_size must be positive, got {batch_size}"
             )
-        if initial_batch_size <= 0:
-            raise ConfigurationError(
-                f"initial_batch_size must be positive, got {initial_batch_size}"
-            )
         self.batch_size = batch_size
-        self.initial_batch_size = min(initial_batch_size, batch_size)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(batch_size={self.batch_size})"
@@ -346,9 +337,7 @@ class ColumnarEngine(Engine):
         mark_set = set(marks)
         can_park = window_step(network)
         paths = [0, 0, 0]
-        for lo, hi in batch_windows(
-            n, self.batch_size, self.initial_batch_size, marks
-        ):
+        for lo, hi in batch_windows(n, self.batch_size, marks):
             window = group_window(assignment, idents, weights, lo, hi)
             paths[run_window(network, window, can_park)] += 1
             network.items_processed += hi - lo

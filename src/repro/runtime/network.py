@@ -36,28 +36,23 @@ class Network:
         One :class:`~repro.runtime.interfaces.SiteAlgorithm` per site.
     coordinator:
         The :class:`~repro.runtime.interfaces.CoordinatorAlgorithm`.
-    counters:
-        Optional externally-owned counters (a fresh one is created
-        otherwise).
+
+    The network builds its own
+    :class:`~repro.net.counters.MessageCounters`, ``counters``.
     """
 
     def __init__(
-        self,
-        sites: Sequence[SiteAlgorithm],
-        coordinator: CoordinatorAlgorithm,
-        counters: Optional["MessageCounters"] = None,
+        self, sites: Sequence[SiteAlgorithm], coordinator: CoordinatorAlgorithm
     ) -> None:
         if not sites:
             raise ConfigurationError("need at least one site")
-        if counters is None:
-            # Imported here, not at module scope: repro.net re-exports
-            # this class, so a module-level import would be circular.
-            from ..net.counters import MessageCounters
+        # Imported here, not at module scope: repro.net re-exports this
+        # class, so a module-level import would be circular.
+        from ..net.counters import MessageCounters
 
-            counters = MessageCounters()
         self.sites: List[SiteAlgorithm] = list(sites)
         self.coordinator = coordinator
-        self.counters = counters
+        self.counters = MessageCounters()
         self.items_processed = 0
 
     @property

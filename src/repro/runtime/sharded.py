@@ -133,23 +133,26 @@ one shape with a metrics registry attached or not.
 
 Fault tolerance: supervision and degradation
 --------------------------------------------
-Every worker receive is supervised (``supervision="on"``, the
-default): deadline-bounded waits classify silence as a **hang**, a
-dead pipe or process exit as a **crash**, and a descriptor rejected by
-the wire validation in :mod:`repro.net.messages` as **poison** — while
-a worker that ships its own traceback stays fail-stop
-(:class:`ShardedWorkerError`, ``fault_class="error"``), since rerunning
-a deterministic user-code exception would just raise it again.  Every
-classified fault takes one path: the pool is reaped, the network is
-restored to its run-start checkpoint, and the run finishes on the
-in-process columnar engine (``mode="degraded"``,
-``degraded_to="columnar"``).  The rerun is bit-identical to a
-fault-free run — samples **and** message counters — and keeps its
-window schedule, so it forwards only the ``on_step`` /
-``on_checkpoint`` calls past the windows the sharded attempt already
-reported.  ``last_run_stats`` records the fault log (a run that cannot
-degrade records ``mode="failed"`` before it raises); the engine's next
-run spawns a fresh pool.  The chaos seams threaded through the worker
+Every sharded run is supervised.  Each worker receive waits at most
+``worker_timeout`` seconds, and every worker fault raises one
+:class:`ShardedWorkerError`, classified: silence past the deadline is
+a **hang**, a dead pipe or process exit a **crash**, a descriptor
+rejected by the wire validation in :mod:`repro.net.messages`
+**poison**, and a traceback the worker shipped an **error**.
+:meth:`ShardedEngine.run` catches the error in one place: it reaps the
+faulted worker, closes the pool and records the fault in
+``last_run_stats["faults"]`` (a run logs one fault: the first ends the
+sharded attempt).  A crash, hang or poison then restores the network
+to its run-start checkpoint and finishes the run on the in-process
+columnar engine (``mode="degraded"``, ``degraded_to="columnar"``).
+The rerun is bit-identical to a fault-free run — samples **and**
+message counters — and keeps its window schedule, so it forwards only
+the ``on_step`` / ``on_checkpoint`` calls past the windows the sharded
+attempt already reported.  An error, whose deterministic user-code
+exception a rerun would raise again, and any fault of a run without a
+checkpoint (a network whose state does not pickle) record
+``mode="failed"`` and re-raise the error.  The engine's next run
+spawns a fresh pool.  The chaos seams threaded through the worker
 loop (:mod:`repro.faults`) inject crashes, hangs, drops and
 corrupt/truncated packs deterministically; ``tests/test_chaos.py``
 drives them across a worker/window grid and asserts bit-identical
@@ -198,12 +201,7 @@ from ..faults import (
     parse_fault_plan,
 )
 from ..net.messages import MessagePack, PackWireError
-from .batched import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_INITIAL_BATCH_SIZE,
-    batch_windows,
-    checkpoint_marks,
-)
+from .batched import DEFAULT_BATCH_SIZE, batch_windows, checkpoint_marks
 from .columnar import (
     ColumnarEngine,
     group_window,
@@ -219,7 +217,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 __all__ = [
     "ShardedEngine",
     "ShardedWorkerError",
-    "WorkerSupervisor",
     "available_cpus",
 ]
 
@@ -232,9 +229,9 @@ _MIN_RING_BYTES = 1 << 20
 #: setup as failed (and falling back in-process).
 _READY_TIMEOUT = 120.0
 
-#: Default per-message supervision deadline (seconds of worker silence
-#: before the supervisor classifies a hang).  Generous: a deadline only
-#: has to beat "forever", not a window compute.
+#: Default per-message deadline (seconds of worker silence before the
+#: parent classifies a hang).  Generous: a deadline only has to beat
+#: "forever", not a window compute.
 _DEFAULT_WORKER_TIMEOUT = 60.0
 
 #: Seconds to wait for a politely-asked worker to exit before force.
@@ -254,12 +251,14 @@ def available_cpus() -> int:
 class ShardedWorkerError(RuntimeError):
     """A shard worker died, hung, raised, or sent a malformed pack.
 
-    A worker that raised (``fault_class="error"``) always surfaces as
-    this; a crash, hang or poison only when the run cannot degrade
-    (supervision off, or no run-start checkpoint).  The parent raises
-    it after the worker pool is torn down (processes joined or killed,
-    shared-memory segments unlinked), so a failing site never leaks
-    orphans.  Structured context rides along for programmatic handling:
+    Every worker fault of a run raises this, and
+    :meth:`ShardedEngine.run` records it; it reaches the caller when
+    the run cannot degrade: a worker that raised
+    (``fault_class="error"``), or any fault of a run without a
+    run-start checkpoint.  The parent raises it after the worker pool
+    is torn down (processes joined or killed, shared-memory segments
+    unlinked), so a failing site never leaks orphans.  Structured
+    context rides along for programmatic handling:
 
     ``worker``
         The worker's pool index, or None when no single worker is at
@@ -270,10 +269,12 @@ class ShardedWorkerError(RuntimeError):
         The batch-window index being folded when the fault surfaced
         (None outside the window loop).
     ``fault_class``
-        The supervisor's classification: ``"crash"`` (process exit /
-        dead pipe), ``"hang"`` (deadline missed), ``"poison"``
-        (malformed pack rejected by wire validation), or ``"error"``
-        (the worker shipped its own traceback).
+        The parent's classification: ``"crash"`` (process exit / dead
+        pipe), ``"hang"`` (deadline missed), ``"poison"`` (malformed
+        pack rejected by wire validation), or ``"error"`` (the worker
+        shipped its own traceback).
+    ``detail``
+        What the parent saw, the message's text after the class.
     """
 
     def __init__(
@@ -285,6 +286,7 @@ class ShardedWorkerError(RuntimeError):
         shard: Optional[Tuple[int, int]] = None,
         window: Optional[int] = None,
         fault_class: Optional[str] = None,
+        detail: Optional[str] = None,
     ):
         super().__init__(message)
         self.worker_traceback = worker_traceback
@@ -292,6 +294,7 @@ class ShardedWorkerError(RuntimeError):
         self.shard = shard
         self.window = window
         self.fault_class = fault_class
+        self.detail = detail
 
     @classmethod
     def from_fault(
@@ -311,24 +314,7 @@ class ShardedWorkerError(RuntimeError):
             shard=(handle.site_lo, handle.site_hi),
             window=window,
             fault_class=fault_class,
-        )
-
-
-class _WorkerFault(Exception):
-    """Internal: one classified worker fault (crash/hang/poison) with
-    enough context to degrade.  Converted to :class:`ShardedWorkerError`
-    via :meth:`to_error` when it must surface to the caller."""
-
-    def __init__(self, handle, fault_class, detail, window=None) -> None:
-        super().__init__(detail)
-        self.handle = handle
-        self.fault_class = fault_class
-        self.detail = detail
-        self.window = window
-
-    def to_error(self) -> ShardedWorkerError:
-        return ShardedWorkerError.from_fault(
-            self.handle, self.fault_class, self.detail, self.window
+            detail=detail,
         )
 
 
@@ -436,16 +422,11 @@ class _WorkerShard:
         self.ring_off = 0
         self.ring_limit = slot_bytes
         self.windows = list(
-            batch_windows(
-                payload["n"],
-                payload["batch_size"],
-                payload["initial_batch_size"],
-                payload["marks"],
-            )
+            batch_windows(payload["n"], payload["batch_size"], payload["marks"])
         )
         #: Chaos seams: planned ``(kind, window)`` faults for this
-        #: worker (test-only; empty/None in production).
-        self.faults = payload.get("faults") or ()
+        #: worker (test-only; empty in production).
+        self.faults = payload["faults"]
         #: Speculation verdicts, shipped with the final state.
         self.hits = 0
         self.misses = 0
@@ -886,17 +867,6 @@ def _restore_network(network, checkpoint) -> None:
     network.items_processed = checkpoint["items_processed"]
 
 
-def _supervision_fields(supervisor) -> dict:
-    """A supervised run's record keys: the deadline, and the fault log
-    when a fault was classified."""
-    if supervisor is None:
-        return {}
-    fields: dict = {"supervision": {"worker_timeout": supervisor.timeout}}
-    if supervisor.fault_log:
-        fields["faults"] = supervisor.fault_log
-    return fields
-
-
 def _after(callback, reported):
     """``callback`` restricted to ``t > reported``: the degraded rerun
     fires again at every ``t`` the sharded attempt already reported."""
@@ -905,43 +875,12 @@ def _after(callback, reported):
     return lambda t: callback(t) if t > reported else None
 
 
-class WorkerSupervisor:
-    """Parent-side supervision state for one sharded run.
-
-    Holds the receive deadline, the fault log, the run-start network
-    checkpoint a fault degrades from, and the engine's chaos
-    :class:`FaultPlan`.  Created per ``run()`` when
-    ``supervision="on"`` (the default).
-    """
-
-    def __init__(self, timeout, plan) -> None:
-        self.timeout = float(timeout)
-        self.plan: Optional[FaultPlan] = plan
-        self.fault_log: List[dict] = []
-        self.checkpoint = None  # run-start network checkpoint (or None)
-
-    def record_fault(self, fault) -> None:
-        self.fault_log.append(
-            {
-                "worker": fault.handle.index,
-                "window": fault.window,
-                "fault_class": fault.fault_class,
-                "detail": fault.detail,
-            }
-        )
-
-    def wire_faults(self, worker: int):
-        if self.plan is None:
-            return None
-        return self.plan.wire_for(worker) or None
-
-
 class ShardedEngine(ColumnarEngine):
     """Columnar data plane, shard-parallel site passes.
 
     Parameters
     ----------
-    batch_size / initial_batch_size:
+    batch_size:
         The batch schedule, exactly as in
         :class:`~repro.runtime.columnar.ColumnarEngine` (the schedules
         must coincide for the bit-parity contract to be structural).
@@ -954,16 +893,12 @@ class ShardedEngine(ColumnarEngine):
         oversized packs through each worker's pipe.
     worker_timeout:
         Supervision deadline in seconds: how long a worker may stay
-        silent while the parent waits on it before the supervisor
+        silent while the parent waits on it before the parent
         classifies a hang.  Defaults to 60s.
     fault_plan:
         Chaos injection (testing only): a :class:`~repro.faults.FaultPlan`
         or its ``"kind:worker:window,..."`` string form, fired afresh
         every run; ``None`` (production) leaves every seam inert.
-    supervision:
-        ``"on"`` (default) or ``"off"``.  Off restores the fail-stop
-        behavior: any worker fault tears the pool down and raises
-        :class:`ShardedWorkerError`.
     """
 
     name = "sharded"
@@ -971,16 +906,11 @@ class ShardedEngine(ColumnarEngine):
     def __init__(
         self,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        initial_batch_size: int = DEFAULT_INITIAL_BATCH_SIZE,
         workers: Optional[int] = None,
         worker_timeout: Optional[float] = None,
         fault_plan=None,
-        supervision: str = "on",
     ) -> None:
-        super().__init__(
-            batch_size=batch_size,
-            initial_batch_size=initial_batch_size,
-        )
+        super().__init__(batch_size=batch_size)
         if workers is None:
             workers = available_cpus()
         if workers < 1:
@@ -990,10 +920,6 @@ class ShardedEngine(ColumnarEngine):
         if worker_timeout <= 0:
             raise ConfigurationError(
                 f"worker_timeout must be > 0, got {worker_timeout}"
-            )
-        if supervision not in ("on", "off"):
-            raise ConfigurationError(
-                f"supervision must be 'on' or 'off', got {supervision!r}"
             )
         if isinstance(fault_plan, str):
             fault_plan = parse_fault_plan(fault_plan)
@@ -1005,7 +931,6 @@ class ShardedEngine(ColumnarEngine):
         self.workers = int(workers)
         self.worker_timeout = float(worker_timeout)
         self.fault_plan = fault_plan
-        self.supervision = supervision
         self._pool = None
         self._finalizer = None
 
@@ -1059,25 +984,19 @@ class ShardedEngine(ColumnarEngine):
             reason = "non-shardable site"
         marks: List[int] = []
         pool = None
-        supervisor = None
+        checkpoint = None
         base = network.items_processed
         if reason is None:
             if checkpoints is not None and on_checkpoint is not None:
                 marks = checkpoint_marks(checkpoints, base, n)
-            if self.supervision == "on":
-                supervisor = WorkerSupervisor(self.worker_timeout, self.fault_plan)
-                try:
-                    supervisor.checkpoint = _checkpoint_network(network)
-                except Exception:
-                    # Unpicklable network: supervise (classify faults,
-                    # enforce deadlines) without degradation.
-                    supervisor.checkpoint = None
+            try:
+                checkpoint = _checkpoint_network(network)
+            except Exception:
+                pass  # unpicklable network: a fault then fails the run
             try:
                 t_setup = time.perf_counter()
                 pool, warm = self._get_pool(workers)
-                self._dispatch_run(
-                    pool, network, arrays, n, marks, supervisor=supervisor
-                )
+                self._dispatch_run(pool, network, arrays, n, marks)
                 setup = time.perf_counter() - t_setup
             except Exception as exc:
                 self.close()
@@ -1095,60 +1014,67 @@ class ShardedEngine(ColumnarEngine):
             )
             return network.counters
         try:
-            try:
-                fields = self._run_windows(
-                    network, pool, n, marks, on_step, on_checkpoint, supervisor
-                )
-                fields["warm_pool"] = warm
-                fields["setup_seconds"] = setup
-            except _WorkerFault as fault:
-                if supervisor is not None:
-                    supervisor.record_fault(fault)
-                _reap_handle(fault.handle)
-                self.close()
-                reason = f"worker {fault.fault_class} fault: {fault.detail}"
-                if supervisor is None or supervisor.checkpoint is None:
-                    self._record_run(
-                        network.counters,
-                        network.items_processed - base,
-                        time.perf_counter() - t_run,
-                        mode="failed",
-                        reason=reason,
-                        **_supervision_fields(supervisor),
-                    )
-                    raise fault.to_error() from None
-                # The one fault path: restore the run-start checkpoint
-                # and rerun on the in-process columnar engine.  The
-                # rerun is bit-identical and keeps the window schedule,
-                # so it forwards only the callbacks past the windows
-                # the sharded attempt already reported.
-                reported = network.items_processed
-                _restore_network(network, supervisor.checkpoint)
-                fields = {
-                    "mode": "degraded",
-                    "reason": reason,
-                    "degraded_to": "columnar",
-                    **self._replay(
-                        network,
-                        stream,
-                        _after(on_step, reported),
-                        checkpoints,
-                        _after(on_checkpoint, reported),
-                    ),
-                }
-            self._record_run(
-                network.counters,
-                n,
-                time.perf_counter() - t_run,
-                **fields,
-                **_supervision_fields(supervisor),
+            fields = self._run_windows(
+                network, pool, n, marks, on_step, on_checkpoint
             )
-            return network.counters
+            fields["warm_pool"] = warm
+            fields["setup_seconds"] = setup
+        except ShardedWorkerError as error:
+            # The one fault path.  The pool's protocol state is unknown
+            # after a fault, so it is never reused.
+            _reap_handle(pool["handles"][error.worker])
+            self.close()
+            # One line: a worker traceback's last line names its
+            # exception; every other detail is one line.
+            reason = (
+                f"worker {error.fault_class} fault: "
+                f"{error.detail.splitlines()[-1]}"
+            )
+            faults = [
+                {
+                    "worker": error.worker,
+                    "window": error.window,
+                    "fault_class": error.fault_class,
+                    "detail": error.detail,
+                }
+            ]
+            if error.fault_class == "error" or checkpoint is None:
+                self._record_run(
+                    network.counters,
+                    network.items_processed - base,
+                    time.perf_counter() - t_run,
+                    mode="failed",
+                    reason=reason,
+                    faults=faults,
+                )
+                raise
+            # Restore the run-start checkpoint and rerun on the
+            # in-process columnar engine.  The rerun is bit-identical
+            # and keeps the window schedule, so it forwards only the
+            # callbacks past the windows the sharded attempt already
+            # reported.
+            reported = network.items_processed
+            _restore_network(network, checkpoint)
+            fields = {
+                "mode": "degraded",
+                "reason": reason,
+                "degraded_to": "columnar",
+                **self._replay(
+                    network,
+                    stream,
+                    _after(on_step, reported),
+                    checkpoints,
+                    _after(on_checkpoint, reported),
+                ),
+                "faults": faults,
+            }
         except BaseException:
-            # The pool's protocol state is unknown after a failure —
-            # never reuse it.  Teardown also reaps any orphans.
+            # Interrupted mid-protocol: never reuse the pool.  Teardown
+            # also reaps any orphans.
             self.close()
             raise
+        self._record_run(network.counters, n, time.perf_counter() - t_run, **fields)
+        return network.counters
 
     # -- pool lifecycle -------------------------------------------------
 
@@ -1218,11 +1144,10 @@ class ShardedEngine(ColumnarEngine):
             raise
         return pool
 
-    def _dispatch_run(
-        self, pool, network, arrays, n, marks, supervisor=None
-    ) -> None:
+    def _dispatch_run(self, pool, network, arrays, n, marks) -> None:
         """Ship each worker its shard for this run: site states, the
-        stream columns, and the window schedule.
+        stream columns, the window schedule, and its entries of the
+        fault plan.
 
         The stream shipment is cached on the pool: a repeat run over
         the SAME column arrays (identity-checked via weakrefs; the
@@ -1270,29 +1195,26 @@ class ShardedEngine(ColumnarEngine):
                 "sites": network.sites[handle.site_lo : handle.site_hi],
                 "n": n,
                 "batch_size": self.batch_size,
-                "initial_batch_size": self.initial_batch_size,
                 "marks": marks,
                 "stream": stream_spec,
                 "faults": (
-                    supervisor.wire_faults(handle.index)
-                    if supervisor is not None
-                    else None
+                    ()
+                    if self.fault_plan is None
+                    else self.fault_plan.wire_for(handle.index)
                 ),
             }
             self._send(handle, ("run", payload))
 
     # -- the window protocol ------------------------------------------
 
-    def _recv_results(self, handle, supervisor, window, per_worker):
+    def _recv_results(self, handle, window, per_worker):
         """Read one ``res``: returns ``(descriptors, compute_seconds)``,
         booking the seconds to the worker's row."""
-        _, descriptors, seconds = self._recv(handle, supervisor, window)
+        _, descriptors, seconds = self._recv(handle, window)
         per_worker[handle.index]["compute_seconds"] += seconds
         return descriptors, seconds
 
-    def _fold_window(
-        self, window, network, handles, pending, supervisor, per_worker
-    ):
+    def _fold_window(self, window, network, handles, pending, per_worker):
         """Fold one window's descriptors in exact ascending-site order —
         the columnar engine's order.
 
@@ -1343,9 +1265,7 @@ class ShardedEngine(ColumnarEngine):
                         self._send(h, ("roll", site_id, controls), window)
                         per_worker[h.index]["rolls_served"] += 1
                     for h in affected:
-                        descriptors, _ = self._recv_results(
-                            h, supervisor, window, per_worker
-                        )
+                        descriptors, _ = self._recv_results(h, window, per_worker)
                         for descriptor in descriptors:
                             pending[descriptor[0]] = (h, descriptor)
                     order = order[: i + 1] + sorted(
@@ -1354,7 +1274,7 @@ class ShardedEngine(ColumnarEngine):
             i += 1
         return controls, rollbacks
 
-    def _finish_run(self, network, handles, supervisor, per_worker) -> dict:
+    def _finish_run(self, network, handles, per_worker) -> dict:
         """End-of-run barrier: ``fin`` every worker, then restore the
         parent's sites from each shard's final site snapshots, in
         place, and book its speculation verdicts to its row.  Returns
@@ -1363,11 +1283,10 @@ class ShardedEngine(ColumnarEngine):
             self._send(handle, ("fin",))
         speculation = {"hits": 0, "misses": 0}
         for handle in handles:
-            message = self._recv(handle, supervisor)
+            message = self._recv(handle)
             if message[0] != "sta":  # pragma: no cover - protocol bug guard
-                raise ShardedWorkerError(
-                    f"shard worker {handle.index} sent {message[0]!r} "
-                    "instead of final state"
+                raise ShardedWorkerError.from_fault(
+                    handle, "poison", f"sent {message[0]!r} instead of final state"
                 )
             _, site_lo, states, (hits, misses) = message
             row = per_worker[handle.index]
@@ -1378,18 +1297,14 @@ class ShardedEngine(ColumnarEngine):
                 network.sites[site_lo + offset].restore_state(state)
         return speculation
 
-    def _run_windows(
-        self, network, pool, n, marks, on_step, on_checkpoint, supervisor=None
-    ) -> dict:
+    def _run_windows(self, network, pool, n, marks, on_step, on_checkpoint) -> dict:
         """The window protocol, parent side: per window, gather every
         worker's results, fold them, commit, and fire the window's
-        callbacks.  Returns the run's record keys.  A classified fault
-        anywhere in here propagates as :class:`_WorkerFault`;
-        :meth:`run` degrades the run."""
+        callbacks.  Returns the run's record keys.  A worker fault
+        anywhere in here propagates as :class:`ShardedWorkerError`;
+        :meth:`run` degrades or fails the run."""
         handles = pool["handles"]
-        windows = list(
-            batch_windows(n, self.batch_size, self.initial_batch_size, marks)
-        )
+        windows = list(batch_windows(n, self.batch_size, marks))
         mark_set = set(marks)
         rollbacks = 0
         per_window: List[dict] = []
@@ -1407,15 +1322,13 @@ class ShardedEngine(ColumnarEngine):
             pending = {}
             compute = 0.0
             for handle in handles:
-                descriptors, seconds = self._recv_results(
-                    handle, supervisor, t_idx, per_worker
-                )
+                descriptors, seconds = self._recv_results(handle, t_idx, per_worker)
                 compute = max(compute, seconds)
                 for descriptor in descriptors:
                     pending[descriptor[0]] = (handle, descriptor)
             t1 = time.perf_counter()
             controls, rolls = self._fold_window(
-                t_idx, network, handles, pending, supervisor, per_worker
+                t_idx, network, handles, pending, per_worker
             )
             t2 = time.perf_counter()
             for handle in handles:
@@ -1438,7 +1351,7 @@ class ShardedEngine(ColumnarEngine):
                 on_step(t)
             if hi in mark_set:
                 on_checkpoint(t)
-        speculation = self._finish_run(network, handles, supervisor, per_worker)
+        speculation = self._finish_run(network, handles, per_worker)
         return {
             "mode": "sharded",
             "workers": pool["workers"],
@@ -1454,54 +1367,47 @@ class ShardedEngine(ColumnarEngine):
 
     @staticmethod
     def _send(handle, message, window=None) -> None:
-        """Send a command to a worker; a dead pipe raises a classified
-        ``crash`` :class:`_WorkerFault` (a supervised run degrades; an
-        unsupervised one converts it to :class:`ShardedWorkerError` via
-        ``to_error``) — unless the
-        worker shipped its own traceback before the pipe closed, which
-        stays fail-stop (:class:`ShardedWorkerError`, ``"error"``)."""
+        """Send a command to a worker.  A dead pipe raises a
+        :class:`ShardedWorkerError` classified ``crash`` — or
+        ``error`` when the worker shipped its own traceback before the
+        pipe closed."""
         try:
             handle.conn.send(message)
         except (BrokenPipeError, OSError) as exc:
             shipped = _queued_traceback(handle)
             if shipped is not None:
                 raise _worker_error(handle, shipped, window) from None
-            raise _WorkerFault(
+            raise ShardedWorkerError.from_fault(
                 handle,
                 "crash",
                 f"pipe closed mid-send "
                 f"(exitcode {handle.process.exitcode}): {exc!r}",
-                window=window,
+                window,
             ) from None
 
-    def _recv(self, handle, supervisor=None, window=None):
-        """Receive one worker message; classify failures.
-
-        With a supervisor the receive is deadline-bounded (``hang``
-        fault on expiry).  A dead
-        pipe is a ``crash`` fault either way; a worker-shipped
-        traceback is fail-stop (:class:`ShardedWorkerError` with
-        ``fault_class="error"``) — the worker's own code raised, and
-        a deterministic rerun would just raise it again.
+    def _recv(self, handle, window=None):
+        """Receive one worker message within ``worker_timeout``; a
+        fault raises a :class:`ShardedWorkerError`, classified ``hang``
+        when the deadline passes, ``crash`` on a dead pipe, and
+        ``error`` when the worker shipped its own traceback.
         """
-        if supervisor is not None:
-            if not handle.conn.poll(supervisor.timeout):
-                raise _WorkerFault(
-                    handle,
-                    "hang",
-                    f"no message within {supervisor.timeout:.1f}s "
-                    f"(process alive: {handle.process.is_alive()})",
-                    window=window,
-                )
+        if not handle.conn.poll(self.worker_timeout):
+            raise ShardedWorkerError.from_fault(
+                handle,
+                "hang",
+                f"no message within {self.worker_timeout:.1f}s "
+                f"(process alive: {handle.process.is_alive()})",
+                window,
+            )
         try:
             message = handle.conn.recv()
         except (EOFError, OSError) as exc:
-            raise _WorkerFault(
+            raise ShardedWorkerError.from_fault(
                 handle,
                 "crash",
                 f"exited unexpectedly "
                 f"(exitcode {handle.process.exitcode}): {exc!r}",
-                window=window,
+                window,
             ) from None
         if message[0] == "err":
             raise _worker_error(handle, message[1], window)
@@ -1512,8 +1418,8 @@ class ShardedEngine(ColumnarEngine):
 
         All three wire forms are validated at this boundary
         (:class:`~repro.net.messages.PackWireError` and friends); a
-        malformed descriptor is classified as a ``poison``
-        :class:`_WorkerFault` instead of crashing the coordinator fold.
+        malformed descriptor raises a :class:`ShardedWorkerError`
+        classified ``poison`` instead of crashing the coordinator fold.
         """
         try:
             tag = descriptor[1]
@@ -1539,11 +1445,8 @@ class ShardedEngine(ColumnarEngine):
             IndexError,
             AttributeError,
         ) as exc:
-            raise _WorkerFault(
-                handle,
-                "poison",
-                f"undecodable pack descriptor: {exc}",
-                window=window,
+            raise ShardedWorkerError.from_fault(
+                handle, "poison", f"undecodable pack descriptor: {exc}", window
             ) from None
 
 

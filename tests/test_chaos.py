@@ -353,10 +353,10 @@ class TestLockstepRecovery:
     def test_recovery_accounting_and_supervision_stats(self):
         fingerprint, stats = _chaos_run("kill:1:2")
         assert fingerprint == _reference()
-        assert stats["supervision"] == {"worker_timeout": TIMEOUT}
         assert stats["reason"].startswith("worker crash fault: ")
         assert stats["engine"] == "sharded"
         assert stats["items"] == ITEMS
+        assert "supervision" not in stats
 
     def test_fault_free_supervised_run_reports_no_faults(self):
         fingerprint, stats = _chaos_run(None)
@@ -364,7 +364,7 @@ class TestLockstepRecovery:
         assert stats["mode"] == "sharded"
         assert "faults" not in stats
         assert "degraded_to" not in stats
-        assert stats["supervision"]["worker_timeout"] == TIMEOUT
+        assert "supervision" not in stats
 
     def test_degraded_run_exports_fault_and_degradation_metrics(self):
         from repro.obs import MetricsRegistry
@@ -396,9 +396,9 @@ class TestLockstepRecovery:
     def test_fault_that_cannot_degrade_is_recorded_and_counted(
         self, monkeypatch
     ):
-        """A supervised run whose network has no run-start checkpoint
-        raises on a classified fault — after recording it, so the fault
-        still reaches ``repro_shard_faults_total``."""
+        """A run whose network has no run-start checkpoint raises on a
+        classified fault — after recording it, so the fault still
+        reaches ``repro_shard_faults_total``."""
         import repro.runtime.sharded as sharded_mod
         from repro.obs import MetricsRegistry
 
@@ -431,11 +431,18 @@ class TestLockstepRecovery:
         assert "repro_shard_degradations_total" not in snapshot
 
     @pytest.mark.parametrize("exit_after", [0, 250])
-    def test_unsupervised_crash_fails_stop(self, exit_after):
-        # Supervision off ships no fault plan: a site kills its worker.
-        engine = ShardedEngine(
-            batch_size=BATCH, workers=WORKERS, supervision="off"
-        )
+    def test_crash_that_cannot_degrade_fails_stop(self, exit_after, monkeypatch):
+        """A site kills its worker, with no fault plan, in a run that
+        has no run-start checkpoint: the crash fails the run.  (With a
+        checkpoint the run would degrade, and the in-process rerun of
+        the exiting site would end this process.)"""
+        import repro.runtime.sharded as sharded_mod
+
+        def no_checkpoint(network):
+            raise TypeError("cannot pickle the network")
+
+        monkeypatch.setattr(sharded_mod, "_checkpoint_network", no_checkpoint)
+        engine = ShardedEngine(batch_size=BATCH, workers=WORKERS)
         proto = DistributedWeightedSWOR(
             SworConfig(num_sites=SITES, sample_size=SAMPLE),
             seed=SEED,
@@ -446,11 +453,14 @@ class TestLockstepRecovery:
             try:
                 with pytest.raises(ShardedWorkerError) as excinfo:
                     proto.run(_stream(4000))
+                stats = engine.last_run_stats
             finally:
                 engine.close()
         err = excinfo.value
         assert err.fault_class == "crash"
         assert err.shard[0] <= 6 < err.shard[1]
+        assert stats["mode"] == "failed"
+        assert _logged(stats) == [("crash", err.worker, err.window)]
         _assert_no_orphans(created)
 
     def test_next_run_after_degradation_spawns_a_fresh_pool(self):

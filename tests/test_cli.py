@@ -84,6 +84,13 @@ class TestCommands:
         for label in ("swor upper", "hh lower", "l1 lower this work"):
             assert label in out
 
+    def test_bounds_takes_no_engine_flags(self, capsys):
+        # bounds runs no stream, so it has no engine to select.
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--engine", "columnar"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --engine columnar" in capsys.readouterr().err
+
     def test_seed_reproducibility(self, capsys):
         main(["swor", "--items", "2000", "--seed", "7"])
         first = capsys.readouterr().out

@@ -407,8 +407,8 @@ class TestInstrumentationParity:
         shapes = []
         recv = ShardedEngine._recv
 
-        def spy(self, handle, supervisor=None, window=None):
-            message = recv(self, handle, supervisor, window)
+        def spy(self, handle, window=None):
+            message = recv(self, handle, window)
             if message[0] in ("res", "sta"):
                 shapes.append((message[0], len(message)))
             return message
@@ -459,7 +459,7 @@ class TestInstrumentationParity:
         assert record["engine"] == "columnar"
         assert record["items"] == 6_000
         assert record["windows"] == len(
-            list(batch_windows(6_000, engine.batch_size, engine.initial_batch_size))
+            list(batch_windows(6_000, engine.batch_size))
         )
         assert list(record["queries"]) == ["a", "b", "c"]
         for name, row in record["queries"].items():

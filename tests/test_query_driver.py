@@ -34,7 +34,7 @@ from repro.query import (
     query_seed,
 )
 from repro.runtime import ColumnarEngine
-from repro.runtime.batched import DEFAULT_BATCH_SIZE
+from repro.runtime.batched import DEFAULT_BATCH_SIZE, batch_windows
 from repro.stream import round_robin, zipf_stream
 
 
@@ -130,18 +130,20 @@ class TestGoldenParity:
 
 class TestEngineInstance:
     def test_engine_instance_ramp_is_honoured(self):
-        """An engine instance brings its own ramp: the driver's pass
-        runs its schedule, so every query ends in the full state of a
-        standalone run under the same engine settings."""
+        """An engine instance brings its own batch size: the driver's
+        pass runs its schedule, so every query ends in the full state
+        of a standalone run under the same engine settings."""
         stream = _stream()
         queries = _swor_queries(1) + [CountQuery("count", sample_size=32)]
 
         def engine():
-            return ColumnarEngine(batch_size=256, initial_batch_size=256)
+            return ColumnarEngine(batch_size=256)
 
         driver = MultiQueryDriver(queries, 8, 5, engine=engine())
         driver.run(stream)
-        assert driver.engine.last_run_stats["windows"] == -(-len(stream) // 256)
+        assert driver.engine.last_run_stats["windows"] == len(
+            list(batch_windows(len(stream), 256))
+        )
         for query in queries:
             alone = compile_query(query, 8, 5)
             engine().run(alone.network, stream)

@@ -125,7 +125,7 @@ class TestColumnarDistribution:
     def test_inclusion_law_chi_square(self):
         items = [Item(i, w) for i, w in enumerate(self.WEIGHTS)]
         stream = heavy_to_one_site(items, self.K)
-        engine = ColumnarEngine(batch_size=4, initial_batch_size=4)
+        engine = ColumnarEngine(batch_size=4)
         counts = Counter()
         for trial in range(self.TRIALS):
             proto = DistributedWeightedSWOR(
@@ -191,7 +191,7 @@ class TestColumnarMechanics:
         proto = DistributedWeightedSWOR(
             SworConfig(num_sites=4, sample_size=4),
             seed=2,
-            engine=ColumnarEngine(batch_size=256, initial_batch_size=256),
+            engine=ColumnarEngine(batch_size=256),
         )
         seen = []
         marks = [1, 100, 300, 999, 1000]
@@ -217,7 +217,7 @@ class TestColumnarMechanics:
 
         reference = fired(None)
         assert reference == [150, 500]
-        assert fired(ColumnarEngine(batch_size=64, initial_batch_size=64)) == reference
+        assert fired(ColumnarEngine(batch_size=64)) == reference
 
     def test_on_step_monotone_and_complete(self):
         items = [Item(i, 1.0) for i in range(500)]

@@ -523,6 +523,53 @@ class TestWorkerFailure:
         assert multiprocessing.active_children() == []
         assert self._leaked_segments() <= before
 
+    def test_worker_error_is_recorded_and_counted(self):
+        """A worker error fails its run with a record of its own: it
+        replaces the previous run's record, logs the one fault and
+        counts it once."""
+        from repro.obs import MetricsRegistry
+
+        stream = _stream(n=4000)
+        registry = MetricsRegistry()
+        engine = ShardedEngine(batch_size=512, workers=2).instrument(registry)
+
+        def proto():
+            return DistributedWeightedSWOR(
+                SworConfig(num_sites=SITES, sample_size=SAMPLE),
+                seed=SEED,
+                engine=engine,
+            )
+
+        try:
+            proto().run(stream)
+            assert engine.last_run_stats["mode"] == "sharded"
+            faulty = proto()
+            faulty.network.sites[6] = FaultySite(fail_after=250)
+            with pytest.raises(ShardedWorkerError) as excinfo:
+                faulty.run(stream)
+            stats = engine.last_run_stats
+        finally:
+            engine.close()
+        err = excinfo.value
+        assert err.fault_class == "error"
+        assert "on_columns" in err.worker_traceback
+        assert stats["mode"] == "failed"
+        assert stats["reason"] == (
+            "worker error fault: RuntimeError: faulty-site-exploded"
+        )
+        # Windows 0-5 of the 64-item ramp committed: 64 + 128 + 256 +
+        # 3 * 512 arrivals.
+        assert stats["items"] == faulty.network.items_processed == 1984
+        assert [
+            (f["worker"], f["window"], f["fault_class"]) for f in stats["faults"]
+        ] == [(1, 6, "error")]
+        assert stats["faults"][0]["detail"] == err.detail
+        assert engine.format_stats().startswith("sharded engine: failed")
+        faults = registry.snapshot()["metrics"]["repro_shard_faults_total"]
+        assert [(s["labels"], s["value"]) for s in faults["samples"]] == [
+            ({"fault_class": "error"}, 1)
+        ]
+
     def test_speculative_raise_under_slow_fold_is_a_worker_error(self):
         # The site raises in a speculative window while the parent is
         # still folding the previous one; the error must surface as

@@ -232,7 +232,7 @@ def _fold_sequence(stream, engine, whole=True):
     proto = DistributedWeightedSWOR(_config(), seed=SEED, engine=engine)
     coordinator = proto.coordinator
     if not whole:
-        coordinator.folds_quietly = lambda keys: False
+        coordinator.folds_quietly = lambda pack: False
     calls = []
     fold_pack = coordinator.on_message_pack
     fold_message = coordinator.on_message

@@ -81,8 +81,8 @@ class _Spy:
             spy.refused += not admitted
             return admitted
 
-        def folds_quietly_spy(coordinator, keys):
-            quiet = folds_quietly(coordinator, keys)
+        def folds_quietly_spy(coordinator, pack):
+            quiet = folds_quietly(coordinator, pack)
             spy.whole += quiet
             spy.split += not quiet
             return quiet
@@ -232,10 +232,10 @@ def test_window_folded_whole_runs_the_fused_fold_once(monkeypatch, protocol):
     folds_quietly = SworCoordinator.folds_quietly
     on_message_pack = SworCoordinator.on_message_pack
 
-    def folds_quietly_spy(coordinator, keys):
+    def folds_quietly_spy(coordinator, pack):
         before = kernel_calls[0]
-        quiet = folds_quietly(coordinator, keys)
-        if quiet and keys is not None:
+        quiet = folds_quietly(coordinator, pack)
+        if quiet and pack.regular_keys is not None:
             started.append(before)
         return quiet
 
@@ -250,6 +250,38 @@ def test_window_folded_whole_runs_the_fused_fold_once(monkeypatch, protocol):
     _, stats = _run(_stream(), protocol, None)
     assert len(per_window) > 0 and not started
     assert len(per_window) <= stats["windows_whole"]
+    assert per_window == [1] * len(per_window)
+
+
+@pytest.mark.parametrize("protocol", ["swor", "hh"])
+def test_window_folded_whole_checks_admission_once(monkeypatch, protocol):
+    """``can_park`` admits a window's earlies before the pass, and the
+    pack fold of that window parks them without checking again: one
+    ``LevelSetManager.admits`` call per window folded whole."""
+    from repro.core.levels import LevelSetManager
+    from repro.runtime import columnar as columnar_mod
+
+    calls = [0]
+    admits = LevelSetManager.admits
+
+    def counted(levels, early_levels):
+        calls[0] += 1
+        return admits(levels, early_levels)
+
+    monkeypatch.setattr(LevelSetManager, "admits", counted)
+    per_window = []  # admits calls of each window folded whole
+    run_window = columnar_mod.run_window
+
+    def run_window_spy(network, window, can_park=None):
+        before = calls[0]
+        path = run_window(network, window, can_park)
+        if path == columnar_mod.WHOLE:
+            per_window.append(calls[0] - before)
+        return path
+
+    monkeypatch.setattr(columnar_mod, "run_window", run_window_spy)
+    _, stats = _run(_stream(), protocol, None)
+    assert len(per_window) == stats["windows_whole"] > 0
     assert per_window == [1] * len(per_window)
 
 
