@@ -21,10 +21,11 @@ same-config weighted SWOR instances.  The driver runs each query's
 network through the columnar engine's window step, as a standalone run
 does, and shares what does not depend on a query's random draws: per
 window it groups and gathers the arrivals once, and the window's level
-split — of the whole window, and of each run of a window the
-coordinator refuses — is computed once for all same-config queries
-(the grouped window's memo).  Per-query RNG draws, threshold filters
-and coordinator work remain.
+split — of the whole window, and of the rest of the window after each
+level saturation, where every same-config query cuts its window step —
+is computed once for all same-config queries (the grouped window's
+memo).  Per-query RNG draws, threshold filters and coordinator work
+remain.
 
 Run with::
 

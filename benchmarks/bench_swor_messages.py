@@ -9,9 +9,17 @@ sweeps check the three structural features of that bound:
   ``log(1+k/s)`` denominator kicks in);
 * E3 — cost is *additive* ``Õ(k + s)``, not multiplicative ``Õ(ks)``:
   the naive per-site-top-s protocol pays ~s-fold more as ``s`` grows.
+
+Each sweep runs on both engines: ``reference`` (the paper's synchronous
+round model) and ``columnar`` at its default batch size, whose small,
+ramp-heavy windows take the SWOR window step — stretches folded whole,
+runs cut at every saturation and epoch advance — and must keep every
+claim.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.analysis import (
     format_table,
@@ -22,16 +30,21 @@ from repro.analysis import (
 from repro.stream import zipf_stream
 
 
+ENGINES = pytest.mark.parametrize("engine", ["reference", "columnar"])
+
+
 def _zipf(rng, n):
     return zipf_stream(n, rng, alpha=1.3)
 
 
-def test_messages_vs_total_weight(benchmark, report):
+@ENGINES
+def test_messages_vs_total_weight(benchmark, report, engine):
     """E1: flat measured/bound ratio across a 16x growth in stream size."""
 
     def run():
         return messages_vs_weight(
-            _zipf, weight_steps=[4000, 16000, 64000], k=32, s=64, reps=2
+            _zipf, weight_steps=[4000, 16000, 64000], k=32, s=64, reps=2,
+            engine=engine,
         )
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -40,7 +53,7 @@ def test_messages_vs_total_weight(benchmark, report):
             rows,
             columns=["k", "s", "W", "messages", "early", "regular",
                      "downstream", "bound", "ratio"],
-            title="E1 (Theorem 3): messages vs total weight W",
+            title=f"E1 (Theorem 3): messages vs total weight W, {engine}",
             caption="ratio = measured / [k log(W/s)/log(1+k/s)] should stay flat",
         )
     )
@@ -48,12 +61,14 @@ def test_messages_vs_total_weight(benchmark, report):
     assert max(ratios) / min(ratios) < 4.0, "ratio drifts: not linear in log W"
 
 
-def test_messages_vs_sites(benchmark, report):
+@ENGINES
+def test_messages_vs_sites(benchmark, report, engine):
     """E2: sublinear growth in k for fixed stream and s."""
 
     def run():
         return messages_vs_sites(
-            _zipf, n=30000, site_steps=[4, 16, 64, 256], s=16, reps=2
+            _zipf, n=30000, site_steps=[4, 16, 64, 256], s=16, reps=2,
+            engine=engine,
         )
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -62,7 +77,7 @@ def test_messages_vs_sites(benchmark, report):
             rows,
             columns=["k", "s", "W", "messages", "early", "regular",
                      "downstream", "bound", "ratio"],
-            title="E2 (Theorem 3): messages vs number of sites k",
+            title=f"E2 (Theorem 3): messages vs number of sites k, {engine}",
             caption="64x more sites must cost << 64x messages",
         )
     )
@@ -71,13 +86,14 @@ def test_messages_vs_sites(benchmark, report):
     assert growth < k_growth / 2.0, "message growth is not sublinear in k"
 
 
-def test_messages_vs_sample_size_vs_naive(benchmark, report):
+@ENGINES
+def test_messages_vs_sample_size_vs_naive(benchmark, report, engine):
     """E3: additive O(k+s) against the naive multiplicative O(ks)."""
 
     def run():
         return messages_vs_sample_size(
             _zipf, n=30000, k=64, sample_steps=[4, 16, 64], reps=2,
-            include_naive=True,
+            include_naive=True, engine=engine,
         )
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -86,7 +102,10 @@ def test_messages_vs_sample_size_vs_naive(benchmark, report):
             rows,
             columns=["k", "s", "messages", "naive_messages",
                      "naive_over_ours", "bound", "ratio"],
-            title="E3 (Theorem 3 vs Section 1.2 naive): messages vs sample size s",
+            title=(
+                "E3 (Theorem 3 vs Section 1.2 naive): messages vs sample size s, "
+                + engine
+            ),
             caption="naive_over_ours should favor this work as k/s grows",
         )
     )

@@ -37,7 +37,7 @@ from ..net.messages import (
 from ..runtime import BROADCAST, CoordinatorAlgorithm
 from ..stream.item import Item
 from .config import SworConfig
-from .epochs import EpochTracker, fold_in_epoch_segments
+from .epochs import EpochTracker, first_announce, fold_in_epoch_segments
 from .levels import LevelSetManager, level_of
 from .sample_set import TopKeySample
 
@@ -64,7 +64,7 @@ class SworCoordinator(CoordinatorAlgorithm):
         self.early_received = 0
         self.early_for_saturated = 0
         # folds_quietly's memo for the delivery that follows it: (the
-        # window pack, S's offer count at the check, the fused fold).
+        # stretch pack, S's offer count at the check, the fused fold).
         self._quiet: Optional[Tuple[Any, int, Any]] = None
 
     # -- CoordinatorAlgorithm interface --------------------------------
@@ -164,15 +164,15 @@ class SworCoordinator(CoordinatorAlgorithm):
         Early keys are drawn first, in delivery order, in one draw of
         the generator (the variates ``ne`` scalar draws give).  If no
         early saturates a level
-        (:meth:`LevelSetManager.admits`), each level parks its earlies
-        with one extend per column; else, and in small packs, the
-        earlies are walked in order as on the scalar path, but a
-        released level folds in epoch segments
+        (:meth:`LevelSetManager.first_refused` is ``None``), each level
+        parks its earlies with one extend per column; else, and in small
+        packs, the earlies are walked in order as on the scalar path,
+        but a released level folds in epoch segments
         (:func:`~repro.core.epochs.fold_in_epoch_segments`).
         The regulars fold in epoch segments too (a quiet pack is one).
-        The window pack :meth:`folds_quietly` just passed, delivered
+        A stretch pack :meth:`folds_quietly` just found quiet, delivered
         while ``S`` is unchanged, skips both checks: :meth:`can_park`
-        admitted its earlies, and its regulars take the fold
+        found its earlies all park, and its regulars take the fold
         :meth:`folds_quietly` computed.
 
         ``regular_accepted`` counts the survivors of each segment's
@@ -195,7 +195,9 @@ class SworCoordinator(CoordinatorAlgorithm):
             keys = _np.divide(pack.early_weights, draws, out=draws)
             self.early_received += ne
             levels = pack.early_levels
-            if ne > _WALK_MAX and (quiet or self.levels.admits(levels)):
+            if ne > _WALK_MAX and (
+                quiet or self.levels.first_refused(levels) is None
+            ):
                 self.levels.park(levels, pack.early_idents, pack.early_weights, keys)
             else:
                 for ident, weight, level, key in zip(
@@ -220,22 +222,28 @@ class SworCoordinator(CoordinatorAlgorithm):
 
     # -- the columnar window step's pure checks ------------------------
 
-    def can_park(self, early_levels: Any) -> bool:
-        """Whether earlies at these levels (a window's early level
-        column) all park without saturating a level.  Pure: the
+    def can_park(self, early_levels: Any) -> Optional[int]:
+        """The position in ``early_levels`` (the early level column of a
+        window's runs, in delivery order) of the first early that does
+        not park — it saturates its level, or its level is saturated
+        already — or ``None`` when every early parks.  Pure: the
         columnar engine asks before its window pass draws anything
         (:meth:`~repro.core.site.SworSite.prepare_window`), since only
         a ``LEVEL_SATURATED`` changes how many keys a site draws."""
-        return self.levels.admits(early_levels)
+        return self.levels.first_refused(early_levels)
 
-    def folds_quietly(self, pack: Any) -> bool:
-        """Whether one fold of a window pack whose earlies
-        :meth:`can_park` admitted leaves the epoch unchanged — so the
-        columnar engine can fold the whole window as one pack.  Pure
-        but for a memo of the pack and its regulars' fused fold
-        (threshold mask, merged cut, boundary-tie count and kept set,
-        in one kernel pass), which :meth:`on_message_pack` reuses when
-        the next delivery is that pack and ``S`` is unchanged."""
+    def folds_quietly(self, pack: Any) -> Optional[int]:
+        """The position in ``pack``'s regular column of the first
+        regular whose in-order fold announces an epoch
+        (:func:`~repro.core.epochs.first_announce`, where the first
+        segment of the epoch-segmented fold ends), or ``None`` when the
+        pack folds without an announce — so the columnar engine can
+        fold a stretch of runs whose earlies :meth:`can_park` found all
+        park as one pack.  Pure but for a memo of a quiet pack and its
+        regulars' fused fold (threshold mask, merged cut, boundary-tie
+        count and kept set, in one kernel pass), which
+        :meth:`on_message_pack` reuses when the next delivery is that
+        pack and ``S`` is unchanged."""
         keys = pack.regular_keys
         sample = self.sample_set
         fold = None
@@ -244,9 +252,9 @@ class SworCoordinator(CoordinatorAlgorithm):
                 keys, sample.threshold, sample.keys, sample.sample_size
             )
             if len(fold[0]) and self.epochs.would_announce(fold[2]):
-                return False
+                return first_announce(sample, self.epochs, keys)
         self._quiet = (pack, sample.offers, fold)
-        return True
+        return None
 
     def snapshot_state(self) -> tuple:
         """Window-boundary snapshot for the sharded engine.

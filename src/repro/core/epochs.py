@@ -27,7 +27,7 @@ from ..kernels import swor_fold_regulars
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .sample_set import TopKeySample
 
-__all__ = ["EpochTracker", "fold_in_epoch_segments"]
+__all__ = ["EpochTracker", "first_announce", "fold_in_epoch_segments"]
 
 
 class EpochTracker:
@@ -93,6 +93,21 @@ class EpochTracker:
         return self.r**new_epoch
 
 
+def first_announce(
+    sample: "TopKeySample", epochs: EpochTracker, keys: _np.ndarray
+) -> Optional[int]:
+    """The index of the entry of ``keys`` whose in-order offer to ``S``
+    announces an epoch first — the entry that completes the ``s``-th
+    key at or above the next bracket floor (:meth:`EpochTracker.next_floor`)
+    — or ``None`` when offering them all announces nothing.  Pure."""
+    floor = epochs.next_floor()
+    # u < floor (every threshold change was observed), so fewer than s
+    # keys of S reach the floor and need >= 1.
+    need = sample.sample_size - int(_np.count_nonzero(sample.keys >= floor))
+    crossing = _np.flatnonzero(keys >= floor)
+    return int(crossing[need - 1]) if len(crossing) >= need else None
+
+
 def fold_in_epoch_segments(
     sample: "TopKeySample",
     epochs: EpochTracker,
@@ -108,8 +123,8 @@ def fold_in_epoch_segments(
     and one :meth:`~repro.core.sample_set.TopKeySample.fold_selected`
     commit, then one ``observe_threshold``.  A segment ends at the entry
     whose key completes the ``s``-th key at or above the next bracket
-    floor ``B`` (:meth:`EpochTracker.next_floor`): that is exactly where
-    the sequential threshold (the ``s``-th largest key of ``S`` plus the
+    floor ``B`` (:func:`first_announce`): that is exactly where the
+    sequential threshold (the ``s``-th largest key of ``S`` plus the
     entries so far) reaches ``B`` and an announce fires.  The completing
     key is ``>= B > u``, so sequential offers insert it too; keys they
     reject are ``<= u`` and never enter the top ``s``.  A jump across
@@ -128,12 +143,8 @@ def fold_in_epoch_segments(
     survivors = 0
     lo = 0
     while lo < n:
-        floor = epochs.next_floor()
-        # u < floor (every threshold change was observed), so fewer
-        # than s keys of S reach the floor and need >= 1.
-        need = s - int(_np.count_nonzero(sample.keys >= floor))
-        crossing = _np.flatnonzero(keys[lo:] >= floor)
-        hi = lo + int(crossing[need - 1]) + 1 if len(crossing) >= need else n
+        announcing = first_announce(sample, epochs, keys[lo:])
+        hi = n if announcing is None else lo + announcing + 1
         seg_keys = keys[lo:hi]
         fold = swor_fold_regulars(seg_keys, sample.threshold, sample.keys, s)
         if len(fold[0]):

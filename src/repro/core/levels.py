@@ -148,25 +148,39 @@ class LevelSetManager:
         del self._pending[level]
         return bucket
 
-    def admits(self, early_levels: _np.ndarray) -> bool:
-        """Whether earlies at these levels (a pack's or a window's early
-        level column) all park without saturating a level — else a
-        release must take the coordinator's sequential walk, so its
-        point stays exact.  Pure."""
+    def first_refused(self, early_levels: _np.ndarray) -> Optional[int]:
+        """The position in ``early_levels`` (a pack's or a window's early
+        level column, in delivery order) of the first early that does
+        not park: the one that saturates its level, or one for a level
+        already saturated.  ``None`` when every early parks.  Pure.
+
+        A release takes the coordinator's sequential walk, so its point
+        stays exact; the columnar window step draws nothing past the
+        run that holds this early."""
         counts = _np.bincount(early_levels)
+        first: Optional[int] = None
         for level in counts.nonzero()[0].tolist():
-            parked = len(self._pending[level][2]) if level in self._pending else 0
-            if level in self._saturated or parked + counts[level] >= self.saturation_size:
-                return False
-        return True
+            # ``room``: the index, among this column's earlies of the
+            # level, of the first one that does not park.
+            room = 0
+            if level not in self._saturated:
+                parked = len(self._pending[level][2]) if level in self._pending else 0
+                room = self.saturation_size - parked - 1
+                if counts[level] <= room:
+                    continue
+            position = int(_np.flatnonzero(early_levels == level)[room])
+            if first is None or position < first:
+                first = position
+        return first
 
     def park(
         self, early_levels: _np.ndarray, idents: Any, weights: Any, keys: Any
     ) -> None:
-        """Park earlies that :meth:`admits` admitted, each level's in
-        arrival order: one stable argsort groups the columns by level,
-        and each level takes one extend per column.  Levels new to the
-        store join it in first-appearance order."""
+        """Park earlies that all park (:meth:`first_refused` is
+        ``None``), each level's in arrival order: one stable argsort
+        groups the columns by level, and each level takes one extend per
+        column.  Levels new to the store join it in first-appearance
+        order."""
         order = early_levels.argsort(kind="stable")
         ranked = early_levels[order]
         starts = [0]

@@ -22,8 +22,18 @@ R003 checks this statically.
 
 from __future__ import annotations
 
+import bisect
 import functools
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import numpy as _np
 
@@ -68,115 +78,151 @@ def saturation_table(mask: int) -> _np.ndarray:
 
 
 class _WindowPrep:
-    """The window pass's result, built by :meth:`SworSite.prepare_window`.
+    """The window pass's result, built by :meth:`SworSite.prepare_window`
+    over a window's runs from one run on.
 
-    ``levels`` spans the whole (site-sorted) window and is exact for
-    every early arrival (it may be a zero-filled placeholder for
-    arrivals of provably saturated levels, whose level index no
-    consumer reads), and ``early_positions`` holds the sorted window
-    positions of the early arrivals.  ``regular`` holds the window
-    positions of the regular arrivals (``None`` when every arrival is
-    regular) and ``regular_keys`` their keys; ``candidates`` indexes
-    the keys above ``threshold``, the window-start threshold.
-    ``early_bounds`` / ``regular_bounds`` are each run's bounds into
-    ``early_positions`` / ``regular_keys``: one entry per run start,
-    plus one for the window's end.
+    The pass drew the first ``count`` of the runs it was given;
+    ``saturates`` says the last of them holds the first early that does
+    not park (nothing past it was drawn).  ``bounds`` / ``early_bounds``
+    (lists of ``count + 1``) are each drawn run's bounds into the
+    window's columns from the first run on and into their early
+    arrivals.  ``regular_keys`` are the drawn regulars' keys, drawn on
+    the state at the pass, whose threshold is ``threshold``, and
+    ``pack`` is every drawn run's output as one pack: every early
+    arrival, then every regular one whose key beats that threshold, each
+    half in window order (an empty pack when nothing is sent).
+
+    :meth:`stretch` cuts the pack of any range of drawn runs from
+    ``pack`` and re-filters its regulars at ``site``'s live threshold,
+    which an ``EPOCH_UPDATE`` delivered since the pass has raised
+    (every SWOR control is a broadcast, so any site's threshold is
+    every site's).
     """
 
     __slots__ = (
-        "levels",
-        "early_positions",
-        "regular",
+        "site",
+        "pack",
         "regular_keys",
         "threshold",
-        "candidates",
+        "count",
+        "saturates",
+        "bounds",
         "early_bounds",
-        "regular_bounds",
+        "_candidates",
+        "_run_bounds",
     )
 
     def __init__(
         self,
-        levels: Any,
-        early_positions: _np.ndarray,
+        site: "SworSite",
+        idents: _np.ndarray,
+        weights: _np.ndarray,
+        early: _np.ndarray,
+        early_levels: _np.ndarray,
         regular: Any,
         regular_keys: _np.ndarray,
-        threshold: float,
-        early_bounds: _np.ndarray,
-        regular_bounds: _np.ndarray,
+        saturates: bool,
+        bounds: List[int],
+        early_bounds: List[int],
     ) -> None:
-        self.levels = levels
-        self.early_positions = early_positions
-        self.regular = regular
+        """``idents`` / ``weights`` are the window's columns from the
+        first run on, ``early`` the drawn earlies' positions in them and
+        ``early_levels`` their levels, ``regular`` the drawn regulars'
+        positions (``None`` when every arrival is regular)."""
+        self.site = site
         self.regular_keys = regular_keys
-        self.threshold = threshold
-        self.candidates = _np.flatnonzero(regular_keys > threshold)
+        self.threshold = site._threshold
+        self.count = len(bounds) - 1
+        self.saturates = saturates
+        self.bounds = bounds
         self.early_bounds = early_bounds
-        self.regular_bounds = regular_bounds
-
-    def window_pack(self, idents: _np.ndarray, weights: _np.ndarray) -> MessagePack:
-        """The pass's output as one pack: every early arrival, then
-        every regular one whose key beats the window-start threshold,
-        each half in window order (an empty pack when nothing is
-        sent)."""
-        early = self.early_positions
-        if len(early) == len(idents):
-            columns: tuple = (idents, weights, self.levels)
+        self._run_bounds: Optional[Tuple[List[int], List[int]]] = None
+        m = bounds[-1]
+        if len(early) == m:
+            columns: tuple = (idents[:m], weights[:m], early_levels)
         elif len(early):
-            columns = (idents[early], weights[early], self.levels[early])
+            columns = (idents[early], weights[early], early_levels)
         else:
             columns = (None, None, None)
-        candidates = self.candidates
-        if len(candidates) == 0:
-            return MessagePack(*columns)
-        positions = (
-            candidates if self.regular is None else self.regular[candidates]
+        candidates = self._candidates = _np.flatnonzero(
+            regular_keys > self.threshold
         )
-        return MessagePack(
+        if len(candidates) == 0:
+            self.pack = MessagePack(*columns)
+            return
+        positions = candidates if regular is None else regular[candidates]
+        self.pack = MessagePack(
             *columns,
             idents[positions],
             weights[positions],
-            self.regular_keys[candidates],
+            regular_keys[candidates],
         )
 
-    def run_results(self, pack: MessagePack, runs: list):
-        """Yield ``(site_id, run_pack)`` for each run that sends
-        something, in run order: the run's slice of this window's
-        :meth:`window_pack` ``pack`` — what its
-        :meth:`SworSite.on_columns` would send, a single arrival as a
-        one-entry pack.  Its regulars are re-filtered against the
-        site's live threshold when that is above the window-start one
-        — raised by an ``EPOCH_UPDATE`` delivered before this run,
-        which is why this is a generator."""
-        early_bounds = self.early_bounds
-        regular_bounds = _np.searchsorted(self.candidates, self.regular_bounds)
+    def _bounds(self) -> Tuple[List[int], List[int]]:
+        """Each drawn run's bounds into the window pack's early and
+        regular columns (computed only when a range is cut from it)."""
+        if self._run_bounds is None:
+            regular_bounds = [
+                b - e for b, e in zip(self.bounds, self.early_bounds)
+            ]
+            self._run_bounds = (
+                self.early_bounds,
+                _np.searchsorted(self._candidates, regular_bounds).tolist(),
+            )
+        return self._run_bounds
+
+    def stretch(self, a: int, b: int) -> MessagePack:
+        """The pack of drawn runs ``[a, b)``: their early entries, then
+        their regular entries whose key beats the live threshold — what
+        their :meth:`SworSite.on_columns` calls would send, concatenated
+        by kind, when no control lands between them (a run of one
+        arrival sends what its :meth:`SworSite.on_item` would)."""
+        pack = self.pack
+        live = self.site._threshold
+        if a == 0 and b == self.count and live <= self.threshold:
+            return pack
+        early_bounds, regular_bounds = self._bounds()
+        e0, e1 = early_bounds[a], early_bounds[b]
+        c0, c1 = regular_bounds[a], regular_bounds[b]
+        early: tuple = (None, None, None)
+        if e1 > e0:
+            early = (
+                pack.early_idents[e0:e1],
+                pack.early_weights[e0:e1],
+                pack.early_levels[e0:e1],
+            )
+        if c1 > c0:
+            idents = pack.regular_idents[c0:c1]
+            weights = pack.regular_weights[c0:c1]
+            keys = pack.regular_keys[c0:c1]
+            if live > self.threshold:
+                send = keys > live
+                idents, weights, keys = idents[send], weights[send], keys[send]
+            if len(keys):
+                return MessagePack(*early, idents, weights, keys)
+        return MessagePack(*early)
+
+    def cut(self, a: int, b: int, position: int) -> int:
+        """The drawn run that holds regular ``position`` of
+        ``stretch(a, b)``'s pack, at the same live threshold."""
+        _, regular_bounds = self._bounds()
+        c0 = regular_bounds[a]
+        live = self.site._threshold
+        if live > self.threshold:
+            keys = self.pack.regular_keys[c0 : regular_bounds[b]]
+            position = int(_np.flatnonzero(keys > live)[position])
+        return bisect.bisect_right(regular_bounds, c0 + position) - 1
+
+    def run_packs(self, runs: list) -> Iterator[Tuple[int, MessagePack]]:
+        """Yield ``(site_id, pack)`` for each drawn run that sends, in
+        run order — its :meth:`stretch` alone.  ``runs`` are the runs
+        the pass was given."""
+        early_bounds, regular_bounds = self._bounds()
         senders = _np.flatnonzero(
             _np.diff(early_bounds) + _np.diff(regular_bounds)
         ).tolist()
-        early_bounds = early_bounds.tolist()
-        regular_bounds = regular_bounds.tolist()
         for j in senders:
-            site_id, site, _, _ = runs[j]
-            e0, e1 = early_bounds[j], early_bounds[j + 1]
-            c0, c1 = regular_bounds[j], regular_bounds[j + 1]
-            early: tuple = (None, None, None)
-            if e1 > e0:
-                early = (
-                    pack.early_idents[e0:e1],
-                    pack.early_weights[e0:e1],
-                    pack.early_levels[e0:e1],
-                )
-            if c1 > c0:
-                idents = pack.regular_idents[c0:c1]
-                weights = pack.regular_weights[c0:c1]
-                keys = pack.regular_keys[c0:c1]
-                if site._threshold > self.threshold:
-                    send = keys > site._threshold
-                    idents, weights, keys = idents[send], weights[send], keys[send]
-                if len(keys):
-                    yield site_id, MessagePack(*early, idents, weights, keys)
-                    continue
-            if e1 > e0:
-                yield site_id, MessagePack(*early)
+            yield runs[j][0], self.stretch(j, j + 1)
 
 
 class SworSite(SiteAlgorithm):
@@ -225,39 +271,38 @@ class SworSite(SiteAlgorithm):
         self,
         window: "GroupedWindow",
         runs: Optional[list] = None,
-        can_park: Optional[Callable[[_np.ndarray], bool]] = None,
-    ) -> "Union[_WindowPrep, None, bool]":
-        """The window pass of the columnar engines: every run's regular
-        keys, drawn on window-start state.
+        can_park: Optional[Callable[[_np.ndarray], Optional[int]]] = None,
+    ) -> Optional[_WindowPrep]:
+        """The window pass of the columnar engines: the regular keys of
+        a window's runs from one run on, drawn on the current state.
 
         ``window`` is a grouped window
         (:class:`~repro.runtime.columnar.GroupedWindow`: the window's
         site-sorted columns and its memo of level splits) and ``runs``
-        its ``(site_id, site, start, end)`` runs in ascending site
-        order, covering the window, each ``site`` one of this site's
-        peers.  Levels and the saturation lookup are pure functions of
-        the weights, ``r`` and the mask, so one split of the window —
-        read from the window's memo, where every same-config network
-        finds it — serves every run; every SWOR control is a broadcast,
-        so at a window boundary every site holds this site's mask and
-        threshold.
+        its ``(site_id, site, start, end)`` runs from some run to the
+        window's end, in ascending site order, each ``site`` one of this
+        site's peers.  Levels and the saturation lookup are pure
+        functions of the weights, ``r`` and the mask, so one split of
+        the window from the first run on (:meth:`_window_split`) serves
+        every run; every SWOR control is a broadcast, so every site
+        holds this site's mask and threshold.
 
-        Each run books its arrivals in ``items_seen`` and draws its
-        regulars from its own site's generator into its slice of one
-        window column — the variates its :meth:`on_columns`, or for a
+        ``can_park``, the coordinator's pure check of the split's early
+        levels, gives the first early that does not park — it saturates
+        a level — before anything is drawn (only a ``LEVEL_SATURATED``
+        changes how many keys a run draws): the pass then draws the runs
+        up to and including that early's run, and nothing past it.
+        Without the check it draws every run.
+
+        Each drawn run books its arrivals in ``items_seen`` and draws
+        its regulars from its own site's generator into its slice of
+        one column — the variates its :meth:`on_columns`, or for a
         single arrival its :meth:`on_item`, would draw, since a slice
-        fill equals that many scalar draws.  Then one clamp, one
-        division and one compare against the window-start threshold
-        cover the window.
+        fill equals that many scalar draws.  Then one clamp and one
+        division cover the drawn runs.
 
-        ``can_park``, the coordinator's pure check of the window's
-        early levels, refuses the pass when a level could saturate in
-        the window, before anything is drawn (only ``LEVEL_SATURATED``
-        changes how many keys a run draws): the result is then
-        ``False``, and each run takes its own :meth:`on_columns`, with
-        its split read from the window's memo.  The pass does not run
-        without ``runs``, with level sets disabled and in
-        ``count_bits`` mode: the result is then ``None``.
+        The pass does not run without ``runs``, with level sets disabled
+        and in ``count_bits`` mode: the result is then ``None``.
         """
         if (
             runs is None
@@ -265,23 +310,31 @@ class SworSite(SiteAlgorithm):
             or self.config.count_bits
         ):
             return None
-        weights = window.weights
-        levels, saturated, early = window.split(self, 0, len(weights))
-        if can_park is not None and len(early) and not can_park(levels[early]):
-            return False
-        m = len(weights)
-        bounds = _np.array([run[2] for run in runs] + [m])
-        early_bounds = _np.searchsorted(early, bounds)
+        base = runs[0][2]
+        levels, saturated, early = self._window_split(window, base)
+        m = len(levels)
+        bounds = [run[2] - base for run in runs]
+        bounds.append(m)
+        early_levels = levels if len(early) == m else levels[early]
+        saturates = False
+        if can_park is not None and len(early):
+            refused = can_park(early_levels)
+            if refused is not None:
+                saturates = True
+                del bounds[bisect.bisect_right(bounds, int(early[refused])) + 1 :]
+                m = bounds[-1]
+        early_bounds = _np.searchsorted(early, bounds).tolist()
+        ne = early_bounds[-1]
         if len(early) == 0:
             regular = None
-        elif len(early) == m:
+        elif ne == m:
             regular = early[:0]
         else:
-            regular = _np.flatnonzero(saturated)
-        draws = _np.empty(m - len(early))
+            regular = _np.flatnonzero(saturated[:m])
+        draws = _np.empty(m - ne)
         off = 0
         for (_, site, start, end), e0, e1 in zip(
-            runs, early_bounds.tolist(), early_bounds[1:].tolist()
+            runs, early_bounds, early_bounds[1:]
         ):
             n = end - start
             site.items_seen += n
@@ -292,18 +345,34 @@ class SworSite(SiteAlgorithm):
             site.exponentials_generated += count
             off += count
         _np.maximum(draws, MIN_EXPONENTIAL, out=draws)
+        weights = window.weights[base:]
         keys = _np.divide(
             weights if regular is None else weights[regular], draws, out=draws
         )
         return _WindowPrep(
-            levels,
-            early,
+            self,
+            window.idents[base:],
+            weights,
+            early[:ne],
+            early_levels[:ne],
             regular,
             keys,
-            self._threshold,
+            saturates,
+            bounds,
             early_bounds,
-            bounds - early_bounds,
         )
+
+    def _window_split(self, window: "GroupedWindow", start: int) -> tuple:
+        """:meth:`_split` of the window's weights from position
+        ``start`` on, read from the window's memo: computed once per
+        ``(start, r, mask)`` — the split's only inputs besides the
+        weights — and shared by every same-config site and network the
+        window is delivered to, which only read it."""
+        key = (start, self._r, self._saturated_mask)
+        split = window.splits.get(key)
+        if split is None:
+            split = window.splits[key] = self._split(window.weights[start:])
+        return split
 
     def _split(self, weights: _np.ndarray) -> tuple:
         """``(levels, saturated, early_positions)`` of a weight column
@@ -333,7 +402,7 @@ class SworSite(SiteAlgorithm):
         return window_split(weights, self._r, heavy_floor, saturation_table(mask))
 
     def on_columns(
-        self, idents: _np.ndarray, weights: _np.ndarray, split: Any = None
+        self, idents: _np.ndarray, weights: _np.ndarray
     ) -> Union[MessagePack, List[Message], tuple]:
         """Vectorized Algorithm 1 over a batch of arrivals.
 
@@ -347,12 +416,6 @@ class SworSite(SiteAlgorithm):
         no ``Item`` and no per-message ``Message`` objects (an empty
         tuple when the batch sends nothing).
 
-        ``split``, when given, is this batch's level split
-        ``(levels, saturated, early_positions)`` under this site's
-        mask, as :meth:`_split` computes it — read by the columnar
-        engines from a grouped window's memo, so same-config networks
-        split each run once.
-
         Takes the scalar ``on_item`` path (returning plain messages)
         for single-item batches, which keeps batch size 1 bit-identical
         to the reference engine, and in ``count_bits`` mode, whose
@@ -365,9 +428,7 @@ class SworSite(SiteAlgorithm):
         early: tuple = ()
         regular_idents, regular_weights = idents, weights
         if self.config.level_sets_enabled:
-            levels, saturated, early_positions = (
-                self._split(weights) if split is None else split
-            )
+            levels, saturated, early_positions = self._split(weights)
             if len(early_positions) == n:
                 # Everything early (warm-up included): no exponentials.
                 return MessagePack(idents, weights, levels)

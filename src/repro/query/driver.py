@@ -24,10 +24,11 @@ Every query network therefore takes exactly the path a standalone
 :class:`~repro.runtime.ColumnarEngine` run takes — SWOR and heavy-hitter
 queries the SWOR window step, the others the per-site loop — and ends
 with the same sample, counters and coordinator state.  Same-config
-SWOR queries share the level split of every window and of every run of
-a refused window through the grouped window's memo: the split is a
-pure function of the weights, ``r`` and the saturated mask, all
-independent of a query's random draws.
+SWOR queries share the level split of every window, and of the rest of
+a window after each saturation, through the grouped window's memo: the
+split is a pure function of the weights, ``r`` and the saturated mask,
+and saturation of the weights and the arrival order, all independent
+of a query's random draws.
 
 The batch schedule is the driver's engine's
 (:func:`~repro.runtime.batched.batch_windows`: doubling ramp,

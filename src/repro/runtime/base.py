@@ -29,9 +29,11 @@ onto the attached registry; nothing else describes a run.  The keys:
 
 * every record: ``engine``, ``items``, ``seconds`` (the whole
   ``run()`` call's or driver pass's wall);
-* windowed runs and driver passes: ``windows``; in-process columnar
-  windows also ``windows_whole`` / ``windows_split`` /
-  ``windows_per_site``;
+* windowed runs and driver passes: ``windows``; an in-process
+  columnar run also ``windows_whole`` / ``windows_split`` /
+  ``windows_per_site`` (windows folded as one pack, windows cut at a
+  control, windows of networks without the SWOR window step) and
+  ``cut_runs`` (the runs the step delivered alone);
 * a driver pass: ``queries``, which maps each network-backed query's
   name to its ``fold_seconds`` (the pass's seconds in that query's
   window body) and its cumulative ``upstream`` and ``downstream``
@@ -174,7 +176,8 @@ class Engine(ABC):
         if "windows_whole" in stats:
             lines.append(
                 f"window step: {stats['windows_whole']} folded whole, "
-                f"{stats['windows_split']} split on an epoch advance, "
+                f"{stats['windows_split']} cut at a control "
+                f"({stats['cut_runs']} runs delivered alone), "
                 f"{stats['windows_per_site']} per site"
             )
         if "queries" in stats:

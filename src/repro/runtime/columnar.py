@@ -16,20 +16,16 @@ per-item Python objects on the hot path:
   shared with the multi-query driver, which runs it once per query
   network over one grouped window — delivers to a network;
 * for weighted SWOR (which residual heavy hitters also run on) each
-  window takes the **window step**: when the coordinator's pure check
-  (``SworCoordinator.can_park``) says no level can saturate in the
-  window, one site pass
-  (:meth:`~repro.core.site.SworSite.prepare_window`) splits the window
-  into early and regular arrivals once and draws every run's keys on
-  window-start state; when the window's regulars also leave the epoch
-  unchanged (``SworCoordinator.folds_quietly``), the coordinator folds
-  the whole window as **one pack** (all earlies, then all regulars, in
-  site order), and otherwise each run's slice of the pass is delivered
-  in site order, re-filtered against its site's live threshold;
-* a window the check refuses, and every window of the other protocols,
-  of ``count_bits`` mode and of a network whose delivery is
-  instrumented, takes the per-site loop (:func:`site_results`): each
-  site's bulk hook
+  window takes the **window step** (:func:`run_window`), one loop over
+  *stretches*, the runs of the window between two controls: a site
+  pass (:meth:`~repro.core.site.SworSite.prepare_window`) draws every
+  run up to the first that saturates a level, each stretch folds as
+  one pack (all earlies, then all regulars, in site order), and a run
+  that saturates a level or announces an epoch is delivered alone.  A
+  window with no control is one pass and one fold;
+* every window of the other protocols, of ``count_bits`` mode, of
+  level sets disabled and of a network whose delivery is instrumented
+  takes the per-site loop (:func:`site_results`): each site's bulk hook
   (:meth:`~repro.runtime.interfaces.SiteAlgorithm.on_columns`) returns
   a single :class:`~repro.net.messages.MessagePack` of parallel arrays
   per (site, batch) — word-accounted exactly as the messages it stands
@@ -38,10 +34,10 @@ per-item Python objects on the hot path:
   bulk path re-checks with a boolean mask and folds via one
   ``np.partition`` top-``s`` merge; a run of one arrival goes to
   ``on_item``;
-* the level split of the window and of each run of a refused window is
-  a pure function of the weights, ``r`` and the saturated mask, so the
-  grouped window memoizes it (:meth:`GroupedWindow.split`): same-config
-  SWOR networks fed the same window split it once.
+* the level split of the rest of a window is a pure function of the
+  weights, ``r`` and the saturated mask, so the grouped window
+  memoizes it (``GroupedWindow.splits``, keyed and filled by the
+  site): same-config SWOR networks fed the same window split it once.
 
 Why this is correct
 -------------------
@@ -58,32 +54,40 @@ for bit, and at batch size 1 each window holds one arrival, whose site
 sends or draws exactly as its scalar ``on_item`` would, so the engine
 reproduces :class:`~repro.runtime.reference.ReferenceEngine` exactly.
 
-The window step equals the per-site loop it replaces, and nothing is
-ever rewound:
+The window step equals the per-site loop, and nothing is ever rewound:
 
-* the saturation check runs before anything is drawn, and only a
-  ``LEVEL_SATURATED`` changes how many keys a run draws — an
-  ``EPOCH_UPDATE`` only changes which keys it sends;
-* each run fills its slice of the window's draw column from its own
+* only a ``LEVEL_SATURATED`` changes how many keys a run draws, and the
+  saturation check runs before anything is drawn: the pass draws up to
+  the saturating run, whose own earlies the coordinator walks in
+  order, and the runs after it are split again and drawn on the mask
+  the broadcast set;
+* each run fills its slice of the pass's draw column from its own
   site's one generator, and a fill of ``n`` entries draws the variates
   ``n`` scalar draws would: the keys its ``on_columns`` (or, for a
-  single arrival, ``on_item``) would draw, so a split window's runs,
-  re-filtered against the live threshold, are exactly the per-site
-  loop's packs;
-* in a window folded whole no control lands, so every site computes on
-  window-start state: early keys are still drawn in delivery order,
+  single arrival, ``on_item``) would draw;
+* an ``EPOCH_UPDATE`` only changes which keys a run sends, and the
+  announce check finds the regular whose fold sends it before the
+  stretch is folded: the cut run alone announces, where the per-site
+  loop announces, and every later run is re-filtered against the live
+  threshold, so it sends exactly its ``on_columns`` pack;
+* no control lands inside a stretch, so every site in it computes on
+  stretch-start state: early keys are still drawn in delivery order,
   each level still parks its earlies in arrival order, and ``S`` keeps
-  its relative arrival order (only the absolute arrival counters
-  differ);
+  its relative arrival order (only the absolute arrival counters, and
+  ``regular_accepted``, which counts survivors of each fold's entry
+  threshold, differ);
 * admission is monotone — per-level counts only grow and the threshold
-  only rises — so the window pack takes the coordinator's fast path
+  only rises — so a stretch pack takes the coordinator's fast path
   exactly when every per-site pack would.
 
-The split memo changes nothing either: its key — run bounds, ``r`` and
-the mask — determines the split, and what it shares between networks
-(levels, the saturated mask, early positions) is only ever read.  A
-network's draws, thresholds and folds stay its own, so a query network
-run by the multi-query driver ends in the state of a standalone run.
+The split memo changes nothing either: its key — the range start,
+``r`` and the mask — determines the split, and what it shares between
+networks (levels, the saturated mask, early positions) is only ever
+read.  Saturation depends only on the weights and the arrival order,
+so same-config networks saturate at the same arrival and share every
+split.  A network's draws, thresholds and folds stay its own, so a
+query network run by the multi-query driver ends in the state of a
+standalone run.
 
 ``Item`` objects are created lazily, only for arrivals that enter the
 sample, answer a query, reach a trace, or take a scalar path (a single
@@ -140,13 +144,13 @@ class GroupedWindow:
     """One window grouped by site: the site-sorted ``idents`` /
     ``weights`` columns, the ``site_ids`` of its runs and their
     ``starts`` / ``ends`` — one :func:`~repro.runtime.batched.window_order`
-    plus one gather — and a memo of SWOR level splits.
+    plus one gather — and ``splits``, a memo that window passes key and
+    fill (:meth:`~repro.core.site.SworSite.prepare_window`).
 
     Every network the window is delivered to reads the same columns;
-    the memo lets same-config SWOR networks split each run once
-    (:meth:`split`)."""
+    the memo lets same-config SWOR networks split the window once."""
 
-    __slots__ = ("idents", "weights", "site_ids", "starts", "ends", "_splits")
+    __slots__ = ("idents", "weights", "site_ids", "starts", "ends", "splits")
 
     def __init__(self, idents, weights, site_ids, starts, ends) -> None:
         self.idents = idents
@@ -154,19 +158,7 @@ class GroupedWindow:
         self.site_ids = site_ids
         self.starts = starts
         self.ends = ends
-        self._splits: dict = {}
-
-    def split(self, site, start: int, end: int):
-        """``site._split`` of the weights in ``[start, end)``: the
-        level split of a SWOR site (:meth:`~repro.core.site.SworSite._split`),
-        a pure function of the weights, ``r`` and the saturated mask,
-        computed once per ``(start, end, r, mask)`` and shared by every
-        site and network that asks for it."""
-        key = (start, end, site._r, site._saturated_mask)
-        split = self._splits.get(key)
-        if split is None:
-            split = self._splits[key] = site._split(self.weights[start:end])
-        return split
+        self.splits: dict = {}
 
 
 def group_window(assignment, idents, weights, lo: int, hi: int) -> GroupedWindow:
@@ -183,7 +175,7 @@ def group_window(assignment, idents, weights, lo: int, hi: int) -> GroupedWindow
     )
 
 
-def site_results(runs, window: GroupedWindow, memo: bool = False):
+def site_results(runs, window: GroupedWindow):
     """The per-site loop: ``(site_id, result)`` of each run's own site
     pass over its slice of the window's columns, computed only when the
     caller asks for it — after the previous run's result has been
@@ -192,17 +184,11 @@ def site_results(runs, window: GroupedWindow, memo: bool = False):
     A run of one arrival calls ``on_item`` — what ``on_columns`` would
     delegate to — whose result may be a lazy generator (the L1 site's,
     whose messages interleave with the broadcasts they trigger); longer
-    runs call ``on_columns``, so every ``on_columns`` result is sized.
-    With ``memo`` (a SWOR window the coordinator's check refused) each
-    run reads its level split from the window's memo."""
+    runs call ``on_columns``, so every ``on_columns`` result is sized."""
     idents, weights = window.idents, window.weights
     for site_id, site, start, end in runs:
         if end - start == 1:
             result = site.on_item(Item(int(idents[start]), float(weights[start])))
-        elif memo:
-            result = site.on_columns(
-                idents[start:end], weights[start:end], window.split(site, start, end)
-            )
         else:
             result = site.on_columns(idents[start:end], weights[start:end])
         yield site_id, result
@@ -222,20 +208,21 @@ def window_step(network: "Network"):
     return can_park
 
 
-#: The paths :func:`run_window` reports.
-WHOLE, SPLIT, PER_SITE = 0, 1, 2
-
-
-def run_window(network: "Network", window: GroupedWindow, can_park=None) -> int:
+def run_window(
+    network: "Network", window: GroupedWindow, can_park=None
+) -> Optional[int]:
     """Deliver one grouped window to ``network``: the columnar engine's
     window body, which the multi-query driver also runs once per query
     network.
 
     With ``can_park`` (see :func:`window_step`) the SWOR window step
-    runs: the window pass, then one pack fold when the window is quiet
-    (``WHOLE``) or each run's slice of the pass (``SPLIT``).  Otherwise
-    — and when the check refuses the pass — the per-site loop runs
-    (``PER_SITE``; :func:`site_results`).  Returns the path taken."""
+    runs, one window pass at a time: each pass draws the runs up to the
+    first that saturates a level, and :func:`_deliver_stretches`
+    delivers them; after a saturation the next pass splits the rest of
+    the window under the new mask.  Returns the number of runs
+    delivered alone (0 for a window folded whole).  Otherwise — and
+    when the pass does not apply — the per-site loop runs
+    (:func:`site_results`) and the result is ``None``."""
     sites = network.sites
     runs = [
         (site_id, sites[site_id], start, end)
@@ -244,29 +231,61 @@ def run_window(network: "Network", window: GroupedWindow, can_park=None) -> int:
     prep = (
         None if can_park is None else sites[0].prepare_window(window, runs, can_park)
     )
-    if prep:
-        pack = prep.window_pack(window.idents, window.weights)
-        if network.coordinator.folds_quietly(pack):
-            # One fold for the window (the SWOR fold does not read the
-            # sender's id).
-            network.deliver_pack(runs[0][0], pack)
-            return WHOLE
-        results = prep.run_results(pack, runs)
-        path = SPLIT
-    else:
-        # ``prep`` is False when the check refused the pass: each run
-        # then reads its level split from the window's memo.
-        results = site_results(runs, window, memo=prep is False)
-        path = PER_SITE
+    if prep is None:
+        deliver_pack = network.deliver_pack
+        deliver_upstream = network.deliver_upstream
+        for site_id, result in site_results(runs, window):
+            if isinstance(result, MessagePack):
+                deliver_pack(site_id, result)
+            else:
+                for message in result:
+                    deliver_upstream(site_id, message)
+        return None
+    cuts = _deliver_stretches(network, runs, prep)
+    while prep.count < len(runs):
+        runs = runs[prep.count :]
+        prep = sites[0].prepare_window(window, runs, can_park)
+        cuts += _deliver_stretches(network, runs, prep)
+    return cuts
+
+
+def _deliver_stretches(network: "Network", runs: list, prep) -> int:
+    """Deliver the runs one window pass drew (``runs`` are the runs it
+    was given), one pack per stretch — the runs between two controls —
+    and each run that announces an epoch or saturates a level alone.
+    Returns the number of runs delivered alone.
+
+    Before each stretch the coordinator's pure check
+    (``folds_quietly``) finds the first regular whose in-order fold
+    would announce: the runs before its run fold as one pack, its run
+    is delivered alone, and the stretch after it is cut again at the
+    live threshold the announce raised.  The pass's saturating run
+    comes last, alone."""
+    coordinator = network.coordinator
     deliver_pack = network.deliver_pack
-    deliver_upstream = network.deliver_upstream
-    for site_id, result in results:
-        if isinstance(result, MessagePack):
-            deliver_pack(site_id, result)
-        else:
-            for message in result:
-                deliver_upstream(site_id, message)
-    return path
+    quiet = prep.count - prep.saturates
+    cuts = 0
+    a = 0
+    while a < quiet:
+        pack = prep.stretch(a, quiet)
+        position = coordinator.folds_quietly(pack)
+        if position is None:
+            # One fold for the stretch (the SWOR fold does not read the
+            # sender's id).
+            deliver_pack(runs[a][0], pack)
+            break
+        cut = prep.cut(a, quiet, position)
+        if cut > a:
+            head = prep.stretch(a, cut)
+            coordinator.folds_quietly(head)  # quiet: it ends before the announce
+            deliver_pack(runs[a][0], head)
+        deliver_pack(runs[cut][0], prep.stretch(cut, cut + 1))
+        cuts += 1
+        a = cut + 1
+    if prep.saturates:
+        deliver_pack(runs[quiet][0], prep.stretch(quiet, quiet + 1))
+        cuts += 1
+    return cuts
 
 
 class ColumnarEngine(Engine):
@@ -289,9 +308,11 @@ class ColumnarEngine(Engine):
         near zero.
 
     ``last_run_stats`` counts the windows of the last run by path:
-    ``windows_whole`` (folded as one pack), ``windows_split`` (split on
-    an epoch advance) and ``windows_per_site`` (left to the per-site
-    loop); they sum to ``windows``.
+    ``windows_whole`` (folded as one pack), ``windows_split`` (cut at a
+    control at least once) and ``windows_per_site`` (the per-site loop,
+    for networks without the window step); they sum to ``windows``.
+    ``cut_runs`` counts the runs the step delivered alone, at an epoch
+    advance or a level saturation.
     """
 
     name = "columnar"
@@ -336,10 +357,17 @@ class ColumnarEngine(Engine):
         )
         mark_set = set(marks)
         can_park = window_step(network)
-        paths = [0, 0, 0]
+        whole = split = per_site = cut_runs = 0
         for lo, hi in batch_windows(n, self.batch_size, marks):
             window = group_window(assignment, idents, weights, lo, hi)
-            paths[run_window(network, window, can_park)] += 1
+            cuts = run_window(network, window, can_park)
+            if cuts is None:
+                per_site += 1
+            elif cuts:
+                split += 1
+                cut_runs += cuts
+            else:
+                whole += 1
             network.items_processed += hi - lo
             t = network.items_processed
             if on_step is not None:
@@ -347,8 +375,9 @@ class ColumnarEngine(Engine):
             if hi in mark_set:
                 on_checkpoint(t)
         return {
-            "windows": sum(paths),
-            "windows_whole": paths[WHOLE],
-            "windows_split": paths[SPLIT],
-            "windows_per_site": paths[PER_SITE],
+            "windows": whole + split + per_site,
+            "windows_whole": whole,
+            "windows_split": split,
+            "windows_per_site": per_site,
+            "cut_runs": cut_runs,
         }

@@ -446,8 +446,8 @@ class _WorkerShard:
         :func:`~repro.runtime.columnar.group_window`.  When every
         shard site shares class and config, one window pass
         (:meth:`~repro.core.site.SworSite.prepare_window`) draws every
-        run's keys, and its window pack is split back into per-site
-        results (:meth:`~repro.core.site._WindowPrep.run_results`).
+        run's keys, and its window pack is cut back into per-site
+        results (:meth:`~repro.core.site._WindowPrep.run_packs`).
         The worker applies no control mid-compute, so the pass equals
         the per-site ``on_columns`` calls; it needs no saturation
         check, since the parent's fold rolls back the sites after any
@@ -477,9 +477,7 @@ class _WorkerShard:
         if min_site is None and shares_window_pass(self.sites):
             window_prep = self.sites[0].prepare_window(window, runs)
         if window_prep is not None:
-            results = window_prep.run_results(
-                window_prep.window_pack(window.idents, window.weights), runs
-            )
+            results = window_prep.run_packs(runs)
         else:
             results = site_results(runs, window)
         self.ring_off = slot * self.slot_bytes

@@ -490,7 +490,7 @@ class TestColumnarEngineParity:
         idents = np.arange(4, dtype=np.int64)
         window = GroupedWindow(idents, weights, [0], [0], [4])
         prep = shared.prepare_window(window, [(0, shared, 0, 4)])
-        with_pass = prep.window_pack(idents, weights)
+        with_pass = prep.pack
         without_pass = solo.on_columns(idents, weights)
         assert with_pass.messages() == without_pass.messages()
         assert with_pass.num_early == 3  # only the saturated level-1 item filters

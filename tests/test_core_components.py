@@ -197,27 +197,33 @@ class TestLevelSetManager:
         mgr.add(4, 1.5, 1.0)  # saturates level 0: its weight leaves
         assert mgr.pending_weight() == 1e16 + 3.0
 
-    def test_admits_and_park_equal_one_by_one_add(self):
-        """``admits`` refuses a column that would saturate (or hits a
-        saturated) level; ``park`` groups an admitted one by level and
-        ends where one-by-one ``add`` does, new levels in
-        first-appearance order."""
+    def test_first_refused_and_park_equal_one_by_one_add(self):
+        """``first_refused`` names the first early of a column that
+        would saturate its level (or hits a saturated one); ``park``
+        groups a column that all parks by level and ends where
+        one-by-one ``add`` does, new levels in first-appearance
+        order."""
         levels = np.array([3, 0, 3, 1, 0])
         idents = np.arange(5)
         weights = np.array([9.0, 1.0, 10.0, 2.0, 1.5])
         keys = [0.5, 1.5, 2.5, 3.5, 4.5]
         bulk = LevelSetManager(r=2.0, saturation_size=3)
         seq = LevelSetManager(r=2.0, saturation_size=3)
-        assert bulk.admits(levels)
+        assert bulk.first_refused(levels) is None
         bulk.park(levels, idents, weights, keys)
         for ident, weight, key in zip(idents.tolist(), weights.tolist(), keys):
             seq.add(ident, weight, key)
         assert bulk.snapshot_state() == seq.snapshot_state()
         assert list(bulk.snapshot_state()[0]) == [3, 0, 1]
-        assert bulk.admits(np.array([1, 5]))
-        assert not bulk.admits(np.array([1, 3]))  # level 3 would fill
+        assert bulk.first_refused(np.array([1, 5])) is None
+        assert bulk.first_refused(np.array([1, 3])) == 1  # level 3 would fill
+        # Level 1 (one parked) fills at its second early, position 3;
+        # level 3 (two parked) at its first, position 4: the first wins.
+        assert bulk.first_refused(np.array([5, 1, 5, 1, 3])) == 3
+        assert bulk.first_refused(np.array([3, 1, 1])) == 0
         assert bulk.add(9, 12.0, 1.0) == ([0, 2, 9], [9.0, 10.0, 12.0], [0.5, 2.5, 1.0])
-        assert not bulk.admits(np.array([3]))  # level 3 is saturated
+        assert bulk.first_refused(np.array([1, 3])) == 1  # level 3 is saturated
+        assert bulk.first_refused(np.array([3, 3])) == 0
         with pytest.raises(ProtocolViolationError):
             bulk.add(10, 9.0, 1.0)
 

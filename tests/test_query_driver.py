@@ -189,9 +189,9 @@ class TestSharedSplits:
         self, monkeypatch
     ):
         """Same-config SWOR queries read every level split — the
-        window pass's and each run's in a window the coordinator
-        refuses — from the window's memo: a run with one query computes
-        as many splits as a run with four or eight."""
+        window's, and the rest of a window after each saturation —
+        from the window's memo: a run with one query computes as many
+        splits as a run with four or eight."""
         stream = round_robin(
             zipf_stream(60_000, random.Random(0), alpha=1.2), 16
         )
@@ -203,13 +203,13 @@ class TestSharedSplits:
             return split(site, weights)
 
         monkeypatch.setattr(SworSite, "_split", counted)
-        refused = [0]
+        saturating = [0]
         can_park = SworCoordinator.can_park
 
         def can_park_spy(coordinator, early_levels):
-            admitted = can_park(coordinator, early_levels)
-            refused[0] += not admitted
-            return admitted
+            refused = can_park(coordinator, early_levels)
+            saturating[0] += refused is not None
+            return refused
 
         monkeypatch.setattr(SworCoordinator, "can_park", can_park_spy)
         counts = []
@@ -219,7 +219,7 @@ class TestSharedSplits:
                 QueryCatalog(_swor_queries(count, s=64)), num_sites=16, seed=11
             ).run(stream)
             counts.append(calls[0])
-        assert refused[0] > 0  # refused windows split run by run
+        assert saturating[0] > 0  # windows split again after a saturation
         assert counts[0] > 0 and counts == [counts[0]] * 3
 
 

@@ -13,8 +13,9 @@ sizes, reused networks, and checkpoints.
 
 Every window folds in exact ascending-site order, so the parent's
 coordinator calls are pinned call for call against the columnar
-engine's per-site packs (its whole-window fold turned off).  No shipped coordinator sends a unicast, so a toy protocol
-drives both unicast branches: a control to a later site of the window
+engine's per-site packs (its window step turned off).  No shipped
+coordinator sends a unicast, so a toy protocol drives both unicast
+branches: a control to a later site of the window
 (the engine must roll) and one to an earlier site (applied at commit,
 so the owning worker's speculation must miss).  The last part pins the
 ``snapshot_state`` / ``restore_state`` round trips that the run-start
@@ -223,16 +224,18 @@ class TestBroadcastStormParity:
 # ---------------------------------------------------------------------------
 
 
-def _fold_sequence(stream, engine, whole=True):
+def _fold_sequence(stream, engine, step=True):
     """Run the storm under ``engine`` and record every coordinator
     call: ``(site_id, len(pack))`` per pack, ``(site_id, kind)`` per
-    message.  ``whole=False`` turns the columnar engine's whole-window
-    fold off: its quiet windows then deliver their per-site packs, as
-    the sharded parent does."""
+    message.  ``step=False`` turns the columnar engine's window step
+    off (no window pass, so every site runs its own ``on_columns``):
+    its windows then deliver the per-site loop's packs, as the sharded
+    parent does."""
     proto = DistributedWeightedSWOR(_config(), seed=SEED, engine=engine)
     coordinator = proto.coordinator
-    if not whole:
-        coordinator.folds_quietly = lambda pack: False
+    if not step:
+        for site in proto.sites:
+            site.prepare_window = lambda *args: None
     calls = []
     fold_pack = coordinator.on_message_pack
     fold_message = coordinator.on_message
@@ -255,10 +258,10 @@ class TestFoldSequence:
     @pytest.mark.parametrize("batch_size", [256, 1024])
     def test_parent_folds_columnar_sequence(self, storm_stream, batch_size):
         """The parent folds the per-site packs of the columnar engine
-        whose quiet windows are not folded whole, call for call, and
-        ends where the default columnar run ends."""
+        whose window step is off, call for call, and ends where the
+        default columnar run ends."""
         per_site = _fold_sequence(
-            storm_stream, ColumnarEngine(batch_size=batch_size), whole=False
+            storm_stream, ColumnarEngine(batch_size=batch_size), step=False
         )
         default = _fold_sequence(
             storm_stream, ColumnarEngine(batch_size=batch_size)
@@ -271,7 +274,7 @@ class TestFoldSequence:
             engine.close()
         assert got[0] == per_site[0]
         assert got[1] == per_site[1] == default[1]
-        # Quiet windows fold whole by default: never more folds.
+        # Stretches fold whole by default: never more folds.
         assert len(default[0]) <= len(per_site[0])
 
 
