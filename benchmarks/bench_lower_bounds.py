@@ -5,9 +5,15 @@ tracker must send Omega(k·log(W)/log(k) + log(W)/eps) messages.  We run
 our (correct) upper-bound algorithms on exactly those streams and check
 the measured counts sit between the Omega lower bound and the O() upper
 bound — i.e. the constructions really do extract the predicted cost.
+
+Each runs on both engines: ``reference`` (the paper's synchronous round
+model) and ``columnar`` at its default batch size, and must keep every
+bound.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.analysis import bounds, format_table
 from repro.heavy_hitters import ResidualHeavyHitterTracker
@@ -21,7 +27,11 @@ from repro.stream import (
 )
 
 
-def test_hh_lower_bound_stream(benchmark, report):
+ENGINES = pytest.mark.parametrize("engine", ["reference", "columnar"])
+
+
+@ENGINES
+def test_hh_lower_bound_stream(benchmark, report, engine):
     """E8: the (1+eps)^i growth stream (every update is a heavy hitter)
     and the per-epoch k^i stream (every epoch forces k messages)."""
 
@@ -34,7 +44,9 @@ def test_hh_lower_bound_stream(benchmark, report):
         for eps in (0.2, 0.1):
             items = geometric_growth_stream(eps, total_weight=1e7)
             w = sum(i.weight for i in items)
-            tracker = ResidualHeavyHitterTracker(1, eps, delta=0.1, seed=3)
+            tracker = ResidualHeavyHitterTracker(
+                1, eps, delta=0.1, seed=3, engine=engine
+            )
             counters = tracker.run(single_site(items))
             # This construction extracts the log(W)/eps term.
             lower = math.log(w) / eps
@@ -56,7 +68,9 @@ def test_hh_lower_bound_stream(benchmark, report):
             items = epoch_weight_stream(k, num_epochs)
             w = sum(i.weight for i in items)
             eps = 0.25
-            tracker = ResidualHeavyHitterTracker(k, eps, delta=0.1, seed=4)
+            tracker = ResidualHeavyHitterTracker(
+                k, eps, delta=0.1, seed=4, engine=engine
+            )
             counters = tracker.run(round_robin(items, k))
             # This construction extracts the k·log(W)/log(k) term.
             lower = bounds.l1_lower_this_work(k, w)
@@ -78,7 +92,7 @@ def test_hh_lower_bound_stream(benchmark, report):
     report(
         format_table(
             rows,
-            title="E8 (Theorem 5): heavy-hitter lower-bound streams",
+            title=f"E8 (Theorem 5): heavy-hitter lower-bound streams, {engine}",
             caption="each construction targets one Omega term "
             "(logW/eps for growth, k·logW/log k for epochs); "
             "measured/lower >= ~1 confirms the constructions bite",
@@ -88,7 +102,8 @@ def test_hh_lower_bound_stream(benchmark, report):
         assert row["messages"] >= 0.6 * row["lower_bound"]
 
 
-def test_l1_lower_bound_stream(benchmark, report):
+@ENGINES
+def test_l1_lower_bound_stream(benchmark, report, engine):
     """E11: L1 trackers on the Theorem 7 constructions."""
 
     def run():
@@ -98,7 +113,7 @@ def test_l1_lower_bound_stream(benchmark, report):
         for eps in (0.2, 0.1):
             items = geometric_growth_stream(eps, total_weight=1e7)
             w = sum(i.weight for i in items)
-            det = DeterministicCounterTracker(1, eps)
+            det = DeterministicCounterTracker(1, eps, engine=engine)
             c_det = det.run(single_site(items))
             lower = bounds.l1_lower_hyz(1, eps, w)
             rows.append(
@@ -117,7 +132,7 @@ def test_l1_lower_bound_stream(benchmark, report):
             n = 30000
             items = unit_stream(n)
             eps = 0.25
-            tracker = L1Tracker(k, eps=eps, delta=0.25, seed=5)
+            tracker = L1Tracker(k, eps=eps, delta=0.25, seed=5, engine=engine)
             counters = tracker.run(round_robin(items, k))
             lower = bounds.l1_lower_this_work(k, float(n))
             rows.append(
@@ -137,7 +152,7 @@ def test_l1_lower_bound_stream(benchmark, report):
     report(
         format_table(
             rows,
-            title="E11 (Theorem 7): L1 lower-bound streams",
+            title=f"E11 (Theorem 7): L1 lower-bound streams, {engine}",
             caption="measured >= Omega bound on the adversarial streams",
         )
     )

@@ -257,12 +257,13 @@ class SworCoordinator(CoordinatorAlgorithm):
         return None
 
     def snapshot_state(self) -> tuple:
-        """Window-boundary snapshot for the sharded engine.
+        """Value snapshot for every engine's run-start checkpoint.
 
         Captures everything the message handlers can mutate — the
         generator's state, sample set, level sets, epoch
-        tracker, and receipt counters — so a sharded run that degrades
-        after a worker fault can restart from its run-start checkpoint.
+        tracker, and receipt counters — so a run that raises rewinds
+        to its start, and a sharded run that degrades after a worker
+        fault restarts from it.
         """
         return (
             self._gen.bit_generator.state,

@@ -75,8 +75,7 @@ class EpochTracker:
         return new_epoch is not None and new_epoch != self._epoch
 
     def snapshot_state(self) -> Tuple[Optional[int], int]:
-        """Rewind point for the sharded engine's run-start
-        checkpoint."""
+        """Rewind point for the run-start checkpoint."""
         return (self._epoch, self.broadcasts)
 
     def restore_state(self, state: Tuple[Optional[int], int]) -> None:

@@ -204,7 +204,7 @@ class TopKeySample:
         self._refresh()
         return m
 
-    # -- snapshots (the sharded engine's run-start checkpoint) --------
+    # -- snapshots (every engine's run-start checkpoint) --------------
 
     def snapshot_state(self) -> SampleSnapshot:
         """Rewind point as plain tuples (value-comparable; ``Item`` is

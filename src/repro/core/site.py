@@ -468,8 +468,9 @@ class SworSite(SiteAlgorithm):
         return MessagePack(*early, idents, weights, keys)
 
     def snapshot_state(self) -> tuple:
-        """Value snapshot of the site, as the sharded engine takes one
-        before every window, in its run-start checkpoint and at run end.
+        """Value snapshot of the site, as every engine takes one in its
+        run-start checkpoint, and the sharded engine before every window
+        and at run end.
 
         Captures exactly the state the site-pass hooks mutate: the
         generator's state (four 64-bit words), the control view (mask,

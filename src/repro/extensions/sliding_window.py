@@ -270,6 +270,27 @@ class SlidingWindowWeightedSWOR:
             survivors = [e for e in survivors if e.index >= cutoff]
         self._entries = survivors
 
+    def snapshot_state(self) -> tuple:
+        """A value snapshot of everything an insertion changes: the
+        generator's state, the retained entries with their dominator
+        counts (the one field an insertion updates in place), the last
+        timestamp and the arrivals seen."""
+        return (
+            self._gen.bit_generator.state,
+            [(entry, entry.dominators) for entry in self._entries],
+            self._last_timestamp,
+            self.items_seen,
+        )
+
+    def restore_state(self, state: tuple) -> None:
+        """Rewind to a :meth:`snapshot_state` taken on this sampler,
+        leaving the snapshot as it was."""
+        gen_state, entries, self._last_timestamp, self.items_seen = state
+        self._gen.bit_generator.state = gen_state
+        for entry, dominators in entries:
+            entry.dominators = dominators
+        self._entries = [entry for entry, _ in entries]
+
     # -- queries -------------------------------------------------------
 
     def retained_count(self) -> int:

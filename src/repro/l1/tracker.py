@@ -201,6 +201,21 @@ class _L1Site(SiteAlgorithm):
             raise ProtocolViolationError("L1 epoch threshold decreased")
         self._threshold = threshold
 
+    def snapshot_state(self) -> tuple:
+        """Value snapshot: the generator's state, the epoch threshold
+        and the two counters."""
+        return (
+            self._gen.bit_generator.state,
+            self._threshold,
+            self.items_seen,
+            self.keys_sent,
+        )
+
+    def restore_state(self, state: tuple) -> None:
+        """Rewind to a snapshot of this site."""
+        gen_state, self._threshold, self.items_seen, self.keys_sent = state
+        self._gen.bit_generator.state = gen_state
+
     def state_words(self) -> int:
         return 2
 

@@ -162,11 +162,12 @@ class MessageCounters:
         return self.upstream + self.downstream
 
     def snapshot_state(self):
-        """An opaque rewind point for the sharded engine.
+        """An opaque rewind point.
 
-        The sharded engine's run-start checkpoint takes one; when a
-        worker faults, the counters rewind with the coordinator so the
-        in-process rerun records everything exactly once.
+        Every engine's run-start checkpoint takes one: a run that
+        raises rewinds the counters with the coordinator, so a failed
+        run counts nothing, and a sharded run's in-process rerun after
+        a worker fault records everything exactly once.
         """
         return (
             self.upstream,

@@ -245,7 +245,10 @@ class _L1BackedQuery(NetworkBackedQuery):
 class CentralizedQuery(CompiledQuery):
     """A compiled query served by a centralized sampler at the
     coordinator; the driver feeds it the stream in global arrival order
-    (no per-site state, no messages)."""
+    (no per-site state, no messages), and checkpoints the ``sampler``
+    through its ``snapshot_state()`` / ``restore_state()``."""
+
+    sampler: SlidingWindowWeightedSWOR
 
     @abstractmethod
     def observe_columns(self, idents, weights, timestamps=None) -> None:

@@ -35,9 +35,10 @@ The batch schedule is the driver's engine's
 checkpoint-exact splits), so a driver with a single query is
 bit-identical to a standalone run under the same
 :class:`~repro.runtime.ColumnarEngine` — and with ``engine="reference"``
-(batch size 1) to the reference engine.  A pass ends in one run record
-on that engine (:meth:`~repro.runtime.base.Engine._record_run`), the
-record every engine run ends in.
+(batch size 1) to the reference engine.  A pass runs through that
+engine's run lifecycle (:meth:`~repro.runtime.base.Engine.run`), as
+every engine run does: it is checkpointed, timed and recorded once,
+and a pass that raises is rewound to its start.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from ..common.errors import ConfigurationError
 from ..net.counters import MessageCounters
 from ..runtime import ColumnarEngine, Engine, ReferenceEngine, get_engine
-from ..runtime.batched import batch_windows, checkpoint_marks
+from ..runtime.batched import batch_windows
 from ..runtime.columnar import group_window, run_window, window_step
 from ..stream.item import DistributedStream
 from .backends import (
@@ -182,6 +183,10 @@ class MultiQueryDriver:
         self._centralized = [
             c for c in self.compiled if isinstance(c, CentralizedQuery)
         ]
+        # What a pass checkpoints: every query's state.
+        self._actors = [c.network for c in self._network_backed] + [
+            c.sampler for c in self._centralized
+        ]
         self.items_processed = 0
 
     # -- answers ------------------------------------------------------
@@ -222,22 +227,38 @@ class MultiQueryDriver:
         checkpoint counts are cumulative across ``run`` calls: a driver
         reused on a second stream keeps one clock.
 
-        Raises :class:`~repro.common.errors.ConfigurationError` before
-        any query runs when the stream's identifiers are not
-        int64-representable (see
-        :meth:`~repro.stream.item.DistributedStream.arrays`).
+        The pass runs through its engine's run lifecycle (see
+        :mod:`repro.runtime.base`): a stream whose site count is not
+        ``num_sites`` is refused before any query runs, and a pass that
+        raises — on identifiers that are not int64-representable (see
+        :meth:`~repro.stream.item.DistributedStream.arrays`), or in an
+        answer at a checkpoint — is recorded as failed and leaves every
+        query at its pass-start state (:meth:`snapshot_state`).
         """
-        if stream.num_sites != self.num_sites:
-            raise ConfigurationError(
-                f"stream has {stream.num_sites} sites, driver has {self.num_sites}"
-            )
-        t_run = time.perf_counter()
+        snapshots: List[Tuple[int, Dict[str, object]]] = []
+        self.engine._run(
+            self,
+            None,
+            stream,
+            checkpoints,
+            lambda marks, checkpoint: self._pass(stream, marks, snapshots),
+        )
+        return MultiQueryResult(
+            answers=self.answers(),
+            counters=self.counters(),
+            items_processed=self.items_processed,
+            snapshots=snapshots,
+        )
+
+    def _pass(self, stream, marks: List[int], snapshots: list) -> dict:
+        """The shared pass over ``stream``'s windows, split at the
+        stream offsets ``marks``, where each query's answer is appended
+        to ``snapshots``; returns the record's ``windows`` and
+        ``queries``."""
         assignment, weights, idents = stream.arrays()
         n = len(stream)
         base = self.items_processed
-        marks: List[int] = checkpoint_marks(checkpoints, base, n) if checkpoints else []
         mark_set = set(marks)
-        snapshots: List[Tuple[int, Dict[str, object]]] = []
         centralized = self._centralized
         networks = [instance.network for instance in self._network_backed]
         engine = self.engine
@@ -271,12 +292,9 @@ class MultiQueryDriver:
             windows += 1
             if hi in mark_set:
                 snapshots.append((base + hi, self.answers()))
-        engine._record_run(
-            None,
-            n,
-            time.perf_counter() - t_run,
-            windows=windows,
-            queries={
+        return {
+            "windows": windows,
+            "queries": {
                 instance.name: {
                     "fold_seconds": seconds,
                     "upstream": instance.counters.upstream,
@@ -284,10 +302,16 @@ class MultiQueryDriver:
                 }
                 for instance, seconds in zip(self._network_backed, fold_seconds)
             },
-        )
-        return MultiQueryResult(
-            answers=self.answers(),
-            counters=self.counters(),
-            items_processed=self.items_processed,
-            snapshots=snapshots,
-        )
+        }
+
+    def snapshot_state(self):
+        """The pass checkpoint: the ``snapshot_state()`` of every query
+        network (:meth:`~repro.runtime.network.Network.snapshot_state`)
+        and of every centralized sampler, and ``items_processed``."""
+        return [actor.snapshot_state() for actor in self._actors], self.items_processed
+
+    def restore_state(self, state) -> None:
+        """Rewind every query to a :meth:`snapshot_state`, in place."""
+        states, self.items_processed = state
+        for actor, actor_state in zip(self._actors, states):
+            actor.restore_state(actor_state)

@@ -503,5 +503,7 @@ def swr_mean(
             n_used=1,
             method="clt",
         )
-    var = sum((x - mean) ** 2 for x in xs) / (n - 1) / n
+    # Square by multiplication: ``** 2`` raises OverflowError past
+    # float range, where a product is inf (as in ``_ht_moments``).
+    var = sum((x - mean) * (x - mean) for x in xs) / (n - 1) / n
     return _normal_estimate(mean, var, confidence, n, "clt")

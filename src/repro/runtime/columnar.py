@@ -96,22 +96,15 @@ arrival) — level sets park columns.
 
 from __future__ import annotations
 
-import time
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..common.errors import ConfigurationError
 from ..net.messages import MessagePack
 from ..stream.item import Item
 from .base import Engine
-from .batched import (
-    DEFAULT_BATCH_SIZE,
-    batch_windows,
-    checkpoint_marks,
-    window_order,
-)
+from .batched import DEFAULT_BATCH_SIZE, batch_windows, window_order
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from ..net.counters import MessageCounters
     from .network import Network
 
 __all__ = [
@@ -327,34 +320,14 @@ class ColumnarEngine(Engine):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(batch_size={self.batch_size})"
 
-    def run(
-        self,
-        network: "Network",
-        stream,
-        on_step: Optional[Callable[[int], None]] = None,
-        checkpoints: Optional[Iterable[int]] = None,
-        on_checkpoint: Optional[Callable[[int], None]] = None,
-    ) -> "MessageCounters":
-        t0 = time.perf_counter()
-        fields = self._replay(network, stream, on_step, checkpoints, on_checkpoint)
-        self._record_run(
-            network.counters, len(stream), time.perf_counter() - t0, **fields
-        )
-        return network.counters
-
     def _replay(
-        self, network: "Network", stream, on_step, checkpoints, on_checkpoint
+        self, network: "Network", stream, on_step, marks, on_checkpoint, checkpoint
     ) -> dict:
         """The in-process window loop (also the sharded engine's
         fallback and degraded path); returns the record's window
         counts."""
         assignment, weights, idents = stream.arrays()
         n = len(stream)
-        marks: List[int] = (
-            checkpoint_marks(checkpoints, network.items_processed, n)
-            if checkpoints is not None and on_checkpoint is not None
-            else []
-        )
         mark_set = set(marks)
         can_park = window_step(network)
         whole = split = per_site = cut_runs = 0

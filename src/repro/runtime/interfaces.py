@@ -94,11 +94,14 @@ class SiteAlgorithm(ABC):
         """Return a snapshot of ALL mutable site state.
 
         The one way an engine rewinds or transplants a site, paired
-        with :meth:`restore_state`.  The sharded engine snapshots every
-        site before each window (a mid-window broadcast rolls the
-        window's later sites back to it, a missed speculation the whole
-        shard), in its run-start checkpoint (a worker fault rewinds the
-        network to it and reruns in-process), and at run end (each
+        with :meth:`restore_state`.  Every engine snapshots every site
+        in its run-start checkpoint
+        (:meth:`~repro.runtime.network.Network.snapshot_state`; a run
+        that raises is rewound to it, and a sharded worker fault
+        rewinds the network to it and reruns in-process).  The sharded
+        engine also snapshots every site before each window (a
+        mid-window broadcast rolls the window's later sites back to it,
+        a missed speculation the whole shard), and at run end (each
         worker ships its sites' snapshots, and the parent restores its
         own copies of the sites from them).  The snapshot must capture
         *everything* ``on_item`` / ``on_columns`` / ``on_control`` can
@@ -108,7 +111,9 @@ class SiteAlgorithm(ABC):
 
         This default pickles the instance's attributes, which is
         faithful for every site :attr:`shardable` admits (a site without
-        a ``__dict__`` must override both methods).  Protocol sites
+        a ``__dict__`` must override both methods); a site whose
+        attributes do not pickle makes it raise, and its runs then go
+        without a checkpoint.  Protocol sites
         override it with a value snapshot of their few fields — their
         one generator's ``bit_generator.state`` (four 64-bit words) and
         a few scalars — which is much cheaper per window.
@@ -170,9 +175,9 @@ class CoordinatorAlgorithm(ABC):
     def snapshot_state(self):
         """Return a snapshot of ALL mutable coordinator state.
 
-        The sharded engine's run-start checkpoint takes one, so a
-        worker fault can rewind the coordinator and rerun the whole
-        stream in-process.  The contract is
+        Every engine's run-start checkpoint takes one, so a run that
+        raises rewinds the coordinator, and a sharded worker fault can
+        rerun the whole stream in-process.  The contract is
         :meth:`SiteAlgorithm.snapshot_state`'s, and so is this default:
         it pickles the instance's attributes.
         """

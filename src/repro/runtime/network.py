@@ -173,11 +173,11 @@ class Network:
             ``None`` selects the strictly synchronous reference engine,
             which preserves the historical ``Network.run`` semantics
             bit for bit.
+
+        Every engine refuses a stream whose site count differs from the
+        network's before any site runs, and rewinds a run that raises
+        to its start (see :meth:`~repro.runtime.base.Engine.run`).
         """
-        if stream.num_sites != self.num_sites:
-            raise ConfigurationError(
-                f"stream has {stream.num_sites} sites, network has {self.num_sites}"
-            )
         if engine is None:
             from .reference import ReferenceEngine
 
@@ -189,6 +189,30 @@ class Network:
             checkpoints=checkpoints,
             on_checkpoint=on_checkpoint,
         )
+
+    def snapshot_state(self):
+        """A checkpoint of the whole network: every site's and the
+        coordinator's :meth:`~repro.runtime.interfaces.SiteAlgorithm.snapshot_state`,
+        the counters' and ``items_processed`` — what every engine takes
+        at run start and restores when the run raises.  Raises when an
+        actor's snapshot raises (a default snapshot pickles, and some
+        state does not)."""
+        return (
+            [site.snapshot_state() for site in self.sites],
+            self.coordinator.snapshot_state(),
+            self.counters.snapshot_state(),
+            self.items_processed,
+        )
+
+    def restore_state(self, state) -> None:
+        """Rewind to a :meth:`snapshot_state`, in place: whatever holds
+        a site, the coordinator or the counters keeps seeing their
+        state.  The checkpoint stays as it was, to be restored again."""
+        sites, coordinator, counters, self.items_processed = state
+        for site, site_state in zip(self.sites, sites):
+            site.restore_state(site_state)
+        self.coordinator.restore_state(coordinator)
+        self.counters.restore_state(counters)
 
     def site_state_words(self) -> List[int]:
         """Per-site persistent state, in words (experiment E12)."""

@@ -16,15 +16,7 @@ dispatch per item, which is what the columnar plane removes.
 
 from __future__ import annotations
 
-import time
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
-
 from .base import Engine
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from ..net.counters import MessageCounters
-    from ..stream.item import DistributedStream
-    from .network import Network
 
 __all__ = ["ReferenceEngine"]
 
@@ -34,24 +26,16 @@ class ReferenceEngine(Engine):
 
     name = "reference"
 
-    def run(
-        self,
-        network: "Network",
-        stream: "DistributedStream",
-        on_step: Optional[Callable[[int], None]] = None,
-        checkpoints: Optional[Iterable[int]] = None,
-        on_checkpoint: Optional[Callable[[int], None]] = None,
-    ) -> "MessageCounters":
-        checkset = set(checkpoints) if checkpoints is not None else None
-        t0 = time.perf_counter()
+    def _replay(
+        self, network, stream, on_step, marks, on_checkpoint, checkpoint
+    ) -> dict:
+        mark_set = set(marks)
         processed = 0
         for site_id, item in stream:
             network.step(site_id, item)
             processed += 1
-            t = network.items_processed
             if on_step is not None:
-                on_step(t)
-            if checkset is not None and on_checkpoint is not None and t in checkset:
-                on_checkpoint(t)
-        self._record_run(network.counters, processed, time.perf_counter() - t0)
-        return network.counters
+                on_step(network.items_processed)
+            if processed in mark_set:
+                on_checkpoint(network.items_processed)
+        return {}

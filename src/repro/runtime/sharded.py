@@ -74,9 +74,11 @@ One snapshot mechanism
 ----------------------
 Every rewind and every transplant of protocol state goes through
 :meth:`~repro.runtime.interfaces.SiteAlgorithm.snapshot_state` /
-``restore_state``, at four points: a worker snapshots each of its sites
-before every window (a roll rewinds just the suffix sites, a missed
-speculation the whole shard); the run-start checkpoint holds every
+``restore_state``, at three points: a worker snapshots each of its
+sites before every window (a roll rewinds just the suffix sites, a
+missed speculation the whole shard); the run-start checkpoint that
+every engine's run takes
+(:meth:`~repro.runtime.network.Network.snapshot_state`) holds every
 site's and the coordinator's snapshot; and at run end each worker ships
 its sites' snapshots in ``sta``, from which the parent restores its own
 sites.  Restores happen in place, so whatever holds a site or the
@@ -138,9 +140,9 @@ Every sharded run is supervised.  Each worker receive waits at most
 :class:`ShardedWorkerError`, classified: silence past the deadline is
 a **hang**, a dead pipe or process exit a **crash**, a descriptor
 rejected by the wire validation in :mod:`repro.net.messages`
-**poison**, and a traceback the worker shipped an **error**.
-:meth:`ShardedEngine.run` catches the error in one place: it reaps the
-faulted worker, closes the pool and records the fault in
+**poison**, and a traceback the worker shipped an **error**.  The
+engine's replay catches the error in one place: it reaps the faulted
+worker and closes the pool, and the run's record logs the fault in
 ``last_run_stats["faults"]`` (a run logs one fault: the first ends the
 sharded attempt).  A crash, hang or poison then restores the network
 to its run-start checkpoint and finishes the run on the in-process
@@ -150,9 +152,12 @@ message counters — and keeps its window schedule, so it forwards only
 the ``on_step`` / ``on_checkpoint`` calls past the windows the sharded
 attempt already reported.  An error, whose deterministic user-code
 exception a rerun would raise again, and any fault of a run without a
-checkpoint (a network whose state does not pickle) record
-``mode="failed"`` and re-raise the error.  The engine's next run
-spawns a fresh pool.  The chaos seams threaded through the worker
+checkpoint (an actor whose snapshot does not pickle) propagate to the
+run lifecycle (:meth:`~repro.runtime.base.Engine.run`), which, as for
+any failed run under any engine, restores the run-start checkpoint —
+after the pool teardown — records ``mode="failed"`` with the fault's
+``reason`` and ``faults`` row, and re-raises the error.  The engine's
+next run spawns a fresh pool.  The chaos seams threaded through the worker
 loop (:mod:`repro.faults`) inject crashes, hangs, drops and
 corrupt/truncated packs deterministically; ``tests/test_chaos.py``
 drives them across a worker/window grid and asserts bit-identical
@@ -182,7 +187,7 @@ import os
 import time
 import traceback
 import weakref
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as _np
 
@@ -201,7 +206,7 @@ from ..faults import (
     parse_fault_plan,
 )
 from ..net.messages import MessagePack, PackWireError
-from .batched import DEFAULT_BATCH_SIZE, batch_windows, checkpoint_marks
+from .batched import DEFAULT_BATCH_SIZE, batch_windows
 from .columnar import (
     ColumnarEngine,
     group_window,
@@ -211,7 +216,6 @@ from .columnar import (
 from .interfaces import BROADCAST
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from ..net.counters import MessageCounters
     from .network import Network
 
 __all__ = [
@@ -251,8 +255,8 @@ def available_cpus() -> int:
 class ShardedWorkerError(RuntimeError):
     """A shard worker died, hung, raised, or sent a malformed pack.
 
-    Every worker fault of a run raises this, and
-    :meth:`ShardedEngine.run` records it; it reaches the caller when
+    Every worker fault of a run raises this, and the run's record
+    logs it; it reaches the caller when
     the run cannot degrade: a worker that raised
     (``fault_class="error"``), or any fault of a run without a
     run-start checkpoint.  The parent raises it after the worker pool
@@ -840,29 +844,24 @@ def _shutdown_pool(pool) -> None:
         _unlink_segments(pool["rings"] + (stream["shms"] if stream else []))
 
 
-def _checkpoint_network(network):
-    """Run-start checkpoint of everything the parent needs to rerun a
-    faulted run from scratch in-process: every site's and the
-    coordinator's :meth:`snapshot_state`, the message counters, and the
-    items processed.  Raises when a snapshot cannot be taken (a
-    default snapshot pickles, and some state does not pickle)."""
+def _fault_fields(error: "ShardedWorkerError") -> dict:
+    """The record's ``reason`` and ``faults`` row for a worker fault.
+    One line: a worker traceback's last line names its exception; every
+    other detail is one line."""
     return {
-        "sites": [site.snapshot_state() for site in network.sites],
-        "coordinator": network.coordinator.snapshot_state(),
-        "counters": network.counters.snapshot_state(),
-        "items_processed": network.items_processed,
+        "reason": (
+            f"worker {error.fault_class} fault: "
+            f"{error.detail.splitlines()[-1]}"
+        ),
+        "faults": [
+            {
+                "worker": error.worker,
+                "window": error.window,
+                "fault_class": error.fault_class,
+                "detail": error.detail,
+            }
+        ],
     }
-
-
-def _restore_network(network, checkpoint) -> None:
-    """Rewind a network to its run-start checkpoint, in place
-    (degradation: the columnar rerun replays the whole run
-    deterministically)."""
-    for site, state in zip(network.sites, checkpoint["sites"]):
-        site.restore_state(state)
-    network.coordinator.restore_state(checkpoint["coordinator"])
-    network.counters.restore_state(checkpoint["counters"])
-    network.items_processed = checkpoint["items_processed"]
 
 
 def _after(callback, reported):
@@ -952,20 +951,9 @@ class ShardedEngine(ColumnarEngine):
 
     # -- top level ------------------------------------------------------
 
-    def run(
-        self,
-        network: "Network",
-        stream,
-        on_step: Optional[Callable[[int], None]] = None,
-        checkpoints: Optional[Iterable[int]] = None,
-        on_checkpoint: Optional[Callable[[int], None]] = None,
-    ) -> "MessageCounters":
-        t_run = time.perf_counter()
-        if checkpoints is not None:
-            # Materialize once: marks are computed here AND the
-            # in-process loop (fallback or degraded) iterates again — a
-            # one-shot iterator must survive both.
-            checkpoints = list(checkpoints)
+    def _replay(
+        self, network: "Network", stream, on_step, marks, on_checkpoint, checkpoint
+    ) -> dict:
         arrays = stream.arrays()
         n = len(stream)
         workers = max(1, min(self.workers, network.num_sites))
@@ -980,17 +968,7 @@ class ShardedEngine(ColumnarEngine):
             getattr(site, "shardable", True) for site in network.sites
         ):
             reason = "non-shardable site"
-        marks: List[int] = []
-        pool = None
-        checkpoint = None
-        base = network.items_processed
-        if reason is None:
-            if checkpoints is not None and on_checkpoint is not None:
-                marks = checkpoint_marks(checkpoints, base, n)
-            try:
-                checkpoint = _checkpoint_network(network)
-            except Exception:
-                pass  # unpicklable network: a fault then fails the run
+        else:
             try:
                 t_setup = time.perf_counter()
                 pool, warm = self._get_pool(workers)
@@ -998,81 +976,61 @@ class ShardedEngine(ColumnarEngine):
                 setup = time.perf_counter() - t_setup
             except Exception as exc:
                 self.close()
-                pool = None
                 reason = f"worker setup failed: {exc!r}"
         if reason is not None:
-            fields = self._replay(network, stream, on_step, checkpoints, on_checkpoint)
-            self._record_run(
-                network.counters,
-                n,
-                time.perf_counter() - t_run,
-                mode="fallback",
-                reason=reason,
-                **fields,
-            )
-            return network.counters
+            return {
+                "mode": "fallback",
+                "reason": reason,
+                **super()._replay(
+                    network, stream, on_step, marks, on_checkpoint, checkpoint
+                ),
+            }
         try:
             fields = self._run_windows(
                 network, pool, n, marks, on_step, on_checkpoint
             )
-            fields["warm_pool"] = warm
-            fields["setup_seconds"] = setup
         except ShardedWorkerError as error:
             # The one fault path.  The pool's protocol state is unknown
             # after a fault, so it is never reused.
             _reap_handle(pool["handles"][error.worker])
             self.close()
-            # One line: a worker traceback's last line names its
-            # exception; every other detail is one line.
-            reason = (
-                f"worker {error.fault_class} fault: "
-                f"{error.detail.splitlines()[-1]}"
-            )
-            faults = [
-                {
-                    "worker": error.worker,
-                    "window": error.window,
-                    "fault_class": error.fault_class,
-                    "detail": error.detail,
-                }
-            ]
             if error.fault_class == "error" or checkpoint is None:
-                self._record_run(
-                    network.counters,
-                    network.items_processed - base,
-                    time.perf_counter() - t_run,
-                    mode="failed",
-                    reason=reason,
-                    faults=faults,
-                )
-                raise
+                raise  # the run lifecycle rewinds and records it
             # Restore the run-start checkpoint and rerun on the
             # in-process columnar engine.  The rerun is bit-identical
             # and keeps the window schedule, so it forwards only the
             # callbacks past the windows the sharded attempt already
             # reported.
             reported = network.items_processed
-            _restore_network(network, checkpoint)
-            fields = {
+            network.restore_state(checkpoint)
+            fault = _fault_fields(error)
+            return {
                 "mode": "degraded",
-                "reason": reason,
+                "reason": fault["reason"],
                 "degraded_to": "columnar",
-                **self._replay(
+                **super()._replay(
                     network,
                     stream,
                     _after(on_step, reported),
-                    checkpoints,
+                    marks,
                     _after(on_checkpoint, reported),
+                    checkpoint,
                 ),
-                "faults": faults,
+                "faults": fault["faults"],
             }
         except BaseException:
             # Interrupted mid-protocol: never reuse the pool.  Teardown
             # also reaps any orphans.
             self.close()
             raise
-        self._record_run(network.counters, n, time.perf_counter() - t_run, **fields)
-        return network.counters
+        fields["warm_pool"] = warm
+        fields["setup_seconds"] = setup
+        return fields
+
+    def _failed_fields(self, error: BaseException) -> dict:
+        if isinstance(error, ShardedWorkerError) and error.fault_class:
+            return _fault_fields(error)
+        return super()._failed_fields(error)
 
     # -- pool lifecycle -------------------------------------------------
 

@@ -399,13 +399,13 @@ class TestLockstepRecovery:
         """A run whose network has no run-start checkpoint raises on a
         classified fault — after recording it, so the fault still
         reaches ``repro_shard_faults_total``."""
-        import repro.runtime.sharded as sharded_mod
         from repro.obs import MetricsRegistry
+        from repro.runtime import Network
 
         def no_checkpoint(network):
             raise TypeError("cannot pickle the network")
 
-        monkeypatch.setattr(sharded_mod, "_checkpoint_network", no_checkpoint)
+        monkeypatch.setattr(Network, "snapshot_state", no_checkpoint)
         registry = MetricsRegistry()
         engine = ShardedEngine(
             batch_size=BATCH,
@@ -436,12 +436,12 @@ class TestLockstepRecovery:
         has no run-start checkpoint: the crash fails the run.  (With a
         checkpoint the run would degrade, and the in-process rerun of
         the exiting site would end this process.)"""
-        import repro.runtime.sharded as sharded_mod
+        from repro.runtime import Network
 
         def no_checkpoint(network):
             raise TypeError("cannot pickle the network")
 
-        monkeypatch.setattr(sharded_mod, "_checkpoint_network", no_checkpoint)
+        monkeypatch.setattr(Network, "snapshot_state", no_checkpoint)
         engine = ShardedEngine(batch_size=BATCH, workers=WORKERS)
         proto = DistributedWeightedSWOR(
             SworConfig(num_sites=SITES, sample_size=SAMPLE),

@@ -174,6 +174,17 @@ class TestOtherEstimators:
         assert estimate.ci_low < estimate.value < estimate.ci_high
         assert estimate.method == "clt"
 
+    def test_swr_mean_at_in_domain_weights_past_float_squares(self):
+        """Weights near 2**600 square past float range: the mean is
+        returned, with a non-finite variance, instead of raising
+        OverflowError (as ``subset_sum`` does at these weights)."""
+        rng = random.Random(8)
+        sample = [Item(i, 2.0**600 * (1.0 + rng.random())) for i in range(50)]
+        estimate = est.swr_mean(sample)
+        mean = sum(item.weight for item in sample) / len(sample)
+        assert estimate.value == mean
+        assert estimate.variance == float("inf")
+
     def test_validation_errors(self, flat_items):
         entries = _swor_entries(flat_items, 8, random.Random(9))
         with pytest.raises(ConfigurationError):

@@ -526,7 +526,7 @@ class TestWorkerFailure:
     def test_worker_error_is_recorded_and_counted(self):
         """A worker error fails its run with a record of its own: it
         replaces the previous run's record, logs the one fault and
-        counts it once."""
+        counts it once, and the run is rewound."""
         from repro.obs import MetricsRegistry
 
         stream = _stream(n=4000)
@@ -558,8 +558,9 @@ class TestWorkerFailure:
             "worker error fault: RuntimeError: faulty-site-exploded"
         )
         # Windows 0-5 of the 64-item ramp committed: 64 + 128 + 256 +
-        # 3 * 512 arrivals.
-        assert stats["items"] == faulty.network.items_processed == 1984
+        # 3 * 512 arrivals, and the network is rewound to its start.
+        assert stats["items"] == 1984
+        assert faulty.network.items_processed == 0
         assert [
             (f["worker"], f["window"], f["fault_class"]) for f in stats["faults"]
         ] == [(1, 6, "error")]
